@@ -150,10 +150,9 @@ impl BgvContext {
         s.ntt_forward(&tabs_full);
         let s_q = restrict(&s, q_primes.len());
 
-        let mut a = self
+        let a = self
             .inner
             .with_rng(|r| sampling::uniform_poly(r, &q_primes, n));
-        a.set_domain(Domain::Ntt);
         let mut e = self
             .inner
             .with_rng(|r| sampling::gaussian_poly(r, &q_primes, n));
@@ -194,8 +193,7 @@ impl BgvContext {
         for j in 0..dnum {
             let digit_primes = &q_chain[j * alpha..((j + 1) * alpha).min(q_chain.len())];
             let factors = self.inner.ksk_factors_public(digit_primes, &full);
-            let mut a = self.inner.with_rng(|r| sampling::uniform_poly(r, &full, n));
-            a.set_domain(Domain::Ntt);
+            let a = self.inner.with_rng(|r| sampling::uniform_poly(r, &full, n));
             let mut e = self
                 .inner
                 .with_rng(|r| sampling::gaussian_poly(r, &full, n));

@@ -19,6 +19,9 @@ use wd_polyring::Poly;
 /// Cache of base-extension converters, keyed by (from, to) prime lists.
 type ConverterCache = HashMap<(Vec<u64>, Vec<u64>), Arc<BasisConverter>>;
 
+/// Cache of NTT-domain Galois permutations, keyed by Galois element.
+type GaloisCache = HashMap<usize, Arc<[u32]>>;
+
 /// Immutable per-level derived state, computed once at context build so the
 /// hot path borrows instead of re-deriving (`q_at(level).to_vec()`,
 /// `full_basis_at(level)`, fresh table `Vec`s and P-inverse recomputation
@@ -49,6 +52,10 @@ pub struct CkksContext {
     table_by_prime: HashMap<u64, Arc<NttTable>>,
     rng: Mutex<StdRng>,
     converters: Mutex<ConverterCache>,
+    /// `wd_polyring::ntt::galois_permutation(N, g)` per Galois element
+    /// used so far (4N bytes each; a context sees as many elements as it
+    /// has rotation keys).
+    galois: Mutex<GaloisCache>,
     /// Host thread budget for limb-level parallel execution (see
     /// `wd_polyring::par`). `1` = strictly sequential; results are
     /// bit-identical at every setting. The context never reads the
@@ -127,6 +134,7 @@ impl CkksContext {
             table_by_prime,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             converters: Mutex::new(HashMap::new()),
+            galois: Mutex::new(HashMap::new()),
             threads: AtomicUsize::new(1),
             levels,
             scratch: Mutex::new(ScratchArena::for_worker()),
@@ -257,6 +265,22 @@ impl CkksContext {
         Ok(conv)
     }
 
+    /// The Galois automorphism `X ↦ X^g` as an index permutation of
+    /// NTT-domain data (see `wd_polyring::ntt::galois_permutation`), built
+    /// on first use and cached: rotation-key generation, HROTATE and
+    /// conjugation all gather through it instead of leaving the NTT domain.
+    /// The lock recovers from poisoning like the converter cache's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is even.
+    pub fn galois_permutation(&self, g: usize) -> Arc<[u32]> {
+        let mut cache = self.galois.lock().unwrap_or_else(|p| p.into_inner());
+        Arc::clone(cache.entry(g).or_insert_with(|| {
+            wd_polyring::ntt::galois_permutation(self.params.degree(), g).into()
+        }))
+    }
+
     /// Cached basis converter `from → to` (see
     /// [`CkksContext::try_converter`]).
     ///
@@ -370,11 +394,7 @@ impl CkksContext {
 
         let q_primes = self.params.q_chain().to_vec();
         let s_q = restrict(&s, q_primes.len());
-        let a = {
-            let mut a = self.with_rng(|r| sampling::uniform_poly(r, &q_primes, n));
-            a.set_domain(Domain::Ntt); // uniform is uniform in either domain
-            a
-        };
+        let a = self.with_rng(|r| sampling::uniform_poly(r, &q_primes, n));
         let mut e = self.with_rng(|r| sampling::gaussian_poly(r, &q_primes, n));
         e.ntt_forward(&self.tables_for(&q_primes));
         let b = a
@@ -415,13 +435,8 @@ impl CkksContext {
             if keys.get(g).is_some() {
                 continue;
             }
-            // s′ = φ_g(s): automorphism acts in the coefficient domain.
-            let full = self.params.full_basis_at(self.params.max_level());
-            let tabs = self.tables_for(&full);
-            let mut s_coeff = sk.s.clone();
-            s_coeff.ntt_inverse(&tabs);
-            let mut s_rot = s_coeff.automorphism(g);
-            s_rot.ntt_forward(&tabs);
+            // s′ = φ_g(s), a permutation of s's evaluations.
+            let s_rot = sk.s.automorphism_ntt(&self.galois_permutation(g));
             keys.insert(g, self.gen_ksk(&s_rot, sk));
         }
         keys
@@ -442,11 +457,7 @@ impl CkksContext {
         for j in 0..dnum {
             let digit_primes = &q_chain[j * alpha..((j + 1) * alpha).min(q_chain.len())];
             let factors = self.ksk_factors(digit_primes, &full);
-            let a = {
-                let mut a = self.with_rng(|r| sampling::uniform_poly(r, &full, n));
-                a.set_domain(Domain::Ntt);
-                a
-            };
+            let a = self.with_rng(|r| sampling::uniform_poly(r, &full, n));
             let mut e = self.with_rng(|r| sampling::gaussian_poly(r, &full, n));
             e.ntt_forward(&tabs);
             let b = a

@@ -388,8 +388,9 @@ fn mod_down(
 /// because of exactly this reuse.
 #[derive(Debug, Clone)]
 pub struct HoistedDecomposition {
-    /// Extended digits in the **coefficient** domain over the full basis
-    /// (the automorphism must be applied before the NTT).
+    /// Extended digits in the **NTT** domain over the full basis: the
+    /// automorphism of each rotation is a gather on these evaluations, so
+    /// the digits' forward transforms are hoisted along with ModUp.
     digits: Vec<RnsPoly>,
     /// Level the decomposition was taken at.
     level: usize,
@@ -431,6 +432,7 @@ impl HoistedDecomposition {
                     .coeffs_mut()
                     .copy_from_slice(d_coeff.limb(i).coeffs());
             }
+            ext.ntt_forward_with(ctx.full_tables(level), th);
             digits.push(ext);
         }
         give_rns(&arena, d_coeff);
@@ -449,10 +451,11 @@ impl HoistedDecomposition {
 }
 
 /// Keyswitch using a precomputed [`HoistedDecomposition`], applying the
-/// Galois automorphism `g` to the *extended digits* instead of re-running
-/// ModUp per rotation. With `g = 1` this equals [`keyswitch`] exactly.
-/// Accumulators, the rotated-digit buffer, and ModDown temporaries are
-/// arena-leased like the main path.
+/// Galois automorphism `g` to the *extended digits* (one gather per limb)
+/// instead of re-running ModUp and the digit NTTs per rotation. With
+/// `g = 1` this equals [`keyswitch`] exactly. Accumulators, the
+/// rotated-digit buffer, and ModDown temporaries are arena-leased like the
+/// main path.
 ///
 /// # Errors
 ///
@@ -489,25 +492,18 @@ fn keyswitch_hoisted_pooled(
     let n = hoisted.digits[0].degree();
     let arena = ctx.scratch();
     let full = ctx.full_basis(level);
-    let full_tabs = ctx.full_tables(level);
     let kidx = key_limb_index(&ksk.digits[0].b, full)?;
+    let perm = ctx.galois_permutation(g);
     let mut acc0 = take_rns(&arena, full, n, Domain::Ntt)?;
     let mut acc1 = take_rns(&arena, full, n, Domain::Ntt)?;
-    let mut rotated = take_rns(&arena, full, n, Domain::Coeff)?;
+    let mut rotated = take_rns(&arena, full, n, Domain::Ntt)?;
     for (j, ext) in hoisted.digits.iter().enumerate() {
-        // φ_g commutes with base extension (it permutes coefficients limb-
-        // wise), so applying it to the hoisted digit is exact.
-        rotated.set_domain(Domain::Coeff);
-        if g == 1 {
-            for (dst, src) in rotated.limbs_mut().zip(ext.limbs()) {
-                dst.coeffs_mut().copy_from_slice(src.coeffs());
-            }
-        } else {
-            for (dst, src) in rotated.limbs_mut().zip(ext.limbs()) {
-                *dst = src.automorphism(g);
-            }
+        // φ_g commutes with base extension and with the NTT (it permutes
+        // coefficients, respectively evaluations, limb-wise), so applying
+        // it to the hoisted digit is exact.
+        for (dst, src) in rotated.limbs_mut().zip(ext.limbs()) {
+            wd_polyring::ntt::gather(&perm, src.coeffs(), dst.coeffs_mut());
         }
-        rotated.ntt_forward_with(full_tabs, th);
         accumulate_digit(
             &mut acc0,
             &mut acc1,

@@ -322,17 +322,10 @@ fn apply_galois(
     let ksk = keys
         .get(g)
         .ok_or_else(|| CkksError::MissingKey(format!("rotation key for g = {g}")))?;
-    let th = ctx.threads();
-    let tabs = ctx.q_tables(ct.level);
-    // Automorphism acts on coefficients.
-    let mut c0 = ct.c0.clone();
-    let mut c1 = ct.c1.clone();
-    c0.ntt_inverse_with(tabs, th);
-    c1.ntt_inverse_with(tabs, th);
-    let mut c0g = c0.automorphism(g);
-    let mut c1g = c1.automorphism(g);
-    c0g.ntt_forward_with(tabs, th);
-    c1g.ntt_forward_with(tabs, th);
+    // φ_g permutes evaluations: the ciphertext never leaves the NTT domain.
+    let perm = ctx.galois_permutation(g);
+    let c0g = ct.c0.automorphism_ntt(&perm);
+    let c1g = ct.c1.automorphism_ntt(&perm);
     // Keyswitch φ(c1) from φ(s) to s.
     let (ks0, ks1) = keyswitch(ctx, &c1g, ksk)?;
     Ok(Ciphertext {
@@ -358,11 +351,6 @@ pub fn hrotate_many(
     keys: &RotationKeys,
 ) -> Result<Vec<Ciphertext>, CkksError> {
     use crate::keyswitch::{keyswitch_hoisted, HoistedDecomposition};
-    let th = ctx.threads();
-    let tabs = ctx.q_tables(ct.level);
-    // c0 in coefficient form for per-rotation automorphisms.
-    let mut c0_coeff = ct.c0.clone();
-    c0_coeff.ntt_inverse_with(tabs, th);
     // One decomposition of c1 shared by every rotation.
     let hoisted = HoistedDecomposition::new(ctx, &ct.c1)?;
     let mut out = Vec::with_capacity(rotations.len());
@@ -376,8 +364,7 @@ pub fn hrotate_many(
             .get(g)
             .ok_or_else(|| CkksError::MissingKey(format!("rotation key for g = {g}")))?;
         let (ks0, ks1) = keyswitch_hoisted(ctx, &hoisted, g, ksk)?;
-        let mut c0g = c0_coeff.automorphism(g);
-        c0g.ntt_forward_with(tabs, th);
+        let c0g = ct.c0.automorphism_ntt(&ctx.galois_permutation(g));
         out.push(Ciphertext {
             c0: c0g.add(&ks0)?,
             c1: ks1,

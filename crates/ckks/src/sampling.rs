@@ -1,14 +1,23 @@
 //! Randomness for RLWE: uniform, ternary, and discrete-Gaussian polynomials.
 
 use rand::Rng;
-use wd_polyring::rns::RnsPoly;
+use wd_polyring::ntt::NttTable;
+use wd_polyring::rns::{Domain, RnsPoly};
 
 /// Standard deviation of the RLWE error distribution (the value virtually
 /// every CKKS implementation uses).
 pub const ERROR_STD_DEV: f64 = 3.2;
 
-/// Samples a polynomial with coefficients uniform in every limb — fresh
-/// randomness per limb, which is the `a` part of public/evaluation keys.
+/// Samples a polynomial uniform in every limb, directly in the **NTT
+/// domain** (uniform is uniform in either domain, so no transform is
+/// needed) — fresh randomness per limb, which is the `a` part of
+/// public/evaluation keys.
+///
+/// Draw `k` of a limb is the evaluation at ψ^{2k+1} and is stored at its
+/// bit-reversed slot (the order of [`NttTable::forward`]), so a seed names
+/// the same ring element whatever the storage order of the transform: keys
+/// and ciphertexts, and with them every decrypted value, are a function of
+/// the seed alone.
 ///
 /// # Panics
 ///
@@ -19,10 +28,13 @@ pub fn uniform_poly<R: Rng>(rng: &mut R, primes: &[u64], n: usize) -> RnsPoly {
     // panic contract above for anyone else).
     let mut p = RnsPoly::zero(primes, n).expect("valid ring");
     for (i, &q) in primes.iter().enumerate() {
-        for c in p.limb_mut(i).coeffs_mut() {
+        let limb = p.limb_mut(i).coeffs_mut();
+        for c in limb.iter_mut() {
             *c = rng.gen_range(0..q);
         }
+        NttTable::bit_reverse(limb);
     }
+    p.set_domain(Domain::Ntt);
     p
 }
 

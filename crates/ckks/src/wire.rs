@@ -13,6 +13,17 @@
 //! then per limb: q u64 | degree × u32 coefficients        (component c0)
 //! then component c1 (ciphertexts only)
 //! ```
+//!
+//! Coefficients cross the wire in memory order. Everything this crate
+//! serializes is in the NTT domain, so that is the **bit-reversed
+//! evaluation order** of `wd_polyring::ntt` (slot `i` holds the evaluation
+//! at ψ^{2·brv(i)+1}); the format carries no order marker, and both ends
+//! must agree on it the way they agree on the primes.
+//!
+//! The codec moves whole limbs: the encoder reserves the exact size and
+//! packs each limb straight into the destination, the decoder checks that
+//! the declared shape fits the bytes present *before* allocating for it,
+//! unpacks a limb at a time and range-checks it in one pass.
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::CkksError;
@@ -20,6 +31,8 @@ use wd_polyring::rns::{Domain, RnsPoly};
 use wd_polyring::Poly;
 
 const MAGIC: &[u8; 4] = b"WDR1";
+/// magic | kind | level | scale | limbs | degree.
+const HEADER_BYTES: usize = 4 + 1 + 4 + 8 + 4 + 4;
 const KIND_CIPHERTEXT: u8 = 1;
 const KIND_PLAINTEXT: u8 = 2;
 const KIND_SECRET_KEY: u8 = 3;
@@ -74,13 +87,19 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Bytes [`write_poly`] appends for `p`.
+fn poly_wire_len(p: &RnsPoly) -> usize {
+    p.limb_count() * (8 + 4 * p.degree())
+}
+
 fn write_poly(out: &mut Vec<u8>, p: &RnsPoly) {
-    for i in 0..p.limb_count() {
-        let limb = p.limb(i);
+    for limb in p.limbs() {
         put_u64(out, limb.modulus().value());
-        for &c in limb.coeffs() {
+        let at = out.len();
+        out.resize(at + 4 * limb.degree(), 0);
+        for (word, &c) in out[at..].chunks_exact_mut(4).zip(limb.coeffs()) {
             debug_assert!(c < (1 << 32), "word-size coefficient");
-            put_u32(out, c as u32);
+            word.copy_from_slice(&(c as u32).to_le_bytes());
         }
     }
 }
@@ -91,37 +110,65 @@ fn read_poly(
     degree: usize,
     domain: Domain,
 ) -> Result<RnsPoly, CkksError> {
+    // The header is untrusted: make sure the shape it declares fits the
+    // bytes that are actually there before reserving anything for it.
+    let limb_bytes = degree.checked_mul(4);
+    let fits = limb_bytes
+        .and_then(|b| b.checked_add(8))
+        .and_then(|b| b.checked_mul(limbs))
+        .is_some_and(|need| need <= r.buf.len() - r.pos);
+    let (true, Some(limb_bytes)) = (fits, limb_bytes) else {
+        return Err(CkksError::WireDecode("truncated wire data".into()));
+    };
     let mut polys = Vec::with_capacity(limbs);
     for _ in 0..limbs {
         let q = r.u64()?;
-        let mut coeffs = Vec::with_capacity(degree);
-        for _ in 0..degree {
-            let c = u64::from(r.u32()?);
-            if c >= q {
-                return Err(CkksError::WireDecode(format!(
-                    "wire coefficient {c} out of range for modulus {q}"
-                )));
-            }
-            coeffs.push(c);
+        let coeffs: Vec<u64> = r
+            .take(limb_bytes)?
+            .chunks_exact(4)
+            // invariant: chunks_exact(4) yields exactly 4 bytes.
+            .map(|w| u64::from(u32::from_le_bytes(w.try_into().expect("4 bytes"))))
+            .collect();
+        // One branch-free pass decides the common case; only a bad limb
+        // is searched for the coefficient to name.
+        if !coeffs.iter().fold(true, |ok, &c| ok & (c < q)) {
+            let c = coeffs
+                .iter()
+                .find(|&&c| c >= q)
+                .expect("a coefficient failed");
+            return Err(CkksError::WireDecode(format!(
+                "wire coefficient {c} out of range for modulus {q}"
+            )));
         }
-        polys.push(Poly::from_coeffs(q, coeffs).map_err(|e| CkksError::WireDecode(e.to_string()))?);
+        polys.push(
+            Poly::from_reduced_coeffs(q, coeffs)
+                .map_err(|e| CkksError::WireDecode(e.to_string()))?,
+        );
     }
     RnsPoly::from_limbs(polys, domain).map_err(|e| CkksError::WireDecode(e.to_string()))
 }
 
-/// Serializes a ciphertext (NTT domain assumed, as produced by this crate).
-pub fn ciphertext_to_bytes(ct: &Ciphertext) -> Vec<u8> {
-    let limbs = ct.c0.limb_count();
-    let degree = ct.degree();
-    let mut out = Vec::with_capacity(16 + 2 * limbs * (8 + degree * 4));
+/// Bytes [`ciphertext_to_bytes`] produces for `ct`.
+pub fn ciphertext_wire_len(ct: &Ciphertext) -> usize {
+    HEADER_BYTES + poly_wire_len(&ct.c0) + poly_wire_len(&ct.c1)
+}
+
+fn write_ciphertext(out: &mut Vec<u8>, ct: &Ciphertext) {
+    out.reserve(ciphertext_wire_len(ct));
     out.extend_from_slice(MAGIC);
     out.push(KIND_CIPHERTEXT);
-    put_u32(&mut out, ct.level as u32);
-    put_u64(&mut out, ct.scale.to_bits());
-    put_u32(&mut out, limbs as u32);
-    put_u32(&mut out, degree as u32);
-    write_poly(&mut out, &ct.c0);
-    write_poly(&mut out, &ct.c1);
+    put_u32(out, ct.level as u32);
+    put_u64(out, ct.scale.to_bits());
+    put_u32(out, ct.c0.limb_count() as u32);
+    put_u32(out, ct.degree() as u32);
+    write_poly(out, &ct.c0);
+    write_poly(out, &ct.c1);
+}
+
+/// Serializes a ciphertext (NTT domain assumed, as produced by this crate).
+pub fn ciphertext_to_bytes(ct: &Ciphertext) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_ciphertext(&mut out, ct);
     out
 }
 
@@ -167,7 +214,7 @@ pub fn ciphertext_from_bytes(buf: &[u8]) -> Result<Ciphertext, CkksError> {
 pub fn plaintext_to_bytes(pt: &Plaintext) -> Vec<u8> {
     let limbs = pt.poly.limb_count();
     let degree = pt.poly.degree();
-    let mut out = Vec::with_capacity(16 + limbs * (8 + degree * 4));
+    let mut out = Vec::with_capacity(HEADER_BYTES + poly_wire_len(&pt.poly));
     out.extend_from_slice(MAGIC);
     out.push(KIND_PLAINTEXT);
     put_u32(&mut out, pt.level as u32);
@@ -209,7 +256,7 @@ pub fn plaintext_from_bytes(buf: &[u8]) -> Result<Plaintext, CkksError> {
 pub fn secret_key_to_bytes(sk: &crate::keys::SecretKey) -> Vec<u8> {
     let limbs = sk.s.limb_count();
     let degree = sk.s.degree();
-    let mut out = Vec::with_capacity(16 + limbs * (8 + degree * 4));
+    let mut out = Vec::with_capacity(HEADER_BYTES + poly_wire_len(&sk.s));
     out.extend_from_slice(MAGIC);
     out.push(KIND_SECRET_KEY);
     put_u32(&mut out, 0);
@@ -248,7 +295,7 @@ pub fn secret_key_from_bytes(buf: &[u8]) -> Result<crate::keys::SecretKey, CkksE
 pub fn public_key_to_bytes(pk: &crate::keys::PublicKey) -> Vec<u8> {
     let limbs = pk.b.limb_count();
     let degree = pk.b.degree();
-    let mut out = Vec::with_capacity(16 + 2 * limbs * (8 + degree * 4));
+    let mut out = Vec::with_capacity(HEADER_BYTES + 2 * poly_wire_len(&pk.b));
     out.extend_from_slice(MAGIC);
     out.push(KIND_PUBLIC_KEY);
     put_u32(&mut out, 0);
@@ -295,9 +342,14 @@ pub fn public_key_from_bytes(buf: &[u8]) -> Result<crate::keys::PublicKey, CkksE
 /// request carrying two operand ciphertexts, a response carrying one —
 /// frame each object with an explicit length instead.
 pub fn write_ciphertext_frame(out: &mut Vec<u8>, ct: &Ciphertext) {
-    let bytes = ciphertext_to_bytes(ct);
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(&bytes);
+    put_u32(out, ciphertext_wire_len(ct) as u32);
+    write_ciphertext(out, ct);
+}
+
+/// Bytes [`write_ciphertext_frame`] appends for `ct` — what a composite
+/// encoder reserves up front.
+pub fn ciphertext_frame_len(ct: &Ciphertext) -> usize {
+    4 + ciphertext_wire_len(ct)
 }
 
 /// Reads the length-prefixed ciphertext frame starting at `*pos`, advancing
@@ -430,6 +482,80 @@ mod tests {
             let out = read_ciphertext_frame(&buf[..cut], &mut pos);
             assert!(matches!(out, Err(CkksError::WireDecode(_))), "cut {cut}");
             assert_eq!(pos, 0, "cut {cut}: position must not advance on error");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn ciphertext_frame_survives_truncate_flip_and_extend_at_every_offset() -> Result<(), CkksError>
+    {
+        let (ctx, kp) = ctx()?;
+        let ct = ctx.encrypt_values(&[3.0, -1.0], &kp.public)?;
+        let mut good = Vec::new();
+        write_ciphertext_frame(&mut good, &ct);
+        assert_eq!(good.len(), ciphertext_frame_len(&ct));
+        let decode = |buf: &[u8]| {
+            let mut pos = 0;
+            let out = read_ciphertext_frame(buf, &mut pos);
+            assert!(out.is_ok() || pos == 0, "cursor moved on error");
+            out
+        };
+        assert_eq!(decode(&good)?, ct);
+        let mut buf = good.clone();
+        for at in 0..good.len() {
+            // Every truncation is a typed error (never a panic, never an
+            // allocation for bytes that are not there).
+            assert!(matches!(decode(&good[..at]), Err(CkksError::WireDecode(_))));
+            // A flip may land on a coefficient that stays below its
+            // modulus and still parse; anything else is a typed error.
+            for bit in [0u8, 7] {
+                buf[at] ^= 1 << bit;
+                match decode(&buf) {
+                    Ok(_) | Err(CkksError::WireDecode(_)) => {}
+                    Err(e) => panic!("flip {at}.{bit}: untyped error {e:?}"),
+                }
+                buf[at] ^= 1 << bit;
+            }
+        }
+        // The frame is length-prefixed: bytes after it are not its problem,
+        // but a prefix that claims them is.
+        let mut long = good.clone();
+        long.extend_from_slice(&[0xA5; 9]);
+        assert_eq!(decode(&long)?, ct);
+        let claimed = (good.len() - 4 + 9) as u32;
+        long[..4].copy_from_slice(&claimed.to_le_bytes());
+        assert!(matches!(decode(&long), Err(CkksError::WireDecode(_))));
+        // A header that declares more than the bytes present is refused
+        // before anything is reserved for it.
+        let mut huge = good.clone();
+        huge[4 + 4 + 1 + 4 + 8..][..4].copy_from_slice(&u32::MAX.to_le_bytes()); // limbs
+        assert!(matches!(decode(&huge), Err(CkksError::WireDecode(_))));
+        let mut huge = good;
+        huge[4 + 4 + 1 + 4 + 8 + 4..][..4].copy_from_slice(&(1u32 << 31).to_le_bytes()); // degree
+        assert!(matches!(decode(&huge), Err(CkksError::WireDecode(_))));
+        Ok(())
+    }
+
+    #[test]
+    fn every_out_of_range_coefficient_is_rejected_by_name() -> Result<(), CkksError> {
+        let (ctx, kp) = ctx()?;
+        let ct = ctx.encrypt_values(&[1.0], &kp.public)?;
+        let good = ciphertext_to_bytes(&ct);
+        let n = ct.degree();
+        let q0 = ct.c0.limb(0).modulus().value();
+        // First, a middle and the last coefficient of limb 0: the one-pass
+        // check must not lose any position.
+        for j in [0, n / 2 + 1, n - 1] {
+            let mut bad = good.clone();
+            let at = HEADER_BYTES + 8 + 4 * j;
+            bad[at..at + 4].copy_from_slice(&(q0 as u32).to_le_bytes());
+            match ciphertext_from_bytes(&bad) {
+                Err(CkksError::WireDecode(msg)) => assert_eq!(
+                    msg,
+                    format!("wire coefficient {q0} out of range for modulus {q0}")
+                ),
+                other => panic!("coefficient {j}: {other:?}"),
+            }
         }
         Ok(())
     }

@@ -19,8 +19,8 @@
 //!   fallible unit of work, with panic isolation ([`run_isolated`]) so a
 //!   worker panic becomes [`WdError::WorkerPanicked`] instead of killing
 //!   the process.
-//! - [`integrity`]: a dependency-free 64-bit FNV-1a checksum over limb
-//!   slabs and wire frames, with the typed [`WdError::IntegrityViolation`]
+//! - [`integrity`]: a dependency-free 64-bit multi-lane FNV-1a checksum over
+//!   limb slabs and wire frames, with the typed [`WdError::IntegrityViolation`]
 //!   for a mismatch — the detection substrate of the serving layer's
 //!   quarantine-and-reload path.
 //!
@@ -737,34 +737,68 @@ impl Default for RetryPolicy {
 // Integrity checksums
 // ---------------------------------------------------------------------------
 
-/// Dependency-free 64-bit FNV-1a checksums over limb slabs and wire frames.
+/// Dependency-free 64-bit checksums over limb slabs and wire frames.
 ///
 /// The serving layer holds hundreds of MiB of keyswitch-key limbs resident
 /// (SET-E relin keys model at 630 MiB) — exactly the regime where a silent
 /// bit flip would otherwise be *served*. This module provides the
 /// detection half of the quarantine-and-reload story: a checksum recorded
 /// when the object was known-good (key registration, frame encode) and
-/// recomputed at every trust boundary (keycache hit, frame decode).
+/// recomputed at every trust boundary (every keycache lease, every v3
+/// frame decode).
 ///
-/// FNV-1a is an error-*detection* code, not a MAC: it catches corruption,
-/// not adversaries. The word-chunked variant here folds eight bytes per
-/// multiply, which keeps verification far below 1% of an HMULT batch
-/// (measured in `guard_bench`). Note the word-fed and byte-fed digests of
-/// the same data are *different* streams by construction — callers must
-/// checksum the same representation they verify.
+/// It is an error-*detection* code, not a MAC: it catches corruption, not
+/// adversaries. The step is FNV-1a's — xor a 64-bit word in, multiply by
+/// the FNV prime — and every word costs exactly one of each. What differs
+/// from a textbook FNV is the shape of the dependency chain: a single
+/// xor-multiply chain retires one word per multiply *latency* (≈ 5 GB/s),
+/// so bulk data ([`integrity::Fnv64::write_words`],
+/// [`integrity::Fnv64::write_bytes`]) is dealt round-robin over
+/// [`integrity::LANES`] independent chains that retire one word per
+/// multiply *throughput*, and the lanes are folded back into the running
+/// state together with the length. Host cost is a measured quantity: the
+/// per-lease verify of a SET-B relin key read 17–18 % of a light request
+/// on the single-chain hash (`benchmark/README.md`); `BENCH_guard.json`
+/// records what it reads now beside the modeled GPU-side share.
+///
+/// # Definition
+///
+/// With `step(s, w) = (s ^ w) · FNV_PRIME mod 2^64`, a hasher starts at
+/// `state = FNV_OFFSET` and
+///
+/// - `write_u64(w)`: `state = step(state, w)` — structural markers
+///   (presence flags, counts);
+/// - `write_words(ws)`: `lane[l] = step(state, l)` for `l < LANES`; word
+///   `i` goes to lane `i mod LANES` (`lane = step(lane, w)`); then
+///   `state = step(state, lane[l])` for each lane in order, and finally
+///   `state = step(state, ws.len())`;
+/// - `write_bytes(bs)`: the same over little-endian 8-byte words, a final
+///   partial word zero-padded, folding `bs.len()` (bytes, not words).
+///
+/// Every step is a bijection of the state it updates, so two inputs that
+/// differ in one word (a single flipped bit included) always digest
+/// differently; the folded length keeps `[1]` and `[1, 0]` apart. The word
+/// feed and the byte feed of the same data are *different* streams by
+/// construction (they fold different lengths) — callers must checksum the
+/// same representation they verify.
 pub mod integrity {
     /// FNV-1a 64-bit offset basis.
     pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     /// FNV-1a 64-bit prime.
     pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    /// Independent xor-multiply chains a bulk write is dealt over.
+    pub const LANES: usize = 4;
 
-    /// Incremental word-chunked FNV-1a 64 hasher.
+    #[inline(always)]
+    fn step(state: u64, word: u64) -> u64 {
+        (state ^ word).wrapping_mul(FNV_PRIME)
+    }
+
+    /// Incremental hasher (see the module docs for the exact definition).
     ///
-    /// Feed `u64` words directly ([`Fnv64::write_u64`]) for limb slabs, or
-    /// arbitrary bytes ([`Fnv64::write_bytes`]) for wire frames; bytes are
-    /// packed into little-endian words with a zero-padded tail plus a
-    /// total-length word so distinct byte streams cannot collide by
-    /// padding. Finish with [`Fnv64::finish`].
+    /// Feed structural scalars with [`Fnv64::write_u64`], limb slabs with
+    /// [`Fnv64::write_words`] and wire frames with [`Fnv64::write_bytes`];
+    /// finish with [`Fnv64::finish`].
     #[derive(Debug, Clone)]
     pub struct Fnv64 {
         state: u64,
@@ -778,26 +812,53 @@ pub mod integrity {
 
         /// Folds one 64-bit word into the digest.
         pub fn write_u64(&mut self, word: u64) {
-            self.state = (self.state ^ word).wrapping_mul(FNV_PRIME);
+            self.state = step(self.state, word);
         }
 
-        /// Folds a byte slice: little-endian 8-byte words, the remainder
-        /// zero-padded into a final word, then the total byte length as a
-        /// word (so `[1]` and `[1, 0]` digest differently).
-        pub fn write_bytes(&mut self, bytes: &[u8]) {
-            let mut chunks = bytes.chunks_exact(8);
-            for chunk in &mut chunks {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(chunk);
-                self.write_u64(u64::from_le_bytes(w));
+        fn lanes(&self) -> [u64; LANES] {
+            std::array::from_fn(|l| step(self.state, l as u64))
+        }
+
+        fn fold(&mut self, lanes: [u64; LANES], len: usize) {
+            for lane in lanes {
+                self.write_u64(lane);
             }
-            let rest = chunks.remainder();
-            if !rest.is_empty() {
+            self.write_u64(len as u64);
+        }
+
+        /// Folds a slab of words, then its length.
+        pub fn write_words(&mut self, words: &[u64]) {
+            let mut lanes = self.lanes();
+            let mut blocks = words.chunks_exact(LANES);
+            for block in &mut blocks {
+                for (lane, &w) in lanes.iter_mut().zip(block) {
+                    *lane = step(*lane, w);
+                }
+            }
+            for (lane, &w) in lanes.iter_mut().zip(blocks.remainder()) {
+                *lane = step(*lane, w);
+            }
+            self.fold(lanes, words.len());
+        }
+
+        /// Folds a byte slice as little-endian 8-byte words (the last one
+        /// zero-padded), then its length in bytes (so `[1]` and `[1, 0]`
+        /// digest differently).
+        pub fn write_bytes(&mut self, bytes: &[u8]) {
+            let mut lanes = self.lanes();
+            let mut blocks = bytes.chunks_exact(8 * LANES);
+            for block in &mut blocks {
+                for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                    // invariant: chunks_exact(8) yields exactly 8 bytes.
+                    *lane = step(*lane, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+                }
+            }
+            for (lane, rest) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
                 let mut w = [0u8; 8];
                 w[..rest.len()].copy_from_slice(rest);
-                self.write_u64(u64::from_le_bytes(w));
+                *lane = step(*lane, u64::from_le_bytes(w));
             }
-            self.write_u64(bytes.len() as u64);
+            self.fold(lanes, bytes.len());
         }
 
         /// The digest so far.
@@ -819,12 +880,10 @@ pub mod integrity {
         h.finish()
     }
 
-    /// One-shot checksum of a word stream (see [`Fnv64::write_u64`]).
-    pub fn checksum_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    /// One-shot checksum of a word slab (see [`Fnv64::write_words`]).
+    pub fn checksum_words(words: &[u64]) -> u64 {
         let mut h = Fnv64::new();
-        for w in words {
-            h.write_u64(w);
-        }
+        h.write_words(words);
         h.finish()
     }
 }
@@ -1165,33 +1224,105 @@ mod tests {
     }
 
     #[test]
-    fn fnv_checksums_are_stable_and_sensitive() {
-        use super::integrity::{checksum_bytes, checksum_words, Fnv64};
-        // The canonical FNV-1a 64 test vector, via the word path: hashing
-        // the empty input is the offset basis folded with the length word.
-        assert_eq!(checksum_words([]), super::integrity::FNV_OFFSET);
+    fn checksum_definition_is_pinned() {
+        use super::integrity::{
+            checksum_bytes, checksum_words, Fnv64, FNV_OFFSET, FNV_PRIME, LANES,
+        };
+        let step = |s: u64, w: u64| (s ^ w).wrapping_mul(FNV_PRIME);
+        // Scalars are one plain FNV-1a step each.
         let mut h = Fnv64::new();
+        assert_eq!(h.finish(), FNV_OFFSET);
         h.write_u64(0);
-        assert_eq!(
-            h.finish(),
-            super::integrity::FNV_OFFSET.wrapping_mul(super::integrity::FNV_PRIME)
-        );
-        // Deterministic across calls; a single flipped bit changes the sum.
-        let words: Vec<u64> = (0..1000).map(|i| i * 0x9e37_79b9).collect();
-        let a = checksum_words(words.iter().copied());
-        assert_eq!(a, checksum_words(words.iter().copied()));
-        let mut flipped = words.clone();
-        flipped[500] ^= 1;
-        assert_ne!(a, checksum_words(flipped));
-        // Byte path: length injection means zero-padding cannot collide.
+        assert_eq!(h.finish(), FNV_OFFSET.wrapping_mul(FNV_PRIME));
+        // A slab, by the definition in the module docs, spelled out: lanes
+        // seeded from the state, words dealt round-robin, lanes then the
+        // length folded back.
+        let words = [7u64, 11, 13, 17, 19, 23];
+        let mut lanes: Vec<u64> = (0..LANES as u64).map(|l| step(FNV_OFFSET, l)).collect();
+        for (i, &w) in words.iter().enumerate() {
+            lanes[i % LANES] = step(lanes[i % LANES], w);
+        }
+        let mut expect = lanes.iter().fold(FNV_OFFSET, |s, &lane| step(s, lane));
+        expect = step(expect, words.len() as u64);
+        assert_eq!(checksum_words(&words), expect);
+        // Pinned vectors: a digest change is a wire-format change (the v3
+        // trailer) and must be a deliberate one.
+        assert_eq!(checksum_words(&[]), 0x9528_99fb_8620_8603);
+        assert_eq!(checksum_words(&words), 0x718a_38f9_63e7_3945);
+        assert_eq!(checksum_bytes(b""), 0x9528_99fb_8620_8603);
+        assert_eq!(checksum_bytes(b"warpdrive"), 0xd7c0_8c72_00db_eb8e);
+    }
+
+    #[test]
+    fn checksum_detects_every_single_bit_flip_at_every_length() {
+        use super::integrity::{checksum_bytes, checksum_words};
+        // 0..=67 words covers empty, sub-lane, every lane-tail length and
+        // many full blocks of the four-lane dealing.
+        for len in 0..=67usize {
+            let words: Vec<u64> = (0..len as u64)
+                .map(|i| (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect();
+            let reference = checksum_words(&words);
+            assert_eq!(reference, checksum_words(&words), "deterministic");
+            let mut flipped = words.clone();
+            for i in 0..len {
+                for bit in 0..64 {
+                    flipped[i] ^= 1 << bit;
+                    assert_ne!(
+                        checksum_words(&flipped),
+                        reference,
+                        "len {len}, word {i}, bit {bit}"
+                    );
+                    flipped[i] ^= 1 << bit;
+                }
+            }
+            // The same through the byte feed, including ragged tails.
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            for cut in [bytes.len(), bytes.len().saturating_sub(3)] {
+                let bytes = &bytes[..cut];
+                let reference = checksum_bytes(bytes);
+                let mut flipped = bytes.to_vec();
+                for i in 0..cut {
+                    for bit in 0..8 {
+                        flipped[i] ^= 1 << bit;
+                        assert_ne!(checksum_bytes(&flipped), reference, "byte {i} of {cut}");
+                        flipped[i] ^= 1 << bit;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_keeps_lengths_paddings_and_feeds_apart() {
+        use super::integrity::{checksum_bytes, checksum_words, Fnv64};
+        // Length folding: zero-padding cannot collide, in either feed.
         assert_ne!(checksum_bytes(&[1]), checksum_bytes(&[1, 0]));
         assert_ne!(checksum_bytes(&[]), checksum_bytes(&[0]));
-        assert_eq!(checksum_bytes(b"warpdrive"), checksum_bytes(b"warpdrive"));
-        // Byte and word feeds of the same data are distinct streams (the
-        // byte path appends a length word): callers verify what they hashed.
-        assert_ne!(
-            checksum_bytes(&42u64.to_le_bytes()),
-            checksum_words([42u64])
-        );
+        assert_ne!(checksum_bytes(&[0; 8]), checksum_bytes(&[0; 9]));
+        assert_ne!(checksum_words(&[1]), checksum_words(&[1, 0]));
+        assert_ne!(checksum_words(&[]), checksum_words(&[0]));
+        for len in 0..12usize {
+            assert_ne!(
+                checksum_words(&vec![0; len]),
+                checksum_words(&vec![0; len + 1]),
+                "all-zero slabs of {len} and {} words",
+                len + 1
+            );
+        }
+        // Words in different lanes are not interchangeable.
+        assert_ne!(checksum_words(&[1, 2, 3, 4]), checksum_words(&[2, 1, 3, 4]));
+        // One slab is not two slabs: the split is folded.
+        let mut split = Fnv64::new();
+        split.write_words(&[1, 2]);
+        split.write_words(&[3, 4]);
+        assert_ne!(split.finish(), checksum_words(&[1, 2, 3, 4]));
+        // Byte and word feeds of the same data are distinct streams (they
+        // fold different lengths): callers verify what they hashed.
+        assert_ne!(checksum_bytes(&42u64.to_le_bytes()), checksum_words(&[42]));
+        // A scalar fed through write_u64 is not a one-word slab either.
+        let mut scalar = Fnv64::new();
+        scalar.write_u64(42);
+        assert_ne!(scalar.finish(), checksum_words(&[42]));
     }
 }

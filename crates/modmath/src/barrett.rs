@@ -139,6 +139,18 @@ impl Modulus {
         }
     }
 
+    /// [`Modulus::mul_shoup`] without the final correction: `a` may be any
+    /// `u64` (not only a reduced one) and the result is congruent to `a·w`
+    /// in `[0, 2q)`. With `w' = ⌊w·2^64/q⌋` the quotient estimate is off by
+    /// less than `a/2^64 + 1 < 2`, which is the whole bound — the lazy
+    /// butterfly of the NTT relies on exactly this.
+    #[inline]
+    pub fn mul_shoup_lazy(&self, a: u64, w: u64, w_shoup: u64) -> u64 {
+        debug_assert!(w < self.q);
+        let t = ((u128::from(a) * u128::from(w_shoup)) >> 64) as u64;
+        a.wrapping_mul(w).wrapping_sub(t.wrapping_mul(self.q))
+    }
+
     /// Modular exponentiation by square-and-multiply.
     pub fn pow(&self, mut base: u64, mut exp: u64) -> u64 {
         base = self.reduce(base);
@@ -282,6 +294,15 @@ mod tests {
             let m = Modulus::new(Q);
             let ws = m.shoup(w);
             prop_assert_eq!(m.mul_shoup(a, w, ws), m.mul(a, w));
+        }
+
+        #[test]
+        fn prop_shoup_lazy_is_congruent_below_2q(a in any::<u64>(), w in 0..Q) {
+            let m = Modulus::new(Q);
+            let r = m.mul_shoup_lazy(a, w, m.shoup(w));
+            prop_assert!(r < 2 * Q);
+            let expect = (u128::from(a) * u128::from(w) % u128::from(Q)) as u64;
+            prop_assert_eq!(r % Q, expect);
         }
 
         #[test]

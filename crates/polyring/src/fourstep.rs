@@ -8,6 +8,11 @@
 //! warps each take a share of the parallel inner-NTT groups (§IV-B, Fig. 3).
 //! Every kernel choice produces bit-identical output, which the tests assert
 //! against the reference transform.
+//!
+//! This engine is a paper artifact, not a hot path: it works in **natural
+//! order** with an explicit ψ pre-/post-scaling pass, and owns the ψ-power
+//! table that takes. Its output equals [`NttTable::forward`] after
+//! [`NttTable::bit_reverse`].
 
 use crate::decomp::{DecompPlan, PlanNode};
 use crate::ntt::NttTable;
@@ -97,6 +102,11 @@ pub struct FourStepNtt {
     kernel: InnerKernel,
     fwd_leaves: HashMap<usize, LeafTables>,
     inv_leaves: HashMap<usize, LeafTables>,
+    /// ψ^e for e in 0..2N, plain domain: ω^e = ψ^{2e}, and negative powers
+    /// are read from the far end (ψ^{2N} = 1).
+    psi_pows: Vec<u64>,
+    /// N⁻¹, the inverse transform's scaling.
+    n_inv: u64,
     /// Recursion scratch (column gathers, transposes, GEMV outputs) is
     /// leased instead of allocated per call: after the first transform the
     /// engine runs allocation-free. Live scratch per transform is under 3N
@@ -127,37 +137,43 @@ impl FourStepNtt {
             )));
         }
         let n = table.degree();
-        let mut fwd_leaves = HashMap::new();
-        let mut inv_leaves = HashMap::new();
-        for sz in plan.root().leaves() {
-            fwd_leaves
-                .entry(sz)
-                .or_insert_with(|| Self::build_leaf(&table, n, sz, false));
-            inv_leaves
-                .entry(sz)
-                .or_insert_with(|| Self::build_leaf(&table, n, sz, true));
-        }
-        let scratch = ScratchArena::with_capacity(4 * (n as u64) * 8);
-        Ok(Self {
+        let m = table.modulus();
+        let psi_pows: Vec<u64> =
+            std::iter::successors(Some(1u64), |&p| Some(m.mul(p, table.psi())))
+                .take(2 * n)
+                .collect();
+        let n_inv = m.inv(n as u64).expect("n invertible");
+        let mut engine = Self {
             table,
             plan,
             kernel,
-            fwd_leaves,
-            inv_leaves,
-            scratch,
-        })
+            fwd_leaves: HashMap::new(),
+            inv_leaves: HashMap::new(),
+            psi_pows,
+            n_inv,
+            scratch: ScratchArena::with_capacity(4 * (n as u64) * 8),
+        };
+        for sz in engine.plan.root().leaves() {
+            if !engine.fwd_leaves.contains_key(&sz) {
+                let (fwd, inv) = (engine.build_leaf(sz, false), engine.build_leaf(sz, true));
+                engine.fwd_leaves.insert(sz, fwd);
+                engine.inv_leaves.insert(sz, inv);
+            }
+        }
+        Ok(engine)
     }
 
-    fn build_leaf(table: &NttTable, n: usize, sz: usize, inverse: bool) -> LeafTables {
-        let m = *table.modulus();
-        let stride = n / sz; // ω_sz = ω_N^{N/sz}
-        let wpow = |e: usize| {
-            if inverse {
-                table.omega_inv_pow(e * stride)
-            } else {
-                table.omega_pow(e * stride)
-            }
-        };
+    /// ω^{±e} for the N-point cyclic transform (ω = ψ²).
+    fn omega_pow(&self, e: usize, inverse: bool) -> u64 {
+        let two_n = self.psi_pows.len();
+        let e = 2 * e % two_n;
+        self.psi_pows[if inverse { (two_n - e) % two_n } else { e }]
+    }
+
+    fn build_leaf(&self, sz: usize, inverse: bool) -> LeafTables {
+        let m = *self.table.modulus();
+        let stride = self.table.degree() / sz; // ω_sz = ω_N^{N/sz}
+        let wpow = |e: usize| self.omega_pow(e * stride, inverse);
         let mut w = Vec::with_capacity(sz * sz);
         for k in 0..sz {
             for j in 0..sz {
@@ -189,8 +205,8 @@ impl FourStepNtt {
         self.kernel
     }
 
-    /// Negacyclic forward NTT, natural order (identical to
-    /// [`NttTable::forward`]).
+    /// Negacyclic forward NTT, natural order ([`NttTable::forward`] followed
+    /// by [`NttTable::bit_reverse`]).
     ///
     /// # Panics
     ///
@@ -199,12 +215,15 @@ impl FourStepNtt {
         let n = self.table.degree();
         assert_eq!(data.len(), n);
         // ψ pre-scale then the recursive cyclic transform.
-        self.table.prescale_psi(data);
+        let m = self.table.modulus();
+        for (a, &w) in data.iter_mut().zip(&self.psi_pows) {
+            *a = m.mul(*a, w);
+        }
         self.rec(data, self.plan.root(), false, 0);
     }
 
-    /// Negacyclic inverse NTT, natural order (identical to
-    /// [`NttTable::inverse`]).
+    /// Negacyclic inverse NTT, natural order ([`NttTable::bit_reverse`]
+    /// followed by [`NttTable::inverse`]).
     ///
     /// # Panics
     ///
@@ -213,7 +232,12 @@ impl FourStepNtt {
         let n = self.table.degree();
         assert_eq!(data.len(), n);
         self.rec(data, self.plan.root(), true, 0);
-        self.table.postscale_psi_inv(data);
+        // Post-scale by ψ^{-j}·N⁻¹.
+        let m = self.table.modulus();
+        let two_n = self.psi_pows.len();
+        for (j, a) in data.iter_mut().enumerate() {
+            *a = m.mul(m.mul(*a, self.psi_pows[(two_n - j) % two_n]), self.n_inv);
+        }
     }
 
     fn rec(&self, data: &mut [u64], node: &PlanNode, inverse: bool, group: usize) {
@@ -240,12 +264,7 @@ impl FourStepNtt {
                 // Step 2: twiddle ω_n^{±j2·k1} (the Hadamard stage).
                 for k1 in 1..n1 {
                     for j2 in 1..n2 {
-                        let e = (j2 * k1) % n * stride;
-                        let w = if inverse {
-                            self.table.omega_inv_pow(e)
-                        } else {
-                            self.table.omega_pow(e)
-                        };
+                        let w = self.omega_pow((j2 * k1) % n * stride, inverse);
                         let idx = k1 * n2 + j2;
                         data[idx] = m.mul(data[idx], w);
                     }
@@ -319,6 +338,14 @@ mod tests {
         Arc::new(NttTable::new(q, n).unwrap())
     }
 
+    /// The reference transform mapped to this engine's natural order.
+    fn reference_forward(table: &NttTable, data: &[u64]) -> Vec<u64> {
+        let mut x = data.to_vec();
+        table.forward(&mut x);
+        NttTable::bit_reverse(&mut x);
+        x
+    }
+
     fn engines(table: &Arc<NttTable>, n: usize) -> Vec<FourStepNtt> {
         let kernels = [
             InnerKernel::TensorGemm,
@@ -346,8 +373,7 @@ mod tests {
         let data: Vec<u64> = (0..n as u64)
             .map(|i| i * 31 % table.modulus().value())
             .collect();
-        let mut expect = data.clone();
-        table.forward(&mut expect);
+        let expect = reference_forward(&table, &data);
         for eng in engines(&table, n) {
             let mut x = data.clone();
             eng.forward(&mut x);
@@ -374,10 +400,8 @@ mod tests {
     fn fourstep_inverse_matches_reference_inverse() {
         let n = 256;
         let table = setup(n);
-        let mut data: Vec<u64> = (0..n as u64).map(|i| i + 5).collect();
-        table.forward(&mut data);
-        let mut expect = data.clone();
-        table.inverse(&mut expect);
+        let expect: Vec<u64> = (0..n as u64).map(|i| i + 5).collect();
+        let data = reference_forward(&table, &expect);
         let eng = FourStepNtt::new(
             Arc::clone(&table),
             DecompPlan::warpdrive(n).unwrap(),
@@ -406,8 +430,7 @@ mod tests {
         let data: Vec<u64> = (0..n as u64)
             .map(|i| (i * 11 + 3) % table.modulus().value())
             .collect();
-        let mut expect = data.clone();
-        table.forward(&mut expect);
+        let expect = reference_forward(&table, &data);
         let mut x = data;
         eng.forward(&mut x);
         assert_eq!(x, expect);
@@ -428,8 +451,7 @@ mod tests {
         let plan = DecompPlan::undecomposed(n).unwrap();
         let eng = FourStepNtt::new(Arc::clone(&table), plan, InnerKernel::TensorGemm).unwrap();
         let data: Vec<u64> = (1..=n as u64).collect();
-        let mut expect = data.clone();
-        table.forward(&mut expect);
+        let expect = reference_forward(&table, &data);
         let mut x = data;
         eng.forward(&mut x);
         assert_eq!(x, expect);

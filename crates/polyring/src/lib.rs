@@ -4,8 +4,12 @@
 //! and the paper's first contribution is a family of NTT implementations for
 //! that ring. This crate implements them **functionally and bit-exactly**:
 //!
-//! - [`ntt::NttTable`]: the iterative negacyclic NTT/INTT used as
-//!   correctness oracle and CPU baseline.
+//! - [`ntt::NttTable`]: the host negacyclic NTT/INTT — one merged lazy
+//!   transform whose NTT-domain data stays in bit-reversed order — and
+//!   [`ntt::galois_permutation`], the automorphism in that order. Every
+//!   RNS limb of the CKKS layer runs through it; it is also the CPU
+//!   baseline and, through [`ntt::NttTable::bit_reverse`], the oracle of
+//!   the natural-order paper variants below.
 //! - [`decomp::DecompPlan`]: the multi-level 4-step decomposition of Fig. 2,
 //!   with the exact operation-count closed forms of Table IV.
 //! - [`fourstep`]: the recursive 4-step NTT, parameterized by an

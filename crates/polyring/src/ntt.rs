@@ -1,47 +1,67 @@
-//! Reference negacyclic NTT/INTT with Montgomery-domain twiddles.
+//! The negacyclic NTT/INTT every RNS limb goes through.
 //!
-//! This is the correctness oracle for every other variant and doubles as the
-//! CPU-baseline NTT (paper Table VII, "CPU Baseline"). The forward transform
-//! computes, in **natural order**,
+//! WarpDrive's argument for its GPU transform (§1, Fig. 2) is that an NTT
+//! should be one fused pass that never round-trips through memory between
+//! logical steps. On the host the same argument applies to cache: this
+//! transform has no ψ pre-/post-scaling pass and no bit-reversal pass. The
+//! forward direction is Cooley–Tukey with the powers of ψ folded into the
+//! stage twiddles, the inverse is Gentleman–Sande with ψ⁻¹ and N⁻¹ folded
+//! in, every twiddle is a Shoup pair `(w, ⌊w·2^64/q⌋)`, and butterflies are
+//! lazy: values ride in `[0, 4q)` (forward) or `[0, 2q)` (inverse) and are
+//! corrected once, inside the last stage.
+//!
+//! # Order convention
+//!
+//! [`NttTable::forward`] takes coefficients in natural order and leaves the
+//! evaluations in **bit-reversed order**: with `brv` the bit reversal on
+//! log2 N bits,
 //!
 //! ```text
-//! X[k] = Σ_j a_j ψ^j ω^{jk}  (mod q),   ω = ψ², ψ a primitive 2N-th root
+//! out[i] = a(ψ^{2·brv(i)+1})  (mod q),   ψ a primitive 2N-th root of unity
 //! ```
 //!
-//! i.e. the evaluation of a(X) at the odd powers ψ^{2k+1} — the negacyclic
-//! convolution theorem then reads `NTT(a ·_{X^N+1} b) = NTT(a) ⊙ NTT(b)`.
-//! Twiddle factors are pre-converted to the Montgomery domain exactly as
-//! §IV-A-4 prescribes, so the butterfly has no domain conversions.
+//! [`NttTable::inverse`] takes that order back to natural-order
+//! coefficients. Pointwise kernels do not care about the order (the
+//! negacyclic convolution theorem `NTT(a·b) = NTT(a) ⊙ NTT(b)` holds slot
+//! by slot in any fixed order), so NTT-domain data stays bit-reversed
+//! everywhere; [`galois_permutation`] is the one place that has to know.
+//! [`NttTable::forward_naive`] states the same evaluations in natural order
+//! and is the oracle the tests compare against through
+//! [`NttTable::bit_reverse`].
 
 use crate::PolyError;
 use wd_modmath::prime::primitive_root_of_unity;
-use wd_modmath::{Modulus, Montgomery};
+use wd_modmath::Modulus;
 
-/// Precomputed tables for negacyclic NTTs of degree N modulo q.
+/// `x` reduced from `[0, 2b)` into `[0, b)`, branch-free: when the
+/// subtraction borrows, its sign bit selects adding `b` back. Spelled with a
+/// shift and a mask rather than `min` because LLVM vectorises the butterfly
+/// loops and baseline x86-64 has no 64-bit vector compare to lower `min`
+/// to (the `min` spelling made the forward transform 1.5× slower).
+#[inline(always)]
+fn reduce_once(x: u64, b: u64) -> u64 {
+    let r = x.wrapping_sub(b);
+    r.wrapping_add(b & 0u64.wrapping_sub(r >> 63))
+}
+
+/// Precomputed twiddles for negacyclic NTTs of degree N modulo q.
 #[derive(Debug, Clone)]
 pub struct NttTable {
     modulus: Modulus,
-    mont: Montgomery,
     n: usize,
     /// ψ, a primitive 2N-th root of unity.
     psi: u64,
-    /// ψ^j for j in 0..N, Montgomery domain (forward pre-scale).
-    psi_pows_mont: Vec<u64>,
-    /// ψ^{-j} · N^{-1} for j in 0..N, Montgomery domain (inverse post-scale).
-    psi_inv_n_inv_mont: Vec<u64>,
-    /// ω^e for e in 0..N, plain domain (shared by the 4-step variants).
-    omega_pows: Vec<u64>,
-    /// ω^{-e} for e in 0..N, plain domain.
-    omega_inv_pows: Vec<u64>,
-    /// Per-stage forward twiddles, Montgomery domain, stage s has 2^s entries.
-    fwd_stages: Vec<Vec<u64>>,
-    /// Per-stage inverse twiddles, Montgomery domain.
-    inv_stages: Vec<Vec<u64>>,
-    /// Forward twiddles as (w, w_shoup) pairs for the Barrett/Shoup path —
-    /// the alternative reduction the §IV-A-4 ablation compares against.
-    fwd_stages_shoup: Vec<Vec<(u64, u64)>>,
-    /// ψ^j as (w, w_shoup) pairs for the Barrett/Shoup pre-scale.
-    psi_pows_shoup: Vec<(u64, u64)>,
+    /// `ψ^{brv(k)}` as Shoup pairs; the forward stage with `m` butterfly
+    /// groups reads `fwd[m..2m]` front to back (entry 0 is unused).
+    fwd: Vec<(u64, u64)>,
+    /// `ψ^{-brv(k)}` as Shoup pairs; the inverse stage with `h` groups
+    /// reads `inv[h..2h]` (entries 0 and 1 are unused: the last stage takes
+    /// `n_inv` and `n_inv_w` instead).
+    inv: Vec<(u64, u64)>,
+    /// N⁻¹, the scaling of the sums in the last inverse stage.
+    n_inv: (u64, u64),
+    /// N⁻¹·ψ^{-brv(1)}, the scaling of the differences in that stage.
+    n_inv_w: (u64, u64),
 }
 
 impl NttTable {
@@ -52,126 +72,41 @@ impl NttTable {
     /// Returns [`PolyError::BadDegree`] or [`PolyError::NoRootOfUnity`].
     pub fn new(q: u64, n: usize) -> Result<Self, PolyError> {
         crate::poly::check_degree(n)?;
-        let modulus = Modulus::new(q);
-        let mont = Montgomery::new(q).map_err(|_| PolyError::NoRootOfUnity {
+        let no_root = || PolyError::NoRootOfUnity {
             modulus: q,
             degree: n,
-        })?;
+        };
+        let modulus = Modulus::try_new(q).map_err(|_| no_root())?;
         let two_n = 2 * n as u64;
         if !(q - 1).is_multiple_of(two_n) {
-            return Err(PolyError::NoRootOfUnity {
-                modulus: q,
-                degree: n,
-            });
+            return Err(no_root());
         }
-        let psi = primitive_root_of_unity(q, two_n).map_err(|_| PolyError::NoRootOfUnity {
-            modulus: q,
-            degree: n,
-        })?;
-        let omega = modulus.mul(psi, psi);
+        let psi = primitive_root_of_unity(q, two_n).map_err(|_| no_root())?;
         let psi_inv = modulus.inv(psi).expect("psi invertible");
-        let omega_inv = modulus.inv(omega).expect("omega invertible");
         let n_inv = modulus.inv(n as u64).expect("n invertible");
 
-        let mut psi_pows_mont = Vec::with_capacity(n);
-        let mut psi_inv_n_inv_mont = Vec::with_capacity(n);
-        let mut omega_pows = Vec::with_capacity(n);
-        let mut omega_inv_pows = Vec::with_capacity(n);
-        let (mut p, mut pi, mut w, mut wi) = (1u64, n_inv, 1u64, 1u64);
-        for _ in 0..n {
-            psi_pows_mont.push(mont.to_mont(p));
-            psi_inv_n_inv_mont.push(mont.to_mont(pi));
-            omega_pows.push(w);
-            omega_inv_pows.push(wi);
+        let pair = |w: u64| (w, modulus.shoup(w));
+        let shift = usize::BITS - n.trailing_zeros();
+        let mut fwd = vec![(0, 0); n];
+        let mut inv = vec![(0, 0); n];
+        let (mut p, mut pi) = (1u64, 1u64);
+        for e in 0..n {
+            let k = e.reverse_bits() >> shift;
+            fwd[k] = pair(p);
+            inv[k] = pair(pi);
             p = modulus.mul(p, psi);
             pi = modulus.mul(pi, psi_inv);
-            w = modulus.mul(w, omega);
-            wi = modulus.mul(wi, omega_inv);
         }
-
-        // Stage twiddles for the iterative cyclic transform: at stage with
-        // butterfly span `len`, twiddle j is ω^{j · N/len} for j < len/2.
-        let log_n = n.trailing_zeros();
-        let mut fwd_stages = Vec::with_capacity(log_n as usize);
-        let mut inv_stages = Vec::with_capacity(log_n as usize);
-        let mut fwd_stages_shoup = Vec::with_capacity(log_n as usize);
-        for s in 1..=log_n {
-            let len = 1usize << s;
-            let stride = n / len;
-            let fwd: Vec<u64> = (0..len / 2)
-                .map(|j| mont.to_mont(omega_pows[j * stride]))
-                .collect();
-            let inv: Vec<u64> = (0..len / 2)
-                .map(|j| mont.to_mont(omega_inv_pows[j * stride]))
-                .collect();
-            let shoup: Vec<(u64, u64)> = (0..len / 2)
-                .map(|j| {
-                    let w = omega_pows[j * stride];
-                    (w, modulus.shoup(w))
-                })
-                .collect();
-            fwd_stages.push(fwd);
-            inv_stages.push(inv);
-            fwd_stages_shoup.push(shoup);
-        }
-        let psi_pows_shoup: Vec<(u64, u64)> = {
-            let mut p = 1u64;
-            (0..n)
-                .map(|_| {
-                    let pair = (p, modulus.shoup(p));
-                    p = modulus.mul(p, psi);
-                    pair
-                })
-                .collect()
-        };
-
+        let n_inv_w = pair(modulus.mul(n_inv, inv[1].0));
         Ok(Self {
             modulus,
-            mont,
             n,
             psi,
-            psi_pows_mont,
-            psi_inv_n_inv_mont,
-            omega_pows,
-            omega_inv_pows,
-            fwd_stages,
-            inv_stages,
-            fwd_stages_shoup,
-            psi_pows_shoup,
+            fwd,
+            inv,
+            n_inv: pair(n_inv),
+            n_inv_w,
         })
-    }
-
-    /// Negacyclic forward NTT using Barrett/Shoup constant-operand
-    /// multiplication instead of Montgomery-domain twiddles — the other arm
-    /// of the §IV-A-4 reduction ablation (the paper measured Montgomery
-    /// ~10% faster inside the NTT and chose it; `cargo bench --bench
-    /// ntt_variants` lets this host weigh in). Output is bit-identical to
-    /// [`NttTable::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != N`.
-    pub fn forward_barrett(&self, data: &mut [u64]) {
-        assert_eq!(data.len(), self.n);
-        let m = &self.modulus;
-        for (a, &(w, ws)) in data.iter_mut().zip(&self.psi_pows_shoup) {
-            *a = m.mul_shoup(*a, w, ws);
-        }
-        Self::bit_reverse(data);
-        for (s, tw) in self.fwd_stages_shoup.iter().enumerate() {
-            let len = 1usize << (s + 1);
-            let half = len / 2;
-            for block in data.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                for j in 0..half {
-                    let u = lo[j];
-                    let (w, ws) = tw[j];
-                    let v = m.mul_shoup(hi[j], w, ws);
-                    lo[j] = m.add(u, v);
-                    hi[j] = m.sub(u, v);
-                }
-            }
-        }
     }
 
     /// Ring degree N.
@@ -184,29 +119,13 @@ impl NttTable {
         &self.modulus
     }
 
-    /// The Montgomery context (R = 2^32) for this modulus.
-    pub fn montgomery(&self) -> &Montgomery {
-        &self.mont
-    }
-
     /// The primitive 2N-th root ψ.
     pub fn psi(&self) -> u64 {
         self.psi
     }
 
-    /// ω^e (plain domain), e reduced mod N by the caller.
-    #[inline]
-    pub fn omega_pow(&self, e: usize) -> u64 {
-        self.omega_pows[e % self.n]
-    }
-
-    /// ω^{-e} (plain domain).
-    #[inline]
-    pub fn omega_inv_pow(&self, e: usize) -> u64 {
-        self.omega_inv_pows[e % self.n]
-    }
-
-    /// In-place bit-reversal permutation.
+    /// In-place bit-reversal permutation: the explicit map between the
+    /// order [`NttTable::forward`] produces and natural order.
     pub fn bit_reverse(data: &mut [u64]) {
         let n = data.len();
         let shift = usize::BITS - n.trailing_zeros();
@@ -218,122 +137,136 @@ impl NttTable {
         }
     }
 
-    /// Cyclic forward NTT (no ψ scaling), natural order in and out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != N`.
-    pub fn forward_cyclic(&self, data: &mut [u64]) {
-        assert_eq!(data.len(), self.n);
-        Self::bit_reverse(data);
-        let m = &self.modulus;
-        for (s, tw) in self.fwd_stages.iter().enumerate() {
-            let len = 1usize << (s + 1);
-            let half = len / 2;
-            for block in data.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                for j in 0..half {
-                    let u = lo[j];
-                    let v = self.mont.mul_plain_by_mont(hi[j], tw[j]);
-                    lo[j] = m.add(u, v);
-                    hi[j] = m.sub(u, v);
-                }
-            }
-        }
-    }
-
-    /// Cyclic inverse NTT **without** the 1/N scaling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != N`.
-    pub fn inverse_cyclic_unscaled(&self, data: &mut [u64]) {
-        assert_eq!(data.len(), self.n);
-        Self::bit_reverse(data);
-        let m = &self.modulus;
-        for (s, tw) in self.inv_stages.iter().enumerate() {
-            let len = 1usize << (s + 1);
-            let half = len / 2;
-            for block in data.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                for j in 0..half {
-                    let u = lo[j];
-                    let v = self.mont.mul_plain_by_mont(hi[j], tw[j]);
-                    lo[j] = m.add(u, v);
-                    hi[j] = m.sub(u, v);
-                }
-            }
-        }
-    }
-
-    /// Pre-scales coefficients by ψ^j — the first step of the negacyclic
-    /// forward transform, shared with the 4-step variants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != N`.
-    pub fn prescale_psi(&self, data: &mut [u64]) {
-        assert_eq!(data.len(), self.n);
-        for (a, w) in data.iter_mut().zip(&self.psi_pows_mont) {
-            *a = self.mont.mul_plain_by_mont(*a, *w);
-        }
-    }
-
-    /// Post-scales by ψ^{-j}·N^{-1} — the last step of the negacyclic
-    /// inverse transform, shared with the 4-step variants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != N`.
-    pub fn postscale_psi_inv(&self, data: &mut [u64]) {
-        assert_eq!(data.len(), self.n);
-        for (a, w) in data.iter_mut().zip(&self.psi_inv_n_inv_mont) {
-            *a = self.mont.mul_plain_by_mont(*a, *w);
-        }
-    }
-
-    /// Negacyclic forward NTT: pre-scale by ψ^j, then cyclic NTT.
+    /// Negacyclic forward NTT, in place: natural-order coefficients below q
+    /// in, bit-reversed evaluations below q out (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != N`.
     pub fn forward(&self, data: &mut [u64]) {
-        self.prescale_psi(data);
-        self.forward_cyclic(data);
+        assert_eq!(data.len(), self.n);
+        let m = &self.modulus;
+        let q = m.value();
+        let two_q = 2 * q;
+        // Harvey butterfly on [0, 4q): (x, y) → (x + w·y, x − w·y).
+        let butterfly = |x: u64, y: u64, w: u64, ws: u64| {
+            let u = reduce_once(x, two_q);
+            let v = m.mul_shoup_lazy(y, w, ws);
+            (u + v, u + two_q - v)
+        };
+        let mut t = self.n / 2;
+        let mut groups = 1;
+        while t > 1 {
+            let twiddles = &self.fwd[groups..2 * groups];
+            for (block, &(w, ws)) in data.chunks_exact_mut(2 * t).zip(twiddles) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    (*x, *y) = butterfly(*x, *y, w, ws);
+                }
+            }
+            t /= 2;
+            groups *= 2;
+        }
+        // Last stage (adjacent pairs), with the one correction to [0, q).
+        let correct = |x: u64| reduce_once(reduce_once(x, two_q), q);
+        for (pair, &(w, ws)) in data.chunks_exact_mut(2).zip(&self.fwd[groups..]) {
+            let (x, y) = butterfly(pair[0], pair[1], w, ws);
+            pair.copy_from_slice(&[correct(x), correct(y)]);
+        }
     }
 
-    /// Negacyclic inverse NTT: cyclic INTT, then post-scale by ψ^{-j}/N.
+    /// Negacyclic inverse NTT, in place: bit-reversed evaluations below q
+    /// in, natural-order coefficients below q out.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != N`.
     pub fn inverse(&self, data: &mut [u64]) {
-        self.inverse_cyclic_unscaled(data);
-        self.postscale_psi_inv(data);
+        assert_eq!(data.len(), self.n);
+        let m = &self.modulus;
+        let q = m.value();
+        let two_q = 2 * q;
+        let mut t = 1;
+        let mut groups = self.n / 2;
+        while groups > 1 {
+            let twiddles = &self.inv[groups..2 * groups];
+            for (block, &(w, ws)) in data.chunks_exact_mut(2 * t).zip(twiddles) {
+                let (lo, hi) = block.split_at_mut(t);
+                // Gentleman–Sande butterfly on [0, 2q): x + y, (x − y)·w.
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    let (u, v) = (*x, *y);
+                    *x = reduce_once(u + v, two_q);
+                    *y = m.mul_shoup_lazy(u + two_q - v, w, ws);
+                }
+            }
+            t *= 2;
+            groups /= 2;
+        }
+        // Last stage: N⁻¹ rides on both outputs, then the one correction.
+        let (lo, hi) = data.split_at_mut(t);
+        let ((s, ss), (d, ds)) = (self.n_inv, self.n_inv_w);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            let (u, v) = (*x, *y);
+            *x = reduce_once(m.mul_shoup_lazy(u + v, s, ss), q);
+            *y = reduce_once(m.mul_shoup_lazy(u + two_q - v, d, ds), q);
+        }
     }
 
-    /// Direct O(N²) evaluation of the negacyclic NTT definition — used only
-    /// by tests to pin down the canonical output order.
-    pub fn forward_naive(&self, data: &[u64]) -> Vec<u64> {
+    /// The definition, one output at a time: `a(ψ^{2k+1})` by Horner's rule.
+    pub fn forward_naive_at(&self, data: &[u64], k: usize) -> u64 {
         let m = &self.modulus;
-        let n = self.n;
-        (0..n)
-            .map(|k| {
-                let mut acc = 0u64;
-                for (j, &a) in data.iter().enumerate() {
-                    // ψ^{j(2k+1)} = ψ^j · ω^{jk}
-                    let e = (j * (2 * k + 1)) % (2 * n);
-                    let w = if e < n {
-                        // ψ^e with e < n: ψ^e = ψ^{e} — use ψ^j table via mont? compute directly
-                        m.pow(self.psi, e as u64)
-                    } else {
-                        m.neg(m.pow(self.psi, (e - n) as u64))
-                    };
-                    acc = m.add(acc, m.mul(a, w));
-                }
-                acc
-            })
+        let x = m.pow(self.psi, (2 * k + 1) as u64);
+        data.iter()
+            .rev()
+            .fold(0, |acc, &a| m.add(m.mul(acc, x), m.reduce(a)))
+    }
+
+    /// Direct O(N²) evaluation of the negacyclic NTT in **natural order**
+    /// (`X[k] = a(ψ^{2k+1})`) — the oracle that pins down what the fast
+    /// transform computes, compared through [`NttTable::bit_reverse`].
+    pub fn forward_naive(&self, data: &[u64]) -> Vec<u64> {
+        (0..self.n)
+            .map(|k| self.forward_naive_at(data, k))
             .collect()
+    }
+}
+
+/// The Galois automorphism `X ↦ X^g` (g odd) as a gather on NTT-domain data
+/// in the order [`NttTable::forward`] produces:
+/// `NTT(φ_g(a))[i] = NTT(a)[perm[i]]`.
+///
+/// Slot `i` holds `a(ψ^{2k+1})` with `k = brv(i)`; `φ_g(a)` evaluated there
+/// is `a(ψ^{g(2k+1)})`, which is slot `brv(k')` with
+/// `2k'+1 ≡ g(2k+1) (mod 2N)`. The table depends on `(N, g)` only, not on
+/// the modulus.
+///
+/// # Panics
+///
+/// Panics if `g` is even or `n` is not a power of two.
+pub fn galois_permutation(n: usize, g: usize) -> Vec<u32> {
+    assert!(g % 2 == 1, "Galois element must be odd");
+    assert!(n.is_power_of_two() && n >= 2);
+    let shift = usize::BITS - n.trailing_zeros();
+    let brv = |i: usize| i.reverse_bits() >> shift;
+    (0..n)
+        .map(|i| {
+            let k = (g * (2 * brv(i) + 1) % (2 * n) - 1) / 2;
+            brv(k) as u32
+        })
+        .collect()
+}
+
+/// `dst[i] = src[perm[i]]` — how a [`galois_permutation`] is applied to one
+/// limb.
+///
+/// # Panics
+///
+/// Panics if the three lengths differ.
+pub fn gather(perm: &[u32], src: &[u64], dst: &mut [u64]) {
+    assert_eq!(perm.len(), src.len());
+    assert_eq!(perm.len(), dst.len());
+    for (d, &i) in dst.iter_mut().zip(perm) {
+        *d = src[i as usize];
     }
 }
 
@@ -356,12 +289,23 @@ mod tests {
     }
 
     #[test]
-    fn forward_matches_naive_definition() {
-        let t = table(16);
-        let data: Vec<u64> = (0..16).map(|i| (i * i + 3) as u64).collect();
-        let mut fast = data.clone();
-        t.forward(&mut fast);
-        assert_eq!(fast, t.forward_naive(&data));
+    fn forward_matches_naive_definition_through_bit_reversal() {
+        for n in [4usize, 8, 16, 256] {
+            let t = table(n);
+            let q = t.modulus().value();
+            let inputs = [
+                (0..n as u64).map(|i| (i * i + 3) % q).collect::<Vec<_>>(),
+                // Every butterfly at the top of its lazy range.
+                vec![q - 1; n],
+            ];
+            for data in inputs {
+                let mut fast = data.clone();
+                t.forward(&mut fast);
+                assert!(fast.iter().all(|&v| v < q), "n = {n}: output not reduced");
+                NttTable::bit_reverse(&mut fast);
+                assert_eq!(fast, t.forward_naive(&data), "n = {n}");
+            }
+        }
     }
 
     #[test]
@@ -386,13 +330,13 @@ mod tests {
     }
 
     #[test]
-    fn transform_of_x_is_odd_psi_powers() {
-        // NTT of X is ψ^{2k+1} in natural order.
+    fn transform_of_x_is_odd_psi_powers_in_bit_reversed_order() {
         let t = table(32);
         let m = t.modulus();
         let mut x = vec![0u64; 32];
         x[1] = 1;
         t.forward(&mut x);
+        NttTable::bit_reverse(&mut x);
         for (k, &v) in x.iter().enumerate() {
             assert_eq!(v, m.pow(t.psi(), (2 * k + 1) as u64));
         }
@@ -439,18 +383,35 @@ mod tests {
     }
 
     #[test]
-    fn barrett_path_matches_montgomery_path() {
-        // §IV-A-4: the two reductions must agree bit-for-bit; only speed
-        // differs.
-        let t = table(128);
-        let data: Vec<u64> = (0..128u64)
-            .map(|i| (i * 523 + 7) % t.modulus().value())
-            .collect();
-        let mut mont = data.clone();
-        let mut barrett = data;
-        t.forward(&mut mont);
-        t.forward_barrett(&mut barrett);
-        assert_eq!(mont, barrett);
+    fn inverse_at_the_top_of_the_lazy_range_is_exact() {
+        // All-(q−1) evaluations drive every inverse butterfly to the top of
+        // [0, 2q); the result must still be the exact, reduced preimage.
+        for n in [4usize, 64, 1024] {
+            let t = table(n);
+            let q = t.modulus().value();
+            let mut x = vec![q - 1; n];
+            t.inverse(&mut x);
+            assert!(x.iter().all(|&v| v < q));
+            t.forward(&mut x);
+            assert_eq!(x, vec![q - 1; n], "n = {n}");
+        }
+    }
+
+    #[test]
+    fn galois_permutation_is_the_coefficient_automorphism() {
+        let n = 64;
+        let t = table(n);
+        let q = t.modulus().value();
+        let p = crate::Poly::from_coeffs(q, (0..n as u64).map(|i| i * 7919 % q).collect()).unwrap();
+        let mut spectrum = p.coeffs().to_vec();
+        t.forward(&mut spectrum);
+        for g in [1usize, 3, 5, 25, 2 * n - 1] {
+            let mut expect = p.automorphism(g).coeffs().to_vec();
+            t.forward(&mut expect);
+            let mut got = vec![0u64; n];
+            gather(&galois_permutation(n, g), &spectrum, &mut got);
+            assert_eq!(got, expect, "g = {g}");
+        }
     }
 
     #[test]

@@ -420,12 +420,12 @@ impl RnsPoly {
         }
     }
 
-    /// Galois automorphism X ↦ X^g applied limb-wise (coefficient domain).
+    /// Galois automorphism X ↦ X^g applied limb-wise (coefficient domain):
+    /// the definition [`RnsPoly::automorphism_ntt`] is tested against.
     ///
     /// # Panics
     ///
-    /// Panics when called in the NTT domain (the evaluation-domain
-    /// automorphism is a slot permutation, handled by the CKKS layer).
+    /// Panics when called in the NTT domain.
     pub fn automorphism(&self, g: usize) -> Self {
         assert_eq!(
             self.domain,
@@ -435,6 +435,33 @@ impl RnsPoly {
         Self {
             limbs: self.limbs.iter().map(|l| l.automorphism(g)).collect(),
             domain: Domain::Coeff,
+        }
+    }
+
+    /// Galois automorphism on NTT-domain data: every limb gathered through
+    /// `perm`, the [`crate::ntt::galois_permutation`] of the element. Bit-
+    /// identical to INTT → [`RnsPoly::automorphism`] → NTT, without the two
+    /// transforms.
+    ///
+    /// # Panics
+    ///
+    /// Panics in the coefficient domain or when `perm.len() != N`.
+    pub fn automorphism_ntt(&self, perm: &[u32]) -> Self {
+        assert_eq!(self.domain, Domain::Ntt, "permutation acts on evaluations");
+        assert_eq!(perm.len(), self.degree());
+        let limbs = self
+            .limbs
+            .iter()
+            .map(|l| {
+                let src = l.coeffs();
+                let coeffs = perm.iter().map(|&i| src[i as usize]).collect();
+                Poly::from_reduced_coeffs(l.modulus().value(), coeffs)
+                    .expect("same ring as the source limb")
+            })
+            .collect();
+        Self {
+            limbs,
+            domain: Domain::Ntt,
         }
     }
 
@@ -613,6 +640,23 @@ mod tests {
                 &p.limb(i).automorphism(3),
                 "limb {i} must equal per-limb automorphism"
             );
+        }
+    }
+
+    #[test]
+    fn ntt_automorphism_equals_the_coefficient_one_between_transforms() {
+        let n = 32;
+        let ps = primes(n, 3);
+        let ts = tables(&ps, n);
+        let coeffs: Vec<i64> = (0..n as i64).map(|i| i * i - 40).collect();
+        let p = RnsPoly::from_signed(&ps, &coeffs).unwrap();
+        let mut spectrum = p.clone();
+        spectrum.ntt_forward(&ts);
+        for g in [3usize, 5, 2 * n - 1] {
+            let mut expect = p.automorphism(g);
+            expect.ntt_forward(&ts);
+            let perm = crate::ntt::galois_permutation(n, g);
+            assert_eq!(spectrum.automorphism_ntt(&perm), expect, "g = {g}");
         }
     }
 

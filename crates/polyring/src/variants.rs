@@ -2,7 +2,7 @@
 //!
 //! | Variant | Plan | Inner kernel | Paper role |
 //! |---|---|---|---|
-//! | `Reference` | — | iterative radix-2 | correctness oracle / CPU baseline |
+//! | `Reference` | — | merged lazy radix-2 + bit reversal | correctness oracle / CPU baseline |
 //! | `WdTensor` | WarpDrive 2-level | emulated INT8 tensor GEMM | efficient tensor-core NTT (§IV-A) |
 //! | `WdCuda` | WarpDrive 2-level | native INT32 GEMM | CUDA-core GEMM variant (§IV-B-2) |
 //! | `WdBo` | WarpDrive 2-level | high-radix butterflies | CUDA-core butterfly variant (§IV-B-2) |
@@ -19,7 +19,8 @@ use std::sync::Arc;
 /// The NTT implementation variants compared throughout the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NttVariant {
-    /// Plain iterative radix-2 negacyclic NTT (oracle / CPU baseline).
+    /// The host transform ([`NttTable`]) mapped to natural order (oracle /
+    /// CPU baseline).
     Reference,
     /// WD-Tensor: warp-level tensor-core NTT with 2-level decomposition.
     WdTensor,
@@ -90,7 +91,10 @@ impl core::fmt::Debug for Engine {
     }
 }
 
-/// A ready-to-run NTT engine for one (q, N, variant) triple.
+/// A ready-to-run NTT engine for one (q, N, variant) triple. Every variant
+/// works in **natural order**, so engines are drop-in replacements for one
+/// another; the reference engine pays an explicit bit-reversal pass for it
+/// (the host hot path calls [`NttTable`] directly and never does).
 ///
 /// # Examples
 ///
@@ -194,7 +198,10 @@ impl NttEngine {
     /// Panics if `data.len() != N`.
     pub fn forward(&self, data: &mut [u64]) {
         match &self.engine {
-            Engine::Reference => self.table.forward(data),
+            Engine::Reference => {
+                self.table.forward(data);
+                NttTable::bit_reverse(data);
+            }
             Engine::FourStep(e) => e.forward(data),
         }
     }
@@ -206,7 +213,10 @@ impl NttEngine {
     /// Panics if `data.len() != N`.
     pub fn inverse(&self, data: &mut [u64]) {
         match &self.engine {
-            Engine::Reference => self.table.inverse(data),
+            Engine::Reference => {
+                NttTable::bit_reverse(data);
+                self.table.inverse(data);
+            }
             Engine::FourStep(e) => e.inverse(data),
         }
     }

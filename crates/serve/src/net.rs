@@ -36,7 +36,7 @@
 //! Responses carry the **client's** wire id (not the server's internal
 //! sequence number), so clients can correlate however they number frames.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -384,7 +384,7 @@ fn answer_frame(
             let tenant = tenant.unwrap_or_else(|| DEFAULT_TENANT.to_string());
             let resp = match server.submit_as(&tenant, req) {
                 Ok(ticket) => {
-                    let mut w = WireResponse::of(&ticket.wait());
+                    let mut w = WireResponse::of(ticket.wait());
                     // Clients correlate by their own numbering.
                     w.id = wire_id;
                     w
@@ -431,9 +431,7 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(frame.len() as u32).to_le_bytes())?;
-    w.write_all(frame)?;
-    w.flush()
+    write_frame_tracked(w, frame).map_err(|(_, e)| e)
 }
 
 /// Reads one transport frame, blocking until it is complete. Returns
@@ -461,8 +459,14 @@ fn read_frame_body(r: &mut impl Read, len_buf: [u8; 4], max: usize) -> io::Resul
             format!("frame of {len} bytes exceeds the {max}-byte cap"),
         ));
     }
-    let mut frame = vec![0u8; len];
-    r.read_exact(&mut frame)?;
+    // Read into reserved, not zero-filled, capacity. `take` bounds the read
+    // at the declared length; a body that ends early is still a truncated
+    // frame, and a timeout mid-body still surfaces as its io error.
+    let mut frame = Vec::with_capacity(len);
+    let got = r.take(len as u64).read_to_end(&mut frame)?;
+    if got < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(frame)
 }
 
@@ -510,15 +514,25 @@ fn read_frame_idle_aware(
     read_frame_body(stream, len_buf, max).map(Some)
 }
 
-/// Writes all of `buf`, reporting **how many bytes actually left** on
-/// failure. `Write::write_all` discards that count, which is exactly the
-/// information a framed client needs: a failure at 0 bytes leaves the
-/// stream aligned, a failure mid-frame leaves the peer holding half a
-/// length-prefixed frame and the connection unusable.
-fn write_all_tracked(w: &mut impl Write, buf: &[u8]) -> Result<(), (usize, io::Error)> {
+/// Writes the `u32 LE length | frame` transport frame without building it:
+/// prefix and body go out through one vectored write (one segment on a
+/// `TCP_NODELAY` socket, where two plain writes made two). On failure it
+/// reports **how many bytes actually left**. `Write::write_all` discards
+/// that count, which is exactly the information a framed client needs: a
+/// failure at 0 bytes leaves the stream aligned, a failure mid-frame leaves
+/// the peer holding half a length-prefixed frame and the connection
+/// unusable. The caller has already checked the frame against the cap.
+fn write_frame_tracked(w: &mut impl Write, frame: &[u8]) -> Result<(), (usize, io::Error)> {
+    let prefix = (frame.len() as u32).to_le_bytes();
+    let total = prefix.len() + frame.len();
     let mut sent = 0usize;
-    while sent < buf.len() {
-        match w.write(&buf[sent..]) {
+    while sent < total {
+        let wrote = if sent < prefix.len() {
+            w.write_vectored(&[IoSlice::new(&prefix[sent..]), IoSlice::new(frame)])
+        } else {
+            w.write(&frame[sent - prefix.len()..])
+        };
+        match wrote {
             Ok(0) => return Err((sent, io::ErrorKind::WriteZero.into())),
             Ok(n) => sent += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -624,13 +638,10 @@ impl NetClient {
             self.reconnect()
                 .map_err(|e| WdError::WireDecode(format!("net reconnect: {e}")))?;
         }
-        let mut buf = Vec::with_capacity(4 + frame.len());
-        buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        buf.extend_from_slice(frame);
-        let total = buf.len();
+        let total = 4 + frame.len();
         let sent = {
             let stream = self.stream.as_mut().expect("connected above");
-            write_all_tracked(stream, &buf)
+            write_frame_tracked(stream, frame)
         };
         if let Err((sent, e)) = sent {
             return if sent > 0 && sent < total {
@@ -801,15 +812,15 @@ mod tests {
             limit: 1024,
             written: 0,
         };
-        write_all_tracked(&mut ok, &[7u8; 100]).expect("fits");
-        assert_eq!(ok.written, 100);
+        write_frame_tracked(&mut ok, &[7u8; 100]).expect("fits");
+        assert_eq!(ok.written, 104, "prefix and body, nothing else");
         // A stall mid-buffer reports the exact byte count that escaped,
         // even across multiple short writes.
         let mut stall = StallingWriter {
             limit: 10,
             written: 0,
         };
-        let (sent, err) = write_all_tracked(&mut stall, &[7u8; 100]).expect_err("stalls");
+        let (sent, err) = write_frame_tracked(&mut stall, &[7u8; 100]).expect_err("stalls");
         assert_eq!(sent, 10);
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         // A stall before any byte reports 0 — the stream is still aligned.
@@ -817,8 +828,25 @@ mod tests {
             limit: 0,
             written: 0,
         };
-        let (sent, _) = write_all_tracked(&mut dead, &[7u8; 8]).expect_err("dead");
+        let (sent, _) = write_frame_tracked(&mut dead, &[7u8; 8]).expect_err("dead");
         assert_eq!(sent, 0);
+        // A writer that takes one byte at a time still gets a whole,
+        // correctly ordered frame (the vectored path resumes mid-prefix).
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(&buf[..1]);
+                Ok(1)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut trickle = Trickle(Vec::new());
+        write_frame_tracked(&mut trickle, b"hello").expect("trickles through");
+        let mut whole = Vec::new();
+        write_frame(&mut whole, b"hello").expect("write");
+        assert_eq!(trickle.0, whole);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub struct ServeConfig {
     pub executor: BatchExecutor,
     /// Worker supervision bound: a worker holding one batch longer than
     /// this is declared wedged — its batch is re-queued (answered at most
-    /// once; see `Formed::replay_clone`) and the thread replaced.
+    /// once; see `Formed`) and the thread replaced.
     /// `Duration::ZERO` disables the watchdog.
     pub watchdog: Duration,
     /// Worker restarts after which replacements degrade to the sequential
@@ -210,13 +210,13 @@ impl ServeKeys {
                 .map_or(0, RotationKeys::approx_bytes)
     }
 
-    /// 64-bit FNV-1a checksum over every limb word of this key set, in a
-    /// fixed traversal order. Presence markers, digit counts, limb counts
-    /// and per-limb lengths are folded in, so structurally different key
-    /// sets (`None` vs empty, truncated limbs) cannot collide by
-    /// concatenation. This is the integrity reference the tenant key
-    /// cache records at registration and verifies on every lease
-    /// ([`crate::tenant::TenantRegistry`]).
+    /// 64-bit checksum ([`wd_fault::integrity`]) over every limb word of
+    /// this key set, in a fixed traversal order. Presence markers, digit
+    /// counts, limb counts and per-limb lengths are folded in, so
+    /// structurally different key sets (`None` vs empty, truncated limbs)
+    /// cannot collide by concatenation. This is the integrity reference
+    /// the tenant key cache records at registration and verifies on every
+    /// lease ([`crate::tenant::TenantRegistry`]).
     pub fn checksum(&self) -> u64 {
         let mut h = Fnv64::new();
         match &self.relin {
@@ -244,7 +244,7 @@ impl ServeKeys {
     }
 }
 
-/// Folds one keyswitch key into an FNV stream: digit count, then each
+/// Folds one keyswitch key into the checksum stream: digit count, then each
 /// digit's `b` and `a` components in order.
 fn fold_ksk(h: &mut Fnv64, key: &KeySwitchKey) {
     h.write_u64(key.digits.len() as u64);
@@ -254,16 +254,12 @@ fn fold_ksk(h: &mut Fnv64, key: &KeySwitchKey) {
     }
 }
 
-/// Folds one RNS polynomial: limb count, then per limb its coefficient
-/// length and raw `u64` words.
+/// Folds one RNS polynomial: limb count, then each limb's raw `u64` words
+/// as one slab (which folds the limb's length after its words).
 fn fold_rns(h: &mut Fnv64, p: &RnsPoly) {
     h.write_u64(p.limb_count() as u64);
     for limb in p.limbs() {
-        let coeffs = limb.coeffs();
-        h.write_u64(coeffs.len() as u64);
-        for &w in coeffs {
-            h.write_u64(w);
-        }
+        h.write_words(limb.coeffs());
     }
 }
 
@@ -312,16 +308,16 @@ struct Slot {
     tenant: Arc<Tenant>,
     op: ServeOp,
     tx: mpsc::Sender<Response>,
-    /// One-shot answer flag, shared with any replay clone of this slot.
-    /// Whoever wins the flip owns the response *and* the completed/shed
-    /// accounting, so a batch re-queued after a worker wedge answers each
-    /// request exactly once even if both executions finish.
-    answered: Arc<AtomicBool>,
+    /// One-shot answer flag. Whoever wins the flip owns the response *and*
+    /// the completed/shed accounting, so a batch re-queued after a worker
+    /// wedge answers each request exactly once even if both executions
+    /// finish.
+    answered: AtomicBool,
 }
 
 impl Slot {
     /// Claims the right to answer this request. `false` means another
-    /// copy (the original or a replay) already did.
+    /// execution of the batch (the original or a replay) already did.
     fn claim(&self) -> bool {
         self.answered
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
@@ -332,33 +328,16 @@ impl Slot {
 /// One formed batch travelling from the batcher to a worker. `None` on the
 /// work queue is the shutdown pill (one per worker, pushed after every
 /// batch, so FIFO order drains first).
+///
+/// A batch is shared, never copied: the worker executing it and its
+/// supervision slot hold the same `Arc`, and the watchdog re-queues that
+/// `Arc` when it declares the worker wedged. Re-executing it is safe
+/// because every op is a pure function of its operands (bit-identical
+/// results) and the slots' `answered` flags make each answer exactly-once.
 #[derive(Debug)]
 struct Formed {
     slots: Vec<Slot>,
     trigger: warpdrive_core::FlushTrigger,
-}
-
-impl Formed {
-    /// A replayable copy for the watchdog: same operands, same one-shot
-    /// senders, same `answered` flags. Re-executing a replay is safe
-    /// because every op is a pure function of its operands (bit-identical
-    /// results) and the shared flags make each answer exactly-once.
-    fn replay_clone(&self) -> Formed {
-        Formed {
-            slots: self
-                .slots
-                .iter()
-                .map(|s| Slot {
-                    meta: s.meta,
-                    tenant: Arc::clone(&s.tenant),
-                    op: s.op.clone(),
-                    tx: s.tx.clone(),
-                    answered: Arc::clone(&s.answered),
-                })
-                .collect(),
-            trigger: self.trigger,
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -376,7 +355,7 @@ struct Inbox {
 
 #[derive(Debug, Default)]
 struct WorkQueue {
-    state: Mutex<VecDeque<Option<Formed>>>,
+    state: Mutex<VecDeque<Option<Arc<Formed>>>>,
     cond: Condvar,
 }
 
@@ -402,8 +381,9 @@ struct SlotState {
     /// whose spawn generation no longer matches is *stale*: it must not
     /// consume queue items and exits at its next bookkeeping point.
     generation: u64,
-    /// Replay copy of the batch the current worker is executing.
-    inflight: Option<Formed>,
+    /// The batch the current worker is executing, for the watchdog to
+    /// re-queue.
+    inflight: Option<Arc<Formed>>,
 }
 
 #[derive(Debug, Default)]
@@ -701,7 +681,7 @@ impl Server {
             tenant: Arc::clone(tenant),
             op: req.op,
             tx,
-            answered: Arc::new(AtomicBool::new(false)),
+            answered: AtomicBool::new(false),
         });
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         wd_trace::counter("serve.enqueued", 1);
@@ -941,7 +921,7 @@ fn batcher_loop(
                 wd_trace::gauge("serve.queue_depth", st.pending.len() as u64);
                 drop(st);
                 let mut q = work.state.lock().expect("serve work queue poisoned");
-                q.push_back(Some(Formed { slots, trigger }));
+                q.push_back(Some(Arc::new(Formed { slots, trigger })));
                 drop(q);
                 work.cond.notify_all();
             }
@@ -1018,7 +998,7 @@ fn spawn_worker(
 /// run.
 ///
 /// Supervision protocol: the worker registers every queue take in its
-/// [`WorkerSlot`] (busy + heartbeat + a replay copy of the batch) and
+/// [`WorkerSlot`] (busy + heartbeat + a handle on the batch) and
 /// checks its spawn `generation` at each bookkeeping point. A mismatch
 /// means the watchdog declared this thread wedged and replaced it — a
 /// stale worker must not consume queue items (it pushes any item it holds
@@ -1069,7 +1049,7 @@ fn worker_loop(
             if let Some(formed) = &item {
                 st.busy = true;
                 st.heartbeat_us = instant_us(epoch);
-                st.inflight = Some(formed.replay_clone());
+                st.inflight = Some(Arc::clone(formed));
             }
         }
         let Some(formed) = item else {
@@ -1108,7 +1088,7 @@ fn worker_loop(
         if !abandoned {
             let fallbacks_before = arena.stats().fallbacks;
             wd_polyring::scratch::with_worker_arena(&arena, || {
-                execute_batch(formed, tenants, executor, epoch, stats, devices);
+                execute_batch(&formed, tenants, executor, epoch, stats, devices);
             });
             wd_trace::counter(
                 "serve.arena.fallback",
@@ -1137,7 +1117,7 @@ fn worker_loop(
 /// devices if the device-loss drill fires — results stay bit-identical
 /// either way).
 fn execute_batch(
-    formed: Formed,
+    formed: &Formed,
     tenants: &TenantRegistry,
     executor: &BatchExecutor,
     epoch: Instant,
@@ -1145,7 +1125,7 @@ fn execute_batch(
     devices: &DeviceLayer,
 ) {
     let Formed { slots, trigger } = formed;
-    let n = slots.len();
+    let (n, trigger) = (slots.len(), *trigger);
     let _span = wd_trace::span("serve", "batch");
     wd_trace::counter("serve.batches", 1);
     wd_trace::observe("serve.batch_size", n as u64);
@@ -1159,7 +1139,7 @@ fn execute_batch(
     );
     // Partition by tenant, preserving first-seen order within and
     // across groups (serving order inside a group is queue order).
-    let mut groups: Vec<(Arc<Tenant>, Vec<Slot>)> = Vec::new();
+    let mut groups: Vec<(Arc<Tenant>, Vec<&Slot>)> = Vec::new();
     for slot in slots {
         match groups
             .iter_mut()
@@ -1184,7 +1164,7 @@ fn execute_batch(
         };
         // Partition the tenant's group: plain ops batch directly; program
         // requests merge wave-by-wave across every program in the group.
-        let (programs, plain): (Vec<Slot>, Vec<Slot>) = group
+        let (programs, plain): (Vec<&Slot>, Vec<&Slot>) = group
             .into_iter()
             .partition(|s| matches!(s.op, ServeOp::Program(..)));
 
@@ -1247,7 +1227,7 @@ fn execute_batch(
 /// Answers every slot in a served group that has not already been answered
 /// by a replay, with the group's per-request results in queue order.
 fn answer_group(
-    slots: Vec<Slot>,
+    slots: Vec<&Slot>,
     results: Vec<Result<Ciphertext, WdError>>,
     tenant: &Tenant,
     stats: &Stats,

@@ -22,10 +22,11 @@
 //!
 //! Two guard layers sit on top (PR 7's self-healing story):
 //!
-//! - **Key integrity**: registration records an FNV-1a checksum of the
-//!   cold keys ([`ServeKeys::checksum`]); every resident-cache **hit**
-//!   re-verifies it (the threat is a bit flip while resident in device
-//!   memory — the cold/host copy is authoritative). A mismatch
+//! - **Key integrity**: registration records a checksum
+//!   ([`wd_fault::integrity`]) of the cold keys ([`ServeKeys::checksum`]);
+//!   every resident-cache **hit** re-verifies it, outside the cache lock
+//!   (the threat is a bit flip while resident in device memory — the
+//!   cold/host copy is authoritative). A mismatch
 //!   quarantines the resident entry (`serve.keycache.quarantined`, a
 //!   `serve.guard` event naming [`FaultKind::CorruptedKey`]) and falls
 //!   through to the miss path, reloading from cold — the corrupted copy
@@ -40,7 +41,8 @@
 //! Per-tenant observability flows through `wd-trace` as
 //! `serve.tenant.<id>.{enqueued,completed,shed,rejected}` counters and a
 //! `serve.tenant.<id>.latency_us` histogram; the cache reports
-//! `serve.keycache.{hits,misses,evictions,quarantined}` counters and a
+//! `serve.keycache.{hits,misses,evictions,quarantined,poison_recovered}`
+//! counters and a
 //! `serve.keycache.resident_bytes` gauge; breaker transitions emit
 //! `serve.guard.breaker_{open,half_open,closed}` counters.
 //!
@@ -48,7 +50,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use wd_ckks::wire::MAX_LABEL_BYTES;
 use wd_ckks::CkksContext;
@@ -318,6 +320,9 @@ pub struct KeyCacheStats {
     /// Resident entries dropped because their checksum failed on a hit
     /// (each was reloaded from the cold copy, not served).
     pub quarantined: u64,
+    /// Times the cache mutex was found poisoned by a panicked thread and
+    /// recovered (the cache kept serving).
+    pub poison_recovered: u64,
     /// Bytes currently resident.
     pub resident_bytes: usize,
     /// The configured budget in bytes.
@@ -374,6 +379,7 @@ pub struct TenantRegistry {
     misses: AtomicU64,
     evictions: AtomicU64,
     quarantined: AtomicU64,
+    poison_recovered: AtomicU64,
     /// Drill arm: the next N verified hits report a checksum mismatch
     /// (the in-memory stand-in for a device-resident bit flip).
     corrupt_arm: AtomicU64,
@@ -390,6 +396,7 @@ impl TenantRegistry {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
+            poison_recovered: AtomicU64::new(0),
             corrupt_arm: AtomicU64::new(0),
         }
     }
@@ -454,6 +461,22 @@ impl TenantRegistry {
         self.tenants.get(id)
     }
 
+    /// Locks the cache, recovering the guard if a thread panicked while
+    /// holding it (`serve.keycache.poison_recovered`). Every critical
+    /// section below leaves [`CacheState`] valid at each step — an entry is
+    /// in `resident` and `order` or in neither, and `bytes` moves with it —
+    /// and no checksum or key copy runs under the lock, so there is nothing
+    /// half-done for a panic to leave behind: one dead worker must not
+    /// take the registry, and with it every tenant, down with it.
+    fn lock_cache(&self) -> MutexGuard<'_, CacheState> {
+        self.cache.lock().unwrap_or_else(|poisoned| {
+            self.cache.clear_poison();
+            self.poison_recovered.fetch_add(1, Ordering::Relaxed);
+            wd_trace::counter("serve.keycache.poison_recovered", 1);
+            poisoned.into_inner()
+        })
+    }
+
     /// Leases `tenant`'s key material for one batch execution, through the
     /// resident LRU cache. A hit **verifies the resident checksum** against
     /// the registration reference and returns the resident copy; a
@@ -463,62 +486,45 @@ impl TenantRegistry {
     /// the bytes served are checksum-verified cold-copy bytes, so neither
     /// churn nor corruption can change a result.
     ///
+    /// The cache mutex guards bookkeeping only: the resident `Arc` is
+    /// cloned under it, then every checksum (and the cold copy's clone on a
+    /// miss) runs with it released, so one tenant's 62 ms SET-C verify
+    /// never stalls another tenant's lease. The lock is re-taken to refresh
+    /// recency, to quarantine, or to promote; each of those re-checks what
+    /// it finds, because another lease may have got there first.
+    ///
     /// # Errors
     ///
     /// [`WdError::IntegrityViolation`] when the *cold* (authoritative)
     /// copy fails its own checksum — there is no intact source left to
     /// reload from, so the lease (not the process) fails.
     pub(crate) fn lease_keys(&self, tenant: &Tenant) -> Result<Arc<ServeKeys>, WdError> {
-        let mut st = self.cache.lock().expect("key cache poisoned");
-        // Reconcile over-budget residue first. An oversized tenant is
-        // allowed residency for the lease that promoted it, but must not
-        // be re-counted as a hit forever after — its own next lease (or
-        // anyone else's) evicts it here and goes through the miss path.
-        self.evict_to_fit(&mut st, 0);
-        if let Some(keys) = st.resident.get(&tenant.id).map(|r| Arc::clone(&r.keys)) {
+        let resident = {
+            let mut st = self.lock_cache();
+            // Reconcile over-budget residue first. An oversized tenant is
+            // allowed residency for the lease that promoted it, but must
+            // not be re-counted as a hit forever after — its own next lease
+            // (or anyone else's) evicts it here and goes through the miss
+            // path.
+            self.evict_to_fit(&mut st, 0);
+            st.resident.get(&tenant.id).map(|r| Arc::clone(&r.keys))
+        };
+        if let Some(keys) = resident {
             match self.verify_resident(tenant, &keys) {
                 Ok(()) => {
-                    // Refresh recency: move to the back (most recently used).
+                    // Refresh recency: move to the back (most recently
+                    // used), unless the entry was evicted meanwhile.
+                    let mut st = self.lock_cache();
                     if let Some(i) = st.order.iter().position(|t| *t == tenant.id) {
                         let id = st.order.remove(i);
                         st.order.push(id);
                     }
+                    drop(st);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     wd_trace::counter("serve.keycache.hits", 1);
                     return Ok(keys);
                 }
-                Err(got) => {
-                    // Quarantine: drop the corrupt resident entry (not an
-                    // eviction — those are capacity accounting) and fall
-                    // through to the miss path, which reloads from cold.
-                    if let Some(i) = st.order.iter().position(|t| *t == tenant.id) {
-                        st.order.remove(i);
-                    }
-                    if let Some(gone) = st.resident.remove(&tenant.id) {
-                        st.refund(gone.charged);
-                    }
-                    self.quarantined.fetch_add(1, Ordering::Relaxed);
-                    wd_trace::counter("serve.keycache.quarantined", 1);
-                    wd_trace::event(
-                        "serve.guard",
-                        "keycache.quarantine",
-                        &[
-                            ("tenant", tenant.id.clone()),
-                            ("kind", FaultKind::CorruptedKey.to_string()),
-                            ("expected", format!("{:#018x}", tenant.cold_checksum)),
-                            ("got", format!("{got:#018x}")),
-                        ],
-                    );
-                    wd_trace::warn(
-                        "serve.guard",
-                        &format!(
-                            "quarantined resident keys for tenant {:?} ({}); \
-                             reloading from the cold copy",
-                            tenant.id,
-                            FaultKind::CorruptedKey
-                        ),
-                    );
-                }
+                Err(got) => self.quarantine(tenant, &keys, got),
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -535,6 +541,14 @@ impl TenantRegistry {
                 });
             }
         }
+        // The modeled host→device upload: clone the cold copy resident.
+        let keys = Arc::new(tenant.cold.clone());
+        let mut st = self.lock_cache();
+        if let Some(r) = st.resident.get(&tenant.id) {
+            // A concurrent lease promoted this tenant while we verified:
+            // its copy is the same verified cold bytes and already charged.
+            return Ok(Arc::clone(&r.keys));
+        }
         // Evict from the LRU front until the new entry fits.
         self.evict_to_fit(&mut st, tenant.key_bytes);
         if tenant.key_bytes > self.config.key_cache_bytes {
@@ -547,9 +561,7 @@ impl TenantRegistry {
                 ),
             );
         }
-        // The modeled host→device upload: clone the cold copy resident,
-        // recording the exact charge so the later refund matches it.
-        let keys = Arc::new(tenant.cold.clone());
+        // Record the exact charge so the later refund matches it.
         st.bytes += tenant.key_bytes;
         st.resident.insert(
             tenant.id.clone(),
@@ -561,6 +573,49 @@ impl TenantRegistry {
         st.order.push(tenant.id.clone());
         wd_trace::gauge("serve.keycache.resident_bytes", st.bytes as u64);
         Ok(keys)
+    }
+
+    /// Quarantine: drops the resident entry whose checksum read `got` (not
+    /// an eviction — those are capacity accounting) so the caller's miss
+    /// path reloads from cold. The entry is dropped only if it is still the
+    /// copy that failed: a concurrent lease may already have quarantined
+    /// and replaced it, and the replacement is intact.
+    fn quarantine(&self, tenant: &Tenant, failed: &Arc<ServeKeys>, got: u64) {
+        let mut st = self.lock_cache();
+        if st
+            .resident
+            .get(&tenant.id)
+            .is_some_and(|r| Arc::ptr_eq(&r.keys, failed))
+        {
+            if let Some(i) = st.order.iter().position(|t| *t == tenant.id) {
+                st.order.remove(i);
+            }
+            if let Some(gone) = st.resident.remove(&tenant.id) {
+                st.refund(gone.charged);
+            }
+        }
+        drop(st);
+        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        wd_trace::counter("serve.keycache.quarantined", 1);
+        wd_trace::event(
+            "serve.guard",
+            "keycache.quarantine",
+            &[
+                ("tenant", tenant.id.clone()),
+                ("kind", FaultKind::CorruptedKey.to_string()),
+                ("expected", format!("{:#018x}", tenant.cold_checksum)),
+                ("got", format!("{got:#018x}")),
+            ],
+        );
+        wd_trace::warn(
+            "serve.guard",
+            &format!(
+                "quarantined resident keys for tenant {:?} ({}); \
+                 reloading from the cold copy",
+                tenant.id,
+                FaultKind::CorruptedKey
+            ),
+        );
     }
 
     /// Verifies a resident entry on a hit: `Ok(())` when the checksum
@@ -607,12 +662,13 @@ impl TenantRegistry {
 
     /// A snapshot of the cache counters.
     pub fn cache_stats(&self) -> KeyCacheStats {
-        let st = self.cache.lock().expect("key cache poisoned");
+        let st = self.lock_cache();
         KeyCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
+            poison_recovered: self.poison_recovered.load(Ordering::Relaxed),
             resident_bytes: st.bytes,
             budget_bytes: self.config.key_cache_bytes,
         }
@@ -884,6 +940,82 @@ mod tests {
         // The reload is verified and resident again: the next lease hits.
         reg.lease_keys(&t).expect("post-repair hit");
         assert_eq!(reg.cache_stats().hits, 2);
+    }
+
+    #[test]
+    fn a_poisoned_cache_mutex_is_recovered_and_counted() {
+        let c = ctx(12);
+        let mut reg = TenantRegistry::new(TenantConfig::default());
+        reg.register("t", Arc::clone(&c), keys_for(&c))
+            .expect("register");
+        let reg = Arc::new(reg);
+        let t = reg.lookup("t").expect("registered").clone();
+        reg.lease_keys(&t).expect("promote");
+        // A worker dies while holding the cache lock.
+        let poisoner = {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || {
+                let _held = reg.cache.lock().expect("first holder");
+                panic!("worker dies holding the key cache");
+            })
+        };
+        assert!(poisoner.join().is_err(), "the poisoner must have panicked");
+        assert!(reg.cache.is_poisoned());
+        // Another thread still leases: the registry outlives the worker.
+        let leased = {
+            let (reg, t) = (Arc::clone(&reg), Arc::clone(&t));
+            std::thread::spawn(move || reg.lease_keys(&t))
+                .join()
+                .expect("the lease must not panic")
+        };
+        assert!(leased.expect("lease after poisoning").relin.is_some());
+        let s = reg.cache_stats();
+        assert_eq!((s.hits, s.misses, s.poison_recovered), (1, 1, 1));
+        assert_eq!(s.resident_bytes, t.key_bytes, "the books survived");
+        // Recovery clears the poison: later leases do not count again.
+        reg.lease_keys(&t).expect("steady state");
+        assert_eq!(reg.cache_stats().poison_recovered, 1);
+    }
+
+    #[test]
+    fn concurrent_leases_keep_the_books_exact() {
+        const THREADS: usize = 8;
+        const LEASES: usize = 40;
+        const ARMED: u64 = 7;
+        let c = ctx(13);
+        let mut reg = TenantRegistry::new(TenantConfig::default());
+        let mut cold = Vec::new();
+        for id in ["a", "b"] {
+            let keys = keys_for(&c);
+            cold.push(keys.relin.clone().expect("relin"));
+            reg.register(id, Arc::clone(&c), keys).expect(id);
+        }
+        let tenants = ["a", "b"].map(|id| reg.lookup(id).expect("registered").clone());
+        reg.arm_key_corruption(ARMED);
+        wd_trace::take_warnings();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for i in 0..THREADS {
+                let (reg, tenants, cold, start) = (&reg, &tenants, &cold, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for j in 0..LEASES {
+                        let which = (i + j) % 2;
+                        let leased = reg.lease_keys(&tenants[which]).expect("lease");
+                        assert_eq!(leased.relin.as_ref(), Some(&cold[which]));
+                    }
+                });
+            }
+        });
+        let s = reg.cache_stats();
+        assert_eq!(s.hits + s.misses, (THREADS * LEASES) as u64);
+        assert_eq!(s.quarantined, ARMED, "every armed verify quarantines once");
+        assert_eq!(s.evictions, 0);
+        assert_eq!(
+            s.resident_bytes,
+            tenants[0].key_bytes + tenants[1].key_bytes,
+            "both tenants resident, each charged exactly once"
+        );
     }
 
     #[test]

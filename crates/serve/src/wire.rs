@@ -15,20 +15,21 @@
 //!             | tenant label (u8 len + UTF-8 bytes) | class u8 | … as v1
 //! request v3: magic "WDSV" | ver u8=3 | kind u8=1 | id u64
 //!             | tenant label (len 0 = default tenant) | … as v1
-//!             | FNV-1a u64 over every preceding byte
+//!             | checksum u64 over every preceding byte
 //! response:   magic "WDSV" | ver u8=1 | kind u8=2 | id u64 | status u8
 //!             | waited_us u64 | batch_size u32 | trigger u8
 //!             | ok: ciphertext frame / err: len-prefixed UTF-8 message
-//!             (v3 responses append the same trailing FNV-1a u64)
+//!             (v3 responses append the same trailing checksum u64)
 //! health:     magic "WDSV" | ver u8=3 | kind u8=3 (probe) or 4 (report)
-//!             | id u64 | [report payload] | trailing FNV-1a u64
+//!             | id u64 | [report payload] | trailing checksum u64
 //! ```
 //!
 //! **Versioning:** v2 inserts one tenant header after the id and changes
 //! nothing else. v3 (the *guard* version) makes the tenant header
-//! mandatory-but-may-be-empty and appends a checksum trailer: a 64-bit
-//! FNV-1a over every preceding frame byte, **verified before any payload
-//! parsing** — a corrupted frame surfaces as the typed
+//! mandatory-but-may-be-empty and appends a checksum trailer:
+//! [`wd_fault::integrity::checksum_bytes`] (the four-lane FNV-1a byte feed
+//! defined there) over every preceding frame byte, **verified before any
+//! payload parsing** — a corrupted frame surfaces as the typed
 //! [`wd_fault::WdError::IntegrityViolation`], never as a garbled operand.
 //! Decoders accept every older version — a v1 frame is a v2 frame with no
 //! tenant — so every pre-tenancy and pre-guard client keeps working, and
@@ -46,7 +47,8 @@ use std::time::Duration;
 use warpdrive_core::{Class, FlushTrigger};
 use wd_ckks::cipher::Ciphertext;
 use wd_ckks::wire::{
-    read_ciphertext_frame, read_label_frame, write_ciphertext_frame, write_label_frame,
+    ciphertext_frame_len, read_ciphertext_frame, read_label_frame, write_ciphertext_frame,
+    write_label_frame, MAX_LABEL_BYTES,
 };
 use wd_ckks::CkksError;
 
@@ -56,7 +58,7 @@ const MAGIC: &[u8; 4] = b"WDSV";
 const VERSION: u8 = 1;
 /// The tenant-aware frame version (v1 plus one tenant header).
 const VERSION_TENANT: u8 = 2;
-/// The guard frame version (v2 plus a trailing FNV-1a checksum; the
+/// The guard frame version (v2 plus a trailing checksum; the
 /// tenant label may be empty = default tenant).
 pub const VERSION_GUARD: u8 = 3;
 const KIND_REQUEST: u8 = 1;
@@ -89,14 +91,12 @@ pub struct WireResponse {
 }
 
 impl WireResponse {
-    /// Projects a host-side [`Response`] onto its wire shape.
-    pub fn of(resp: &Response) -> Self {
+    /// Projects a host-side [`Response`] onto its wire shape (by value: the
+    /// result ciphertext moves, it is not copied).
+    pub fn of(resp: Response) -> Self {
         Self {
             id: resp.id,
-            result: match &resp.result {
-                Ok(ct) => Ok(ct.clone()),
-                Err(e) => Err(e.to_string()),
-            },
+            result: resp.result.map_err(|e| e.to_string()),
             waited_us: resp.waited_us,
             batch_size: resp.batch_size,
             trigger: resp.trigger,
@@ -169,6 +169,32 @@ fn read_envelope(buf: &[u8], pos: &mut usize, want_kind: u8) -> Result<(u8, u64)
     Ok((ver, get_u64(buf, pos)?))
 }
 
+/// The most a request or response frame holds besides its ciphertext
+/// frames: envelope, a full tenant label, class, deadline, op tag, rotation
+/// amount (or the response's status block) and the v3 trailer.
+const FRAME_OVERHEAD_MAX: usize = 14 + (1 + MAX_LABEL_BYTES) + 1 + 9 + 1 + 8 + 8;
+
+/// A buffer that holds `req`'s frame in any version without regrowing.
+fn request_buffer(req: &Request) -> Vec<u8> {
+    let operands: usize = match &req.op {
+        ServeOp::HAdd(a, b) | ServeOp::HSub(a, b) | ServeOp::HMult(a, b) => {
+            ciphertext_frame_len(a) + ciphertext_frame_len(b)
+        }
+        ServeOp::HRotate(ct, _) | ServeOp::Rescale(ct) => ciphertext_frame_len(ct),
+        ServeOp::Program(..) => 0,
+    };
+    Vec::with_capacity(FRAME_OVERHEAD_MAX + operands)
+}
+
+/// A buffer that holds `resp`'s frame in any version without regrowing.
+fn response_buffer(resp: &WireResponse) -> Vec<u8> {
+    let payload = match &resp.result {
+        Ok(ct) => ciphertext_frame_len(ct),
+        Err(msg) => 4 + msg.len(),
+    };
+    Vec::with_capacity(FRAME_OVERHEAD_MAX + payload)
+}
+
 /// Serializes one request under the given wire id (v1 — no tenant; the
 /// pre-tenancy spelling, kept byte-identical). The tenant-aware encoder is
 /// [`encode_request_as`].
@@ -194,7 +220,7 @@ pub fn encode_request_as(
     tenant: Option<&str>,
     req: &Request,
 ) -> Result<Vec<u8>, CkksError> {
-    let mut out = Vec::new();
+    let mut out = request_buffer(req);
     match tenant {
         None => write_envelope(&mut out, VERSION, KIND_REQUEST, id),
         Some(t) => {
@@ -212,7 +238,7 @@ pub fn encode_request_as(
 }
 
 /// Serializes one request as a v3 guard frame: mandatory (possibly empty)
-/// tenant header plus the trailing FNV-1a checksum. `tenant: None` encodes
+/// tenant header plus the trailing checksum. `tenant: None` encodes
 /// an empty label, which the decoder routes to the default tenant.
 ///
 /// # Errors
@@ -224,7 +250,7 @@ pub fn encode_request_v3(
     tenant: Option<&str>,
     req: &Request,
 ) -> Result<Vec<u8>, CkksError> {
-    let mut out = Vec::new();
+    let mut out = request_buffer(req);
     write_envelope(&mut out, VERSION_GUARD, KIND_REQUEST, id);
     write_label_frame(&mut out, tenant.unwrap_or(""))?;
     write_request_body(&mut out, req)?;
@@ -439,13 +465,13 @@ fn checked_wire_u32(v: usize, what: &str) -> Result<u32, CkksError> {
 /// [`CkksError::WireDecode`] when the batch size or error-message length
 /// does not fit the wire's u32 fields.
 pub fn encode_response(resp: &WireResponse) -> Result<Vec<u8>, CkksError> {
-    let mut out = Vec::new();
+    let mut out = response_buffer(resp);
     write_envelope(&mut out, VERSION, KIND_RESPONSE, resp.id);
     write_response_body(&mut out, resp)?;
     Ok(out)
 }
 
-/// Serializes one response as a v3 guard frame (trailing FNV-1a checksum),
+/// Serializes one response as a v3 guard frame (trailing checksum),
 /// the generation a server answers a v3 request in.
 ///
 /// # Errors
@@ -453,7 +479,7 @@ pub fn encode_response(resp: &WireResponse) -> Result<Vec<u8>, CkksError> {
 /// [`CkksError::WireDecode`] when the batch size or error-message length
 /// does not fit the wire's u32 fields.
 pub fn encode_response_v3(resp: &WireResponse) -> Result<Vec<u8>, CkksError> {
-    let mut out = Vec::new();
+    let mut out = response_buffer(resp);
     write_envelope(&mut out, VERSION_GUARD, KIND_RESPONSE, resp.id);
     write_response_body(&mut out, resp)?;
     let sum = wd_fault::integrity::checksum_bytes(&out);
@@ -982,6 +1008,44 @@ mod tests {
         );
         assert_eq!(peek_kind(b"WDSV"), None);
         assert_eq!(peek_kind(b"XXXXXX"), None);
+    }
+
+    #[test]
+    fn v3_request_frame_survives_truncate_flip_and_extend_at_every_offset() {
+        let (a, b) = ct_pair();
+        let req = Request::new(ServeOp::HSub(a.clone(), b.clone()))
+            .with_deadline(Duration::from_micros(5));
+        let good = encode_request_v3(42, Some("alice"), &req).expect("encode");
+        assert!(
+            good.len() <= good.capacity() && good.capacity() - good.len() < FRAME_OVERHEAD_MAX,
+            "the encoder reserves the frame once, and tightly"
+        );
+        let (ver, id, tenant, back) = decode_request_versioned(&good).expect("decode");
+        assert_eq!(
+            (ver, id, tenant.as_deref()),
+            (VERSION_GUARD, 42, Some("alice"))
+        );
+        assert!(matches!(back.op, ServeOp::HSub(x, y) if x == a && y == b));
+        let typed = |r: Result<_, CkksError>, what: &str| match r {
+            Ok(_) => panic!("{what}: decoded"),
+            Err(CkksError::WireDecode(_)) | Err(CkksError::IntegrityViolation { .. }) => {}
+            Err(e) => panic!("{what}: untyped error {e:?}"),
+        };
+        let mut buf = good.clone();
+        for at in 0..good.len() {
+            typed(decode_request_versioned(&good[..at]), &format!("cut {at}"));
+            // The trailer covers every byte: no flip anywhere may pass.
+            for bit in [0u8, 7] {
+                buf[at] ^= 1 << bit;
+                typed(decode_request_versioned(&buf), &format!("flip {at}.{bit}"));
+                buf[at] ^= 1 << bit;
+            }
+        }
+        for extra in [1usize, 7, 8, 9, 64] {
+            let mut long = good.clone();
+            long.resize(good.len() + extra, 0xA5);
+            typed(decode_request_versioned(&long), &format!("extend {extra}"));
+        }
     }
 
     #[test]

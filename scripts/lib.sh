@@ -37,8 +37,10 @@ wd_expect_eq() {
 # wd_mask
 #   stdin filter: host-measured values (`~12.3`, `~5`) -> `~HOST`, so
 #   drift diffs catch layout/row changes without failing on a faster CPU.
+#   The padding in front of a right-aligned value goes with it: a host
+#   that measures one more digit (`~2.5` -> `~25.0`) is not drift either.
 wd_mask() {
-    sed -E 's/~[0-9]+(\.[0-9]+)?/~HOST/g'
+    sed -E 's/ *~[0-9]+(\.[0-9]+)?/ ~HOST/g'
 }
 
 # wd_counter NAME FILE
