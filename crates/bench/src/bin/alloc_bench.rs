@@ -28,7 +28,7 @@
 //!    every slab lease, falls back to the heap, stays under its retention
 //!    cap — and the output is still bit-identical to the unpooled path.
 //!
-//! `--quick` (or `WD_BENCH_QUICK=1`) shrinks the measured phase only; the
+//! `--quick` shrinks the measured phase only; the
 //! printed structure — and every unmasked number — is identical, so the
 //! same checked-in artifact drift-checks both modes.
 //!
@@ -68,7 +68,7 @@ const SERVING_BATCH: u64 = 16;
 const GATE_SPEEDUP: f64 = 1.2;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick") || std::env::var("WD_BENCH_QUICK").is_ok();
+    let quick = std::env::args().any(|a| a == "--quick");
 
     banner(
         "alloc_bench — scratch-arena allocation reuse on the host hot path",
@@ -209,7 +209,6 @@ fn measured_ab(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
     // Keyswitch: the op the arena exists for.
     let params = ParamSet::set_a().with_degree(1 << 10).build()?;
     let ctx = CkksContext::with_seed(params, 91)?;
-    ctx.set_threads(1);
     let kp = ctx.keygen();
     let d = ctx.encode(&[1.5, -2.25, 3.0])?.poly;
     let arena = warpdrive_core::arena::worker_arena(ctx.params(), u64::MAX)?;
@@ -237,7 +236,6 @@ fn measured_ab(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
     // A serving-shaped batch of HMULTs, arena on vs off.
     let params = ParamSet::set_a().with_degree(1 << 8).build()?;
     let ctx = CkksContext::with_seed(params, 92)?;
-    ctx.set_threads(1);
     let kp = ctx.keygen();
     let a = ctx.encrypt_values(&[1.0, -2.0], &kp.public)?;
     let b = ctx.encrypt_values(&[0.5, 3.0], &kp.public)?;
@@ -280,7 +278,6 @@ fn measured_ab(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
 fn steady_state_drill() -> Result<(), Box<dyn std::error::Error>> {
     let params = ParamSet::set_a().with_degree(1 << 6).build()?;
     let ctx = CkksContext::with_seed(params, 93)?;
-    ctx.set_threads(1);
     let kp = ctx.keygen();
     let d = ctx.encode(&[0.5, 1.0, -1.5])?.poly;
     let arena = warpdrive_core::arena::worker_arena(ctx.params(), u64::MAX)?;
@@ -320,7 +317,6 @@ fn steady_state_drill() -> Result<(), Box<dyn std::error::Error>> {
 fn exhaustion_drill() -> Result<(), Box<dyn std::error::Error>> {
     let params = ParamSet::set_a().with_degree(1 << 6).build()?;
     let ctx = CkksContext::with_seed(params, 94)?;
-    ctx.set_threads(1);
     let kp = ctx.keygen();
     let d = ctx.encode(&[2.0, -0.5])?.poly;
     let expect = keyswitch_unpooled(&ctx, &d, &kp.relin)?;

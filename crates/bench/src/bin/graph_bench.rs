@@ -24,7 +24,7 @@
 //!    reference, the sequential fault-free run, and parallel runs at
 //!    2/4 threads under fault injection must all be **bit-identical**.
 //!
-//! `--quick` (or `WD_BENCH_QUICK=1`) is accepted for CLI parity with the
+//! `--quick` is accepted for CLI parity with the
 //! other benches; every section is already deterministic, so the printed
 //! artifact is identical in both modes.
 //!
@@ -52,10 +52,6 @@ const LANES: usize = 4;
 const GATE: f64 = 1.15;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Accepted for CLI parity; every section is deterministic already.
-    let _quick =
-        std::env::args().any(|a| a == "--quick") || std::env::var("WD_BENCH_QUICK").is_ok();
-
     banner(
         "graph_bench — program graphs, the level compiler, wave scheduling",
         "graph compiler datapoint (BENCH_graph.json; no paper table)",
@@ -280,7 +276,6 @@ fn real_drill() -> Result<(), Box<dyn std::error::Error>> {
         let vals: Vec<f64> = (0..8).map(|j| 0.1 * (i + j) as f64 - 0.4).collect();
         inputs.push(ctx.encrypt_values(&vals, &kp.public)?);
     }
-    ctx.set_threads(1);
     let expect = reference(&ctx, &kp.relin, &rot, &inputs)?;
 
     let keys = EvalKeys::with_relin(&kp.relin).and_rotations(&rot);
@@ -295,7 +290,7 @@ fn real_drill() -> Result<(), Box<dyn std::error::Error>> {
         };
         let ex = BatchExecutor::auto(threads).with_fault_plan(plan);
         let jobs: Vec<(&CompiledProgram, &[Ciphertext])> = vec![(&prog, inputs.as_slice())];
-        let got = wd_graph::execute_many(&ctx, keys, &jobs, &ex, None)
+        let got = wd_graph::execute_many(&ctx, keys, &jobs, &ex)
             .pop()
             .expect("one job")?;
         assert_eq!(got.len(), 1, "single declared output");

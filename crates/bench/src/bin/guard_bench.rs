@@ -24,7 +24,7 @@
 //! 5. **Breaker drill** (deterministic): a doomed op trips a full-window
 //!    breaker; the next submit is the typed circuit-open refusal.
 //!
-//! `--quick` (or `WD_BENCH_QUICK=1`) shrinks the measured phase only; the
+//! `--quick` shrinks the measured phase only; the
 //! printed structure — and every unmasked number — is identical, so the
 //! same checked-in artifact drift-checks both modes.
 //!
@@ -53,7 +53,7 @@ const SERVING_BATCH: u64 = 16;
 const GATE_PCT: f64 = 3.0;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick") || std::env::var("WD_BENCH_QUICK").is_ok();
+    let quick = std::env::args().any(|a| a == "--quick");
 
     banner(
         "guard_bench — integrity checking and the supervision ladder",
@@ -242,7 +242,6 @@ fn reference(
 fn quarantine_drill() -> Result<(), Box<dyn std::error::Error>> {
     let params = ParamSet::set_a().with_degree(1 << 6).build()?;
     let ctx = Arc::new(CkksContext::with_seed(params, 81)?);
-    ctx.set_threads(1);
     let kp = ctx.keygen();
     let a = ctx.encrypt_values(&[1.5, -0.5], &kp.public)?;
     let b = ctx.encrypt_values(&[2.0, 1.0], &kp.public)?;
@@ -305,7 +304,6 @@ fn quarantine_drill() -> Result<(), Box<dyn std::error::Error>> {
 fn wedge_drill() -> Result<(), Box<dyn std::error::Error>> {
     let params = ParamSet::set_a().with_degree(1 << 6).build()?;
     let ctx = Arc::new(CkksContext::with_seed(params, 82)?);
-    ctx.set_threads(1);
     let kp = ctx.keygen();
     let a = ctx.encrypt_values(&[0.25, 2.0], &kp.public)?;
     let b = ctx.encrypt_values(&[-1.0, 0.5], &kp.public)?;
@@ -365,7 +363,6 @@ fn wedge_drill() -> Result<(), Box<dyn std::error::Error>> {
 fn breaker_drill() -> Result<(), Box<dyn std::error::Error>> {
     let params = ParamSet::set_a().with_degree(1 << 6).build()?;
     let ctx = Arc::new(CkksContext::with_seed(params, 83)?);
-    ctx.set_threads(1);
     let kp = ctx.keygen();
     let a = ctx.encrypt_values(&[1.0, 1.0], &kp.public)?;
     let doomed = ServeOp::HRotate(a, 1);

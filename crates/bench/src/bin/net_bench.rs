@@ -20,7 +20,7 @@
 //!    counts, with every response still bit-identical to that tenant's
 //!    sequential fault-free reference.
 //!
-//! `--quick` (or `WD_BENCH_QUICK=1`) shrinks the measured phase only; the
+//! `--quick` shrinks the measured phase only; the
 //! printed structure — and every unmasked number — is identical, so the
 //! same checked-in artifact drift-checks both modes.
 //!
@@ -39,7 +39,7 @@ use wd_serve::{
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick") || std::env::var("WD_BENCH_QUICK").is_ok();
+    let quick = std::env::args().any(|a| a == "--quick");
 
     banner(
         "net_bench — multi-tenant TCP serving",
@@ -134,7 +134,7 @@ fn measured_tcp_serving(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
                         ServeOp::HAdd(a.clone(), b.clone())
                     };
                     let resp = client
-                        .call(Some(id), &Request::new(op).with_class(class))
+                        .call_checked(Some(id), &Request::new(op).with_class(class))
                         .map_err(|e| e.to_string())?;
                     resp.result.map_err(|e| format!("{id}: {e}"))?;
                     waited += resp.waited_us;
@@ -252,7 +252,6 @@ fn cache_churn_drill() -> Result<(), Box<dyn std::error::Error>> {
     for (id, seed) in [("alice", 51u64), ("bob", 52u64)] {
         let params = ParamSet::set_a().with_degree(1 << 6).build()?;
         let ctx = Arc::new(CkksContext::with_seed(params, seed)?);
-        ctx.set_threads(1);
         let kp = ctx.keygen();
         let a = ctx.encrypt_values(&[1.5, -0.5], &kp.public)?;
         let b = ctx.encrypt_values(&[2.0, 1.0], &kp.public)?;

@@ -21,7 +21,7 @@
 //! 4. **Admission-control drill** (deterministic): overfilling a bounded
 //!    queue rejects with `QueueFull`, and drain answers everything else.
 //!
-//! `--quick` (or `WD_BENCH_QUICK=1`) shrinks the measured phase only; the
+//! `--quick` shrinks the measured phase only; the
 //! printed structure — and every unmasked number — is identical, so the
 //! same checked-in artifact drift-checks both modes.
 //!
@@ -43,7 +43,7 @@ const SATURATING_BATCH: u64 = 16;
 const GATE: f64 = 1.5;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick") || std::env::var("WD_BENCH_QUICK").is_ok();
+    let quick = std::env::args().any(|a| a == "--quick");
 
     banner(
         "serve_bench — dynamic batching for FHE serving",

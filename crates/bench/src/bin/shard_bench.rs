@@ -20,10 +20,10 @@
 //!    thread-budget split, coverage-asserted.
 //! 3. **Sharded serving drill** (deterministic): a real `wd-serve` server
 //!    with a 2-device round-robin placer serves one 8-op batch; per-device
-//!    `serve.device.<i>.*` counters and the HEALTH per-device lines come
+//!    `place.device.<i>.*` counters and the HEALTH per-device lines come
 //!    out exact, and every response is bit-identical to the unsharded op.
 //!
-//! `--quick` (or `WD_BENCH_QUICK=1`) is accepted for CLI parity with the
+//! `--quick` is accepted for CLI parity with the
 //! other benches; every section is already deterministic, so the printed
 //! artifact is identical in both modes.
 //!
@@ -54,10 +54,6 @@ const DEVICES: [usize; 4] = [1, 2, 4, 8];
 const GATE: f64 = 1.6;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Accepted for CLI parity; every section is deterministic already.
-    let _quick =
-        std::env::args().any(|a| a == "--quick") || std::env::var("WD_BENCH_QUICK").is_ok();
-
     banner(
         "shard_bench — multi-device sharding vs the interconnect",
         "sharding datapoint (BENCH_shard.json; no paper table)",

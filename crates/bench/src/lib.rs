@@ -5,6 +5,8 @@
 //! paper's numbers alongside the reproduction's. Criterion benches of the
 //! *functional* kernels live in `benches/`.
 
+#![forbid(unsafe_code)]
+
 use warpdrive_core::OpShape;
 
 /// The Table VI parameter sets as (name, N, l) triples.

@@ -8,7 +8,6 @@ use crate::{sampling, CkksError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use wd_modmath::rns::{BasisConverter, RnsBasis};
 use wd_polyring::ntt::NttTable;
@@ -56,13 +55,6 @@ pub struct CkksContext {
     /// used so far (4N bytes each; a context sees as many elements as it
     /// has rotation keys).
     galois: Mutex<GaloisCache>,
-    /// Host thread budget for limb-level parallel execution (see
-    /// `wd_polyring::par`). `1` = strictly sequential; results are
-    /// bit-identical at every setting. The context never reads the
-    /// environment for this: the budget is sequential until set explicitly
-    /// or claimed by a scheduled `warpdrive_core::BatchExecutor`, which is
-    /// the framework's single owner of the `WD_THREADS` read.
-    threads: AtomicUsize,
     /// Per-level derived state (prime bases, table lists, ModDown
     /// constants), indexed by level.
     levels: Vec<LevelCache>,
@@ -135,22 +127,9 @@ impl CkksContext {
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             converters: Mutex::new(HashMap::new()),
             galois: Mutex::new(HashMap::new()),
-            threads: AtomicUsize::new(1),
             levels,
             scratch: Mutex::new(ScratchArena::for_worker()),
         })
-    }
-
-    /// The host thread budget homomorphic operations run with (default 1 =
-    /// sequential; see [`CkksContext::set_threads`]).
-    pub fn threads(&self) -> usize {
-        self.threads.load(Ordering::Relaxed)
-    }
-
-    /// Sets the host thread budget. Every setting computes bit-identical
-    /// results; `n = 1` restores the strictly sequential path.
-    pub fn set_threads(&self, n: usize) {
-        self.threads.store(n.max(1), Ordering::Relaxed);
     }
 
     /// The parameters.
@@ -697,19 +676,6 @@ mod tests {
         let r = restrict(&kp.secret.s, 2);
         assert_eq!(r.limb_count(), 2);
         assert_eq!(r.limb(0), kp.secret.s.limb(0));
-        Ok(())
-    }
-
-    #[test]
-    fn threads_default_sequential_and_env_independent() -> Result<(), CkksError> {
-        // The context must not consult WD_THREADS: the scheduler in
-        // warpdrive-core is the single owner of that read.
-        let ctx = ctx()?;
-        assert_eq!(ctx.threads(), 1);
-        ctx.set_threads(4);
-        assert_eq!(ctx.threads(), 4);
-        ctx.set_threads(0);
-        assert_eq!(ctx.threads(), 1, "budget is clamped to >= 1");
         Ok(())
     }
 

@@ -128,7 +128,7 @@ fn accumulate_digit(
 
 /// Key-switches polynomial `d` (NTT domain, level ℓ) with `ksk`, returning
 /// the pair (out0, out1) over Q_ℓ in NTT form such that
-/// out0 + out1·s ≈ d·s′.
+/// out0 + out1·s ≈ d·s′. One thread; [`keyswitch_with`] takes a width.
 ///
 /// This is the pooled hot path (see the module docs); it is bit-identical to
 /// [`keyswitch_unpooled`] at every level and thread count.
@@ -142,14 +142,31 @@ pub fn keyswitch(
     d: &RnsPoly,
     ksk: &KeySwitchKey,
 ) -> Result<(RnsPoly, RnsPoly), CkksError> {
+    keyswitch_with(ctx, d, ksk, 1)
+}
+
+/// [`keyswitch`] with its limb work (transforms, base conversion, the
+/// inner product) fanned out over at most `threads` host threads. The
+/// width comes from the caller on every call; bit-identical at every width.
+///
+/// # Errors
+///
+/// As [`keyswitch`].
+pub fn keyswitch_with(
+    ctx: &CkksContext,
+    d: &RnsPoly,
+    ksk: &KeySwitchKey,
+    threads: usize,
+) -> Result<(RnsPoly, RnsPoly), CkksError> {
     let _span = wd_trace::span("ckks", "keyswitch");
-    scratch::with_worker_arena(&ctx.scratch(), || keyswitch_pooled(ctx, d, ksk))
+    scratch::with_worker_arena(&ctx.scratch(), || keyswitch_pooled(ctx, d, ksk, threads))
 }
 
 fn keyswitch_pooled(
     ctx: &CkksContext,
     d: &RnsPoly,
     ksk: &KeySwitchKey,
+    th: usize,
 ) -> Result<(RnsPoly, RnsPoly), CkksError> {
     let level = d.limb_count() - 1;
     let alpha = ctx.params().alpha();
@@ -159,7 +176,6 @@ fn keyswitch_pooled(
             format!("key has {} digits, level {level} needs {dnum}", ksk.dnum()).into(),
         ));
     }
-    let th = ctx.threads();
     let n = d.degree();
     let arena = ctx.scratch();
     let q_now = ctx.params().q_at(level);
@@ -209,8 +225,8 @@ fn keyswitch_pooled(
     give_rns(&arena, d_coeff);
 
     // Step 5: ModDown both accumulators (consumes their leases).
-    let out0 = mod_down_pooled(ctx, &arena, acc0, level)?;
-    let out1 = mod_down_pooled(ctx, &arena, acc1, level)?;
+    let out0 = mod_down_pooled(ctx, &arena, acc0, level, th)?;
+    let out1 = mod_down_pooled(ctx, &arena, acc1, level, th)?;
     Ok((out0, out1))
 }
 
@@ -223,8 +239,8 @@ fn mod_down_pooled(
     arena: &Arc<ScratchArena>,
     mut acc: RnsPoly,
     level: usize,
+    th: usize,
 ) -> Result<RnsPoly, CkksError> {
-    let th = ctx.threads();
     let q_now = ctx.params().q_at(level);
     let p_chain = ctx.params().p_chain();
     let lq = q_now.len();
@@ -273,14 +289,13 @@ pub fn keyswitch_unpooled(
             format!("key has {} digits, level {level} needs {dnum}", ksk.dnum()).into(),
         ));
     }
-    let th = ctx.threads();
     let q_now = ctx.params().q_at(level).to_vec();
     let full = ctx.params().full_basis_at(level);
     let full_tabs = ctx.tables_for(&full);
 
     // Step 1: INTT the input.
     let mut d_coeff = d.clone();
-    d_coeff.ntt_inverse_with(&ctx.tables_for(&q_now), th);
+    d_coeff.ntt_inverse(&ctx.tables_for(&q_now));
 
     // Steps 2–4 per digit: ModUp, NTT, multiply-accumulate with the key.
     let mut acc0 = RnsPoly::zero(&full, d.degree())?;
@@ -297,20 +312,20 @@ pub fn keyswitch_unpooled(
         // ModUp: extend to the full basis, then restore the digit's own
         // limbs exactly (conversion is identity there up to rounding).
         let conv = ctx.try_converter(digit_primes, &full)?;
-        let mut ext = wd_polyring::par::convert_poly(&conv, &digit, th);
+        let mut ext = convert_poly(&conv, &digit);
         for i in lo..hi {
             *ext.limb_mut(i) = d_coeff.limb(i).clone();
         }
         // NTT the extended digit.
         let mut ext_ntt = ext;
-        ext_ntt.ntt_forward_with(&full_tabs, th);
+        ext_ntt.ntt_forward(&full_tabs);
         // InnerProduct accumulation. The key digit lives over the max-level
         // full basis: its limb order is q_0…q_L, p…; at level ℓ we need
         // q_0…q_ℓ, p… — select those limbs.
         let kb = select_basis(&ksk.digits[j].b, &full)?;
         let ka = select_basis(&ksk.digits[j].a, &full)?;
-        acc0 = acc0.add(&ext_ntt.pointwise_with(&kb, th)?)?;
-        acc1 = acc1.add(&ext_ntt.pointwise_with(&ka, th)?)?;
+        acc0 = acc0.add(&ext_ntt.pointwise(&kb)?)?;
+        acc1 = acc1.add(&ext_ntt.pointwise(&ka)?)?;
     }
 
     // Step 5: ModDown both accumulators.
@@ -347,19 +362,18 @@ fn mod_down(
     q_now: &[u64],
     full_tabs: &[std::sync::Arc<wd_polyring::ntt::NttTable>],
 ) -> Result<RnsPoly, CkksError> {
-    let th = ctx.threads();
     let p_chain = ctx.params().p_chain().to_vec();
     let k = p_chain.len();
     let lq = q_now.len();
     // INTT over the full basis.
-    acc.ntt_inverse_with(full_tabs, th);
+    acc.ntt_inverse(full_tabs);
     // Split off the P-part residues and convert them down to Q.
     let p_part = RnsPoly::from_limbs(
         (lq..lq + k).map(|i| acc.limb(i).clone()).collect(),
         Domain::Coeff,
     )?;
     let conv = ctx.try_converter(&p_chain, q_now)?;
-    let u = wd_polyring::par::convert_poly(&conv, &p_part, th);
+    let u = convert_poly(&conv, &p_part);
     // (x − u) · P^{-1} per limb.
     let q_acc = restrict(&acc, lq);
     let diff = q_acc.sub(&u)?;
@@ -375,7 +389,7 @@ fn mod_down(
         p_inv.push(m.inv(p)?);
     }
     let mut out = diff.scale_per_limb(&p_inv);
-    out.ntt_forward_with(&ctx.tables_for(q_now), th);
+    out.ntt_forward(&ctx.tables_for(q_now));
     Ok(out)
 }
 
@@ -406,7 +420,6 @@ impl HoistedDecomposition {
     ///
     /// Propagates ring errors.
     pub fn new(ctx: &CkksContext, d: &RnsPoly) -> Result<Self, CkksError> {
-        let th = ctx.threads();
         let level = d.limb_count() - 1;
         let alpha = ctx.params().alpha();
         let dnum = ctx.params().dnum_at(level);
@@ -418,7 +431,7 @@ impl HoistedDecomposition {
         for (dst, src) in d_coeff.limbs_mut().zip(d.limbs()) {
             dst.coeffs_mut().copy_from_slice(src.coeffs());
         }
-        d_coeff.ntt_inverse_with(ctx.q_tables(level), th);
+        d_coeff.ntt_inverse(ctx.q_tables(level));
         let mut digits = Vec::with_capacity(dnum);
         for j in 0..dnum {
             let lo = j * alpha;
@@ -426,13 +439,13 @@ impl HoistedDecomposition {
             let conv = ctx.try_converter(&q_now[lo..hi], full)?;
             let mut ext = RnsPoly::zero(full, n)?;
             let digit_limbs: Vec<&Poly> = (lo..hi).map(|i| d_coeff.limb(i)).collect();
-            wd_polyring::par::try_convert_limbs_into(&conv, &digit_limbs, &mut ext, th)?;
+            wd_polyring::par::try_convert_limbs_into(&conv, &digit_limbs, &mut ext, 1)?;
             for i in lo..hi {
                 ext.limb_mut(i)
                     .coeffs_mut()
                     .copy_from_slice(d_coeff.limb(i).coeffs());
             }
-            ext.ntt_forward_with(ctx.full_tables(level), th);
+            ext.ntt_forward(ctx.full_tables(level));
             digits.push(ext);
         }
         give_rns(&arena, d_coeff);
@@ -488,7 +501,6 @@ fn keyswitch_hoisted_pooled(
             .into(),
         ));
     }
-    let th = ctx.threads();
     let n = hoisted.digits[0].degree();
     let arena = ctx.scratch();
     let full = ctx.full_basis(level);
@@ -511,12 +523,12 @@ fn keyswitch_hoisted_pooled(
             &ksk.digits[j].b,
             &ksk.digits[j].a,
             &kidx,
-            th,
+            1,
         );
     }
     give_rns(&arena, rotated);
-    let out0 = mod_down_pooled(ctx, &arena, acc0, level)?;
-    let out1 = mod_down_pooled(ctx, &arena, acc1, level)?;
+    let out0 = mod_down_pooled(ctx, &arena, acc0, level, 1)?;
+    let out1 = mod_down_pooled(ctx, &arena, acc1, level, 1)?;
     Ok((out0, out1))
 }
 
@@ -609,6 +621,12 @@ mod tests {
                 let (u0, u1) = keyswitch_unpooled(&ctx, &pt.poly, &kp.relin)?;
                 assert_eq!(p0, u0, "out0 diverged at level {level} (K = {k})");
                 assert_eq!(p1, u1, "out1 diverged at level {level} (K = {k})");
+                // The width is an argument: every width gives the same bits.
+                for threads in [2usize, 5] {
+                    let (w0, w1) = keyswitch_with(&ctx, &pt.poly, &kp.relin, threads)?;
+                    assert_eq!(w0, u0, "out0 diverged at {threads} threads, level {level}");
+                    assert_eq!(w1, u1, "out1 diverged at {threads} threads, level {level}");
+                }
                 // Hoisted with g = 1 must also equal the plain keyswitch.
                 let hd = HoistedDecomposition::new(&ctx, &pt.poly)?;
                 let (h0, h1) = keyswitch_hoisted(&ctx, &hd, 1, &kp.relin)?;

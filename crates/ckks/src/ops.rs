@@ -8,7 +8,7 @@ use crate::cipher::{relative_eq, Ciphertext, Plaintext};
 use crate::context::CkksContext;
 use crate::encoding::C64;
 use crate::keys::{KeySwitchKey, RotationKeys};
-use crate::keyswitch::keyswitch;
+use crate::keyswitch::{keyswitch, keyswitch_with};
 use crate::CkksError;
 use wd_fault::OperandMismatch;
 use wd_modmath::Modulus;
@@ -115,6 +115,7 @@ pub fn add_plain(ct: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, CkksErro
 
 /// Homomorphic multiplication with relinearization (HMULT):
 /// slot-wise ct0 · ct1, keyswitching the degree-2 term back to (c0, c1).
+/// One thread; [`hmult_with`] takes a width.
 ///
 /// # Errors
 ///
@@ -125,6 +126,24 @@ pub fn hmult(
     ct1: &Ciphertext,
     relin: &KeySwitchKey,
 ) -> Result<Ciphertext, CkksError> {
+    hmult_with(ctx, ct0, ct1, relin, 1)
+}
+
+/// [`hmult`] with its limb × polynomial work fanned out over at most
+/// `threads` host threads (see `wd_polyring::par`). The width is the
+/// caller's to hand down — nothing is stored on the shared context — and
+/// every width computes bit-identical results.
+///
+/// # Errors
+///
+/// As [`hmult`].
+pub fn hmult_with(
+    ctx: &CkksContext,
+    ct0: &Ciphertext,
+    ct1: &Ciphertext,
+    relin: &KeySwitchKey,
+    threads: usize,
+) -> Result<Ciphertext, CkksError> {
     let _span = wd_trace::span("ckks", "hmult");
     if ct0.level != ct1.level {
         return Err(CkksError::LevelMismatch(
@@ -132,14 +151,13 @@ pub fn hmult(
                 .with_detail(format!("hmult: levels {} vs {}", ct0.level, ct1.level)),
         ));
     }
-    let th = ctx.threads();
-    let d0 = ct0.c0.pointwise_with(&ct1.c0, th)?;
+    let d0 = ct0.c0.pointwise_with(&ct1.c0, threads)?;
     let d1 = ct0
         .c0
-        .pointwise_with(&ct1.c1, th)?
-        .add(&ct0.c1.pointwise_with(&ct1.c0, th)?)?;
-    let d2 = ct0.c1.pointwise_with(&ct1.c1, th)?;
-    let (ks0, ks1) = keyswitch(ctx, &d2, relin)?;
+        .pointwise_with(&ct1.c1, threads)?
+        .add(&ct0.c1.pointwise_with(&ct1.c0, threads)?)?;
+    let d2 = ct0.c1.pointwise_with(&ct1.c1, threads)?;
+    let (ks0, ks1) = keyswitch_with(ctx, &d2, relin, threads)?;
     Ok(Ciphertext {
         c0: d0.add(&ks0)?,
         c1: d1.add(&ks1)?,
@@ -172,12 +190,27 @@ pub fn hsquare(
 }
 
 /// RESCALE: drops the last chain prime, dividing the message scale by it.
+/// One thread; [`rescale_with`] takes a width.
 ///
 /// # Errors
 ///
 /// Returns [`CkksError::ModulusChainExhausted`] at level 0.
 pub fn rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, CkksError> {
-    rescale_by(ctx, ct, 1)
+    rescale_steps(ctx, ct, 1, 1)
+}
+
+/// [`rescale`] with its transforms fanned out over at most `threads` host
+/// threads; bit-identical at every width.
+///
+/// # Errors
+///
+/// As [`rescale`].
+pub fn rescale_with(
+    ctx: &CkksContext,
+    ct: &Ciphertext,
+    threads: usize,
+) -> Result<Ciphertext, CkksError> {
+    rescale_steps(ctx, ct, 1, threads)
 }
 
 /// RESCALE by `k` primes at once — `k = 2` is the double-prime rescaling of
@@ -187,16 +220,24 @@ pub fn rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, CkksErr
 ///
 /// Returns [`CkksError::ModulusChainExhausted`] if fewer than `k` levels remain.
 pub fn rescale_by(ctx: &CkksContext, ct: &Ciphertext, k: usize) -> Result<Ciphertext, CkksError> {
+    rescale_steps(ctx, ct, k, 1)
+}
+
+fn rescale_steps(
+    ctx: &CkksContext,
+    ct: &Ciphertext,
+    k: usize,
+    threads: usize,
+) -> Result<Ciphertext, CkksError> {
     let _span = wd_trace::span("ckks", "rescale");
     if ct.level < k {
         return Err(CkksError::ModulusChainExhausted);
     }
-    let th = ctx.threads();
     let mut c0 = ct.c0.clone();
     let mut c1 = ct.c1.clone();
     let primes = ctx.params().q_at(ct.level);
-    c0.ntt_inverse_with(ctx.q_tables(ct.level), th);
-    c1.ntt_inverse_with(ctx.q_tables(ct.level), th);
+    c0.ntt_inverse_with(ctx.q_tables(ct.level), threads);
+    c1.ntt_inverse_with(ctx.q_tables(ct.level), threads);
     let mut scale = ct.scale;
     for step in 0..k {
         let dropped = primes[ct.level - step];
@@ -204,8 +245,8 @@ pub fn rescale_by(ctx: &CkksContext, ct: &Ciphertext, k: usize) -> Result<Cipher
         rescale_step(&mut c1, dropped)?;
         scale /= dropped as f64;
     }
-    c0.ntt_forward_with(ctx.q_tables(ct.level - k), th);
-    c1.ntt_forward_with(ctx.q_tables(ct.level - k), th);
+    c0.ntt_forward_with(ctx.q_tables(ct.level - k), threads);
+    c1.ntt_forward_with(ctx.q_tables(ct.level - k), threads);
     Ok(Ciphertext {
         c0,
         c1,
@@ -280,7 +321,8 @@ pub fn align_levels(
 }
 
 /// HROTATE: rotates the message slots left by `r` (paper §II-A), using the
-/// rotation key for Galois element 5^r.
+/// rotation key for Galois element 5^r. One thread; [`hrotate_with`] takes
+/// a width.
 ///
 /// # Errors
 ///
@@ -291,9 +333,25 @@ pub fn hrotate(
     r: isize,
     keys: &RotationKeys,
 ) -> Result<Ciphertext, CkksError> {
+    hrotate_with(ctx, ct, r, keys, 1)
+}
+
+/// [`hrotate`] with its keyswitch fanned out over at most `threads` host
+/// threads; bit-identical at every width.
+///
+/// # Errors
+///
+/// As [`hrotate`].
+pub fn hrotate_with(
+    ctx: &CkksContext,
+    ct: &Ciphertext,
+    r: isize,
+    keys: &RotationKeys,
+    threads: usize,
+) -> Result<Ciphertext, CkksError> {
     let _span = wd_trace::span("ckks", "hrotate");
     let g = ctx.encoder().rotation_galois_element(r);
-    apply_galois(ctx, ct, g, keys)
+    apply_galois(ctx, ct, g, keys, threads)
 }
 
 /// Slot-wise complex conjugation, using the conjugation key.
@@ -307,7 +365,7 @@ pub fn hconjugate(
     keys: &RotationKeys,
 ) -> Result<Ciphertext, CkksError> {
     let g = ctx.encoder().conjugation_galois_element();
-    apply_galois(ctx, ct, g, keys)
+    apply_galois(ctx, ct, g, keys, 1)
 }
 
 fn apply_galois(
@@ -315,6 +373,7 @@ fn apply_galois(
     ct: &Ciphertext,
     g: usize,
     keys: &RotationKeys,
+    threads: usize,
 ) -> Result<Ciphertext, CkksError> {
     if g == 1 {
         return Ok(ct.clone());
@@ -327,7 +386,7 @@ fn apply_galois(
     let c0g = ct.c0.automorphism_ntt(&perm);
     let c1g = ct.c1.automorphism_ntt(&perm);
     // Keyswitch φ(c1) from φ(s) to s.
-    let (ks0, ks1) = keyswitch(ctx, &c1g, ksk)?;
+    let (ks0, ks1) = keyswitch_with(ctx, &c1g, ksk, threads)?;
     Ok(Ciphertext {
         c0: c0g.add(&ks0)?,
         c1: ks1,

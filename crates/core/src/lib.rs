@@ -47,7 +47,7 @@ pub mod opplan;
 pub mod place;
 pub mod sched;
 
-pub use batch::{BatchExecutor, BatchOp, EvalKeys};
+pub use batch::{BatchExecutor, BatchOp, DeviceStats, EvalKeys};
 pub use batchform::{Class, Decision, FlushTrigger, FormPolicy, Pending};
 pub use config::FrameworkConfig;
 pub use engine::PerfEngine;

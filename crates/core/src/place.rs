@@ -33,6 +33,7 @@
 
 use crate::batch::BatchOp;
 use crate::cost;
+use wd_trace::env;
 
 /// Environment variable naming the modeled device count.
 pub const DEVICES_ENV: &str = "WD_DEVICES";
@@ -60,21 +61,14 @@ impl PlacePolicy {
     /// Parses `WD_PLACE`. Unset means [`PlacePolicy::Auto`]; a malformed
     /// value warns to stderr and falls back to `Auto`.
     pub fn from_env() -> Self {
-        match std::env::var(PLACE_ENV) {
-            Err(_) => PlacePolicy::Auto,
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "roundrobin" => PlacePolicy::RoundRobin,
-                "bytes" => PlacePolicy::Bytes,
-                "auto" => PlacePolicy::Auto,
-                _ => {
-                    wd_trace::warn(
-                        "place.policy",
-                        &format!("malformed {PLACE_ENV}={v:?}; falling back to auto"),
-                    );
-                    PlacePolicy::Auto
-                }
-            },
-        }
+        env::parse_with("place.policy", PLACE_ENV, PlacePolicy::Auto, |v| {
+            match v.to_ascii_lowercase().as_str() {
+                "roundrobin" => Some(PlacePolicy::RoundRobin),
+                "bytes" => Some(PlacePolicy::Bytes),
+                "auto" => Some(PlacePolicy::Auto),
+                _ => None,
+            }
+        })
     }
 }
 
@@ -234,19 +228,7 @@ impl Placer {
     /// `WD_DEVICES` / `WD_PLACE` reads. Unset `WD_DEVICES` means one
     /// device; a malformed value warns to stderr and falls back to one.
     pub fn from_env() -> Self {
-        let devices = match std::env::var(DEVICES_ENV) {
-            Err(_) => 1,
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    wd_trace::warn(
-                        "place.devices",
-                        &format!("malformed {DEVICES_ENV}={v:?}; falling back to one device"),
-                    );
-                    1
-                }
-            },
-        };
+        let devices = env::parse_min("place.devices", DEVICES_ENV, 1, 1);
         Self::new(devices).with_policy(PlacePolicy::from_env())
     }
 

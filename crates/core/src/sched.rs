@@ -8,9 +8,10 @@
 //!
 //! - **Op level** ([`crate::BatchExecutor`]): independent whole-ciphertext
 //!   operations fan out across workers — throughput for batched traffic.
-//! - **Limb level** (`wd_polyring::par` via
-//!   [`wd_ckks::CkksContext::set_threads`]): one operation's limb ×
-//!   polynomial work items fan out — latency for a single op.
+//! - **Limb level** (`wd_polyring::par`, reached through the `threads`
+//!   argument of `wd_ckks::ops::{hmult_with, hrotate_with, rescale_with}`):
+//!   one operation's limb × polynomial work items fan out — latency for a
+//!   single op.
 //!
 //! [`ParScheduler`] makes that split deterministic and cost-model-driven:
 //! given the workload shape (batch size, ring degree N, limb count L, op
@@ -32,17 +33,18 @@
 //!   `limb` (all budget to limb-level splitting), `auto` (cost-model
 //!   driven, the default). Malformed values warn and fall back to `auto`.
 //!
-//! `wd_ckks::CkksContext` no longer reads `WD_THREADS` itself; its limb
-//! budget defaults to sequential and is set explicitly
-//! (`CkksContext::set_threads`) or owned by a scheduled
-//! [`crate::BatchExecutor`] for the duration of a batch. That makes the
-//! documented "the two levels never multiply implicitly" rule structural:
-//! the only code path that activates both axes at once is the scheduler
-//! split, and the split cannot oversubscribe.
+//! `wd_ckks::CkksContext` holds no thread budget at all: the context-only
+//! `wd_ckks::ops` functions run on one thread, and a limb width exists only
+//! as the argument a scheduled [`crate::BatchExecutor`] hands each op from
+//! its [`Split`]. That makes the documented "the two levels never multiply
+//! implicitly" rule structural: the only code path that activates both
+//! axes at once is the scheduler split, the split cannot oversubscribe, and
+//! two executors on one shared context cannot see each other's widths.
 
 use crate::batch::BatchOp;
 use crate::cost;
 use wd_polyring::par;
+use wd_trace::env;
 
 /// Environment variable naming the split policy (`op` / `limb` / `auto`).
 pub const SCHED_ENV: &str = "WD_SCHED";
@@ -65,21 +67,14 @@ impl SchedPolicy {
     /// [`SchedPolicy::Auto`]; a malformed value warns to stderr and falls
     /// back to `Auto` rather than silently picking a static split.
     pub fn from_env() -> Self {
-        match std::env::var(SCHED_ENV) {
-            Err(_) => SchedPolicy::Auto,
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "op" => SchedPolicy::Op,
-                "limb" => SchedPolicy::Limb,
-                "auto" => SchedPolicy::Auto,
-                _ => {
-                    wd_trace::warn(
-                        "sched.policy",
-                        &format!("malformed {SCHED_ENV}={v:?}; falling back to auto"),
-                    );
-                    SchedPolicy::Auto
-                }
-            },
-        }
+        env::parse_with("sched.policy", SCHED_ENV, SchedPolicy::Auto, |v| {
+            match v.to_ascii_lowercase().as_str() {
+                "op" => Some(SchedPolicy::Op),
+                "limb" => Some(SchedPolicy::Limb),
+                "auto" => Some(SchedPolicy::Auto),
+                _ => None,
+            }
+        })
     }
 }
 
@@ -102,10 +97,19 @@ impl BatchShape {
     /// Shape of a concrete [`BatchOp`] batch (degree and limb count are the
     /// max over all operands, so the split is sized for the largest op).
     pub fn of_ops(batch: &[BatchOp<'_>]) -> Self {
-        let mut degree = 0usize;
-        let mut limbs = 0usize;
-        let mut heavy = 0usize;
-        for op in batch {
+        Self::of(batch)
+    }
+
+    /// [`BatchShape::of_ops`] over any selection of ops — how a device lane
+    /// is sized from its share of a batch without copying it.
+    pub(crate) fn of<'a, 'b: 'a>(ops: impl IntoIterator<Item = &'a BatchOp<'b>>) -> Self {
+        let mut shape = Self {
+            batch: 0,
+            degree: 0,
+            limbs: 0,
+            heavy: 0,
+        };
+        for op in ops {
             let ct = match op {
                 BatchOp::HAdd(a, _)
                 | BatchOp::HSub(a, _)
@@ -114,24 +118,16 @@ impl BatchShape {
                 | BatchOp::PMult(a, _)
                 | BatchOp::AddPlain(a, _)
                 | BatchOp::LevelDrop(a, _) => a,
-                BatchOp::HMult(a, _) => {
-                    heavy += 1;
-                    a
-                }
-                BatchOp::HRotate(a, _) => {
-                    heavy += 1;
+                BatchOp::HMult(a, _) | BatchOp::HRotate(a, _) => {
+                    shape.heavy += 1;
                     a
                 }
             };
-            degree = degree.max(ct.c0.degree());
-            limbs = limbs.max(ct.c0.limb_count());
+            shape.batch += 1;
+            shape.degree = shape.degree.max(ct.c0.degree());
+            shape.limbs = shape.limbs.max(ct.c0.limb_count());
         }
-        Self {
-            batch: batch.len(),
-            degree,
-            limbs,
-            heavy,
-        }
+        shape
     }
 
     /// Shape of a raw keyswitch batch over `count` polynomials.
@@ -179,7 +175,7 @@ impl BatchShape {
 pub struct Split {
     /// Op-level fan-out width (threads given to `BatchExecutor`).
     pub op_width: usize,
-    /// Limb-level width (threads given to `CkksContext::set_threads`).
+    /// Limb-level width (the `threads` argument each op is handed).
     pub limb_width: usize,
 }
 
@@ -213,21 +209,12 @@ impl ParScheduler {
     /// if set and valid, all available cores if unset, sequential (with a
     /// stderr warning) if malformed. Policy: [`SchedPolicy::from_env`].
     pub fn from_env() -> Self {
-        let budget = match std::env::var(par::THREADS_ENV) {
-            Err(_) => par::available_threads(),
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    wd_trace::warn(
-                        "sched.budget",
-                        &format!(
-                            "malformed {}={v:?}; falling back to sequential execution",
-                            par::THREADS_ENV
-                        ),
-                    );
-                    1
-                }
-            },
+        // Unset and malformed differ here: no variable means every core,
+        // a bad one means sequential rather than a guess.
+        let budget = if env::is_set(par::THREADS_ENV) {
+            env::parse_min("sched.budget", par::THREADS_ENV, 1, 1)
+        } else {
+            par::available_threads()
         };
         Self::new(budget).with_policy(SchedPolicy::from_env())
     }

@@ -1,6 +1,7 @@
 //! Property tests: homomorphic operations through the parallel execution
 //! layer are **bit-identical** to the sequential fallback for random
-//! inputs, limb-level thread budgets and op-level fan-out widths.
+//! inputs, limb-level widths (the `threads` argument of the `_with` ops)
+//! and op-level fan-out widths.
 
 use std::sync::OnceLock;
 
@@ -9,9 +10,7 @@ use warpdrive_core::{BatchExecutor, BatchOp, EvalKeys};
 use wd_ckks::keys::KeyPair;
 use wd_ckks::{CkksContext, ParamSet};
 
-/// Context + keys are expensive; share one across all cases. Tests touch
-/// `ctx.set_threads`, so every case restores the budget to 1 before
-/// measuring its reference output.
+/// Context + keys are expensive; share one across all cases.
 fn shared() -> &'static (CkksContext, KeyPair) {
     static CELL: OnceLock<(CkksContext, KeyPair)> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -42,19 +41,23 @@ proptest! {
         let batch = [BatchOp::HMult(&ct_a, &ct_b), BatchOp::HMult(&ct_b, &ct_b)];
         let keys = EvalKeys::with_relin(&kp.relin);
 
-        ctx.set_threads(1);
         let reference = BatchExecutor::sequential().execute(ctx, keys, &batch);
 
-        ctx.set_threads(limb_threads);
-        let got = BatchExecutor::new(op_threads).execute(ctx, keys, &batch);
-        ctx.set_threads(1);
+        // Op axis through the executor, limb axis through the op's width.
+        let fanned = BatchExecutor::new(op_threads).execute(ctx, keys, &batch);
+        let split = [
+            wd_ckks::ops::hmult_with(ctx, &ct_a, &ct_b, &kp.relin, limb_threads),
+            wd_ckks::ops::hmult_with(ctx, &ct_b, &ct_b, &kp.relin, limb_threads),
+        ];
 
-        for (i, (r, g)) in reference.iter().zip(&got).enumerate() {
-            prop_assert_eq!(
-                r.as_ref().unwrap(),
-                g.as_ref().unwrap(),
-                "HMULT {} diverged at limb={} op={} threads", i, limb_threads, op_threads
-            );
+        for (i, r) in reference.iter().enumerate() {
+            for got in [&fanned[i], &split[i]] {
+                prop_assert_eq!(
+                    r.as_ref().unwrap(),
+                    got.as_ref().unwrap(),
+                    "HMULT {} diverged at limb={} op={} threads", i, limb_threads, op_threads
+                );
+            }
         }
     }
 
@@ -76,19 +79,22 @@ proptest! {
         let batch = [BatchOp::HRotate(&ct, rot), BatchOp::Rescale(&sq)];
         let keys = EvalKeys::default().and_rotations(rk);
 
-        ctx.set_threads(1);
         let reference = BatchExecutor::sequential().execute(ctx, keys, &batch);
 
-        ctx.set_threads(limb_threads);
-        let got = BatchExecutor::new(4).execute(ctx, keys, &batch);
-        ctx.set_threads(1);
+        let fanned = BatchExecutor::new(4).execute(ctx, keys, &batch);
+        let split = [
+            wd_ckks::ops::hrotate_with(ctx, &ct, rot, rk, limb_threads),
+            wd_ckks::ops::rescale_with(ctx, &sq, limb_threads),
+        ];
 
-        for (i, (r, g)) in reference.iter().zip(&got).enumerate() {
-            prop_assert_eq!(
-                r.as_ref().unwrap(),
-                g.as_ref().unwrap(),
-                "op {} diverged at limb_threads = {}", i, limb_threads
-            );
+        for (i, r) in reference.iter().enumerate() {
+            for got in [&fanned[i], &split[i]] {
+                prop_assert_eq!(
+                    r.as_ref().unwrap(),
+                    got.as_ref().unwrap(),
+                    "op {} diverged at limb_threads = {}", i, limb_threads
+                );
+            }
         }
     }
 }

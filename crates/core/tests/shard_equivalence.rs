@@ -54,7 +54,6 @@ proptest! {
         ];
         let keys = EvalKeys::with_relin(&kp.relin);
 
-        ctx.set_threads(1);
         let reference = BatchExecutor::sequential()
             .with_fault_plan(FaultPlan::disabled())
             .execute(ctx, keys, &batch);
@@ -62,9 +61,10 @@ proptest! {
         // The mirror of the CI drill environment: WD_FAULT_RATE=0.05 with
         // a per-case seed, injected explicitly so the property holds
         // whatever the process environment says.
-        let placer = Placer::new(devices).with_policy(policy);
-        let exec = BatchExecutor::new(threads).with_fault_plan(FaultPlan::new(seed, 0.05));
-        let got = exec.execute_sharded(ctx, keys, &batch, &placer);
+        let exec = BatchExecutor::new(threads)
+            .with_fault_plan(FaultPlan::new(seed, 0.05))
+            .with_placer(Placer::new(devices).with_policy(policy));
+        let got = exec.execute(ctx, keys, &batch);
 
         prop_assert_eq!(reference.len(), got.len());
         for (i, (r, g)) in reference.iter().zip(&got).enumerate() {
@@ -75,13 +75,12 @@ proptest! {
                 i, devices, threads, policy, seed
             );
         }
-        if devices > 1 {
-            prop_assert_eq!(
-                exec.device_liveness().len(),
-                devices,
-                "a sharded batch must record liveness for every device"
-            );
-        }
+        let stats = exec.device_stats();
+        prop_assert_eq!(stats.len(), devices, "one stats line per device");
+        prop_assert!(
+            stats.iter().all(|d| d.depth == 0 && (d.alive || d.ops == 0)),
+            "nothing stays in flight and a lost device runs nothing: {:?}", stats
+        );
     }
 
     #[test]
@@ -101,7 +100,6 @@ proptest! {
         ];
         let keys = EvalKeys::with_relin(&kp.relin);
 
-        ctx.set_threads(1);
         let reference = BatchExecutor::sequential()
             .with_fault_plan(FaultPlan::disabled())
             .execute(ctx, keys, &batch);
@@ -110,14 +108,14 @@ proptest! {
         // lane and exercises the unsharded rung-2 fallback); retry with
         // zero backoff keeps the test fast while the degrade ladder
         // guarantees completion.
-        let placer = Placer::new(devices);
         let exec = BatchExecutor::new(2)
             .with_fault_plan(FaultPlan::new(seed, rate))
             .with_retry_policy(RetryPolicy {
                 max_attempts: 2,
                 base_backoff: std::time::Duration::ZERO,
-            });
-        let got = exec.execute_sharded(ctx, keys, &batch, &placer);
+            })
+            .with_placer(Placer::new(devices));
+        let got = exec.execute(ctx, keys, &batch);
 
         for (i, (r, g)) in reference.iter().zip(&got).enumerate() {
             prop_assert_eq!(
@@ -127,11 +125,11 @@ proptest! {
                 i, devices, rate, seed
             );
         }
-        let liveness = exec.device_liveness();
-        prop_assert_eq!(liveness.len(), devices);
+        let stats = exec.device_stats();
+        prop_assert_eq!(stats.len(), devices);
         if (rate - 1.0).abs() < f64::EPSILON {
             prop_assert!(
-                liveness.iter().all(|&alive| !alive),
+                stats.iter().all(|d| !d.alive),
                 "rate 1.0 must lose every device"
             );
         }

@@ -35,6 +35,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use wd_trace::env;
+
 /// Environment variable naming the fault-injection seed (`u64`, default 0).
 pub const FAULT_SEED_ENV: &str = "WD_FAULT_SEED";
 
@@ -413,32 +415,10 @@ impl FaultPlan {
     /// values fall back to seed 0 / rate 0 (disabled), with a warning on
     /// stderr for malformed ones — never a panic.
     pub fn from_env() -> Self {
-        let seed = match std::env::var(FAULT_SEED_ENV) {
-            Err(_) => 0,
-            Ok(v) => match v.trim().parse::<u64>() {
-                Ok(s) => s,
-                Err(_) => {
-                    wd_trace::warn(
-                        "fault.seed",
-                        &format!("ignoring malformed {FAULT_SEED_ENV}={v:?}; using seed 0"),
-                    );
-                    0
-                }
-            },
-        };
-        let rate = match std::env::var(FAULT_RATE_ENV) {
-            Err(_) => 0.0,
-            Ok(v) => match v.trim().parse::<f64>() {
-                Ok(r) if (0.0..=1.0).contains(&r) => r,
-                _ => {
-                    wd_trace::warn(
-                        "fault.rate",
-                        &format!("ignoring malformed {FAULT_RATE_ENV}={v:?}; fault injection off"),
-                    );
-                    0.0
-                }
-            },
-        };
+        let seed = env::parse_with("fault.seed", FAULT_SEED_ENV, 0u64, |s| s.parse().ok());
+        let rate = env::parse_or("fault.rate", FAULT_RATE_ENV, 0.0f64, |r| {
+            (0.0..=1.0).contains(r)
+        });
         Self::new(seed, rate)
     }
 

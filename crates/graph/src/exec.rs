@@ -1,7 +1,7 @@
 //! Wave execution: each topological layer of a compiled program becomes
-//! one [`BatchOp`] batch handed to the [`BatchExecutor`], so independent
-//! DAG nodes fan out across the op-level axis (and, through
-//! [`BatchExecutor::execute_sharded`], across modeled devices).
+//! one [`BatchOp`] batch handed to [`BatchExecutor::execute`], so
+//! independent DAG nodes fan out across the op-level axis (and, when the
+//! executor carries a multi-device placer, across modeled devices).
 //!
 //! [`execute_many`] is the serving entry point: it merges the
 //! same-numbered waves of *heterogeneous* programs into combined batches —
@@ -14,7 +14,6 @@
 //! per-op bit-identical recovery under injection.
 
 use crate::compile::{CompiledProgram, Step};
-use warpdrive_core::place::Placer;
 use warpdrive_core::{BatchExecutor, BatchOp, EvalKeys};
 use wd_ckks::cipher::{relative_eq, Ciphertext, Plaintext};
 use wd_ckks::encoding::C64;
@@ -46,7 +45,7 @@ impl CompiledProgram {
         inputs: &[Ciphertext],
         executor: &BatchExecutor,
     ) -> Result<Vec<Ciphertext>, CkksError> {
-        execute_many(ctx, keys, &[(self, inputs)], executor, None)
+        execute_many(ctx, keys, &[(self, inputs)], executor)
             .pop()
             .expect("one job in, one result out")
     }
@@ -83,15 +82,14 @@ impl CompiledProgram {
 /// per-program results in input order; one program's failure never aborts
 /// the others.
 ///
-/// With `placer` set, each merged batch is sharded across the placer's
-/// modeled devices ([`BatchExecutor::execute_sharded`]) — graph-level,
-/// op-level, limb-level and device-level parallelism composed.
+/// Each merged batch is one [`BatchExecutor::execute`] call, so whatever
+/// the executor was built with — a scheduler, a multi-device placer —
+/// composes with the graph level here without this function knowing.
 pub fn execute_many(
     ctx: &CkksContext,
     keys: EvalKeys<'_>,
     jobs: &[(&CompiledProgram, &[Ciphertext])],
     executor: &BatchExecutor,
-    placer: Option<&Placer>,
 ) -> Vec<Result<Vec<Ciphertext>, CkksError>> {
     let _span = wd_trace::span("graph", "execute");
     wd_trace::counter("graph.exec.programs", jobs.len() as u64);
@@ -184,10 +182,7 @@ pub fn execute_many(
             .collect();
         wd_trace::counter("graph.exec.waves", 1);
         wd_trace::counter("graph.exec.ops", batch.len() as u64);
-        let results = match placer {
-            Some(p) => executor.execute_sharded(ctx, keys, &batch, p),
-            None => executor.execute(ctx, keys, &batch),
-        };
+        let results = executor.execute(ctx, keys, &batch);
         drop(batch);
         for ((j, s), res) in sites.into_iter().zip(results) {
             match res {

@@ -24,7 +24,7 @@
 //!    wave becomes one [`warpdrive_core::BatchOp`] batch handed to the
 //!    [`warpdrive_core::BatchExecutor`], so independent DAG nodes become a
 //!    **third parallelism axis** alongside op- and limb-level — and
-//!    compose with `Placer` device sharding. [`execute_many`] merges the
+//!    compose with the executor's `Placer` device sharding. [`execute_many`] merges the
 //!    same-numbered waves of *heterogeneous* programs into combined
 //!    batches, which is what lets `wd-serve` batch different tenants'
 //!    compiled programs together.
@@ -52,6 +52,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod compile;
 mod exec;

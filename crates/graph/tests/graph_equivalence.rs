@@ -57,7 +57,6 @@ fn reference(
     y: &Ciphertext,
 ) -> Result<Ciphertext, CkksError> {
     let (ctx, kp, rkeys) = shared();
-    ctx.set_threads(1);
     let t = ops::rescale(ctx, &ops::hmult(ctx, x, y, &kp.relin)?)?;
     let r = ops::hrotate(ctx, &t, rot, rkeys)?;
     let s = if use_sub {
@@ -123,7 +122,6 @@ proptest! {
         } else {
             FaultPlan::disabled()
         };
-        ctx.set_threads(1);
         let ex = BatchExecutor::auto(THREADS[threads_idx]).with_fault_plan(plan);
         let owned: Vec<Vec<Ciphertext>> = inputs
             .iter()
@@ -131,7 +129,7 @@ proptest! {
             .collect();
         let jobs: Vec<(&CompiledProgram, &[Ciphertext])> =
             owned.iter().map(|i| (&prog, i.as_slice())).collect();
-        let got = wd_graph::execute_many(ctx, eval_keys(), &jobs, &ex, None);
+        let got = wd_graph::execute_many(ctx, eval_keys(), &jobs, &ex);
         prop_assert_eq!(got.len(), batch);
         for (j, res) in got.into_iter().enumerate() {
             let outs = res.unwrap();
@@ -154,8 +152,6 @@ proptest! {
 #[test]
 fn cse_shared_subtree_evaluated_once_same_result() {
     let (ctx, kp, _) = shared();
-    ctx.set_threads(1);
-
     let mut g = Graph::new();
     let x = g.input();
     let y = g.input();

@@ -14,9 +14,10 @@
 //!   order cannot change results: the parallel path is **bit-identical** to
 //!   the sequential one at every thread count, and `threads = 1` short-
 //!   circuits to a plain loop with zero threading overhead.
-//! - **The thread budget is explicit.** Callers pass a thread count (see
-//!   [`threads_from_env`] for the `WD_THREADS` convention) and the fan-out
-//!   never exceeds it, regardless of how many work items exist.
+//! - **The thread budget is explicit.** Callers pass a thread count and the
+//!   fan-out never exceeds it, regardless of how many work items exist.
+//!   Nothing here reads the environment: `WD_THREADS` is the scheduler's
+//!   (`warpdrive_core::ParScheduler::from_env`).
 
 use crate::ntt::NttTable;
 use crate::rns::{Domain, RnsPoly};
@@ -25,21 +26,6 @@ use wd_fault::{run_isolated, WdError};
 
 /// Environment variable naming the host thread budget.
 pub const THREADS_ENV: &str = "WD_THREADS";
-
-/// Resolves the thread budget from `WD_THREADS`, falling back to `1`
-/// (sequential) when unset or unparsable.
-///
-/// Sequential is the deliberate default: the functional layer is typically
-/// exercised on small test rings where spawning threads costs more than the
-/// transform, and batch serving (the [`BatchExecutor`] layer in
-/// `warpdrive-core`) supplies its own budget explicitly.
-pub fn threads_from_env() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
 
 /// The machine's available parallelism (≥ 1).
 pub fn available_threads() -> usize {
@@ -472,22 +458,13 @@ mod tests {
     }
 
     #[test]
-    fn threads_env_fallback_is_sequential() {
-        // Cannot mutate the environment safely in-process; just check the
-        // parse contract on the current (unset) state.
-        if std::env::var(THREADS_ENV).is_err() {
-            assert_eq!(threads_from_env(), 1);
-        }
-        assert!(available_threads() >= 1);
-    }
-
-    #[test]
     fn map_indexed_preserves_order_at_any_thread_count() {
         for t in [1, 2, 3, 8, 64] {
             let out = map_indexed(t, 37, |i| i * i);
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>(), "t = {t}");
         }
         assert!(map_indexed(4, 0, |i| i).is_empty());
+        assert!(available_threads() >= 1);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use crate::env;
+use wd_trace::env;
+
+use crate::WARN_SITE;
 
 /// Rolling outcome-window size per tenant (`usize`, 1..=4096; default 16).
 pub const BREAKER_WINDOW_ENV: &str = "WD_SERVE_BREAKER_WINDOW";
@@ -97,15 +99,16 @@ impl BreakerConfig {
     pub fn from_env() -> Self {
         let d = Self::default();
         Self {
-            window: env::parse_range(BREAKER_WINDOW_ENV, d.window, 1, 4096),
-            threshold_pct: env::parse_range(BREAKER_PCT_ENV, d.threshold_pct, 1, 100),
+            window: env::parse_range(WARN_SITE, BREAKER_WINDOW_ENV, d.window, 1, 4096),
+            threshold_pct: env::parse_range(WARN_SITE, BREAKER_PCT_ENV, d.threshold_pct, 1, 100),
             cooldown: Duration::from_millis(env::parse_range(
+                WARN_SITE,
                 BREAKER_COOLDOWN_ENV,
                 d.cooldown.as_millis() as u64,
                 1,
                 3_600_000,
             )),
-            probes: env::parse_range(BREAKER_PROBES_ENV, d.probes, 1, 1024),
+            probes: env::parse_range(WARN_SITE, BREAKER_PROBES_ENV, d.probes, 1, 1024),
         }
     }
 

@@ -83,7 +83,6 @@
 #![warn(missing_docs)]
 
 pub mod breaker;
-mod env;
 pub mod net;
 pub mod request;
 pub mod server;
@@ -108,3 +107,17 @@ pub use wire::{DeviceHealth, HealthReport, TenantHealth};
 // The priority classes and flush triggers are defined by the pure decision
 // core in `warpdrive-core`; re-exported so serving code needs one import.
 pub use warpdrive_core::{Class, FlushTrigger};
+
+/// Warning site every malformed `WD_SERVE_*` knob reports under
+/// ([`wd_trace::env`] does the parsing).
+pub(crate) const WARN_SITE: &str = "serve.config";
+
+/// Takes the guard out of a `lock()` / `wait()` result whether or not a
+/// thread panicked while holding the mutex. Every critical section in this
+/// crate that goes through here is a push, pop, take or field store that
+/// leaves its state consistent at any unwind point, so the data behind a
+/// poisoned mutex is still valid: one panicking worker must not turn every
+/// later submitter, worker and health probe into a panic of its own.
+pub(crate) fn recover<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -25,9 +25,9 @@
 //!   every in-flight request finish (handlers exit at their next idle
 //!   tick), and joins every thread. Composed with [`Server::drain`] this
 //!   gives the SIGTERM contract: zero accepted requests lost.
-//! - **Version echo + HEALTH**: a request is answered in the wire version
-//!   it arrived in (a checksummed v3 request gets a checksummed v3
-//!   response), and a v3 HEALTH probe is served straight from
+//! - **One frame version + HEALTH**: every frame in either direction is a
+//!   checksummed v3 frame — responses, refusals and decode-error answers
+//!   included — and a HEALTH probe is served straight from
 //!   [`Server::health`] without entering the request queue.
 //! - **Poisoned-connection client**: [`NetClient`] tracks partial writes;
 //!   any transport or protocol failure poisons the connection and the next
@@ -44,12 +44,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use wd_fault::WdError;
+use wd_trace::env;
 
-use crate::env;
 use crate::request::Request;
 use crate::server::Server;
 use crate::tenant::DEFAULT_TENANT;
 use crate::wire::{self, WireResponse};
+use crate::{recover, WARN_SITE};
 
 /// Listen address (`host:port`; default `127.0.0.1:0` = loopback, OS-picked
 /// port — read it back from [`NetServer::local_addr`]).
@@ -99,8 +100,9 @@ impl NetConfig {
         let d = Self::default();
         Self {
             addr: std::env::var(ADDR_ENV).unwrap_or(d.addr),
-            max_conns: env::parse_range(CONNS_ENV, d.max_conns, 1, 4096),
+            max_conns: env::parse_range(WARN_SITE, CONNS_ENV, d.max_conns, 1, 4096),
             io_timeout: Duration::from_millis(env::parse_min(
+                WARN_SITE,
                 NET_TIMEOUT_ENV,
                 d.io_timeout.as_millis() as u64,
                 10,
@@ -210,8 +212,7 @@ impl NetServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.conns.lock().expect("net conns poisoned"));
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *recover(self.conns.lock()));
         for h in handles {
             let _ = h.join();
         }
@@ -265,7 +266,7 @@ fn accept_loop(
                         active.fetch_sub(1, Ordering::SeqCst);
                     })
                     .expect("spawn wd-serve connection handler");
-                let mut held = conns.lock().expect("net conns poisoned");
+                let mut held = recover(conns.lock());
                 // Reap finished handlers so a long-lived listener does not
                 // accumulate joined-but-unfreed threads.
                 held.retain(|h| !h.is_finished());
@@ -295,12 +296,12 @@ fn error_response(id: u64, msg: &str) -> WireResponse {
     }
 }
 
-/// Encodes and writes a v1 error response, reporting whether the
-/// connection is still usable. Encoding a locally-built error response can
-/// only fail on a message over the u32 field — treat that as unusable
-/// rather than panic in the serving loop.
+/// Encodes and writes an error response (checksummed like every other
+/// frame), reporting whether the connection is still usable. Encoding a
+/// locally-built error response can only fail on a message over the u32
+/// field — treat that as unusable rather than panic in the serving loop.
 fn write_error_frame(stream: &mut TcpStream, id: u64, msg: &str) -> bool {
-    match wire::encode_response(&error_response(id, msg)) {
+    match wire::encode_response_v3(&error_response(id, msg)) {
         Ok(bytes) => write_frame(stream, &bytes).is_ok(),
         Err(_) => false,
     }
@@ -343,9 +344,8 @@ fn handle_connection(
 
 /// Answers one decoded-length frame: a HEALTH probe is served from
 /// [`Server::health`] without touching the request queue; anything else is
-/// a request, decoded version-aware and answered **in the version it
-/// arrived in** (v1/v2 → plain v1 response, v3 → checksummed v3 response).
-/// Returns whether the connection is still usable.
+/// a request, checksum-verified, decoded and answered. Returns whether the
+/// connection is still usable.
 fn answer_frame(
     stream: &mut TcpStream,
     server: &Arc<Server>,
@@ -372,15 +372,15 @@ fn answer_frame(
     match wire::decode_request_versioned(frame) {
         Err(e) => {
             // The stream may be misaligned after a bad frame (and a failed
-            // v3 checksum means *nothing* in it can be trusted): answer
-            // (the length prefix was still sound) and close rather than
-            // guess at realignment.
+            // checksum means *nothing* in it can be trusted): answer (the
+            // length prefix was still sound) and close rather than guess at
+            // realignment.
             counters.decode_errors.fetch_add(1, Ordering::Relaxed);
             wd_trace::counter("serve.net.decode_errors", 1);
             let _ = write_error_frame(stream, 0, &e.to_string());
             false
         }
-        Ok((ver, wire_id, tenant, req)) => {
+        Ok((_ver, wire_id, tenant, req)) => {
             let tenant = tenant.unwrap_or_else(|| DEFAULT_TENANT.to_string());
             let resp = match server.submit_as(&tenant, req) {
                 Ok(ticket) => {
@@ -394,12 +394,7 @@ fn answer_frame(
                 // stays usable.
                 Err(e) => error_response(wire_id, &e.to_string()),
             };
-            let encoded = if ver == wire::VERSION_GUARD {
-                wire::encode_response_v3(&resp)
-            } else {
-                wire::encode_response(&resp)
-            };
-            match encoded {
+            match wire::encode_response_v3(&resp) {
                 Ok(bytes) => write_frame(stream, &bytes).is_ok(),
                 // The response itself does not fit the wire's u32 fields:
                 // answer with the typed error text instead of a silently
@@ -663,8 +658,27 @@ impl NetClient {
         }
     }
 
-    fn finish_call(&mut self, id: u64, frame: &[u8]) -> Result<WireResponse, WdError> {
-        let resp = self.exchange(frame)?;
+    /// Submits `req` as `tenant` (`None` = the default tenant) over a
+    /// checksummed frame and blocks for the response, which comes back
+    /// checksummed too: [`wire::decode_response`] verifies it end to end.
+    ///
+    /// # Errors
+    ///
+    /// [`WdError::WireDecode`] on framing/transport failure or a response
+    /// that fails to decode, and [`WdError::IntegrityViolation`] when the
+    /// response frame fails its checksum — all of which poison
+    /// the connection (see the type docs). A *served* error (shed
+    /// deadline, quota, …) is not an `Err` here — it arrives inside
+    /// [`WireResponse::result`].
+    pub fn call_checked(
+        &mut self,
+        tenant: Option<&str>,
+        req: &Request,
+    ) -> Result<WireResponse, WdError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        let frame = wire::encode_request_v3(id, tenant, req)?;
+        let resp = self.exchange(&frame)?;
         let resp = match wire::decode_response(&resp) {
             Ok(r) => r,
             Err(e) => return self.poison(format!("net response: {e}")),
@@ -675,45 +689,8 @@ impl NetClient {
         Ok(resp)
     }
 
-    /// Submits `req` as `tenant` (`None` = a v1 frame for the default
-    /// tenant) and blocks for the response.
-    ///
-    /// # Errors
-    ///
-    /// [`WdError::WireDecode`] on framing/transport failure or a response
-    /// that fails to decode — both poison the connection (see the type
-    /// docs). A *served* error (shed deadline, quota, …) is not an `Err`
-    /// here — it arrives inside [`WireResponse::result`].
-    pub fn call(&mut self, tenant: Option<&str>, req: &Request) -> Result<WireResponse, WdError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let frame = wire::encode_request_as(id, tenant, req)?;
-        self.finish_call(id, &frame)
-    }
-
-    /// Like [`NetClient::call`] but over a checksummed v3 frame; the server
-    /// echoes the version, so the response comes back checksummed too and
-    /// [`wire::decode_response`] verifies it end to end.
-    ///
-    /// # Errors
-    ///
-    /// As [`NetClient::call`], plus
-    /// [`WdError::IntegrityViolation`](wd_fault::WdError::IntegrityViolation)
-    /// when the response frame fails its checksum (which also poisons the
-    /// connection).
-    pub fn call_checked(
-        &mut self,
-        tenant: Option<&str>,
-        req: &Request,
-    ) -> Result<WireResponse, WdError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let frame = wire::encode_request_v3(id, tenant, req)?;
-        self.finish_call(id, &frame)
-    }
-
     /// Asks the server for a [`wire::HealthReport`] (queue depth, worker
-    /// liveness, breaker states, keycache residency) over a v3 HEALTH
+    /// liveness, breaker states, keycache residency) over a HEALTH
     /// frame. Served without touching the request queue, so it works even
     /// when admission is shedding.
     ///

@@ -31,7 +31,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use warpdrive_core::{
-    BatchExecutor, BatchOp, Decision, EvalKeys, FlushTrigger, FormPolicy, Pending, Placer,
+    BatchExecutor, BatchOp, Decision, EvalKeys, FlushTrigger, FormPolicy, ParScheduler, Pending,
+    Placer,
 };
 use wd_ckks::cipher::Ciphertext;
 use wd_ckks::keys::{KeySwitchKey, RotationKeys};
@@ -41,10 +42,12 @@ use wd_fault::WdError;
 use wd_graph::CompiledProgram;
 use wd_polyring::rns::RnsPoly;
 
-use crate::env;
+use wd_trace::env;
+
 use crate::request::{Request, Response, ServeOp, Ticket};
 use crate::tenant::{Tenant, TenantRegistry, TenantStats, DEFAULT_TENANT};
 use crate::wire::{DeviceHealth, HealthReport, TenantHealth};
+use crate::{recover, WARN_SITE};
 
 /// Admission queue capacity (`usize` ≥ 1). Malformed or zero warns and
 /// keeps the default.
@@ -83,10 +86,10 @@ pub struct ServeConfig {
     pub age_promote: Option<Duration>,
     /// Worker threads executing formed batches.
     pub workers: usize,
-    /// The executor each worker runs batches through. Workers share the
-    /// context's limb budget, so a scheduled executor should normally be
-    /// paired with `workers: 1`; more workers simply overlap independent
-    /// batches.
+    /// The executor each worker runs batches through. Every worker runs
+    /// its own clone at the executor's full budget (the split is handed
+    /// down per op, nothing is shared through the tenant's context), so
+    /// `workers × budget` is what the host is asked for.
     pub executor: BatchExecutor,
     /// Worker supervision bound: a worker holding one batch longer than
     /// this is declared wedged — its batch is re-queued (answered at most
@@ -97,11 +100,13 @@ pub struct ServeConfig {
     /// executor — a restart storm means the parallel path itself is
     /// suspect. Code-only (no env knob).
     pub restart_cap: usize,
-    /// Device-placement policy: batches are sharded across this placer's
-    /// modeled devices via [`BatchExecutor::execute_sharded`], with
-    /// `serve.device.<i>.*` counters per device. The default is a single
-    /// device (placement is a no-op); [`ServeConfig::from_env`] reads
-    /// `WD_DEVICES` / `WD_PLACE`.
+    /// Device-placement policy, installed on the executor at start
+    /// ([`BatchExecutor::with_placer`]; it replaces any placer the
+    /// executor already carried): every executed batch is sharded across
+    /// this placer's modeled devices, with `place.device.<i>.*` counters
+    /// and a HEALTH line per device. The default is a single device (no
+    /// placement at all); [`ServeConfig::from_env`] reads `WD_DEVICES` /
+    /// `WD_PLACE`.
     pub placer: Placer,
 }
 
@@ -129,18 +134,20 @@ impl ServeConfig {
     pub fn from_env() -> Self {
         let d = Self::default();
         Self {
-            queue_capacity: env::parse_min(QUEUE_ENV, d.queue_capacity, 1),
-            max_batch: env::parse_range(BATCH_ENV, d.max_batch, 1, 4096),
+            queue_capacity: env::parse_min(WARN_SITE, QUEUE_ENV, d.queue_capacity, 1),
+            max_batch: env::parse_range(WARN_SITE, BATCH_ENV, d.max_batch, 1, 4096),
             linger: Duration::from_micros(env::parse_min(
+                WARN_SITE,
                 LINGER_ENV,
                 d.linger.as_micros().min(u128::from(u64::MAX)) as u64,
                 0,
             )),
             age_promote: env::is_set(AGE_ENV)
-                .then(|| Duration::from_micros(env::parse_min(AGE_ENV, 1_000, 0))),
-            workers: env::parse_range(WORKERS_ENV, d.workers, 1, 256),
+                .then(|| Duration::from_micros(env::parse_min(WARN_SITE, AGE_ENV, 1_000, 0))),
+            workers: env::parse_range(WARN_SITE, WORKERS_ENV, d.workers, 1, 256),
             executor: BatchExecutor::from_env(),
             watchdog: Duration::from_millis(env::parse_range(
+                WARN_SITE,
                 WATCHDOG_ENV,
                 d.watchdog.as_millis() as u64,
                 0,
@@ -422,49 +429,6 @@ impl Supervision {
     }
 }
 
-/// Per-device serving counters. Signal names are hot-path strings, built
-/// once at startup like the tenant signals.
-#[derive(Debug)]
-struct DeviceStat {
-    batches: AtomicU64,
-    ops: AtomicU64,
-    /// Ops currently assigned to this device by in-flight batches — the
-    /// per-device depth the HEALTH report carries.
-    depth: AtomicU64,
-    sig_batches: String,
-    sig_ops: String,
-}
-
-impl DeviceStat {
-    fn new(device: usize) -> Self {
-        Self {
-            batches: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            sig_batches: format!("serve.device.{device}.batches"),
-            sig_ops: format!("serve.device.{device}.ops"),
-        }
-    }
-}
-
-/// The server's device layer: the placement policy plus one counter block
-/// per configured device. Shared by every worker (and the watchdog's
-/// replacement workers), so the counters survive worker churn.
-#[derive(Debug)]
-struct DeviceLayer {
-    placer: Placer,
-    stats: Vec<DeviceStat>,
-}
-
-impl DeviceLayer {
-    fn new(placer: Placer) -> Self {
-        Self {
-            stats: (0..placer.devices()).map(DeviceStat::new).collect(),
-            placer,
-        }
-    }
-}
-
 /// The serving engine (see the module docs for the thread layout).
 #[derive(Debug)]
 pub struct Server {
@@ -476,10 +440,10 @@ pub struct Server {
     stats: Arc<Stats>,
     supervision: Arc<Supervision>,
     threads: Arc<Mutex<Threads>>,
-    devices: Arc<DeviceLayer>,
-    /// A clone of the workers' executor: clones share the device-liveness
-    /// map, so [`Server::health`] reads the latest device-loss drill
-    /// results without touching the worker threads.
+    /// A clone of the workers' executor: clones share the per-device
+    /// counters, so [`Server::health`] reads placement counts and the
+    /// latest device-loss drill results without touching the worker
+    /// threads.
     executor: BatchExecutor,
 }
 
@@ -494,15 +458,20 @@ impl Server {
     /// Starts the batcher and worker threads over a tenant registry and
     /// begins accepting submissions ([`Server::submit_as`]).
     pub fn start_tenants(tenants: TenantRegistry, config: ServeConfig) -> Self {
+        Self::start_on(tenants, config, Arc::new(WorkQueue::default()))
+    }
+
+    /// [`Server::start_tenants`] over a work queue the caller made (the
+    /// poisoned-mutex unit test keeps a handle on it).
+    fn start_on(tenants: TenantRegistry, config: ServeConfig, work: Arc<WorkQueue>) -> Self {
         let policy = config.policy();
         let worker_count = config.workers.max(1);
         let inbox = Arc::new(Inbox::default());
-        let work = Arc::new(WorkQueue::default());
         let stats = Arc::new(Stats::default());
         let supervision = Arc::new(Supervision::new(worker_count));
         let epoch = Instant::now();
         let tenants = Arc::new(tenants);
-        let devices = Arc::new(DeviceLayer::new(config.placer));
+        let executor = config.executor.with_placer(config.placer);
 
         let batcher = {
             let inbox = Arc::clone(&inbox);
@@ -519,11 +488,10 @@ impl Server {
                 spawn_worker(
                     &work,
                     &tenants,
-                    config.executor.clone(),
+                    executor.clone(),
                     epoch,
                     &stats,
                     &supervision,
-                    &devices,
                     i,
                     0,
                 )
@@ -542,8 +510,7 @@ impl Server {
             let tn = Arc::clone(&tenants);
             let st = Arc::clone(&stats);
             let th = Arc::clone(&threads);
-            let dv = Arc::clone(&devices);
-            let executor = config.executor.clone();
+            let executor = executor.clone();
             let timeout = config.watchdog;
             let restart_cap = config.restart_cap.max(1);
             let handle = std::thread::Builder::new()
@@ -555,7 +522,6 @@ impl Server {
                         &tn,
                         &st,
                         &th,
-                        &dv,
                         &executor,
                         epoch,
                         timeout,
@@ -563,7 +529,7 @@ impl Server {
                     );
                 })
                 .expect("spawn wd-serve watchdog");
-            threads.lock().expect("serve threads poisoned").watchdog = Some(handle);
+            recover(threads.lock()).watchdog = Some(handle);
         }
 
         Self {
@@ -575,8 +541,7 @@ impl Server {
             stats,
             supervision,
             threads,
-            devices,
-            executor: config.executor,
+            executor,
         }
     }
 
@@ -638,7 +603,7 @@ impl Server {
             });
         }
         let quota = self.tenants.config().quota;
-        let mut st = self.inbox.state.lock().expect("serve inbox poisoned");
+        let mut st = recover(self.inbox.state.lock());
         if st.draining {
             return Err(WdError::InvalidParams(
                 "serve: submit after shutdown began".into(),
@@ -693,12 +658,7 @@ impl Server {
 
     /// Current queue depth (pending, not yet batched).
     pub fn queue_depth(&self) -> usize {
-        self.inbox
-            .state
-            .lock()
-            .expect("serve inbox poisoned")
-            .pending
-            .len()
+        recover(self.inbox.state.lock()).pending.len()
     }
 
     /// A snapshot of the lifetime counters.
@@ -756,21 +716,20 @@ impl Server {
                 }
             })
             .collect();
-        // Per-device depth and liveness. Liveness comes from the executor's
-        // shared device-loss drill map: empty until the first sharded batch
-        // runs, in which case every configured device reports alive.
-        let liveness = self.executor.device_liveness();
+        // Per-device counts and liveness are the executor's: it is what
+        // places, drills and runs every batch, plain ops and program waves
+        // alike.
         let devices = self
-            .devices
-            .stats
-            .iter()
+            .executor
+            .device_stats()
+            .into_iter()
             .enumerate()
             .map(|(d, s)| DeviceHealth {
                 device: d as u32,
-                depth: s.depth.load(Ordering::Relaxed),
-                batches: s.batches.load(Ordering::Relaxed),
-                ops: s.ops.load(Ordering::Relaxed),
-                alive: liveness.get(d).copied().unwrap_or(true),
+                depth: s.depth,
+                batches: s.batches,
+                ops: s.ops,
+                alive: s.alive,
             })
             .collect();
         HealthReport {
@@ -800,8 +759,7 @@ impl Server {
     /// drop) just return the final counters.
     pub fn drain(&self) -> ServeStats {
         {
-            let mut st = self.inbox.state.lock().expect("serve inbox poisoned");
-            st.draining = true;
+            recover(self.inbox.state.lock()).draining = true;
         }
         self.inbox.cond.notify_all();
         // Stop supervision first: release any drill-parked workers (so
@@ -811,31 +769,15 @@ impl Server {
         // join so an in-flight respawn can still swap its handle in.
         self.supervision.release.store(true, Ordering::Relaxed);
         self.supervision.stop.store(true, Ordering::Relaxed);
-        let watchdog = self
-            .threads
-            .lock()
-            .expect("serve threads poisoned")
-            .watchdog
-            .take();
+        let watchdog = recover(self.threads.lock()).watchdog.take();
         if let Some(h) = watchdog {
             let _ = h.join();
         }
-        let batcher = self
-            .threads
-            .lock()
-            .expect("serve threads poisoned")
-            .batcher
-            .take();
+        let batcher = recover(self.threads.lock()).batcher.take();
         if let Some(h) = batcher {
             let _ = h.join();
         }
-        let workers: Vec<_> = self
-            .threads
-            .lock()
-            .expect("serve threads poisoned")
-            .workers
-            .drain(..)
-            .collect();
+        let workers: Vec<_> = recover(self.threads.lock()).workers.drain(..).collect();
         for h in workers {
             let _ = h.join();
         }
@@ -869,7 +811,7 @@ fn batcher_loop(
     worker_count: usize,
 ) {
     loop {
-        let mut st = inbox.state.lock().expect("serve inbox poisoned");
+        let mut st = recover(inbox.state.lock());
         let now = instant_us(epoch);
 
         // 1. Shed everything past its deadline before forming a batch —
@@ -920,7 +862,7 @@ fn batcher_loop(
                 st.pending.extend(opts.into_iter().flatten());
                 wd_trace::gauge("serve.queue_depth", st.pending.len() as u64);
                 drop(st);
-                let mut q = work.state.lock().expect("serve work queue poisoned");
+                let mut q = recover(work.state.lock());
                 q.push_back(Some(Arc::new(Formed { slots, trigger })));
                 drop(q);
                 work.cond.notify_all();
@@ -932,16 +874,13 @@ fn batcher_loop(
                 match wake_us {
                     // Nothing pending: sleep until a submit or shutdown.
                     None => {
-                        let _unused = inbox.cond.wait(st).expect("serve inbox poisoned");
+                        let _unused = recover(inbox.cond.wait(st));
                     }
                     Some(wake) => {
                         let now2 = instant_us(epoch);
                         let dur = Duration::from_micros(wake.saturating_sub(now2));
                         if !dur.is_zero() {
-                            let _unused = inbox
-                                .cond
-                                .wait_timeout(st, dur)
-                                .expect("serve inbox poisoned");
+                            let _unused = recover(inbox.cond.wait_timeout(st, dur));
                         }
                     }
                 }
@@ -951,7 +890,7 @@ fn batcher_loop(
 
     // Drained: one pill per worker, strictly after the final batch, so the
     // FIFO work queue guarantees every batch executes before any exit.
-    let mut q = work.state.lock().expect("serve work queue poisoned");
+    let mut q = recover(work.state.lock());
     for _ in 0..worker_count {
         q.push_back(None);
     }
@@ -969,7 +908,6 @@ fn spawn_worker(
     epoch: Instant,
     stats: &Arc<Stats>,
     sup: &Arc<Supervision>,
-    devices: &Arc<DeviceLayer>,
     slot: usize,
     generation: u64,
 ) -> JoinHandle<()> {
@@ -977,12 +915,11 @@ fn spawn_worker(
     let tenants = Arc::clone(tenants);
     let stats = Arc::clone(stats);
     let sup = Arc::clone(sup);
-    let devices = Arc::clone(devices);
     std::thread::Builder::new()
         .name(format!("wd-serve-worker-{slot}-g{generation}"))
         .spawn(move || {
             worker_loop(
-                &work, &tenants, &executor, epoch, &stats, &sup, &devices, slot, generation,
+                &work, &tenants, &executor, epoch, &stats, &sup, slot, generation,
             )
         })
         .expect("spawn wd-serve worker")
@@ -1013,7 +950,6 @@ fn worker_loop(
     epoch: Instant,
     stats: &Stats,
     sup: &Supervision,
-    devices: &DeviceLayer,
     idx: usize,
     my_gen: u64,
 ) {
@@ -1026,21 +962,21 @@ fn worker_loop(
     let arena = wd_polyring::scratch::ScratchArena::for_worker();
     loop {
         let item = {
-            let mut q = work.state.lock().expect("serve work queue poisoned");
+            let mut q = recover(work.state.lock());
             loop {
                 if let Some(item) = q.pop_front() {
                     break item;
                 }
-                q = work.cond.wait(q).expect("serve work queue poisoned");
+                q = recover(work.cond.wait(q));
             }
         };
         // Register the take — or discover this thread was declared wedged
         // and replaced, in which case the item belongs to the replacement.
         {
-            let mut st = sup.slots[idx].state.lock().expect("worker slot poisoned");
+            let mut st = recover(sup.slots[idx].state.lock());
             if st.generation != my_gen {
                 drop(st);
-                let mut q = work.state.lock().expect("serve work queue poisoned");
+                let mut q = recover(work.state.lock());
                 q.push_front(item);
                 drop(q);
                 work.cond.notify_all();
@@ -1068,27 +1004,18 @@ fn worker_loop(
                 if sup.release.load(Ordering::Relaxed) {
                     break;
                 }
-                let gen = sup.slots[idx]
-                    .state
-                    .lock()
-                    .expect("worker slot poisoned")
-                    .generation;
+                let gen = recover(sup.slots[idx].state.lock()).generation;
                 if gen != my_gen {
                     break;
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
-        let abandoned = sup.slots[idx]
-            .state
-            .lock()
-            .expect("worker slot poisoned")
-            .generation
-            != my_gen;
+        let abandoned = recover(sup.slots[idx].state.lock()).generation != my_gen;
         if !abandoned {
             let fallbacks_before = arena.stats().fallbacks;
             wd_polyring::scratch::with_worker_arena(&arena, || {
-                execute_batch(&formed, tenants, executor, epoch, stats, devices);
+                execute_batch(&formed, tenants, executor, epoch, stats);
             });
             wd_trace::counter(
                 "serve.arena.fallback",
@@ -1097,7 +1024,7 @@ fn worker_loop(
         }
         // End-of-batch bookkeeping; a stale worker exits here.
         {
-            let mut st = sup.slots[idx].state.lock().expect("worker slot poisoned");
+            let mut st = recover(sup.slots[idx].state.lock());
             if st.generation != my_gen {
                 return;
             }
@@ -1108,21 +1035,14 @@ fn worker_loop(
 }
 
 /// Executes one formed batch and answers every slot that has not already
-/// been answered by a replay.
-///
-/// Each tenant group is placed across the device layer first
-/// ([`Placer::place`]) so the `serve.device.<i>.{batches,ops}` counters
-/// record the assignment deterministically, then executed through
-/// [`BatchExecutor::execute_sharded`] (which re-places across surviving
-/// devices if the device-loss drill fires — results stay bit-identical
-/// either way).
+/// been answered by a replay. How a group of ops runs — scheduling, device
+/// placement, the device-loss drill — is the executor's business alone.
 fn execute_batch(
     formed: &Formed,
     tenants: &TenantRegistry,
     executor: &BatchExecutor,
     epoch: Instant,
     stats: &Stats,
-    devices: &DeviceLayer,
 ) {
     let Formed { slots, trigger } = formed;
     let (n, trigger) = (slots.len(), *trigger);
@@ -1170,39 +1090,14 @@ fn execute_batch(
 
         if !plain.is_empty() {
             let ops: Vec<BatchOp<'_>> = plain.iter().map(|s| s.op.as_batch_op()).collect();
-            // Place the group across devices and publish the assignment
-            // before executing, so the per-device counters reflect the
-            // placement even if a device-loss drill re-places mid-execution.
-            let placement = devices.placer.place(&ops);
-            let mut assigned = vec![0u64; devices.stats.len()];
-            for (d, lane) in placement.lanes().iter().enumerate() {
-                if lane.ops.is_empty() {
-                    continue;
-                }
-                let stat = &devices.stats[d];
-                assigned[d] = lane.ops.len() as u64;
-                stat.batches.fetch_add(1, Ordering::Relaxed);
-                stat.ops.fetch_add(assigned[d], Ordering::Relaxed);
-                stat.depth.fetch_add(assigned[d], Ordering::Relaxed);
-                wd_trace::counter(&stat.sig_batches, 1);
-                wd_trace::counter(&stat.sig_ops, assigned[d]);
-            }
-            let results =
-                executor.execute_sharded(tenant.ctx(), keys.as_eval(), &ops, &devices.placer);
-            for (d, &n_ops) in assigned.iter().enumerate() {
-                if n_ops > 0 {
-                    devices.stats[d].depth.fetch_sub(n_ops, Ordering::Relaxed);
-                }
-            }
+            let results = executor.execute(tenant.ctx(), keys.as_eval(), &ops);
             drop(ops);
             answer_group(plain, results, &tenant, stats, epoch, n, trigger);
         }
 
         if !programs.is_empty() {
             // Heterogeneous wave merging: round `w` runs wave `w` of every
-            // program in the group as one executor batch. Device sharding
-            // happens per merged wave inside `execute_many`, so the
-            // per-device serve counters only track plain-op batches.
+            // program in the group as one executor batch.
             let jobs: Vec<(&CompiledProgram, &[Ciphertext])> = programs
                 .iter()
                 .map(|s| match &s.op {
@@ -1211,9 +1106,7 @@ fn execute_batch(
                 })
                 .collect();
             wd_trace::counter("serve.programs", jobs.len() as u64);
-            let placer = (devices.placer.devices() > 1).then_some(&devices.placer);
-            let results =
-                wd_graph::execute_many(tenant.ctx(), keys.as_eval(), &jobs, executor, placer);
+            let results = wd_graph::execute_many(tenant.ctx(), keys.as_eval(), &jobs, executor);
             drop(jobs);
             let results = results
                 .into_iter()
@@ -1270,7 +1163,6 @@ fn watchdog_loop(
     tenants: &Arc<TenantRegistry>,
     stats: &Arc<Stats>,
     threads: &Arc<Mutex<Threads>>,
-    devices: &Arc<DeviceLayer>,
     executor: &BatchExecutor,
     epoch: Instant,
     timeout: Duration,
@@ -1286,7 +1178,7 @@ fn watchdog_loop(
             }
             let now = instant_us(epoch);
             let (batch, new_gen) = {
-                let mut st = sup.slots[idx].state.lock().expect("worker slot poisoned");
+                let mut st = recover(sup.slots[idx].state.lock());
                 if !st.busy || now.saturating_sub(st.heartbeat_us) <= timeout_us {
                     continue;
                 }
@@ -1314,7 +1206,7 @@ fn watchdog_loop(
             );
             if let Some(batch) = batch {
                 wd_trace::counter("serve.guard.requeued", batch.slots.len() as u64);
-                let mut q = work.state.lock().expect("serve work queue poisoned");
+                let mut q = recover(work.state.lock());
                 q.push_front(Some(batch));
                 drop(q);
                 work.cond.notify_all();
@@ -1329,23 +1221,15 @@ fn watchdog_loop(
                     ),
                 );
             }
+            // A budget-1 scheduler is the sequential executor that keeps
+            // this one's placer, fault plan and shared device counters.
             let replacement = if sup.degraded.load(Ordering::Relaxed) {
-                BatchExecutor::sequential()
+                executor.clone().with_scheduler(ParScheduler::new(1))
             } else {
                 executor.clone()
             };
-            let handle = spawn_worker(
-                work,
-                tenants,
-                replacement,
-                epoch,
-                stats,
-                sup,
-                devices,
-                idx,
-                new_gen,
-            );
-            threads.lock().expect("serve threads poisoned").workers[idx] = handle;
+            let handle = spawn_worker(work, tenants, replacement, epoch, stats, sup, idx, new_gen);
+            recover(threads.lock()).workers[idx] = handle;
         }
     }
 }
@@ -1471,6 +1355,44 @@ mod tests {
         assert!(matches!(resp.result, Err(WdError::MissingKey(_))));
         let stats = server.shutdown();
         assert_eq!(stats.completed, 1, "an error response still completes");
+        Ok(())
+    }
+
+    #[test]
+    fn a_panicking_thread_does_not_kill_the_server_through_a_poisoned_mutex() -> Result<(), WdError>
+    {
+        /// Panics on a thread of its own while holding `m`.
+        fn poison<T: Send>(m: &Mutex<T>) {
+            let died = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _held = m.lock().unwrap_or_else(|p| p.into_inner());
+                    panic!("poisoning a serve mutex on purpose");
+                })
+                .join()
+            });
+            assert!(died.is_err() && m.is_poisoned());
+        }
+        let ctx = small_ctx(18);
+        let kp = ctx.keygen();
+        let work = Arc::new(WorkQueue::default());
+        let server = Server::start_on(
+            TenantRegistry::single(Arc::clone(&ctx), ServeKeys::none()),
+            ServeConfig::default(),
+            Arc::clone(&work),
+        );
+        // The batcher and the worker are parked on these two mutexes'
+        // condvars; both wake up to a poisoned guard.
+        poison(&server.inbox.state);
+        poison(&work.state);
+        let a = ctx.encrypt_values(&[1.5, -2.0], &kp.public)?;
+        let b = ctx.encrypt_values(&[0.5, 1.0], &kp.public)?;
+        let expect = wd_ckks::ops::hadd(&a, &b)?;
+        let ticket = server.submit(Request::new(ServeOp::HAdd(a, b)))?;
+        assert_eq!(ticket.wait().result.as_ref(), Ok(&expect));
+        assert_eq!(server.queue_depth(), 0);
+        let stats = server.drain();
+        assert_eq!(stats.submitted, stats.completed + stats.shed);
+        assert_eq!((stats.submitted, stats.completed), (1, 1));
         Ok(())
     }
 
@@ -1606,7 +1528,6 @@ mod tests {
     fn config_env_parsing_rejects_malformed_values() {
         // Pure-function checks only (no process-global env mutation; the
         // env-mutating contract test is tests/env_config.rs):
-        assert_eq!(env::parse_min("WD_SERVE_SURELY_UNSET_", 7u64, 1), 7);
         let d = ServeConfig::default();
         assert_eq!(d.policy().max_batch, d.max_batch);
         assert_eq!(d.policy().linger, d.linger);

@@ -55,10 +55,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use wd_ckks::wire::MAX_LABEL_BYTES;
 use wd_ckks::CkksContext;
 use wd_fault::{FaultKind, WdError};
+use wd_trace::env;
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::env;
 use crate::server::ServeKeys;
+use crate::{recover, WARN_SITE};
 
 /// The tenant id single-tenant servers run under (and the id a tenant-less
 /// v1 wire frame is routed to).
@@ -111,8 +112,9 @@ impl TenantConfig {
     pub fn from_env() -> Self {
         let d = Self::default();
         Self {
-            key_cache_bytes: env::parse_min(KEY_CACHE_ENV, d.key_cache_bytes >> 20, 1) << 20,
-            quota: env::parse_min(QUOTA_ENV, d.quota, 1),
+            key_cache_bytes: env::parse_min(WARN_SITE, KEY_CACHE_ENV, d.key_cache_bytes >> 20, 1)
+                << 20,
+            quota: env::parse_min(WARN_SITE, QUOTA_ENV, d.quota, 1),
             verify_keys: d.verify_keys,
             breaker: BreakerConfig::any_env_set().then(BreakerConfig::from_env),
         }
@@ -239,7 +241,7 @@ impl Tenant {
         let Some(b) = &self.breaker else {
             return Ok(());
         };
-        let mut g = b.lock().expect("tenant breaker poisoned");
+        let mut g = recover(b.lock());
         let before = g.state();
         let out = g.admit(now_us);
         let after = g.state();
@@ -256,16 +258,14 @@ impl Tenant {
 
     /// The breaker's current state (`None` when breakers are off).
     pub(crate) fn breaker_state(&self) -> Option<BreakerState> {
-        self.breaker
-            .as_ref()
-            .map(|b| b.lock().expect("tenant breaker poisoned").state())
+        self.breaker.as_ref().map(|b| recover(b.lock()).state())
     }
 
     fn breaker_record(&self, now_us: u64, ok: bool) {
         let Some(b) = &self.breaker else {
             return;
         };
-        let mut g = b.lock().expect("tenant breaker poisoned");
+        let mut g = recover(b.lock());
         let before = g.state();
         g.record(now_us, ok);
         let after = g.state();

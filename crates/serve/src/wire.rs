@@ -8,35 +8,32 @@
 //! words, the paper's word size) and add a thin envelope:
 //!
 //! ```text
-//! request v1: magic "WDSV" | ver u8=1 | kind u8=1 | id u64 | class u8
-//!             | deadline flag u8 (0/1) | [deadline_us u64]
-//!             | op tag u8 | operand ciphertext frame(s) | [rotate i64]
-//! request v2: magic "WDSV" | ver u8=2 | kind u8=1 | id u64
-//!             | tenant label (u8 len + UTF-8 bytes) | class u8 | … as v1
-//! request v3: magic "WDSV" | ver u8=3 | kind u8=1 | id u64
-//!             | tenant label (len 0 = default tenant) | … as v1
-//!             | checksum u64 over every preceding byte
-//! response:   magic "WDSV" | ver u8=1 | kind u8=2 | id u64 | status u8
-//!             | waited_us u64 | batch_size u32 | trigger u8
-//!             | ok: ciphertext frame / err: len-prefixed UTF-8 message
-//!             (v3 responses append the same trailing checksum u64)
-//! health:     magic "WDSV" | ver u8=3 | kind u8=3 (probe) or 4 (report)
-//!             | id u64 | [report payload] | trailing checksum u64
+//! request:  magic "WDSV" | ver u8=3 | kind u8=1 | id u64
+//!           | tenant label (u8 len + UTF-8 bytes; len 0 = default tenant)
+//!           | class u8 | deadline flag u8 (0/1) | [deadline_us u64]
+//!           | op tag u8 | operand ciphertext frame(s) | [rotate i64]
+//!           | checksum u64 over every preceding byte
+//! response: magic "WDSV" | ver u8=3 | kind u8=2 | id u64 | status u8
+//!           | waited_us u64 | batch_size u32 | trigger u8
+//!           | ok: ciphertext frame / err: len-prefixed UTF-8 message
+//!           | checksum u64 over every preceding byte
+//! health:   magic "WDSV" | ver u8=3 | kind u8=3 (probe) or 4 (report)
+//!           | id u64 | [report payload] | trailing checksum u64
 //! ```
 //!
-//! **Versioning:** v2 inserts one tenant header after the id and changes
-//! nothing else. v3 (the *guard* version) makes the tenant header
-//! mandatory-but-may-be-empty and appends a checksum trailer:
+//! **One version.** Every frame is version 3 (the *guard* version; no
+//! client outside this repository ever spoke the unchecksummed versions 1
+//! and 2 that earlier trees also accepted): the tenant header is
+//! mandatory-but-may-be-empty and the frame ends in a checksum trailer,
 //! [`wd_fault::integrity::checksum_bytes`] (the four-lane FNV-1a byte feed
 //! defined there) over every preceding frame byte, **verified before any
 //! payload parsing** — a corrupted frame surfaces as the typed
 //! [`wd_fault::WdError::IntegrityViolation`], never as a garbled operand.
-//! Decoders accept every older version — a v1 frame is a v2 frame with no
-//! tenant — so every pre-tenancy and pre-guard client keeps working, and
-//! the v1/v2 encoders stay byte-identical. Responses echo the request's
-//! generation: v1/v2 requests get v1 responses, v3 requests get v3.
-//! HEALTH frames ([`HealthReport`]) are v3-only — they were born after
-//! the checksum trailer.
+//! A frame carrying any other version byte is refused with the typed
+//! "unsupported serve frame version" error, so a server that verifies its
+//! operands cannot be talked into serving one nobody checksummed. The function names keep
+//! their `_v3` / `_versioned` suffixes because the host benchmark calls
+//! them by those names.
 //!
 //! Errors cross the wire as their display text ([`WireResponse`] carries
 //! `Result<Ciphertext, String>`): the variant taxonomy is a host-side
@@ -55,17 +52,14 @@ use wd_ckks::CkksError;
 use crate::request::{Request, Response, ServeOp};
 
 const MAGIC: &[u8; 4] = b"WDSV";
-const VERSION: u8 = 1;
-/// The tenant-aware frame version (v1 plus one tenant header).
-const VERSION_TENANT: u8 = 2;
-/// The guard frame version (v2 plus a trailing checksum; the
-/// tenant label may be empty = default tenant).
+/// The frame version: a mandatory (possibly empty) tenant label and a
+/// trailing checksum. Nothing else is spoken or accepted.
 pub const VERSION_GUARD: u8 = 3;
 const KIND_REQUEST: u8 = 1;
 const KIND_RESPONSE: u8 = 2;
-/// A health probe (v3-only; no payload beyond the envelope).
+/// A health probe (no payload beyond the envelope).
 pub const KIND_HEALTH_REQUEST: u8 = 3;
-/// A health report answering a probe (v3-only).
+/// A health report answering a probe.
 pub const KIND_HEALTH_RESPONSE: u8 = 4;
 
 const OP_HADD: u8 = 0;
@@ -147,15 +141,14 @@ fn write_envelope(out: &mut Vec<u8>, ver: u8, kind: u8, id: u64) {
     put_u64(out, id);
 }
 
-/// Reads the envelope, returning `(version, id)`. Both frame versions are
-/// accepted here; kind-specific version constraints are the caller's.
-fn read_envelope(buf: &[u8], pos: &mut usize, want_kind: u8) -> Result<(u8, u64), CkksError> {
+/// Reads the envelope of a `want_kind` frame, returning its id.
+fn read_envelope(buf: &[u8], pos: &mut usize, want_kind: u8) -> Result<u64, CkksError> {
     let magic = take(buf, pos, 4)?;
     if magic != MAGIC {
         return Err(CkksError::WireDecode("bad serve magic".into()));
     }
     let ver = get_u8(buf, pos)?;
-    if ver != VERSION && ver != VERSION_TENANT && ver != VERSION_GUARD {
+    if ver != VERSION_GUARD {
         return Err(CkksError::WireDecode(format!(
             "unsupported serve frame version {ver}"
         )));
@@ -166,15 +159,15 @@ fn read_envelope(buf: &[u8], pos: &mut usize, want_kind: u8) -> Result<(u8, u64)
             "serve frame kind {kind}, want {want_kind}"
         )));
     }
-    Ok((ver, get_u64(buf, pos)?))
+    get_u64(buf, pos)
 }
 
 /// The most a request or response frame holds besides its ciphertext
 /// frames: envelope, a full tenant label, class, deadline, op tag, rotation
-/// amount (or the response's status block) and the v3 trailer.
+/// amount (or the response's status block) and the checksum trailer.
 const FRAME_OVERHEAD_MAX: usize = 14 + (1 + MAX_LABEL_BYTES) + 1 + 9 + 1 + 8 + 8;
 
-/// A buffer that holds `req`'s frame in any version without regrowing.
+/// A buffer that holds `req`'s frame without regrowing.
 fn request_buffer(req: &Request) -> Vec<u8> {
     let operands: usize = match &req.op {
         ServeOp::HAdd(a, b) | ServeOp::HSub(a, b) | ServeOp::HMult(a, b) => {
@@ -186,7 +179,7 @@ fn request_buffer(req: &Request) -> Vec<u8> {
     Vec::with_capacity(FRAME_OVERHEAD_MAX + operands)
 }
 
-/// A buffer that holds `resp`'s frame in any version without regrowing.
+/// A buffer that holds `resp`'s frame without regrowing.
 fn response_buffer(resp: &WireResponse) -> Vec<u8> {
     let payload = match &resp.result {
         Ok(ct) => ciphertext_frame_len(ct),
@@ -195,56 +188,15 @@ fn response_buffer(resp: &WireResponse) -> Vec<u8> {
     Vec::with_capacity(FRAME_OVERHEAD_MAX + payload)
 }
 
-/// Serializes one request under the given wire id (v1 — no tenant; the
-/// pre-tenancy spelling, kept byte-identical). The tenant-aware encoder is
-/// [`encode_request_as`].
-///
-/// # Panics
-///
-/// On [`ServeOp::Program`] — compiled programs are in-process only (use
-/// the fallible [`encode_request_as`] to get the typed error instead).
-pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    encode_request_as(id, None, req).expect("v1 frames carry no programs and cannot fail")
-}
-
-/// Serializes one request: `tenant: None` emits a v1 frame (byte-identical
-/// to [`encode_request`]), `Some(id)` emits a v2 frame with the tenant
-/// header.
-///
-/// # Errors
-///
-/// [`CkksError::WireDecode`] when the tenant label is empty or longer than
-/// [`wd_ckks::wire::MAX_LABEL_BYTES`].
-pub fn encode_request_as(
-    id: u64,
-    tenant: Option<&str>,
-    req: &Request,
-) -> Result<Vec<u8>, CkksError> {
-    let mut out = request_buffer(req);
-    match tenant {
-        None => write_envelope(&mut out, VERSION, KIND_REQUEST, id),
-        Some(t) => {
-            if t.is_empty() {
-                return Err(CkksError::WireDecode(
-                    "tenant label must not be empty".into(),
-                ));
-            }
-            write_envelope(&mut out, VERSION_TENANT, KIND_REQUEST, id);
-            write_label_frame(&mut out, t)?;
-        }
-    }
-    write_request_body(&mut out, req)?;
-    Ok(out)
-}
-
-/// Serializes one request as a v3 guard frame: mandatory (possibly empty)
-/// tenant header plus the trailing checksum. `tenant: None` encodes
+/// Serializes one request under the given wire id: mandatory (possibly
+/// empty) tenant header plus the trailing checksum. `tenant: None` encodes
 /// an empty label, which the decoder routes to the default tenant.
 ///
 /// # Errors
 ///
 /// [`CkksError::WireDecode`] when the tenant label is longer than
-/// [`wd_ckks::wire::MAX_LABEL_BYTES`].
+/// [`wd_ckks::wire::MAX_LABEL_BYTES`], or for a [`ServeOp::Program`]
+/// request (compiled programs are in-process only).
 pub fn encode_request_v3(
     id: u64,
     tenant: Option<&str>,
@@ -259,7 +211,7 @@ pub fn encode_request_v3(
     Ok(out)
 }
 
-/// The version-independent request payload: class, deadline, op, operands.
+/// The request payload: class, deadline, op, operands.
 ///
 /// # Errors
 ///
@@ -314,7 +266,7 @@ fn write_request_body(out: &mut Vec<u8>, req: &Request) -> Result<(), CkksError>
     Ok(())
 }
 
-/// Splits a v3 frame into its payload and verifies the trailing checksum
+/// Splits a frame into its payload and verifies the trailing checksum
 /// **before anything else is parsed** — corruption anywhere in the frame
 /// (including the envelope already read) is caught here, not by whatever
 /// payload parser happens to trip over it.
@@ -326,7 +278,7 @@ fn write_request_body(out: &mut Vec<u8>, req: &Request) -> Result<(), CkksError>
 fn verify_guard_trailer<'a>(buf: &'a [u8], what: &str) -> Result<&'a [u8], CkksError> {
     let Some(split) = buf.len().checked_sub(8) else {
         return Err(CkksError::WireDecode(format!(
-            "{what}: v3 frame too short for its checksum trailer"
+            "{what}: frame too short for its checksum trailer"
         )));
     };
     // invariant: the slice is exactly 8 bytes by construction.
@@ -342,67 +294,26 @@ fn verify_guard_trailer<'a>(buf: &'a [u8], what: &str) -> Result<&'a [u8], CkksE
     Ok(&buf[..split])
 }
 
-/// Deserializes one request frame (either version), returning its wire id
-/// and the request; the tenant header, if any, is dropped. The
-/// tenant-aware decoder is [`decode_request_as`].
+/// Deserializes one request frame, returning the frame version (always
+/// [`VERSION_GUARD`]), the wire id, the tenant header (`None` for an empty
+/// label — route to the default tenant), and the request. The checksum
+/// trailer is verified before any payload parsing.
 ///
 /// # Errors
 ///
-/// [`CkksError::WireDecode`] on truncation, bad magic/version/kind, an
-/// unknown op tag, or trailing bytes.
-pub fn decode_request(buf: &[u8]) -> Result<(u64, Request), CkksError> {
-    decode_request_as(buf).map(|(id, _tenant, req)| (id, req))
-}
-
-/// Deserializes one request frame of either version, returning the wire
-/// id, the tenant header (`None` for a v1 frame — route to the default
-/// tenant), and the request.
-///
-/// # Errors
-///
-/// [`CkksError::WireDecode`] on truncation, bad magic/version/kind, a bad
-/// or empty tenant label, an unknown op tag, or trailing bytes.
-pub fn decode_request_as(buf: &[u8]) -> Result<(u64, Option<String>, Request), CkksError> {
-    decode_request_versioned(buf).map(|(_ver, id, tenant, req)| (id, tenant, req))
-}
-
-/// [`decode_request_as`] plus the frame version, so a server can answer in
-/// the client's own generation (v1/v2 → v1 response, v3 → v3). A v3 frame
-/// has its checksum trailer verified before any payload parsing.
-///
-/// # Errors
-///
-/// Everything [`decode_request_as`] reports, plus
-/// [`wd_fault::WdError::IntegrityViolation`] for a v3 frame whose trailing
-/// checksum does not match its bytes.
+/// [`CkksError::WireDecode`] on truncation, bad magic/kind, any version
+/// other than [`VERSION_GUARD`], a bad tenant label, an unknown op tag, or
+/// trailing bytes; [`wd_fault::WdError::IntegrityViolation`] when the
+/// trailing checksum does not match the frame's bytes.
 pub fn decode_request_versioned(
     buf: &[u8],
 ) -> Result<(u8, u64, Option<String>, Request), CkksError> {
     let mut pos = 0usize;
-    let (ver, id) = read_envelope(buf, &mut pos, KIND_REQUEST)?;
-    let buf = if ver == VERSION_GUARD {
-        verify_guard_trailer(buf, &format!("serve request frame id {id}"))?
-    } else {
-        buf
-    };
-    let tenant = match ver {
-        VERSION => None,
-        VERSION_TENANT => {
-            let label = read_label_frame(buf, &mut pos)?;
-            if label.is_empty() {
-                return Err(CkksError::WireDecode(
-                    "tenant label must not be empty".into(),
-                ));
-            }
-            Some(label)
-        }
-        _ => {
-            // v3: the header is mandatory, an empty label means the
-            // default tenant.
-            let label = read_label_frame(buf, &mut pos)?;
-            (!label.is_empty()).then_some(label)
-        }
-    };
+    let id = read_envelope(buf, &mut pos, KIND_REQUEST)?;
+    let buf = verify_guard_trailer(buf, &format!("serve request frame id {id}"))?;
+    // The header is mandatory, an empty label means the default tenant.
+    let label = read_label_frame(buf, &mut pos)?;
+    let tenant = (!label.is_empty()).then_some(label);
     let class = match get_u8(buf, &mut pos)? {
         0 => Class::Interactive,
         1 => Class::Bulk,
@@ -436,7 +347,7 @@ pub fn decode_request_versioned(
         return Err(CkksError::WireDecode("trailing bytes after request".into()));
     }
     Ok((
-        ver,
+        VERSION_GUARD,
         id,
         tenant,
         Request {
@@ -456,23 +367,7 @@ fn checked_wire_u32(v: usize, what: &str) -> Result<u32, CkksError> {
         .map_err(|_| CkksError::WireDecode(format!("{what} {v} exceeds the u32 wire field")))
 }
 
-/// Serializes one response (v1 — the pre-guard spelling, byte-identical
-/// to every earlier release). The checksummed sibling is
-/// [`encode_response_v3`].
-///
-/// # Errors
-///
-/// [`CkksError::WireDecode`] when the batch size or error-message length
-/// does not fit the wire's u32 fields.
-pub fn encode_response(resp: &WireResponse) -> Result<Vec<u8>, CkksError> {
-    let mut out = response_buffer(resp);
-    write_envelope(&mut out, VERSION, KIND_RESPONSE, resp.id);
-    write_response_body(&mut out, resp)?;
-    Ok(out)
-}
-
-/// Serializes one response as a v3 guard frame (trailing checksum),
-/// the generation a server answers a v3 request in.
+/// Serializes one response, trailing checksum included.
 ///
 /// # Errors
 ///
@@ -487,7 +382,7 @@ pub fn encode_response_v3(resp: &WireResponse) -> Result<Vec<u8>, CkksError> {
     Ok(out)
 }
 
-/// The version-independent response payload.
+/// The response payload.
 fn write_response_body(out: &mut Vec<u8>, resp: &WireResponse) -> Result<(), CkksError> {
     out.push(u8::from(resp.result.is_err()));
     put_u64(out, resp.waited_us);
@@ -512,28 +407,19 @@ fn write_response_body(out: &mut Vec<u8>, resp: &WireResponse) -> Result<(), Ckk
     Ok(())
 }
 
-/// Deserializes one response frame (v1 or v3; v2 responses never existed
-/// and are still rejected). A v3 frame has its checksum trailer verified
+/// Deserializes one response frame; its checksum trailer is verified
 /// before any payload parsing.
 ///
 /// # Errors
 ///
-/// [`CkksError::WireDecode`] on truncation, bad magic/version/kind, a bad
-/// trigger tag, a non-UTF-8 error message, or trailing bytes;
-/// [`wd_fault::WdError::IntegrityViolation`] on a v3 checksum mismatch.
+/// [`CkksError::WireDecode`] on truncation, bad magic/kind, any version
+/// other than [`VERSION_GUARD`], a bad trigger tag, a non-UTF-8 error
+/// message, or trailing bytes;
+/// [`wd_fault::WdError::IntegrityViolation`] on a checksum mismatch.
 pub fn decode_response(buf: &[u8]) -> Result<WireResponse, CkksError> {
     let mut pos = 0usize;
-    let (ver, id) = read_envelope(buf, &mut pos, KIND_RESPONSE)?;
-    if ver != VERSION && ver != VERSION_GUARD {
-        return Err(CkksError::WireDecode(format!(
-            "response frames are version {VERSION} or {VERSION_GUARD}, got {ver}"
-        )));
-    }
-    let buf = if ver == VERSION_GUARD {
-        verify_guard_trailer(buf, &format!("serve response frame id {id}"))?
-    } else {
-        buf
-    };
+    let id = read_envelope(buf, &mut pos, KIND_RESPONSE)?;
+    let buf = verify_guard_trailer(buf, &format!("serve response frame id {id}"))?;
     let is_err = match get_u8(buf, &mut pos)? {
         0 => false,
         1 => true,
@@ -609,7 +495,7 @@ pub struct DeviceHealth {
 
 /// The payload of a HEALTH report frame: what a supervisor (or the CI
 /// guard drill) can see of a running server without touching its request
-/// path. Built by `Server::health`, carried as a v3 frame.
+/// path. Built by `Server::health`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HealthReport {
     /// Requests pending in the admission queue.
@@ -633,7 +519,7 @@ pub struct HealthReport {
     pub devices: Vec<DeviceHealth>,
 }
 
-/// Serializes a HEALTH probe (v3, envelope + checksum only).
+/// Serializes a HEALTH probe (envelope + checksum only).
 pub fn encode_health_request(id: u64) -> Vec<u8> {
     let mut out = Vec::new();
     write_envelope(&mut out, VERSION_GUARD, KIND_HEALTH_REQUEST, id);
@@ -651,12 +537,7 @@ pub fn encode_health_request(id: u64) -> Vec<u8> {
 /// checksum mismatch.
 pub fn decode_health_request(buf: &[u8]) -> Result<u64, CkksError> {
     let mut pos = 0usize;
-    let (ver, id) = read_envelope(buf, &mut pos, KIND_HEALTH_REQUEST)?;
-    if ver != VERSION_GUARD {
-        return Err(CkksError::WireDecode(format!(
-            "health frames are version {VERSION_GUARD}, got {ver}"
-        )));
-    }
+    let id = read_envelope(buf, &mut pos, KIND_HEALTH_REQUEST)?;
     let buf = verify_guard_trailer(buf, &format!("serve health probe id {id}"))?;
     if pos != buf.len() {
         return Err(CkksError::WireDecode(
@@ -723,12 +604,7 @@ pub fn encode_health_report(id: u64, report: &HealthReport) -> Result<Vec<u8>, C
 /// [`wd_fault::WdError::IntegrityViolation`] on a checksum mismatch.
 pub fn decode_health_report(buf: &[u8]) -> Result<(u64, HealthReport), CkksError> {
     let mut pos = 0usize;
-    let (ver, id) = read_envelope(buf, &mut pos, KIND_HEALTH_RESPONSE)?;
-    if ver != VERSION_GUARD {
-        return Err(CkksError::WireDecode(format!(
-            "health frames are version {VERSION_GUARD}, got {ver}"
-        )));
-    }
+    let id = read_envelope(buf, &mut pos, KIND_HEALTH_RESPONSE)?;
     let buf = verify_guard_trailer(buf, &format!("serve health report id {id}"))?;
     let queue_depth = get_u64(buf, &mut pos)?;
     let workers = get_u32(buf, &mut pos)?;
@@ -827,7 +703,7 @@ mod tests {
                 .expect("compiles"),
         );
         let req = Request::program(prog, vec![a]);
-        let err = encode_request_as(9, None, &req).expect_err("programs are in-process only");
+        let err = encode_request_v3(9, None, &req).expect_err("programs are in-process only");
         assert!(matches!(err, CkksError::WireDecode(_)), "{err:?}");
     }
 
@@ -844,6 +720,15 @@ mod tests {
         )
     }
 
+    /// Recomputes the checksum trailer of a tampered frame, so a test can
+    /// reach the parser behind the integrity check.
+    fn reseal(mut frame: Vec<u8>) -> Vec<u8> {
+        let split = frame.len() - 8;
+        let sum = wd_fault::integrity::checksum_bytes(&frame[..split]);
+        frame[split..].copy_from_slice(&sum.to_le_bytes());
+        frame
+    }
+
     #[test]
     fn every_op_kind_round_trips() {
         let (a, b) = ct_pair();
@@ -856,82 +741,32 @@ mod tests {
         ];
         for (i, op) in ops.into_iter().enumerate() {
             let req = Request::bulk(op).with_deadline(Duration::from_micros(777));
-            let bytes = encode_request(i as u64, &req);
-            let (id, back) = decode_request(&bytes).expect("decode");
-            assert_eq!(id, i as u64);
+            let bytes = encode_request_v3(i as u64, None, &req).expect("encode");
+            let (_, id, tenant, back) = decode_request_versioned(&bytes).expect("decode");
+            assert_eq!((id, tenant), (i as u64, None));
             assert_eq!(back.class, Class::Bulk);
             assert_eq!(back.deadline, Some(Duration::from_micros(777)));
             assert_eq!(back.op.kind(), req.op.kind());
             // Operand payloads survive: re-encoding is byte-identical.
-            assert_eq!(encode_request(i as u64, &back), bytes);
+            assert_eq!(
+                encode_request_v3(i as u64, None, &back).expect("re-encode"),
+                bytes
+            );
         }
-    }
-
-    #[test]
-    fn tenant_frames_round_trip_and_v1_still_decodes() {
-        let (a, b) = ct_pair();
-        let req =
-            Request::bulk(ServeOp::HMult(a.clone(), b)).with_deadline(Duration::from_micros(9));
-        // v2: the tenant header survives the round trip.
-        let v2 = encode_request_as(5, Some("alice"), &req).expect("encode v2");
-        let (id, tenant, back) = decode_request_as(&v2).expect("decode v2");
-        assert_eq!((id, tenant.as_deref()), (5, Some("alice")));
-        assert_eq!(back.class, Class::Bulk);
-        assert_eq!(back.op.kind(), req.op.kind());
-        // The tenant-agnostic view of a v2 frame still decodes.
-        let (id, back) = decode_request(&v2).expect("v2 via legacy decoder");
-        assert_eq!(id, 5);
-        assert_eq!(back.op.kind(), req.op.kind());
-        // v1 frames (pre-tenancy clients) decode with tenant = None, and
-        // encode_request_as(None) is byte-identical to encode_request.
-        let v1 = encode_request(6, &req);
-        assert_eq!(
-            encode_request_as(6, None, &req).expect("encode v1"),
-            v1,
-            "v1 spelling unchanged"
-        );
-        let (id, tenant, _) = decode_request_as(&v1).expect("decode v1");
-        assert_eq!((id, tenant), (6, None));
-        // A v2 frame is exactly a v1 frame with the header spliced in.
-        assert_eq!(v2.len(), v1.len() + 1 + "alice".len());
     }
 
     #[test]
     fn bad_tenant_labels_are_rejected_both_ways() {
         let (a, _) = ct_pair();
         let req = Request::new(ServeOp::Rescale(a));
-        assert!(matches!(
-            encode_request_as(0, Some(""), &req),
-            Err(CkksError::WireDecode(_))
-        ));
         let long = "x".repeat(wd_ckks::wire::MAX_LABEL_BYTES + 1);
-        assert!(encode_request_as(0, Some(&long), &req).is_err());
-        // A v2 frame whose label declares an empty tenant is refused.
-        let good = encode_request_as(0, Some("a"), &req).expect("encode");
-        let mut empty = good.clone();
-        empty[14] = 0; // label length byte (after 4 magic + 1 ver + 1 kind + 8 id)
-        let _ = empty.remove(15); // drop the now-orphaned label byte
-        assert!(decode_request_as(&empty).is_err());
-        // Declared label length running past the buffer is truncation.
-        let mut runaway = good;
-        runaway[14] = 200;
+        assert!(encode_request_v3(0, Some(&long), &req).is_err());
+        // Declared label length running past the buffer is truncation
+        // (resealed, so the parser — not the checksum — is what objects).
+        let mut runaway = encode_request_v3(0, Some("a"), &req).expect("encode");
+        runaway[14] = 200; // label length byte (after 4 magic + 1 ver + 1 kind + 8 id)
         assert!(matches!(
-            decode_request_as(&runaway),
-            Err(CkksError::WireDecode(_))
-        ));
-        // Responses are v1 or v3 — the tenant version never shipped for
-        // them and stays rejected.
-        let resp = WireResponse {
-            id: 1,
-            result: Err("e".into()),
-            waited_us: 0,
-            batch_size: 0,
-            trigger: None,
-        };
-        let mut bytes = encode_response(&resp).expect("encode");
-        bytes[4] = VERSION_TENANT;
-        assert!(matches!(
-            decode_response(&bytes),
+            decode_request_versioned(&reseal(runaway)),
             Err(CkksError::WireDecode(_))
         ));
     }
@@ -950,11 +785,6 @@ mod tests {
         let bare = encode_request_v3(8, None, &req).expect("encode bare v3");
         let (ver, id, tenant, _) = decode_request_versioned(&bare).expect("decode bare v3");
         assert_eq!((ver, id, tenant), (3, 8, None), "empty label = default");
-        // Older versions still report their generation.
-        let v1 = encode_request(9, &req);
-        assert_eq!(decode_request_versioned(&v1).expect("v1").0, 1);
-        let v2 = encode_request_as(9, Some("alice"), &req).expect("v2");
-        assert_eq!(decode_request_versioned(&v2).expect("v2").0, 2);
         // A flipped payload byte is caught by the checksum, with the typed
         // integrity error — before any operand parsing.
         let mut corrupt = v3.clone();
@@ -968,7 +798,7 @@ mod tests {
             "payload flip must be an integrity violation"
         );
         // So is a flipped trailer byte.
-        let mut bad_trailer = v3;
+        let mut bad_trailer = v3.clone();
         *bad_trailer.last_mut().expect("nonempty") ^= 1;
         assert!(matches!(
             decode_request_versioned(&bad_trailer),
@@ -992,10 +822,10 @@ mod tests {
             Err(WdError::IntegrityViolation { .. })
         ));
         // peek_kind routes without decoding.
-        assert_eq!(peek_kind(&v1), Some(KIND_REQUEST));
+        assert_eq!(peek_kind(&v3), Some(KIND_REQUEST));
         assert_eq!(
             peek_kind(
-                &encode_response(&WireResponse {
+                &encode_response_v3(&WireResponse {
                     id: 0,
                     result: Err("e".into()),
                     waited_us: 0,
@@ -1124,7 +954,8 @@ mod tests {
     fn negative_rotation_amounts_survive() {
         let (a, _) = ct_pair();
         let req = Request::new(ServeOp::HRotate(a, -7));
-        let (_, back) = decode_request(&encode_request(0, &req)).expect("decode");
+        let bytes = encode_request_v3(0, None, &req).expect("encode");
+        let (_, _, _, back) = decode_request_versioned(&bytes).expect("decode");
         match back.op {
             ServeOp::HRotate(_, r) => assert_eq!(r, -7),
             op => panic!("wrong op {:?}", op.kind()),
@@ -1142,7 +973,7 @@ mod tests {
             trigger: Some(FlushTrigger::Size),
         };
         assert_eq!(
-            decode_response(&encode_response(&ok).expect("encode ok")).expect("ok"),
+            decode_response(&encode_response_v3(&ok).expect("encode ok")).expect("ok"),
             ok
         );
         let err = WireResponse {
@@ -1153,7 +984,7 @@ mod tests {
             trigger: None,
         };
         assert_eq!(
-            decode_response(&encode_response(&err).expect("encode err")).expect("err"),
+            decode_response(&encode_response_v3(&err).expect("encode err")).expect("err"),
             err
         );
     }
@@ -1161,8 +992,8 @@ mod tests {
     #[test]
     fn oversize_wire_counts_are_typed_errors_not_clamps() {
         // A batch size one past the u32 field used to clamp to u32::MAX and
-        // decode as a different, plausible value on the far side. Now both
-        // encoders refuse it with the typed wire error.
+        // decode as a different, plausible value on the far side. Now the
+        // encoder refuses it with the typed wire error.
         let over = WireResponse {
             id: 1,
             result: Err("e".into()),
@@ -1170,13 +1001,11 @@ mod tests {
             batch_size: u32::MAX as usize + 1,
             trigger: None,
         };
-        for encoded in [encode_response(&over), encode_response_v3(&over)] {
-            match encoded {
-                Err(CkksError::WireDecode(msg)) => {
-                    assert!(msg.contains("batch size"), "msg: {msg}")
-                }
-                other => panic!("expected a typed encode error, got {other:?}"),
+        match encode_response_v3(&over) {
+            Err(CkksError::WireDecode(msg)) => {
+                assert!(msg.contains("batch size"), "msg: {msg}")
             }
+            other => panic!("expected a typed encode error, got {other:?}"),
         }
         // The exact boundary value still encodes and round trips.
         let max = WireResponse {
@@ -1186,7 +1015,7 @@ mod tests {
             batch_size: u32::MAX as usize,
             trigger: None,
         };
-        let bytes = encode_response(&max).expect("boundary encodes");
+        let bytes = encode_response_v3(&max).expect("boundary encodes");
         assert_eq!(
             decode_response(&bytes)
                 .expect("boundary decodes")
@@ -1198,32 +1027,41 @@ mod tests {
     #[test]
     fn bad_magic_version_kind_and_truncation_are_typed_errors() {
         let (a, _) = ct_pair();
-        let good = encode_request(1, &Request::new(ServeOp::Rescale(a)));
+        let good = encode_request_v3(1, None, &Request::new(ServeOp::Rescale(a))).expect("encode");
         let mut bad = good.clone();
         bad[0] = b'X';
         assert!(matches!(
-            decode_request(&bad),
+            decode_request_versioned(&bad),
             Err(CkksError::WireDecode(_))
         ));
-        let mut ver = good.clone();
-        ver[4] = 9;
-        assert!(matches!(
-            decode_request(&ver),
-            Err(CkksError::WireDecode(_))
-        ));
-        // A response frame fed to the request decoder is a kind error.
+        // So is any version byte but 3, the retired 1 and 2 included: it is
+        // refused before the checksum is even looked at.
+        for version in [1u8, 2, 9] {
+            let mut ver = good.clone();
+            ver[4] = version;
+            assert!(matches!(
+                decode_request_versioned(&ver),
+                Err(CkksError::WireDecode(msg)) if msg.contains("unsupported serve frame version")
+            ));
+        }
+        // A request frame fed to the response decoder is a kind error.
         assert!(decode_response(&good).is_err());
-        for cut in [0usize, 3, 7, good.len() - 1] {
+        // Cuts inside the envelope are plain truncation (later cuts fail
+        // the checksum; the every-offset test above covers those).
+        for cut in [0usize, 3, 7, 13] {
             assert!(
-                matches!(decode_request(&good[..cut]), Err(CkksError::WireDecode(_))),
+                matches!(
+                    decode_request_versioned(&good[..cut]),
+                    Err(CkksError::WireDecode(_))
+                ),
                 "cut at {cut}"
             );
         }
-        // Trailing garbage is rejected too.
+        // Trailing garbage under a valid checksum is rejected too.
         let mut long = good;
-        long.push(0);
+        long.insert(long.len() - 8, 0);
         assert!(matches!(
-            decode_request(&long),
+            decode_request_versioned(&reseal(long)),
             Err(CkksError::WireDecode(_))
         ));
     }

@@ -54,7 +54,6 @@ fn eval_keys() -> EvalKeys<'static> {
 /// `vec![0; len]` path the code used before pooling existed.
 fn fresh_reference(ops: &[ServeOp]) -> Vec<Result<Ciphertext, WdError>> {
     let (ctx, _, _) = shared();
-    ctx.set_threads(1);
     let batch: Vec<BatchOp<'_>> = ops.iter().map(ServeOp::as_batch_op).collect();
     scratch::with_worker_arena(&ScratchArena::disabled(), || {
         BatchExecutor::sequential()
@@ -93,7 +92,6 @@ proptest! {
             FaultPlan::disabled()
         };
         let threads = THREADS[threads_idx];
-        ctx.set_threads(1);
         let ex = BatchExecutor::auto(threads).with_fault_plan(plan);
         // Twice through the same executor: the first pass runs on cold
         // arenas (every lease is a fresh allocation parked on return), the
@@ -128,7 +126,6 @@ proptest! {
         let expect = fresh_reference(&ops);
         let batch: Vec<BatchOp<'_>> = ops.iter().map(ServeOp::as_batch_op).collect();
 
-        ctx.set_threads(1);
         // 256 bytes parks nothing a 64-degree limb needs (512 bytes+):
         // every lease that tries to park gets dropped, and any lease while
         // the shelves are empty is a fallback.

@@ -35,7 +35,6 @@ struct TenantFixture {
 fn build_fixture(id: &'static str, seed: u64, reg: &mut TenantRegistry) -> TenantFixture {
     let params = ParamSet::set_a().with_degree(1 << 6).build().unwrap();
     let ctx = Arc::new(CkksContext::with_seed(params, seed).unwrap());
-    ctx.set_threads(1);
     let kp = ctx.keygen();
     let a = ctx.encrypt_values(&[2.0, -1.5, 0.75], &kp.public).unwrap();
     let b = ctx.encrypt_values(&[-0.5, 4.0, 1.25], &kp.public).unwrap();

@@ -1,6 +1,7 @@
 //! Socket-level edge cases against the live TCP listener: split frames and
 //! short reads, slow-loris partial headers, oversized length prefixes,
-//! garbage frames, the connection cap — and the headline acceptance drill:
+//! garbage frames, frames of the retired wire versions, the connection cap
+//! — and the headline acceptance drill:
 //! two tenants round-tripping concurrently over real sockets, bit-identical
 //! to their sequential fault-free references under `0.05` fault injection
 //! and forced key-cache eviction churn.
@@ -76,7 +77,7 @@ fn assert_closed(stream: &mut TcpStream) {
 #[test]
 fn split_frames_and_short_reads_decode_fine() {
     let (server, net) = start_default();
-    let frame = wire::encode_request_as(9, None, &sample_request()).unwrap();
+    let frame = wire::encode_request_v3(9, None, &sample_request()).unwrap();
     let mut stream = TcpStream::connect(net.local_addr()).unwrap();
     // Drip the transport frame across many writes: 2-byte header chunks,
     // then the body in thirds, each gap well inside the io timeout. The
@@ -158,6 +159,44 @@ fn garbage_frame_gets_a_decode_error_then_close() {
     server.drain();
 }
 
+/// The unchecksummed wire versions 1 and 2 are gone: a frame of either,
+/// spelled out byte by byte (no encoder for them exists), gets the typed
+/// version error back in a checksummed frame, is counted as a decode
+/// error, and costs the sender its connection.
+#[test]
+fn v1_and_v2_frames_are_refused_typed_and_counted() {
+    let (server, net) = start_default();
+    // magic | version | kind | id | [v2: tenant label], then a body that
+    // is never looked at: class, no deadline, RESCALE, a cut-off operand.
+    let old_frame = |version: u8, kind: u8, label: &[u8]| {
+        let mut f = [b"WDSV".as_slice(), &[version, kind], &7u64.to_le_bytes()].concat();
+        f.extend_from_slice(label);
+        f.extend_from_slice(&[0, 0, 4, 0xC7, 0x01]);
+        f
+    };
+    let v1_response = old_frame(1, 2, b"");
+    let refused = "unsupported serve frame version";
+    for frame in [
+        old_frame(1, 1, b""),
+        old_frame(2, 1, b"\x05alice"),
+        v1_response.clone(),
+    ] {
+        let mut stream = TcpStream::connect(net.local_addr()).unwrap();
+        write_frame(&mut stream, &frame).unwrap();
+        let resp = read_frame(&mut stream, MAX_FRAME_BYTES).unwrap().unwrap();
+        // The refusal itself verifies under the one decoder there is.
+        let msg = wire::decode_response(&resp).unwrap().result.unwrap_err();
+        assert!(msg.contains(&format!("{refused} {}", frame[4])), "{msg}");
+        assert_closed(&mut stream);
+    }
+    // A client is no more willing to read a v1 response than the server.
+    let err = wire::decode_response(&v1_response).unwrap_err();
+    assert!(err.to_string().contains(refused), "{err}");
+    let stats = net.shutdown();
+    assert_eq!((stats.frames, stats.decode_errors), (3, 3));
+    assert_eq!(server.drain().submitted, 0, "nothing reached the queue");
+}
+
 #[test]
 fn connection_cap_refuses_with_an_error_frame() {
     let (ctx, kp) = shared();
@@ -177,7 +216,7 @@ fn connection_cap_refuses_with_an_error_frame() {
     // First connection occupies the only slot (prove it is live with a
     // round-trip so the accept loop has surely counted it).
     let mut first = NetClient::connect(net.local_addr()).unwrap();
-    let resp = first.call(None, &sample_request()).unwrap();
+    let resp = first.call_checked(None, &sample_request()).unwrap();
     assert!(resp.result.is_ok());
     // Second connection: refused with one error frame, then closed.
     let mut second = TcpStream::connect(net.local_addr()).unwrap();
@@ -189,7 +228,11 @@ fn connection_cap_refuses_with_an_error_frame() {
     assert!(msg.contains("connection limit"), "{msg}");
     assert_closed(&mut second);
     // The occupied slot still works after the refusal.
-    assert!(first.call(None, &sample_request()).unwrap().result.is_ok());
+    assert!(first
+        .call_checked(None, &sample_request())
+        .unwrap()
+        .result
+        .is_ok());
     drop(first);
     let stats = net.shutdown();
     assert_eq!((stats.accepted, stats.refused), (1, 1));
@@ -224,7 +267,9 @@ fn quota_and_unknown_tenant_errors_cross_the_wire() {
     // An unregistered tenant is a typed refusal, and the connection stays
     // usable for well-addressed traffic afterwards.
     let mut probe = NetClient::connect(net.local_addr()).unwrap();
-    let resp = probe.call(Some("nobody"), &sample_request()).unwrap();
+    let resp = probe
+        .call_checked(Some("nobody"), &sample_request())
+        .unwrap();
     assert!(
         resp.result
             .as_ref()
@@ -236,7 +281,7 @@ fn quota_and_unknown_tenant_errors_cross_the_wire() {
     // Fill alice's quota from a raw socket (a NetClient would block on the
     // response that cannot come until drain).
     let mut holder = TcpStream::connect(net.local_addr()).unwrap();
-    let held = wire::encode_request_as(1, Some("alice"), &sample_request()).unwrap();
+    let held = wire::encode_request_v3(1, Some("alice"), &sample_request()).unwrap();
     write_frame(&mut holder, &held).unwrap();
     // Wait until the request is admitted (in flight), not merely sent.
     for _ in 0..100 {
@@ -249,7 +294,9 @@ fn quota_and_unknown_tenant_errors_cross_the_wire() {
 
     // The quota is exhausted: the next submit for alice is refused with
     // the typed signal, naming the numbers.
-    let resp = probe.call(Some("alice"), &sample_request()).unwrap();
+    let resp = probe
+        .call_checked(Some("alice"), &sample_request())
+        .unwrap();
     let msg = resp.result.expect_err("quota exhausted");
     assert!(
         msg.contains("quota exceeded") && msg.contains('1'),
@@ -301,7 +348,7 @@ fn poisoned_client_reconnects_instead_of_reusing_the_stream() {
         let (mut s, _) = listener.accept().unwrap();
         accepts += 1;
         let frame = read_frame(&mut s, MAX_FRAME_BYTES).unwrap().unwrap();
-        let (id, _tenant, _req) = wire::decode_request_as(&frame).unwrap();
+        let (_ver, id, _tenant, _req) = wire::decode_request_versioned(&frame).unwrap();
         let resp = wire::WireResponse {
             id,
             result: Err("served by the fake".into()),
@@ -309,7 +356,7 @@ fn poisoned_client_reconnects_instead_of_reusing_the_stream() {
             batch_size: 1,
             trigger: None,
         };
-        write_frame(&mut s, &wire::encode_response(&resp).unwrap()).unwrap();
+        write_frame(&mut s, &wire::encode_response_v3(&resp).unwrap()).unwrap();
         accepts
     });
 
@@ -317,7 +364,7 @@ fn poisoned_client_reconnects_instead_of_reusing_the_stream() {
         NetClient::connect_with(addr, Some(Duration::from_millis(500))).expect("connect");
     assert_eq!(client.reconnects(), 0);
     let err = client
-        .call(None, &sample_request())
+        .call_checked(None, &sample_request())
         .expect_err("a garbage response must surface as a typed error");
     assert!(
         err.to_string().contains("poisoned"),
@@ -327,7 +374,7 @@ fn poisoned_client_reconnects_instead_of_reusing_the_stream() {
     // The next call transparently reconnects (accept count 1 → 2) and
     // completes a clean round trip on the fresh stream.
     let resp = client
-        .call(None, &sample_request())
+        .call_checked(None, &sample_request())
         .expect("reconnected round trip");
     assert_eq!(
         resp.result.expect_err("fake answers an error"),
@@ -380,7 +427,7 @@ fn shutdown_racing_a_connection_storm_drains_losslessly() {
                     return (0, 0);
                 };
                 for _ in 0..24 {
-                    match client.call(None, &sample_request()) {
+                    match client.call_checked(None, &sample_request()) {
                         Ok(resp) if resp.result.is_ok() => served += 1,
                         // A cap refusal or an admission error frame.
                         Ok(_) => refused += 1,
@@ -453,7 +500,6 @@ fn concurrent_tenants_are_bit_identical_under_faults_and_cache_churn() {
     for (id, seed) in [("alice", 11u64), ("bob", 22u64)] {
         let params = ParamSet::set_a().with_degree(1 << 6).build().unwrap();
         let ctx = Arc::new(CkksContext::with_seed(params, seed).unwrap());
-        ctx.set_threads(1);
         let kp = ctx.keygen();
         let a = ctx.encrypt_values(&[1.5, -2.0, 0.25], &kp.public).unwrap();
         let b = ctx.encrypt_values(&[0.5, 3.0, -1.0], &kp.public).unwrap();
@@ -513,7 +559,7 @@ fn concurrent_tenants_are_bit_identical_under_faults_and_cache_churn() {
                         wd_serve::Class::Bulk
                     };
                     let req = Request::new(op.clone()).with_class(class);
-                    let resp = client.call(Some(fx.id), &req).expect("round trip");
+                    let resp = client.call_checked(Some(fx.id), &req).expect("round trip");
                     let got = resp.result.expect("served ok");
                     assert_eq!(
                         &got, want,

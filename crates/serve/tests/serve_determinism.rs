@@ -53,7 +53,6 @@ fn op_mix(ct_a: &Ciphertext, ct_b: &Ciphertext, count: usize) -> Vec<ServeOp> {
 /// The reference answer: sequential, injection explicitly disabled.
 fn reference(ops: &[ServeOp]) -> Vec<Result<Ciphertext, wd_fault::WdError>> {
     let (ctx, kp, rot) = shared();
-    ctx.set_threads(1);
     let batch: Vec<_> = ops.iter().map(ServeOp::as_batch_op).collect();
     BatchExecutor::sequential()
         .with_fault_plan(FaultPlan::disabled())

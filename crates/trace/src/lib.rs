@@ -7,8 +7,7 @@
 //! 1. **Zero cost when disabled.** The default level is [`TraceLevel::Off`];
 //!    every probe ([`span`], [`event`], [`counter`]) starts with one relaxed
 //!    atomic load and returns immediately — no clock read, no allocation, no
-//!    lock. The criterion benches (`par_ntt`, `par_sched`) gate this
-//!    contract in CI.
+//!    lock.
 //! 2. **Dependency-free and below everything.** Like `wd-fault`, this crate
 //!    uses only `std`, so any layer (including `wd-fault` itself) can emit
 //!    trace data without dependency cycles.
@@ -40,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod chrome;
+pub mod env;
 mod hist;
 mod report;
 

@@ -19,6 +19,7 @@
 
 use std::time::Instant;
 
+use warpdrive::ckks::ops::{hmult_with, rescale_with};
 use warpdrive::core::{BatchExecutor, BatchOp, EvalKeys};
 use warpdrive::prelude::*;
 
@@ -82,17 +83,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         par_time.as_secs_f64() * 1e3,
     );
 
-    // Limb-level parallelism inside a single op, via the context budget.
+    // Limb-level parallelism inside a single op: the width is an argument
+    // of the `_with` ops (the context-only spellings mean one thread).
     let deep = &cts[0];
-    ctx.set_threads(1);
     let t0 = Instant::now();
     let a = rescale(&ctx, &hmult(&ctx, deep, &cts[1], &kp.relin)?)?;
     let one = t0.elapsed();
-    ctx.set_threads(executor.threads());
+    let width = executor.threads();
     let t0 = Instant::now();
-    let b = rescale(&ctx, &hmult(&ctx, deep, &cts[1], &kp.relin)?)?;
+    let b = rescale_with(
+        &ctx,
+        &hmult_with(&ctx, deep, &cts[1], &kp.relin, width)?,
+        width,
+    )?;
     let many = t0.elapsed();
-    ctx.set_threads(1);
     assert_eq!(a, b, "limb-parallel HMULT diverged from sequential");
     println!(
         "single HMULT+RESCALE: 1 thread {:.1} ms, {} threads {:.1} ms (bit-identical)",

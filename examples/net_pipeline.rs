@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for round in 0..3 {
         for (id, a, b, expect) in &tenants {
             let mut client = NetClient::connect(net.local_addr())?;
-            let resp = client.call(
+            let resp = client.call_checked(
                 Some(id),
                 &Request::new(ServeOp::HMult(a.clone(), b.clone())),
             )?;
@@ -91,12 +91,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -- 3. Typed refusals over the wire ---------------------------------
     let (id, a, _, _) = &tenants[0];
     let mut client = NetClient::connect(net.local_addr())?;
-    let resp = client.call(Some("mallory"), &Request::new(ServeOp::Rescale(a.clone())))?;
+    let resp = client.call_checked(Some("mallory"), &Request::new(ServeOp::Rescale(a.clone())))?;
     println!(
         "unknown tenant: {}",
         resp.result.err().unwrap_or_else(|| "unexpected ok".into())
     );
-    let resp = client.call(Some(id), &Request::new(ServeOp::Rescale(a.clone())))?;
+    let resp = client.call_checked(Some(id), &Request::new(ServeOp::Rescale(a.clone())))?;
     assert!(resp.result.is_ok(), "the connection survives a refusal");
     println!("same connection, valid tenant: ok (refusals are per-request, not per-socket)");
 

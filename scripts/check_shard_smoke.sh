@@ -3,7 +3,7 @@
 # shard_bench drills — the modeled 1/2/4/8-device scaling curve with its
 # >=1.6x 2-device gate, the placement-policy coverage drill, and the real
 # 2-device sharded serving drill (bit-identity asserted in-binary) — under
-# full tracing, and asserts the exact `serve.device.*` placement counters.
+# full tracing, and asserts the exact `place.device.*` placement counters.
 # Every section of the bench is deterministic, so every count below is
 # exact in --quick mode; any change to placement (an op landing on the
 # wrong lane, a lost device counter, a placement that stops happening)
@@ -39,19 +39,20 @@ wd_need "device 1: batches 1, ops 4, depth 0, alive true" \
     "device-1 HEALTH line" "$log"
 
 # Exact placement accounting for the whole quick run: three policy-drill
-# placements, the serving batch's assignment placement, and the placement
-# inside the sharded executor.
-wd_expect_eq "$(wd_counter place.placements "$trace")" 5 \
-    "place.placements (3 policy drills + serve assignment + executor)"
-# The 8-op serving batch round-robins exactly in half across two devices.
-wd_expect_eq "$(wd_counter serve.device.0.batches "$trace")" 1 \
-    "serve.device.0.batches"
-wd_expect_eq "$(wd_counter serve.device.0.ops "$trace")" 4 \
-    "serve.device.0.ops"
-wd_expect_eq "$(wd_counter serve.device.1.batches "$trace")" 1 \
-    "serve.device.1.batches"
-wd_expect_eq "$(wd_counter serve.device.1.ops "$trace")" 4 \
-    "serve.device.1.ops"
+# placements and the one placement the served batch gets, inside the
+# executor (the serving layer places nothing itself).
+wd_expect_eq "$(wd_counter place.placements "$trace")" 4 \
+    "place.placements (3 policy drills + the served batch)"
+# The 8-op serving batch round-robins exactly in half across two devices;
+# the executor that ran the lanes is what counts them.
+wd_expect_eq "$(wd_counter place.device.0.batches "$trace")" 1 \
+    "place.device.0.batches"
+wd_expect_eq "$(wd_counter place.device.0.ops "$trace")" 4 \
+    "place.device.0.ops"
+wd_expect_eq "$(wd_counter place.device.1.batches "$trace")" 1 \
+    "place.device.1.batches"
+wd_expect_eq "$(wd_counter place.device.1.ops "$trace")" 4 \
+    "place.device.1.ops"
 # No device is lost and nothing degrades to the unsharded fallback: those
 # counters only fire on the degrade ladder, so they must be absent.
 for gone in place.device_lost place.degraded; do

@@ -8,9 +8,6 @@
 //! and prints min/median/mean. No statistical regression analysis, HTML
 //! reports, or plotting; throughput numbers from this harness are
 //! directional, which is all the repro's CI smoke needs.
-//!
-//! Honours `WD_BENCH_QUICK=1` (used by CI) to cut warm-up and sample counts
-//! to smoke-test levels.
 
 #![forbid(unsafe_code)]
 
@@ -21,10 +18,6 @@ pub use std::hint::black_box;
 
 /// Target time per sample; iteration counts auto-scale to roughly this.
 const TARGET_SAMPLE: Duration = Duration::from_millis(20);
-
-fn quick_mode() -> bool {
-    std::env::var("WD_BENCH_QUICK").is_ok_and(|v| v != "0")
-}
 
 /// Identifier for one parameterised benchmark (`name/param`).
 #[derive(Debug, Clone)]
@@ -88,9 +81,6 @@ impl Bencher {
             }
             iters_per_sample *= 4;
         }
-        if quick_mode() {
-            iters_per_sample = iters_per_sample.min(4);
-        }
         for _ in 0..self.sample_size {
             let t0 = Instant::now();
             for _ in 0..iters_per_sample {
@@ -140,9 +130,7 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        Self {
-            sample_size: if quick_mode() { 3 } else { 10 },
-        }
+        Self { sample_size: 10 }
     }
 }
 
@@ -150,7 +138,7 @@ impl Criterion {
     /// Sets the number of timed samples per benchmark (builder-style).
     #[must_use]
     pub fn sample_size(mut self, n: usize) -> Self {
-        self.sample_size = if quick_mode() { n.min(3) } else { n };
+        self.sample_size = n;
         self
     }
 
@@ -192,7 +180,7 @@ pub struct BenchmarkGroup<'a> {
 impl BenchmarkGroup<'_> {
     /// Sets the sample count for subsequent benches in this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = if quick_mode() { n.min(3) } else { n };
+        self.sample_size = n;
         self
     }
 

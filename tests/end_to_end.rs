@@ -161,9 +161,10 @@ fn workload_stack_smoke() {
 fn parallel_path_is_bit_identical_and_decrypts_correctly() {
     // The same circuit as `medium_ring_full_pipeline`, but run through the
     // parallel execution layer twice over: limb-level parallelism inside
-    // each op (ctx.set_threads) and op-level fan-out via BatchExecutor.
-    // Every thread count must produce the *same ciphertext bits* as the
-    // sequential fallback.
+    // each op (the width the `_with` ops are handed) and op-level fan-out
+    // via BatchExecutor. Every thread count must produce the *same
+    // ciphertext bits* as the sequential fallback.
+    use warpdrive::ckks::ops::{hmult_with, hrotate_with};
     use warpdrive::core::{BatchExecutor, BatchOp, EvalKeys};
 
     let params = ParamSet::set_b()
@@ -181,28 +182,37 @@ fn parallel_path_is_bit_identical_and_decrypts_correctly() {
     let ct_x = ctx.encrypt_values(&xs, &kp.public).unwrap();
     let ct_y = ctx.encrypt_values(&ys, &kp.public).unwrap();
 
-    let run = |limb_threads: usize, op_threads: usize| {
-        ctx.set_threads(limb_threads);
-        let batch = [
-            BatchOp::HMult(&ct_x, &ct_y),
-            BatchOp::HAdd(&ct_x, &ct_y),
-            BatchOp::HRotate(&ct_x, 1),
-            BatchOp::HRotate(&ct_y, 3),
-            BatchOp::HSub(&ct_y, &ct_x),
-        ];
-        let eval = EvalKeys::with_relin(&kp.relin).and_rotations(&keys);
-        let out = BatchExecutor::new(op_threads).execute(&ctx, eval, &batch);
-        ctx.set_threads(1);
+    let batch = [
+        BatchOp::HMult(&ct_x, &ct_y),
+        BatchOp::HAdd(&ct_x, &ct_y),
+        BatchOp::HRotate(&ct_x, 1),
+        BatchOp::HRotate(&ct_y, 3),
+        BatchOp::HSub(&ct_y, &ct_x),
+    ];
+    let eval = EvalKeys::with_relin(&kp.relin).and_rotations(&keys);
+    let through = |executor: BatchExecutor| {
+        let out = executor.execute(&ctx, eval, &batch);
         out.into_iter().map(Result::unwrap).collect::<Vec<_>>()
     };
+    // The same five ops called directly, each handed its limb width.
+    let direct = |limb: usize| {
+        vec![
+            hmult_with(&ctx, &ct_x, &ct_y, &kp.relin, limb).unwrap(),
+            hadd(&ct_x, &ct_y).unwrap(),
+            hrotate_with(&ctx, &ct_x, 1, &keys, limb).unwrap(),
+            hrotate_with(&ctx, &ct_y, 3, &keys, limb).unwrap(),
+            hsub(&ct_y, &ct_x).unwrap(),
+        ]
+    };
 
-    let baseline = run(1, 1);
-    for (limb, op) in [(2, 1), (4, 1), (1, 4), (3, 2), (4, 4)] {
-        let got = run(limb, op);
-        assert_eq!(
-            baseline, got,
-            "ciphertexts diverged at limb_threads={limb} op_threads={op}"
-        );
+    let baseline = through(BatchExecutor::new(1));
+    for (limb, op) in [(1, 1), (2, 1), (4, 1), (1, 4), (3, 2), (4, 4)] {
+        assert_eq!(baseline, direct(limb), "diverged at limb_threads={limb}");
+        let fanned = through(BatchExecutor::new(op));
+        assert_eq!(baseline, fanned, "diverged at op_threads={op}");
+        // Both axes at once: a scheduler splits limb × op threads its way.
+        let both = BatchExecutor::auto(limb * op);
+        assert_eq!(baseline, through(both), "diverged at budget {}", limb * op);
     }
 
     // And the batch results decrypt to the right values.
