@@ -5,9 +5,10 @@
 //! results/arena_speedup.txt`; the drift checker maps the artifact to this
 //! binary).
 //!
-//! Four sections:
+//! Three sections, all deterministic (measured host numbers live in the
+//! host benchmark, `benchmark/`):
 //!
-//! 1. **Modeled allocation overhead** (deterministic): the fresh-allocation
+//! 1. **Modeled allocation overhead**: the fresh-allocation
 //!    keyswitch re-mallocs its whole scratch working set — `3l + (dnum+2)·
 //!    (l+k)` limb slabs — every op, paying malloc bookkeeping plus a soft
 //!    page fault per fresh 4 KiB page. The arena path pays that bill once
@@ -16,32 +17,24 @@
 //!    per Table VI set in the same host INT32 units as `cost::host_*`, then
 //!    swept over serving batch sizes at SET-C; the run *asserts* the ≥1.2×
 //!    speedup gate at the saturating serving batch.
-//! 2. **Measured A/B** (host, `~`-masked): `keyswitch` (pooled, warm arena)
-//!    vs `keyswitch_unpooled` on identical inputs, and a 16-op HMULT batch
-//!    under a worker arena vs a disabled one — outputs asserted
-//!    bit-identical in both drills.
-//! 3. **Steady-state lease drill** (deterministic): after one warm-up
+//! 2. **Steady-state lease drill**: after one warm-up
 //!    keyswitch on a parameter-sized arena, every further op leases
 //!    everything from the shelves — exact lease/reuse counts, **zero**
 //!    fresh heap allocations per op, counter-asserted.
-//! 4. **Exhaustion drill** (deterministic): a 256-byte arena overflows on
+//! 3. **Exhaustion drill**: a 256-byte arena overflows on
 //!    every slab lease, falls back to the heap, stays under its retention
-//!    cap — and the output is still bit-identical to the unpooled path.
-//!
-//! `--quick` shrinks the measured phase only; the
-//! printed structure — and every unmasked number — is identical, so the
-//! same checked-in artifact drift-checks both modes.
+//!    cap — and the output is still bit-identical to the same keyswitch
+//!    under the context's own arena.
 //!
 //! Trace output (when `WD_TRACE` is on) goes to **stderr**: stdout is the
 //! drift-checked artifact.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use warpdrive_core::cost;
 use wd_bench::banner;
-use wd_ckks::keyswitch::{keyswitch, keyswitch_unpooled};
-use wd_ckks::{ops, CkksContext, ParamSet};
+use wd_ckks::keyswitch::keyswitch;
+use wd_ckks::{CkksContext, ParamSet};
 use wd_polyring::scratch::{self, ScratchArena};
 
 /// Host INT32 instructions for one malloc/free pair of a limb-sized slab.
@@ -68,15 +61,12 @@ const SERVING_BATCH: u64 = 16;
 const GATE_SPEEDUP: f64 = 1.2;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick");
-
     banner(
         "alloc_bench — scratch-arena allocation reuse on the host hot path",
         "memory-discipline datapoint (BENCH_arena.json; no paper table)",
     );
 
     let speedup = modeled_alloc_overhead();
-    measured_ab(quick)?;
     steady_state_drill()?;
     exhaustion_drill()?;
 
@@ -198,81 +188,6 @@ fn modeled_alloc_overhead() -> f64 {
     at_serving
 }
 
-/// Measured A/B on identical inputs: pooled `keyswitch` under a warm,
-/// parameter-sized arena vs `keyswitch_unpooled`, then a 16-op HMULT batch
-/// under a worker arena vs a disabled one. Host-dependent, so every timing
-/// is `~`-prefixed for the mask; bit-identity is asserted bare.
-fn measured_ab(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
-    println!();
-    println!("-- measured A/B (host, ~-masked) --");
-
-    // Keyswitch: the op the arena exists for.
-    let params = ParamSet::set_a().with_degree(1 << 10).build()?;
-    let ctx = CkksContext::with_seed(params, 91)?;
-    let kp = ctx.keygen();
-    let d = ctx.encode(&[1.5, -2.25, 3.0])?.poly;
-    let arena = warpdrive_core::arena::worker_arena(ctx.params(), u64::MAX)?;
-    ctx.set_scratch_arena(Arc::clone(&arena));
-    let pooled = keyswitch(&ctx, &d, &kp.relin)?; // warm-up fills the shelves
-    let unpooled = keyswitch_unpooled(&ctx, &d, &kp.relin)?;
-    assert_eq!(pooled, unpooled, "pooled keyswitch must be bit-identical");
-
-    let iters = if quick { 8 } else { 64 };
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(keyswitch(&ctx, &d, &kp.relin)?);
-    }
-    let warm_us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(keyswitch_unpooled(&ctx, &d, &kp.relin)?);
-    }
-    let fresh_us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    println!(
-        "  keyswitch (N=2^10): arena ~{warm_us:.1} us/op, fresh ~{fresh_us:.1} us/op; \
-         outputs bit-identical"
-    );
-
-    // A serving-shaped batch of HMULTs, arena on vs off.
-    let params = ParamSet::set_a().with_degree(1 << 8).build()?;
-    let ctx = CkksContext::with_seed(params, 92)?;
-    let kp = ctx.keygen();
-    let a = ctx.encrypt_values(&[1.0, -2.0], &kp.public)?;
-    let b = ctx.encrypt_values(&[0.5, 3.0], &kp.public)?;
-    let run_batch = || -> Result<Vec<_>, wd_ckks::CkksError> {
-        (0..SERVING_BATCH)
-            .map(|_| ops::hmult(&ctx, &a, &b, &kp.relin))
-            .collect()
-    };
-    let reps = if quick { 2 } else { 8 };
-    let mut per_op = [0.0f64; 2];
-    let mut outs: [Option<Vec<_>>; 2] = [None, None];
-    let worker = warpdrive_core::arena::worker_arena(ctx.params(), u64::MAX)?;
-    for (i, arena) in [worker, ScratchArena::disabled()].into_iter().enumerate() {
-        let (elapsed, got) = scratch::with_worker_arena(&arena, || {
-            let _ = run_batch(); // warm-up (fills the shelves in pass 0)
-            let start = Instant::now();
-            let mut got = Vec::new();
-            for _ in 0..reps {
-                got = run_batch()?;
-            }
-            Ok::<_, wd_ckks::CkksError>((start.elapsed(), got))
-        })?;
-        per_op[i] = elapsed.as_secs_f64() * 1e6 / (reps * SERVING_BATCH as usize) as f64;
-        outs[i] = Some(got);
-    }
-    assert_eq!(
-        outs[0], outs[1],
-        "arena batch must be bit-identical to the fresh batch"
-    );
-    println!(
-        "  {SERVING_BATCH}-op HMULT batch (N=2^8): arena ~{:.1} us/op, fresh ~{:.1} us/op; \
-         outputs bit-identical",
-        per_op[0], per_op[1]
-    );
-    Ok(())
-}
-
 /// After one warm-up keyswitch on a parameter-sized arena, every further op
 /// is pure shelf reuse: exact lease accounting, zero heap allocations.
 fn steady_state_drill() -> Result<(), Box<dyn std::error::Error>> {
@@ -313,13 +228,13 @@ fn steady_state_drill() -> Result<(), Box<dyn std::error::Error>> {
 
 /// A 256-byte arena on the worker thread: slab leases overflow the cap and
 /// fall back to plain heap, retention stays bounded, and the output is
-/// bit-identical to the unpooled path.
+/// bit-identical to the same keyswitch under the context's own arena.
 fn exhaustion_drill() -> Result<(), Box<dyn std::error::Error>> {
     let params = ParamSet::set_a().with_degree(1 << 6).build()?;
     let ctx = CkksContext::with_seed(params, 94)?;
     let kp = ctx.keygen();
     let d = ctx.encode(&[2.0, -0.5])?.poly;
-    let expect = keyswitch_unpooled(&ctx, &d, &kp.relin)?;
+    let expect = keyswitch(&ctx, &d, &kp.relin)?;
 
     let tiny = ScratchArena::with_capacity(256);
     let got = scratch::with_worker_arena(&tiny, || keyswitch(&ctx, &d, &kp.relin))?;
@@ -333,7 +248,7 @@ fn exhaustion_drill() -> Result<(), Box<dyn std::error::Error>> {
         st.fallbacks,
         tiny.parked_bytes()
     );
-    println!("  output bit-identical to keyswitch_unpooled");
+    println!("  output bit-identical to keyswitch under the context's own arena");
     assert!(
         st.fallbacks > 0,
         "slab leases must overflow 256 bytes: {st:?}"

@@ -21,7 +21,6 @@ use wd_ckks::params::ParamSet;
 use wd_ckks::CkksContext;
 use wd_modmath::prime::generate_ntt_primes;
 use wd_polyring::ntt::NttTable;
-use wd_polyring::par;
 use wd_polyring::rns::RnsPoly;
 
 fn make_batch(primes: &[u64], n: usize, count: usize) -> Vec<RnsPoly> {
@@ -51,14 +50,20 @@ fn fullsize_ntt_roundtrip_set_e_shape() {
     let polys = make_batch(&primes, n, 2);
 
     let mut reference = polys.clone();
-    par::ntt_forward_batch(&mut reference, &tables, 1);
+    for p in &mut reference {
+        p.ntt_forward_with(&tables, 1);
+    }
 
     for threads in [1usize, 4] {
         let mut work = polys.clone();
         for _ in 0..2 {
-            par::ntt_forward_batch(&mut work, &tables, threads);
+            for p in &mut work {
+                p.ntt_forward_with(&tables, threads);
+            }
             assert_eq!(work, reference, "forward NTT diverged at {threads} threads");
-            par::ntt_inverse_batch(&mut work, &tables, threads);
+            for p in &mut work {
+                p.ntt_inverse_with(&tables, threads);
+            }
             assert_eq!(work, polys, "NTT roundtrip not exact at {threads} threads");
         }
     }

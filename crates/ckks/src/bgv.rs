@@ -8,12 +8,16 @@
 //! This module is that adaptation, executed: **exact** integer arithmetic
 //! modulo a plaintext prime t, reusing the same prime chains, NTT engines,
 //! basis converters and hybrid-keyswitch machinery as CKKS. The differences
-//! are precisely the textbook ones:
+//! are precisely the textbook ones, and they are the only code here that
+//! is not a call into the CKKS layer:
 //!
 //! - encryption randomness is scaled by t (`c0 = b·u + t·e0 + m`);
-//! - the keyswitch key carries t-scaled noise;
+//! - the keyswitch key carries t-scaled noise: the one hybrid generator,
+//!   [`CkksContext::gen_ksk`], called with noise multiplier t;
 //! - ModDown applies a plaintext-correction term so the rounding error is
-//!   ≡ 0 (mod t), keeping decryption exact;
+//!   ≡ 0 (mod t), keeping decryption exact (`mod_down_bgv`); the entry
+//!   check, ModUp and the inner product in front of it are
+//!   [`crate::keyswitch`]'s, unchanged;
 //! - batching encodes Z_t vectors through an NTT over Z_t (t ≡ 1 mod 2N).
 //!
 //! Tests assert **bit-exact** results — BGV has no approximation error.
@@ -21,15 +25,16 @@
 //! reconstructs the P-residue through a single limb).
 
 use crate::context::{restrict, CkksContext};
-use crate::keys::{KeySwitchKey, KskDigit, SecretKey};
-use crate::keyswitch::{convert_poly, select_basis};
+use crate::keys::{KeySwitchKey, SecretKey};
+use crate::keyswitch::{give_rns, mod_up_inner_product};
 use crate::{sampling, CkksError};
 use std::sync::Arc;
 use wd_modmath::prime::ntt_prime_above;
 use wd_modmath::rns::RnsBasis;
 use wd_modmath::Modulus;
 use wd_polyring::ntt::NttTable;
-use wd_polyring::rns::{Domain, RnsPoly};
+use wd_polyring::rns::RnsPoly;
+use wd_polyring::scratch::{self, ScratchArena};
 
 /// A BGV ciphertext: Dec = \[c0 + c1·s\]_Q, message = Dec mod t.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,48 +173,13 @@ impl BgvContext {
         let secret = SecretKey { s };
         // invariant: a polynomial always matches its own shape.
         let s2 = secret.s.pointwise(&secret.s).expect("s^2");
-        let relin = self.gen_ksk_bgv(&s2, &secret);
+        let relin = self.inner.gen_ksk(&s2, &secret, self.t);
         BgvKeyPair {
             secret,
             pk_b,
             pk_a: a,
             relin,
         }
-    }
-
-    /// BGV keyswitch key: like the CKKS one but with noise t·e_j.
-    fn gen_ksk_bgv(&self, s_prime: &RnsPoly, sk: &SecretKey) -> KeySwitchKey {
-        // Reuse the CKKS generator, then it would carry unscaled noise — so
-        // build directly with the same factors but t-scaled error.
-        let params = self.inner.params();
-        let lmax = params.max_level();
-        let alpha = params.alpha();
-        let dnum = params.dnum_at(lmax);
-        let q_chain = params.q_chain().to_vec();
-        let full = params.full_basis_at(lmax);
-        let tabs = self.inner.tables_for(&full);
-        let n = params.degree();
-        let mut digits = Vec::with_capacity(dnum);
-        for j in 0..dnum {
-            let digit_primes = &q_chain[j * alpha..((j + 1) * alpha).min(q_chain.len())];
-            let factors = self.inner.ksk_factors_public(digit_primes, &full);
-            let a = self.inner.with_rng(|r| sampling::uniform_poly(r, &full, n));
-            let mut e = self
-                .inner
-                .with_rng(|r| sampling::gaussian_poly(r, &full, n));
-            e.ntt_forward(&tabs);
-            let te = e.scale_scalar(self.t);
-            let b = a
-                .pointwise(&sk.s)
-                .map(|as_| as_.neg())
-                .and_then(|nas| nas.add(&te))
-                .and_then(|be| be.add(&s_prime.scale_per_limb(&factors)))
-                // invariant: a and te are sampled over `full` at degree n;
-                // sk.s / s_prime span the full basis by construction.
-                .expect("ksk shapes agree");
-            digits.push(KskDigit { b, a });
-        }
-        KeySwitchKey { digits }
     }
 
     /// Encrypts an encoded plaintext polynomial (coeffs mod t).
@@ -320,7 +290,15 @@ impl BgvContext {
         let d0 = a.c0.pointwise(&b.c0)?;
         let d1 = a.c0.pointwise(&b.c1)?.add(&a.c1.pointwise(&b.c0)?)?;
         let d2 = a.c1.pointwise(&b.c1)?;
-        let (ks0, ks1) = self.keyswitch_bgv(&d2, &kp.relin)?;
+        // The CKKS keyswitch up to its accumulators, then the BGV ModDown.
+        let ctx = &self.inner;
+        let arena = ctx.scratch();
+        let (ks0, ks1) = scratch::with_worker_arena(&arena, || {
+            let (level, acc0, acc1) = mod_up_inner_product(ctx, &arena, &d2, &kp.relin, 1)?;
+            let ks0 = self.mod_down_bgv(&arena, acc0, level)?;
+            let ks1 = self.mod_down_bgv(&arena, acc1, level)?;
+            Ok::<_, CkksError>((ks0, ks1))
+        })?;
         Ok(BgvCiphertext {
             c0: d0.add(&ks0)?,
             c1: d1.add(&ks1)?,
@@ -328,82 +306,29 @@ impl BgvContext {
         })
     }
 
-    /// BGV keyswitch: the CKKS pipeline with a t-corrected ModDown so the
-    /// division-by-P rounding error is a multiple of t.
-    fn keyswitch_bgv(
-        &self,
-        d: &RnsPoly,
-        ksk: &KeySwitchKey,
-    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
-        let ctx = &self.inner;
-        let level = d.limb_count() - 1;
-        let alpha = ctx.params().alpha();
-        let dnum = ctx.params().dnum_at(level);
-        if ksk.dnum() < dnum {
-            return Err(CkksError::LevelMismatch("BGV key too short".into()));
-        }
-        let q_now = ctx.params().q_at(level).to_vec();
-        let full = ctx.params().full_basis_at(level);
-        let full_tabs = ctx.tables_for(&full);
-        let mut d_coeff = d.clone();
-        d_coeff.ntt_inverse(&ctx.tables_for(&q_now));
-        let mut acc0 = RnsPoly::zero(&full, d.degree())?;
-        acc0.set_domain(Domain::Ntt);
-        let mut acc1 = acc0.clone();
-        for j in 0..dnum {
-            let lo = j * alpha;
-            let hi = ((j + 1) * alpha).min(level + 1);
-            let digit_primes = &q_now[lo..hi];
-            let digit = RnsPoly::from_limbs(
-                (lo..hi).map(|i| d_coeff.limb(i).clone()).collect(),
-                Domain::Coeff,
-            )?;
-            let conv = ctx.try_converter(digit_primes, &full)?;
-            let mut ext = convert_poly(&conv, &digit);
-            for i in lo..hi {
-                *ext.limb_mut(i) = d_coeff.limb(i).clone();
-            }
-            let mut ext_ntt = ext;
-            ext_ntt.ntt_forward(&full_tabs);
-            let kb = select_basis(&ksk.digits[j].b, &full)?;
-            let ka = select_basis(&ksk.digits[j].a, &full)?;
-            acc0 = acc0.add(&ext_ntt.pointwise(&kb)?)?;
-            acc1 = acc1.add(&ext_ntt.pointwise(&ka)?)?;
-        }
-        let out0 = self.mod_down_bgv(acc0, &q_now, &full_tabs)?;
-        let out1 = self.mod_down_bgv(acc1, &q_now, &full_tabs)?;
-        Ok((out0, out1))
-    }
-
     /// ModDown with BGV plaintext correction: out = (x − u)/P − w where
     /// u ≡ x (mod P) is the centered P-residue and w ≡ −u·P⁻¹ (mod t)
     /// removes the rounding error's t-residue. Requires K = 1 so u is
-    /// exactly recoverable from the single special limb.
+    /// exactly recoverable from the single special limb. `acc` (leased by
+    /// the shared inner product) goes back to `arena`.
     fn mod_down_bgv(
         &self,
+        arena: &Arc<ScratchArena>,
         mut acc: RnsPoly,
-        q_now: &[u64],
-        full_tabs: &[Arc<NttTable>],
+        level: usize,
     ) -> Result<RnsPoly, CkksError> {
         let ctx = &self.inner;
+        let q_now = ctx.params().q_at(level);
         let p0 = ctx.params().p_chain()[0];
         let lq = q_now.len();
-        acc.ntt_inverse(full_tabs);
+        acc.ntt_inverse(ctx.full_tables(level));
         // Exact centered P-residue per coefficient (single special limb).
-        let p_limb = acc.limb(lq);
-        let u_centered: Vec<i64> = p_limb.centered();
+        let u_centered: Vec<i64> = acc.limb(lq).centered();
         // Standard (x − u)/P over Q.
         let u_q = RnsPoly::from_signed(q_now, &u_centered)?;
-        let q_acc = restrict(&acc, lq);
-        let diff = q_acc.sub(&u_q)?;
-        let mut p_inv: Vec<u64> = Vec::with_capacity(q_now.len());
-        for &q in q_now {
-            let m = Modulus::new(q);
-            // Distinct chain primes are coprime; a degenerate chain
-            // surfaces as a typed error on the request path.
-            p_inv.push(m.inv(m.reduce(p0))?);
-        }
-        let r = diff.scale_per_limb(&p_inv);
+        let diff = restrict(&acc, lq).sub(&u_q)?;
+        give_rns(arena, acc);
+        let r = diff.scale_per_limb(ctx.p_inv(level));
         // Correction w ≡ −u·P⁻¹ (mod t), centered, subtracted over Q.
         let mt = Modulus::new(self.t);
         let p_inv_t = mt.inv(mt.reduce(p0))?;
@@ -424,7 +349,7 @@ impl BgvContext {
             .collect();
         let w_q = RnsPoly::from_signed(q_now, &w_centered)?;
         let mut out = r.sub(&w_q)?;
-        out.ntt_forward(&ctx.tables_for(q_now));
+        out.ntt_forward(ctx.q_tables(level));
         Ok(out)
     }
 }

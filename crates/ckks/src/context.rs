@@ -208,7 +208,7 @@ impl CkksContext {
     /// Replaces the context's default scratch arena (e.g. with a
     /// parameter-sized one from `warpdrive_core::arena`, or
     /// `ScratchArena::disabled()` to force the fresh-allocation reference
-    /// path for A/B measurement).
+    /// path the equivalence tests compare against).
     pub fn set_scratch_arena(&self, arena: Arc<ScratchArena>) {
         *self.scratch.lock().unwrap_or_else(|p| p.into_inner()) = arena;
     }
@@ -386,7 +386,7 @@ impl CkksContext {
         let secret = SecretKey { s };
         // invariant: a polynomial always matches its own shape.
         let s2 = secret.s.pointwise(&secret.s).expect("s^2");
-        let relin = self.gen_ksk(&s2, &secret);
+        let relin = self.gen_ksk(&s2, &secret, 1);
         KeyPair {
             secret,
             public: PublicKey { b, a },
@@ -416,15 +416,18 @@ impl CkksContext {
             }
             // s′ = φ_g(s), a permutation of s's evaluations.
             let s_rot = sk.s.automorphism_ntt(&self.galois_permutation(g));
-            keys.insert(g, self.gen_ksk(&s_rot, sk));
+            keys.insert(g, self.gen_ksk(&s_rot, sk, 1));
         }
         keys
     }
 
     /// Generates a hybrid key-switching key encrypting s′ under s
-    /// (Han–Ki \[26\]): digit j holds b_j = −a_j·s + e_j + P·F_j·s′ over the
-    /// full basis, where F_j = Q̂_j·\[Q̂_j^{−1}\]_{Q_j}.
-    pub fn gen_ksk(&self, s_prime: &RnsPoly, sk: &SecretKey) -> KeySwitchKey {
+    /// (Han–Ki \[26\]): digit j holds b_j = −a_j·s + m·e_j + P·F_j·s′ over
+    /// the full basis, where F_j = Q̂_j·\[Q̂_j^{−1}\]_{Q_j} and m is
+    /// `noise_scale`: 1 for CKKS, the plaintext modulus t for BGV (whose
+    /// noise must vanish mod t). The RNG is drawn in the same order for
+    /// every m: per digit, a_j then e_j.
+    pub fn gen_ksk(&self, s_prime: &RnsPoly, sk: &SecretKey, noise_scale: u64) -> KeySwitchKey {
         let lmax = self.params.max_level();
         let alpha = self.params.alpha();
         let dnum = self.params.dnum_at(lmax);
@@ -439,6 +442,11 @@ impl CkksContext {
             let a = self.with_rng(|r| sampling::uniform_poly(r, &full, n));
             let mut e = self.with_rng(|r| sampling::gaussian_poly(r, &full, n));
             e.ntt_forward(&tabs);
+            // CKKS's multiplier is 1: multiplying by it would be a full
+            // extra pass (and a fresh polynomial) per digit for nothing.
+            if noise_scale != 1 {
+                e = e.scale_scalar(noise_scale);
+            }
             let b = a
                 .pointwise(&sk.s)
                 .map(|as_| as_.neg())
@@ -451,13 +459,6 @@ impl CkksContext {
             digits.push(crate::keys::KskDigit { b, a });
         }
         KeySwitchKey { digits }
-    }
-
-    /// Per-limb factors (P·F_j mod r) for digit primes over basis `full`,
-    /// exposed for sibling schemes (BGV) that build their own keys on the
-    /// same decomposition.
-    pub(crate) fn ksk_factors_public(&self, digit_primes: &[u64], full: &[u64]) -> Vec<u64> {
-        self.ksk_factors(digit_primes, full)
     }
 
     /// Per-limb factors (P·F_j mod r) for digit primes `d` over basis `full`.

@@ -15,37 +15,58 @@
 //! same steps — 11 PE kernels vs 59–109 KF kernels — lives in
 //! `warpdrive-core::planner`.
 //!
+//! # Three stages, each written once
+//!
+//! - `mod_up`: **ModUp of one digit** into a caller-supplied full-basis
+//!   buffer — the digit's limbs of the INTT'd input are base-extended, the
+//!   digit's own limbs restored exactly, and the buffer NTT'd (steps 2–3).
+//!   The digit bounds and the converter lookup live here and nowhere else.
+//! - `inner_product`: both accumulators take one extended digit times one
+//!   key digit, fused over contiguous limb slabs (step 4).
+//! - `mod_down`: CKKS **ModDown** of one accumulator (step 5).
+//!
+//! One entry check (`operand_level`) stands in front of them: the operand
+//! must be an NTT-domain polynomial of this context's degree over exactly
+//! q_0…q_ℓ for some ℓ ≤ L, and the key must hold enough digits for ℓ.
+//! Operands reach this module from the wire, so a wrong basis, domain or
+//! limb count is a typed [`CkksError::LevelMismatch`], never a relabelled
+//! result or an index panic.
+//!
+//! # Who composes them
+//!
+//! - [`keyswitch_with`] (and [`keyswitch`], its one-thread spelling): entry
+//!   check, then `mod_up` + `inner_product` per digit through **one**
+//!   extension buffer reused across all digits, then `mod_down` of both
+//!   accumulators.
+//! - [`HoistedDecomposition::new`]: entry check, then `mod_up` per digit
+//!   into a buffer it *keeps* — the rotation-independent half.
+//! - [`keyswitch_hoisted`]: gathers each kept digit through the Galois
+//!   permutation and feeds it to the same `inner_product` and `mod_down`.
+//! - [`crate::bgv::BgvContext::hmult`]: the same entry check, `mod_up` and
+//!   `inner_product`; only its ModDown differs (exact centred P-residue
+//!   plus the plaintext correction), and that one stage lives in `bgv`.
+//!
 //! # Memory discipline
 //!
-//! [`keyswitch`] is the pooled hot path: every temporary — the INTT'd input,
-//! the per-digit extension buffer (reused across all `dnum` digits), both
+//! Every temporary — the INTT'd input, the per-digit extension buffer, both
 //! inner-product accumulators, and ModDown's base-conversion output — is
 //! leased from the calling worker's [`wd_polyring::scratch::ScratchArena`]
 //! and returned on completion. Limb arithmetic runs over contiguous slabs
 //! ([`wd_modmath::slab`]), fusing the multiply-accumulate and the
 //! subtract-and-scale of ModDown in place. The only heap allocations in
-//! steady state are the two output polynomials. [`keyswitch_unpooled`] keeps
-//! the original allocate-per-step implementation as the A/B reference: the
-//! two are bit-identical at every level and thread count (pinned by
-//! `pooled_matches_unpooled_at_every_level`), which is what lets
-//! `alloc_bench` attribute its delta to allocation traffic alone.
+//! steady state are the two output polynomials (and, for hoisting, the
+//! digits that outlive the call). The allocate-per-step implementation this
+//! replaced survives as the test oracle of
+//! `pooled_matches_unpooled_at_every_level`, which pins bit-identical
+//! outputs at every level and width.
 
-use crate::context::{restrict, CkksContext};
-use crate::keys::KeySwitchKey;
+use crate::context::CkksContext;
+use crate::keys::{KeySwitchKey, KskDigit};
 use crate::CkksError;
 use std::sync::Arc;
-use wd_modmath::Modulus;
 use wd_polyring::rns::{Domain, RnsPoly};
 use wd_polyring::scratch::{self, ScratchArena};
 use wd_polyring::Poly;
-
-/// Applies `conv` to every coefficient of `src` (coefficient domain),
-/// producing a polynomial over the converter's target basis. Delegates to
-/// the parallel base-conversion kernel with a sequential (1-thread) budget;
-/// see [`wd_polyring::par::convert_poly`] for the threaded form.
-pub(crate) fn convert_poly(conv: &wd_modmath::rns::BasisConverter, src: &RnsPoly) -> RnsPoly {
-    wd_polyring::par::convert_poly(conv, src, 1)
-}
 
 /// Leases zero-filled limb storage for an RNS polynomial over `primes` from
 /// `arena`. The returned polynomial is indistinguishable from
@@ -69,16 +90,61 @@ fn take_rns(
 /// Returns a leased polynomial's limb storage to `arena`. Values lost to an
 /// early `?` return skip this and fall back to a plain heap free — the arena
 /// only ever caps *parked* bytes, so nothing leaks.
-fn give_rns(arena: &Arc<ScratchArena>, p: RnsPoly) {
+pub(crate) fn give_rns(arena: &Arc<ScratchArena>, p: RnsPoly) {
     for limb in p.into_limbs() {
         arena.give_vec(limb.into_coeffs());
     }
 }
 
+/// The entry check every composition starts with: `d` must be an NTT-domain
+/// polynomial of this context's degree whose limbs are exactly q_0…q_ℓ for
+/// some ℓ ≤ L. Returns ℓ. O(limbs), no allocation on the accepting path.
+///
+/// # Errors
+///
+/// Returns [`CkksError::LevelMismatch`] for a coefficient-domain operand, a
+/// wrong degree, more limbs than the chain has, or a limb whose modulus is
+/// not the chain's prime at that position.
+fn operand_level(ctx: &CkksContext, d: &RnsPoly) -> Result<usize, CkksError> {
+    let params = ctx.params();
+    let limbs = d.limb_count();
+    let ok = (1..=params.max_level() + 1).contains(&limbs)
+        && d.domain() == Domain::Ntt
+        && d.degree() == params.degree()
+        && d.limbs()
+            .zip(params.q_at(limbs - 1))
+            .all(|(limb, &q)| limb.modulus().value() == q);
+    if !ok {
+        return Err(CkksError::LevelMismatch(
+            format!(
+                "keyswitch operand ({limbs} limbs, {:?} domain) is not an NTT-domain \
+                 polynomial of degree {} over q_0…q_l of this context (l <= {})",
+                d.domain(),
+                params.degree(),
+                params.max_level()
+            )
+            .into(),
+        ));
+    }
+    Ok(limbs - 1)
+}
+
+/// The first `need` digits of `ksk` — the other half of the entry check.
+///
+/// # Errors
+///
+/// Returns [`CkksError::LevelMismatch`] if the key holds fewer.
+fn key_digits(ksk: &KeySwitchKey, need: usize) -> Result<&[KskDigit], CkksError> {
+    ksk.digits.get(..need).ok_or_else(|| {
+        CkksError::LevelMismatch(
+            format!("key has {} digits, operand needs {need}", ksk.dnum()).into(),
+        )
+    })
+}
+
 /// Maps each prime of `basis` to its limb position inside a key digit
 /// (which lives over the max-level full basis). Computed once per call and
-/// indexed in the inner-product loop — replacing the per-digit
-/// [`select_basis`] clones of every key limb.
+/// indexed in the inner-product loop, so no key limb is ever copied.
 ///
 /// # Errors
 ///
@@ -96,28 +162,74 @@ fn key_limb_index(key: &RnsPoly, basis: &[u64]) -> Result<Vec<usize>, CkksError>
         .collect()
 }
 
-/// Fused InnerProduct step: `acc0 += ext ⊙ kb` and `acc1 += ext ⊙ ka` over
-/// contiguous limb slabs, with both accumulators' limbs interleaved in one
-/// work list so a thread pool sees `2·(ℓ+1+k)` independent items instead of
-/// two barrier-separated passes. `kidx` maps each full-basis limb position
-/// to the matching limb of the (max-level) key digit.
-fn accumulate_digit(
+/// Copies `d` (level ℓ, NTT domain) into leased storage and INTTs it: the
+/// coefficient-domain input every digit's [`mod_up`] reads.
+fn intt_input(
+    ctx: &CkksContext,
+    arena: &Arc<ScratchArena>,
+    d: &RnsPoly,
+    level: usize,
+    th: usize,
+) -> Result<RnsPoly, CkksError> {
+    let mut d_coeff = take_rns(arena, ctx.params().q_at(level), d.degree(), Domain::Ntt)?;
+    for (dst, src) in d_coeff.limbs_mut().zip(d.limbs()) {
+        dst.coeffs_mut().copy_from_slice(src.coeffs());
+    }
+    d_coeff.ntt_inverse_with(ctx.q_tables(level), th);
+    Ok(d_coeff)
+}
+
+/// Stage 1, **ModUp of digit `j`**: base-extends limbs \[jα, (j+1)α) of the
+/// INTT'd input to the full basis at `level`, into `ext` (any domain marker,
+/// every coefficient overwritten), and leaves `ext` in the NTT domain. The
+/// base conversion overwrites every limb, then the digit's own limbs are
+/// restored exactly (conversion is identity there up to rounding).
+fn mod_up(
+    ctx: &CkksContext,
+    d_coeff: &RnsPoly,
+    level: usize,
+    j: usize,
+    ext: &mut RnsPoly,
+    th: usize,
+) -> Result<(), CkksError> {
+    let alpha = ctx.params().alpha();
+    let lo = j * alpha;
+    let hi = ((j + 1) * alpha).min(level + 1);
+    let conv = ctx.try_converter(&ctx.params().q_at(level)[lo..hi], ctx.full_basis(level))?;
+    let digit_limbs: Vec<&Poly> = (lo..hi).map(|i| d_coeff.limb(i)).collect();
+    ext.set_domain(Domain::Coeff);
+    wd_polyring::par::try_convert_limbs_into(&conv, &digit_limbs, ext, th)?;
+    for i in lo..hi {
+        ext.limb_mut(i)
+            .coeffs_mut()
+            .copy_from_slice(d_coeff.limb(i).coeffs());
+    }
+    ext.ntt_forward_with(ctx.full_tables(level), th);
+    Ok(())
+}
+
+/// Stage 2, **InnerProduct** with one key digit: `acc0 += ext ⊙ key.b` and
+/// `acc1 += ext ⊙ key.a` over contiguous limb slabs, with both
+/// accumulators' limbs interleaved in one work list so a thread pool sees
+/// `2·(ℓ+1+k)` independent items instead of two barrier-separated passes.
+/// `kidx` maps each full-basis limb position to the matching limb of the
+/// (max-level) key digit.
+fn inner_product(
     acc0: &mut RnsPoly,
     acc1: &mut RnsPoly,
     ext: &RnsPoly,
-    kb: &RnsPoly,
-    ka: &RnsPoly,
+    key: &KskDigit,
     kidx: &[usize],
     threads: usize,
 ) {
     let mut work: Vec<(&mut Poly, &Poly, &Poly)> = acc0
         .limbs_mut()
         .enumerate()
-        .map(|(t, l)| (l, ext.limb(t), kb.limb(kidx[t])))
+        .map(|(t, l)| (l, ext.limb(t), key.b.limb(kidx[t])))
         .chain(
             acc1.limbs_mut()
                 .enumerate()
-                .map(|(t, l)| (l, ext.limb(t), ka.limb(kidx[t]))),
+                .map(|(t, l)| (l, ext.limb(t), key.a.limb(kidx[t]))),
         )
         .collect();
     wd_polyring::par::for_each_mut(threads, &mut work, |(acc, x, y)| {
@@ -126,115 +238,11 @@ fn accumulate_digit(
     });
 }
 
-/// Key-switches polynomial `d` (NTT domain, level ℓ) with `ksk`, returning
-/// the pair (out0, out1) over Q_ℓ in NTT form such that
-/// out0 + out1·s ≈ d·s′. One thread; [`keyswitch_with`] takes a width.
-///
-/// This is the pooled hot path (see the module docs); it is bit-identical to
-/// [`keyswitch_unpooled`] at every level and thread count.
-///
-/// # Errors
-///
-/// Returns [`CkksError::LevelMismatch`] if the key has too few digits for this
-/// level.
-pub fn keyswitch(
-    ctx: &CkksContext,
-    d: &RnsPoly,
-    ksk: &KeySwitchKey,
-) -> Result<(RnsPoly, RnsPoly), CkksError> {
-    keyswitch_with(ctx, d, ksk, 1)
-}
-
-/// [`keyswitch`] with its limb work (transforms, base conversion, the
-/// inner product) fanned out over at most `threads` host threads. The
-/// width comes from the caller on every call; bit-identical at every width.
-///
-/// # Errors
-///
-/// As [`keyswitch`].
-pub fn keyswitch_with(
-    ctx: &CkksContext,
-    d: &RnsPoly,
-    ksk: &KeySwitchKey,
-    threads: usize,
-) -> Result<(RnsPoly, RnsPoly), CkksError> {
-    let _span = wd_trace::span("ckks", "keyswitch");
-    scratch::with_worker_arena(&ctx.scratch(), || keyswitch_pooled(ctx, d, ksk, threads))
-}
-
-fn keyswitch_pooled(
-    ctx: &CkksContext,
-    d: &RnsPoly,
-    ksk: &KeySwitchKey,
-    th: usize,
-) -> Result<(RnsPoly, RnsPoly), CkksError> {
-    let level = d.limb_count() - 1;
-    let alpha = ctx.params().alpha();
-    let dnum = ctx.params().dnum_at(level);
-    if ksk.dnum() < dnum {
-        return Err(CkksError::LevelMismatch(
-            format!("key has {} digits, level {level} needs {dnum}", ksk.dnum()).into(),
-        ));
-    }
-    let n = d.degree();
-    let arena = ctx.scratch();
-    let q_now = ctx.params().q_at(level);
-    let full = ctx.full_basis(level);
-    let full_tabs = ctx.full_tables(level);
-    // All key digits share one basis; resolve limb positions once.
-    let kidx = key_limb_index(&ksk.digits[0].b, full)?;
-
-    // Step 1: INTT the input, into leased storage.
-    let mut d_coeff = take_rns(&arena, q_now, n, Domain::Ntt)?;
-    for (dst, src) in d_coeff.limbs_mut().zip(d.limbs()) {
-        dst.coeffs_mut().copy_from_slice(src.coeffs());
-    }
-    d_coeff.ntt_inverse_with(ctx.q_tables(level), th);
-
-    // Steps 2–4 per digit: ModUp, NTT, fused multiply-accumulate with the
-    // key. One extension buffer is reused across all digits; the base
-    // conversion overwrites every limb, then the digit's own limbs are
-    // restored exactly (conversion is identity there up to rounding).
-    let mut acc0 = take_rns(&arena, full, n, Domain::Ntt)?;
-    let mut acc1 = take_rns(&arena, full, n, Domain::Ntt)?;
-    let mut ext = take_rns(&arena, full, n, Domain::Coeff)?;
-    for j in 0..dnum {
-        let lo = j * alpha;
-        let hi = ((j + 1) * alpha).min(level + 1);
-        let conv = ctx.try_converter(&q_now[lo..hi], full)?;
-        let digit_limbs: Vec<&Poly> = (lo..hi).map(|i| d_coeff.limb(i)).collect();
-        ext.set_domain(Domain::Coeff);
-        wd_polyring::par::try_convert_limbs_into(&conv, &digit_limbs, &mut ext, th)?;
-        for i in lo..hi {
-            ext.limb_mut(i)
-                .coeffs_mut()
-                .copy_from_slice(d_coeff.limb(i).coeffs());
-        }
-        ext.ntt_forward_with(full_tabs, th);
-        accumulate_digit(
-            &mut acc0,
-            &mut acc1,
-            &ext,
-            &ksk.digits[j].b,
-            &ksk.digits[j].a,
-            &kidx,
-            th,
-        );
-    }
-    give_rns(&arena, ext);
-    give_rns(&arena, d_coeff);
-
-    // Step 5: ModDown both accumulators (consumes their leases).
-    let out0 = mod_down_pooled(ctx, &arena, acc0, level, th)?;
-    let out1 = mod_down_pooled(ctx, &arena, acc1, level, th)?;
-    Ok((out0, out1))
-}
-
-/// Pooled ModDown: divides the extended-basis accumulator by P = Π p_k in
-/// place, returning out ≈ round(x / P) over Q_ℓ. The only heap allocations
-/// are the output's own limbs; `acc` and the base-conversion temporary go
-/// back to the arena.
-fn mod_down_pooled(
+/// Stage 3, CKKS **ModDown**: divides the extended-basis accumulator by
+/// P = Π p_k in place, returning out ≈ round(x / P) over Q_ℓ. The only heap
+/// allocations are the output's own limbs; `acc` and the base-conversion
+/// temporary go back to the arena.
+fn mod_down(
     ctx: &CkksContext,
     arena: &Arc<ScratchArena>,
     mut acc: RnsPoly,
@@ -266,131 +274,80 @@ fn mod_down_pooled(
     Ok(out)
 }
 
-/// The original allocate-per-step keyswitch, kept verbatim as the A/B
-/// reference for [`keyswitch`]: `alloc_bench` runs both over identical
-/// inputs and attributes the timing delta to allocation and layout alone,
-/// and the equivalence suite pins bit-identical outputs at every level.
+/// Stages 1–2 over every digit of `d`, through **one** leased extension
+/// buffer reused across digits: returns the operand's level and both
+/// inner-product accumulators (full basis, NTT domain, leased from `arena`;
+/// the caller's ModDown consumes them). Shared by [`keyswitch_with`] and the
+/// BGV layer, which differ only in that ModDown.
 ///
 /// # Errors
 ///
-/// Returns [`CkksError::LevelMismatch`] if the key has too few digits for this
-/// level.
-pub fn keyswitch_unpooled(
+/// The entry check's [`CkksError::LevelMismatch`] (operand or key), before
+/// any work.
+pub(crate) fn mod_up_inner_product(
+    ctx: &CkksContext,
+    arena: &Arc<ScratchArena>,
+    d: &RnsPoly,
+    ksk: &KeySwitchKey,
+    th: usize,
+) -> Result<(usize, RnsPoly, RnsPoly), CkksError> {
+    let level = operand_level(ctx, d)?;
+    let digits = key_digits(ksk, ctx.params().dnum_at(level))?;
+    let n = d.degree();
+    let full = ctx.full_basis(level);
+    // All key digits share one basis; resolve limb positions once.
+    let kidx = key_limb_index(&digits[0].b, full)?;
+    let d_coeff = intt_input(ctx, arena, d, level, th)?;
+    let mut acc0 = take_rns(arena, full, n, Domain::Ntt)?;
+    let mut acc1 = take_rns(arena, full, n, Domain::Ntt)?;
+    let mut ext = take_rns(arena, full, n, Domain::Coeff)?;
+    for (j, key) in digits.iter().enumerate() {
+        mod_up(ctx, &d_coeff, level, j, &mut ext, th)?;
+        inner_product(&mut acc0, &mut acc1, &ext, key, &kidx, th);
+    }
+    give_rns(arena, ext);
+    give_rns(arena, d_coeff);
+    Ok((level, acc0, acc1))
+}
+
+/// Key-switches polynomial `d` (NTT domain, level ℓ) with `ksk`, returning
+/// the pair (out0, out1) over Q_ℓ in NTT form such that
+/// out0 + out1·s ≈ d·s′. One thread; [`keyswitch_with`] takes a width.
+///
+/// # Errors
+///
+/// Returns [`CkksError::LevelMismatch`] if `d` is not an NTT-domain
+/// polynomial over q_0…q_ℓ of this context, or the key has too few digits
+/// for its level.
+pub fn keyswitch(
     ctx: &CkksContext,
     d: &RnsPoly,
     ksk: &KeySwitchKey,
 ) -> Result<(RnsPoly, RnsPoly), CkksError> {
-    let _span = wd_trace::span("ckks", "keyswitch_unpooled");
-    let level = d.limb_count() - 1;
-    let alpha = ctx.params().alpha();
-    let dnum = ctx.params().dnum_at(level);
-    if ksk.dnum() < dnum {
-        return Err(CkksError::LevelMismatch(
-            format!("key has {} digits, level {level} needs {dnum}", ksk.dnum()).into(),
-        ));
-    }
-    let q_now = ctx.params().q_at(level).to_vec();
-    let full = ctx.params().full_basis_at(level);
-    let full_tabs = ctx.tables_for(&full);
-
-    // Step 1: INTT the input.
-    let mut d_coeff = d.clone();
-    d_coeff.ntt_inverse(&ctx.tables_for(&q_now));
-
-    // Steps 2–4 per digit: ModUp, NTT, multiply-accumulate with the key.
-    let mut acc0 = RnsPoly::zero(&full, d.degree())?;
-    acc0.set_domain(Domain::Ntt);
-    let mut acc1 = acc0.clone();
-    for j in 0..dnum {
-        let lo = j * alpha;
-        let hi = ((j + 1) * alpha).min(level + 1);
-        let digit_primes = &q_now[lo..hi];
-        let digit = RnsPoly::from_limbs(
-            (lo..hi).map(|i| d_coeff.limb(i).clone()).collect(),
-            Domain::Coeff,
-        )?;
-        // ModUp: extend to the full basis, then restore the digit's own
-        // limbs exactly (conversion is identity there up to rounding).
-        let conv = ctx.try_converter(digit_primes, &full)?;
-        let mut ext = convert_poly(&conv, &digit);
-        for i in lo..hi {
-            *ext.limb_mut(i) = d_coeff.limb(i).clone();
-        }
-        // NTT the extended digit.
-        let mut ext_ntt = ext;
-        ext_ntt.ntt_forward(&full_tabs);
-        // InnerProduct accumulation. The key digit lives over the max-level
-        // full basis: its limb order is q_0…q_L, p…; at level ℓ we need
-        // q_0…q_ℓ, p… — select those limbs.
-        let kb = select_basis(&ksk.digits[j].b, &full)?;
-        let ka = select_basis(&ksk.digits[j].a, &full)?;
-        acc0 = acc0.add(&ext_ntt.pointwise(&kb)?)?;
-        acc1 = acc1.add(&ext_ntt.pointwise(&ka)?)?;
-    }
-
-    // Step 5: ModDown both accumulators.
-    let out0 = mod_down(ctx, acc0, &q_now, &full_tabs)?;
-    let out1 = mod_down(ctx, acc1, &q_now, &full_tabs)?;
-    Ok((out0, out1))
+    keyswitch_with(ctx, d, ksk, 1)
 }
 
-/// Selects the limbs of `p` (over the max-level full basis) matching the
-/// prime list `basis`, preserving order.
+/// [`keyswitch`] with its limb work (transforms, base conversion, the
+/// inner product) fanned out over at most `threads` host threads. The
+/// width comes from the caller on every call; bit-identical at every width.
 ///
 /// # Errors
 ///
-/// Returns [`CkksError::LevelMismatch`] if a requested prime is absent from
-/// `p` — e.g. a key generated for different parameters.
-pub(crate) fn select_basis(p: &RnsPoly, basis: &[u64]) -> Result<RnsPoly, CkksError> {
-    let primes = p.primes();
-    let mut limbs: Vec<Poly> = Vec::with_capacity(basis.len());
-    for q in basis {
-        let idx = primes.iter().position(|x| x == q).ok_or_else(|| {
-            CkksError::LevelMismatch(format!("prime {q} not in the key's basis").into())
-        })?;
-        limbs.push(p.limb(idx).clone());
-    }
-    Ok(RnsPoly::from_limbs(limbs, p.domain())?)
-}
-
-/// ModDown: divides an extended-basis polynomial by P = Π p_k, returning it
-/// over the Q basis: out ≈ round(x / P). The allocate-per-step reference
-/// used by [`keyswitch_unpooled`] and the BGV layer.
-fn mod_down(
+/// As [`keyswitch`].
+pub fn keyswitch_with(
     ctx: &CkksContext,
-    mut acc: RnsPoly,
-    q_now: &[u64],
-    full_tabs: &[std::sync::Arc<wd_polyring::ntt::NttTable>],
-) -> Result<RnsPoly, CkksError> {
-    let p_chain = ctx.params().p_chain().to_vec();
-    let k = p_chain.len();
-    let lq = q_now.len();
-    // INTT over the full basis.
-    acc.ntt_inverse(full_tabs);
-    // Split off the P-part residues and convert them down to Q.
-    let p_part = RnsPoly::from_limbs(
-        (lq..lq + k).map(|i| acc.limb(i).clone()).collect(),
-        Domain::Coeff,
-    )?;
-    let conv = ctx.try_converter(&p_chain, q_now)?;
-    let u = convert_poly(&conv, &p_part);
-    // (x − u) · P^{-1} per limb.
-    let q_acc = restrict(&acc, lq);
-    let diff = q_acc.sub(&u)?;
-    let mut p_inv: Vec<u64> = Vec::with_capacity(q_now.len());
-    for &q in q_now {
-        let m = Modulus::new(q);
-        let mut p = 1u64;
-        for &pk in &p_chain {
-            p = m.mul(p, m.reduce(pk));
-        }
-        // P shares no factor with a distinct chain prime q, so the inverse
-        // exists for valid parameters; a degenerate chain surfaces as Err.
-        p_inv.push(m.inv(p)?);
-    }
-    let mut out = diff.scale_per_limb(&p_inv);
-    out.ntt_forward(&ctx.tables_for(q_now));
-    Ok(out)
+    d: &RnsPoly,
+    ksk: &KeySwitchKey,
+    threads: usize,
+) -> Result<(RnsPoly, RnsPoly), CkksError> {
+    let _span = wd_trace::span("ckks", "keyswitch");
+    let arena = ctx.scratch();
+    scratch::with_worker_arena(&arena, || {
+        let (level, acc0, acc1) = mod_up_inner_product(ctx, &arena, d, ksk, threads)?;
+        let out0 = mod_down(ctx, &arena, acc0, level, threads)?;
+        let out1 = mod_down(ctx, &arena, acc1, level, threads)?;
+        Ok((out0, out1))
+    })
 }
 
 /// The reusable, rotation-independent half of a keyswitch: the input
@@ -418,36 +375,19 @@ impl HoistedDecomposition {
     ///
     /// # Errors
     ///
-    /// Propagates ring errors.
+    /// Returns [`CkksError::LevelMismatch`] if `d` is not an NTT-domain
+    /// polynomial over q_0…q_ℓ of this context.
     pub fn new(ctx: &CkksContext, d: &RnsPoly) -> Result<Self, CkksError> {
-        let level = d.limb_count() - 1;
-        let alpha = ctx.params().alpha();
-        let dnum = ctx.params().dnum_at(level);
-        let n = d.degree();
+        let level = operand_level(ctx, d)?;
         let arena = ctx.scratch();
-        let q_now = ctx.params().q_at(level);
-        let full = ctx.full_basis(level);
-        let mut d_coeff = take_rns(&arena, q_now, n, Domain::Ntt)?;
-        for (dst, src) in d_coeff.limbs_mut().zip(d.limbs()) {
-            dst.coeffs_mut().copy_from_slice(src.coeffs());
-        }
-        d_coeff.ntt_inverse(ctx.q_tables(level));
-        let mut digits = Vec::with_capacity(dnum);
-        for j in 0..dnum {
-            let lo = j * alpha;
-            let hi = ((j + 1) * alpha).min(level + 1);
-            let conv = ctx.try_converter(&q_now[lo..hi], full)?;
-            let mut ext = RnsPoly::zero(full, n)?;
-            let digit_limbs: Vec<&Poly> = (lo..hi).map(|i| d_coeff.limb(i)).collect();
-            wd_polyring::par::try_convert_limbs_into(&conv, &digit_limbs, &mut ext, 1)?;
-            for i in lo..hi {
-                ext.limb_mut(i)
-                    .coeffs_mut()
-                    .copy_from_slice(d_coeff.limb(i).coeffs());
-            }
-            ext.ntt_forward(ctx.full_tables(level));
-            digits.push(ext);
-        }
+        let d_coeff = intt_input(ctx, &arena, d, level, 1)?;
+        let digits = (0..ctx.params().dnum_at(level))
+            .map(|j| {
+                let mut ext = RnsPoly::zero(ctx.full_basis(level), d.degree())?;
+                mod_up(ctx, &d_coeff, level, j, &mut ext, 1)?;
+                Ok(ext)
+            })
+            .collect::<Result<Vec<_>, CkksError>>()?;
         give_rns(&arena, d_coeff);
         Ok(Self { digits, level })
     }
@@ -479,64 +419,149 @@ pub fn keyswitch_hoisted(
     g: usize,
     ksk: &KeySwitchKey,
 ) -> Result<(RnsPoly, RnsPoly), CkksError> {
-    scratch::with_worker_arena(&ctx.scratch(), || {
-        keyswitch_hoisted_pooled(ctx, hoisted, g, ksk)
-    })
-}
-
-fn keyswitch_hoisted_pooled(
-    ctx: &CkksContext,
-    hoisted: &HoistedDecomposition,
-    g: usize,
-    ksk: &KeySwitchKey,
-) -> Result<(RnsPoly, RnsPoly), CkksError> {
-    let level = hoisted.level;
-    if ksk.dnum() < hoisted.dnum() {
-        return Err(CkksError::LevelMismatch(
-            format!(
-                "key has {} digits, hoisted decomposition has {}",
-                ksk.dnum(),
-                hoisted.dnum()
-            )
-            .into(),
-        ));
-    }
-    let n = hoisted.digits[0].degree();
+    let _span = wd_trace::span("ckks", "keyswitch");
     let arena = ctx.scratch();
-    let full = ctx.full_basis(level);
-    let kidx = key_limb_index(&ksk.digits[0].b, full)?;
-    let perm = ctx.galois_permutation(g);
-    let mut acc0 = take_rns(&arena, full, n, Domain::Ntt)?;
-    let mut acc1 = take_rns(&arena, full, n, Domain::Ntt)?;
-    let mut rotated = take_rns(&arena, full, n, Domain::Ntt)?;
-    for (j, ext) in hoisted.digits.iter().enumerate() {
-        // φ_g commutes with base extension and with the NTT (it permutes
-        // coefficients, respectively evaluations, limb-wise), so applying
-        // it to the hoisted digit is exact.
-        for (dst, src) in rotated.limbs_mut().zip(ext.limbs()) {
-            wd_polyring::ntt::gather(&perm, src.coeffs(), dst.coeffs_mut());
+    scratch::with_worker_arena(&arena, || {
+        let level = hoisted.level;
+        let keys = key_digits(ksk, hoisted.dnum())?;
+        let n = hoisted.digits[0].degree();
+        let full = ctx.full_basis(level);
+        let kidx = key_limb_index(&keys[0].b, full)?;
+        let perm = ctx.galois_permutation(g);
+        let mut acc0 = take_rns(&arena, full, n, Domain::Ntt)?;
+        let mut acc1 = take_rns(&arena, full, n, Domain::Ntt)?;
+        let mut rotated = take_rns(&arena, full, n, Domain::Ntt)?;
+        for (ext, key) in hoisted.digits.iter().zip(keys) {
+            // φ_g commutes with base extension and with the NTT (it permutes
+            // coefficients, respectively evaluations, limb-wise), so applying
+            // it to the hoisted digit is exact.
+            for (dst, src) in rotated.limbs_mut().zip(ext.limbs()) {
+                wd_polyring::ntt::gather(&perm, src.coeffs(), dst.coeffs_mut());
+            }
+            inner_product(&mut acc0, &mut acc1, &rotated, key, &kidx, 1);
         }
-        accumulate_digit(
-            &mut acc0,
-            &mut acc1,
-            &rotated,
-            &ksk.digits[j].b,
-            &ksk.digits[j].a,
-            &kidx,
-            1,
-        );
-    }
-    give_rns(&arena, rotated);
-    let out0 = mod_down_pooled(ctx, &arena, acc0, level, 1)?;
-    let out1 = mod_down_pooled(ctx, &arena, acc1, level, 1)?;
-    Ok((out0, out1))
+        give_rns(&arena, rotated);
+        let out0 = mod_down(ctx, &arena, acc0, level, 1)?;
+        let out1 = mod_down(ctx, &arena, acc1, level, 1)?;
+        Ok((out0, out1))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::restrict;
     use crate::params::ParamSet;
-    use crate::CkksContext;
+    use wd_modmath::Modulus;
+    use wd_polyring::par::convert_poly;
+
+    /// The original allocate-per-step keyswitch, kept verbatim as the
+    /// oracle the staged pipeline is compared against: its own digit loop,
+    /// a fresh polynomial per step, key limbs cloned per digit, P⁻¹
+    /// recomputed per call.
+    fn keyswitch_unpooled(
+        ctx: &CkksContext,
+        d: &RnsPoly,
+        ksk: &KeySwitchKey,
+    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
+        let level = d.limb_count() - 1;
+        let alpha = ctx.params().alpha();
+        let dnum = ctx.params().dnum_at(level);
+        let q_now = ctx.params().q_at(level).to_vec();
+        let full = ctx.params().full_basis_at(level);
+        let full_tabs = ctx.tables_for(&full);
+
+        // Step 1: INTT the input.
+        let mut d_coeff = d.clone();
+        d_coeff.ntt_inverse(&ctx.tables_for(&q_now));
+
+        // Steps 2–4 per digit: ModUp, NTT, multiply-accumulate with the key.
+        let mut acc0 = RnsPoly::zero(&full, d.degree())?;
+        acc0.set_domain(Domain::Ntt);
+        let mut acc1 = acc0.clone();
+        for j in 0..dnum {
+            let lo = j * alpha;
+            let hi = ((j + 1) * alpha).min(level + 1);
+            let digit_primes = &q_now[lo..hi];
+            let digit = RnsPoly::from_limbs(
+                (lo..hi).map(|i| d_coeff.limb(i).clone()).collect(),
+                Domain::Coeff,
+            )?;
+            // ModUp: extend to the full basis, then restore the digit's own
+            // limbs exactly (conversion is identity there up to rounding).
+            let conv = ctx.try_converter(digit_primes, &full)?;
+            let mut ext = convert_poly(&conv, &digit, 1);
+            for i in lo..hi {
+                *ext.limb_mut(i) = d_coeff.limb(i).clone();
+            }
+            // NTT the extended digit.
+            let mut ext_ntt = ext;
+            ext_ntt.ntt_forward(&full_tabs);
+            // InnerProduct accumulation. The key digit lives over the max-level
+            // full basis: its limb order is q_0…q_L, p…; at level ℓ we need
+            // q_0…q_ℓ, p… — select those limbs.
+            let kb = select_basis(&ksk.digits[j].b, &full)?;
+            let ka = select_basis(&ksk.digits[j].a, &full)?;
+            acc0 = acc0.add(&ext_ntt.pointwise(&kb)?)?;
+            acc1 = acc1.add(&ext_ntt.pointwise(&ka)?)?;
+        }
+
+        // Step 5: ModDown both accumulators.
+        let out0 = mod_down_unpooled(ctx, acc0, &q_now, &full_tabs)?;
+        let out1 = mod_down_unpooled(ctx, acc1, &q_now, &full_tabs)?;
+        Ok((out0, out1))
+    }
+
+    /// Selects the limbs of `p` (over the max-level full basis) matching the
+    /// prime list `basis`, preserving order.
+    fn select_basis(p: &RnsPoly, basis: &[u64]) -> Result<RnsPoly, CkksError> {
+        let primes = p.primes();
+        let mut limbs: Vec<Poly> = Vec::with_capacity(basis.len());
+        for q in basis {
+            let idx = primes.iter().position(|x| x == q).ok_or_else(|| {
+                CkksError::LevelMismatch(format!("prime {q} not in the key's basis").into())
+            })?;
+            limbs.push(p.limb(idx).clone());
+        }
+        Ok(RnsPoly::from_limbs(limbs, p.domain())?)
+    }
+
+    /// The oracle's ModDown: divides an extended-basis polynomial by
+    /// P = Π p_k, returning it over the Q basis: out ≈ round(x / P).
+    fn mod_down_unpooled(
+        ctx: &CkksContext,
+        mut acc: RnsPoly,
+        q_now: &[u64],
+        full_tabs: &[Arc<wd_polyring::ntt::NttTable>],
+    ) -> Result<RnsPoly, CkksError> {
+        let p_chain = ctx.params().p_chain().to_vec();
+        let k = p_chain.len();
+        let lq = q_now.len();
+        // INTT over the full basis.
+        acc.ntt_inverse(full_tabs);
+        // Split off the P-part residues and convert them down to Q.
+        let p_part = RnsPoly::from_limbs(
+            (lq..lq + k).map(|i| acc.limb(i).clone()).collect(),
+            Domain::Coeff,
+        )?;
+        let conv = ctx.try_converter(&p_chain, q_now)?;
+        let u = convert_poly(&conv, &p_part, 1);
+        // (x − u) · P^{-1} per limb.
+        let q_acc = restrict(&acc, lq);
+        let diff = q_acc.sub(&u)?;
+        let mut p_inv: Vec<u64> = Vec::with_capacity(q_now.len());
+        for &q in q_now {
+            let m = Modulus::new(q);
+            let mut p = 1u64;
+            for &pk in &p_chain {
+                p = m.mul(p, m.reduce(pk));
+            }
+            p_inv.push(m.inv(p)?);
+        }
+        let mut out = diff.scale_per_limb(&p_inv);
+        out.ntt_forward(&ctx.tables_for(q_now));
+        Ok(out)
+    }
 
     fn ctx(k: usize) -> Result<CkksContext, CkksError> {
         let params = ParamSet::set_a()
@@ -597,12 +622,11 @@ mod tests {
         Ok(())
     }
 
-    /// Satellite regression: the pooled hot path must be **bit-identical**
-    /// to the original allocate-per-step implementation at every level of
-    /// the chain (and for the hoisted variant at the top level). This is
-    /// the contract that lets `alloc_bench` attribute its A/B delta purely
-    /// to allocation behavior, and it pins the cached prime-slice /
-    /// precomputed-P⁻¹ refactor to "no behavior change".
+    /// The staged, pooled pipeline must be **bit-identical** to the
+    /// allocate-per-step oracle at every level of the chain, at every
+    /// width, and through the hoisted composition at g = 1. This is what
+    /// pins the arena leases, the fused slab kernels, the cached
+    /// prime-slices and the precomputed P⁻¹ to "no behavior change".
     #[test]
     fn pooled_matches_unpooled_at_every_level() -> Result<(), CkksError> {
         for k in [1usize, 2] {
@@ -638,8 +662,8 @@ mod tests {
     }
 
     /// The pooled path must work identically with the arena disabled (every
-    /// lease falls through to a fresh heap allocation) — this is the A/B
-    /// configuration `alloc_bench` uses for its reference timing.
+    /// lease falls through to a fresh heap allocation): correctness never
+    /// depends on the arena.
     #[test]
     fn pooled_path_with_disabled_arena_matches() -> Result<(), CkksError> {
         let ctx = ctx(2)?;
@@ -653,6 +677,73 @@ mod tests {
         Ok(())
     }
 
+    /// Operands reach the keyswitch from the wire, so every composition
+    /// must refuse — typed, before any work — a polynomial over primes that
+    /// are not the chain's (it used to be relabelled), one still in the
+    /// coefficient domain (the marker used to be overwritten) and one with
+    /// more limbs than the chain (at K = 2 it passed the `dnum` check and
+    /// indexed out of range).
+    #[test]
+    fn bad_operands_are_typed_errors_from_every_entry() -> Result<(), CkksError> {
+        fn refused<T>(r: Result<T, CkksError>) -> bool {
+            matches!(r, Err(CkksError::LevelMismatch(_)))
+        }
+        for k in [1usize, 2] {
+            let params = ParamSet::set_a()
+                .with_degree(1 << 6)
+                .with_level(2)
+                .with_special(k)
+                .build()?;
+            let ctx = CkksContext::with_seed(params, 11)?;
+            let kp = ctx.keygen();
+            let n = ctx.params().degree();
+            let level = ctx.params().max_level();
+            let signed: Vec<i64> = (0..n as i64).map(|i| 3 * i - 40).collect();
+
+            let foreign_primes =
+                wd_modmath::prime::generate_ntt_primes(30, 2 * n as u64, level + 1)?;
+            let full = ctx.params().full_basis_at(level);
+            assert!(foreign_primes.iter().all(|q| !full.contains(q)));
+            let mut foreign = RnsPoly::from_signed(&foreign_primes, &signed)?;
+            foreign.set_domain(Domain::Ntt);
+            let coeff = RnsPoly::from_signed(ctx.params().q_at(level), &signed)?;
+            let mut too_long = RnsPoly::from_signed(&full[..level + 2], &signed)?;
+            too_long.set_domain(Domain::Ntt);
+
+            for (what, d) in [
+                ("foreign primes", &foreign),
+                ("coefficient domain", &coeff),
+                ("too many limbs", &too_long),
+            ] {
+                assert!(
+                    refused(keyswitch(&ctx, d, &kp.relin)),
+                    "keyswitch: {what}, K = {k}"
+                );
+                assert!(
+                    refused(HoistedDecomposition::new(&ctx, d)),
+                    "hoisted: {what}, K = {k}"
+                );
+            }
+            if k == 1 {
+                let bgv = crate::bgv::BgvContext::new(ctx, 16)?;
+                let bkp = bgv.keygen();
+                for (what, d) in [
+                    ("foreign primes", &foreign),
+                    ("coefficient domain", &coeff),
+                    ("too many limbs", &too_long),
+                ] {
+                    let ct = crate::bgv::BgvCiphertext {
+                        c0: d.clone(),
+                        c1: d.clone(),
+                        level: d.limb_count() - 1,
+                    };
+                    assert!(refused(bgv.hmult(&ct, &ct, &bkp)), "BGV hmult: {what}");
+                }
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn convert_poly_round_trips_small_values() -> Result<(), CkksError> {
         let ctx = ctx(1)?;
@@ -660,7 +751,7 @@ mod tests {
         let p = ctx.params().p_chain().to_vec();
         let conv = ctx.try_converter(&q, &p)?;
         let src = RnsPoly::from_signed(&q, &(0..64).map(|i| i - 32).collect::<Vec<_>>())?;
-        let out = convert_poly(&conv, &src);
+        let out = convert_poly(&conv, &src, 1);
         let expect = RnsPoly::from_signed(&p, &(0..64).map(|i| i - 32).collect::<Vec<_>>())?;
         assert_eq!(out, expect);
         Ok(())

@@ -91,6 +91,19 @@ fn scheduled_batch_records_splits_spans_and_exports() -> Result<(), Box<dyn std:
     assert!(json.contains(r#""ph":"X""#));
     assert!(json.contains(r#""op_width""#));
 
+    // Hoisted rotations keyswitch too, and show up under the same span:
+    // one per rotation that needs a key.
+    let rot_keys = ctx.gen_rotation_keys(&kp.secret, &[1, 2], false);
+    wd_trace::reset();
+    let rotated = wd_ckks::ops::hrotate_many(&ctx, &cts[0], &[1, 2], &rot_keys)?;
+    assert_eq!(rotated.len(), 2);
+    let data = wd_trace::snapshot();
+    assert_eq!(
+        data.span_agg("ckks", "keyswitch").map(|a| a.count),
+        Some(2),
+        "keyswitch_hoisted must open the ckks.keyswitch span"
+    );
+
     wd_trace::set_level(wd_trace::TraceLevel::Off);
     Ok(())
 }

@@ -19,9 +19,7 @@
 //!   Nothing here reads the environment: `WD_THREADS` is the scheduler's
 //!   (`warpdrive_core::ParScheduler::from_env`).
 
-use crate::ntt::NttTable;
 use crate::rns::{Domain, RnsPoly};
-use std::sync::Arc;
 use wd_fault::{run_isolated, WdError};
 
 /// Environment variable naming the host thread budget.
@@ -133,176 +131,6 @@ where
         }
     });
     first_err.map_or(Ok(()), Err)
-}
-
-/// Fallible, panic-isolating variant of [`map_indexed`]: results come back
-/// in index order, a panicking element becomes [`WdError::WorkerPanicked`],
-/// and the first failing chunk (in chunk order) decides the returned error.
-pub fn try_map_indexed<T, F>(threads: usize, n: usize, f: F) -> Result<Vec<T>, WdError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, WdError> + Sync,
-{
-    let t = threads.clamp(1, n.max(1));
-    if t <= 1 {
-        return (0..n).map(|i| run_isolated(|| f(i))).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(t);
-    let mut first_err = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = out
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, ch)| {
-                let f = &f;
-                scope.spawn(move || -> Result<(), WdError> {
-                    let base = c * chunk;
-                    for (k, slot) in ch.iter_mut().enumerate() {
-                        *slot = Some(run_isolated(|| f(base + k))?);
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        for h in handles {
-            let r = h
-                .join()
-                .unwrap_or_else(|_| Err(WdError::WorkerPanicked("worker thread died".into())));
-            if let Err(e) = r {
-                first_err.get_or_insert(e);
-            }
-        }
-    });
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(out
-            .into_iter()
-            .map(|s| s.expect("every index filled"))
-            .collect()),
-    }
-}
-
-fn table_for(tables: &[Arc<NttTable>], q: u64) -> Result<&NttTable, WdError> {
-    tables
-        .iter()
-        .map(Arc::as_ref)
-        .find(|t| t.modulus().value() == q)
-        .ok_or_else(|| WdError::InvalidParams(format!("no NTT table for limb modulus {q}")))
-}
-
-/// Forward NTT over a whole batch of RNS polynomials: all `polys × limbs`
-/// transforms become one flat work list — the host mirror of a PE kernel
-/// taking the full ciphertext in a single launch.
-///
-/// `tables` must cover every limb modulus appearing in the batch (order
-/// free; limbs are matched by modulus value).
-///
-/// # Panics
-///
-/// Panics if any polynomial is already in the NTT domain or a limb modulus
-/// has no matching table.
-pub fn ntt_forward_batch(polys: &mut [RnsPoly], tables: &[Arc<NttTable>], threads: usize) {
-    try_ntt_forward_batch(polys, tables, threads).expect("batch forward NTT");
-}
-
-/// Inverse NTT over a whole batch (see [`ntt_forward_batch`]).
-///
-/// # Panics
-///
-/// Panics if any polynomial is already in the coefficient domain or a limb
-/// modulus has no matching table.
-pub fn ntt_inverse_batch(polys: &mut [RnsPoly], tables: &[Arc<NttTable>], threads: usize) {
-    try_ntt_inverse_batch(polys, tables, threads).expect("batch inverse NTT");
-}
-
-/// Fallible batch forward NTT: domain and table mismatches come back as
-/// [`WdError::LevelMismatch`] / [`WdError::InvalidParams`], and a panicking
-/// worker as [`WdError::WorkerPanicked`]. On `Err` the batch contents are
-/// unspecified (some limbs may be transformed) — discard them and retry
-/// from the original inputs.
-pub fn try_ntt_forward_batch(
-    polys: &mut [RnsPoly],
-    tables: &[Arc<NttTable>],
-    threads: usize,
-) -> Result<(), WdError> {
-    try_transform_batch(polys, tables, threads, Domain::Coeff, Domain::Ntt, true)
-}
-
-/// Fallible batch inverse NTT (see [`try_ntt_forward_batch`]).
-pub fn try_ntt_inverse_batch(
-    polys: &mut [RnsPoly],
-    tables: &[Arc<NttTable>],
-    threads: usize,
-) -> Result<(), WdError> {
-    try_transform_batch(polys, tables, threads, Domain::Ntt, Domain::Coeff, false)
-}
-
-fn try_transform_batch(
-    polys: &mut [RnsPoly],
-    tables: &[Arc<NttTable>],
-    threads: usize,
-    expect_domain: Domain,
-    new_domain: Domain,
-    forward: bool,
-) -> Result<(), WdError> {
-    // Flatten to (limb, table) work items up front; the spawn below only
-    // sees independent mutable borrows of distinct limbs.
-    let mut work: Vec<(&mut crate::Poly, &NttTable)> = Vec::new();
-    for p in polys.iter_mut() {
-        if p.domain() != expect_domain {
-            return Err(WdError::LevelMismatch(
-                format!(
-                    "batch transform expects {expect_domain:?}-domain input, found {:?}",
-                    p.domain()
-                )
-                .into(),
-            ));
-        }
-        for limb in p.limbs_mut() {
-            let t = table_for(tables, limb.modulus().value())?;
-            work.push((limb, t));
-        }
-    }
-    try_for_each_mut(threads, &mut work, |(limb, t)| {
-        if forward {
-            t.forward(limb.coeffs_mut());
-        } else {
-            t.inverse(limb.coeffs_mut());
-        }
-        Ok(())
-    })?;
-    for p in polys.iter_mut() {
-        p.set_domain(new_domain);
-    }
-    Ok(())
-}
-
-/// Pointwise (Hadamard) products for a batch of operand pairs, limbs fanned
-/// out across the thread budget. Outputs are returned in input order.
-///
-/// # Errors
-///
-/// Propagates the first per-pair ring/domain mismatch (same contract as
-/// [`RnsPoly::pointwise`]).
-pub fn pointwise_batch(
-    pairs: &[(&RnsPoly, &RnsPoly)],
-    threads: usize,
-) -> Result<Vec<RnsPoly>, crate::PolyError> {
-    // Validate shapes up front (cheap) so the parallel section is infallible.
-    for (a, b) in pairs {
-        if a.domain() != Domain::Ntt || b.domain() != Domain::Ntt {
-            return Err(crate::PolyError::RingMismatch);
-        }
-        if a.limb_count() != b.limb_count() || a.degree() != b.degree() {
-            return Err(crate::PolyError::RingMismatch);
-        }
-    }
-    let results = map_indexed(threads, pairs.len(), |i| {
-        let (a, b) = pairs[i];
-        a.pointwise_with(b, 1).expect("validated above")
-    });
-    Ok(results)
 }
 
 /// Applies a residue-basis conversion to every coefficient of `src`
@@ -438,6 +266,8 @@ pub fn try_convert_limbs_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ntt::NttTable;
+    use std::sync::Arc;
     use wd_modmath::prime::generate_ntt_primes;
     use wd_modmath::rns::{BasisConverter, RnsBasis};
 
@@ -477,69 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_ntt_matches_sequential_every_thread_count() {
-        let n = 64;
-        let ps = primes(n, 5);
-        let ts = tables(&ps, n);
-        let seq: Vec<RnsPoly> = (0..4).map(|s| poly_from_seed(&ps, n, s)).collect();
-        let mut expect = seq.clone();
-        for p in &mut expect {
-            p.ntt_forward(&ts);
-        }
-        for t in [1usize, 2, 3, 4, 9] {
-            let mut batch = seq.clone();
-            ntt_forward_batch(&mut batch, &ts, t);
-            assert_eq!(batch, expect, "forward, t = {t}");
-            ntt_inverse_batch(&mut batch, &ts, t);
-            assert_eq!(batch, seq, "round trip, t = {t}");
-        }
-    }
-
-    #[test]
-    fn batch_ntt_with_mixed_limb_counts() {
-        // Batch members at different levels (limb counts) — the flattened
-        // work list must match each limb to its own table.
-        let n = 32;
-        let ps = primes(n, 4);
-        let ts = tables(&ps, n);
-        let mut batch = vec![
-            poly_from_seed(&ps, n, 1),
-            poly_from_seed(&ps[..2], n, 2),
-            poly_from_seed(&ps[..3], n, 3),
-        ];
-        let mut expect = batch.clone();
-        for p in &mut expect {
-            p.ntt_forward(&ts);
-        }
-        ntt_forward_batch(&mut batch, &ts, 4);
-        assert_eq!(batch, expect);
-    }
-
-    #[test]
-    fn pointwise_batch_matches_sequential() {
-        let n = 32;
-        let ps = primes(n, 3);
-        let ts = tables(&ps, n);
-        let mut a = poly_from_seed(&ps, n, 1);
-        let mut b = poly_from_seed(&ps, n, 2);
-        a.ntt_forward(&ts);
-        b.ntt_forward(&ts);
-        let expect = a.pointwise(&b).unwrap();
-        for t in [1, 2, 4] {
-            let out = pointwise_batch(&[(&a, &b), (&b, &a)], t).unwrap();
-            assert_eq!(out[0], expect, "t = {t}");
-            assert_eq!(out[1], expect, "pointwise commutes, t = {t}");
-        }
-    }
-
-    #[test]
-    fn pointwise_batch_rejects_coeff_domain() {
-        let ps = primes(8, 2);
-        let a = RnsPoly::zero(&ps, 8).unwrap();
-        assert!(pointwise_batch(&[(&a, &a)], 2).is_err());
-    }
-
-    #[test]
     fn try_for_each_mut_isolates_panics_at_every_thread_count() {
         for t in [1, 2, 4] {
             let mut items: Vec<u64> = (0..16).collect();
@@ -557,48 +324,6 @@ mod tests {
                 other => panic!("expected WorkerPanicked at t = {t}, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn try_map_indexed_matches_map_indexed_on_success() {
-        for t in [1, 3, 8] {
-            let out = try_map_indexed(t, 21, |i| Ok(i * 3)).unwrap();
-            assert_eq!(out, map_indexed(t, 21, |i| i * 3), "t = {t}");
-        }
-    }
-
-    #[test]
-    fn try_map_indexed_reports_error_not_abort() {
-        for t in [1, 4] {
-            let r = try_map_indexed::<usize, _>(t, 16, |i| {
-                if i == 3 {
-                    Err(WdError::ModulusChainExhausted)
-                } else {
-                    Ok(i)
-                }
-            });
-            assert_eq!(r, Err(WdError::ModulusChainExhausted), "t = {t}");
-        }
-    }
-
-    #[test]
-    fn try_batch_ntt_rejects_bad_domain_and_missing_table() {
-        let n = 32;
-        let ps = primes(n, 2);
-        let ts = tables(&ps, n);
-        // Wrong domain: already-NTT input to the forward transform.
-        let mut batch = vec![poly_from_seed(&ps, n, 1)];
-        ntt_forward_batch(&mut batch, &ts, 2);
-        let r = try_ntt_forward_batch(&mut batch, &ts, 2);
-        assert!(matches!(r, Err(WdError::LevelMismatch(_))), "{r:?}");
-        // Missing table: strip the table list.
-        let mut batch = vec![poly_from_seed(&ps, n, 2)];
-        let r = try_ntt_forward_batch(&mut batch, &ts[..1], 2);
-        assert!(matches!(r, Err(WdError::InvalidParams(_))), "{r:?}");
-        // The error paths above must not have altered the coefficients: a
-        // fresh try on the valid configuration still works.
-        let mut good = vec![poly_from_seed(&ps, n, 2)];
-        assert!(try_ntt_forward_batch(&mut good, &ts, 2).is_ok());
     }
 
     #[test]

@@ -273,6 +273,7 @@ impl RnsPoly {
             .collect();
         crate::par::for_each_mut(threads, &mut work, |(limb, t)| t.forward(limb.coeffs_mut()));
         self.domain = Domain::Ntt;
+        self.count_limb_transforms();
     }
 
     /// Inverse NTT on every limb with an explicit thread budget (see
@@ -295,27 +296,16 @@ impl RnsPoly {
             .collect();
         crate::par::for_each_mut(threads, &mut work, |(limb, t)| t.inverse(limb.coeffs_mut()));
         self.domain = Domain::Coeff;
+        self.count_limb_transforms();
     }
 
-    /// Forward NTT across limbs on all available cores (kept for callers
-    /// that do not manage a thread budget; prefer
-    /// [`RnsPoly::ntt_forward_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`RnsPoly::ntt_forward`].
-    pub fn ntt_forward_parallel(&mut self, tables: &[Arc<NttTable>]) {
-        self.ntt_forward_with(tables, crate::par::available_threads());
-    }
-
-    /// Inverse NTT across limbs on all available cores (see
-    /// [`RnsPoly::ntt_forward_parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`RnsPoly::ntt_inverse`].
-    pub fn ntt_inverse_parallel(&mut self, tables: &[Arc<NttTable>]) {
-        self.ntt_inverse_with(tables, crate::par::available_threads());
+    /// One RNS transform just ran over every limb: adds the limb count to
+    /// the `polyring.ntt_limb_transforms` trace counter (forward and inverse
+    /// together — the host transform count a keyswitch is pinned to).
+    fn count_limb_transforms(&self) {
+        if wd_trace::enabled() {
+            wd_trace::counter("polyring.ntt_limb_transforms", self.limbs.len() as u64);
+        }
     }
 
     /// Pointwise product with an explicit thread budget: limbs are fanned
@@ -351,42 +341,6 @@ impl RnsPoly {
         {
             return Err(PolyError::RingMismatch);
         }
-        Ok(())
-    }
-
-    /// Fused pointwise multiply-accumulate: `self += a ⊙ b`, in place over
-    /// contiguous limb slabs (see [`wd_modmath::slab`]). One memory pass and
-    /// zero allocations where `a.pointwise_with(b)?` + `self.add(..)?` made
-    /// three passes and two full-basis temporaries — the keyswitch
-    /// inner-product shape.
-    ///
-    /// Bit-identical to the compose-and-allocate form at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::RingMismatch`] on shape/domain/modulus mismatch
-    /// or when any operand is still in the coefficient domain.
-    pub fn pointwise_acc_with(
-        &mut self,
-        a: &Self,
-        b: &Self,
-        threads: usize,
-    ) -> Result<(), PolyError> {
-        if self.domain != Domain::Ntt || a.domain != Domain::Ntt || b.domain != Domain::Ntt {
-            return Err(PolyError::RingMismatch);
-        }
-        self.zip_check_moduli(a)?;
-        self.zip_check_moduli(b)?;
-        let mut work: Vec<(&mut Poly, &Poly, &Poly)> = self
-            .limbs
-            .iter_mut()
-            .zip(a.limbs.iter().zip(&b.limbs))
-            .map(|(acc, (x, y))| (acc, x, y))
-            .collect();
-        crate::par::for_each_mut(threads, &mut work, |(acc, x, y)| {
-            let m = *acc.modulus();
-            m.mul_add_slab_assign(acc.coeffs_mut(), x.coeffs(), y.coeffs());
-        });
         Ok(())
     }
 
@@ -502,17 +456,6 @@ impl RnsPoly {
         self.limbs.truncate(self.limb_count() - k);
     }
 
-    /// Keeps only the first `count` limbs, returning the rest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > limb_count` or `count == 0`.
-    pub fn split_limbs(mut self, count: usize) -> (Self, Vec<Poly>) {
-        assert!(count > 0 && count <= self.limb_count());
-        let tail = self.limbs.split_off(count);
-        (self, tail)
-    }
-
     /// Consumes the polynomial, returning its limbs — the counterpart of
     /// [`RnsPoly::from_limbs`] that lets arena-backed limb storage be given
     /// back (see `crate::scratch::ScratchArena::give_vec`).
@@ -564,20 +507,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ntt_matches_serial() {
+    fn ntt_with_matches_serial_at_every_width() {
         let n = 64;
         let ps = primes(n, 6);
         let ts = tables(&ps, n);
         let coeffs: Vec<i64> = (0..n as i64).map(|i| i * 3 - 7).collect();
-        let mut serial = RnsPoly::from_signed(&ps, &coeffs).unwrap();
-        let mut parallel = serial.clone();
-        serial.ntt_forward(&ts);
-        parallel.ntt_forward_parallel(&ts);
-        assert_eq!(serial, parallel);
-        serial.ntt_inverse(&ts);
-        parallel.ntt_inverse_parallel(&ts);
-        assert_eq!(serial, parallel);
-        assert_eq!(parallel.domain(), Domain::Coeff);
+        // A full-chain polynomial and a lower-level one (a limb prefix
+        // against the same table list), as ciphertexts in one batch are.
+        for limbs in [6usize, 2] {
+            let orig = RnsPoly::from_signed(&ps[..limbs], &coeffs).unwrap();
+            let mut serial = orig.clone();
+            serial.ntt_forward(&ts);
+            for threads in [1usize, 2, 3, 4, 9] {
+                let mut wide = orig.clone();
+                wide.ntt_forward_with(&ts, threads);
+                assert_eq!(wide, serial, "forward, {limbs} limbs, t = {threads}");
+                wide.ntt_inverse_with(&ts, threads);
+                assert_eq!(wide, orig, "round trip, {limbs} limbs, t = {threads}");
+                assert_eq!(wide.domain(), Domain::Coeff);
+            }
+        }
     }
 
     #[test]
@@ -661,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_acc_matches_compose_and_allocate() {
+    fn pointwise_with_matches_pointwise_at_every_width() {
         let n = 32;
         let ps = primes(n, 4);
         let ts = tables(&ps, n);
@@ -672,21 +621,18 @@ mod tests {
             p
         };
         let (a, b) = (mk(3), mk(5));
-        let acc0 = mk(7);
+        let reference = a.pointwise(&b).unwrap();
         for threads in [1, 2, 4] {
-            let reference = acc0.add(&a.pointwise_with(&b, threads).unwrap()).unwrap();
-            let mut fused = acc0.clone();
-            fused.pointwise_acc_with(&a, &b, threads).unwrap();
-            assert_eq!(fused, reference, "threads = {threads}");
+            assert_eq!(a.pointwise_with(&b, threads).unwrap(), reference);
+            assert_eq!(b.pointwise_with(&a, threads).unwrap(), reference);
         }
     }
 
     #[test]
-    fn pointwise_acc_rejects_coeff_domain() {
+    fn pointwise_with_rejects_coeff_domain() {
         let ps = primes(8, 2);
         let a = RnsPoly::zero(&ps, 8).unwrap();
-        let mut acc = RnsPoly::zero(&ps, 8).unwrap();
-        assert!(acc.pointwise_acc_with(&a.clone(), &a, 1).is_err());
+        assert!(a.pointwise_with(&a, 2).is_err());
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Property tests: the parallel batch primitives in `wd_polyring::par`
-//! are **bit-identical** to their sequential counterparts for random ring
-//! shapes, limb counts and thread counts. This is the determinism
-//! guarantee the README advertises for `WD_THREADS`.
+//! Property tests: the width-taking primitives production runs
+//! (`RnsPoly::ntt_{forward,inverse}_with`, `RnsPoly::pointwise_with`,
+//! `par::convert_poly`) are **bit-identical** to their sequential
+//! counterparts for random ring shapes, limb counts and thread counts.
+//! This is the determinism guarantee the README advertises for
+//! `WD_THREADS`.
 
 use std::sync::Arc;
 
@@ -28,7 +30,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn prop_batched_ntt_roundtrip_is_bit_identical((logn, limbs, batch, threads) in shape_strategy()) {
+    fn prop_ntt_with_roundtrip_is_bit_identical((logn, limbs, batch, threads) in shape_strategy()) {
         let n = 1usize << logn;
         let primes = generate_ntt_primes(20, 2 * n as u64, limbs).unwrap();
         let tables: Vec<Arc<NttTable>> = primes
@@ -44,15 +46,19 @@ proptest! {
         }
 
         let mut par_polys = polys.clone();
-        par::ntt_forward_batch(&mut par_polys, &tables, threads);
+        for p in &mut par_polys {
+            p.ntt_forward_with(&tables, threads);
+        }
         prop_assert_eq!(&seq, &par_polys, "forward NTT diverged at {} threads", threads);
 
-        par::ntt_inverse_batch(&mut par_polys, &tables, threads);
+        for p in &mut par_polys {
+            p.ntt_inverse_with(&tables, threads);
+        }
         prop_assert_eq!(&polys, &par_polys, "inverse NTT did not restore input");
     }
 
     #[test]
-    fn prop_pointwise_batch_matches_sequential((logn, limbs, batch, threads) in shape_strategy()) {
+    fn prop_pointwise_with_matches_sequential((logn, limbs, batch, threads) in shape_strategy()) {
         let n = 1usize << logn;
         let primes = generate_ntt_primes(20, 2 * n as u64, limbs).unwrap();
         let tables: Vec<Arc<NttTable>> = primes
@@ -65,11 +71,10 @@ proptest! {
             p.ntt_forward(&tables);
         }
 
-        let pairs: Vec<(&RnsPoly, &RnsPoly)> = lhs.iter().zip(rhs.iter()).collect();
-        let got = par::pointwise_batch(&pairs, threads).unwrap();
-        for (i, out) in got.iter().enumerate() {
-            let expect = lhs[i].pointwise(&rhs[i]).unwrap();
-            prop_assert_eq!(out, &expect, "pointwise {} diverged at {} threads", i, threads);
+        for (i, (a, b)) in lhs.iter().zip(&rhs).enumerate() {
+            let got = a.pointwise_with(b, threads).unwrap();
+            let expect = a.pointwise(b).unwrap();
+            prop_assert_eq!(&got, &expect, "pointwise {} diverged at {} threads", i, threads);
         }
     }
 

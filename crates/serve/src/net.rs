@@ -697,8 +697,8 @@ impl NetClient {
     /// # Errors
     ///
     /// [`WdError::WireDecode`] on transport failure or a malformed report,
-    /// [`WdError::IntegrityViolation`](wd_fault::WdError::IntegrityViolation)
-    /// on a checksum mismatch; both poison the connection.
+    /// [`WdError::IntegrityViolation`] on a checksum mismatch; both poison
+    /// the connection.
     pub fn health(&mut self) -> Result<wire::HealthReport, WdError> {
         let id = self.next_id;
         self.next_id += 1;

@@ -175,7 +175,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specifications accepted by [`vec`]: a fixed `usize` or a range.
+    /// Length specifications accepted by [`vec()`]: a fixed `usize` or a range.
     pub trait IntoLenRange {
         /// Draws a concrete length.
         fn draw_len(&self, rng: &mut TestRng) -> usize;
