@@ -92,7 +92,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// α = 1, K = 1 shape as [`cost::host_keyswitch_instrs`]: the INTT'd input
 /// (l), one full-basis ModUp extension per digit (dnum·(l+1)), both
 /// InnerProduct accumulators (2·(l+1)), and ModDown's two base-conversion
-/// temporaries (2·l). The pooled path leases all of them.
+/// temporaries (2·l). That is the allocate-per-step pipeline the model
+/// prices; the pooled keyswitch holds `(l+1) + 2·(l+2) + 1` leased slabs
+/// (input, accumulators, one scratch limb), which the drills below count.
 fn scratch_slabs(l: usize) -> usize {
     let full = l + 1;
     let dnum = l;

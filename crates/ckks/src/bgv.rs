@@ -30,7 +30,6 @@ use crate::keyswitch::{give_rns, mod_up_inner_product};
 use crate::{sampling, CkksError};
 use std::sync::Arc;
 use wd_modmath::prime::ntt_prime_above;
-use wd_modmath::rns::RnsBasis;
 use wd_modmath::Modulus;
 use wd_polyring::ntt::NttTable;
 use wd_polyring::rns::RnsPoly;
@@ -238,22 +237,16 @@ impl BgvContext {
     ///
     /// Propagates CRT errors.
     pub fn decrypt(&self, ct: &BgvCiphertext, sk: &SecretKey) -> Result<Vec<u64>, CkksError> {
-        let primes = self.inner.params().q_at(ct.level).to_vec();
-        let s = restrict(&sk.s, primes.len());
-        let mut v = ct.c1.pointwise(&s)?.add(&ct.c0)?;
-        v.ntt_inverse(&self.inner.tables_for(&primes));
+        let s = restrict(&sk.s, ct.level + 1);
+        let v = ct.c1.pointwise(&s)?.add(&ct.c0)?;
         // Centered CRT per coefficient, then mod t.
-        let take = v.limb_count().min(4);
-        let sub = RnsBasis::new(primes[..take].to_vec())?;
         let ti = self.t as i128;
-        let n = v.degree();
-        let mut out = Vec::with_capacity(n);
-        for j in 0..n {
-            let residues: Vec<u64> = (0..take).map(|i| v.limb(i).coeffs()[j]).collect();
-            let c = sub.crt_reconstruct_centered(&residues)?;
-            out.push(((c % ti + ti) % ti) as u64);
-        }
-        Ok(out)
+        Ok(self
+            .inner
+            .centered_coeffs(&v)?
+            .into_iter()
+            .map(|c| c.rem_euclid(ti) as u64)
+            .collect())
     }
 
     /// Exact homomorphic addition.

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use wd_modmath::rns::{BasisConverter, RnsBasis};
+use wd_modmath::rns::{BasisConverter, CrtReconstructor, RnsBasis};
 use wd_polyring::ntt::NttTable;
 use wd_polyring::rns::{Domain, RnsPoly};
 use wd_polyring::scratch::ScratchArena;
@@ -35,7 +35,15 @@ struct LevelCache {
     full_tables: Vec<Arc<NttTable>>,
     /// P^{-1} mod q_i for each q-limb at this level (ModDown constant).
     p_inv: Vec<u64>,
+    /// q_ℓ^{-1} mod q_i for i < ℓ (Rescale's constant: the same division
+    /// with the level's last prime in place of P). Empty at level 0.
+    q_last_inv: Vec<u64>,
 }
+
+/// How many leading limbs decoding reconstructs a coefficient from: 4 limbs
+/// ≈ 112 bits ≫ Δ²·message + noise, and always below the 127 bits a
+/// [`CrtReconstructor`] holds.
+const DECODE_LIMBS: usize = 4;
 
 /// Parameter-bound CKKS state: NTT tables per prime, the encoder, a cached
 /// basis-converter pool, and a seedable RNG.
@@ -58,6 +66,9 @@ pub struct CkksContext {
     /// Per-level derived state (prime bases, table lists, ModDown
     /// constants), indexed by level.
     levels: Vec<LevelCache>,
+    /// Centred CRT reconstructors over q_0…q_{k−1} for every prefix length
+    /// k = 1…[`DECODE_LIMBS`] the chain has, indexed by k − 1.
+    reconstructors: Vec<CrtReconstructor>,
     /// Default scratch arena for callers outside any scheduler scope. A
     /// per-worker arena installed via
     /// `wd_polyring::scratch::with_worker_arena` always takes precedence
@@ -113,13 +124,24 @@ impl CkksContext {
                 // surfaces as Err at build time instead of per keyswitch.
                 p_inv.push(m.inv(p)?);
             }
+            let q_last_inv = q_now[..level]
+                .iter()
+                .map(|&q| {
+                    let m = wd_modmath::Modulus::new(q);
+                    m.inv(m.reduce(q_now[level]))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             levels.push(LevelCache {
                 full,
                 q_tables,
                 full_tables,
                 p_inv,
+                q_last_inv,
             });
         }
+        let reconstructors = (1..=DECODE_LIMBS.min(params.max_level() + 1))
+            .map(|k| CrtReconstructor::new(&RnsBasis::new(params.q_at(k - 1).to_vec())?))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             params,
             encoder,
@@ -128,6 +150,7 @@ impl CkksContext {
             converters: Mutex::new(HashMap::new()),
             galois: Mutex::new(HashMap::new()),
             levels,
+            reconstructors,
             scratch: Mutex::new(ScratchArena::for_worker()),
         })
     }
@@ -192,6 +215,17 @@ impl CkksContext {
     /// Panics if `level` exceeds the chain.
     pub fn p_inv(&self, level: usize) -> &[u64] {
         &self.levels[level].p_inv
+    }
+
+    /// Rescale constants q_ℓ^{-1} mod q_i for i < ℓ at `level` = ℓ,
+    /// precomputed at build next to [`CkksContext::p_inv`] (rescale used to
+    /// invert per limb per call). Empty at level 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` exceeds the chain.
+    pub fn q_last_inv(&self, level: usize) -> &[u64] {
+        &self.levels[level].q_last_inv
     }
 
     /// The scratch arena hot-path ops lease temporaries from: the calling
@@ -343,21 +377,56 @@ impl CkksContext {
     ///
     /// Propagates CRT reconstruction failures.
     pub fn decode_complex(&self, pt: &Plaintext) -> Result<Vec<C64>, CkksError> {
-        let mut poly = pt.poly.clone();
-        if poly.domain() == Domain::Ntt {
-            poly.ntt_inverse(&self.tables_for(&poly.primes()));
-        }
-        // Reconstruct each coefficient from a prime subset wide enough for
-        // the value (≤ 4 limbs ≈ 112 bits ≫ Δ²·message + noise).
-        let take = poly.limb_count().min(4);
-        let sub = RnsBasis::new(poly.primes()[..take].to_vec())?;
-        let n = poly.degree();
-        let mut coeffs = vec![0.0f64; n];
-        for (j, c) in coeffs.iter_mut().enumerate() {
-            let residues: Vec<u64> = (0..take).map(|i| poly.limb(i).coeffs()[j]).collect();
-            *c = sub.crt_reconstruct_centered(&residues)? as f64 / pt.scale;
-        }
+        let coeffs: Vec<f64> = self
+            .centered_coeffs(&pt.poly)?
+            .into_iter()
+            .map(|c| c as f64 / pt.scale)
+            .collect();
         self.encoder.decode(&coeffs)
+    }
+
+    /// Every coefficient of `poly` (over a prefix q_0…q_ℓ of the chain, either
+    /// domain) as its centred representative, reconstructed from the first
+    /// ≤ [`DECODE_LIMBS`] limbs — wide enough for any decryptable value.
+    /// Only the limbs that are read are inverse-transformed, and the
+    /// reconstruction runs over whole limbs through the context's
+    /// precomputed [`CrtReconstructor`] for that prefix length.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkksError::LevelMismatch`] if the limbs read are not over
+    /// the chain's leading primes.
+    pub(crate) fn centered_coeffs(&self, poly: &RnsPoly) -> Result<Vec<i128>, CkksError> {
+        let take = poly.limb_count().min(DECODE_LIMBS);
+        let crt = self
+            .reconstructors
+            .get(take - 1)
+            .filter(|crt| {
+                crt.values()
+                    .zip(poly.limbs())
+                    .all(|(q, limb)| limb.modulus().value() == q)
+            })
+            .ok_or_else(|| {
+                CkksError::LevelMismatch(
+                    "polynomial is not over the leading primes of this context's chain".into(),
+                )
+            })?;
+        let tables = self.q_tables(take - 1);
+        let limbs: Vec<Vec<u64>> = poly
+            .limbs()
+            .zip(tables)
+            .map(|(limb, table)| {
+                let mut coeffs = limb.coeffs().to_vec();
+                if poly.domain() == Domain::Ntt {
+                    table.inverse(&mut coeffs);
+                }
+                coeffs
+            })
+            .collect();
+        let slabs: Vec<&[u64]> = limbs.iter().map(Vec::as_slice).collect();
+        let mut out = vec![0i128; poly.degree()];
+        crt.reconstruct_into(&slabs, &mut out);
+        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -481,10 +550,14 @@ impl CkksContext {
                 m.inv(hat).expect("distinct primes")
             })
             .collect();
-        // Reconstruct (a representative of) t modulo every full-basis prime.
+        // Reconstruct (a representative of) t modulo every full-basis prime:
+        // a conversion of one-coefficient limbs.
         let conv = self.converter(digit_primes, full);
+        let t_limbs: Vec<&[u64]> = t_residues.iter().map(std::slice::from_ref).collect();
         let mut t_full = vec![0u64; full.len()];
-        conv.convert_coeff(&t_residues, &mut t_full);
+        for (i, t) in t_full.iter_mut().enumerate() {
+            conv.convert_limb_into(&t_limbs, i, std::slice::from_mut(t));
+        }
         // F_j·P mod r = Q̂_j·t·P mod r.
         full.iter()
             .zip(&t_full)

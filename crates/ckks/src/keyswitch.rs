@@ -1,60 +1,90 @@
 //! Hybrid key switching: ModUp → InnerProduct → ModDown (Han–Ki \[26\]).
 //!
-//! This is the kernel pipeline the paper's Fig. 4 and Table IX dissect:
+//! This is the kernel pipeline the paper's Fig. 4 and Table IX dissect. The
+//! paper's third contribution is to treat the whole ciphertext as one pass
+//! (59–109 kernels → 11) and to keep operands resident in registers and
+//! shared memory between logical steps (Fig. 2); the *kernel grouping* of
+//! the paper's sequence lives in `warpdrive-core::planner`. This module is
+//! the same idea turned on the host: the composition is **limb-major**, each
+//! step does only the arithmetic its shape needs, and what one target limb
+//! needs stays in cache until that limb is finished.
 //!
-//! 1. **INTT** the input polynomial d (it arrives in NTT form);
-//! 2. **ModUp**: split d's limbs into `dnum` digits of α primes each and
-//!    base-extend every digit to the full basis Q_ℓ ∪ P;
-//! 3. **NTT** the extended digits;
-//! 4. **InnerProduct**: accumulate Σ_j d̃_j ⊙ ksk_j over the full basis;
-//! 5. **ModDown**: INTT, divide by P (base conversion + per-limb scaling),
-//!    NTT back to the working domain.
+//! # What a keyswitch computes, limb by limb
 //!
-//! The functional code below is exact (up to the approximate base
-//! conversion's rounding, which is standard); the *kernel grouping* of these
-//! same steps — 11 PE kernels vs 59–109 KF kernels — lives in
-//! `warpdrive-core::planner`.
+//! The operand d arrives in NTT form over q_0…q_ℓ and is split into `dnum`
+//! digits of α primes each (α = K, the special-prime count; Table VI fixes
+//! K = 1, so a digit is a *single limb*). For digit j and target limb t of
+//! the full basis Q_ℓ ∪ P, the ModUp output in NTT form is
+//!
+//! - **copied** when t is one of the digit's own primes: base extension is
+//!   the identity there, and the NTT of that limb is the operand limb
+//!   `d.limb(t)` itself — no INTT → restore → NTT round trip;
+//! - **lifted and transformed** otherwise: the digit's coefficient-domain
+//!   limbs (one INTT of d, shared by every digit) are converted to prime t
+//!   by [`wd_modmath::rns::BasisConverter::convert_limb_into`] — with one
+//!   source limb the centred lift `(x − [x > q/2]·q) mod p_t`, one compare
+//!   and one conditional add per word — and forward-transformed.
+//!
+//! `Decomposition::extend_into` is that one (digit, target limb) step, and
+//! every composition below is built from it.
 //!
 //! # Three stages, each written once
 //!
-//! - `mod_up`: **ModUp of one digit** into a caller-supplied full-basis
-//!   buffer — the digit's limbs of the INTT'd input are base-extended, the
-//!   digit's own limbs restored exactly, and the buffer NTT'd (steps 2–3).
-//!   The digit bounds and the converter lookup live here and nowhere else.
-//! - `inner_product`: both accumulators take one extended digit times one
-//!   key digit, fused over contiguous limb slabs (step 4).
-//! - `mod_down`: CKKS **ModDown** of one accumulator (step 5).
+//! - `Decomposition`: **ModUp**. The digit bounds and the converter lookup
+//!   live in `Decomposition::new` and nowhere else.
+//! - `inner_product`: **one work list over the target limbs**. For each
+//!   target limb, for each digit: produce that digit's limb in a one-limb
+//!   scratch, then multiply-accumulate it into `acc0[t]` and `acc1[t]`
+//!   against both key limbs in one pass
+//!   ([`wd_modmath::Modulus::mul_add2_slab_assign`]: the two key limbs are
+//!   read once each from a key far larger than L2, and one loop keeps both
+//!   streams in flight). The two accumulator limbs (64 KiB each at SET-B,
+//!   128 KiB at SET-C) stay cache-hot across all digits, the extension
+//!   buffer is one limb per thread instead of a full-basis polynomial, and
+//!   there is no barrier between digits.
+//! - `mod_down`: CKKS **ModDown**. Only the K special limbs are
+//!   inverse-transformed; `sub_lifted_and_scale` then, per kept limb, lifts
+//!   the special residue to q_i, forward-transforms that correction and
+//!   computes `(acc_i − u_i)·P⁻¹` in the NTT domain in one fused slab pass,
+//!   straight into the output limb. Rescale is the same step with the
+//!   level's last prime in place of P (`crate::ops`).
 //!
-//! One entry check (`operand_level`) stands in front of them: the operand
-//! must be an NTT-domain polynomial of this context's degree over exactly
-//! q_0…q_ℓ for some ℓ ≤ L, and the key must hold enough digits for ℓ.
-//! Operands reach this module from the wire, so a wrong basis, domain or
+//! Limb transforms per keyswitch at level ℓ:
+//! `(ℓ+1) + dnum·(ℓ+1+K) − (ℓ+1) + 2·(K + ℓ+1)`, which at K = 1 is
+//! `(ℓ+1) + dnum·(ℓ+1) + 2·(ℓ+2)` — 72 at SET-B, 272 at SET-C;
+//! `crates/ckks/tests/transform_count.rs` pins it.
+//!
+//! One entry check (`operand_level`) stands in front of the stages: the
+//! operand must be an NTT-domain polynomial of this context's degree over
+//! exactly q_0…q_ℓ for some ℓ ≤ L, and the key must hold enough digits for
+//! ℓ. Operands reach this module from the wire, so a wrong basis, domain or
 //! limb count is a typed [`CkksError::LevelMismatch`], never a relabelled
 //! result or an index panic.
 //!
 //! # Who composes them
 //!
 //! - [`keyswitch_with`] (and [`keyswitch`], its one-thread spelling): entry
-//!   check, then `mod_up` + `inner_product` per digit through **one**
-//!   extension buffer reused across all digits, then `mod_down` of both
-//!   accumulators.
-//! - [`HoistedDecomposition::new`]: entry check, then `mod_up` per digit
-//!   into a buffer it *keeps* — the rotation-independent half.
-//! - [`keyswitch_hoisted`]: gathers each kept digit through the Galois
-//!   permutation and feeds it to the same `inner_product` and `mod_down`.
-//! - [`crate::bgv::BgvContext::hmult`]: the same entry check, `mod_up` and
-//!   `inner_product`; only its ModDown differs (exact centred P-residue
-//!   plus the plaintext correction), and that one stage lives in `bgv`.
+//!   check, `inner_product` fed by `Decomposition::extend_into`, `mod_down`
+//!   of both accumulators. No extended digit ever exists as a whole.
+//! - [`HoistedDecomposition::new`]: entry check, then `extend_into` for
+//!   every (digit, limb) into polynomials it *keeps* — the
+//!   rotation-independent half. This is the one caller that holds whole
+//!   digits.
+//! - [`keyswitch_hoisted`]: the same `inner_product`, fed by a gather of
+//!   each kept digit's limb through the Galois permutation, then `mod_down`.
+//! - [`crate::bgv::BgvContext::hmult`]: the same entry check, ModUp and
+//!   inner product (`mod_up_inner_product`); only its ModDown differs (exact
+//!   centred P-residue plus the plaintext correction), and that one stage
+//!   lives in `bgv`.
 //!
 //! # Memory discipline
 //!
-//! Every temporary — the INTT'd input, the per-digit extension buffer, both
-//! inner-product accumulators, and ModDown's base-conversion output — is
-//! leased from the calling worker's [`wd_polyring::scratch::ScratchArena`]
-//! and returned on completion. Limb arithmetic runs over contiguous slabs
-//! ([`wd_modmath::slab`]), fusing the multiply-accumulate and the
-//! subtract-and-scale of ModDown in place. The only heap allocations in
-//! steady state are the two output polynomials (and, for hoisting, the
+//! The INTT'd input, both accumulators and one scratch limb per thread are
+//! leased from the calling worker's
+//! [`wd_polyring::scratch::ScratchArena`] — on the arena-owning thread,
+//! before any fan-out — and returned on completion; base conversion needs
+//! no scratch and ModDown writes into its output. The only heap allocations
+//! in steady state are the two output polynomials (and, for hoisting, the
 //! digits that outlive the call). The allocate-per-step implementation this
 //! replaced survives as the test oracle of
 //! `pooled_matches_unpooled_at_every_level`, which pins bit-identical
@@ -63,8 +93,11 @@
 use crate::context::CkksContext;
 use crate::keys::{KeySwitchKey, KskDigit};
 use crate::CkksError;
+use std::ops::Range;
 use std::sync::Arc;
-use wd_polyring::rns::{Domain, RnsPoly};
+use wd_modmath::rns::BasisConverter;
+use wd_polyring::ntt::NttTable;
+use wd_polyring::rns::{count_limb_transforms, Domain, RnsPoly};
 use wd_polyring::scratch::{self, ScratchArena};
 use wd_polyring::Poly;
 
@@ -96,16 +129,17 @@ pub(crate) fn give_rns(arena: &Arc<ScratchArena>, p: RnsPoly) {
     }
 }
 
-/// The entry check every composition starts with: `d` must be an NTT-domain
-/// polynomial of this context's degree whose limbs are exactly q_0…q_ℓ for
-/// some ℓ ≤ L. Returns ℓ. O(limbs), no allocation on the accepting path.
+/// The entry check every composition (and Rescale) starts with: `d` must be
+/// an NTT-domain polynomial of this context's degree whose limbs are exactly
+/// q_0…q_ℓ for some ℓ ≤ L. Returns ℓ. O(limbs), no allocation on the
+/// accepting path.
 ///
 /// # Errors
 ///
 /// Returns [`CkksError::LevelMismatch`] for a coefficient-domain operand, a
 /// wrong degree, more limbs than the chain has, or a limb whose modulus is
 /// not the chain's prime at that position.
-fn operand_level(ctx: &CkksContext, d: &RnsPoly) -> Result<usize, CkksError> {
+pub(crate) fn operand_level(ctx: &CkksContext, d: &RnsPoly) -> Result<usize, CkksError> {
     let params = ctx.params();
     let limbs = d.limb_count();
     let ok = (1..=params.max_level() + 1).contains(&limbs)
@@ -117,7 +151,7 @@ fn operand_level(ctx: &CkksContext, d: &RnsPoly) -> Result<usize, CkksError> {
     if !ok {
         return Err(CkksError::LevelMismatch(
             format!(
-                "keyswitch operand ({limbs} limbs, {:?} domain) is not an NTT-domain \
+                "operand ({limbs} limbs, {:?} domain) is not an NTT-domain \
                  polynomial of degree {} over q_0…q_l of this context (l <= {})",
                 d.domain(),
                 params.degree(),
@@ -163,7 +197,7 @@ fn key_limb_index(key: &RnsPoly, basis: &[u64]) -> Result<Vec<usize>, CkksError>
 }
 
 /// Copies `d` (level ℓ, NTT domain) into leased storage and INTTs it: the
-/// coefficient-domain input every digit's [`mod_up`] reads.
+/// coefficient-domain input every digit's lift reads.
 fn intt_input(
     ctx: &CkksContext,
     arena: &Arc<ScratchArena>,
@@ -179,69 +213,156 @@ fn intt_input(
     Ok(d_coeff)
 }
 
-/// Stage 1, **ModUp of digit `j`**: base-extends limbs \[jα, (j+1)α) of the
-/// INTT'd input to the full basis at `level`, into `ext` (any domain marker,
-/// every coefficient overwritten), and leaves `ext` in the NTT domain. The
-/// base conversion overwrites every limb, then the digit's own limbs are
-/// restored exactly (conversion is identity there up to rounding).
-fn mod_up(
-    ctx: &CkksContext,
-    d_coeff: &RnsPoly,
-    level: usize,
-    j: usize,
-    ext: &mut RnsPoly,
-    th: usize,
-) -> Result<(), CkksError> {
-    let alpha = ctx.params().alpha();
-    let lo = j * alpha;
-    let hi = ((j + 1) * alpha).min(level + 1);
-    let conv = ctx.try_converter(&ctx.params().q_at(level)[lo..hi], ctx.full_basis(level))?;
-    let digit_limbs: Vec<&Poly> = (lo..hi).map(|i| d_coeff.limb(i)).collect();
-    ext.set_domain(Domain::Coeff);
-    wd_polyring::par::try_convert_limbs_into(&conv, &digit_limbs, ext, th)?;
-    for i in lo..hi {
-        ext.limb_mut(i)
-            .coeffs_mut()
-            .copy_from_slice(d_coeff.limb(i).coeffs());
-    }
-    ext.ntt_forward_with(ctx.full_tables(level), th);
-    Ok(())
+/// One digit of a [`Decomposition`]: limbs `own` of the operand.
+struct Digit<'a> {
+    own: Range<usize>,
+    /// The digit's primes → the full basis at the operand's level.
+    conv: Arc<BasisConverter>,
+    /// The digit's limbs of the INTT'd operand.
+    coeff: Vec<&'a [u64]>,
 }
 
-/// Stage 2, **InnerProduct** with one key digit: `acc0 += ext ⊙ key.b` and
-/// `acc1 += ext ⊙ key.a` over contiguous limb slabs, with both
-/// accumulators' limbs interleaved in one work list so a thread pool sees
-/// `2·(ℓ+1+k)` independent items instead of two barrier-separated passes.
-/// `kidx` maps each full-basis limb position to the matching limb of the
-/// (max-level) key digit.
+/// Stage 1, **ModUp**, as a function of (digit, target limb): the operand in
+/// both domains plus, per digit, its limb range and converter.
+struct Decomposition<'a> {
+    /// The operand as it arrived (NTT domain).
+    d: &'a RnsPoly,
+    digits: Vec<Digit<'a>>,
+    /// Tables of the full basis at the operand's level, in limb order.
+    tables: &'a [Arc<NttTable>],
+}
+
+impl<'a> Decomposition<'a> {
+    /// Splits `d` (checked, at `level`) into digits of α limbs; `d_coeff` is
+    /// its [`intt_input`].
+    fn new(
+        ctx: &'a CkksContext,
+        d: &'a RnsPoly,
+        d_coeff: &'a RnsPoly,
+        level: usize,
+    ) -> Result<Self, CkksError> {
+        let alpha = ctx.params().alpha();
+        let q_now = ctx.params().q_at(level);
+        let digits = (0..ctx.params().dnum_at(level))
+            .map(|j| {
+                let own = j * alpha..((j + 1) * alpha).min(level + 1);
+                Ok(Digit {
+                    conv: ctx.try_converter(&q_now[own.clone()], ctx.full_basis(level))?,
+                    coeff: own.clone().map(|i| d_coeff.limb(i).coeffs()).collect(),
+                    own,
+                })
+            })
+            .collect::<Result<Vec<_>, CkksError>>()?;
+        Ok(Self {
+            d,
+            digits,
+            tables: ctx.full_tables(level),
+        })
+    }
+
+    /// Limb `t` of digit `j`'s extension to the full basis, in NTT form,
+    /// written over `out`: the operand's own limb copied where the digit
+    /// holds prime t, the digit lifted to prime t and transformed elsewhere.
+    fn extend_into(&self, j: usize, t: usize, out: &mut [u64]) {
+        let digit = &self.digits[j];
+        if digit.own.contains(&t) {
+            out.copy_from_slice(self.d.limb(t).coeffs());
+        } else {
+            digit.conv.convert_limb_into(&digit.coeff, t, out);
+            self.tables[t].forward(out);
+            count_limb_transforms(1);
+        }
+    }
+}
+
+/// Stage 2, **InnerProduct**, limb-major: for each limb t of `basis`, for
+/// each key digit j, `fill(j, t, ext)` writes digit j's limb t (NTT form)
+/// into a one-limb scratch and both accumulators take it in one pass —
+/// `acc0[t] += ext ⊙ key_j.b[t]`, `acc1[t] += ext ⊙ key_j.a[t]` — before the
+/// next digit overwrites the scratch. The target limbs are split into at
+/// most `threads` contiguous runs, each with its own scratch limb, leased
+/// here on the arena-owning thread. Returns the accumulators (NTT domain,
+/// leased from `arena`; the caller's ModDown consumes them).
 fn inner_product(
-    acc0: &mut RnsPoly,
-    acc1: &mut RnsPoly,
-    ext: &RnsPoly,
-    key: &KskDigit,
-    kidx: &[usize],
+    arena: &Arc<ScratchArena>,
+    basis: &[u64],
+    n: usize,
+    keys: &[KskDigit],
     threads: usize,
-) {
-    let mut work: Vec<(&mut Poly, &Poly, &Poly)> = acc0
-        .limbs_mut()
-        .enumerate()
-        .map(|(t, l)| (l, ext.limb(t), key.b.limb(kidx[t])))
-        .chain(
-            acc1.limbs_mut()
-                .enumerate()
-                .map(|(t, l)| (l, ext.limb(t), key.a.limb(kidx[t]))),
-        )
-        .collect();
-    wd_polyring::par::for_each_mut(threads, &mut work, |(acc, x, y)| {
-        let m = *acc.modulus();
-        m.mul_add_slab_assign(acc.coeffs_mut(), x.coeffs(), y.coeffs());
+    fill: impl Fn(usize, usize, &mut [u64]) + Sync,
+) -> Result<(RnsPoly, RnsPoly), CkksError> {
+    // All key digits share one basis; resolve limb positions once.
+    let kidx = key_limb_index(&keys[0].b, basis)?;
+    let mut acc0 = take_rns(arena, basis, n, Domain::Ntt)?;
+    let mut acc1 = take_rns(arena, basis, n, Domain::Ntt)?;
+    {
+        let run = basis.len().div_ceil(threads.clamp(1, basis.len()));
+        let mut limbs = acc0.limbs_mut().zip(acc1.limbs_mut()).enumerate();
+        let mut work: Vec<(scratch::ScratchVec, Vec<_>)> = (0..basis.len().div_ceil(run))
+            .map(|_| (arena.lease(n), limbs.by_ref().take(run).collect()))
+            .collect();
+        wd_polyring::par::for_each_mut(threads, &mut work, |(ext, run)| {
+            for (t, (a0, a1)) in run.iter_mut() {
+                let m = *a0.modulus();
+                let k = kidx[*t];
+                for (j, key) in keys.iter().enumerate() {
+                    fill(j, *t, ext);
+                    m.mul_add2_slab_assign(
+                        a0.coeffs_mut(),
+                        a1.coeffs_mut(),
+                        ext,
+                        key.b.limb(k).coeffs(),
+                        key.a.limb(k).coeffs(),
+                    );
+                }
+            }
+        });
+    }
+    Ok((acc0, acc1))
+}
+
+/// The division step ModDown and Rescale share, in the NTT domain. `head`
+/// are the kept limbs of x (NTT form), `tail` the limbs being divided out
+/// (already in the coefficient domain), `conv` converts the tail's primes to
+/// the head's and `inv[i]` is (Π tail primes)⁻¹ mod head prime i, reduced.
+/// Per kept limb, in one pass over one fresh output limb: lift the tail to
+/// prime i, forward-transform that correction u_i, and
+/// `out_i = (x_i − u_i)·inv_i` — round(x / Π tail) over the head, NTT form.
+pub(crate) fn sub_lifted_and_scale(
+    head: &[&Poly],
+    tail: &[&[u64]],
+    conv: &BasisConverter,
+    inv: &[u64],
+    tables: &[Arc<NttTable>],
+    threads: usize,
+) -> Result<RnsPoly, CkksError> {
+    debug_assert!(conv
+        .to_basis()
+        .moduli()
+        .iter()
+        .zip(head)
+        .all(|(m, h)| m == h.modulus()));
+    let limbs = head
+        .iter()
+        .map(|h| Poly::zero(h.modulus().value(), h.degree()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut out = RnsPoly::from_limbs(limbs, Domain::Ntt)?;
+    let mut work: Vec<(usize, &mut Poly)> = out.limbs_mut().enumerate().collect();
+    wd_polyring::par::for_each_mut(threads, &mut work, |(i, limb)| {
+        let m = *limb.modulus();
+        conv.convert_limb_into(tail, *i, limb.coeffs_mut());
+        tables[*i].forward(limb.coeffs_mut());
+        m.rsub_scale_slab_assign(limb.coeffs_mut(), head[*i].coeffs(), inv[*i]);
     });
+    count_limb_transforms(head.len());
+    Ok(out)
 }
 
 /// Stage 3, CKKS **ModDown**: divides the extended-basis accumulator by
-/// P = Π p_k in place, returning out ≈ round(x / P) over Q_ℓ. The only heap
-/// allocations are the output's own limbs; `acc` and the base-conversion
-/// temporary go back to the arena.
+/// P = Π p_k, returning out ≈ round(x / P) over Q_ℓ. Only the K special
+/// limbs leave the NTT domain (in place, on the leased accumulator, which
+/// then goes back to the arena); the only heap allocations are the output's
+/// own limbs.
 fn mod_down(
     ctx: &CkksContext,
     arena: &Arc<ScratchArena>,
@@ -252,33 +373,32 @@ fn mod_down(
     let q_now = ctx.params().q_at(level);
     let p_chain = ctx.params().p_chain();
     let lq = q_now.len();
-    let n = acc.degree();
-    // INTT over the full basis, in place on the leased accumulator.
-    acc.ntt_inverse_with(ctx.full_tables(level), th);
-    // Convert the P-part residues down to Q, into leased storage.
-    let p_limbs: Vec<&Poly> = (lq..lq + p_chain.len()).map(|i| acc.limb(i)).collect();
     let conv = ctx.try_converter(p_chain, q_now)?;
-    let mut u = take_rns(arena, q_now, n, Domain::Coeff)?;
-    wd_polyring::par::try_convert_limbs_into(&conv, &p_limbs, &mut u, th)?;
-    // (x − u) · P^{-1} per limb, fused in place on the output's storage.
-    // These limb clones are the result — the only allocations that escape.
-    let mut out = RnsPoly::from_limbs(
-        (0..lq).map(|i| acc.limb(i).clone()).collect(),
-        Domain::Coeff,
+    for (limb, table) in acc.limbs_mut().zip(ctx.full_tables(level)).skip(lq) {
+        table.inverse(limb.coeffs_mut());
+    }
+    count_limb_transforms(p_chain.len());
+    let limbs: Vec<&Poly> = acc.limbs().collect();
+    let (head, tail) = limbs.split_at(lq);
+    let tail: Vec<&[u64]> = tail.iter().map(|p| p.coeffs()).collect();
+    let out = sub_lifted_and_scale(
+        head,
+        &tail,
+        &conv,
+        ctx.p_inv(level),
+        ctx.q_tables(level),
+        th,
     )?;
     give_rns(arena, acc);
-    out.sub_assign(&u)?;
-    give_rns(arena, u);
-    out.scale_per_limb_assign(ctx.p_inv(level));
-    out.ntt_forward_with(ctx.q_tables(level), th);
     Ok(out)
 }
 
-/// Stages 1–2 over every digit of `d`, through **one** leased extension
-/// buffer reused across digits: returns the operand's level and both
-/// inner-product accumulators (full basis, NTT domain, leased from `arena`;
-/// the caller's ModDown consumes them). Shared by [`keyswitch_with`] and the
-/// BGV layer, which differ only in that ModDown.
+/// Stages 1–2 of a keyswitch of `d`: entry check, one INTT of the operand,
+/// and the limb-major inner product fed by [`Decomposition::extend_into`].
+/// Returns the operand's level and both accumulators (full basis, NTT
+/// domain, leased from `arena`; the caller's ModDown consumes them). Shared
+/// by [`keyswitch_with`] and the BGV layer, which differ only in that
+/// ModDown.
 ///
 /// # Errors
 ///
@@ -292,20 +412,17 @@ pub(crate) fn mod_up_inner_product(
     th: usize,
 ) -> Result<(usize, RnsPoly, RnsPoly), CkksError> {
     let level = operand_level(ctx, d)?;
-    let digits = key_digits(ksk, ctx.params().dnum_at(level))?;
-    let n = d.degree();
-    let full = ctx.full_basis(level);
-    // All key digits share one basis; resolve limb positions once.
-    let kidx = key_limb_index(&digits[0].b, full)?;
+    let keys = key_digits(ksk, ctx.params().dnum_at(level))?;
     let d_coeff = intt_input(ctx, arena, d, level, th)?;
-    let mut acc0 = take_rns(arena, full, n, Domain::Ntt)?;
-    let mut acc1 = take_rns(arena, full, n, Domain::Ntt)?;
-    let mut ext = take_rns(arena, full, n, Domain::Coeff)?;
-    for (j, key) in digits.iter().enumerate() {
-        mod_up(ctx, &d_coeff, level, j, &mut ext, th)?;
-        inner_product(&mut acc0, &mut acc1, &ext, key, &kidx, th);
-    }
-    give_rns(arena, ext);
+    let digits = Decomposition::new(ctx, d, &d_coeff, level)?;
+    let (acc0, acc1) = inner_product(
+        arena,
+        ctx.full_basis(level),
+        d.degree(),
+        keys,
+        th,
+        |j, t, ext| digits.extend_into(j, t, ext),
+    )?;
     give_rns(arena, d_coeff);
     Ok((level, acc0, acc1))
 }
@@ -327,9 +444,10 @@ pub fn keyswitch(
     keyswitch_with(ctx, d, ksk, 1)
 }
 
-/// [`keyswitch`] with its limb work (transforms, base conversion, the
-/// inner product) fanned out over at most `threads` host threads. The
-/// width comes from the caller on every call; bit-identical at every width.
+/// [`keyswitch`] with its limb work (the input's INTT, the per-target-limb
+/// inner product, ModDown's kept limbs) fanned out over at most `threads`
+/// host threads. The width comes from the caller on every call;
+/// bit-identical at every width.
 ///
 /// # Errors
 ///
@@ -351,7 +469,7 @@ pub fn keyswitch_with(
 }
 
 /// The reusable, rotation-independent half of a keyswitch: the input
-/// polynomial INTT'd and base-extended to the full basis, digit by digit —
+/// polynomial base-extended to the full basis, digit by digit —
 /// Halevi–Shoup *hoisting*. Computing this once and sharing it across many
 /// rotations is what makes BSGS linear transforms (bootstrapping's
 /// CoeffToSlot, HELR's batch gathers) affordable; the workload models in
@@ -381,10 +499,14 @@ impl HoistedDecomposition {
         let level = operand_level(ctx, d)?;
         let arena = ctx.scratch();
         let d_coeff = intt_input(ctx, &arena, d, level, 1)?;
-        let digits = (0..ctx.params().dnum_at(level))
+        let decomposition = Decomposition::new(ctx, d, &d_coeff, level)?;
+        let digits = (0..decomposition.digits.len())
             .map(|j| {
                 let mut ext = RnsPoly::zero(ctx.full_basis(level), d.degree())?;
-                mod_up(ctx, &d_coeff, level, j, &mut ext, 1)?;
+                for (t, limb) in ext.limbs_mut().enumerate() {
+                    decomposition.extend_into(j, t, limb.coeffs_mut());
+                }
+                ext.set_domain(Domain::Ntt);
                 Ok(ext)
             })
             .collect::<Result<Vec<_>, CkksError>>()?;
@@ -404,10 +526,10 @@ impl HoistedDecomposition {
 }
 
 /// Keyswitch using a precomputed [`HoistedDecomposition`], applying the
-/// Galois automorphism `g` to the *extended digits* (one gather per limb)
-/// instead of re-running ModUp and the digit NTTs per rotation. With
-/// `g = 1` this equals [`keyswitch`] exactly. Accumulators, the
-/// rotated-digit buffer, and ModDown temporaries are arena-leased like the
+/// Galois automorphism `g` to the *extended digits* (one gather per limb,
+/// into the inner product's scratch limb) instead of re-running ModUp and
+/// the digit NTTs per rotation. With `g = 1` this equals [`keyswitch`]
+/// exactly. Accumulators and the scratch limb are arena-leased like the
 /// main path.
 ///
 /// # Errors
@@ -425,22 +547,14 @@ pub fn keyswitch_hoisted(
         let level = hoisted.level;
         let keys = key_digits(ksk, hoisted.dnum())?;
         let n = hoisted.digits[0].degree();
-        let full = ctx.full_basis(level);
-        let kidx = key_limb_index(&keys[0].b, full)?;
         let perm = ctx.galois_permutation(g);
-        let mut acc0 = take_rns(&arena, full, n, Domain::Ntt)?;
-        let mut acc1 = take_rns(&arena, full, n, Domain::Ntt)?;
-        let mut rotated = take_rns(&arena, full, n, Domain::Ntt)?;
-        for (ext, key) in hoisted.digits.iter().zip(keys) {
-            // φ_g commutes with base extension and with the NTT (it permutes
-            // coefficients, respectively evaluations, limb-wise), so applying
-            // it to the hoisted digit is exact.
-            for (dst, src) in rotated.limbs_mut().zip(ext.limbs()) {
-                wd_polyring::ntt::gather(&perm, src.coeffs(), dst.coeffs_mut());
-            }
-            inner_product(&mut acc0, &mut acc1, &rotated, key, &kidx, 1);
-        }
-        give_rns(&arena, rotated);
+        // φ_g commutes with base extension and with the NTT (it permutes
+        // coefficients, respectively evaluations, limb-wise), so applying
+        // it to the hoisted digit is exact.
+        let (acc0, acc1) =
+            inner_product(&arena, ctx.full_basis(level), n, keys, 1, |j, t, ext| {
+                wd_polyring::ntt::gather(&perm, hoisted.digits[j].limb(t).coeffs(), ext);
+            })?;
         let out0 = mod_down(ctx, &arena, acc0, level, 1)?;
         let out1 = mod_down(ctx, &arena, acc1, level, 1)?;
         Ok((out0, out1))

@@ -8,11 +8,12 @@ use crate::cipher::{relative_eq, Ciphertext, Plaintext};
 use crate::context::CkksContext;
 use crate::encoding::C64;
 use crate::keys::{KeySwitchKey, RotationKeys};
-use crate::keyswitch::{keyswitch, keyswitch_with};
+use crate::keyswitch::{keyswitch, keyswitch_with, operand_level, sub_lifted_and_scale};
 use crate::CkksError;
 use wd_fault::OperandMismatch;
 use wd_modmath::Modulus;
-use wd_polyring::rns::RnsPoly;
+use wd_polyring::rns::{count_limb_transforms, RnsPoly};
+use wd_polyring::Poly;
 
 /// Homomorphic addition: slot-wise ct0 + ct1.
 ///
@@ -233,53 +234,62 @@ fn rescale_steps(
     if ct.level < k {
         return Err(CkksError::ModulusChainExhausted);
     }
-    let mut c0 = ct.c0.clone();
-    let mut c1 = ct.c1.clone();
-    let primes = ctx.params().q_at(ct.level);
-    c0.ntt_inverse_with(ctx.q_tables(ct.level), threads);
-    c1.ntt_inverse_with(ctx.q_tables(ct.level), threads);
-    let mut scale = ct.scale;
-    for step in 0..k {
-        let dropped = primes[ct.level - step];
-        rescale_step(&mut c0, dropped)?;
-        rescale_step(&mut c1, dropped)?;
-        scale /= dropped as f64;
+    // Ciphertexts reach this from the wire: both components must be
+    // NTT-domain polynomials over exactly q_0…q_level.
+    if operand_level(ctx, &ct.c0)? != ct.level || operand_level(ctx, &ct.c1)? != ct.level {
+        return Err(CkksError::LevelMismatch(
+            format!(
+                "rescale: ciphertext limbs do not match its level {}",
+                ct.level
+            )
+            .into(),
+        ));
     }
-    c0.ntt_forward_with(ctx.q_tables(ct.level - k), threads);
-    c1.ntt_forward_with(ctx.q_tables(ct.level - k), threads);
-    Ok(Ciphertext {
-        c0,
-        c1,
-        level: ct.level - k,
-        scale,
-    })
+    let mut out = rescale_step(ctx, ct, threads)?;
+    for _ in 1..k {
+        out = rescale_step(ctx, &out, threads)?;
+    }
+    Ok(out)
 }
 
-/// One rescaling step in the coefficient domain:
-/// c_i ← (c_i − \[v\]_{q_i}) · q_last^{-1}, where v is the centered last limb.
-///
-/// # Errors
-///
-/// Returns a typed error on degenerate chains (a non-invertible dropped
-/// prime or a modulus exceeding the signed word range) instead of
-/// panicking on the request path.
-fn rescale_step(p: &mut RnsPoly, dropped: u64) -> Result<(), CkksError> {
-    let last = p.limb_count() - 1;
-    assert_eq!(p.limb(last).modulus().value(), dropped);
-    let v_centered = p.limb(last).centered();
-    for i in 0..last {
-        let m = *p.limb(i).modulus();
-        let q_inv = m.inv(m.reduce(dropped))?;
-        let qi = i64::try_from(m.value())
-            .map_err(|_| CkksError::InvalidParams(format!("modulus {} exceeds i64", m.value())))?;
-        let limb = p.limb_mut(i);
-        for (c, &v) in limb.coeffs_mut().iter_mut().zip(&v_centered) {
-            let v_mod = (v % qi + qi) % qi;
-            *c = m.mul(m.sub(*c, v_mod as u64), q_inv);
-        }
-    }
-    p.drop_limbs(1);
-    Ok(())
+/// One rescaling step: c_i ← (c_i − \[v\]_{q_i}) · q_ℓ⁻¹ for i < ℓ, where v
+/// is the centred last limb — ModDown with the level's last prime in place
+/// of P, so it runs the same NTT-domain step
+/// ([`sub_lifted_and_scale`]): only the dropped limb is inverse-transformed
+/// (in a leased scratch limb), and `Poly::centered`'s convention (`c > q/2`
+/// is negative) is exactly the single-limb lift's. `ct` is checked by the
+/// caller: level ≥ 1, both components over q_0…q_level in NTT form.
+fn rescale_step(
+    ctx: &CkksContext,
+    ct: &Ciphertext,
+    threads: usize,
+) -> Result<Ciphertext, CkksError> {
+    let level = ct.level;
+    let primes = ctx.params().q_at(level);
+    let (dropped, kept) = (primes[level], &primes[..level]);
+    let conv = ctx.try_converter(&[dropped], kept)?;
+    let arena = ctx.scratch();
+    let mut last = arena.lease(ct.degree());
+    let mut divide = |c: &RnsPoly| {
+        let limbs: Vec<&Poly> = c.limbs().collect();
+        last.copy_from_slice(limbs[level].coeffs());
+        ctx.q_tables(level)[level].inverse(&mut last);
+        count_limb_transforms(1);
+        sub_lifted_and_scale(
+            &limbs[..level],
+            &[&last],
+            &conv,
+            ctx.q_last_inv(level),
+            ctx.q_tables(level - 1),
+            threads,
+        )
+    };
+    Ok(Ciphertext {
+        c0: divide(&ct.c0)?,
+        c1: divide(&ct.c1)?,
+        level: level - 1,
+        scale: ct.scale / dropped as f64,
+    })
 }
 
 /// Drops ciphertext limbs without changing the scale (modulus switching used

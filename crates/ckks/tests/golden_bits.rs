@@ -1,0 +1,278 @@
+//! Committed fingerprints of the bits this crate produces per seed.
+//!
+//! Every equivalence suite compares the system with itself at one commit; a
+//! change that is meant to be bit-identical *across* commits (PR 22's
+//! one-keyswitch refactor, PR 23's lift / skipped transforms / fused passes)
+//! used to be checked by hashing outputs by hand on both sides. This file is
+//! that exercise, committed: seeded contexts at N = 2^6 (K = 1 and K = 2),
+//! every limb of the relinearization, rotation and conjugation keys, the
+//! outputs of HMULT, Rescale, `rescale_by(2)`, HRotate, `hrotate_many`,
+//! conjugation, the bare `keyswitch`, `keyswitch_hoisted(g = 5)`, two
+//! chained BGV HMULTs, and the bits of the decrypted-and-decoded `f64`s —
+//! each folded into one FNV-1a word.
+//!
+//! The constants were recorded at PR 22's head, before any edit of PR 23,
+//! and the test passes there with the same constants. A PR that changes a
+//! draw sequence, a rounding or a word size on purpose (ROADMAP directions 2
+//! and 4) re-pins the constants it means to move and says so; any other
+//! mismatch is a regression. On failure the whole actual table is printed in
+//! source form.
+
+use wd_ckks::bgv::BgvContext;
+use wd_ckks::keys::KeySwitchKey;
+use wd_ckks::keyswitch::{keyswitch, keyswitch_hoisted, HoistedDecomposition};
+use wd_ckks::{ops, Ciphertext, CkksContext, CkksError, ParamSet};
+use wd_polyring::rns::RnsPoly;
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Every limb: its prime, then every coefficient.
+    fn poly(&mut self, p: &RnsPoly) {
+        self.word(p.limb_count() as u64);
+        for limb in p.limbs() {
+            self.word(limb.modulus().value());
+            for &c in limb.coeffs() {
+                self.word(c);
+            }
+        }
+    }
+
+    fn ct(&mut self, ct: &Ciphertext) {
+        self.poly(&ct.c0);
+        self.poly(&ct.c1);
+        self.word(ct.level as u64);
+        self.word(ct.scale.to_bits());
+    }
+
+    fn key(&mut self, k: &KeySwitchKey) {
+        for d in &k.digits {
+            self.poly(&d.b);
+            self.poly(&d.a);
+        }
+    }
+
+    fn floats(&mut self, v: &[f64]) {
+        for x in v {
+            self.word(x.to_bits());
+        }
+    }
+}
+
+fn fold(f: impl FnOnce(&mut Fnv)) -> u64 {
+    let mut h = Fnv::new();
+    f(&mut h);
+    h.0
+}
+
+/// The fingerprints of one seeded context with `k` special primes, in a
+/// fixed order.
+fn fingerprints(k: usize) -> Result<Vec<(&'static str, u64)>, CkksError> {
+    let params = ParamSet::set_a()
+        .with_degree(1 << 6)
+        .with_level(4)
+        .with_special(k)
+        .build()?;
+    let ctx = CkksContext::with_seed(params, 0x2309 + k as u64)?;
+    let kp = ctx.keygen();
+    let rot = ctx.gen_rotation_keys(&kp.secret, &[1, 2, 5], true);
+    let xs: Vec<f64> = (0..ctx.params().slots())
+        .map(|i| 0.25 * i as f64 - 3.0)
+        .collect();
+    let ys: Vec<f64> = (0..ctx.params().slots())
+        .map(|i| 1.5 - 0.125 * i as f64)
+        .collect();
+    let a = ctx.encrypt_values(&xs, &kp.public)?;
+    let b = ctx.encrypt_values(&ys, &kp.public)?;
+
+    let mut out = Vec::new();
+    out.push(("relin_key", fold(|h| h.key(&kp.relin))));
+    out.push((
+        "rotation_keys",
+        fold(|h| {
+            for g in rot.elements() {
+                h.word(g as u64);
+                h.key(rot.get(g).expect("listed element"));
+            }
+        }),
+    ));
+    let conj = ctx.encoder().conjugation_galois_element();
+    out.push((
+        "conjugation_key",
+        fold(|h| h.key(rot.get(conj).expect("conjugation key"))),
+    ));
+    out.push(("encrypt", fold(|h| (h.ct(&a), h.ct(&b)).0)));
+
+    let prod = ops::hmult(&ctx, &a, &b, &kp.relin)?;
+    out.push(("hmult", fold(|h| h.ct(&prod))));
+    let rescaled = ops::rescale(&ctx, &prod)?;
+    out.push(("rescale", fold(|h| h.ct(&rescaled))));
+    let twice = ops::rescale_by(&ctx, &prod, 2)?;
+    out.push(("rescale_by_2", fold(|h| h.ct(&twice))));
+    let rotated = ops::hrotate(&ctx, &a, 1, &rot)?;
+    out.push(("hrotate", fold(|h| h.ct(&rotated))));
+    let many = ops::hrotate_many(&ctx, &a, &[1, 2, 5], &rot)?;
+    out.push((
+        "hrotate_many",
+        fold(|h| many.iter().for_each(|ct| h.ct(ct))),
+    ));
+    let conjugated = ops::hconjugate(&ctx, &a, &rot)?;
+    out.push(("hconjugate", fold(|h| h.ct(&conjugated))));
+
+    // The bare keyswitch at the top level and one level down (a partial
+    // last digit at K = 2), and the hoisted composition at g = 5.
+    let (k0, k1) = keyswitch(&ctx, &a.c1, &kp.relin)?;
+    out.push(("keyswitch", fold(|h| (h.poly(&k0), h.poly(&k1)).0)));
+    let low = ops::level_drop(&rescaled, 2)?;
+    let (l0, l1) = keyswitch(&ctx, &low.c1, &kp.relin)?;
+    out.push(("keyswitch_level_2", fold(|h| (h.poly(&l0), h.poly(&l1)).0)));
+    let hoisted = HoistedDecomposition::new(&ctx, &a.c1)?;
+    let key5 = rot.get(5).expect("rotation by 1 is g = 5");
+    let (h0, h1) = keyswitch_hoisted(&ctx, &hoisted, 5, key5)?;
+    out.push((
+        "keyswitch_hoisted_g5",
+        fold(|h| (h.poly(&h0), h.poly(&h1)).0),
+    ));
+
+    // What the client reads back: decoded f64 bits.
+    out.push((
+        "decode_fresh",
+        fold(|h| h.floats(&ctx.decrypt_values(&a, &kp.secret).expect("decrypt"))),
+    ));
+    out.push((
+        "decode_rescaled_product",
+        fold(|h| h.floats(&ctx.decrypt_values(&rescaled, &kp.secret).expect("decrypt"))),
+    ));
+    out.push((
+        "decode_rescale_by_2",
+        fold(|h| h.floats(&ctx.decrypt_values(&twice, &kp.secret).expect("decrypt"))),
+    ));
+    out.push((
+        "decode_rotated",
+        fold(|h| h.floats(&ctx.decrypt_values(&rotated, &kp.secret).expect("decrypt"))),
+    ));
+    // One- and two-limb prefixes of the CRT reconstruction.
+    for (name, level) in [("decode_level_0", 0), ("decode_level_1", 1)] {
+        let low = ops::level_drop(&a, level)?;
+        out.push((
+            name,
+            fold(|h| h.floats(&ctx.decrypt_values(&low, &kp.secret).expect("decrypt"))),
+        ));
+    }
+
+    // BGV shares ModUp and the inner product; K = 1 only by construction.
+    if k == 1 {
+        let params = ParamSet::set_a()
+            .with_degree(1 << 6)
+            .with_level(4)
+            .build()?;
+        let bgv = BgvContext::new(CkksContext::with_seed(params, 0x0b67)?, 16)?;
+        let bkp = bgv.keygen();
+        let t = bgv.plaintext_modulus();
+        let slots = |mul: u64, add: u64| -> Vec<u64> {
+            (0..bgv.slots() as u64)
+                .map(|i| (i * mul + add) % t)
+                .collect()
+        };
+        let x = bgv.encrypt(&bgv.encode(&slots(37, 1))?, &bkp)?;
+        let y = bgv.encrypt(&bgv.encode(&slots(11, 5))?, &bkp)?;
+        let z = bgv.encrypt(&bgv.encode(&slots(3, 7))?, &bkp)?;
+        out.push(("bgv_relin_key", fold(|h| h.key(&bkp.relin))));
+        let xy = bgv.hmult(&x, &y, &bkp)?;
+        let xyz = bgv.hmult(&xy, &z, &bkp)?;
+        out.push((
+            "bgv_hmult_chain",
+            fold(|h| {
+                for ct in [&xy, &xyz] {
+                    h.poly(&ct.c0);
+                    h.poly(&ct.c1);
+                }
+            }),
+        ));
+        let dec = bgv.decode(&bgv.decrypt(&xyz, &bkp.secret)?);
+        out.push(("bgv_decrypt", fold(|h| dec.iter().for_each(|&v| h.word(v)))));
+    }
+    Ok(out)
+}
+
+/// Recorded at PR 22's head (commit 4cf6d96), before PR 23 touched anything.
+const GOLDEN_K1: &[(&str, u64)] = &[
+    ("relin_key", 0x953f52a604242473),
+    ("rotation_keys", 0xb4322d2a6dcee650),
+    ("conjugation_key", 0xc1ed6e40ee94948c),
+    ("encrypt", 0xe668d3b6d31ea3aa),
+    ("hmult", 0xa78f8d9a058c157f),
+    ("rescale", 0xc494d9dc371687a2),
+    ("rescale_by_2", 0x9a0d998a24a5d014),
+    ("hrotate", 0xd2117bf3a654cc83),
+    ("hrotate_many", 0x060b0990b409b5b2),
+    ("hconjugate", 0xc3d21ce1ba68bade),
+    ("keyswitch", 0xe139f87669611074),
+    ("keyswitch_level_2", 0xf38d677b82bb2919),
+    ("keyswitch_hoisted_g5", 0x4edf8e05c2996227),
+    ("decode_fresh", 0x9a28af9effdfd658),
+    ("decode_rescaled_product", 0xa0833f012b9518f0),
+    ("decode_rescale_by_2", 0x650af1cb655aeda6),
+    ("decode_rotated", 0xc84debd2646c7aa4),
+    ("decode_level_0", 0x0b2a7bb13add7a1e),
+    ("decode_level_1", 0x9a28af9effdfd658),
+    ("bgv_relin_key", 0x945f63aaf510b557),
+    ("bgv_hmult_chain", 0x2e19c0deff701bb9),
+    ("bgv_decrypt", 0x8991acf926caaaf5),
+];
+
+/// As [`GOLDEN_K1`], with two special primes (α = 2, partial last digit).
+const GOLDEN_K2: &[(&str, u64)] = &[
+    ("relin_key", 0x63379d1cd2fa43dd),
+    ("rotation_keys", 0x14b1485a80269d08),
+    ("conjugation_key", 0x5591987b720ebcfd),
+    ("encrypt", 0x76e3e10a1e76c44f),
+    ("hmult", 0x7e071d86129634ab),
+    ("rescale", 0x6df85b8570081253),
+    ("rescale_by_2", 0xe09890134eed653b),
+    ("hrotate", 0xfab229a782b6fe1d),
+    ("hrotate_many", 0xb96e6a357bd9ea65),
+    ("hconjugate", 0x45e8f8f96963145b),
+    ("keyswitch", 0xf5dd628cb3e8362e),
+    ("keyswitch_level_2", 0xb78965b5c7b2cd20),
+    ("keyswitch_hoisted_g5", 0xe7c2377cc173eeb4),
+    ("decode_fresh", 0xfbeb17eace4d5924),
+    ("decode_rescaled_product", 0x2d76f7f638638c64),
+    ("decode_rescale_by_2", 0x0bc3cb1e4daf5981),
+    ("decode_rotated", 0x5e31b7c5094df365),
+    ("decode_level_0", 0xeef0ea94f58d3cb8),
+    ("decode_level_1", 0xfbeb17eace4d5924),
+];
+
+fn check(k: usize, golden: &[(&str, u64)]) -> Result<(), CkksError> {
+    let actual = fingerprints(k)?;
+    if actual != golden {
+        let table: String = actual
+            .iter()
+            .map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n"))
+            .collect();
+        panic!("fingerprints moved at K = {k}; actual table:\n[\n{table}]");
+    }
+    Ok(())
+}
+
+#[test]
+fn bits_match_the_recorded_fingerprints_k1() -> Result<(), CkksError> {
+    check(1, GOLDEN_K1)
+}
+
+#[test]
+fn bits_match_the_recorded_fingerprints_k2() -> Result<(), CkksError> {
+    check(2, GOLDEN_K2)
+}

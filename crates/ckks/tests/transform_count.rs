@@ -1,24 +1,32 @@
-//! Pins the number of host limb transforms one keyswitch performs.
+//! Pins the number of host limb transforms a keyswitch and a rescale perform.
 //!
-//! `RnsPoly::ntt_{forward,inverse}_with` add their limb count to the
+//! Every RNS-wide transform (`RnsPoly::ntt_{forward,inverse}_with`) and every
+//! single-limb transform of the fused paths reports itself to the
 //! `polyring.ntt_limb_transforms` trace counter, so the count is read from
-//! the code that runs, not computed from parameters. At K = 1 (α = 1,
-//! dnum = l + 1) a keyswitch at level l is
+//! the code that runs, not computed from parameters. With K special primes
+//! (α = K limbs per digit, dnum = ⌈(l+1)/K⌉) a keyswitch at level l is
 //!
-//! - `l + 1`: the INTT of the input,
-//! - `dnum · (l + 2)`: the NTT of each digit's full-basis extension,
-//! - `2 · (2l + 3)`: ModDown of both accumulators (INTT over the full
-//!   basis, NTT of the result over Q),
+//! - `l + 1`: the INTT of the input, shared by every digit;
+//! - `dnum · (l+1+K) − (l+1)`: one forward transform per (digit, target
+//!   limb) except the digit's own limbs, whose NTT is the operand limb
+//!   itself and is copied;
+//! - `2 · (K + l+1)`: ModDown of both accumulators — INTT of the K special
+//!   limbs only, NTT of the correction over Q;
 //!
-//! and a hoisted keyswitch on a kept decomposition is the ModDown part only.
-//! A change that skips a transform whose answer is already in hand (ROADMAP
-//! direction 1(b)) changes these numbers on purpose, here.
+//! `(dnum + 2) · (l+1+K)` in all, which at K = 1 is
+//! `(l+1) + dnum·(l+1) + 2·(l+2)`. A hoisted keyswitch on a kept
+//! decomposition is the ModDown part only, and one rescale at level l is
+//! `2 · (1 + l)`: per component, INTT of the dropped limb and NTT of the
+//! correction over the l kept limbs. (Until PR 23 the keyswitch figure was
+//! `(l+1) + dnum·(l+2) + 2·(2l+3)` — 93 / 317 at the SET-B / SET-C chains —
+//! and a rescale `2·(2l+1)`; `benchmark/`'s `polyring.ntt_calls_per_keyswitch`
+//! is computed from parameters and still reads the old figure.)
 //!
 //! One test function on purpose: this binary owns its process, so mutating
 //! the process-global tracer level cannot race other tests.
 
 use wd_ckks::keyswitch::{keyswitch, keyswitch_hoisted, HoistedDecomposition};
-use wd_ckks::{CkksContext, CkksError, ParamSet};
+use wd_ckks::{ops, CkksContext, CkksError, ParamSet};
 
 const COUNTER: &str = "polyring.ntt_limb_transforms";
 
@@ -32,36 +40,53 @@ fn transforms_during<T>(f: impl FnOnce() -> Result<T, CkksError>) -> Result<u64,
 #[test]
 fn keyswitch_transform_count_matches_the_formula() -> Result<(), CkksError> {
     wd_trace::set_level(wd_trace::TraceLevel::Summary);
-    // The SET-B and SET-C chains (Table VI, K = 1) on a shrunken ring.
-    for (set, top, at_top) in [
-        (ParamSet::set_b(), 6u64, 93u64),
-        (ParamSet::set_c(), 14, 317),
+    // The SET-B and SET-C chains (Table VI, K = 1) on a shrunken ring, and
+    // the SET-B chain with two special primes (α = 2, a partial last digit).
+    for (set, k, top, at_top) in [
+        (ParamSet::set_b(), 1u64, 6u64, 72u64),
+        (ParamSet::set_c(), 1, 14, 272),
+        (ParamSet::set_b().with_special(2), 2, 6, 54),
     ] {
         let ctx = CkksContext::with_seed(set.with_degree(1 << 6).build()?, 5)?;
-        assert_eq!(ctx.params().special_count(), 1);
+        assert_eq!(ctx.params().special_count() as u64, k);
         assert_eq!(ctx.params().max_level() as u64, top);
         let kp = ctx.keygen();
+        let fresh = ctx.encrypt_values(&[1.5, -0.5], &kp.public)?;
         for l in [top, top / 2, 0] {
             let slots = [wd_ckks::encoding::C64::new(1.5, -0.5)];
             let d = ctx
                 .encode_complex_at(&slots, l as usize, ctx.params().scale())?
                 .poly;
-            let mod_down_both = 2 * (2 * l + 3);
-            let full = (l + 1) + (l + 1) * (l + 2) + mod_down_both;
+            let full = l + 1 + k;
+            let dnum = (l + 1).div_ceil(k);
+            assert_eq!(dnum, ctx.params().dnum_at(l as usize) as u64);
+            let mod_down_both = 2 * full;
+            let whole = (l + 1) + (dnum * full - (l + 1)) + mod_down_both;
+            if k == 1 {
+                assert_eq!(whole, (l + 1) + dnum * (l + 1) + 2 * (l + 2));
+            }
             if l == top {
-                assert_eq!(full, at_top);
+                assert_eq!(whole, at_top);
             }
             assert_eq!(
                 transforms_during(|| keyswitch(&ctx, &d, &kp.relin))?,
-                full,
-                "keyswitch at level {l} of {top}"
+                whole,
+                "keyswitch at level {l} of {top}, K = {k}"
             );
             let hoisted = HoistedDecomposition::new(&ctx, &d)?;
             assert_eq!(
                 transforms_during(|| keyswitch_hoisted(&ctx, &hoisted, 5, &kp.relin))?,
                 mod_down_both,
-                "hoisted keyswitch at level {l} of {top}"
+                "hoisted keyswitch at level {l} of {top}, K = {k}"
             );
+            if l > 0 {
+                let ct = ops::level_drop(&fresh, l as usize)?;
+                assert_eq!(
+                    transforms_during(|| ops::rescale(&ctx, &ct))?,
+                    2 * (1 + l),
+                    "rescale at level {l} of {top}"
+                );
+            }
         }
     }
     wd_trace::set_level(wd_trace::TraceLevel::Off);

@@ -64,6 +64,12 @@ pub enum MathError {
         /// The modulus.
         modulus: u64,
     },
+    /// The basis product does not fit the 127 bits a centred reconstruction
+    /// into `i128` has.
+    BasisTooWide {
+        /// Bit width of the product.
+        bits: u32,
+    },
 }
 
 impl core::fmt::Display for MathError {
@@ -76,6 +82,9 @@ impl core::fmt::Display for MathError {
             MathError::NotInvertible { value, modulus } => {
                 write!(f, "{value} is not invertible modulo {modulus}")
             }
+            MathError::BasisTooWide { bits } => {
+                write!(f, "basis product of {bits} bits does not fit 127")
+            }
         }
     }
 }
@@ -87,9 +96,9 @@ pub use wd_fault::WdError;
 impl From<MathError> for WdError {
     fn from(e: MathError) -> Self {
         match e {
-            MathError::InvalidModulus(_) | MathError::PrimeNotFound { .. } => {
-                WdError::InvalidParams(e.to_string())
-            }
+            MathError::InvalidModulus(_)
+            | MathError::PrimeNotFound { .. }
+            | MathError::BasisTooWide { .. } => WdError::InvalidParams(e.to_string()),
             MathError::NotInvertible { .. } => WdError::Math(e.to_string()),
         }
     }

@@ -2,14 +2,43 @@
 //!
 //! RNS-CKKS stores every polynomial coefficient as its residues modulo a
 //! chain of word-size primes q_0 … q_l (plus special primes p_0 … p_{K-1}
-//! for hybrid keyswitching). The two primitives this module provides are:
+//! for hybrid keyswitching). This module provides:
 //!
 //! - [`RnsBasis::crt_reconstruct_centered`]: exact CRT reconstruction of a
-//!   centered coefficient (used by decryption/decoding, where the value is
-//!   small relative to the basis product), and
+//!   centered coefficient, one coefficient at a time and from first
+//!   principles — the *definition*. [`CrtReconstructor`] is what decryption
+//!   and decoding run: the same value from constants computed once per
+//!   basis (Garner's mixed-radix form), over whole limb slabs.
 //! - [`BasisConverter`]: the fast (Halevi–Polyakov–Shoup style) conversion of
 //!   residues from one basis to another — the arithmetic core of ModUp and
-//!   ModDown in Keyswitch (paper Fig. 4).
+//!   ModDown in Keyswitch (paper Fig. 4). [`BasisConverter::convert_coeff`]
+//!   is its definition; [`BasisConverter::convert_limb_into`] is the
+//!   limb-major form every caller uses.
+//!
+//! # A single source limb is a lift
+//!
+//! Table VI fixes one special prime, so α = 1 and every conversion a
+//! keyswitch performs has **one** source limb (a digit is one chain prime,
+//! ModDown reads the one special prime, Rescale the one dropped prime). With
+//! `from = {q}` the HPS formula collapses: Q/q is the empty product 1, so
+//! y = x, the overflow estimate is v = round(x/q) ∈ {0, 1}, and
+//!
+//! ```text
+//! v     = [x > ⌊q/2⌋]
+//! out_i = (x − v·q) mod p_i          the centred lift of x, reduced mod p_i
+//! ```
+//!
+//! — one compare and one conditional add per word where q < 2·p_i (the
+//! centred value then lies in (−p_i, p_i)), one Barrett reduction otherwise.
+//! The exact compare and the float estimate `⌊x·fl(1/q) + 0.5⌋` of the
+//! definition agree for every word-size modulus: the nearest inputs to the
+//! boundary are x = (q ∓ 1)/2, where x/q = ½ ∓ 1/(2q) is at least 2^-32
+//! away from ½ (q < 2^31) while the roundings of the float expression together
+//! move it by less than 2^-50, so the floor lands on the same side.
+//! `convert_limb_into` takes this path whenever the converter has one source
+//! limb — a property of the input, not a switch — and the tests compare it
+//! with `convert_coeff` at 0, 1, q − 1 and every x within 2 of q/2 for every
+//! ordered pair of a 28-bit chain and a 29-bit special prime.
 
 use crate::{MathError, Modulus};
 
@@ -79,6 +108,16 @@ impl RnsBasis {
         Some(acc)
     }
 
+    /// The product of all moduli when it is below 2^127, the width a centred
+    /// reconstruction into `i128` has.
+    fn product_below_2_127(&self) -> Result<u128, MathError> {
+        self.product_u128()
+            .filter(|&q| q < 1 << 127)
+            .ok_or(MathError::BasisTooWide {
+                bits: self.log2_product().floor() as u32 + 1,
+            })
+    }
+
     /// Product of all moduli as an `f64` (approximate; used for noise/scale
     /// bookkeeping, never for exact arithmetic).
     pub fn product_f64(&self) -> f64 {
@@ -107,20 +146,25 @@ impl RnsBasis {
     /// basis product. This is how decryption recovers the (small) plaintext
     /// coefficient from its RNS residues.
     ///
+    /// This is the **definition** — it recomputes the basis product and one
+    /// inverse per limb for every coefficient — kept for the tests to
+    /// compare [`CrtReconstructor`] against; nothing on a request path calls
+    /// it.
+    ///
     /// # Errors
     ///
-    /// Returns [`MathError::InvalidModulus`] if the basis product overflows
-    /// `u128` (callers should reconstruct from a limb subset that bounds the
-    /// coefficient — see `wd-ckks`).
+    /// Returns [`MathError::BasisTooWide`] if the basis product is ≥ 2^127:
+    /// the centred value would not fit an `i128`, and the modular
+    /// accumulation below relies on `2·Q` fitting a `u128` (callers
+    /// reconstruct from a limb subset that bounds the coefficient — see
+    /// `wd-ckks`).
     ///
     /// # Panics
     ///
     /// Panics if `residues.len() != self.len()`.
     pub fn crt_reconstruct_centered(&self, residues: &[u64]) -> Result<i128, MathError> {
         assert_eq!(residues.len(), self.len(), "one residue per limb");
-        let q_prod = self
-            .product_u128()
-            .ok_or(MathError::InvalidModulus(u64::MAX))?;
+        let q_prod = self.product_below_2_127()?;
         let mut acc: u128 = 0;
         for (m, &r) in self.moduli.iter().zip(residues) {
             let qi = u128::from(m.value());
@@ -141,8 +185,8 @@ impl RnsBasis {
 
 /// (a * b) mod m for u128 operands, via 4-limb schoolbook on 64-bit halves.
 fn mul_mod_u128(a: u128, b: u128, m: u128) -> u128 {
-    // Russian-peasant multiplication; m < 2^127 so doubling cannot overflow
-    // after one reduction.
+    // Russian-peasant multiplication; m < 2^127 (checked by the one caller)
+    // so doubling cannot overflow after one reduction.
     let mut a = a % m;
     let mut b = b % m;
     let mut acc: u128 = 0;
@@ -253,6 +297,10 @@ impl BasisConverter {
     /// Converts one coefficient's residues from the source to the target
     /// basis, writing into `out` (`out.len() == to.len()`).
     ///
+    /// This is the **definition** of the conversion, kept for the tests to
+    /// compare [`BasisConverter::convert_limb_into`] against; nothing on a
+    /// request path calls it.
+    ///
     /// # Panics
     ///
     /// Panics if slice lengths do not match the bases.
@@ -279,6 +327,200 @@ impl BasisConverter {
             }
             let corr = mi.mul(mi.reduce(v), self.q_mod_to[i]);
             out[i] = mi.sub(acc, corr);
+        }
+    }
+
+    /// Limb-major conversion: `src[j]` is the whole slab of residues modulo
+    /// the j-th source prime (canonical, `< q_j`, as every limb in the
+    /// workspace is), and `out` receives the slab modulo target prime
+    /// `target` — coefficient for coefficient what
+    /// [`BasisConverter::convert_coeff`] writes to `out[target]`. One call
+    /// per target limb is the whole conversion: no gather, no scratch, no
+    /// transpose, and target limbs are independent work items.
+    ///
+    /// With one source limb this is the centred lift of the
+    /// [module docs](self); with more it is the HPS sum, block by block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` does not hold one slab per source prime, a slab's
+    /// length differs from `out`'s, or `target` is out of range.
+    pub fn convert_limb_into(&self, src: &[&[u64]], target: usize, out: &mut [u64]) {
+        assert_eq!(src.len(), self.from.len(), "one slab per source prime");
+        assert!(src.iter().all(|s| s.len() == out.len()), "slab lengths");
+        let mi = &self.to.moduli()[target];
+        if let ([x], [mq]) = (src, self.from.moduli()) {
+            lift_slab(mq.value(), mi, self.q_mod_to[target], x, out);
+            return;
+        }
+        // General case, in blocks small enough for both running sums to
+        // stay in L1. The float sum runs over j in the same order as the
+        // definition's, so the estimate is the same double.
+        const BLOCK: usize = 256;
+        let row = &self.q_hat_mod_to[target];
+        let q_mod = self.q_mod_to[target];
+        let mut acc = [0u64; BLOCK];
+        let mut v_est = [0.0f64; BLOCK];
+        for (b, oc) in out.chunks_mut(BLOCK).enumerate() {
+            let len = oc.len();
+            acc[..len].fill(0);
+            v_est[..len].fill(0.0);
+            for (j, mj) in self.from.moduli().iter().enumerate() {
+                let xs = &src[j][b * BLOCK..b * BLOCK + len];
+                let (hat_inv, inv_q, hat) = (self.q_hat_inv[j], self.inv_q[j], row[j]);
+                for ((a, v), &x) in acc.iter_mut().zip(v_est.iter_mut()).zip(xs) {
+                    let y = mj.mul(x, hat_inv);
+                    *v += y as f64 * inv_q;
+                    *a = mi.add(*a, mi.mul(mi.reduce(y), hat));
+                }
+            }
+            for ((o, &a), &v) in oc.iter_mut().zip(&acc).zip(&v_est) {
+                let v = (v + 0.5).floor() as u64;
+                *o = mi.sub(a, mi.mul(mi.reduce(v), q_mod));
+            }
+        }
+    }
+}
+
+/// The single-source-limb conversion: `out[k] = (x[k] − v·q) mod p` with
+/// `v = [x[k] > ⌊q/2⌋]`, where `q_mod_p = q mod p`. Branch-free per word —
+/// the compare is the sign bit of a subtraction, as in the NTT's
+/// `reduce_once`, so the fast loop vectorises on baseline x86-64.
+fn lift_slab(q: u64, p: &Modulus, q_mod_p: u64, x: &[u64], out: &mut [u64]) {
+    debug_assert!(x.iter().all(|&x| x < q), "residues not canonical");
+    let half = q / 2;
+    // All-ones where x > half (x, half < 2^31: the difference's sign bit).
+    let above = |x: u64| 0u64.wrapping_sub(half.wrapping_sub(x) >> 63);
+    if q < 2 * p.value() {
+        // x − v·q lies in (−p, p): adding p − q (mod 2^64) where v = 1 lands
+        // in [0, p) directly.
+        let shift = p.value().wrapping_sub(q);
+        for (o, &x) in out.iter_mut().zip(x) {
+            *o = x.wrapping_add(shift & above(x));
+        }
+    } else {
+        for (o, &x) in out.iter_mut().zip(x) {
+            *o = p.sub(p.reduce(x), q_mod_p & above(x));
+        }
+    }
+}
+
+/// Centred CRT reconstruction from constants computed once per basis — what
+/// decryption and decoding run in place of the per-coefficient
+/// [`RnsBasis::crt_reconstruct_centered`], and equal to it value for value.
+///
+/// Garner's mixed-radix form: with digits
+/// `a_i = (…((r_i − a_0)·q_0⁻¹ − a_1)·q_1⁻¹ … − a_{i−1})·q_{i−1}⁻¹ mod q_i`
+/// the value is `a_0 + q_0·(a_1 + q_1·(a_2 + …))`, evaluated by Horner's rule
+/// in `u128` with native multiplies and centred once at the end. Every
+/// inverse is a Shoup pair fixed at construction; nothing is inverted,
+/// multiplied out or allocated per coefficient.
+///
+/// # Examples
+///
+/// ```
+/// use wd_modmath::rns::{CrtReconstructor, RnsBasis};
+/// let basis = RnsBasis::new(vec![97, 193]).unwrap();
+/// let crt = CrtReconstructor::new(&basis).unwrap();
+/// let r = basis.decompose_i128(-5);
+/// let mut out = [0i128; 1];
+/// crt.reconstruct_into(&[&r[..1], &r[1..]], &mut out);
+/// assert_eq!(out[0], -5);
+/// ```
+#[derive(Debug, Clone)]
+pub struct CrtReconstructor {
+    moduli: Vec<Modulus>,
+    /// `inv[i][j]` = q_j⁻¹ mod q_i with its Shoup constant, for j < i.
+    inv: Vec<Vec<(u64, u64)>>,
+    /// The basis product Q (< 2^127).
+    product: u128,
+}
+
+impl CrtReconstructor {
+    /// Precomputes the reconstruction constants of `basis`.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::BasisTooWide`] when the basis product is ≥ 2^127 (the
+    /// centred value must fit an `i128`), [`MathError::InvalidModulus`] for
+    /// an empty basis, [`MathError::NotInvertible`] for moduli that are not
+    /// pairwise coprime.
+    pub fn new(basis: &RnsBasis) -> Result<Self, MathError> {
+        if basis.is_empty() {
+            return Err(MathError::InvalidModulus(0));
+        }
+        let product = basis.product_below_2_127()?;
+        let moduli = basis.moduli().to_vec();
+        let inv = moduli
+            .iter()
+            .enumerate()
+            .map(|(i, mi)| {
+                moduli[..i]
+                    .iter()
+                    .map(|mj| {
+                        let w = mi.inv(mi.reduce(mj.value()))?;
+                        Ok((w, mi.shoup(w)))
+                    })
+                    .collect::<Result<Vec<_>, MathError>>()
+            })
+            .collect::<Result<Vec<_>, MathError>>()?;
+        Ok(Self {
+            moduli,
+            inv,
+            product,
+        })
+    }
+
+    /// Number of limbs the reconstructor reads.
+    pub fn len(&self) -> usize {
+        self.moduli.len()
+    }
+
+    /// Whether the basis is empty (never, by construction).
+    pub fn is_empty(&self) -> bool {
+        self.moduli.is_empty()
+    }
+
+    /// The prime values in order.
+    pub fn values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.moduli.iter().map(Modulus::value)
+    }
+
+    /// Reconstructs every coefficient: `limbs[i]` is the slab of canonical
+    /// residues modulo the i-th prime, `out[k]` receives the representative
+    /// of coefficient k in `(−Q/2, Q/2]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `limbs` does not hold one slab per prime or a slab's length
+    /// differs from `out`'s.
+    pub fn reconstruct_into(&self, limbs: &[&[u64]], out: &mut [i128]) {
+        assert_eq!(limbs.len(), self.len(), "one slab per limb");
+        assert!(limbs.iter().all(|l| l.len() == out.len()), "slab lengths");
+        let half = self.product / 2;
+        let mut digits = vec![0u64; self.len()];
+        for (k, o) in out.iter_mut().enumerate() {
+            for (i, mi) in self.moduli.iter().enumerate() {
+                let mut t = limbs[i][k];
+                for (&a, &(w, ws)) in digits[..i].iter().zip(&self.inv[i]) {
+                    // A digit is reduced mod its own prime, which may exceed
+                    // this one.
+                    t = mi.mul_shoup(mi.sub(t, mi.reduce(a)), w, ws);
+                }
+                digits[i] = t;
+            }
+            let x = digits
+                .iter()
+                .zip(&self.moduli)
+                .rev()
+                .fold(0u128, |x, (&a, m)| {
+                    x * u128::from(m.value()) + u128::from(a)
+                });
+            *o = if x > half {
+                x as i128 - self.product as i128
+            } else {
+                x as i128
+            };
         }
     }
 }
@@ -377,6 +619,184 @@ mod tests {
         crate::prime::ntt_prime_above(1 << bits, 1 << 8).unwrap()
     }
 
+    /// A SET-B/C-shaped prime pool: chain primes alternating just above and
+    /// just below 2^28, and one special prime just above 2^29 (so the
+    /// special prime is ≥ 2× the low chain primes and < 2× the high ones:
+    /// both kernels of the lift occur in both directions).
+    fn chain_and_special() -> Vec<u64> {
+        let mut pool = generate_ntt_primes(28, 1 << 8, 6).unwrap();
+        pool.push(ntt_prime(29));
+        pool
+    }
+
+    /// `convert_limb_into` over a one-coefficient slab per source limb.
+    fn convert_via_limbs(conv: &BasisConverter, residues: &[u64]) -> Vec<u64> {
+        let src: Vec<&[u64]> = residues.iter().map(std::slice::from_ref).collect();
+        (0..conv.to_basis().len())
+            .map(|i| {
+                let mut out = [0u64];
+                conv.convert_limb_into(&src, i, &mut out);
+                out[0]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn single_limb_lift_equals_the_definition_at_the_boundary() {
+        let pool = chain_and_special();
+        let (mut fast, mut reduced) = (0, 0);
+        for &q in &pool {
+            let to: Vec<u64> = pool.iter().copied().filter(|&p| p != q).collect();
+            for &p in &to {
+                if q < 2 * p {
+                    fast += 1;
+                } else {
+                    reduced += 1;
+                }
+            }
+            let conv = BasisConverter::new(
+                RnsBasis::new(vec![q]).unwrap(),
+                RnsBasis::new(to.clone()).unwrap(),
+            )
+            .unwrap();
+            // 0, 1, q − 1 and everything within 2 of q/2: where the exact
+            // compare and the definition's float estimate could part ways.
+            let half = q / 2;
+            let xs = [0, 1, q - 1]
+                .into_iter()
+                .chain(half - 2..=half + 3)
+                .collect::<Vec<_>>();
+            for x in xs {
+                let mut want = vec![0u64; to.len()];
+                conv.convert_coeff(&[x], &mut want);
+                assert_eq!(convert_via_limbs(&conv, &[x]), want, "q = {q}, x = {x}");
+                // And both are the centred lift.
+                let centred = if x > half {
+                    x as i128 - q as i128
+                } else {
+                    x as i128
+                };
+                assert_eq!(want, conv.to_basis().decompose_i128(centred));
+            }
+        }
+        assert!(fast > 0 && reduced > 0, "both lift kernels exercised");
+    }
+
+    #[test]
+    fn single_limb_lift_onto_its_own_prime_is_the_identity() {
+        // ModUp's target basis contains the digit's own prime.
+        let q = ntt_prime(28);
+        let conv = BasisConverter::new(
+            RnsBasis::new(vec![q]).unwrap(),
+            RnsBasis::new(vec![q, ntt_prime(29)]).unwrap(),
+        )
+        .unwrap();
+        let src: Vec<u64> = vec![0, 1, q / 2, q / 2 + 1, q - 1];
+        let mut out = vec![0u64; src.len()];
+        conv.convert_limb_into(&[&src], 0, &mut out);
+        assert_eq!(out, src);
+    }
+
+    #[test]
+    fn limb_major_conversion_crosses_block_boundaries() {
+        // Whole slabs, longer than one block of the general path and not a
+        // multiple of it, against the definition coefficient by coefficient.
+        let len = 600;
+        for from_len in [1usize, 2, 3] {
+            let from = basis(28, from_len, 0);
+            let to = basis(28, 3, from_len);
+            let conv = BasisConverter::new(from.clone(), to.clone()).unwrap();
+            let src: Vec<Vec<u64>> = from
+                .moduli()
+                .iter()
+                .enumerate()
+                .map(|(j, m)| {
+                    (0..len as u64)
+                        .map(|k| (k * 2_654_435_761 + 97 * j as u64 + 1) % m.value())
+                        .collect()
+                })
+                .collect();
+            let slabs: Vec<&[u64]> = src.iter().map(Vec::as_slice).collect();
+            for i in 0..to.len() {
+                let mut out = vec![0u64; len];
+                conv.convert_limb_into(&slabs, i, &mut out);
+                for k in 0..len {
+                    let residues: Vec<u64> = src.iter().map(|s| s[k]).collect();
+                    let mut want = vec![0u64; to.len()];
+                    conv.convert_coeff(&residues, &mut want);
+                    assert_eq!(out[k], want[i], "from {from_len}, limb {i}, coeff {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reconstructor_matches_the_definition_at_the_range_boundaries() {
+        // The `crt_centered_range_boundaries` cases, and ±Q/2 on 1…4 limbs.
+        let b = RnsBasis::new(vec![97, 101]).unwrap();
+        let q: i128 = 97 * 101;
+        assert_reconstructs(
+            &b,
+            &[-(q - 1) / 2, -(q - 1) / 2 + 1, -1, 0, 1, q / 2 - 1, q / 2],
+        );
+        for limbs in 1..=4 {
+            let b = basis(28, limbs, 0);
+            let q = b.product_u128().unwrap() as i128;
+            assert_reconstructs(&b, &[-(q - 1) / 2, -(q / 3), -1, 0, 1, q / 3, q / 2]);
+        }
+    }
+
+    /// Both reconstructions of every `x` (which must lie in `(−Q/2, Q/2]`)
+    /// return `x`.
+    fn assert_reconstructs(b: &RnsBasis, xs: &[i128]) {
+        let crt = CrtReconstructor::new(b).unwrap();
+        let residues: Vec<Vec<u64>> = xs.iter().map(|&x| b.decompose_i128(x)).collect();
+        let limbs: Vec<Vec<u64>> = (0..b.len())
+            .map(|i| residues.iter().map(|r| r[i]).collect())
+            .collect();
+        let slabs: Vec<&[u64]> = limbs.iter().map(Vec::as_slice).collect();
+        let mut out = vec![0i128; xs.len()];
+        crt.reconstruct_into(&slabs, &mut out);
+        for ((x, r), got) in xs.iter().zip(&residues).zip(&out) {
+            assert_eq!(got, x, "{} limbs", b.len());
+            assert_eq!(b.crt_reconstruct_centered(r).unwrap(), *x);
+        }
+    }
+
+    #[test]
+    fn reconstruction_refuses_a_product_of_127_bits_or_more() {
+        // Four 30-bit primes are 120 bits; a seventh-bit prime keeps the
+        // product below 2^127, an eighth-bit one lands in [2^127, 2^128) —
+        // where the definition's accumulation used to overflow silently —
+        // and a fifth word-size prime overflows u128 altogether.
+        let four = generate_ntt_primes(30, 1 << 8, 4).unwrap();
+        let with = |extra: u64| {
+            let mut primes = four.clone();
+            primes.push(extra);
+            RnsBasis::new(primes).unwrap()
+        };
+        let fits = with(67);
+        assert!(fits.product_u128().unwrap() < 1 << 127);
+        assert!(CrtReconstructor::new(&fits).is_ok());
+        assert_reconstructs(&fits, &[-(1i128 << 120), -1, 0, 1 << 125]);
+
+        let edge = with(251);
+        assert!(edge.product_u128().unwrap() >= 1 << 127);
+        let wide = with(ntt_prime(29));
+        assert!(wide.product_u128().is_none());
+        for b in [&edge, &wide] {
+            assert!(matches!(
+                CrtReconstructor::new(b),
+                Err(MathError::BasisTooWide { .. })
+            ));
+            assert!(matches!(
+                b.crt_reconstruct_centered(&vec![0; b.len()]),
+                Err(MathError::BasisTooWide { .. })
+            ));
+        }
+        assert!(CrtReconstructor::new(&RnsBasis::new(vec![]).unwrap()).is_err());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -396,6 +816,61 @@ mod tests {
             let mut out = vec![0u64; to.len()];
             conv.convert_coeff(&src, &mut out);
             prop_assert_eq!(out, to.decompose_i128(x));
+        }
+
+        #[test]
+        fn prop_single_limb_lift_equals_the_definition(x in 0u64..(1 << 30), which in 0usize..7) {
+            let pool = chain_and_special();
+            let q = pool[which];
+            let x = x % q;
+            let to: Vec<u64> = pool.iter().copied().filter(|&p| p != q).collect();
+            let conv = BasisConverter::new(
+                RnsBasis::new(vec![q]).unwrap(),
+                RnsBasis::new(to.clone()).unwrap(),
+            ).unwrap();
+            let mut want = vec![0u64; to.len()];
+            conv.convert_coeff(&[x], &mut want);
+            prop_assert_eq!(convert_via_limbs(&conv, &[x]), want);
+        }
+
+        #[test]
+        fn prop_limb_major_conversion_equals_the_definition(
+            a in 0u64..(1 << 28), b in 0u64..(1 << 28), c in 0u64..(1 << 28),
+        ) {
+            // Arbitrary residue tuples, not only small values: the float
+            // estimate's sum order is part of the contract.
+            for from_len in [2usize, 3] {
+                let from = basis(28, from_len, 0);
+                let to = basis(28, 3, from_len);
+                let conv = BasisConverter::new(from.clone(), to.clone()).unwrap();
+                let residues: Vec<u64> = [a, b, c][..from_len]
+                    .iter()
+                    .zip(from.moduli())
+                    .map(|(&r, m)| r % m.value())
+                    .collect();
+                let mut want = vec![0u64; to.len()];
+                conv.convert_coeff(&residues, &mut want);
+                prop_assert_eq!(convert_via_limbs(&conv, &residues), want);
+            }
+        }
+
+        #[test]
+        fn prop_reconstructor_equals_the_definition(
+            r0 in 0u64..(1 << 28), r1 in 0u64..(1 << 28),
+            r2 in 0u64..(1 << 28), r3 in 0u64..(1 << 28),
+        ) {
+            for limbs in 1usize..=4 {
+                let b = basis(28, limbs, 0);
+                let residues: Vec<u64> = [r0, r1, r2, r3][..limbs]
+                    .iter()
+                    .zip(b.moduli())
+                    .map(|(&r, m)| r % m.value())
+                    .collect();
+                let slabs: Vec<&[u64]> = residues.iter().map(std::slice::from_ref).collect();
+                let mut out = [0i128];
+                CrtReconstructor::new(&b).unwrap().reconstruct_into(&slabs, &mut out);
+                prop_assert_eq!(out[0], b.crt_reconstruct_centered(&residues).unwrap());
+            }
         }
 
         #[test]

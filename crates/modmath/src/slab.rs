@@ -61,6 +61,35 @@ impl Modulus {
         }
     }
 
+    /// Two fused multiply-accumulates that share one operand:
+    /// `acc0[i] += a[i]·b0[i]` and `acc1[i] += a[i]·b1[i]` (mod q) in one
+    /// pass — the keyswitch inner product, where one extended digit limb
+    /// meets both key limbs. Bit-identical to two
+    /// [`Modulus::mul_add_slab_assign`] calls; it exists because `b0` and
+    /// `b1` are key limbs read once from a key far larger than L2, and one
+    /// loop over both keeps two memory streams in flight where two loops
+    /// each wait on one (measured at SET-C, N = 2^14, a 60 MiB key: 128 µs
+    /// for the two passes, 66 µs fused; 20 µs a pass on hot operands).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slab lengths differ.
+    pub fn mul_add2_slab_assign(
+        &self,
+        acc0: &mut [u64],
+        acc1: &mut [u64],
+        a: &[u64],
+        b0: &[u64],
+        b1: &[u64],
+    ) {
+        let len = a.len();
+        assert!([acc0.len(), acc1.len(), b0.len(), b1.len()] == [len; 4]);
+        for ((((c0, c1), &x), &y0), &y1) in acc0.iter_mut().zip(acc1).zip(a).zip(b0).zip(b1) {
+            *c0 = self.add(*c0, self.mul(x, y0));
+            *c1 = self.add(*c1, self.mul(x, y1));
+        }
+    }
+
     /// In-place addition: `a[i] = a[i] + b[i] mod q`.
     ///
     /// # Panics
@@ -85,6 +114,32 @@ impl Modulus {
         for (ac, bc) in a.chunks_mut(SLAB_BLOCK).zip(b.chunks(SLAB_BLOCK)) {
             for (x, &y) in ac.iter_mut().zip(bc) {
                 *x = self.sub(*x, y);
+            }
+        }
+    }
+
+    /// Fused reverse-subtract-and-scale: `a[i] = (b[i] − a[i]) · w mod q` in
+    /// one pass — the last step of ModDown and Rescale, where `a` holds the
+    /// correction term (and becomes the result) and `b` the operand limb.
+    /// Bit-identical to `sub` followed by a Shoup (or Barrett) multiply.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slab lengths differ.
+    pub fn rsub_scale_slab_assign(&self, a: &mut [u64], b: &[u64], w: u64) {
+        assert_eq!(a.len(), b.len());
+        debug_assert!(w < self.value());
+        let q = self.value();
+        let w_shoup = self.shoup(w);
+        for (ac, bc) in a.chunks_mut(SLAB_BLOCK).zip(b.chunks(SLAB_BLOCK)) {
+            for (x, &y) in ac.iter_mut().zip(bc) {
+                // The lazy product takes the unreduced difference in (0, 2q)
+                // and lands in [0, 2q): one correction for both steps, and
+                // no data-dependent branch (the operands are uniform, so a
+                // compare-and-branch subtraction mispredicts half the time).
+                let r = self.mul_shoup_lazy(y + q - *x, w, w_shoup);
+                let over = r.wrapping_sub(q);
+                *x = over.wrapping_add(q & 0u64.wrapping_sub(over >> 63));
             }
         }
     }
@@ -149,6 +204,23 @@ mod tests {
     }
 
     #[test]
+    fn mul_add2_slab_matches_two_mul_adds() {
+        let m = m();
+        let len = SLAB_BLOCK + 9;
+        let (a, b0, b1) = (
+            slab(11, len, m.value()),
+            slab(12, len, m.value()),
+            slab(13, len, m.value()),
+        );
+        let (mut want0, mut want1) = (slab(14, len, m.value()), slab(15, len, m.value()));
+        let (mut acc0, mut acc1) = (want0.clone(), want1.clone());
+        m.mul_add_slab_assign(&mut want0, &a, &b0);
+        m.mul_add_slab_assign(&mut want1, &a, &b1);
+        m.mul_add2_slab_assign(&mut acc0, &mut acc1, &a, &b0, &b1);
+        assert_eq!((acc0, acc1), (want0, want1));
+    }
+
+    #[test]
     fn add_sub_slab_round_trip() {
         let m = m();
         let len = SLAB_BLOCK / 2;
@@ -170,6 +242,20 @@ mod tests {
         m.scale_slab_assign(&mut a, w);
         for i in 0..len {
             assert_eq!(a[i], m.mul(orig[i], w), "i = {i}");
+        }
+    }
+
+    #[test]
+    fn rsub_scale_slab_matches_scalar_composition() {
+        let m = m();
+        let len = SLAB_BLOCK + 3;
+        let w = 987_654_321 % m.value();
+        let b = slab(9, len, m.value());
+        let orig = slab(10, len, m.value());
+        let mut a = orig.clone();
+        m.rsub_scale_slab_assign(&mut a, &b, w);
+        for i in 0..len {
+            assert_eq!(a[i], m.mul(m.sub(b[i], orig[i]), w), "i = {i}");
         }
     }
 

@@ -10,7 +10,7 @@
 //! Two invariants mirror the GPU design:
 //!
 //! - **Work items never share state.** A work item is one limb (NTT,
-//!   pointwise) or one coefficient chunk (base conversion), so scheduling
+//!   pointwise, one *target* limb of a base conversion), so scheduling
 //!   order cannot change results: the parallel path is **bit-identical** to
 //!   the sequential one at every thread count, and `threads = 1` short-
 //!   circuits to a plain loop with zero threading overhead.
@@ -134,10 +134,10 @@ where
 }
 
 /// Applies a residue-basis conversion to every coefficient of `src`
-/// (coefficient domain), with the coefficient range chunked across threads.
+/// (coefficient domain), with the target limbs fanned out across threads.
 ///
-/// Bit-identical to the sequential conversion: each coefficient's output
-/// depends only on that coefficient's residues.
+/// Bit-identical to the sequential conversion: each target limb is written
+/// by one work item from the (shared, read-only) source limbs.
 ///
 /// # Panics
 ///
@@ -150,10 +150,16 @@ pub fn convert_poly(
     try_convert_poly(conv, src, threads).expect("parallel base conversion")
 }
 
-/// Fallible variant of [`convert_poly`]: an NTT-domain input comes back as
+/// Fallible variant of [`convert_poly`]: an NTT-domain input or one whose
+/// limbs are not over the converter's from-basis comes back as
 /// [`WdError::LevelMismatch`] and a panicking worker as
 /// [`WdError::WorkerPanicked`]. The source is untouched on error, so a
 /// retry can reuse it directly.
+///
+/// The conversion is limb-major: each target limb is one work item that
+/// reads the source slabs and writes its own slab through
+/// [`wd_modmath::rns::BasisConverter::convert_limb_into`] — no gather, no
+/// scratch, no transpose.
 pub fn try_convert_poly(
     conv: &wd_modmath::rns::BasisConverter,
     src: &RnsPoly,
@@ -164,103 +170,20 @@ pub fn try_convert_poly(
             "base conversion expects coefficient-domain input".into(),
         ));
     }
-    let mut out = RnsPoly::zero(&conv.to_basis().values(), src.degree()).map_err(WdError::from)?;
-    let src_limbs: Vec<&crate::Poly> = src.limbs().collect();
-    try_convert_limbs_into(conv, &src_limbs, &mut out, threads)?;
-    Ok(out)
-}
-
-/// Basis conversion written **into** an existing coefficient-domain output
-/// polynomial — the allocation-free form of [`try_convert_poly`] the
-/// keyswitch hot path uses to reuse one extension buffer across digits.
-///
-/// `src_limbs` are the source residue limbs (one per prime of the
-/// converter's from-basis, coefficient domain by construction — there is no
-/// domain marker on raw limbs, so the caller owns that invariant). Every
-/// coefficient of every `out` limb is overwritten. Per-chunk scratch is
-/// leased from this thread's [`crate::scratch`] arena *on the calling
-/// thread* (the arena owner), then handed to the workers — worker threads
-/// never touch the arena, which is the per-worker ownership rule.
-///
-/// # Errors
-///
-/// [`WdError::InvalidParams`] when `src_limbs` is empty or does not match
-/// the converter's from-basis, [`WdError::LevelMismatch`] when `out` does
-/// not match the to-basis shape, [`WdError::WorkerPanicked`] from an
-/// isolated worker panic (on any `Err`, `out` is untouched).
-pub fn try_convert_limbs_into(
-    conv: &wd_modmath::rns::BasisConverter,
-    src_limbs: &[&crate::Poly],
-    out: &mut RnsPoly,
-    threads: usize,
-) -> Result<(), WdError> {
-    let from = conv.from_basis().values();
-    let to = conv.to_basis().values();
-    let to_len = to.len();
-    let n = src_limbs
-        .first()
-        .map(|p| p.degree())
-        .ok_or_else(|| WdError::InvalidParams("base conversion from empty limb set".into()))?;
-    if src_limbs.len() != from.len()
-        || src_limbs
-            .iter()
-            .zip(&from)
-            .any(|(p, &q)| p.degree() != n || p.modulus().value() != q)
-    {
-        return Err(WdError::InvalidParams(
+    let from = conv.from_basis().moduli();
+    if src.limb_count() != from.len() || src.limbs().zip(from).any(|(p, m)| p.modulus() != m) {
+        return Err(WdError::LevelMismatch(
             "source limbs do not match the converter's from-basis".into(),
         ));
     }
-    if out.domain() != Domain::Coeff
-        || out.limb_count() != to_len
-        || out.degree() != n
-        || out.limbs().zip(&to).any(|(p, &q)| p.modulus().value() != q)
-    {
-        return Err(WdError::LevelMismatch(
-            "conversion output does not match the converter's to-basis".into(),
-        ));
-    }
-    let from_len = from.len();
-    // Coefficient-major scratch per chunk keeps writes disjoint; the limbs
-    // are assembled afterwards (a cache-friendly transpose). All scratch is
-    // leased here, on the arena-owning thread, before the fan-out.
-    let t = threads.clamp(1, n.max(1));
-    let chunk = n.div_ceil(t);
-    let mut work: Vec<(
-        usize,
-        crate::scratch::ScratchVec,
-        crate::scratch::ScratchVec,
-    )> = (0..n.div_ceil(chunk))
-        .map(|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            (
-                lo,
-                crate::scratch::lease((hi - lo) * to_len),
-                crate::scratch::lease(from_len),
-            )
-        })
-        .collect();
-    try_for_each_mut(t, &mut work, |(lo, flat, residues)| {
-        let hi = (*lo + chunk).min(n);
-        for j in *lo..hi {
-            for (r, i) in residues.iter_mut().zip(0..from_len) {
-                *r = src_limbs[i].coeffs()[j];
-            }
-            let col = &mut flat[(j - *lo) * to_len..(j - *lo + 1) * to_len];
-            conv.convert_coeff(residues, col);
-        }
+    let mut out = RnsPoly::zero(&conv.to_basis().values(), src.degree()).map_err(WdError::from)?;
+    let slabs: Vec<&[u64]> = src.limbs().map(|p| p.coeffs()).collect();
+    let mut work: Vec<(usize, &mut crate::Poly)> = out.limbs_mut().enumerate().collect();
+    try_for_each_mut(threads, &mut work, |(i, limb)| {
+        conv.convert_limb_into(&slabs, *i, limb.coeffs_mut());
         Ok(())
     })?;
-    let mut out_limbs: Vec<&mut [u64]> = out.limbs_mut().map(|l| l.coeffs_mut()).collect();
-    for (lo, flat, _) in &work {
-        for (k, col) in flat.chunks_exact(to_len).enumerate() {
-            for (limb, &v) in out_limbs.iter_mut().zip(col.iter()) {
-                limb[lo + k] = v;
-            }
-        }
-    }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]

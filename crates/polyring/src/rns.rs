@@ -19,6 +19,18 @@ pub enum Domain {
     Ntt,
 }
 
+/// Adds `limbs` to the `polyring.ntt_limb_transforms` trace counter (forward
+/// and inverse together — the host transform count a keyswitch is pinned
+/// to). [`RnsPoly::ntt_forward_with`] / [`RnsPoly::ntt_inverse_with`] call it
+/// themselves; code that transforms single limbs through an
+/// [`NttTable`] directly (the fused keyswitch, ModDown, Rescale) reports
+/// them here so the counter keeps reading what ran.
+pub fn count_limb_transforms(limbs: usize) {
+    if wd_trace::enabled() {
+        wd_trace::counter("polyring.ntt_limb_transforms", limbs as u64);
+    }
+}
+
 /// A polynomial in RNS representation.
 ///
 /// # Examples
@@ -299,13 +311,9 @@ impl RnsPoly {
         self.count_limb_transforms();
     }
 
-    /// One RNS transform just ran over every limb: adds the limb count to
-    /// the `polyring.ntt_limb_transforms` trace counter (forward and inverse
-    /// together — the host transform count a keyswitch is pinned to).
+    /// One RNS transform just ran over every limb.
     fn count_limb_transforms(&self) {
-        if wd_trace::enabled() {
-            wd_trace::counter("polyring.ntt_limb_transforms", self.limbs.len() as u64);
-        }
+        count_limb_transforms(self.limbs.len());
     }
 
     /// Pointwise product with an explicit thread budget: limbs are fanned

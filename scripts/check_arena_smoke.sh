@@ -5,10 +5,16 @@
 # against the context's own arena asserted in-binary) — under full tracing,
 # and asserts the exact `arena.*` lease-accounting counters. The drills are
 # single-threaded and structural, so every count below is deterministic:
-# seven keyswitches of 31 leases each (one warm-up and four warm ones on the
-# sized arena, then one on the context's own arena and one on the 256-byte
-# arena). Any change to the lease discipline (a new scratch buffer, a lost
-# reuse, a fallback where none belongs) moves one of them and fails here.
+# seven keyswitches of 12 leases each at l = 2, K = 1 — the INTT'd input
+# (l+1 = 3), both accumulators (2·(l+2) = 8) and the one scratch limb of the
+# limb-major inner product; base conversion leases nothing and ModDown
+# writes into its output — one warm-up and four warm ones on the sized
+# arena, then one on the context's own arena and one on the 256-byte arena.
+# All twelve slabs of a keyswitch are live at once, so a first keyswitch on
+# an arena is 12 fresh allocations and every later one 12 reuses; every slab
+# is N words = 512 bytes, so the 256-byte arena parks nothing. Any change to
+# the lease discipline (a new scratch buffer, a lost reuse, a fallback where
+# none belongs) moves one of them and fails here.
 # Finishes with a results-drift diff of the committed
 # results/arena_speedup.txt.
 #
@@ -41,14 +47,14 @@ wd_need "output bit-identical to keyswitch under the context's own arena" \
 
 # Exact lease accounting for the whole run (single-threaded, structural,
 # host-independent). lease = reuse + fresh + fallback + bypass.
-wd_expect_eq "$(wd_counter arena.lease "$trace")" 217 \
+wd_expect_eq "$(wd_counter arena.lease "$trace")" 84 \
     "arena.lease (total scratch leases)"
-wd_expect_eq "$(wd_counter arena.reuse "$trace")" 154 \
+wd_expect_eq "$(wd_counter arena.reuse "$trace")" 48 \
     "arena.reuse (steady-state shelf hits)"
-wd_expect_eq "$(wd_counter arena.fresh "$trace")" 37 \
+wd_expect_eq "$(wd_counter arena.fresh "$trace")" 24 \
     "arena.fresh (warm-up allocations parked on return)"
 # Only the 256-byte exhaustion drill may overflow the retention cap.
-wd_expect_eq "$(wd_counter arena.fallback "$trace")" 26 \
+wd_expect_eq "$(wd_counter arena.fallback "$trace")" 12 \
     "arena.fallback (exhaustion drill only)"
 # No drill disables an arena, so nothing bypasses the shelves (a counter
 # that never fired is absent from the summary and reads as empty).
