@@ -16,15 +16,14 @@
 //! | Liberate.FHE | A100-PCIE-80G | butterfly | unfused (limb) | 64 |
 //! | Cheddar | A100-PCIE-80G | butterfly (CUDA) | PE-like, compact | 32 |
 //! | GME-base | AMD MI100 | butterfly | KF | 32 |
-//! | CPU baseline | host CPU | reference | — (measured live) | 32 |
 //!
-//! The CPU baseline is *measured*, not modeled: it runs this crate's actual
-//! Rust implementation single-threaded on the benchmark host.
+//! The CPU baseline is neither modeled nor measured here: the tables quote
+//! the paper's published CPU numbers. Host timings of this repository's own
+//! implementation come from the host benchmark (`benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cpu;
 pub mod system;
 
 pub use system::{System, SystemKind};

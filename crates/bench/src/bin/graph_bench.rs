@@ -24,10 +24,6 @@
 //!    reference, the sequential fault-free run, and parallel runs at
 //!    2/4 threads under fault injection must all be **bit-identical**.
 //!
-//! `--quick` is accepted for CLI parity with the
-//! other benches; every section is already deterministic, so the printed
-//! artifact is identical in both modes.
-//!
 //! Trace output (when `WD_TRACE` is on) goes to **stderr**: stdout is the
 //! drift-checked artifact.
 

@@ -4,38 +4,32 @@
 //! `cargo run --release -p wd-bench --bin guard_bench > results/guard_overhead.txt`;
 //! the drift checker maps the artifact to this binary).
 //!
-//! Five sections:
+//! Four sections, all deterministic (measured host numbers live in the
+//! host benchmark, `benchmark/`):
 //!
-//! 1. **Modeled verify overhead** (deterministic): the FNV-1a checksum the
+//! 1. **Modeled verify overhead**: the FNV-1a checksum the
 //!    key cache recomputes on every lease, in host INT32 instructions,
 //!    against the host HMULT cost per Table VI set — then a batch sweep at
 //!    SET-C. One lease serves the whole batch, so the overhead falls as
 //!    1/batch; the run *asserts* < 3% at the saturating serving batch.
-//! 2. **Measured verification** (host, `~`-masked): raw FNV-1a streaming
-//!    throughput, a real relin-key checksum, and a serving A/B with
-//!    `verify_keys` on vs off.
-//! 3. **Corruption quarantine drill** (deterministic): an armed checksum
+//! 2. **Corruption quarantine drill**: an armed checksum
 //!    mismatch on a resident hit quarantines the entry, reloads from the
 //!    cold copy, and serves the same bytes — exact hit/miss/quarantine
 //!    counts, responses bit-identical to the fault-free reference.
-//! 4. **Wedge/watchdog drill** (deterministic): a forced worker wedge is
+//! 3. **Wedge/watchdog drill**: a forced worker wedge is
 //!    declared, its batch re-queued and answered exactly once, and the
 //!    slot respawned — exactly one restart, no degrade.
-//! 5. **Breaker drill** (deterministic): a doomed op trips a full-window
+//! 4. **Breaker drill**: a doomed op trips a full-window
 //!    breaker; the next submit is the typed circuit-open refusal.
-//!
-//! `--quick` shrinks the measured phase only; the
-//! printed structure — and every unmasked number — is identical, so the
-//! same checked-in artifact drift-checks both modes.
 //!
 //! Trace output (when `WD_TRACE` is on) goes to **stderr**: stdout is the
 //! drift-checked artifact.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use warpdrive_core::cost;
-use warpdrive_core::{integrity, BatchExecutor, EvalKeys, FaultPlan, WdError};
+use warpdrive_core::{BatchExecutor, EvalKeys, FaultPlan, WdError};
 use wd_bench::banner;
 use wd_ckks::cipher::Ciphertext;
 use wd_ckks::{CkksContext, ParamSet};
@@ -53,15 +47,12 @@ const SERVING_BATCH: u64 = 16;
 const GATE_PCT: f64 = 3.0;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick");
-
     banner(
         "guard_bench — integrity checking and the supervision ladder",
         "self-healing datapoint (BENCH_guard.json; no paper table)",
     );
 
     let overhead = modeled_verify_overhead();
-    measured_verification(quick)?;
     quarantine_drill()?;
     wedge_drill()?;
     breaker_drill()?;
@@ -135,90 +126,6 @@ fn modeled_verify_overhead() -> f64 {
          (gate: < {GATE_PCT:.2}%)"
     );
     at_serving
-}
-
-/// Raw FNV-1a throughput, a real relin-key checksum, and a serving A/B
-/// with verification on vs off. Host-dependent, so every timing is
-/// `~`-prefixed for the mask; the checksum value and key bytes are
-/// deterministic and printed bare.
-fn measured_verification(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
-    println!();
-    println!("-- measured verification (host, ~-masked) --");
-
-    // Fixed 8 MiB buffer in both modes (only the repeat count shrinks), so
-    // the printed checksum is mode-invariant.
-    let buf: Vec<u8> = (0..8usize << 20)
-        .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
-        .collect();
-    let iters = if quick { 2 } else { 16 };
-    let start = Instant::now();
-    let mut sum = 0u64;
-    for _ in 0..iters {
-        sum ^= integrity::checksum_bytes(&buf);
-    }
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    println!(
-        "  raw FNV-1a over 8 MiB: fnv64 {:#018x}, ~{:.2} GB/s",
-        integrity::checksum_bytes(&buf),
-        (iters * buf.len()) as f64 / secs / 1e9
-    );
-    std::hint::black_box(sum);
-
-    // A real relinearization key at a test-sized ring.
-    let params = ParamSet::set_a().with_degree(1 << 10).build()?;
-    let ctx = CkksContext::with_seed(params, 71)?;
-    let keys = ServeKeys::with_relin(ctx.keygen().relin);
-    let iters = if quick { 4 } else { 32 };
-    let start = Instant::now();
-    let mut sum = 0u64;
-    for _ in 0..iters {
-        sum ^= keys.checksum();
-    }
-    let us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    println!(
-        "  relin key checksum (N=2^10): {} key bytes, ~{us:.1} us per verify",
-        keys.approx_bytes()
-    );
-    std::hint::black_box(sum);
-
-    // Serving A/B: same tenant, same ops, verification on vs off.
-    let ops = if quick { 32 } else { 128 };
-    let mut per_op = [0.0f64; 2];
-    for (i, verify_keys) in [true, false].into_iter().enumerate() {
-        let params = ParamSet::set_a().with_degree(1 << 8).build()?;
-        let ctx = Arc::new(CkksContext::with_seed(params, 72)?);
-        let kp = ctx.keygen();
-        let a = ctx.encrypt_values(&[1.0, -2.0], &kp.public)?;
-        let b = ctx.encrypt_values(&[0.5, 3.0], &kp.public)?;
-        let mut reg = TenantRegistry::new(TenantConfig {
-            verify_keys,
-            ..TenantConfig::default()
-        });
-        reg.register("alice", Arc::clone(&ctx), ServeKeys::with_relin(kp.relin))?;
-        let server = Server::start_tenants(
-            reg,
-            ServeConfig {
-                queue_capacity: 2 * ops,
-                max_batch: 8,
-                linger: Duration::from_micros(200),
-                ..ServeConfig::default()
-            },
-        );
-        let start = Instant::now();
-        let tickets: Vec<_> = (0..ops)
-            .map(|_| server.submit_as("alice", Request::new(ServeOp::HMult(a.clone(), b.clone()))))
-            .collect::<Result<_, _>>()?;
-        for t in tickets {
-            t.wait().result?;
-        }
-        per_op[i] = start.elapsed().as_secs_f64() * 1e6 / ops as f64;
-        server.drain();
-    }
-    println!(
-        "  serving A/B (N=2^8, ~{ops} HMULTs, batch 8): verify on ~{:.1} us/op, off ~{:.1} us/op",
-        per_op[0], per_op[1]
-    );
-    Ok(())
 }
 
 /// The sequential fault-free reference the drills compare against.

@@ -3,32 +3,29 @@
 //! `cargo run --release -p wd-bench --bin net_bench > results/net_serve.txt`;
 //! the drift checker maps the artifact to this binary).
 //!
-//! Four sections:
+//! Four sections, all deterministic (measured host numbers live in the
+//! host benchmark, `benchmark/`):
 //!
-//! 1. **Modeled tenant key working set** (deterministic): per Table VI set,
+//! 1. **Modeled tenant key working set**: per Table VI set,
 //!    the bytes one tenant's relinearization key pins resident — the
 //!    quantity the `WD_SERVE_KEY_CACHE_MB` LRU budget manages. Keyswitch
 //!    keys dominate GPU FHE working sets, so this table is the capacity
 //!    planning number for multi-tenant serving.
-//! 2. **Measured TCP serving** (host- and loopback-dependent, `~`-masked):
-//!    two tenants, each an interactive and a bulk client thread, round-
-//!    tripping real sockets through a live `NetServer`.
-//! 3. **Tenant quota drill** (deterministic): an in-flight hold exhausts a
+//! 2. **TCP serving drill**: two tenants, each an interactive and a bulk
+//!    client thread, round-tripping real sockets through a live
+//!    `NetServer` — exact request, frame and per-tenant counts.
+//! 3. **Tenant quota drill**: an in-flight hold exhausts a
 //!    quota of 1; the refusal is typed, exact, and accounted per tenant.
-//! 4. **Key-cache churn drill** (deterministic): a 1-byte budget forces an
+//! 4. **Key-cache churn drill**: a 1-byte budget forces an
 //!    eviction/reload on every alternating lease — exact hit/miss/eviction
 //!    counts, with every response still bit-identical to that tenant's
 //!    sequential fault-free reference.
-//!
-//! `--quick` shrinks the measured phase only; the
-//! printed structure — and every unmasked number — is identical, so the
-//! same checked-in artifact drift-checks both modes.
 //!
 //! Trace output (when `WD_TRACE` is on) goes to **stderr**: stdout is the
 //! drift-checked artifact.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use warpdrive_core::BatchExecutor;
 use wd_bench::banner;
@@ -39,15 +36,13 @@ use wd_serve::{
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick");
-
     banner(
         "net_bench — multi-tenant TCP serving",
         "network front-end datapoint (BENCH_net.json; no paper table)",
     );
 
     modeled_key_working_set();
-    measured_tcp_serving(quick)?;
+    tcp_serving_drill()?;
     quota_drill()?;
     cache_churn_drill()?;
 
@@ -87,9 +82,10 @@ fn modeled_key_working_set() {
 }
 
 /// Two tenants × (interactive + bulk) client threads over real loopback
-/// sockets. Host-dependent, so every number is `~`-prefixed for the mask.
-fn measured_tcp_serving(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let per_client = if quick { 8 } else { 32 };
+/// sockets, 8 requests a connection. Only the accounting is printed: every
+/// count is exact, the latency is the host benchmark's.
+fn tcp_serving_drill() -> Result<(), Box<dyn std::error::Error>> {
+    const PER_CLIENT: usize = 8;
     let mut reg = TenantRegistry::new(TenantConfig::default());
     let mut tenants = Vec::new();
     for (id, seed) in [("alice", 31u64), ("bob", 32u64)] {
@@ -108,7 +104,7 @@ fn measured_tcp_serving(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
     let server = Arc::new(Server::start_tenants(
         reg,
         ServeConfig {
-            queue_capacity: 4 * per_client,
+            queue_capacity: 4 * PER_CLIENT,
             max_batch: 8,
             linger: Duration::from_micros(200),
             workers: 2,
@@ -119,15 +115,13 @@ fn measured_tcp_serving(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
     let net = NetServer::start(Arc::clone(&server), NetConfig::default())?;
     let addr = net.local_addr();
 
-    let start = Instant::now();
     let mut handles = Vec::new();
     for (id, a, b) in &tenants {
         for class in [wd_serve::Class::Interactive, wd_serve::Class::Bulk] {
             let (id, a, b) = (*id, a.clone(), b.clone());
-            handles.push(std::thread::spawn(move || -> Result<u64, String> {
+            handles.push(std::thread::spawn(move || -> Result<(), String> {
                 let mut client = NetClient::connect(addr).map_err(|e| e.to_string())?;
-                let mut waited = 0u64;
-                for i in 0..per_client {
+                for i in 0..PER_CLIENT {
                     let op = if i % 2 == 0 {
                         ServeOp::HMult(a.clone(), b.clone())
                     } else {
@@ -137,32 +131,22 @@ fn measured_tcp_serving(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
                         .call_checked(Some(id), &Request::new(op).with_class(class))
                         .map_err(|e| e.to_string())?;
                     resp.result.map_err(|e| format!("{id}: {e}"))?;
-                    waited += resp.waited_us;
                 }
-                Ok(waited)
+                Ok(())
             }));
         }
     }
-    let mut total_waited = 0u64;
     for h in handles {
-        total_waited += h.join().expect("client thread")?;
+        h.join().expect("client thread")?;
     }
-    let secs = start.elapsed().as_secs_f64();
-    let total = 4 * per_client as u64;
+    let total = 4 * PER_CLIENT as u64;
 
     println!();
     println!("-- measured TCP serving (loopback, 2 tenants x interactive/bulk clients) --");
-    // The request count varies with --quick, so it is masked like the
-    // measured numbers; the connection/error accounting is mode-invariant.
-    println!(
-        "  ~{total} requests over 4 connections: throughput ~{:.1} req/s, mean queue wait ~{} us",
-        total as f64 / secs.max(1e-9),
-        total_waited / total
-    );
+    println!("  {total} requests over 4 connections");
 
     let net_stats = net.shutdown();
     server.drain();
-    // Socket accounting is exact even though the latency is not.
     assert_eq!(net_stats.accepted, 4);
     assert_eq!(net_stats.frames, total);
     assert_eq!(net_stats.decode_errors, 0);
@@ -170,12 +154,12 @@ fn measured_tcp_serving(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
         let t = server.tenant_stats(id).expect("registered");
         assert_eq!(
             (t.enqueued, t.completed, t.in_flight),
-            (2 * per_client as u64, 2 * per_client as u64, 0),
+            (2 * PER_CLIENT as u64, 2 * PER_CLIENT as u64, 0),
             "tenant {id} lossless accounting"
         );
     }
     println!(
-        "  lossless: 4 connections accepted, ~{total} frames, 0 decode errors, per-tenant enqueued == completed"
+        "  lossless: 4 connections accepted, {total} frames, 0 decode errors, per-tenant enqueued == completed"
     );
     Ok(())
 }

@@ -4,54 +4,43 @@
 //! `cargo run --release -p wd-bench --bin serve_bench > results/serve_latency.txt`;
 //! the drift checker maps the artifact to this binary).
 //!
-//! Four sections:
+//! Three sections, all deterministic (measured host numbers live in the
+//! host benchmark, `benchmark/`):
 //!
-//! 1. **Modeled batch amortization** (deterministic): the PE-kernel HMULT
+//! 1. **Modeled batch amortization**: the PE-kernel HMULT
 //!    plan on the analytic A100 model at batch 1…32. This is the number
 //!    the serving layer exists to win: per-op latency falls as launches
 //!    amortize, and the run *asserts* ≥ 1.5× modeled throughput at the
 //!    saturating batch vs batch-1.
-//! 2. **Measured serving** (host compute path, `~`-masked): an open-loop
-//!    burst through a real `wd-serve::Server` at `max_batch = 1` vs
-//!    dynamic batching. Host-dependent, so every number is `~`-prefixed
-//!    for the drift mask.
-//! 3. **Deadline shedding drill** (deterministic): zero-deadline requests
+//! 2. **Deadline shedding drill**: zero-deadline requests
 //!    are always expired on arrival, so the shed path runs with exact,
 //!    reproducible counts.
-//! 4. **Admission-control drill** (deterministic): overfilling a bounded
+//! 3. **Admission-control drill**: overfilling a bounded
 //!    queue rejects with `QueueFull`, and drain answers everything else.
-//!
-//! `--quick` shrinks the measured phase only; the
-//! printed structure — and every unmasked number — is identical, so the
-//! same checked-in artifact drift-checks both modes.
 //!
 //! Trace output (when `WD_TRACE` is on) goes to **stderr**: stdout is the
 //! drift-checked artifact.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use warpdrive_core::{BatchExecutor, HomOp, OpShape, PerfEngine, PlannerKind};
+use warpdrive_core::{HomOp, OpShape, PerfEngine, PlannerKind};
 use wd_bench::banner;
 use wd_ckks::{CkksContext, ParamSet};
 use wd_polyring::NttVariant;
 use wd_serve::{Request, ServeConfig, ServeKeys, ServeOp, Server};
-use wd_trace::Histogram;
 
 const BATCHES: [u64; 6] = [1, 2, 4, 8, 16, 32];
 const SATURATING_BATCH: u64 = 16;
 const GATE: f64 = 1.5;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick");
-
     banner(
         "serve_bench — dynamic batching for FHE serving",
         "serving-layer datapoint (BENCH_serve.json; no paper table)",
     );
 
     let ratio = modeled_amortization();
-    measured_serving(quick)?;
     shedding_drill()?;
     admission_drill()?;
 
@@ -106,74 +95,6 @@ fn modeled_amortization() -> f64 {
         "modeled speedup at batch {SATURATING_BATCH} vs batch 1: {at_saturating:.2}x  (gate: >= {GATE:.2}x)"
     );
     at_saturating
-}
-
-/// Open-loop burst through a real server: `max_batch = 1` vs dynamic
-/// batching on the host compute path. Every number is host-measured and
-/// `~`-masked.
-fn measured_serving(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let requests = if quick { 24 } else { 96 };
-    // Big enough that compute dominates queue overhead on the host.
-    let params = ParamSet::set_b().with_degree(1 << 10).build()?;
-    let ctx = Arc::new(CkksContext::with_seed(params, 2026)?);
-    let kp = ctx.keygen();
-    let a = ctx.encrypt_values(&[1.0, -2.0, 0.5], &kp.public)?;
-    let b = ctx.encrypt_values(&[0.25, 4.0, -1.5], &kp.public)?;
-
-    let run = |max_batch: usize| -> Result<(f64, Histogram), Box<dyn std::error::Error>> {
-        let config = ServeConfig {
-            queue_capacity: requests,
-            max_batch,
-            linger: Duration::from_micros(200),
-            workers: 1,
-            executor: BatchExecutor::auto(4),
-            ..ServeConfig::default()
-        };
-        let server = Server::start(
-            Arc::clone(&ctx),
-            ServeKeys::with_relin(kp.relin.clone()),
-            config,
-        );
-        let start = Instant::now();
-        let tickets: Vec<_> = (0..requests)
-            .map(|i| {
-                let op = if i % 2 == 0 {
-                    ServeOp::HMult(a.clone(), b.clone())
-                } else {
-                    ServeOp::HAdd(a.clone(), b.clone())
-                };
-                server.submit(Request::new(op))
-            })
-            .collect::<Result<_, _>>()?;
-        let mut lat = Histogram::new();
-        for t in tickets {
-            let resp = t.wait();
-            resp.result?;
-            lat.record(resp.waited_us.max(1));
-        }
-        let secs = start.elapsed().as_secs_f64();
-        server.shutdown();
-        Ok((requests as f64 / secs.max(1e-9), lat))
-    };
-
-    println!();
-    println!("-- measured serving (host compute path, SET-B 2^10 ring, open-loop burst) --");
-    let (tput_1, lat_1) = run(1)?;
-    let (tput_dyn, lat_dyn) = run(16)?;
-    let line = |label: &str, tput: f64, lat: &Histogram| {
-        let s = lat.summary();
-        println!(
-            "  {label:<14} throughput ~{tput:.1} req/s   p50 ~{} us   p95 ~{} us   p99 ~{} us",
-            s.p50, s.p95, s.p99
-        );
-    };
-    line("max_batch=1", tput_1, &lat_1);
-    line("max_batch=16", tput_dyn, &lat_dyn);
-    println!(
-        "  measured dynamic-batching speedup: ~{:.2}x (host-dependent; the gate is modeled)",
-        tput_dyn / tput_1.max(1e-9)
-    );
-    Ok(())
 }
 
 /// Zero-deadline requests are expired on arrival: the shed path runs with

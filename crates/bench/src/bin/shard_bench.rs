@@ -23,10 +23,6 @@
 //!    `place.device.<i>.*` counters and the HEALTH per-device lines come
 //!    out exact, and every response is bit-identical to the unsharded op.
 //!
-//! `--quick` is accepted for CLI parity with the
-//! other benches; every section is already deterministic, so the printed
-//! artifact is identical in both modes.
-//!
 //! Trace output (when `WD_TRACE` is on) goes to **stderr**: stdout is the
 //! drift-checked artifact.
 

@@ -1,10 +1,8 @@
-//! Table XII: HMULT throughput (KOPS) — CPU (measured), TensorFHE,
-//! WarpDrive.
+//! Table XII: HMULT throughput (KOPS) — CPU (paper), TensorFHE, WarpDrive.
 
 use warpdrive_core::HomOp;
-use wd_baselines::{cpu, System, SystemKind};
+use wd_baselines::{System, SystemKind};
 use wd_bench::{banner, shape};
-use wd_ckks::ParamSet;
 
 fn main() {
     banner(
@@ -22,15 +20,8 @@ fn main() {
     let paper_tf = [88.0, 27.6, 3.8];
     let paper_wd = [304.9, 47.7, 5.2];
     println!(
-        "{:<7} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>9}",
-        "set",
-        "CPU(meas)",
-        "CPU(paper)",
-        "TF(model)",
-        "TF(paper)",
-        "WD(model)",
-        "WD(paper)",
-        "WD/TF"
+        "{:<7} {:>11} {:>11} {:>11} {:>11} {:>11} {:>9}",
+        "set", "CPU(paper)", "TF(model)", "TF(paper)", "WD(model)", "WD(paper)", "WD/TF"
     );
     for (i, &(name, n, l)) in sets.iter().enumerate() {
         // Throughput = batched amortized ops/s. TensorFHE batches at the op
@@ -40,17 +31,9 @@ fn main() {
         s.batch = 128;
         let wd_kops = 1e3 / wd.op_latency_us(HomOp::HMult, s);
         let tf_kops = 1e3 / tf.op_latency_us(HomOp::HMult, s);
-        // CPU: measure the functional implementation (cheap sets only).
-        let cpu_kops = if n <= 1 << 12 {
-            let set = ParamSet::set_a();
-            Some(cpu::measure_hmult_kops(&set, 3))
-        } else {
-            None
-        };
         println!(
-            "{:<7} {:>11} {:>11.2} {:>11.1} {:>11.1} {:>11.1} {:>11.1} {:>9.2}",
+            "{:<7} {:>11.2} {:>11.1} {:>11.1} {:>11.1} {:>11.1} {:>9.2}",
             name,
-            cpu_kops.map_or("-".into(), |k| format!("~{k:.3}")),
             paper_cpu[i],
             tf_kops,
             paper_tf[i],
@@ -60,5 +43,4 @@ fn main() {
         );
     }
     println!("\npaper speedups WD/TF: 3.46x / 1.73x / 1.37x");
-    println!("~ = measured on this host; machine-dependent, masked by drift checks");
 }

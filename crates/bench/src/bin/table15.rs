@@ -1,9 +1,8 @@
 //! Table XV: AES-CTR-128 transciphering over CKKS, 512 KB.
 
 use warpdrive_core::{HomOp, OpShape};
-use wd_baselines::{cpu, System, SystemKind};
+use wd_baselines::{System, SystemKind};
 use wd_bench::banner;
-use wd_ckks::ParamSet;
 use wd_workloads::perf::WorkloadModel;
 use wd_workloads::transcipher::TranscipherJob;
 
@@ -33,14 +32,6 @@ fn main() {
     let boot_us = WorkloadModel::bootstrap(1 << 16, 46, 10).time_us(&lat, 0.0);
     let gpu_min = model.time_us(&lat, boot_us) / 60e6;
 
-    // CPU reference: measure this repository's own functional HMULT on a
-    // small ring, for scale. (The paper's baseline is an *optimized* 48-core
-    // library; our single-threaded research implementation is not comparable
-    // in absolute terms, so the headline speedup below is computed against
-    // the paper's published CPU time.)
-    let meas_set = ParamSet::set_a().with_degree(1 << 10);
-    let meas_kops = cpu::measure_hmult_kops(&meas_set, 2);
-
     println!();
     println!(
         "{:<32} {:>12} {:>12}",
@@ -57,10 +48,5 @@ fn main() {
     println!(
         "\nspeedup vs the paper's CPU baseline: {:.1}x   (paper: 31.6x)",
         110.8 / gpu_min
-    );
-    println!(
-        "(this host's single-thread functional HMULT at N=2^10/l=2: ~{:.2} KOPS,\n\
-         shown for scale only — see EXPERIMENTS.md)",
-        meas_kops
     );
 }

@@ -1,6 +1,6 @@
 //! Table VII: NTT/INTT throughput (KOPS) — CPU, TensorFHE, WarpDrive.
 
-use wd_baselines::{cpu, System, SystemKind};
+use wd_baselines::{System, SystemKind};
 use wd_bench::{banner, ntt_batch, speedup, SETS};
 
 fn main() {
@@ -14,32 +14,23 @@ fn main() {
 
     println!(
         "{:<7} {:>12} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "set", "CPU(meas)", "TF(model)", "TF(paper)", "WD(model)", "WD(paper)", "WD/TF"
+        "set", "CPU(paper)", "TF(model)", "TF(paper)", "WD(model)", "WD(paper)", "WD/TF"
     );
     for (i, &(name, n, _l)) in SETS.iter().enumerate() {
         let batch = ntt_batch(n);
-        // CPU baseline: measured live on this host (single-threaded, the
-        // reference NTT). Kept short; the bench binary is not a benchmark.
-        let cpu_kops = if n <= 1 << 14 {
-            Some(cpu::measure_ntt_kops(n, 120))
-        } else {
-            None
-        };
         let tf_kops = tf.ntt_kops(n, batch);
         let wd_kops = wd.ntt_kops(n, batch);
         println!(
             "{:<7} {:>12} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>10}",
             name,
-            cpu_kops.map_or("-".into(), |k| format!("~{k:.1}")),
+            paper_cpu[i].map_or("-".into(), |k| format!("{k:.1}")),
             tf_kops,
             paper_tf[i],
             wd_kops,
             paper_wd[i],
             speedup(wd_kops, tf_kops),
         );
-        let _ = paper_cpu;
     }
     println!();
     println!("paper speedups WD/TF: 13.4x / 10.4x / 10.0x / 10.2x / 9.7x");
-    println!("~ = measured on this host; machine-dependent, masked by drift checks");
 }

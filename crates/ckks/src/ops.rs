@@ -11,7 +11,6 @@ use crate::keys::{KeySwitchKey, RotationKeys};
 use crate::keyswitch::{keyswitch, keyswitch_with, operand_level, sub_lifted_and_scale};
 use crate::CkksError;
 use wd_fault::OperandMismatch;
-use wd_modmath::Modulus;
 use wd_polyring::rns::{count_limb_transforms, RnsPoly};
 use wd_polyring::Poly;
 
@@ -510,15 +509,6 @@ pub fn mult_const(ctx: &CkksContext, ct: &Ciphertext, v: f64) -> Result<Cipherte
         ctx.params().scale(),
     )?;
     pmult(ct, &pt)
-}
-
-/// Exact centered reduction helper exposed for workloads: `x mod q_i` of a
-/// signed value.
-pub fn signed_mod(v: i64, m: &Modulus) -> u64 {
-    // invariant: every modulus in the workspace is an NTT prime < 2^32,
-    // far inside i64 range — the conversion cannot fail.
-    let q = i64::try_from(m.value()).expect("word-size modulus");
-    ((v % q + q) % q) as u64
 }
 
 #[cfg(test)]

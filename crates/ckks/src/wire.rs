@@ -1,4 +1,4 @@
-//! Compact binary serialization for ciphertexts and plaintexts.
+//! Compact binary serialization for ciphertexts.
 //!
 //! FHE's deployment story is "ship ciphertexts to an untrusted server", so a
 //! wire format is part of the library surface. Coefficients are packed as
@@ -11,7 +11,7 @@
 //! ```text
 //! magic "WDR1" | kind u8 | level u32 | scale f64 | limbs u32 | degree u32
 //! then per limb: q u64 | degree × u32 coefficients        (component c0)
-//! then component c1 (ciphertexts only)
+//! then component c1
 //! ```
 //!
 //! Coefficients cross the wire in memory order. Everything this crate
@@ -25,7 +25,7 @@
 //! the declared shape fits the bytes present *before* allocating for it,
 //! unpacks a limb at a time and range-checks it in one pass.
 
-use crate::cipher::{Ciphertext, Plaintext};
+use crate::cipher::Ciphertext;
 use crate::CkksError;
 use wd_polyring::rns::{Domain, RnsPoly};
 use wd_polyring::Poly;
@@ -34,9 +34,6 @@ const MAGIC: &[u8; 4] = b"WDR1";
 /// magic | kind | level | scale | limbs | degree.
 const HEADER_BYTES: usize = 4 + 1 + 4 + 8 + 4 + 4;
 const KIND_CIPHERTEXT: u8 = 1;
-const KIND_PLAINTEXT: u8 = 2;
-const KIND_SECRET_KEY: u8 = 3;
-const KIND_PUBLIC_KEY: u8 = 4;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -208,128 +205,6 @@ pub fn ciphertext_from_bytes(buf: &[u8]) -> Result<Ciphertext, CkksError> {
         level,
         scale,
     })
-}
-
-/// Serializes a plaintext.
-pub fn plaintext_to_bytes(pt: &Plaintext) -> Vec<u8> {
-    let limbs = pt.poly.limb_count();
-    let degree = pt.poly.degree();
-    let mut out = Vec::with_capacity(HEADER_BYTES + poly_wire_len(&pt.poly));
-    out.extend_from_slice(MAGIC);
-    out.push(KIND_PLAINTEXT);
-    put_u32(&mut out, pt.level as u32);
-    put_u64(&mut out, pt.scale.to_bits());
-    put_u32(&mut out, limbs as u32);
-    put_u32(&mut out, degree as u32);
-    write_poly(&mut out, &pt.poly);
-    out
-}
-
-/// Deserializes a plaintext.
-///
-/// # Errors
-///
-/// Same validation as [`ciphertext_from_bytes`].
-pub fn plaintext_from_bytes(buf: &[u8]) -> Result<Plaintext, CkksError> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(CkksError::WireDecode("bad wire magic".into()));
-    }
-    if r.u8()? != KIND_PLAINTEXT {
-        return Err(CkksError::WireDecode("not a plaintext".into()));
-    }
-    let level = r.u32()? as usize;
-    let scale = r.f64()?;
-    let limbs = r.u32()? as usize;
-    let degree = r.u32()? as usize;
-    if limbs == 0 || !degree.is_power_of_two() || degree < 4 {
-        return Err(CkksError::WireDecode("inconsistent wire header".into()));
-    }
-    let poly = read_poly(&mut r, limbs, degree, Domain::Ntt)?;
-    if r.pos != buf.len() {
-        return Err(CkksError::WireDecode("trailing wire bytes".into()));
-    }
-    Ok(Plaintext { poly, scale, level })
-}
-
-/// Serializes a secret key (handle with care: possession decrypts).
-pub fn secret_key_to_bytes(sk: &crate::keys::SecretKey) -> Vec<u8> {
-    let limbs = sk.s.limb_count();
-    let degree = sk.s.degree();
-    let mut out = Vec::with_capacity(HEADER_BYTES + poly_wire_len(&sk.s));
-    out.extend_from_slice(MAGIC);
-    out.push(KIND_SECRET_KEY);
-    put_u32(&mut out, 0);
-    put_u64(&mut out, 0);
-    put_u32(&mut out, limbs as u32);
-    put_u32(&mut out, degree as u32);
-    write_poly(&mut out, &sk.s);
-    out
-}
-
-/// Deserializes a secret key.
-///
-/// # Errors
-///
-/// Same validation as [`ciphertext_from_bytes`].
-pub fn secret_key_from_bytes(buf: &[u8]) -> Result<crate::keys::SecretKey, CkksError> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(4)? != MAGIC || r.u8()? != KIND_SECRET_KEY {
-        return Err(CkksError::WireDecode("not a secret key".into()));
-    }
-    let _ = r.u32()?;
-    let _ = r.u64()?;
-    let limbs = r.u32()? as usize;
-    let degree = r.u32()? as usize;
-    if limbs == 0 || !degree.is_power_of_two() || degree < 4 {
-        return Err(CkksError::WireDecode("inconsistent wire header".into()));
-    }
-    let s = read_poly(&mut r, limbs, degree, Domain::Ntt)?;
-    if r.pos != buf.len() {
-        return Err(CkksError::WireDecode("trailing wire bytes".into()));
-    }
-    Ok(crate::keys::SecretKey { s })
-}
-
-/// Serializes a public key.
-pub fn public_key_to_bytes(pk: &crate::keys::PublicKey) -> Vec<u8> {
-    let limbs = pk.b.limb_count();
-    let degree = pk.b.degree();
-    let mut out = Vec::with_capacity(HEADER_BYTES + 2 * poly_wire_len(&pk.b));
-    out.extend_from_slice(MAGIC);
-    out.push(KIND_PUBLIC_KEY);
-    put_u32(&mut out, 0);
-    put_u64(&mut out, 0);
-    put_u32(&mut out, limbs as u32);
-    put_u32(&mut out, degree as u32);
-    write_poly(&mut out, &pk.b);
-    write_poly(&mut out, &pk.a);
-    out
-}
-
-/// Deserializes a public key.
-///
-/// # Errors
-///
-/// Same validation as [`ciphertext_from_bytes`].
-pub fn public_key_from_bytes(buf: &[u8]) -> Result<crate::keys::PublicKey, CkksError> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(4)? != MAGIC || r.u8()? != KIND_PUBLIC_KEY {
-        return Err(CkksError::WireDecode("not a public key".into()));
-    }
-    let _ = r.u32()?;
-    let _ = r.u64()?;
-    let limbs = r.u32()? as usize;
-    let degree = r.u32()? as usize;
-    if limbs == 0 || !degree.is_power_of_two() || degree < 4 {
-        return Err(CkksError::WireDecode("inconsistent wire header".into()));
-    }
-    let b = read_poly(&mut r, limbs, degree, Domain::Ntt)?;
-    let a = read_poly(&mut r, limbs, degree, Domain::Ntt)?;
-    if r.pos != buf.len() {
-        return Err(CkksError::WireDecode("trailing wire bytes".into()));
-    }
-    Ok(crate::keys::PublicKey { b, a })
 }
 
 // ---------------------------------------------------------------------------
@@ -561,15 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn plaintext_round_trip() -> Result<(), CkksError> {
-        let (ctx, _) = ctx()?;
-        let pt = ctx.encode(&[0.5, 0.25])?;
-        let back = plaintext_from_bytes(&plaintext_to_bytes(&pt))?;
-        assert_eq!(back, pt);
-        Ok(())
-    }
-
-    #[test]
     fn rejects_corruption() -> Result<(), CkksError> {
         let (ctx, kp) = ctx()?;
         let ct = ctx.encrypt_values(&[1.0], &kp.public)?;
@@ -582,8 +448,9 @@ mod tests {
         bad[0] ^= 0xff;
         assert!(ciphertext_from_bytes(&bad).is_err());
         // Wrong kind.
-        let pt = ctx.encode(&[1.0])?;
-        assert!(ciphertext_from_bytes(&plaintext_to_bytes(&pt)).is_err());
+        let mut kind = good.clone();
+        kind[4] = KIND_CIPHERTEXT + 1;
+        assert!(ciphertext_from_bytes(&kind).is_err());
         // Trailing garbage.
         let mut long = good.clone();
         long.push(0);
@@ -597,51 +464,26 @@ mod tests {
         Ok(())
     }
 
-    #[test]
-    fn key_round_trips_stay_functional() -> Result<(), CkksError> {
-        let (ctx, kp) = ctx()?;
-        let sk2 = secret_key_from_bytes(&secret_key_to_bytes(&kp.secret))?;
-        let pk2 = public_key_from_bytes(&public_key_to_bytes(&kp.public))?;
-        assert_eq!(sk2, kp.secret);
-        assert_eq!(pk2, kp.public);
-        // Encrypt with the deserialized public key; decrypt with the
-        // deserialized secret key.
-        let ct = ctx.encrypt(&ctx.encode(&[4.5])?, &pk2)?;
-        let dec = ctx.decrypt_values(&ct, &sk2)?;
-        assert!((dec[0] - 4.5).abs() < 1e-2);
-        Ok(())
-    }
-
-    #[test]
-    fn key_kinds_are_not_interchangeable() -> Result<(), CkksError> {
-        let (_, kp) = ctx()?;
-        let sk_bytes = secret_key_to_bytes(&kp.secret);
-        assert!(public_key_from_bytes(&sk_bytes).is_err());
-        assert!(ciphertext_from_bytes(&sk_bytes).is_err());
-        Ok(())
-    }
-
     mod props {
         use super::*;
         use proptest::prelude::*;
         use std::sync::OnceLock;
 
-        /// One valid (ciphertext, plaintext) byte pair, built once: the
-        /// corpus the mutation strategies start from.
-        fn sample_bytes() -> &'static (Vec<u8>, Vec<u8>) {
-            static BYTES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+        /// One valid ciphertext's bytes, built once: the corpus the
+        /// mutation strategies start from.
+        fn sample_bytes() -> &'static Vec<u8> {
+            static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
             BYTES.get_or_init(|| {
                 // invariant: corpus construction from fixed, known-good
                 // parameters inside a OnceLock initializer — no Result
                 // plumbing possible, and a failure here is a test bug.
-                let build = || -> Result<(Vec<u8>, Vec<u8>), CkksError> {
+                let build = || -> Result<Vec<u8>, CkksError> {
                     let (ctx, kp) = ctx()?;
                     let ct = ctx.encrypt_values(&[1.0, -2.0, 3.0], &kp.public)?;
-                    let pt = ctx.encode(&[0.5, 0.25])?;
-                    Ok((ciphertext_to_bytes(&ct), plaintext_to_bytes(&pt)))
+                    Ok(ciphertext_to_bytes(&ct))
                 };
                 match build() {
-                    Ok(pair) => pair,
+                    Ok(bytes) => bytes,
                     Err(e) => panic!("corpus construction failed: {e}"),
                 }
             })
@@ -656,7 +498,7 @@ mod tests {
                 xor in 1u8..=255,
                 cut in 0usize..1 << 20,
             ) {
-                let (ct_bytes, _) = sample_bytes();
+                let ct_bytes = sample_bytes();
                 let mut buf = ct_bytes.clone();
                 let i = idx % buf.len();
                 buf[i] ^= xor;
@@ -670,30 +512,12 @@ mod tests {
             }
 
             #[test]
-            fn prop_mutated_plaintext_bytes_never_panic(
-                idx in 0usize..1 << 20,
-                xor in 1u8..=255,
-                cut in 0usize..1 << 20,
-            ) {
-                let (_, pt_bytes) = sample_bytes();
-                let mut buf = pt_bytes.clone();
-                let i = idx % buf.len();
-                buf[i] ^= xor;
-                let _ = plaintext_from_bytes(&buf);
-                let cut = cut % pt_bytes.len();
-                prop_assert!(plaintext_from_bytes(&pt_bytes[..cut]).is_err());
-            }
-
-            #[test]
             fn prop_arbitrary_bytes_never_panic(
                 data in proptest::collection::vec(any::<u8>(), 0..256),
             ) {
-                // None of the decoders may panic on arbitrary input, and
+                // The decoder may not panic on arbitrary input, and
                 // anything without the magic prefix must be rejected.
                 prop_assert!(data.starts_with(MAGIC) || ciphertext_from_bytes(&data).is_err());
-                let _ = plaintext_from_bytes(&data);
-                let _ = secret_key_from_bytes(&data);
-                let _ = public_key_from_bytes(&data);
             }
         }
     }

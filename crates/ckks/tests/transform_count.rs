@@ -1,7 +1,9 @@
-//! Pins the number of host limb transforms a keyswitch and a rescale perform.
+//! Pins the number of host limb transforms a keyswitch, a rescale, an
+//! encryption and a BGV HMULT perform.
 //!
-//! Every RNS-wide transform (`RnsPoly::ntt_{forward,inverse}_with`) and every
-//! single-limb transform of the fused paths reports itself to the
+//! Every RNS-wide transform (`RnsPoly::ntt_{forward,inverse}`, one thread
+//! of their `_with` twins) and every single-limb transform of the fused
+//! paths reports itself to the
 //! `polyring.ntt_limb_transforms` trace counter, so the count is read from
 //! the code that runs, not computed from parameters. With K special primes
 //! (α = K limbs per digit, dnum = ⌈(l+1)/K⌉) a keyswitch at level l is
@@ -22,9 +24,21 @@
 //! and a rescale `2·(2l+1)`; `benchmark/`'s `polyring.ntt_calls_per_keyswitch`
 //! is computed from parameters and still reads the old figure.)
 //!
+//! Encrypting a level-l plaintext is `3 · (l+1)`: forward transforms of the
+//! ternary v and of both error polynomials over q_0…q_l.
+//!
+//! A BGV HMULT at level l (K = 1, so dnum = l+1) shares ModUp and the inner
+//! product with the CKKS keyswitch — `(l+1) + dnum·(l+2) − (l+1) =
+//! (l+1)·(l+2)` — and then runs its own ModDown per accumulator: the INTT of
+//! all `l+2` limbs (the exact correction reads the centred P-residue in the
+//! coefficient domain) and the NTT of the result over the `l+1` kept limbs,
+//! `2 · (2l+3)` for both. `(l+1)·(l+2) + 2·(2l+3)` in all: 52 at l = 4,
+//! `2·(l+1)` more than a CKKS keyswitch at the same level.
+//!
 //! One test function on purpose: this binary owns its process, so mutating
 //! the process-global tracer level cannot race other tests.
 
+use wd_ckks::bgv::BgvContext;
 use wd_ckks::keyswitch::{keyswitch, keyswitch_hoisted, HoistedDecomposition};
 use wd_ckks::{ops, CkksContext, CkksError, ParamSet};
 
@@ -54,9 +68,8 @@ fn keyswitch_transform_count_matches_the_formula() -> Result<(), CkksError> {
         let fresh = ctx.encrypt_values(&[1.5, -0.5], &kp.public)?;
         for l in [top, top / 2, 0] {
             let slots = [wd_ckks::encoding::C64::new(1.5, -0.5)];
-            let d = ctx
-                .encode_complex_at(&slots, l as usize, ctx.params().scale())?
-                .poly;
+            let pt = ctx.encode_complex_at(&slots, l as usize, ctx.params().scale())?;
+            let d = pt.poly.clone();
             let full = l + 1 + k;
             let dnum = (l + 1).div_ceil(k);
             assert_eq!(dnum, ctx.params().dnum_at(l as usize) as u64);
@@ -79,6 +92,11 @@ fn keyswitch_transform_count_matches_the_formula() -> Result<(), CkksError> {
                 mod_down_both,
                 "hoisted keyswitch at level {l} of {top}, K = {k}"
             );
+            assert_eq!(
+                transforms_during(|| ctx.encrypt(&pt, &kp.public))?,
+                3 * (l + 1),
+                "encrypt at level {l} of {top}"
+            );
             if l > 0 {
                 let ct = ops::level_drop(&fresh, l as usize)?;
                 assert_eq!(
@@ -89,6 +107,23 @@ fn keyswitch_transform_count_matches_the_formula() -> Result<(), CkksError> {
             }
         }
     }
+
+    let l = 4u64;
+    let params = ParamSet::set_a()
+        .with_degree(1 << 6)
+        .with_level(l as usize)
+        .build()?;
+    let bgv = BgvContext::new(CkksContext::with_seed(params, 808)?, 16)?;
+    let kp = bgv.keygen();
+    let ct = bgv.encrypt(&bgv.encode(&[3, 1, 4])?, &kp)?;
+    assert_eq!(ct.level as u64, l);
+    let bgv_hmult = (l + 1) * (l + 2) + 2 * (2 * l + 3);
+    assert_eq!(bgv_hmult, 52);
+    assert_eq!(
+        transforms_during(|| bgv.hmult(&ct, &ct, &kp))?,
+        bgv_hmult,
+        "BGV hmult at level {l}"
+    );
     wd_trace::set_level(wd_trace::TraceLevel::Off);
     Ok(())
 }

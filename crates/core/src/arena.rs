@@ -97,13 +97,6 @@ pub fn arena_pool(
     (0..slots).map(|_| worker_arena(params, share)).collect()
 }
 
-/// Default total host-scratch budget when the caller has no better number:
-/// per-worker default × slots, the same default a bare
-/// [`ScratchArena::for_worker`] uses.
-pub fn default_pool_budget(slots: usize) -> u64 {
-    ScratchArena::DEFAULT_WORKER_BYTES.saturating_mul(slots as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -310,11 +310,6 @@ impl BatchExecutor {
         self.injector.plan()
     }
 
-    /// The retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// One line per modeled device: liveness from the most recent
     /// device-loss drill and the counts of the lanes that ran there, by
     /// this executor or any clone of it.

@@ -9,8 +9,8 @@
 //! substrate for that stance:
 //!
 //! - [`WdError`]: the one error type every layer speaks. Re-exported by
-//!   `wd-modmath`, `wd-polyring`, `wd-gpu-sim`, `wd-ckks` (as its
-//!   `CkksError`) and `warpdrive-core`.
+//!   `wd-modmath`, `wd-polyring`, `wd-ckks` (as its `CkksError`) and
+//!   `warpdrive-core`.
 //! - [`FaultPlan`] / [`FaultInjector`]: a seedable, deterministic source of
 //!   injected faults (transient launch failure, ECC-style corrupted limb,
 //!   device loss), configured via [`FAULT_SEED_ENV`] / [`FAULT_RATE_ENV`].
@@ -629,22 +629,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// `max_attempts` attempts with a tiny (50 µs) base backoff.
-    pub fn with_max_attempts(max_attempts: u32) -> Self {
-        Self {
-            max_attempts: max_attempts.max(1),
-            ..Self::default()
-        }
-    }
-
-    /// A policy that never retries (one attempt, no backoff).
-    pub fn no_retry() -> Self {
-        Self {
-            max_attempts: 1,
-            base_backoff: Duration::ZERO,
-        }
-    }
-
     /// The backoff before retrying after failed attempt `attempt`
     /// (zero-based): `base_backoff × 2^attempt`, capped at 100 ms.
     pub fn backoff_for(&self, attempt: u32) -> Duration {

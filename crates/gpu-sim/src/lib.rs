@@ -40,6 +40,3 @@ pub use multi::{DeviceWork, InterconnectSpec, MultiGpuSpec, ShardedSimulator};
 pub use report::RunReport;
 pub use spec::GpuSpec;
 pub use stalls::{StallBreakdown, StallKind};
-// Fault-model types consumed by `Simulator::with_fault_plan` and the
-// fallible `try_run_*` entry points.
-pub use wd_fault::{FaultKind, FaultPlan, WdError};

@@ -5,7 +5,6 @@ use crate::report::RunReport;
 use crate::spec::GpuSpec;
 use crate::stalls::StallBreakdown;
 use crate::timeline::{Timeline, TimelineEntry};
-use wd_fault::{FaultInjector, FaultPlan, WdError};
 
 /// Which resource bounded a kernel's runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +74,6 @@ impl KernelStats {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     spec: GpuSpec,
-    injector: FaultInjector,
 }
 
 /// Extra scheduler cycles charged per thread block (dispatch + tail).
@@ -87,29 +85,9 @@ const LATENCY_HIDING_WARPS: f64 = 16.0;
 const BLOCK_SYNC_PENALTY: f64 = 0.6;
 
 impl Simulator {
-    /// Creates a simulator for the given device. Fault injection starts
-    /// disabled; see [`Simulator::with_fault_plan`].
+    /// Creates a simulator for the given device.
     pub fn new(spec: GpuSpec) -> Self {
-        Self {
-            spec,
-            injector: FaultInjector::disabled(),
-        }
-    }
-
-    /// Attaches a deterministic fault plan, consulted by the fallible
-    /// `try_*` entry points ([`Simulator::try_run_kernel`],
-    /// [`Simulator::try_run_sequence`]). The plain [`Simulator::run_kernel`]
-    /// and friends stay injection-free so existing callers never observe
-    /// faults they did not opt into.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.injector = FaultInjector::new(plan);
-        self
-    }
-
-    /// The fault plan the `try_*` entry points draw from.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.injector.plan()
+        Self { spec }
     }
 
     /// The device being modeled.
@@ -306,39 +284,6 @@ impl Simulator {
         }
         emit_virtual_timeline(&entries);
         RunReport::new(stats, Timeline::new(entries), wall)
-    }
-
-    /// Fallible launch: consults the attached [`FaultPlan`] before modeling
-    /// the kernel. A fault surfaces as [`WdError::SimFault`] with the kernel
-    /// name in the site — the stats are never produced, so an injected fault
-    /// can never leak wrong numbers into a report.
-    pub fn try_run_kernel(&self, k: &KernelProfile) -> Result<KernelStats, WdError> {
-        self.injector.check(&format!("sim.launch:{}", k.name))?;
-        Ok(self.run_kernel(k))
-    }
-
-    /// Fallible sequence: each launch draws from the fault plan in order, so
-    /// a given seed always fails (or passes) at the same kernel index. On a
-    /// fault the partial timeline is discarded and only the error returns.
-    pub fn try_run_sequence(&self, kernels: &[KernelProfile]) -> Result<RunReport, WdError> {
-        let mut t = 0.0f64;
-        let mut entries = Vec::with_capacity(kernels.len());
-        let mut stats = Vec::with_capacity(kernels.len());
-        for k in kernels {
-            let st = self.try_run_kernel(k)?;
-            let start = t + self.spec.kernel_launch_us;
-            let end = start + st.exec_us;
-            entries.push(TimelineEntry {
-                name: k.name.clone(),
-                lane: 0,
-                start_us: start,
-                end_us: end,
-            });
-            t = end;
-            stats.push((k.clone(), st));
-        }
-        emit_virtual_timeline(&entries);
-        Ok(RunReport::new(stats, Timeline::new(entries), t))
     }
 }
 
@@ -549,53 +494,6 @@ mod tests {
                 prop_assert!(seq.total_time_us() + 1e-9 >= single);
                 prop_assert_eq!(seq.kernel_count(), n);
             }
-        }
-    }
-
-    #[test]
-    fn disabled_fault_plan_matches_plain_api() {
-        let s = sim(); // no plan attached → injection disabled
-        let ks: Vec<KernelProfile> = (0..6).map(|i| mem_kernel(1e6 * (i + 1) as f64)).collect();
-        let fallible = s.try_run_sequence(&ks).expect("no faults when disabled");
-        let plain = s.run_sequence(&ks);
-        assert_eq!(fallible.kernel_count(), plain.kernel_count());
-        assert!((fallible.total_time_us() - plain.total_time_us()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn same_seed_gives_same_fault_schedule() {
-        let ks: Vec<KernelProfile> = (0..32).map(|_| mem_kernel(1e6)).collect();
-        let run = |seed: u64| {
-            let s = sim().with_fault_plan(wd_fault::FaultPlan::new(seed, 0.25));
-            // Collect the per-launch pass/fail pattern for one full sweep.
-            ks.iter()
-                .map(|k| s.try_run_kernel(k).err().map(|e| e.to_string()))
-                .collect::<Vec<_>>()
-        };
-        let a = run(42);
-        let b = run(42);
-        assert_eq!(a, b, "identical seeds must fault at identical launches");
-        assert!(
-            a.iter().any(|e| e.is_some()),
-            "rate 0.25 over 32 draws should fire at least once"
-        );
-        assert!(
-            a.iter().any(|e| e.is_none()),
-            "rate 0.25 should not fault every launch"
-        );
-        let c = run(43);
-        assert_ne!(a, c, "different seeds should differ over 32 draws");
-    }
-
-    #[test]
-    fn faulted_sequence_returns_error_not_partial_report() {
-        let ks: Vec<KernelProfile> = (0..64).map(|_| mem_kernel(1e6)).collect();
-        let s = sim().with_fault_plan(wd_fault::FaultPlan::new(7, 1.0));
-        match s.try_run_sequence(&ks) {
-            Err(wd_fault::WdError::SimFault { site, .. }) => {
-                assert!(site.starts_with("sim.launch:"), "site = {site}");
-            }
-            other => panic!("expected SimFault, got {other:?}"),
         }
     }
 

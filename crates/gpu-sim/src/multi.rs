@@ -27,7 +27,6 @@ use crate::report::RunReport;
 use crate::spec::GpuSpec;
 use crate::timeline::{Timeline, TimelineEntry};
 use serde::{Deserialize, Serialize};
-use wd_fault::{FaultInjector, FaultPlan, WdError};
 
 /// Device-to-device link model: one transfer costs
 /// `setup_us + latency_us + bytes / bandwidth`. Setup is the host-side
@@ -178,28 +177,13 @@ impl DeviceWork {
 pub struct ShardedSimulator {
     spec: MultiGpuSpec,
     sims: Vec<Simulator>,
-    injector: FaultInjector,
 }
 
 impl ShardedSimulator {
-    /// Creates a sharded simulator; fault injection starts disabled.
+    /// Creates a sharded simulator.
     pub fn new(spec: MultiGpuSpec) -> Self {
         let sims = spec.devices().iter().cloned().map(Simulator::new).collect();
-        Self {
-            spec,
-            sims,
-            injector: FaultInjector::disabled(),
-        }
-    }
-
-    /// Attaches a deterministic fault plan for the fallible
-    /// [`ShardedSimulator::try_run_devices`] entry point. Faults are drawn
-    /// per kernel launch at site `sim.device<i>.launch:<name>`, so a seed
-    /// always fails at the same (device, kernel) pair.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.injector = FaultInjector::new(plan);
-        self
+        Self { spec, sims }
     }
 
     /// The multi-device configuration being modeled.
@@ -212,19 +196,6 @@ impl ShardedSimulator {
     /// bug, not a runtime condition). Timeline lanes are device indices;
     /// each device's ingress transfer appears as a `xfer.dev<i>` span.
     pub fn run_devices(&self, work: &[DeviceWork]) -> RunReport {
-        self.model_devices(work, false)
-            .expect("infallible without an armed injector")
-    }
-
-    /// Fallible sharded run: every kernel launch draws from the fault plan
-    /// in (device, kernel) order. On a fault the partial timeline is
-    /// discarded and only the error returns, mirroring
-    /// [`Simulator::try_run_sequence`].
-    pub fn try_run_devices(&self, work: &[DeviceWork]) -> Result<RunReport, WdError> {
-        self.model_devices(work, true)
-    }
-
-    fn model_devices(&self, work: &[DeviceWork], fallible: bool) -> Result<RunReport, WdError> {
         assert!(
             work.len() <= self.spec.device_count(),
             "placement produced {} device lanes for {} devices",
@@ -247,10 +218,6 @@ impl ShardedSimulator {
                 });
             }
             for k in &dw.kernels {
-                if fallible {
-                    self.injector
-                        .check(&format!("sim.device{dev}.launch:{}", k.name))?;
-                }
                 let st = sim.run_kernel(k);
                 let start = t + sim.spec().kernel_launch_us;
                 let end = start + st.exec_us;
@@ -266,7 +233,7 @@ impl ShardedSimulator {
             wall = wall.max(t);
         }
         emit_device_timeline(&entries);
-        Ok(RunReport::new(stats, Timeline::new(entries), wall))
+        RunReport::new(stats, Timeline::new(entries), wall)
     }
 }
 
@@ -412,41 +379,5 @@ mod tests {
         assert_eq!(one.device_count(), 1);
         assert!(one.without_device(0).is_none(), "last device must remain");
         assert!(spec.without_device(7).is_none(), "out of range");
-    }
-
-    #[test]
-    fn same_seed_faults_at_the_same_device_and_kernel() {
-        let work: Vec<DeviceWork> = (0..2)
-            .map(|_| DeviceWork::resident((0..16).map(|_| kernel(1e6)).collect()))
-            .collect();
-        let run = |seed: u64| {
-            nvlink_pair()
-                .with_fault_plan(FaultPlan::new(seed, 0.2))
-                .try_run_devices(&work)
-                .err()
-                .map(|e| e.to_string())
-        };
-        assert_eq!(run(42), run(42));
-        let s = ShardedSimulator::new(MultiGpuSpec::homogeneous(
-            2,
-            GpuSpec::a100_pcie_80g(),
-            InterconnectSpec::nvlink(),
-        ))
-        .with_fault_plan(FaultPlan::new(7, 1.0));
-        match s.try_run_devices(&work) {
-            Err(WdError::SimFault { site, .. }) => {
-                assert!(site.starts_with("sim.device0.launch:"), "site = {site}");
-            }
-            other => panic!("expected SimFault, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn disabled_injector_matches_infallible_api() {
-        let sim = nvlink_pair();
-        let work = vec![DeviceWork::resident(vec![kernel(1e7); 3])];
-        let a = sim.run_devices(&work);
-        let b = sim.try_run_devices(&work).expect("no faults when disabled");
-        assert!((a.total_time_us() - b.total_time_us()).abs() < 1e-12);
     }
 }

@@ -118,12 +118,6 @@ impl RnsBasis {
             })
     }
 
-    /// Product of all moduli as an `f64` (approximate; used for noise/scale
-    /// bookkeeping, never for exact arithmetic).
-    pub fn product_f64(&self) -> f64 {
-        self.moduli.iter().map(|m| m.value() as f64).product()
-    }
-
     /// log2 of the basis product.
     pub fn log2_product(&self) -> f64 {
         self.moduli.iter().map(|m| (m.value() as f64).log2()).sum()

@@ -90,34 +90,6 @@ impl Modulus {
         }
     }
 
-    /// In-place addition: `a[i] = a[i] + b[i] mod q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slab lengths differ.
-    pub fn add_slab_assign(&self, a: &mut [u64], b: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        for (ac, bc) in a.chunks_mut(SLAB_BLOCK).zip(b.chunks(SLAB_BLOCK)) {
-            for (x, &y) in ac.iter_mut().zip(bc) {
-                *x = self.add(*x, y);
-            }
-        }
-    }
-
-    /// In-place subtraction: `a[i] = a[i] - b[i] mod q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slab lengths differ.
-    pub fn sub_slab_assign(&self, a: &mut [u64], b: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        for (ac, bc) in a.chunks_mut(SLAB_BLOCK).zip(b.chunks(SLAB_BLOCK)) {
-            for (x, &y) in ac.iter_mut().zip(bc) {
-                *x = self.sub(*x, y);
-            }
-        }
-    }
-
     /// Fused reverse-subtract-and-scale: `a[i] = (b[i] − a[i]) · w mod q` in
     /// one pass — the last step of ModDown and Rescale, where `a` holds the
     /// correction term (and becomes the result) and `b` the operand limb.
@@ -221,18 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_slab_round_trip() {
-        let m = m();
-        let len = SLAB_BLOCK / 2;
-        let orig = slab(6, len, m.value());
-        let b = slab(7, len, m.value());
-        let mut a = orig.clone();
-        m.add_slab_assign(&mut a, &b);
-        m.sub_slab_assign(&mut a, &b);
-        assert_eq!(a, orig);
-    }
-
-    #[test]
     fn scale_slab_matches_scalar_mul() {
         let m = m();
         let len = SLAB_BLOCK + 1;
@@ -263,7 +223,6 @@ mod tests {
     fn empty_slabs_are_noops() {
         let m = m();
         m.mul_add_slab_assign(&mut [], &[], &[]);
-        m.sub_slab_assign(&mut [], &[]);
         m.scale_slab_assign(&mut [], 5);
         let mut out: [u64; 0] = [];
         m.mul_slab_into(&[], &[], &mut out);

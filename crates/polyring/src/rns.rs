@@ -207,66 +207,43 @@ impl RnsPoly {
     }
 
     /// Pointwise (Hadamard) product — the ring product when both operands
-    /// are in the NTT domain.
+    /// are in the NTT domain. One thread of [`RnsPoly::pointwise_with`].
     ///
     /// # Errors
     ///
-    /// Returns [`PolyError::RingMismatch`] on shape mismatch or when either
-    /// operand is still in the coefficient domain.
+    /// Returns [`PolyError::RingMismatch`] on shape or modulus mismatch or
+    /// when either operand is still in the coefficient domain.
     pub fn pointwise(&self, rhs: &Self) -> Result<Self, PolyError> {
-        if self.domain != Domain::Ntt || rhs.domain != Domain::Ntt {
-            return Err(PolyError::RingMismatch);
-        }
-        self.zip_check(rhs)?;
-        let limbs = self
-            .limbs
-            .iter()
-            .zip(&rhs.limbs)
-            .map(|(a, b)| a.pointwise(b))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            limbs,
-            domain: Domain::Ntt,
-        })
+        self.pointwise_with(rhs, 1)
     }
 
     /// Forward NTT on every limb (tables must be ordered like the limbs).
+    /// One thread of [`RnsPoly::ntt_forward_with`].
     ///
     /// # Panics
     ///
     /// Panics if table moduli do not match limb moduli, or the poly is
     /// already in the NTT domain.
     pub fn ntt_forward(&mut self, tables: &[Arc<NttTable>]) {
-        assert_eq!(self.domain, Domain::Coeff, "already in NTT domain");
-        assert!(tables.len() >= self.limbs.len());
-        for (limb, t) in self.limbs.iter_mut().zip(tables) {
-            assert_eq!(t.modulus().value(), limb.modulus().value());
-            t.forward(limb.coeffs_mut());
-        }
-        self.domain = Domain::Ntt;
+        self.ntt_forward_with(tables, 1);
     }
 
-    /// Inverse NTT on every limb.
+    /// Inverse NTT on every limb. One thread of
+    /// [`RnsPoly::ntt_inverse_with`].
     ///
     /// # Panics
     ///
     /// Panics if table moduli do not match limb moduli, or the poly is
     /// already in the coefficient domain.
     pub fn ntt_inverse(&mut self, tables: &[Arc<NttTable>]) {
-        assert_eq!(self.domain, Domain::Ntt, "already in coefficient domain");
-        assert!(tables.len() >= self.limbs.len());
-        for (limb, t) in self.limbs.iter_mut().zip(tables) {
-            assert_eq!(t.modulus().value(), limb.modulus().value());
-            t.inverse(limb.coeffs_mut());
-        }
-        self.domain = Domain::Coeff;
+        self.ntt_inverse_with(tables, 1);
     }
 
     /// Forward NTT on every limb with an explicit thread budget — the
     /// CPU-side analogue of the PE kernel's limb dimension (each RNS limb is
     /// independent, exactly why the GPU kernel can take the whole ciphertext
-    /// at once). `threads = 1` is exactly [`RnsPoly::ntt_forward`]; every
-    /// thread count produces bit-identical output.
+    /// at once). Every thread count produces bit-identical output, and every
+    /// call adds the limb count to `polyring.ntt_limb_transforms`.
     ///
     /// # Panics
     ///
@@ -317,8 +294,8 @@ impl RnsPoly {
     }
 
     /// Pointwise product with an explicit thread budget: limbs are fanned
-    /// out over at most `threads` workers, results bit-identical to
-    /// [`RnsPoly::pointwise`] at every thread count.
+    /// out over at most `threads` workers, results bit-identical at every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -327,7 +304,7 @@ impl RnsPoly {
         if self.domain != Domain::Ntt || rhs.domain != Domain::Ntt {
             return Err(PolyError::RingMismatch);
         }
-        self.zip_check(rhs)?;
+        self.zip_check_moduli(rhs)?;
         let limbs = crate::par::map_indexed(threads, self.limbs.len(), |i| {
             self.limbs[i]
                 .pointwise(&rhs.limbs[i])
@@ -350,36 +327,6 @@ impl RnsPoly {
             return Err(PolyError::RingMismatch);
         }
         Ok(())
-    }
-
-    /// In-place limb-wise subtraction: `self -= rhs` with no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolyError::RingMismatch`] on shape/domain/modulus mismatch.
-    pub fn sub_assign(&mut self, rhs: &Self) -> Result<(), PolyError> {
-        self.zip_check_moduli(rhs)?;
-        for (a, b) in self.limbs.iter_mut().zip(&rhs.limbs) {
-            let m = *a.modulus();
-            m.sub_slab_assign(a.coeffs_mut(), b.coeffs());
-        }
-        Ok(())
-    }
-
-    /// In-place per-limb scaling (the ModDown / rescale constant shape):
-    /// limb `i` is multiplied by `scalars[i]` via Shoup multiplication,
-    /// bit-identical to [`RnsPoly::scale_per_limb`] without the new
-    /// polynomial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scalars.len() != limb_count`.
-    pub fn scale_per_limb_assign(&mut self, scalars: &[u64]) {
-        assert_eq!(scalars.len(), self.limb_count());
-        for (l, &s) in self.limbs.iter_mut().zip(scalars) {
-            let m = *l.modulus();
-            m.scale_slab_assign(l.coeffs_mut(), m.reduce(s));
-        }
     }
 
     /// Galois automorphism X ↦ X^g applied limb-wise (coefficient domain):
@@ -644,25 +591,15 @@ mod tests {
     }
 
     #[test]
-    fn sub_assign_matches_sub() {
-        let ps = primes(8, 3);
-        let a = RnsPoly::from_signed(&ps, &[9, -2, 4, 0, 1, -7, 3, 5]).unwrap();
-        let b = RnsPoly::from_signed(&ps, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
-        let reference = a.sub(&b).unwrap();
-        let mut in_place = a.clone();
-        in_place.sub_assign(&b).unwrap();
-        assert_eq!(in_place, reference);
-    }
-
-    #[test]
-    fn scale_per_limb_assign_matches_allocating_form() {
-        let ps = primes(8, 3);
-        let p = RnsPoly::from_signed(&ps, &[9, -2, 4, 0, 1, -7, 3, 5]).unwrap();
-        let scalars: Vec<u64> = ps.iter().map(|&q| q - 3).collect();
-        let reference = p.scale_per_limb(&scalars);
-        let mut in_place = p.clone();
-        in_place.scale_per_limb_assign(&scalars);
-        assert_eq!(in_place, reference);
+    fn pointwise_rejects_foreign_moduli_at_every_width() {
+        let ps = primes(8, 4);
+        let mut a = RnsPoly::zero(&ps[..2], 8).unwrap();
+        let mut b = RnsPoly::zero(&ps[2..], 8).unwrap();
+        a.set_domain(Domain::Ntt);
+        b.set_domain(Domain::Ntt);
+        for threads in [1, 2] {
+            assert_eq!(a.pointwise_with(&b, threads), Err(PolyError::RingMismatch));
+        }
     }
 
     #[test]

@@ -840,57 +840,10 @@ mod tests {
         assert_eq!(peek_kind(b"XXXXXX"), None);
     }
 
-    #[test]
-    fn v3_request_frame_survives_truncate_flip_and_extend_at_every_offset() {
-        let (a, b) = ct_pair();
-        let req = Request::new(ServeOp::HSub(a.clone(), b.clone()))
-            .with_deadline(Duration::from_micros(5));
-        let good = encode_request_v3(42, Some("alice"), &req).expect("encode");
-        assert!(
-            good.len() <= good.capacity() && good.capacity() - good.len() < FRAME_OVERHEAD_MAX,
-            "the encoder reserves the frame once, and tightly"
-        );
-        let (ver, id, tenant, back) = decode_request_versioned(&good).expect("decode");
-        assert_eq!(
-            (ver, id, tenant.as_deref()),
-            (VERSION_GUARD, 42, Some("alice"))
-        );
-        assert!(matches!(back.op, ServeOp::HSub(x, y) if x == a && y == b));
-        let typed = |r: Result<_, CkksError>, what: &str| match r {
-            Ok(_) => panic!("{what}: decoded"),
-            Err(CkksError::WireDecode(_)) | Err(CkksError::IntegrityViolation { .. }) => {}
-            Err(e) => panic!("{what}: untyped error {e:?}"),
-        };
-        let mut buf = good.clone();
-        for at in 0..good.len() {
-            typed(decode_request_versioned(&good[..at]), &format!("cut {at}"));
-            // The trailer covers every byte: no flip anywhere may pass.
-            for bit in [0u8, 7] {
-                buf[at] ^= 1 << bit;
-                typed(decode_request_versioned(&buf), &format!("flip {at}.{bit}"));
-                buf[at] ^= 1 << bit;
-            }
-        }
-        for extra in [1usize, 7, 8, 9, 64] {
-            let mut long = good.clone();
-            long.resize(good.len() + extra, 0xA5);
-            typed(decode_request_versioned(&long), &format!("extend {extra}"));
-        }
-    }
-
-    #[test]
-    fn health_frames_round_trip_and_verify() {
-        use wd_fault::WdError;
-        let probe = encode_health_request(17);
-        assert_eq!(peek_kind(&probe), Some(KIND_HEALTH_REQUEST));
-        assert_eq!(decode_health_request(&probe).expect("probe"), 17);
-        let mut corrupt = probe;
-        corrupt[6] ^= 1; // id byte
-        assert!(matches!(
-            decode_health_request(&corrupt),
-            Err(WdError::IntegrityViolation { .. })
-        ));
-        let report = HealthReport {
+    /// A HEALTH report with two tenant lines (breaker on and off) and two
+    /// device lines.
+    fn sample_report() -> HealthReport {
+        HealthReport {
             queue_depth: 3,
             workers: 2,
             worker_restarts: 1,
@@ -926,7 +879,92 @@ mod tests {
                     alive: false,
                 },
             ],
+        }
+    }
+
+    #[test]
+    fn every_v3_frame_survives_truncate_flip_and_extend_at_every_offset() {
+        let (a, b) = ct_pair();
+        let req = Request::new(ServeOp::HSub(a.clone(), b.clone()))
+            .with_deadline(Duration::from_micros(5));
+        let good = encode_request_v3(42, Some("alice"), &req).expect("encode");
+        assert!(
+            good.len() <= good.capacity() && good.capacity() - good.len() < FRAME_OVERHEAD_MAX,
+            "the encoder reserves the frame once, and tightly"
+        );
+        let (ver, id, tenant, back) = decode_request_versioned(&good).expect("decode");
+        assert_eq!(
+            (ver, id, tenant.as_deref()),
+            (VERSION_GUARD, 42, Some("alice"))
+        );
+        assert!(matches!(back.op, ServeOp::HSub(x, y) if x == a && y == b));
+        let response = |result| WireResponse {
+            id: 43,
+            result,
+            waited_us: 1234,
+            batch_size: 8,
+            trigger: Some(FlushTrigger::Size),
         };
+        type Decoder = fn(&[u8]) -> Result<(), CkksError>;
+        let inputs: [(&str, Vec<u8>, Decoder); 5] = [
+            ("request", good, |f| decode_request_versioned(f).map(drop)),
+            (
+                "ciphertext response",
+                encode_response_v3(&response(Ok(a))).expect("encode"),
+                |f| decode_response(f).map(drop),
+            ),
+            (
+                "error response",
+                encode_response_v3(&response(Err("deadline exceeded".into()))).expect("encode"),
+                |f| decode_response(f).map(drop),
+            ),
+            ("HEALTH probe", encode_health_request(17), |f| {
+                decode_health_request(f).map(drop)
+            }),
+            (
+                "HEALTH report",
+                encode_health_report(17, &sample_report()).expect("encode"),
+                |f| decode_health_report(f).map(drop),
+            ),
+        ];
+        for (name, good, decode) in inputs {
+            decode(&good).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let typed = |r: Result<(), CkksError>, what: &str| match r {
+                Ok(()) => panic!("{name}, {what}: decoded"),
+                Err(CkksError::WireDecode(_)) | Err(CkksError::IntegrityViolation { .. }) => {}
+                Err(e) => panic!("{name}, {what}: untyped error {e:?}"),
+            };
+            let mut buf = good.clone();
+            for at in 0..good.len() {
+                typed(decode(&good[..at]), &format!("cut {at}"));
+                // The trailer covers every byte: no flip anywhere may pass.
+                for bit in 0u8..8 {
+                    buf[at] ^= 1 << bit;
+                    typed(decode(&buf), &format!("flip {at}.{bit}"));
+                    buf[at] ^= 1 << bit;
+                }
+            }
+            for extra in [1usize, 7, 8, 9, 64] {
+                let mut long = good.clone();
+                long.resize(good.len() + extra, 0xA5);
+                typed(decode(&long), &format!("extend {extra}"));
+            }
+        }
+    }
+
+    #[test]
+    fn health_frames_round_trip_and_verify() {
+        use wd_fault::WdError;
+        let probe = encode_health_request(17);
+        assert_eq!(peek_kind(&probe), Some(KIND_HEALTH_REQUEST));
+        assert_eq!(decode_health_request(&probe).expect("probe"), 17);
+        let mut corrupt = probe;
+        corrupt[6] ^= 1; // id byte
+        assert!(matches!(
+            decode_health_request(&corrupt),
+            Err(WdError::IntegrityViolation { .. })
+        ));
+        let report = sample_report();
         let bytes = encode_health_report(17, &report).expect("encode report");
         assert_eq!(peek_kind(&bytes), Some(KIND_HEALTH_RESPONSE));
         let (id, back) = decode_health_report(&bytes).expect("decode report");

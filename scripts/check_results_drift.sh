@@ -1,14 +1,10 @@
 #!/usr/bin/env bash
 # Results drift check: regenerate EVERY checked-in artifact in results/
-# and diff it against the committed copy.
+# and byte-diff it against the committed copy.
 #
-# The analytic model is deterministic, so any diff in modeled numbers is
-# real drift (a code change that silently moved a paper number). Values
-# prefixed with `~` are measured live on the running host — those are
-# machine-dependent by construction, so both sides are masked to `~HOST`
-# (wd_mask in scripts/lib.sh) before diffing: the check still catches
-# layout/row drift around them without failing on someone's CPU being
-# faster.
+# Every generator prints only deterministic numbers (the analytic model,
+# exact drill counts, paper quotations; host timings live in benchmark/),
+# so any diff is real drift: a code change that silently moved a number.
 #
 # Usage: scripts/check_results_drift.sh [table2 fig6 ...]
 #   With no arguments, checks every results/*.txt that has a matching
@@ -18,20 +14,6 @@ set -euo pipefail
 
 # shellcheck source=scripts/lib.sh
 . "$(dirname "$0")/lib.sh"
-
-# Most artifacts are generated by a same-named wd-bench bin; the rest are
-# mapped here explicitly.
-bin_for() {
-    case "$1" in
-        serve_latency)  echo "serve_bench" ;;
-        net_serve)      echo "net_bench" ;;
-        guard_overhead) echo "guard_bench" ;;
-        arena_speedup)  echo "alloc_bench" ;;
-        shard_scaling)  echo "shard_bench" ;;
-        graph_compile)  echo "graph_bench" ;;
-        *)             echo "$1" ;;
-    esac
-}
 
 if [ "$#" -gt 0 ]; then
     names=("$@")
@@ -48,7 +30,7 @@ fi
 
 for name in "${names[@]}"; do
     artifact="results/$name.txt"
-    bin="$(bin_for "$name")"
+    bin="$(wd_bin_for "$name")"
     if [ ! -f "$artifact" ]; then
         echo "MISSING  $artifact (no checked-in artifact)"
         fail=1
@@ -66,7 +48,7 @@ for name in "${names[@]}"; do
         fail=1
         continue
     fi
-    if diff -u <(wd_mask <"$artifact") <(wd_mask <"$fresh") >"/tmp/drift_$name.diff" 2>&1; then
+    if diff -u "$artifact" "$fresh" >"/tmp/drift_$name.diff" 2>&1; then
         echo "OK       $name"
     else
         echo "DRIFT    $name"

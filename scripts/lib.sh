@@ -34,13 +34,19 @@ wd_expect_eq() {
     fi
 }
 
-# wd_mask
-#   stdin filter: host-measured values (`~12.3`, `~5`) -> `~HOST`, so
-#   drift diffs catch layout/row changes without failing on a faster CPU.
-#   The padding in front of a right-aligned value goes with it: a host
-#   that measures one more digit (`~2.5` -> `~25.0`) is not drift either.
-wd_mask() {
-    sed -E 's/ *~[0-9]+(\.[0-9]+)?/ ~HOST/g'
+# wd_bin_for ARTIFACT
+#   The wd-bench bin that generates results/ARTIFACT.txt: a same-named bin,
+#   or one of the service bins mapped here.
+wd_bin_for() {
+    case "$1" in
+        serve_latency)  echo "serve_bench" ;;
+        net_serve)      echo "net_bench" ;;
+        guard_overhead) echo "guard_bench" ;;
+        arena_speedup)  echo "alloc_bench" ;;
+        shard_scaling)  echo "shard_bench" ;;
+        graph_compile)  echo "graph_bench" ;;
+        *)              echo "$1" ;;
+    esac
 }
 
 # wd_counter NAME FILE
