@@ -29,8 +29,6 @@
 //! Trace output (when `WD_TRACE` is on) goes to **stderr**: stdout is the
 //! drift-checked artifact.
 
-use std::sync::Arc;
-
 use warpdrive_core::cost;
 use wd_bench::banner;
 use wd_ckks::keyswitch::keyswitch;
@@ -198,15 +196,15 @@ fn steady_state_drill() -> Result<(), Box<dyn std::error::Error>> {
     let kp = ctx.keygen();
     let d = ctx.encode(&[0.5, 1.0, -1.5])?.poly;
     let arena = warpdrive_core::arena::worker_arena(ctx.params(), u64::MAX)?;
-    ctx.set_scratch_arena(Arc::clone(&arena));
-
-    keyswitch(&ctx, &d, &kp.relin)?; // warm-up: every shape parked once
-    let warm = arena.stats();
     const OPS: u64 = 4;
-    for _ in 0..OPS {
-        keyswitch(&ctx, &d, &kp.relin)?;
-    }
-    let after = arena.stats();
+    let (warm, after) = scratch::with_worker_arena(&arena, || {
+        keyswitch(&ctx, &d, &kp.relin)?; // warm-up: every shape parked once
+        let warm = arena.stats();
+        for _ in 0..OPS {
+            keyswitch(&ctx, &d, &kp.relin)?;
+        }
+        Ok::<_, wd_ckks::CkksError>((warm, arena.stats()))
+    })?;
     let leases = after.leases - warm.leases;
     let reuses = after.reuses - warm.reuses;
     let heap = after.heap_allocs() - warm.heap_allocs();

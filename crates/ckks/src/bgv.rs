@@ -144,23 +144,23 @@ impl BgvContext {
     /// Generates BGV keys (fresh secret, t-scaled public/relin noise).
     pub fn keygen(&self) -> BgvKeyPair {
         let params = self.inner.params();
-        let full = params.full_basis_at(params.max_level());
-        let q_primes = params.q_chain().to_vec();
+        let top = self.inner.level(params.max_level());
+        let q_primes = params.q_chain();
         let n = params.degree();
-        let tabs_full = self.inner.tables_for(&full);
-        let tabs_q = self.inner.tables_for(&q_primes);
 
-        let mut s = self.inner.with_rng(|r| sampling::ternary_poly(r, &full, n));
-        s.ntt_forward(&tabs_full);
+        let mut s = self
+            .inner
+            .with_rng(|r| sampling::ternary_poly(r, &top.full, n));
+        s.ntt_forward(&top.full_tables);
         let s_q = restrict(&s, q_primes.len());
 
         let a = self
             .inner
-            .with_rng(|r| sampling::uniform_poly(r, &q_primes, n));
+            .with_rng(|r| sampling::uniform_poly(r, q_primes, n));
         let mut e = self
             .inner
-            .with_rng(|r| sampling::gaussian_poly(r, &q_primes, n));
-        e.ntt_forward(&tabs_q);
+            .with_rng(|r| sampling::gaussian_poly(r, q_primes, n));
+        e.ntt_forward(&top.q_tables);
         let te = e.scale_scalar(self.t);
         let pk_b = a
             .pointwise(&s_q)
@@ -193,21 +193,21 @@ impl BgvContext {
     ) -> Result<BgvCiphertext, CkksError> {
         let params = self.inner.params();
         let level = params.max_level();
-        let primes = params.q_at(level).to_vec();
-        let tabs = self.inner.tables_for(&primes);
+        let primes = params.q_at(level);
+        let tabs = self.inner.q_tables(level);
         let n = params.degree();
         let mut u = self
             .inner
-            .with_rng(|r| sampling::ternary_poly(r, &primes, n));
-        u.ntt_forward(&tabs);
+            .with_rng(|r| sampling::ternary_poly(r, primes, n));
+        u.ntt_forward(tabs);
         let mut e0 = self
             .inner
-            .with_rng(|r| sampling::gaussian_poly(r, &primes, n));
-        e0.ntt_forward(&tabs);
+            .with_rng(|r| sampling::gaussian_poly(r, primes, n));
+        e0.ntt_forward(tabs);
         let mut e1 = self
             .inner
-            .with_rng(|r| sampling::gaussian_poly(r, &primes, n));
-        e1.ntt_forward(&tabs);
+            .with_rng(|r| sampling::gaussian_poly(r, primes, n));
+        e1.ntt_forward(tabs);
         // m as a signed-centered polynomial, embedded in every limb.
         let mt = Modulus::new(self.t);
         let centered: Vec<i64> = coeffs_mod_t
@@ -221,8 +221,8 @@ impl BgvContext {
                 }
             })
             .collect();
-        let mut m = RnsPoly::from_signed(&primes, &centered)?;
-        m.ntt_forward(&tabs);
+        let mut m = RnsPoly::from_signed(primes, &centered)?;
+        m.ntt_forward(tabs);
         let pk_b = restrict(&kp.pk_b, primes.len());
         let pk_a = restrict(&kp.pk_a, primes.len());
         let c0 = u.pointwise(&pk_b)?.add(&e0.scale_scalar(self.t))?.add(&m)?;
@@ -314,14 +314,14 @@ impl BgvContext {
         let q_now = ctx.params().q_at(level);
         let p0 = ctx.params().p_chain()[0];
         let lq = q_now.len();
-        acc.ntt_inverse(ctx.full_tables(level));
+        acc.ntt_inverse(&ctx.level(level).full_tables);
         // Exact centered P-residue per coefficient (single special limb).
         let u_centered: Vec<i64> = acc.limb(lq).centered();
         // Standard (x − u)/P over Q.
         let u_q = RnsPoly::from_signed(q_now, &u_centered)?;
         let diff = restrict(&acc, lq).sub(&u_q)?;
         give_rns(arena, acc);
-        let r = diff.scale_per_limb(ctx.p_inv(level));
+        let r = diff.scale_per_limb(&ctx.level(level).p_inv);
         // Correction w ≡ −u·P⁻¹ (mod t), centered, subtracted over Q.
         let mt = Modulus::new(self.t);
         let p_inv_t = mt.inv(mt.reduce(p0))?;

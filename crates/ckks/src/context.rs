@@ -15,29 +15,38 @@ use wd_polyring::rns::{Domain, RnsPoly};
 use wd_polyring::scratch::ScratchArena;
 use wd_polyring::Poly;
 
-/// Cache of base-extension converters, keyed by (from, to) prime lists.
-type ConverterCache = HashMap<(Vec<u64>, Vec<u64>), Arc<BasisConverter>>;
-
-/// Cache of NTT-domain Galois permutations, keyed by Galois element.
-type GaloisCache = HashMap<usize, Arc<[u32]>>;
-
 /// Immutable per-level derived state, computed once at context build so the
-/// hot path borrows instead of re-deriving (`q_at(level).to_vec()`,
-/// `full_basis_at(level)`, fresh table `Vec`s and P-inverse recomputation
-/// used to run on every keyswitch/rescale call).
+/// hot path borrows instead of re-deriving: prime bases, table lists, the
+/// ModDown and Rescale constants, and every base converter a keyswitch or
+/// rescale at this level asks for.
 #[derive(Debug)]
-struct LevelCache {
+pub(crate) struct LevelCache {
     /// Full basis q_0…q_ℓ ∪ P at this level.
-    full: Vec<u64>,
+    pub(crate) full: Vec<u64>,
     /// Tables for q_0…q_ℓ, in limb order.
-    q_tables: Vec<Arc<NttTable>>,
+    pub(crate) q_tables: Vec<Arc<NttTable>>,
     /// Tables for the full basis, in limb order.
-    full_tables: Vec<Arc<NttTable>>,
+    pub(crate) full_tables: Vec<Arc<NttTable>>,
     /// P^{-1} mod q_i for each q-limb at this level (ModDown constant).
-    p_inv: Vec<u64>,
+    pub(crate) p_inv: Vec<u64>,
     /// q_ℓ^{-1} mod q_i for i < ℓ (Rescale's constant: the same division
     /// with the level's last prime in place of P). Empty at level 0.
-    q_last_inv: Vec<u64>,
+    pub(crate) q_last_inv: Vec<u64>,
+    /// Digit j's primes → the full basis, for j < `dnum_at(ℓ)` (ModUp).
+    pub(crate) digit_to_full: Vec<BasisConverter>,
+    /// P → q_0…q_ℓ (ModDown).
+    pub(crate) p_to_q: BasisConverter,
+    /// \[q_ℓ\] → q_0…q_{ℓ−1} (Rescale); `None` at level 0.
+    pub(crate) last_to_rest: Option<BasisConverter>,
+}
+
+/// A converter `from → to`, with invalid bases (duplicated primes) as typed
+/// errors.
+fn basis_converter(from: &[u64], to: &[u64]) -> Result<BasisConverter, CkksError> {
+    Ok(BasisConverter::new(
+        RnsBasis::new(from.to_vec())?,
+        RnsBasis::new(to.to_vec())?,
+    )?)
 }
 
 /// How many leading limbs decoding reconstructs a coefficient from: 4 limbs
@@ -45,12 +54,14 @@ struct LevelCache {
 /// [`CrtReconstructor`] holds.
 const DECODE_LIMBS: usize = 4;
 
-/// Parameter-bound CKKS state: NTT tables per prime, the encoder, a cached
-/// basis-converter pool, and a seedable RNG.
+/// Parameter-bound CKKS state: NTT tables per prime, per-level constants and
+/// base converters, the encoder, and a seedable RNG.
 ///
 /// This is the "Initialization Phase" of the WarpDrive framework (§IV-D-1):
 /// moduli are selected, twiddle factors precomputed, and conversion tables
-/// staged before any homomorphic operation runs.
+/// staged before any homomorphic operation runs. Nothing but the RNG changes
+/// after [`CkksContext::with_seed`] returns; the Galois permutation of a
+/// rotation travels with its key ([`KeySwitchKey`]).
 #[derive(Debug)]
 pub struct CkksContext {
     params: CkksParams,
@@ -58,13 +69,7 @@ pub struct CkksContext {
     /// One NTT table per prime of the full basis.
     table_by_prime: HashMap<u64, Arc<NttTable>>,
     rng: Mutex<StdRng>,
-    converters: Mutex<ConverterCache>,
-    /// `wd_polyring::ntt::galois_permutation(N, g)` per Galois element
-    /// used so far (4N bytes each; a context sees as many elements as it
-    /// has rotation keys).
-    galois: Mutex<GaloisCache>,
-    /// Per-level derived state (prime bases, table lists, ModDown
-    /// constants), indexed by level.
+    /// Per-level derived state, indexed by level.
     levels: Vec<LevelCache>,
     /// Centred CRT reconstructors over q_0…q_{k−1} for every prefix length
     /// k = 1…[`DECODE_LIMBS`] the chain has, indexed by k − 1.
@@ -73,7 +78,7 @@ pub struct CkksContext {
     /// per-worker arena installed via
     /// `wd_polyring::scratch::with_worker_arena` always takes precedence
     /// (see [`CkksContext::scratch`]).
-    scratch: Mutex<Arc<ScratchArena>>,
+    scratch: Arc<ScratchArena>,
 }
 
 impl CkksContext {
@@ -90,7 +95,7 @@ impl CkksContext {
     ///
     /// # Errors
     ///
-    /// Propagates table construction failures.
+    /// Propagates table and converter construction failures.
     pub fn with_seed(params: CkksParams, seed: u64) -> Result<Self, CkksError> {
         let n = params.degree();
         let encoder = Encoder::new(n)?;
@@ -99,7 +104,7 @@ impl CkksContext {
         for &q in &full {
             table_by_prime.insert(q, Arc::new(NttTable::new(q, n)?));
         }
-        let p_chain = params.p_chain().to_vec();
+        let p_chain = params.p_chain();
         let mut levels = Vec::with_capacity(params.max_level() + 1);
         for level in 0..=params.max_level() {
             let full = params.full_basis_at(level);
@@ -116,7 +121,7 @@ impl CkksContext {
             for &q in q_now {
                 let m = wd_modmath::Modulus::new(q);
                 let mut p = 1u64;
-                for &pk in &p_chain {
+                for &pk in p_chain {
                     p = m.mul(p, m.reduce(pk));
                 }
                 // P shares no factor with a distinct chain prime q, so the
@@ -131,12 +136,22 @@ impl CkksContext {
                     m.inv(m.reduce(q_now[level]))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
+            let digit_to_full = (0..params.dnum_at(level))
+                .map(|j| basis_converter(&q_now[params.digit_limbs(level, j)], &full))
+                .collect::<Result<Vec<_>, _>>()?;
+            let p_to_q = basis_converter(p_chain, q_now)?;
+            let last_to_rest = (level > 0)
+                .then(|| basis_converter(&q_now[level..], &q_now[..level]))
+                .transpose()?;
             levels.push(LevelCache {
                 full,
                 q_tables,
                 full_tables,
                 p_inv,
                 q_last_inv,
+                digit_to_full,
+                p_to_q,
+                last_to_rest,
             });
         }
         let reconstructors = (1..=DECODE_LIMBS.min(params.max_level() + 1))
@@ -147,11 +162,9 @@ impl CkksContext {
             encoder,
             table_by_prime,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            converters: Mutex::new(HashMap::new()),
-            galois: Mutex::new(HashMap::new()),
             levels,
             reconstructors,
-            scratch: Mutex::new(ScratchArena::for_worker()),
+            scratch: ScratchArena::for_worker(),
         })
     }
 
@@ -198,34 +211,14 @@ impl CkksContext {
         &self.levels[level].q_tables
     }
 
-    /// NTT tables for the full basis at `level` in limb order, borrowed.
+    /// Everything precomputed for `level`: bases, tables, ModDown and
+    /// Rescale constants, converters.
     ///
     /// # Panics
     ///
     /// Panics if `level` exceeds the chain.
-    pub fn full_tables(&self, level: usize) -> &[Arc<NttTable>] {
-        &self.levels[level].full_tables
-    }
-
-    /// ModDown constants P^{-1} mod q_i for each q-limb at `level`,
-    /// precomputed at build (keyswitch used to re-derive these per call).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` exceeds the chain.
-    pub fn p_inv(&self, level: usize) -> &[u64] {
-        &self.levels[level].p_inv
-    }
-
-    /// Rescale constants q_ℓ^{-1} mod q_i for i < ℓ at `level` = ℓ,
-    /// precomputed at build next to [`CkksContext::p_inv`] (rescale used to
-    /// invert per limb per call). Empty at level 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` exceeds the chain.
-    pub fn q_last_inv(&self, level: usize) -> &[u64] {
-        &self.levels[level].q_last_inv
+    pub(crate) fn level(&self, level: usize) -> &LevelCache {
+        &self.levels[level]
     }
 
     /// The scratch arena hot-path ops lease temporaries from: the calling
@@ -233,78 +226,20 @@ impl CkksContext {
     /// `wd_polyring::scratch::with_worker_arena` — per-worker ownership),
     /// otherwise this context's default arena.
     pub fn scratch(&self) -> Arc<ScratchArena> {
-        if let Some(arena) = wd_polyring::scratch::worker_arena() {
-            return arena;
-        }
-        Arc::clone(&self.scratch.lock().unwrap_or_else(|p| p.into_inner()))
+        wd_polyring::scratch::worker_arena().unwrap_or_else(|| Arc::clone(&self.scratch))
     }
 
-    /// Replaces the context's default scratch arena (e.g. with a
-    /// parameter-sized one from `warpdrive_core::arena`, or
-    /// `ScratchArena::disabled()` to force the fresh-allocation reference
-    /// path the equivalence tests compare against).
-    pub fn set_scratch_arena(&self, arena: Arc<ScratchArena>) {
-        *self.scratch.lock().unwrap_or_else(|p| p.into_inner()) = arena;
-    }
-
-    /// Cached basis converter `from → to`, with invalid bases (duplicated
-    /// primes) surfaced as typed errors — the request-path entry point
-    /// (keyswitch, mod-down) for base extension.
-    ///
-    /// The cache lock recovers from poisoning: a panic in an isolated worker
-    /// thread (see `wd_fault::run_isolated`) must not wedge the context.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `wd_modmath` basis/converter construction failures.
-    pub fn try_converter(
-        &self,
-        from: &[u64],
-        to: &[u64],
-    ) -> Result<Arc<BasisConverter>, CkksError> {
-        let key = (from.to_vec(), to.to_vec());
-        let mut cache = self
-            .converters
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(conv) = cache.get(&key) {
-            return Ok(Arc::clone(conv));
-        }
-        let conv = Arc::new(BasisConverter::new(
-            RnsBasis::new(from.to_vec())?,
-            RnsBasis::new(to.to_vec())?,
-        )?);
-        cache.insert(key, Arc::clone(&conv));
-        Ok(conv)
-    }
-
-    /// The Galois automorphism `X ↦ X^g` as an index permutation of
-    /// NTT-domain data (see `wd_polyring::ntt::galois_permutation`), built
-    /// on first use and cached: rotation-key generation, HROTATE and
-    /// conjugation all gather through it instead of leaving the NTT domain.
-    /// The lock recovers from poisoning like the converter cache's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is even.
-    pub fn galois_permutation(&self, g: usize) -> Arc<[u32]> {
-        let mut cache = self.galois.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(cache.entry(g).or_insert_with(|| {
-            wd_polyring::ntt::galois_permutation(self.params.degree(), g).into()
-        }))
-    }
-
-    /// Cached basis converter `from → to` (see
-    /// [`CkksContext::try_converter`]).
+    /// A freshly built basis converter `from → to` — for fixtures and
+    /// tests, not for hot paths (every converter a keyswitch or rescale
+    /// needs is built once, with the context).
     ///
     /// # Panics
     ///
     /// Panics if the bases are invalid (duplicated primes).
     pub fn converter(&self, from: &[u64], to: &[u64]) -> Arc<BasisConverter> {
-        // invariant: panicking facade by contract — request paths use
-        // `try_converter`; this wrapper serves callers whose bases come
-        // straight from validated `CkksParams` chains.
-        self.try_converter(from, to).expect("valid bases")
+        // invariant: panicking facade by contract — its callers pass bases
+        // taken from validated `CkksParams` chains.
+        Arc::new(basis_converter(from, to).expect("valid bases"))
     }
 
     /// Runs `f` with the context RNG. The lock recovers from poisoning (an
@@ -356,9 +291,8 @@ impl CkksContext {
         }
         let coeffs = self.encoder.encode(slots, scale)?;
         let signed: Vec<i64> = coeffs.iter().map(|&c| c.round() as i64).collect();
-        let primes = self.params.q_at(level).to_vec();
-        let mut poly = RnsPoly::from_signed(&primes, &signed)?;
-        poly.ntt_forward(&self.tables_for(&primes));
+        let mut poly = RnsPoly::from_signed(self.params.q_at(level), &signed)?;
+        poly.ntt_forward(self.q_tables(level));
         Ok(Plaintext { poly, scale, level })
     }
 
@@ -435,16 +369,16 @@ impl CkksContext {
 
     /// Generates secret, public and relinearization keys.
     pub fn keygen(&self) -> KeyPair {
-        let full = self.params.full_basis_at(self.params.max_level());
+        let top = self.level(self.params.max_level());
         let n = self.params.degree();
-        let mut s = self.with_rng(|r| sampling::ternary_poly(r, &full, n));
-        s.ntt_forward(&self.tables_for(&full));
+        let mut s = self.with_rng(|r| sampling::ternary_poly(r, &top.full, n));
+        s.ntt_forward(&top.full_tables);
 
-        let q_primes = self.params.q_chain().to_vec();
+        let q_primes = self.params.q_chain();
         let s_q = restrict(&s, q_primes.len());
-        let a = self.with_rng(|r| sampling::uniform_poly(r, &q_primes, n));
-        let mut e = self.with_rng(|r| sampling::gaussian_poly(r, &q_primes, n));
-        e.ntt_forward(&self.tables_for(&q_primes));
+        let a = self.with_rng(|r| sampling::uniform_poly(r, q_primes, n));
+        let mut e = self.with_rng(|r| sampling::gaussian_poly(r, q_primes, n));
+        e.ntt_forward(&top.q_tables);
         let b = a
             .pointwise(&s_q)
             .and_then(|as_| as_.neg().add(&e))
@@ -464,7 +398,10 @@ impl CkksContext {
     }
 
     /// Generates rotation keys for the given slot rotations (and, if
-    /// `with_conjugation`, the conjugation key).
+    /// `with_conjugation`, the conjugation key). Each key carries its Galois
+    /// element and the element's NTT-domain permutation
+    /// (`wd_polyring::ntt::galois_permutation`), which HROTATE, conjugation
+    /// and hoisted rotation gather through.
     pub fn gen_rotation_keys(
         &self,
         sk: &SecretKey,
@@ -484,8 +421,11 @@ impl CkksContext {
                 continue;
             }
             // s′ = φ_g(s), a permutation of s's evaluations.
-            let s_rot = sk.s.automorphism_ntt(&self.galois_permutation(g));
-            keys.insert(g, self.gen_ksk(&s_rot, sk, 1));
+            let perm: Arc<[u32]> =
+                wd_polyring::ntt::galois_permutation(self.params.degree(), g).into();
+            let mut key = self.gen_ksk(&sk.s.automorphism_ntt(&perm), sk, 1);
+            key.galois = Some((g, perm));
+            keys.insert(g, key);
         }
         keys
     }
@@ -497,20 +437,15 @@ impl CkksContext {
     /// noise must vanish mod t). The RNG is drawn in the same order for
     /// every m: per digit, a_j then e_j.
     pub fn gen_ksk(&self, s_prime: &RnsPoly, sk: &SecretKey, noise_scale: u64) -> KeySwitchKey {
-        let lmax = self.params.max_level();
-        let alpha = self.params.alpha();
-        let dnum = self.params.dnum_at(lmax);
-        let q_chain = self.params.q_chain();
-        let full = self.params.full_basis_at(lmax);
-        let tabs = self.tables_for(&full);
+        let top = self.level(self.params.max_level());
+        let full = &top.full;
         let n = self.params.degree();
-        let mut digits = Vec::with_capacity(dnum);
-        for j in 0..dnum {
-            let digit_primes = &q_chain[j * alpha..((j + 1) * alpha).min(q_chain.len())];
-            let factors = self.ksk_factors(digit_primes, &full);
-            let a = self.with_rng(|r| sampling::uniform_poly(r, &full, n));
-            let mut e = self.with_rng(|r| sampling::gaussian_poly(r, &full, n));
-            e.ntt_forward(&tabs);
+        let mut digits = Vec::with_capacity(top.digit_to_full.len());
+        for j in 0..top.digit_to_full.len() {
+            let factors = self.ksk_factors(j);
+            let a = self.with_rng(|r| sampling::uniform_poly(r, full, n));
+            let mut e = self.with_rng(|r| sampling::gaussian_poly(r, full, n));
+            e.ntt_forward(&top.full_tables);
             // CKKS's multiplier is 1: multiplying by it would be a full
             // extra pass (and a fresh polynomial) per digit for nothing.
             if noise_scale != 1 {
@@ -527,12 +462,20 @@ impl CkksContext {
                 .expect("ksk shapes agree");
             digits.push(crate::keys::KskDigit { b, a });
         }
-        KeySwitchKey { digits }
+        KeySwitchKey {
+            digits,
+            galois: None,
+        }
     }
 
-    /// Per-limb factors (P·F_j mod r) for digit primes `d` over basis `full`.
-    fn ksk_factors(&self, digit_primes: &[u64], full: &[u64]) -> Vec<u64> {
+    /// Per-limb factors (P·F_j mod r) of digit `j` over the top-level full
+    /// basis.
+    fn ksk_factors(&self, j: usize) -> Vec<u64> {
+        let lmax = self.params.max_level();
+        let top = self.level(lmax);
+        let (full, conv) = (&top.full, &top.digit_to_full[j]);
         let q_chain = self.params.q_chain();
+        let digit_primes = &q_chain[self.params.digit_limbs(lmax, j)];
         let p_chain = self.params.p_chain();
         // t ≡ Q̂_j^{-1} mod each digit prime.
         let t_residues: Vec<u64> = digit_primes
@@ -552,7 +495,6 @@ impl CkksContext {
             .collect();
         // Reconstruct (a representative of) t modulo every full-basis prime:
         // a conversion of one-coefficient limbs.
-        let conv = self.converter(digit_primes, full);
         let t_limbs: Vec<&[u64]> = t_residues.iter().map(std::slice::from_ref).collect();
         let mut t_full = vec![0u64; full.len()];
         for (i, t) in t_full.iter_mut().enumerate() {
@@ -588,15 +530,15 @@ impl CkksContext {
     /// Returns [`CkksError::LevelMismatch`] if the plaintext level exceeds the key
     /// chain (cannot happen for plaintexts produced by this context).
     pub fn encrypt(&self, pt: &Plaintext, pk: &PublicKey) -> Result<Ciphertext, CkksError> {
-        let primes = self.params.q_at(pt.level).to_vec();
-        let tabs = self.tables_for(&primes);
+        let primes = self.params.q_at(pt.level);
+        let tabs = self.q_tables(pt.level);
         let n = self.params.degree();
-        let mut v = self.with_rng(|r| sampling::ternary_poly(r, &primes, n));
-        v.ntt_forward(&tabs);
-        let mut e0 = self.with_rng(|r| sampling::gaussian_poly(r, &primes, n));
-        e0.ntt_forward(&tabs);
-        let mut e1 = self.with_rng(|r| sampling::gaussian_poly(r, &primes, n));
-        e1.ntt_forward(&tabs);
+        let mut v = self.with_rng(|r| sampling::ternary_poly(r, primes, n));
+        v.ntt_forward(tabs);
+        let mut e0 = self.with_rng(|r| sampling::gaussian_poly(r, primes, n));
+        e0.ntt_forward(tabs);
+        let mut e1 = self.with_rng(|r| sampling::gaussian_poly(r, primes, n));
+        e1.ntt_forward(tabs);
         let pk_b = restrict(&pk.b, primes.len());
         let pk_a = restrict(&pk.a, primes.len());
         let c0 = v.pointwise(&pk_b)?.add(&e0)?.add(&pt.poly)?;
@@ -753,16 +695,56 @@ mod tests {
         Ok(())
     }
 
+    /// Every converter staged at build converts a random limb exactly like
+    /// one freshly built for the same bases, at every level of SET-A and
+    /// SET-C; invalid bases stay a typed error.
     #[test]
-    fn try_converter_caches_and_rejects_bad_bases() -> Result<(), CkksError> {
-        let ctx = ctx()?;
-        let full = ctx.params().full_basis_at(ctx.params().max_level());
-        let q = ctx.params().q_at(0).to_vec();
-        let a = ctx.try_converter(&q, &full)?;
-        let b = ctx.try_converter(&q, &full)?;
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
-        // Duplicated primes are a typed error, not a panic.
-        assert!(ctx.try_converter(&[q[0], q[0]], &full).is_err());
+    fn staged_converters_match_fresh_ones() -> Result<(), CkksError> {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(3);
+        for set in [ParamSet::set_a(), ParamSet::set_c()] {
+            let ctx = CkksContext::with_seed(set.with_degree(1 << 6).build()?, 1)?;
+            let params = ctx.params();
+            for level in 0..=params.max_level() {
+                let cache = ctx.level(level);
+                let q_now = params.q_at(level);
+                assert_eq!(cache.digit_to_full.len(), params.dnum_at(level));
+                assert_eq!(cache.last_to_rest.is_some(), level > 0);
+                let mut staged: Vec<(&BasisConverter, Vec<u64>, Vec<u64>)> = cache
+                    .digit_to_full
+                    .iter()
+                    .enumerate()
+                    .map(|(j, c)| {
+                        (
+                            c,
+                            q_now[params.digit_limbs(level, j)].to_vec(),
+                            cache.full.clone(),
+                        )
+                    })
+                    .collect();
+                staged.push((&cache.p_to_q, params.p_chain().to_vec(), q_now.to_vec()));
+                if let Some(c) = &cache.last_to_rest {
+                    staged.push((c, vec![q_now[level]], q_now[..level].to_vec()));
+                }
+                for (conv, from, to) in staged {
+                    let fresh = basis_converter(&from, &to)?;
+                    let limbs: Vec<Vec<u64>> = from
+                        .iter()
+                        .map(|&q| (0..params.degree()).map(|_| rng.gen_range(0..q)).collect())
+                        .collect();
+                    let src: Vec<&[u64]> = limbs.iter().map(Vec::as_slice).collect();
+                    for t in 0..to.len() {
+                        let mut got = vec![0u64; params.degree()];
+                        let mut want = got.clone();
+                        conv.convert_limb_into(&src, t, &mut got);
+                        fresh.convert_limb_into(&src, t, &mut want);
+                        assert_eq!(got, want, "level {level}, {from:?} -> limb {t} of {to:?}");
+                    }
+                }
+            }
+        }
+        let q = ParamSet::set_a().build()?.q_chain().to_vec();
+        assert!(basis_converter(&[q[0], q[0]], &q).is_err());
         Ok(())
     }
 

@@ -1,6 +1,7 @@
 //! RLWE key material.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use wd_polyring::rns::RnsPoly;
 
 /// The ternary secret key, stored in NTT form over the full basis
@@ -34,6 +35,10 @@ pub struct KskDigit {
 pub struct KeySwitchKey {
     /// Digits j = 0 … dnum_max − 1.
     pub digits: Vec<KskDigit>,
+    /// For a rotation or conjugation key, the Galois element g it switches
+    /// from φ_g(s) for, and φ_g as an NTT-domain index permutation
+    /// (`wd_polyring::ntt::galois_permutation`). `None` for the relin key.
+    pub(crate) galois: Option<(usize, Arc<[u32]>)>,
 }
 
 impl KeySwitchKey {
@@ -43,9 +48,11 @@ impl KeySwitchKey {
     }
 
     /// Compact footprint of this key in bytes, at the paper's 32-bit wire
-    /// word size: `dnum × 2 polys × limbs × N × 4`. Keyswitch keys dominate
-    /// the working set of GPU FHE serving (Cheddar's key-memory analysis),
-    /// so this is the number the per-tenant key-cache budget is charged in.
+    /// word size: `dnum × 2 polys × limbs × N × 4` (the digits only; the
+    /// permutation of a rotation key is derived from its element).
+    /// Keyswitch keys dominate the working set of GPU FHE serving (Cheddar's
+    /// key-memory analysis), so this is the number the per-tenant key-cache
+    /// budget is charged in.
     pub fn approx_bytes(&self) -> usize {
         self.digits
             .iter()

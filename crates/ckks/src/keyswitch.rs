@@ -30,8 +30,8 @@
 //!
 //! # Three stages, each written once
 //!
-//! - `Decomposition`: **ModUp**. The digit bounds and the converter lookup
-//!   live in `Decomposition::new` and nowhere else.
+//! - `Decomposition`: **ModUp**. Each digit borrows its converter from the
+//!   context's per-level cache, built with the context.
 //! - `inner_product`: **one work list over the target limbs**. For each
 //!   target limb, for each digit: produce that digit's limb in a one-limb
 //!   scratch, then multiply-accumulate it into `acc0[t]` and `acc1[t]`
@@ -71,7 +71,8 @@
 //!   rotation-independent half. This is the one caller that holds whole
 //!   digits.
 //! - [`keyswitch_hoisted`]: the same `inner_product`, fed by a gather of
-//!   each kept digit's limb through the Galois permutation, then `mod_down`.
+//!   each kept digit's limb through the Galois permutation the rotation key
+//!   carries, then `mod_down`.
 //! - [`crate::bgv::BgvContext::hmult`]: the same entry check, ModUp and
 //!   inner product (`mod_up_inner_product`); only its ModDown differs (exact
 //!   centred P-residue plus the plaintext correction), and that one stage
@@ -93,6 +94,7 @@
 use crate::context::CkksContext;
 use crate::keys::{KeySwitchKey, KskDigit};
 use crate::CkksError;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 use wd_modmath::rns::BasisConverter;
@@ -176,6 +178,30 @@ fn key_digits(ksk: &KeySwitchKey, need: usize) -> Result<&[KskDigit], CkksError>
     })
 }
 
+/// The NTT-domain permutation of φ_g a keyswitch with `ksk` gathers
+/// through: the one a rotation key carries, which must be for `g`. For a
+/// key with no Galois element (the relin key) it is derived here, per call:
+/// switching φ_g(d) from s² is well defined (the identity at `g = 1`), but
+/// no rotation path asks for it.
+///
+/// # Errors
+///
+/// Returns [`CkksError::MissingKey`] if `ksk` is a rotation key for another
+/// element.
+pub(crate) fn key_permutation(
+    ksk: &KeySwitchKey,
+    g: usize,
+    n: usize,
+) -> Result<Cow<'_, [u32]>, CkksError> {
+    match &ksk.galois {
+        Some((kg, perm)) if *kg == g => Ok(Cow::Borrowed(perm)),
+        Some((kg, _)) => Err(CkksError::MissingKey(format!(
+            "key switches from φ_{kg}(s), not φ_{g}(s)"
+        ))),
+        None => Ok(Cow::Owned(wd_polyring::ntt::galois_permutation(n, g))),
+    }
+}
+
 /// Maps each prime of `basis` to its limb position inside a key digit
 /// (which lives over the max-level full basis). Computed once per call and
 /// indexed in the inner-product loop, so no key limb is ever copied.
@@ -217,7 +243,7 @@ fn intt_input(
 struct Digit<'a> {
     own: Range<usize>,
     /// The digit's primes → the full basis at the operand's level.
-    conv: Arc<BasisConverter>,
+    conv: &'a BasisConverter,
     /// The digit's limbs of the INTT'd operand.
     coeff: Vec<&'a [u64]>,
 }
@@ -235,29 +261,26 @@ struct Decomposition<'a> {
 impl<'a> Decomposition<'a> {
     /// Splits `d` (checked, at `level`) into digits of α limbs; `d_coeff` is
     /// its [`intt_input`].
-    fn new(
-        ctx: &'a CkksContext,
-        d: &'a RnsPoly,
-        d_coeff: &'a RnsPoly,
-        level: usize,
-    ) -> Result<Self, CkksError> {
-        let alpha = ctx.params().alpha();
-        let q_now = ctx.params().q_at(level);
-        let digits = (0..ctx.params().dnum_at(level))
-            .map(|j| {
-                let own = j * alpha..((j + 1) * alpha).min(level + 1);
-                Ok(Digit {
-                    conv: ctx.try_converter(&q_now[own.clone()], ctx.full_basis(level))?,
+    fn new(ctx: &'a CkksContext, d: &'a RnsPoly, d_coeff: &'a RnsPoly, level: usize) -> Self {
+        let cache = ctx.level(level);
+        let digits = cache
+            .digit_to_full
+            .iter()
+            .enumerate()
+            .map(|(j, conv)| {
+                let own = ctx.params().digit_limbs(level, j);
+                Digit {
+                    conv,
                     coeff: own.clone().map(|i| d_coeff.limb(i).coeffs()).collect(),
                     own,
-                })
+                }
             })
-            .collect::<Result<Vec<_>, CkksError>>()?;
-        Ok(Self {
+            .collect();
+        Self {
             d,
             digits,
-            tables: ctx.full_tables(level),
-        })
+            tables: &cache.full_tables,
+        }
     }
 
     /// Limb `t` of digit `j`'s extension to the full basis, in NTT form,
@@ -370,23 +393,21 @@ fn mod_down(
     level: usize,
     th: usize,
 ) -> Result<RnsPoly, CkksError> {
-    let q_now = ctx.params().q_at(level);
-    let p_chain = ctx.params().p_chain();
-    let lq = q_now.len();
-    let conv = ctx.try_converter(p_chain, q_now)?;
-    for (limb, table) in acc.limbs_mut().zip(ctx.full_tables(level)).skip(lq) {
+    let cache = ctx.level(level);
+    let lq = level + 1;
+    for (limb, table) in acc.limbs_mut().zip(&cache.full_tables).skip(lq) {
         table.inverse(limb.coeffs_mut());
     }
-    count_limb_transforms(p_chain.len());
+    count_limb_transforms(ctx.params().special_count());
     let limbs: Vec<&Poly> = acc.limbs().collect();
     let (head, tail) = limbs.split_at(lq);
     let tail: Vec<&[u64]> = tail.iter().map(|p| p.coeffs()).collect();
     let out = sub_lifted_and_scale(
         head,
         &tail,
-        &conv,
-        ctx.p_inv(level),
-        ctx.q_tables(level),
+        &cache.p_to_q,
+        &cache.p_inv,
+        &cache.q_tables,
         th,
     )?;
     give_rns(arena, acc);
@@ -414,7 +435,7 @@ pub(crate) fn mod_up_inner_product(
     let level = operand_level(ctx, d)?;
     let keys = key_digits(ksk, ctx.params().dnum_at(level))?;
     let d_coeff = intt_input(ctx, arena, d, level, th)?;
-    let digits = Decomposition::new(ctx, d, &d_coeff, level)?;
+    let digits = Decomposition::new(ctx, d, &d_coeff, level);
     let (acc0, acc1) = inner_product(
         arena,
         ctx.full_basis(level),
@@ -499,7 +520,7 @@ impl HoistedDecomposition {
         let level = operand_level(ctx, d)?;
         let arena = ctx.scratch();
         let d_coeff = intt_input(ctx, &arena, d, level, 1)?;
-        let decomposition = Decomposition::new(ctx, d, &d_coeff, level)?;
+        let decomposition = Decomposition::new(ctx, d, &d_coeff, level);
         let digits = (0..decomposition.digits.len())
             .map(|j| {
                 let mut ext = RnsPoly::zero(ctx.full_basis(level), d.degree())?;
@@ -527,14 +548,16 @@ impl HoistedDecomposition {
 
 /// Keyswitch using a precomputed [`HoistedDecomposition`], applying the
 /// Galois automorphism `g` to the *extended digits* (one gather per limb,
-/// into the inner product's scratch limb) instead of re-running ModUp and
-/// the digit NTTs per rotation. With `g = 1` this equals [`keyswitch`]
-/// exactly. Accumulators and the scratch limb are arena-leased like the
-/// main path.
+/// through the permutation `ksk` carries, into the inner product's scratch
+/// limb) instead of re-running ModUp and the digit NTTs per rotation. With
+/// `g = 1` and the relin key this equals [`keyswitch`] exactly.
+/// Accumulators and the scratch limb are arena-leased like the main path.
 ///
 /// # Errors
 ///
-/// Returns [`CkksError::LevelMismatch`] if the key has too few digits.
+/// Returns [`CkksError::LevelMismatch`] if the key has too few digits, and
+/// [`CkksError::MissingKey`] if `ksk` is a rotation key for an element other
+/// than `g`.
 pub fn keyswitch_hoisted(
     ctx: &CkksContext,
     hoisted: &HoistedDecomposition,
@@ -547,7 +570,7 @@ pub fn keyswitch_hoisted(
         let level = hoisted.level;
         let keys = key_digits(ksk, hoisted.dnum())?;
         let n = hoisted.digits[0].degree();
-        let perm = ctx.galois_permutation(g);
+        let perm = key_permutation(ksk, g, n)?;
         // φ_g commutes with base extension and with the NTT (it permutes
         // coefficients, respectively evaluations, limb-wise), so applying
         // it to the hoisted digit is exact.
@@ -603,7 +626,7 @@ mod tests {
             )?;
             // ModUp: extend to the full basis, then restore the digit's own
             // limbs exactly (conversion is identity there up to rounding).
-            let conv = ctx.try_converter(digit_primes, &full)?;
+            let conv = ctx.converter(digit_primes, &full);
             let mut ext = convert_poly(&conv, &digit, 1);
             for i in lo..hi {
                 *ext.limb_mut(i) = d_coeff.limb(i).clone();
@@ -658,7 +681,7 @@ mod tests {
             (lq..lq + k).map(|i| acc.limb(i).clone()).collect(),
             Domain::Coeff,
         )?;
-        let conv = ctx.try_converter(&p_chain, q_now)?;
+        let conv = ctx.converter(&p_chain, q_now);
         let u = convert_poly(&conv, &p_part, 1);
         // (x − u) · P^{-1} per limb.
         let q_acc = restrict(&acc, lq);
@@ -784,8 +807,9 @@ mod tests {
         let kp = ctx.keygen();
         let pt = ctx.encode(&[1.0, 2.0, 3.0])?;
         let (a0, a1) = keyswitch(&ctx, &pt.poly, &kp.relin)?;
-        ctx.set_scratch_arena(ScratchArena::disabled());
-        let (b0, b1) = keyswitch(&ctx, &pt.poly, &kp.relin)?;
+        let (b0, b1) = scratch::with_worker_arena(&ScratchArena::disabled(), || {
+            keyswitch(&ctx, &pt.poly, &kp.relin)
+        })?;
         assert_eq!(a0, b0);
         assert_eq!(a1, b1);
         Ok(())
@@ -838,6 +862,20 @@ mod tests {
                     "hoisted: {what}, K = {k}"
                 );
             }
+            // A rotation key carries its element: asking the key for
+            // g = 25 to switch φ_5 is refused, not computed with the wrong
+            // permutation.
+            let rot = ctx.gen_rotation_keys(&kp.secret, &[1, 2], false);
+            let key25 = rot.get(25).expect("rotation by 2 is g = 25");
+            let hoisted = HoistedDecomposition::new(&ctx, &ctx.encode(&[1.0])?.poly)?;
+            assert!(
+                matches!(
+                    keyswitch_hoisted(&ctx, &hoisted, 5, key25),
+                    Err(CkksError::MissingKey(_))
+                ),
+                "hoisted: key for g = 25 used for g = 5, K = {k}"
+            );
+            assert!(keyswitch_hoisted(&ctx, &hoisted, 25, key25).is_ok());
             if k == 1 {
                 let bgv = crate::bgv::BgvContext::new(ctx, 16)?;
                 let bkp = bgv.keygen();
@@ -863,7 +901,7 @@ mod tests {
         let ctx = ctx(1)?;
         let q = ctx.params().q_at(1).to_vec();
         let p = ctx.params().p_chain().to_vec();
-        let conv = ctx.try_converter(&q, &p)?;
+        let conv = ctx.converter(&q, &p);
         let src = RnsPoly::from_signed(&q, &(0..64).map(|i| i - 32).collect::<Vec<_>>())?;
         let out = convert_poly(&conv, &src, 1);
         let expect = RnsPoly::from_signed(&p, &(0..64).map(|i| i - 32).collect::<Vec<_>>())?;

@@ -8,7 +8,9 @@ use crate::cipher::{relative_eq, Ciphertext, Plaintext};
 use crate::context::CkksContext;
 use crate::encoding::C64;
 use crate::keys::{KeySwitchKey, RotationKeys};
-use crate::keyswitch::{keyswitch, keyswitch_with, operand_level, sub_lifted_and_scale};
+use crate::keyswitch::{
+    key_permutation, keyswitch, keyswitch_with, operand_level, sub_lifted_and_scale,
+};
 use crate::CkksError;
 use wd_fault::OperandMismatch;
 use wd_polyring::rns::{count_limb_transforms, RnsPoly};
@@ -264,22 +266,25 @@ fn rescale_step(
     threads: usize,
 ) -> Result<Ciphertext, CkksError> {
     let level = ct.level;
-    let primes = ctx.params().q_at(level);
-    let (dropped, kept) = (primes[level], &primes[..level]);
-    let conv = ctx.try_converter(&[dropped], kept)?;
+    let dropped = ctx.params().q_at(level)[level];
+    let cache = ctx.level(level);
+    let conv = cache
+        .last_to_rest
+        .as_ref()
+        .ok_or(CkksError::ModulusChainExhausted)?;
     let arena = ctx.scratch();
     let mut last = arena.lease(ct.degree());
     let mut divide = |c: &RnsPoly| {
         let limbs: Vec<&Poly> = c.limbs().collect();
         last.copy_from_slice(limbs[level].coeffs());
-        ctx.q_tables(level)[level].inverse(&mut last);
+        cache.q_tables[level].inverse(&mut last);
         count_limb_transforms(1);
         sub_lifted_and_scale(
             &limbs[..level],
             &[&last],
-            &conv,
-            ctx.q_last_inv(level),
-            ctx.q_tables(level - 1),
+            conv,
+            &cache.q_last_inv,
+            &ctx.level(level - 1).q_tables,
             threads,
         )
     };
@@ -391,7 +396,7 @@ fn apply_galois(
         .get(g)
         .ok_or_else(|| CkksError::MissingKey(format!("rotation key for g = {g}")))?;
     // φ_g permutes evaluations: the ciphertext never leaves the NTT domain.
-    let perm = ctx.galois_permutation(g);
+    let perm = key_permutation(ksk, g, ct.degree())?;
     let c0g = ct.c0.automorphism_ntt(&perm);
     let c1g = ct.c1.automorphism_ntt(&perm);
     // Keyswitch φ(c1) from φ(s) to s.
@@ -432,7 +437,9 @@ pub fn hrotate_many(
             .get(g)
             .ok_or_else(|| CkksError::MissingKey(format!("rotation key for g = {g}")))?;
         let (ks0, ks1) = keyswitch_hoisted(ctx, &hoisted, g, ksk)?;
-        let c0g = ct.c0.automorphism_ntt(&ctx.galois_permutation(g));
+        let c0g = ct
+            .c0
+            .automorphism_ntt(&key_permutation(ksk, g, ct.degree())?);
         out.push(Ciphertext {
             c0: c0g.add(&ks0)?,
             c1: ks1,

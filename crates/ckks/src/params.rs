@@ -259,6 +259,12 @@ impl CkksParams {
         (level + 1).div_ceil(self.alpha())
     }
 
+    /// Limb positions of digit `j` at `level`: α limbs, the last digit
+    /// partial when α does not divide ℓ+1.
+    pub(crate) fn digit_limbs(&self, level: usize, j: usize) -> std::ops::Range<usize> {
+        j * self.alpha()..((j + 1) * self.alpha()).min(level + 1)
+    }
+
     /// Chain primes q_0 … q_L.
     pub fn q_chain(&self) -> &[u64] {
         &self.q_chain

@@ -150,15 +150,16 @@ mod tests {
         let ctx = wd_ckks::CkksContext::with_seed(p, 99)?;
         let kp = ctx.keygen();
         let arena = worker_arena(ctx.params(), u64::MAX)?;
-        ctx.set_scratch_arena(Arc::clone(&arena));
         let d = ctx.encode(&[1.0, -2.0, 3.0])?.poly;
-        // Warm-up populates the shelves; afterwards no lease misses.
-        wd_ckks::keyswitch::keyswitch(&ctx, &d, &kp.relin)?;
-        let warm = arena.stats();
-        for _ in 0..3 {
+        let (warm, after) = wd_polyring::scratch::with_worker_arena(&arena, || {
+            // Warm-up populates the shelves; afterwards no lease misses.
             wd_ckks::keyswitch::keyswitch(&ctx, &d, &kp.relin)?;
-        }
-        let after = arena.stats();
+            let warm = arena.stats();
+            for _ in 0..3 {
+                wd_ckks::keyswitch::keyswitch(&ctx, &d, &kp.relin)?;
+            }
+            Ok::<_, WdError>((warm, arena.stats()))
+        })?;
         assert_eq!(
             after.heap_allocs(),
             warm.heap_allocs(),
