@@ -8,7 +8,8 @@
 //! host benchmark, `benchmark/`):
 //!
 //! 1. **Modeled verify overhead**: the FNV-1a checksum the
-//!    key cache recomputes on every lease, in host INT32 instructions,
+//!    key cache recomputes on every lease that reads the keys (an HMULT
+//!    batch's, the one modeled here), in host INT32 instructions,
 //!    against the host HMULT cost per Table VI set — then a batch sweep at
 //!    SET-C. One lease serves the whole batch, so the overhead falls as
 //!    1/batch; the run *asserts* < 3% at the saturating serving batch.
@@ -173,9 +174,10 @@ fn quarantine_drill() -> Result<(), Box<dyn std::error::Error>> {
             ..ServeConfig::default()
         },
     );
-    // Ops 0-1 warm the cache (miss, then verified hit); the armed mismatch
-    // fires on op 2's hit (quarantine + cold reload = second miss); op 3
-    // is a verified hit on the reloaded copy.
+    // Ops 0-1 warm the cache (an HMULT miss, then an HADD hit that reads
+    // no key and verifies nothing); the armed mismatch fires on op 2's
+    // HMULT hit (quarantine + cold reload = second miss); op 3 is an HADD
+    // hit on the reloaded copy.
     for (i, (op, want)) in ops.iter().zip(&expect).enumerate() {
         if i == 2 {
             server.tenants().arm_key_corruption(1);

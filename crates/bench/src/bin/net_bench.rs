@@ -176,7 +176,8 @@ fn quota_drill() -> Result<(), Box<dyn std::error::Error>> {
         ..TenantConfig::default()
     });
     reg.register("alice", Arc::clone(&ctx), ServeKeys::none())?;
-    // Nothing can flush before drain: the admitted request stays in flight.
+    // Nothing can flush before drain (a hold keeps the idle worker from
+    // taking it): the admitted request stays in flight.
     let server = Server::start_tenants(
         reg,
         ServeConfig {
@@ -185,6 +186,7 @@ fn quota_drill() -> Result<(), Box<dyn std::error::Error>> {
             ..ServeConfig::default()
         },
     );
+    let hold = server.hold();
     let held = server.submit_as("alice", Request::new(ServeOp::Rescale(ct.clone())))?;
     let refused = server
         .submit_as("alice", Request::new(ServeOp::Rescale(ct)))
@@ -202,6 +204,7 @@ fn quota_drill() -> Result<(), Box<dyn std::error::Error>> {
         "typed refusal, got {refused:?}"
     );
     server.drain();
+    drop(hold);
     held.wait().result?;
     let stats = server.tenant_stats("alice").expect("registered");
     println!();

@@ -146,6 +146,9 @@ fn admission_drill() -> Result<(), Box<dyn std::error::Error>> {
         ..ServeConfig::default()
     };
     let server = Server::start(Arc::clone(&ctx), ServeKeys::none(), config);
+    // Keep the idle worker from taking anything: the queue fills, then
+    // drains as one batch.
+    let hold = server.hold();
     let mut accepted = Vec::new();
     let mut rejected = 0u64;
     for _ in 0..6 {
@@ -158,7 +161,8 @@ fn admission_drill() -> Result<(), Box<dyn std::error::Error>> {
             Err(e) => return Err(e.into()),
         }
     }
-    let stats = server.shutdown();
+    let stats = server.drain();
+    drop(hold);
     let mut drain_batches = std::collections::BTreeSet::new();
     for t in accepted {
         let resp = t.wait();

@@ -236,6 +236,9 @@ fn serving_drill() -> Result<(), Box<dyn std::error::Error>> {
         ServeKeys::with_relin(kp.relin.clone()),
         config,
     );
+    // A hold keeps the idle worker from taking requests one by one: only
+    // the size trigger flushes.
+    let hold = server.hold();
     let tickets: Vec<_> = (0..8)
         .map(|_| server.submit(Request::new(ServeOp::HAdd(a.clone(), b.clone()))))
         .collect::<Result<_, _>>()?;
@@ -247,6 +250,7 @@ fn serving_drill() -> Result<(), Box<dyn std::error::Error>> {
             "sharded response must be bit-identical"
         );
     }
+    drop(hold);
     let health = server.health();
     let stats = server.shutdown();
     println!();

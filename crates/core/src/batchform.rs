@@ -10,14 +10,19 @@
 //! clock, no threads, and no I/O. The `wd-serve` batcher thread is a thin
 //! driver that feeds it real timestamps.
 //!
-//! The policy implements the classic inference-server dual trigger plus two
-//! server-grade refinements:
+//! The policy implements four flush triggers — idle / size / linger / drain
+//! — plus two server-grade refinements:
 //!
 //! - **Size trigger**: flush as soon as [`FormPolicy::max_batch`] requests
 //!   are waiting — the batch the hardware wants.
+//! - **Drain trigger**: on shutdown, flush everything pending at once.
+//! - **Idle trigger**: when the caller reports an idle executor, flush
+//!   everything pending at once. Waiting for a fuller batch only pays while
+//!   the executor is busy anyway; with nothing running, a linger is pure
+//!   latency. This keeps batch formation work-conserving.
 //! - **Linger trigger**: flush when the oldest request has waited
 //!   [`FormPolicy::linger`] — bounds the latency cost of waiting for a
-//!   fuller batch.
+//!   fuller batch while the executor is busy.
 //! - **Deadline shedding**: a request whose deadline passes while queued is
 //!   dropped *before* consuming compute ([`FormPolicy::shed`]); under
 //!   overload, work that can no longer meet its SLO must not steal cycles
@@ -26,6 +31,9 @@
 //!   ones, but a bulk request older than [`FormPolicy::age_promote`] is
 //!   treated as interactive — a deterministic starvation-freedom guarantee
 //!   (every request is eventually at the head of the order).
+//!
+//! Shedding runs first; then the triggers take precedence size > drain >
+//! idle > linger.
 
 use std::time::Duration;
 
@@ -89,6 +97,8 @@ pub enum FlushTrigger {
     Linger,
     /// The server is draining (shutdown flushes everything immediately).
     Drain,
+    /// An executor was idle, so waiting for a fuller batch bought nothing.
+    Idle,
 }
 
 impl FlushTrigger {
@@ -98,6 +108,7 @@ impl FlushTrigger {
             FlushTrigger::Size => "size",
             FlushTrigger::Linger => "linger",
             FlushTrigger::Drain => "drain",
+            FlushTrigger::Idle => "idle",
         }
     }
 }
@@ -121,7 +132,7 @@ pub enum Decision {
     },
 }
 
-/// The dual-trigger batch-formation policy (see the module docs).
+/// The batch-formation policy (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FormPolicy {
     /// Flush as soon as this many requests wait (≥ 1).
@@ -179,8 +190,9 @@ impl FormPolicy {
     /// The flush/wait decision for one snapshot. `draining` is the
     /// shutdown flag: when set, everything pending is flushed immediately
     /// (in `max_batch` chunks — the caller loops) so a drain loses nothing
-    /// and still batches.
-    pub fn decide(&self, now_us: u64, pending: &[Pending], draining: bool) -> Decision {
+    /// and still batches. `idle` says an executor is waiting for work: when
+    /// set, everything pending is flushed now instead of lingering.
+    pub fn decide(&self, now_us: u64, pending: &[Pending], draining: bool, idle: bool) -> Decision {
         if pending.is_empty() {
             return Decision::Wait { wake_us: None };
         }
@@ -199,6 +211,12 @@ impl FormPolicy {
             return Decision::Flush {
                 take: take(pending.len()),
                 trigger: FlushTrigger::Drain,
+            };
+        }
+        if idle {
+            return Decision::Flush {
+                take: take(pending.len()),
+                trigger: FlushTrigger::Idle,
             };
         }
         let linger_us = self.linger.as_micros().min(u128::from(u64::MAX)) as u64;
@@ -239,7 +257,7 @@ mod tests {
     #[test]
     fn empty_queue_waits_indefinitely() {
         assert_eq!(
-            policy().decide(123, &[], false),
+            policy().decide(123, &[], false, false),
             Decision::Wait { wake_us: None }
         );
     }
@@ -249,7 +267,7 @@ mod tests {
         let pending: Vec<Pending> = (0..6)
             .map(|i| p(i, Class::Interactive, 100 + i, None))
             .collect();
-        match policy().decide(150, &pending, false) {
+        match policy().decide(150, &pending, false, false) {
             Decision::Flush { take, trigger } => {
                 assert_eq!(trigger, FlushTrigger::Size);
                 assert_eq!(take, vec![0, 1, 2, 3], "FIFO among equals");
@@ -262,12 +280,12 @@ mod tests {
     fn linger_trigger_flushes_a_partial_batch() {
         let pending = [p(0, Class::Interactive, 100, None)];
         // Not lingered yet: wait until enqueue + linger.
-        match policy().decide(1_000, &pending, false) {
+        match policy().decide(1_000, &pending, false, false) {
             Decision::Wait { wake_us } => assert_eq!(wake_us, Some(2_100)),
             d => panic!("expected wait, got {d:?}"),
         }
         // Lingered: flush what is there.
-        match policy().decide(2_100, &pending, false) {
+        match policy().decide(2_100, &pending, false, false) {
             Decision::Flush { take, trigger } => {
                 assert_eq!(trigger, FlushTrigger::Linger);
                 assert_eq!(take, vec![0]);
@@ -279,7 +297,7 @@ mod tests {
     #[test]
     fn drain_flushes_immediately_without_linger() {
         let pending = [p(0, Class::Bulk, 100, None), p(1, Class::Bulk, 101, None)];
-        match policy().decide(102, &pending, true) {
+        match policy().decide(102, &pending, true, false) {
             Decision::Flush { take, trigger } => {
                 assert_eq!(trigger, FlushTrigger::Drain);
                 assert_eq!(take.len(), 2);
@@ -355,7 +373,7 @@ mod tests {
             p(0, Class::Interactive, 1_000, Some(1_500)),
             p(1, Class::Interactive, 1_100, None),
         ];
-        match policy().decide(1_200, &pending, false) {
+        match policy().decide(1_200, &pending, false, false) {
             Decision::Wait { wake_us } => {
                 assert_eq!(wake_us, Some(1_500), "deadline beats linger (3_000)");
             }
@@ -382,8 +400,8 @@ mod tests {
         let pol = policy();
         for now in [0u64, 500, 1_500, 5_000, 20_000] {
             assert_eq!(
-                pol.decide(now, &pending, false),
-                pol.decide(now, &pending, false)
+                pol.decide(now, &pending, false, false),
+                pol.decide(now, &pending, false, false)
             );
             assert_eq!(pol.shed(now, &pending), pol.shed(now, &pending));
             assert_eq!(pol.order(now, &pending), pol.order(now, &pending));
@@ -396,7 +414,7 @@ mod tests {
         assert_eq!(pol.max_batch, 1);
         let pending = [p(0, Class::Interactive, 0, None)];
         assert!(matches!(
-            pol.decide(0, &pending, false),
+            pol.decide(0, &pending, false, false),
             Decision::Flush {
                 trigger: FlushTrigger::Size,
                 ..
@@ -409,5 +427,97 @@ mod tests {
         assert_eq!(FlushTrigger::Size.label(), "size");
         assert_eq!(FlushTrigger::Linger.label(), "linger");
         assert_eq!(FlushTrigger::Drain.label(), "drain");
+        assert_eq!(FlushTrigger::Idle.label(), "idle");
+    }
+
+    #[test]
+    fn idle_flushes_a_single_request_without_lingering() {
+        let pending = [p(0, Class::Interactive, 100, None)];
+        assert_eq!(
+            policy().decide(101, &pending, false, true),
+            Decision::Flush {
+                take: vec![0],
+                trigger: FlushTrigger::Idle
+            }
+        );
+    }
+
+    #[test]
+    fn idle_flushes_everything_pending_in_serving_order() {
+        let pending = [
+            p(0, Class::Bulk, 100, None),
+            p(1, Class::Interactive, 200, None),
+            p(2, Class::Interactive, 150, None),
+        ];
+        assert_eq!(
+            policy().decide(250, &pending, false, true),
+            Decision::Flush {
+                take: policy().order(250, &pending),
+                trigger: FlushTrigger::Idle
+            }
+        );
+        assert_eq!(policy().order(250, &pending), vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn size_beats_idle_at_max_batch() {
+        for n in [4u64, 6] {
+            let pending: Vec<Pending> = (0..n)
+                .map(|i| p(i, Class::Interactive, 100 + i, None))
+                .collect();
+            match policy().decide(150, &pending, false, true) {
+                Decision::Flush { take, trigger } => {
+                    assert_eq!(trigger, FlushTrigger::Size, "{n} pending");
+                    assert_eq!(take, vec![0, 1, 2, 3]);
+                }
+                d => panic!("expected size flush, got {d:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn drain_beats_idle() {
+        let pending = [p(0, Class::Interactive, 100, None)];
+        assert!(matches!(
+            policy().decide(101, &pending, true, true),
+            Decision::Flush {
+                trigger: FlushTrigger::Drain,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn expired_requests_are_shed_before_an_idle_flush() {
+        // The caller sheds first and decides on what is left: the expired
+        // request never reaches the idle batch.
+        let pol = policy();
+        let pending = vec![
+            p(0, Class::Interactive, 100, Some(150)),
+            p(1, Class::Interactive, 120, None),
+        ];
+        let expired = pol.shed(200, &pending);
+        assert_eq!(expired, vec![0]);
+        let live: Vec<Pending> = pending
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !expired.contains(i))
+            .map(|(_, r)| *r)
+            .collect();
+        match pol.decide(200, &live, false, true) {
+            Decision::Flush { take, trigger } => {
+                assert_eq!(trigger, FlushTrigger::Idle);
+                assert_eq!(take.iter().map(|&i| live[i].seq).collect::<Vec<_>>(), [1]);
+            }
+            d => panic!("expected idle flush, got {d:?}"),
+        }
+    }
+
+    #[test]
+    fn idle_with_nothing_pending_still_waits() {
+        assert_eq!(
+            policy().decide(0, &[], false, true),
+            Decision::Wait { wake_us: None }
+        );
     }
 }

@@ -25,8 +25,8 @@
 //!   one thread budget between op-level and limb-level parallelism
 //!   (`WD_THREADS` / `WD_SCHED`).
 //! - [`batchform`]: [`batchform::FormPolicy`], the pure dynamic-batching
-//!   decision core (dual size/linger trigger, deadline shedding, priority
-//!   aging) that the `wd-serve` request server drives.
+//!   decision core (idle / size / linger / drain triggers, deadline
+//!   shedding, priority aging) that the `wd-serve` request server drives.
 //! - [`place`]: [`place::Placer`], the device-placement layer above the
 //!   scheduler — shards a batch across `WD_DEVICES` modeled devices
 //!   (`WD_PLACE` policy) with the key working set priced on migration.

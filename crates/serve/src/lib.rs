@@ -16,9 +16,11 @@
 //!   [`WdError::QueueFull`](wd_fault::WdError::QueueFull) rather than
 //!   blocking or growing without bound.
 //! - **Dynamic batching**: a batcher thread drives
-//!   [`warpdrive_core::FormPolicy`] — the pure dual-trigger decision core
-//!   (flush at `max_batch` *or* when the oldest request has lingered) with
-//!   deadline shedding and starvation-free priority aging.
+//!   [`warpdrive_core::FormPolicy`] — the pure decision core (idle / size /
+//!   linger / drain: flush at once while a worker is idle, at `max_batch`,
+//!   when the oldest request has lingered while every worker is busy, or
+//!   on shutdown) with deadline shedding and starvation-free priority
+//!   aging.
 //! - **Execution**: worker threads run each formed batch through
 //!   [`warpdrive_core::BatchExecutor`] under the [`ParScheduler`]'s
 //!   deterministic thread-budget split, inside the `wd-fault` recovery
@@ -42,8 +44,8 @@
 //!   listener (thread-per-connection, connection cap, io timeouts) that
 //!   speaks length-prefixed [`wire`] frames into [`Server::submit_as`],
 //!   with a lossless socket-then-queue drain for SIGTERM-style shutdown.
-//! - **Self-healing**: checksum-verified key leases (quarantine-and-reload
-//!   on a resident bit flip), a watchdog that re-queues a wedged worker's
+//! - **Self-healing**: resident keys verified on every lease that reads
+//!   the keys (quarantine-and-reload on a resident bit flip), a watchdog that re-queues a wedged worker's
 //!   batch and replaces the thread (degrading to sequential execution
 //!   under a restart storm), per-tenant [circuit breakers](breaker) that
 //!   refuse doomed traffic fast, checksummed v3 wire frames, and a HEALTH
@@ -96,7 +98,7 @@ pub use breaker::{
 pub use net::{NetClient, NetConfig, NetServer, NetStats, ADDR_ENV, CONNS_ENV, NET_TIMEOUT_ENV};
 pub use request::{Request, Response, ServeOp, Ticket};
 pub use server::{
-    ServeConfig, ServeKeys, ServeStats, Server, AGE_ENV, BATCH_ENV, LINGER_ENV, QUEUE_ENV,
+    Hold, ServeConfig, ServeKeys, ServeStats, Server, AGE_ENV, BATCH_ENV, LINGER_ENV, QUEUE_ENV,
     WATCHDOG_ENV, WORKERS_ENV,
 };
 pub use tenant::{

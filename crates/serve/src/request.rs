@@ -58,6 +58,16 @@ impl ServeOp {
         }
     }
 
+    /// Whether executing this op reads evaluation keys: HMult reads the
+    /// relinearization key, HRotate a Galois key, and any program may do
+    /// either. HAdd, HSub and Rescale read none.
+    pub(crate) fn reads_keys(&self) -> bool {
+        matches!(
+            self,
+            ServeOp::HMult(..) | ServeOp::HRotate(..) | ServeOp::Program(..)
+        )
+    }
+
     /// Short op name (`hmult`, `rescale`, `program`, …).
     pub fn kind(&self) -> &'static str {
         match self {

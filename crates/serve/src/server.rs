@@ -6,13 +6,22 @@
 //! ```text
 //! clients ──submit──▶ [inbox: bounded Vec<Slot> + Condvar]
 //!                        │ batcher thread: shed expired, then
-//!                        │ FormPolicy::decide (size / linger / drain)
+//!                        │ FormPolicy::decide (idle / size / linger / drain)
 //!                        ▼
 //!                     [work queue: VecDeque<Option<Formed>> + Condvar]
-//!                        │ worker threads × N: BatchExecutor::execute
+//!                        │ worker threads × N: lease keys, then
+//!                        │ BatchExecutor::execute; a worker that finds
+//!                        │ the queue empty publishes `idle` and wakes
+//!                        │ the batcher
 //!                        ▼
 //!                     per-request one-shot channels ──▶ Ticket::wait
 //! ```
+//!
+//! Batch formation is work-conserving: while a worker waits on an empty
+//! work queue, the batcher flushes whatever is pending at once
+//! ([`FlushTrigger::Idle`]); the linger only holds requests back while
+//! every worker is busy, which is when a fuller batch is worth waiting
+//! for. Locks are always taken inbox → work, never the reverse.
 //!
 //! Shutdown pushes one `None` pill per worker **after** the drain flushes
 //! every batch; FIFO order on the work queue guarantees the pills arrive
@@ -25,7 +34,7 @@
 //! *what* it computes.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -223,7 +232,8 @@ impl ServeKeys {
     /// structurally different key sets (`None` vs empty, truncated limbs)
     /// cannot collide by concatenation. This is the integrity reference
     /// the tenant key cache records at registration and verifies on every
-    /// lease ([`crate::tenant::TenantRegistry`]).
+    /// cache fill and on every lease that reads the keys
+    /// ([`crate::tenant::TenantRegistry`]).
     pub fn checksum(&self) -> u64 {
         let mut h = Fnv64::new();
         match &self.relin {
@@ -358,12 +368,113 @@ struct InboxState {
 struct Inbox {
     state: Mutex<InboxState>,
     cond: Condvar,
+    /// Live [`Hold`]s; while any is, the batcher never flushes on idle.
+    /// `Relaxed` for the same reason as [`WorkQueue::idle`]: a submit
+    /// after [`Server::hold`] takes the inbox lock, which orders the count
+    /// before the batcher's decision on that submit.
+    holds: AtomicUsize,
+}
+
+impl Inbox {
+    /// Wakes the batcher to decide again. Taking the inbox lock first
+    /// closes the lost-wake gap: a batcher that read a stale idle signal
+    /// holds this lock until it is parked on the condvar, so the notify
+    /// lands after it parks, never between its check and its wait.
+    fn wake(&self) {
+        drop(recover(self.state.lock()));
+        self.cond.notify_all();
+    }
+}
+
+#[derive(Debug, Default)]
+struct WorkState {
+    items: VecDeque<Option<Arc<Formed>>>,
+    /// Workers blocked in [`WorkQueue::take`].
+    waiting: usize,
 }
 
 #[derive(Debug, Default)]
 struct WorkQueue {
-    state: Mutex<VecDeque<Option<Arc<Formed>>>>,
+    state: Mutex<WorkState>,
     cond: Condvar,
+    /// Waiting workers that no queued item is headed for yet
+    /// (`waiting − items`, floored at 0): the batcher's idle input, read
+    /// without this queue's lock. Stored only under that lock. `Relaxed`
+    /// is enough: the value publishes no other data, and a worker going
+    /// idle takes the inbox lock after storing it ([`Inbox::wake`]), which
+    /// orders the store before the batcher's next decision.
+    idle: AtomicUsize,
+}
+
+impl WorkQueue {
+    /// Whether some worker waits on an empty queue.
+    fn idle(&self) -> bool {
+        self.idle.load(Ordering::Relaxed) > 0
+    }
+
+    fn publish_idle(&self, st: &WorkState) {
+        self.idle
+            .store(st.waiting.saturating_sub(st.items.len()), Ordering::Relaxed);
+    }
+
+    /// Queues one item — at the front for a re-queued batch, which has
+    /// waited longest — and wakes the workers.
+    fn push(&self, item: Option<Arc<Formed>>, front: bool) {
+        let mut st = recover(self.state.lock());
+        if front {
+            st.items.push_front(item);
+        } else {
+            st.items.push_back(item);
+        }
+        self.publish_idle(&st);
+        drop(st);
+        self.cond.notify_all();
+    }
+
+    /// Blocks until an item is queued and takes it. A worker that finds
+    /// the queue empty counts itself idle and wakes the batcher, so
+    /// requests that arrived while it was busy flush now instead of
+    /// lingering. The wake happens with this queue's lock released: locks
+    /// go inbox → work, never the reverse.
+    fn take(&self, inbox: &Inbox) -> Option<Arc<Formed>> {
+        let mut st = recover(self.state.lock());
+        let mut waiting = false;
+        let item = loop {
+            if let Some(item) = st.items.pop_front() {
+                break item;
+            }
+            if waiting {
+                st = recover(self.cond.wait(st));
+            } else {
+                waiting = true;
+                st.waiting += 1;
+                self.publish_idle(&st);
+                drop(st);
+                inbox.wake();
+                st = recover(self.state.lock());
+            }
+        };
+        if waiting {
+            st.waiting -= 1;
+        }
+        self.publish_idle(&st);
+        item
+    }
+}
+
+/// A drill hold from [`Server::hold`]: while it lives the batcher never
+/// flushes on idle. Dropping it releases the hold and wakes the batcher.
+#[derive(Debug)]
+#[must_use = "the hold ends when this value is dropped"]
+pub struct Hold<'a> {
+    inbox: &'a Inbox,
+}
+
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        self.inbox.holds.fetch_sub(1, Ordering::Relaxed);
+        self.inbox.wake();
+    }
 }
 
 /// The serving threads, joined exactly once at drain time. The `workers`
@@ -487,6 +598,7 @@ impl Server {
             .map(|i| {
                 spawn_worker(
                     &work,
+                    &inbox,
                     &tenants,
                     executor.clone(),
                     epoch,
@@ -507,6 +619,7 @@ impl Server {
         if !config.watchdog.is_zero() {
             let sup = Arc::clone(&supervision);
             let work = Arc::clone(&work);
+            let ib = Arc::clone(&inbox);
             let tn = Arc::clone(&tenants);
             let st = Arc::clone(&stats);
             let th = Arc::clone(&threads);
@@ -519,6 +632,7 @@ impl Server {
                     watchdog_loop(
                         &sup,
                         &work,
+                        &ib,
                         &tn,
                         &st,
                         &th,
@@ -687,6 +801,17 @@ impl Server {
         self.supervision.wedge_arm.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Suppresses the idle trigger while the returned [`Hold`] lives — a
+    /// drill arm like [`Server::arm_wedge`]. With an idle worker the
+    /// batcher flushes every request at once, so a drill that needs
+    /// requests to stay queued (a full size batch, a quota held in flight,
+    /// a drain-time flush) takes a hold and puts `max_batch` or `linger`
+    /// out of reach. Size, linger and drain fire exactly as without it.
+    pub fn hold(&self) -> Hold<'_> {
+        self.inbox.holds.fetch_add(1, Ordering::Relaxed);
+        Hold { inbox: &self.inbox }
+    }
+
     /// Workers declared wedged and replaced so far.
     pub fn worker_restarts(&self) -> u64 {
         self.supervision.restarts.load(Ordering::Relaxed)
@@ -849,8 +974,10 @@ fn batcher_loop(
             continue; // re-decide on the reduced set
         }
 
-        // 2. Decide.
-        match policy.decide(now, &metas, st.draining) {
+        // 2. Decide. A worker going idle wakes this thread (`Inbox::wake`),
+        //    so reading the signal once per decision is enough.
+        let idle = work.idle() && inbox.holds.load(Ordering::Relaxed) == 0;
+        match policy.decide(now, &metas, st.draining, idle) {
             Decision::Flush { take, trigger } => {
                 // Pull the taken slots out in serving order; everything
                 // else keeps its queue position.
@@ -862,10 +989,7 @@ fn batcher_loop(
                 st.pending.extend(opts.into_iter().flatten());
                 wd_trace::gauge("serve.queue_depth", st.pending.len() as u64);
                 drop(st);
-                let mut q = recover(work.state.lock());
-                q.push_back(Some(Arc::new(Formed { slots, trigger })));
-                drop(q);
-                work.cond.notify_all();
+                work.push(Some(Arc::new(Formed { slots, trigger })), false);
             }
             Decision::Wait { wake_us } => {
                 if st.draining && st.pending.is_empty() {
@@ -890,12 +1014,9 @@ fn batcher_loop(
 
     // Drained: one pill per worker, strictly after the final batch, so the
     // FIFO work queue guarantees every batch executes before any exit.
-    let mut q = recover(work.state.lock());
     for _ in 0..worker_count {
-        q.push_back(None);
+        work.push(None, false);
     }
-    drop(q);
-    work.cond.notify_all();
 }
 
 /// Spawns one worker thread for `slot` at `generation` (0 at startup;
@@ -903,6 +1024,7 @@ fn batcher_loop(
 #[allow(clippy::too_many_arguments)]
 fn spawn_worker(
     work: &Arc<WorkQueue>,
+    inbox: &Arc<Inbox>,
     tenants: &Arc<TenantRegistry>,
     executor: BatchExecutor,
     epoch: Instant,
@@ -912,6 +1034,7 @@ fn spawn_worker(
     generation: u64,
 ) -> JoinHandle<()> {
     let work = Arc::clone(work);
+    let inbox = Arc::clone(inbox);
     let tenants = Arc::clone(tenants);
     let stats = Arc::clone(stats);
     let sup = Arc::clone(sup);
@@ -919,7 +1042,7 @@ fn spawn_worker(
         .name(format!("wd-serve-worker-{slot}-g{generation}"))
         .spawn(move || {
             worker_loop(
-                &work, &tenants, &executor, epoch, &stats, &sup, slot, generation,
+                &work, &inbox, &tenants, &executor, epoch, &stats, &sup, slot, generation,
             )
         })
         .expect("spawn wd-serve worker")
@@ -945,6 +1068,7 @@ fn spawn_worker(
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     work: &WorkQueue,
+    inbox: &Inbox,
     tenants: &TenantRegistry,
     executor: &BatchExecutor,
     epoch: Instant,
@@ -961,25 +1085,14 @@ fn worker_loop(
     // the arena is undersized for the traffic's parameter sets.
     let arena = wd_polyring::scratch::ScratchArena::for_worker();
     loop {
-        let item = {
-            let mut q = recover(work.state.lock());
-            loop {
-                if let Some(item) = q.pop_front() {
-                    break item;
-                }
-                q = recover(work.cond.wait(q));
-            }
-        };
+        let item = work.take(inbox);
         // Register the take — or discover this thread was declared wedged
         // and replaced, in which case the item belongs to the replacement.
         {
             let mut st = recover(sup.slots[idx].state.lock());
             if st.generation != my_gen {
                 drop(st);
-                let mut q = recover(work.state.lock());
-                q.push_front(item);
-                drop(q);
-                work.cond.notify_all();
+                work.push(item, true);
                 return;
             }
             if let Some(formed) = &item {
@@ -1071,7 +1184,11 @@ fn execute_batch(
     }
     stats.batches.fetch_add(1, Ordering::Relaxed);
     for (tenant, group) in groups {
-        let keys = match tenants.lease_keys(&tenant) {
+        // Every group leases (the cache's hit/miss/eviction books count
+        // batches, not key reads), but only a group that reads a key
+        // verifies the resident copy.
+        let reads_keys = group.iter().any(|s| s.op.reads_keys());
+        let keys = match tenants.lease_keys(&tenant, reads_keys) {
             Ok(keys) => keys,
             Err(e) => {
                 // An unrecoverable key-integrity failure answers every
@@ -1160,6 +1277,7 @@ fn answer_group(
 fn watchdog_loop(
     sup: &Arc<Supervision>,
     work: &Arc<WorkQueue>,
+    inbox: &Arc<Inbox>,
     tenants: &Arc<TenantRegistry>,
     stats: &Arc<Stats>,
     threads: &Arc<Mutex<Threads>>,
@@ -1206,10 +1324,7 @@ fn watchdog_loop(
             );
             if let Some(batch) = batch {
                 wd_trace::counter("serve.guard.requeued", batch.slots.len() as u64);
-                let mut q = recover(work.state.lock());
-                q.push_front(Some(batch));
-                drop(q);
-                work.cond.notify_all();
+                work.push(Some(batch), true);
             }
             if restarts as usize >= restart_cap && !sup.degraded.swap(true, Ordering::Relaxed) {
                 wd_trace::counter("serve.guard.degraded", 1);
@@ -1228,7 +1343,17 @@ fn watchdog_loop(
             } else {
                 executor.clone()
             };
-            let handle = spawn_worker(work, tenants, replacement, epoch, stats, sup, idx, new_gen);
+            let handle = spawn_worker(
+                work,
+                inbox,
+                tenants,
+                replacement,
+                epoch,
+                stats,
+                sup,
+                idx,
+                new_gen,
+            );
             recover(threads.lock()).workers[idx] = handle;
         }
     }
@@ -1274,7 +1399,8 @@ mod tests {
     fn full_queue_rejects_with_typed_backpressure() -> Result<(), WdError> {
         let ctx = small_ctx(12);
         let kp = ctx.keygen();
-        // Huge linger and batch so nothing flushes while we overfill.
+        // A hold, a huge linger and a huge batch: nothing flushes while we
+        // overfill.
         let config = ServeConfig {
             queue_capacity: 2,
             max_batch: 64,
@@ -1282,6 +1408,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let server = Server::start(Arc::clone(&ctx), ServeKeys::none(), config);
+        let hold = server.hold();
         let ct = ctx.encrypt_values(&[1.0], &kp.public)?;
         let t1 = server.submit(Request::new(ServeOp::Rescale(ct.clone())))?;
         let t2 = server.submit(Request::new(ServeOp::Rescale(ct.clone())))?;
@@ -1295,7 +1422,8 @@ mod tests {
                 capacity: 2
             }
         );
-        let stats = server.shutdown();
+        let stats = server.drain();
+        drop(hold);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.completed, 2);
         // Drain still answered the two accepted requests.
@@ -1359,6 +1487,50 @@ mod tests {
     }
 
     #[test]
+    fn keyless_batches_leave_an_armed_corruption_for_the_next_hmult() -> Result<(), WdError> {
+        let ctx = small_ctx(19);
+        let kp = ctx.keygen();
+        let server = Server::start(
+            Arc::clone(&ctx),
+            ServeKeys::with_relin(kp.relin.clone()),
+            ServeConfig::default(),
+        );
+        let a = ctx.encrypt_values(&[1.5, -2.0], &kp.public)?;
+        let b = ctx.encrypt_values(&[0.5, 1.0], &kp.public)?;
+        let expect_mult = wd_ckks::ops::hmult(&ctx, &a, &b, &kp.relin)?;
+        let expect_add = wd_ckks::ops::hadd(&a, &b)?;
+        let serve = |op| server.submit(Request::new(op)).map(|t| t.wait().result);
+        // One request at a time: every batch is one lease.
+        assert_eq!(
+            serve(ServeOp::HMult(a.clone(), b.clone()))?,
+            Ok(expect_mult.clone())
+        );
+        server.tenants().arm_key_corruption(1);
+        for _ in 0..2 {
+            assert_eq!(
+                serve(ServeOp::HAdd(a.clone(), b.clone()))?,
+                Ok(expect_add.clone())
+            );
+        }
+        let c = server.tenants().cache_stats();
+        assert_eq!(
+            (c.hits, c.misses, c.quarantined),
+            (2, 1, 0),
+            "keyless hits are counted but verify nothing"
+        );
+        wd_trace::take_warnings();
+        assert_eq!(
+            serve(ServeOp::HMult(a, b))?,
+            Ok(expect_mult),
+            "the quarantine reload serves the same bits"
+        );
+        let c = server.tenants().cache_stats();
+        assert_eq!((c.hits, c.misses, c.quarantined), (2, 2, 1));
+        server.shutdown();
+        Ok(())
+    }
+
+    #[test]
     fn a_panicking_thread_does_not_kill_the_server_through_a_poisoned_mutex() -> Result<(), WdError>
     {
         /// Panics on a thread of its own while holding `m`.
@@ -1403,8 +1575,8 @@ mod tests {
         let ctx = small_ctx(16);
         let kp = ctx.keygen();
         // Round-robin over two devices, one 4-op batch: ops 0/2 land on
-        // device 0 and ops 1/3 on device 1, deterministically. The huge
-        // linger means only the size trigger can flush, so all four
+        // device 0 and ops 1/3 on device 1, deterministically. A hold and
+        // a huge linger mean only the size trigger can flush, so all four
         // requests share one batch.
         let config = ServeConfig {
             max_batch: 4,
@@ -1421,6 +1593,7 @@ mod tests {
         let a = ctx.encrypt_values(&[1.5, -2.0], &kp.public)?;
         let b = ctx.encrypt_values(&[0.5, 1.0], &kp.public)?;
         let expect = wd_ckks::ops::hadd(&a, &b)?;
+        let hold = server.hold();
         let tickets: Vec<_> = (0..4)
             .map(|_| server.submit(Request::new(ServeOp::HAdd(a.clone(), b.clone()))))
             .collect::<Result<_, _>>()?;
@@ -1429,6 +1602,7 @@ mod tests {
             assert_eq!(resp.result.as_ref(), Ok(&expect), "bit-identical response");
             assert_eq!(resp.batch_size, 4);
         }
+        drop(hold);
         let health = server.health();
         assert_eq!(health.devices.len(), 2);
         for (d, dev) in health.devices.iter().enumerate() {
@@ -1468,8 +1642,8 @@ mod tests {
             .expect("demo program compiles"),
         );
 
-        // Huge linger: only the size trigger flushes, so both programs and
-        // the plain op share one formed batch.
+        // A hold and a huge linger: only the size trigger flushes, so both
+        // programs and the plain op share one formed batch.
         let config = ServeConfig {
             max_batch: 3,
             linger: Duration::from_secs(5),
@@ -1489,6 +1663,7 @@ mod tests {
         let expect_prog = wd_ckks::ops::hadd(&t, &rr)?;
         let expect_add = wd_ckks::ops::hadd(&a, &b)?;
 
+        let hold = server.hold();
         // Bad programs are rejected typed at the door, before queueing.
         let err = server
             .submit(Request::program(Arc::clone(&prog), vec![a.clone()]))
@@ -1515,6 +1690,7 @@ mod tests {
                 "programs and the plain op share a batch"
             );
         }
+        drop(hold);
         let stats = server.shutdown();
         assert_eq!(stats.completed, 3);
         assert_eq!(

@@ -23,15 +23,19 @@
 //! Two guard layers sit on top (PR 7's self-healing story):
 //!
 //! - **Key integrity**: registration records a checksum
-//!   ([`wd_fault::integrity`]) of the cold keys ([`ServeKeys::checksum`]);
-//!   every resident-cache **hit** re-verifies it, outside the cache lock
+//!   ([`wd_fault::integrity`]) of the cold keys ([`ServeKeys::checksum`]).
+//!   Resident keys are verified on every lease that reads the keys (a
+//!   batch with an HMult, an HRotate or a program), outside the cache lock
 //!   (the threat is a bit flip while resident in device memory — the
-//!   cold/host copy is authoritative). A mismatch
+//!   cold/host copy is authoritative); a cache fill verifies the cold copy
+//!   first. A lease for HAdd/HSub/Rescale only reads no key byte, so it
+//!   counts its hit and skips the checksum: every key byte a batch reads
+//!   is verified in that batch's lease. A mismatch
 //!   quarantines the resident entry (`serve.keycache.quarantined`, a
 //!   `serve.guard` event naming [`FaultKind::CorruptedKey`]) and falls
 //!   through to the miss path, reloading from cold — the corrupted copy
-//!   is *repaired*, never served. A cold copy failing its own checksum is
-//!   unrecoverable here and surfaces as
+//!   is *repaired*, never served to an op that reads it. A cold copy
+//!   failing its own checksum is unrecoverable here and surfaces as
 //!   [`WdError::IntegrityViolation`].
 //! - **Circuit breakers** ([`crate::breaker`]): per-tenant rolling
 //!   failure/shed-rate windows that refuse admission fast
@@ -84,9 +88,9 @@ pub struct TenantConfig {
     /// Maximum admitted-but-unanswered requests per tenant
     /// (`usize::MAX` = unlimited).
     pub quota: usize,
-    /// Verify resident-key checksums on cache hits (quarantine-and-reload
-    /// on mismatch). On by default; the A/B switch `guard_bench` uses to
-    /// measure the verification overhead.
+    /// Verify key checksums on every cache fill and on every lease that
+    /// reads the keys (quarantine-and-reload on a resident mismatch). On by
+    /// default; off only for the A/B overhead measurement.
     pub verify_keys: bool,
     /// Per-tenant circuit breakers (`None` = disabled, the default; set
     /// any `WD_SERVE_BREAKER_*` knob to enable via
@@ -153,7 +157,7 @@ pub(crate) struct Tenant {
     cold: ServeKeys,
     key_bytes: usize,
     /// Checksum of the cold keys at registration — the reference every
-    /// resident-cache hit verifies against.
+    /// verifying lease checks against.
     cold_checksum: u64,
     /// The tenant's circuit breaker (`None` = breakers disabled).
     breaker: Option<Mutex<CircuitBreaker>>,
@@ -380,8 +384,9 @@ pub struct TenantRegistry {
     evictions: AtomicU64,
     quarantined: AtomicU64,
     poison_recovered: AtomicU64,
-    /// Drill arm: the next N verified hits report a checksum mismatch
-    /// (the in-memory stand-in for a device-resident bit flip).
+    /// Drill arm: the next N hits that verify (leases that read the keys)
+    /// report a checksum mismatch (the in-memory stand-in for a
+    /// device-resident bit flip).
     corrupt_arm: AtomicU64,
 }
 
@@ -440,7 +445,9 @@ impl TenantRegistry {
     /// armed hit exercises the full quarantine-and-reload path against
     /// genuinely intact keys, so served results stay bit-identical while
     /// the `serve.keycache.quarantined` accounting is asserted exactly.
-    /// No-op while `verify_keys` is off (nothing would check the sum).
+    /// A hit that reads no key verifies nothing and leaves the arm for the
+    /// next lease that does. No-op while `verify_keys` is off (nothing
+    /// would check the sum).
     pub fn arm_key_corruption(&self, n: u64) {
         self.corrupt_arm.fetch_add(n, Ordering::Relaxed);
     }
@@ -478,13 +485,16 @@ impl TenantRegistry {
     }
 
     /// Leases `tenant`'s key material for one batch execution, through the
-    /// resident LRU cache. A hit **verifies the resident checksum** against
+    /// resident LRU cache. When `reads_keys` is set (the batch has an op
+    /// that reads a key), a hit **verifies the resident checksum** against
     /// the registration reference and returns the resident copy; a
     /// mismatch quarantines the entry and falls through to the miss path.
-    /// A miss re-verifies and promotes the cold copy (evicting
-    /// least-recently-used tenants until the budget holds) — either way
-    /// the bytes served are checksum-verified cold-copy bytes, so neither
-    /// churn nor corruption can change a result.
+    /// A hit for a batch that reads no key counts the hit and refreshes
+    /// recency without hashing a byte. A miss re-verifies and promotes the
+    /// cold copy (evicting least-recently-used tenants until the budget
+    /// holds) — either way every key byte an op reads is checksum-verified
+    /// cold-copy bytes, so neither churn nor corruption can change a
+    /// result.
     ///
     /// The cache mutex guards bookkeeping only: the resident `Arc` is
     /// cloned under it, then every checksum (and the cold copy's clone on a
@@ -498,7 +508,11 @@ impl TenantRegistry {
     /// [`WdError::IntegrityViolation`] when the *cold* (authoritative)
     /// copy fails its own checksum — there is no intact source left to
     /// reload from, so the lease (not the process) fails.
-    pub(crate) fn lease_keys(&self, tenant: &Tenant) -> Result<Arc<ServeKeys>, WdError> {
+    pub(crate) fn lease_keys(
+        &self,
+        tenant: &Tenant,
+        reads_keys: bool,
+    ) -> Result<Arc<ServeKeys>, WdError> {
         let resident = {
             let mut st = self.lock_cache();
             // Reconcile over-budget residue first. An oversized tenant is
@@ -510,7 +524,12 @@ impl TenantRegistry {
             st.resident.get(&tenant.id).map(|r| Arc::clone(&r.keys))
         };
         if let Some(keys) = resident {
-            match self.verify_resident(tenant, &keys) {
+            let verified = if reads_keys {
+                self.verify_resident(tenant, &keys)
+            } else {
+                Ok(())
+            };
+            match verified {
                 Ok(()) => {
                     // Refresh recency: move to the back (most recently
                     // used), unless the entry was evicted meanwhile.
@@ -757,7 +776,7 @@ mod tests {
         }
         let lease = |reg: &TenantRegistry, id: &str| {
             let t = reg.lookup(id).expect("registered").clone();
-            reg.lease_keys(&t).expect("intact keys lease")
+            reg.lease_keys(&t, true).expect("intact keys lease")
         };
         lease(&reg, "a"); // miss
         lease(&reg, "b"); // miss
@@ -805,7 +824,7 @@ mod tests {
         }
         let t = reg.lookup("t").expect("registered").clone();
         let u = reg.lookup("u").expect("registered").clone();
-        let leased = reg.lease_keys(&t).expect("promote t");
+        let leased = reg.lease_keys(&t, true).expect("promote t");
         assert!(
             leased.approx_bytes() > charge,
             "resident copy is the grown one"
@@ -817,17 +836,18 @@ mod tests {
         );
         // Eviction refund: u's miss evicts t; the books come back to
         // exactly u's charge instead of underflowing by the grown bytes.
-        reg.lease_keys(&u).expect("promote u");
+        reg.lease_keys(&u, true).expect("promote u");
         let s = reg.cache_stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.resident_bytes, u.key_bytes);
         // Quarantine refund: re-promote t (evicting u), then arm a
         // checksum mismatch on the next hit. The quarantine releases the
         // recorded charge and the reload re-charges it — net zero.
-        reg.lease_keys(&t).expect("re-promote t");
+        reg.lease_keys(&t, true).expect("re-promote t");
         reg.arm_key_corruption(1);
         wd_trace::take_warnings();
-        reg.lease_keys(&t).expect("quarantine repairs the lease");
+        reg.lease_keys(&t, true)
+            .expect("quarantine repairs the lease");
         let s = reg.cache_stats();
         assert_eq!(s.quarantined, 1);
         assert_eq!(
@@ -847,7 +867,7 @@ mod tests {
         reg.register("big", Arc::clone(&c), keys).expect("register");
         wd_trace::take_warnings();
         let t = reg.lookup("big").expect("registered").clone();
-        let leased = reg.lease_keys(&t).expect("lease");
+        let leased = reg.lease_keys(&t, true).expect("lease");
         assert!(leased.relin.is_some(), "lease must serve the cold copy");
         assert!(
             wd_trace::take_warnings()
@@ -864,8 +884,8 @@ mod tests {
         reg2.register("next", Arc::clone(&c), keys_for(&c)).unwrap();
         let big = reg2.lookup("big").unwrap().clone();
         let next = reg2.lookup("next").unwrap().clone();
-        reg2.lease_keys(&big).expect("lease big");
-        reg2.lease_keys(&next).expect("lease next");
+        reg2.lease_keys(&big, true).expect("lease big");
+        reg2.lease_keys(&next, true).expect("lease next");
         assert_eq!(reg2.cache_stats().evictions, 1);
     }
 
@@ -882,7 +902,7 @@ mod tests {
         let t = reg.lookup("t").expect("registered").clone();
         for _ in 0..3 {
             // Force churn: every lease under a 1-byte budget re-promotes.
-            let leased = reg.lease_keys(&t).expect("lease");
+            let leased = reg.lease_keys(&t, true).expect("lease");
             assert_eq!(leased.relin.as_ref(), Some(&cold_relin));
         }
         assert_eq!(reg.cache_stats().hits, 0, "1-byte budget never hits");
@@ -917,13 +937,15 @@ mod tests {
         let mut reg = TenantRegistry::new(TenantConfig::default());
         reg.register("t", Arc::clone(&c), cold).expect("register");
         let t = reg.lookup("t").expect("registered").clone();
-        reg.lease_keys(&t).expect("first lease promotes"); // miss
-        reg.lease_keys(&t).expect("verified hit"); // hit
+        reg.lease_keys(&t, true).expect("first lease promotes"); // miss
+        reg.lease_keys(&t, true).expect("verified hit"); // hit
         reg.arm_key_corruption(1);
         wd_trace::take_warnings();
         // The armed hit quarantines and reloads; the served bytes are the
         // intact cold copy either way.
-        let leased = reg.lease_keys(&t).expect("quarantine repairs the lease");
+        let leased = reg
+            .lease_keys(&t, true)
+            .expect("quarantine repairs the lease");
         assert_eq!(leased.relin.as_ref(), Some(&cold_relin));
         let s = reg.cache_stats();
         assert_eq!(
@@ -938,8 +960,59 @@ mod tests {
             "quarantine must warn at serve.guard"
         );
         // The reload is verified and resident again: the next lease hits.
-        reg.lease_keys(&t).expect("post-repair hit");
+        reg.lease_keys(&t, true).expect("post-repair hit");
         assert_eq!(reg.cache_stats().hits, 2);
+    }
+
+    #[test]
+    fn keyless_leases_count_hits_without_checksumming_or_consuming_the_arm() {
+        let c = ctx(14);
+        let cold = keys_for(&c);
+        let cold_relin = cold.relin.clone().expect("relin");
+        let mut reg = TenantRegistry::new(TenantConfig::default());
+        reg.register("t", Arc::clone(&c), cold).expect("register");
+        let t = reg.lookup("t").expect("registered").clone();
+        // A keyless miss still fills the cache from the verified cold copy.
+        reg.lease_keys(&t, false).expect("miss");
+        // Flip a bit in the resident copy itself: a lease that hashed it
+        // would quarantine.
+        {
+            let mut st = reg.lock_cache();
+            let r = st.resident.get_mut("t").expect("resident");
+            let mut flipped = (*r.keys).clone();
+            flipped.relin.as_mut().expect("relin").digits[0]
+                .b
+                .limb_mut(0)
+                .coeffs_mut()[0] ^= 1;
+            r.keys = Arc::new(flipped);
+        }
+        reg.arm_key_corruption(1);
+        for _ in 0..2 {
+            let leased = reg.lease_keys(&t, false).expect("keyless hit");
+            assert_ne!(
+                leased.relin.as_ref(),
+                Some(&cold_relin),
+                "no checksum ran: the flipped resident copy was not caught"
+            );
+        }
+        let s = reg.cache_stats();
+        assert_eq!((s.hits, s.misses, s.quarantined), (2, 1, 0));
+        assert_eq!(
+            reg.corrupt_arm.load(Ordering::Relaxed),
+            1,
+            "the arm waits for a lease that reads the keys"
+        );
+        // The next lease that reads the keys consumes the arm, quarantines
+        // the flipped resident copy and serves the reloaded cold one.
+        wd_trace::take_warnings();
+        let leased = reg.lease_keys(&t, true).expect("quarantine repairs");
+        assert_eq!(leased.relin.as_ref(), Some(&cold_relin));
+        let s = reg.cache_stats();
+        assert_eq!((s.hits, s.misses, s.quarantined), (2, 2, 1));
+        assert_eq!(reg.corrupt_arm.load(Ordering::Relaxed), 0);
+        let leased = reg.lease_keys(&t, true).expect("verified hit");
+        assert_eq!(leased.relin.as_ref(), Some(&cold_relin));
+        assert_eq!(reg.cache_stats().hits, 3);
     }
 
     #[test]
@@ -950,7 +1023,7 @@ mod tests {
             .expect("register");
         let reg = Arc::new(reg);
         let t = reg.lookup("t").expect("registered").clone();
-        reg.lease_keys(&t).expect("promote");
+        reg.lease_keys(&t, true).expect("promote");
         // A worker dies while holding the cache lock.
         let poisoner = {
             let reg = Arc::clone(&reg);
@@ -964,7 +1037,7 @@ mod tests {
         // Another thread still leases: the registry outlives the worker.
         let leased = {
             let (reg, t) = (Arc::clone(&reg), Arc::clone(&t));
-            std::thread::spawn(move || reg.lease_keys(&t))
+            std::thread::spawn(move || reg.lease_keys(&t, true))
                 .join()
                 .expect("the lease must not panic")
         };
@@ -973,7 +1046,7 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.poison_recovered), (1, 1, 1));
         assert_eq!(s.resident_bytes, t.key_bytes, "the books survived");
         // Recovery clears the poison: later leases do not count again.
-        reg.lease_keys(&t).expect("steady state");
+        reg.lease_keys(&t, true).expect("steady state");
         assert_eq!(reg.cache_stats().poison_recovered, 1);
     }
 
@@ -1001,7 +1074,7 @@ mod tests {
                     start.wait();
                     for j in 0..LEASES {
                         let which = (i + j) % 2;
-                        let leased = reg.lease_keys(&tenants[which]).expect("lease");
+                        let leased = reg.lease_keys(&tenants[which], true).expect("lease");
                         assert_eq!(leased.relin.as_ref(), Some(&cold[which]));
                     }
                 });
@@ -1052,7 +1125,7 @@ mod tests {
             relin.digits[0].b.limb_mut(0).coeffs_mut()[0] ^= 1;
         }
         let t = reg.lookup("t").expect("registered").clone();
-        match reg.lease_keys(&t) {
+        match reg.lease_keys(&t, true) {
             Err(WdError::IntegrityViolation {
                 what,
                 expected,
@@ -1073,8 +1146,8 @@ mod tests {
             .expect("register");
         let t2 = reg2.lookup("t").expect("registered").clone();
         reg2.arm_key_corruption(5); // no-op while verification is off
-        reg2.lease_keys(&t2).expect("unverified lease");
-        reg2.lease_keys(&t2).expect("unverified hit");
+        reg2.lease_keys(&t2, true).expect("unverified lease");
+        reg2.lease_keys(&t2, true).expect("unverified hit");
         assert_eq!(reg2.cache_stats().quarantined, 0);
     }
 

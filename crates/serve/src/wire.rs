@@ -395,6 +395,7 @@ fn write_response_body(out: &mut Vec<u8>, resp: &WireResponse) -> Result<(), Ckk
         Some(FlushTrigger::Size) => 1,
         Some(FlushTrigger::Linger) => 2,
         Some(FlushTrigger::Drain) => 3,
+        Some(FlushTrigger::Idle) => 4,
     });
     match &resp.result {
         Ok(ct) => write_ciphertext_frame(out, ct),
@@ -432,6 +433,7 @@ pub fn decode_response(buf: &[u8]) -> Result<WireResponse, CkksError> {
         1 => Some(FlushTrigger::Size),
         2 => Some(FlushTrigger::Linger),
         3 => Some(FlushTrigger::Drain),
+        4 => Some(FlushTrigger::Idle),
         t => return Err(CkksError::WireDecode(format!("bad trigger tag {t}"))),
     };
     let result = if is_err {
@@ -1025,6 +1027,42 @@ mod tests {
             decode_response(&encode_response_v3(&err).expect("encode err")).expect("err"),
             err
         );
+    }
+
+    #[test]
+    fn every_flush_trigger_round_trips_and_an_unknown_code_is_typed() {
+        let response = |trigger| WireResponse {
+            id: 44,
+            result: Err("e".into()),
+            waited_us: 7,
+            batch_size: 1,
+            trigger,
+        };
+        for trigger in [
+            None,
+            Some(FlushTrigger::Size),
+            Some(FlushTrigger::Linger),
+            Some(FlushTrigger::Drain),
+            Some(FlushTrigger::Idle),
+        ] {
+            let frame = encode_response_v3(&response(trigger)).expect("encode");
+            assert_eq!(
+                decode_response(&frame).expect("decode").trigger,
+                trigger,
+                "{trigger:?}"
+            );
+        }
+        // The trigger byte follows the 14-byte envelope, the status byte,
+        // waited_us and batch_size. Code 5 names no trigger: under a valid
+        // checksum it is still the typed decode error.
+        let mut frame = encode_response_v3(&response(Some(FlushTrigger::Idle))).expect("encode");
+        const TRIGGER_AT: usize = 14 + 1 + 8 + 4;
+        assert_eq!(frame[TRIGGER_AT], 4, "Idle is wire code 4");
+        frame[TRIGGER_AT] = 5;
+        match decode_response(&reseal(frame)) {
+            Err(CkksError::WireDecode(msg)) => assert!(msg.contains("trigger tag 5"), "{msg}"),
+            other => panic!("expected a typed decode error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -252,8 +252,9 @@ fn quota_and_unknown_tenant_errors_cross_the_wire() {
         ServeKeys::with_relin(kp.relin.clone()),
     )
     .unwrap();
-    // Nothing flushes on its own: the linger bound is far away and the
-    // size trigger out of reach, so an admitted request stays in flight.
+    // Nothing flushes on its own: a hold keeps the idle worker from
+    // taking it, the linger bound is far away and the size trigger out of
+    // reach, so an admitted request stays in flight.
     let server = Arc::new(Server::start_tenants(
         reg,
         ServeConfig {
@@ -262,6 +263,7 @@ fn quota_and_unknown_tenant_errors_cross_the_wire() {
             ..ServeConfig::default()
         },
     ));
+    let _hold = server.hold();
     let net = NetServer::start(Arc::clone(&server), net_config()).expect("bind loopback");
 
     // An unregistered tenant is a typed refusal, and the connection stays

@@ -142,8 +142,9 @@ proptest! {
         let ops = op_mix(&ct, &ct, op_count);
         let expect = reference(&ops);
 
-        // Nothing can flush before shutdown: the size trigger is out of
-        // reach and the linger bound is far away. The whole queue drains.
+        // Nothing can flush before shutdown: a hold keeps the idle workers
+        // from taking anything, the size trigger is out of reach and the
+        // linger bound is far away. The whole queue drains.
         let config = ServeConfig {
             queue_capacity: 64,
             max_batch: 64,
@@ -154,6 +155,7 @@ proptest! {
             ..ServeConfig::default()
         };
         let server = Server::start(Arc::clone(ctx), serve_keys(), config);
+        let hold = server.hold();
         let tickets: Vec<_> = ops
             .iter()
             .enumerate()
@@ -168,7 +170,8 @@ proptest! {
                 server.submit(req).unwrap()
             })
             .collect();
-        let stats = server.shutdown();
+        let stats = server.drain();
+        drop(hold);
         prop_assert_eq!(stats.submitted, op_count as u64);
         prop_assert_eq!(
             stats.completed + stats.shed, stats.submitted,
