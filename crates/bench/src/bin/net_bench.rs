@@ -8,9 +8,9 @@
 //!
 //! 1. **Modeled tenant key working set**: per Table VI set,
 //!    the bytes one tenant's relinearization key pins resident — the
-//!    quantity the `WD_SERVE_KEY_CACHE_MB` LRU budget manages. Keyswitch
-//!    keys dominate GPU FHE working sets, so this table is the capacity
-//!    planning number for multi-tenant serving.
+//!    quantity the `TenantConfig::key_cache_bytes` LRU budget manages.
+//!    Keyswitch keys dominate GPU FHE working sets, so this table is the
+//!    capacity planning number for multi-tenant serving.
 //! 2. **TCP serving drill**: two tenants, each an interactive and a bulk
 //!    client thread, round-tripping real sockets through a live
 //!    `NetServer` — exact request, frame and per-tenant counts.
@@ -78,7 +78,7 @@ fn modeled_key_working_set() {
             set.name, set.n, set.level, set.special, dnum, mib, resident
         );
     }
-    println!("(the WD_SERVE_KEY_CACHE_MB budget evicts LRU tenants past this working set)");
+    println!("(the key_cache_bytes budget evicts LRU tenants past this working set)");
 }
 
 /// Two tenants × (interactive + bulk) client threads over real loopback

@@ -36,9 +36,9 @@
 //! executor passes its split's `limb_width`, an unscheduled one
 //! ([`BatchExecutor::new`]) passes 1, and nothing is stored where a second
 //! executor could see it — any number of executors can share one
-//! `Arc<CkksContext>` (`tests/concurrent_executors.rs`). The environment
-//! (`WD_THREADS`, `WD_SCHED`) is read in one place,
-//! [`ParScheduler::from_env`], which [`BatchExecutor::from_env`] calls.
+//! `Arc<CkksContext>` (`tests/concurrent_executors.rs`). The budget and
+//! policy are values: [`BatchExecutor::auto`] takes the budget and
+//! [`BatchExecutor::with_scheduler`] any other [`ParScheduler`].
 //!
 //! # Fault tolerance
 //!
@@ -211,16 +211,19 @@ fn fresh_devices(devices: usize) -> Arc<Mutex<Vec<DeviceStats>>> {
 impl BatchExecutor {
     /// Executor with an explicit op-level thread budget (min 1), **no
     /// scheduler** and one device: every thread goes to op-level fan-out
-    /// and each op runs its limb work on one thread. Fault injection
-    /// follows the environment ([`FaultPlan::from_env`], disabled unless
-    /// `WD_FAULT_RATE` is set); override with
-    /// [`BatchExecutor::with_fault_plan`].
+    /// and each op runs its limb work on one thread.
+    ///
+    /// Fault injection follows the environment ([`FaultPlan::from_env`],
+    /// disabled unless `WD_FAULT_RATE` is set) — the one setting an
+    /// executor takes from the environment, so a run of any suite under
+    /// `WD_FAULT_RATE`/`WD_FAULT_SEED` puts injection under every executor
+    /// it builds. Override with [`BatchExecutor::with_fault_plan`].
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
             sched: None,
             placer: Placer::new(1),
-            injector: FaultInjector::from_env(),
+            injector: FaultInjector::new(FaultPlan::from_env()),
             retry: RetryPolicy::default(),
             arenas: Arc::new(Mutex::new(Vec::new())),
             devices: fresh_devices(1),
@@ -236,18 +239,6 @@ impl BatchExecutor {
     /// oversubscribe `budget` and nothing outlives the batch.
     pub fn auto(budget: usize) -> Self {
         Self::with_scheduler(Self::new(budget), ParScheduler::new(budget))
-    }
-
-    /// Executor sized and scheduled from the environment, via
-    /// [`ParScheduler::from_env`] — the framework's **only** reader of
-    /// `WD_THREADS` (budget) and `WD_SCHED` (policy).
-    ///
-    /// A malformed `WD_THREADS` (non-numeric, zero) is **rejected**: a
-    /// warning is logged to stderr and the budget falls back to sequential
-    /// rather than silently guessing. Unset means all available cores.
-    pub fn from_env() -> Self {
-        let sched = ParScheduler::from_env();
-        Self::with_scheduler(Self::new(sched.budget()), sched)
     }
 
     /// Strictly sequential executor (the bit-identical fallback).
@@ -565,12 +556,6 @@ impl BatchExecutor {
     }
 }
 
-impl Default for BatchExecutor {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,7 +644,7 @@ mod tests {
     #[test]
     fn executor_threads_are_bounded_below_by_one() -> Result<(), WdError> {
         assert_eq!(BatchExecutor::new(0).threads(), 1);
-        assert!(BatchExecutor::from_env().threads() >= 1);
+        assert_eq!(BatchExecutor::auto(0).threads(), 1);
         Ok(())
     }
 

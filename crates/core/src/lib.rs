@@ -22,14 +22,13 @@
 //! - [`batch`]: [`batch::BatchExecutor`], the host-thread analogue of the
 //!   PE kernels — whole ciphertext operations fanned out over a pool.
 //! - [`sched`]: [`sched::ParScheduler`], the cost-model-driven splitter of
-//!   one thread budget between op-level and limb-level parallelism
-//!   (`WD_THREADS` / `WD_SCHED`).
+//!   one thread budget between op-level and limb-level parallelism.
 //! - [`batchform`]: [`batchform::FormPolicy`], the pure dynamic-batching
 //!   decision core (idle / size / linger / drain triggers, deadline
 //!   shedding, priority aging) that the `wd-serve` request server drives.
 //! - [`place`]: [`place::Placer`], the device-placement layer above the
-//!   scheduler — shards a batch across `WD_DEVICES` modeled devices
-//!   (`WD_PLACE` policy) with the key working set priced on migration.
+//!   scheduler — shards a batch across modeled devices with the key
+//!   working set priced on migration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,8 +51,8 @@ pub use batchform::{Class, Decision, FlushTrigger, FormPolicy, Pending};
 pub use config::FrameworkConfig;
 pub use engine::PerfEngine;
 pub use opplan::{HomOp, OpShape, PlannerKind};
-pub use place::{DeviceLane, PlacePolicy, Placement, Placer, DEVICES_ENV, PLACE_ENV};
-pub use sched::{BatchShape, ParScheduler, SchedPolicy, Split, SCHED_ENV};
+pub use place::{DeviceLane, PlacePolicy, Placement, Placer};
+pub use sched::{BatchShape, ParScheduler, SchedPolicy, Split};
 
 // The workspace-wide fault model (error taxonomy, deterministic fault
 // injection, retry policy) — defined in `wd-fault`, re-exported here so

@@ -2,7 +2,7 @@
 //!
 //! [`crate::sched::ParScheduler`] splits one thread budget between the op
 //! and limb axes *within* a device. This module adds the axis above it:
-//! given `WD_DEVICES` modeled devices, a [`Placer`] shards a batch across
+//! given N modeled devices, a [`Placer`] shards a batch across
 //! per-device queues using the same host cost model
 //! ([`crate::cost::host_heavy_op_instrs`] and friends) plus a modeled key
 //! working set — keyswitch keys become *resident* on a device the first
@@ -13,13 +13,13 @@
 //! model is `wd_gpu_sim::ShardedSimulator`, which charges the same bytes
 //! through an NVLink/PCIe-class link.
 //!
-//! # Environment
+//! # Configuration
 //!
-//! - `WD_DEVICES` — device count (unset = 1, malformed = warn + 1).
-//! - `WD_PLACE` — placement policy: `roundrobin` (op *i* to device *i* mod
-//!   N), `bytes` (greedy least-loaded by ciphertext bytes), `auto` (greedy
-//!   least-loaded by modeled instructions + key-migration penalty, the
-//!   default). Malformed values warn and fall back to `auto`.
+//! Device count and policy are values: [`Placer::new`] takes the count and
+//! [`Placer::with_policy`] the policy — [`PlacePolicy::RoundRobin`] (op *i*
+//! to device *i* mod N), [`PlacePolicy::Bytes`] (greedy least-loaded by
+//! ciphertext bytes) or [`PlacePolicy::Auto`] (greedy least-loaded by
+//! modeled instructions + key-migration penalty, the default).
 //!
 //! # Thread-budget composition
 //!
@@ -33,12 +33,6 @@
 
 use crate::batch::BatchOp;
 use crate::cost;
-use wd_trace::env;
-
-/// Environment variable naming the modeled device count.
-pub const DEVICES_ENV: &str = "WD_DEVICES";
-/// Environment variable naming the placement policy.
-pub const PLACE_ENV: &str = "WD_PLACE";
 
 /// Modeled host instructions charged per key byte migrated to a device
 /// without resident keys (prices PCIe-class movement against compute).
@@ -55,21 +49,6 @@ pub enum PlacePolicy {
     /// working set priced in (the default; see the module docs).
     #[default]
     Auto,
-}
-
-impl PlacePolicy {
-    /// Parses `WD_PLACE`. Unset means [`PlacePolicy::Auto`]; a malformed
-    /// value warns to stderr and falls back to `Auto`.
-    pub fn from_env() -> Self {
-        env::parse_with("place.policy", PLACE_ENV, PlacePolicy::Auto, |v| {
-            match v.to_ascii_lowercase().as_str() {
-                "roundrobin" => Some(PlacePolicy::RoundRobin),
-                "bytes" => Some(PlacePolicy::Bytes),
-                "auto" => Some(PlacePolicy::Auto),
-                _ => None,
-            }
-        })
-    }
 }
 
 /// One device's share of a placement: op indices into the original batch
@@ -199,8 +178,8 @@ pub fn key_working_set_bytes(degree: usize, limbs: usize) -> f64 {
     2.0 * (limbs as f64).powi(2) * degree as f64 * cost::WORD_BYTES
 }
 
-/// Deterministic device-placement policy over `WD_DEVICES` modeled
-/// devices (see the module docs).
+/// Deterministic device-placement policy over N modeled devices (see the
+/// module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placer {
     devices: usize,
@@ -222,14 +201,6 @@ impl Placer {
     pub fn with_policy(mut self, policy: PlacePolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Placer configured from the environment — the single owner of the
-    /// `WD_DEVICES` / `WD_PLACE` reads. Unset `WD_DEVICES` means one
-    /// device; a malformed value warns to stderr and falls back to one.
-    pub fn from_env() -> Self {
-        let devices = env::parse_min("place.devices", DEVICES_ENV, 1, 1);
-        Self::new(devices).with_policy(PlacePolicy::from_env())
     }
 
     /// The device count.
@@ -311,12 +282,6 @@ impl Placer {
             );
         }
         placement
-    }
-}
-
-impl Default for Placer {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 

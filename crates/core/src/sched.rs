@@ -22,16 +22,14 @@
 //! of big ciphertexts favor limb-level splitting; tiny workloads degrade to
 //! fully sequential because thread spawn cost dominates.
 //!
-//! # Environment
+//! # Configuration
 //!
-//! The scheduler is the **single owner** of the parallelism environment
-//! reads at the framework layer (DESIGN.md §5d):
-//!
-//! - `WD_THREADS` — the global budget ([`ParScheduler::from_env`]; unset =
-//!   all available cores, malformed = warn + sequential).
-//! - `WD_SCHED` — the split policy: `op` (all budget to op-level fan-out),
-//!   `limb` (all budget to limb-level splitting), `auto` (cost-model
-//!   driven, the default). Malformed values warn and fall back to `auto`.
+//! Budget and policy are values the caller passes (DESIGN.md §5d):
+//! [`ParScheduler::new`] takes the global budget (every core is
+//! `wd_polyring::par::available_threads()`), and
+//! [`ParScheduler::with_policy`] picks the split — [`SchedPolicy::Op`],
+//! [`SchedPolicy::Limb`] or the cost-model-driven [`SchedPolicy::Auto`]
+//! (the default).
 //!
 //! `wd_ckks::CkksContext` holds no thread budget at all: the context-only
 //! `wd_ckks::ops` functions run on one thread, and a limb width exists only
@@ -43,11 +41,6 @@
 
 use crate::batch::BatchOp;
 use crate::cost;
-use wd_polyring::par;
-use wd_trace::env;
-
-/// Environment variable naming the split policy (`op` / `limb` / `auto`).
-pub const SCHED_ENV: &str = "WD_SCHED";
 
 /// How a [`ParScheduler`] splits the thread budget between the op axis and
 /// the limb axis.
@@ -60,22 +53,6 @@ pub enum SchedPolicy {
     /// Cost-model-driven split (the default; see the module docs).
     #[default]
     Auto,
-}
-
-impl SchedPolicy {
-    /// Parses the `WD_SCHED` environment variable. Unset means
-    /// [`SchedPolicy::Auto`]; a malformed value warns to stderr and falls
-    /// back to `Auto` rather than silently picking a static split.
-    pub fn from_env() -> Self {
-        env::parse_with("sched.policy", SCHED_ENV, SchedPolicy::Auto, |v| {
-            match v.to_ascii_lowercase().as_str() {
-                "op" => Some(SchedPolicy::Op),
-                "limb" => Some(SchedPolicy::Limb),
-                "auto" => Some(SchedPolicy::Auto),
-                _ => None,
-            }
-        })
-    }
 }
 
 /// The workload shape a split is computed for: everything the cost model
@@ -204,21 +181,6 @@ impl ParScheduler {
         self
     }
 
-    /// Scheduler configured from the environment — the framework's single
-    /// owner of the `WD_THREADS` / `WD_SCHED` reads. Budget: `WD_THREADS`
-    /// if set and valid, all available cores if unset, sequential (with a
-    /// stderr warning) if malformed. Policy: [`SchedPolicy::from_env`].
-    pub fn from_env() -> Self {
-        // Unset and malformed differ here: no variable means every core,
-        // a bad one means sequential rather than a guess.
-        let budget = if env::is_set(par::THREADS_ENV) {
-            env::parse_min("sched.budget", par::THREADS_ENV, 1, 1)
-        } else {
-            par::available_threads()
-        };
-        Self::new(budget).with_policy(SchedPolicy::from_env())
-    }
-
     /// The global thread budget.
     pub fn budget(&self) -> usize {
         self.budget
@@ -312,12 +274,6 @@ impl ParScheduler {
         let spawn = cost::HOST_SPAWN_INSTR
             * ((op_width - 1) as f64 + rounds * shape.sections_per_op() * (limb_width - 1) as f64);
         rounds * shape.per_op_instrs() / eff_limb + spawn
-    }
-}
-
-impl Default for ParScheduler {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 

@@ -1,107 +1,65 @@
-//! Environment-driven configuration contract for the scheduler entry
-//! points (`ParScheduler::from_env`, `BatchExecutor::from_env`).
+//! The one setting an executor takes from the environment: the fault plan
+//! `BatchExecutor::new` reads from `WD_FAULT_SEED` / `WD_FAULT_RATE`.
 //!
 //! Lives in its own integration-test binary (hence its own process) because
-//! it mutates `WD_THREADS`/`WD_SCHED`; everything runs inside ONE test
-//! function so no parallel test observes a half-set environment.
+//! it mutates both variables; everything runs inside ONE test function so
+//! no parallel test observes a half-set environment.
 
-use warpdrive_core::{BatchExecutor, ParScheduler, SchedPolicy};
+use warpdrive_core::{BatchExecutor, FaultPlan, FAULT_RATE_ENV, FAULT_SEED_ENV};
+
+/// The plan a fresh executor picks up, and the `fault.*` warnings building
+/// it emitted. Warnings go through wd-trace (recorded at every level,
+/// `WD_TRACE=off` included), so they can be asserted instead of trusting
+/// stderr.
+fn plan_and_warnings() -> (FaultPlan, Vec<wd_trace::Warning>) {
+    wd_trace::take_warnings();
+    let plan = BatchExecutor::new(1).fault_plan();
+    let warnings = wd_trace::take_warnings()
+        .into_iter()
+        .filter(|w| w.site.starts_with("fault."))
+        .collect();
+    (plan, warnings)
+}
 
 #[test]
-fn from_env_accepts_valid_rejects_malformed_wd_threads_and_wd_sched() {
-    // --- WD_THREADS (budget) ---
+fn fault_plan_env_accepts_valid_rejects_malformed_seed_and_rate() {
+    // Unset: injection disabled, silently.
+    std::env::remove_var(FAULT_SEED_ENV);
+    std::env::remove_var(FAULT_RATE_ENV);
+    let (plan, warnings) = plan_and_warnings();
+    assert_eq!(plan, FaultPlan::disabled());
+    assert!(warnings.is_empty(), "unset env must not warn: {warnings:?}");
 
-    // Valid value: used as-is, by both the scheduler and the executor it
-    // configures (the executor delegates its env read to the scheduler).
-    std::env::set_var("WD_THREADS", "3");
-    assert_eq!(ParScheduler::from_env().budget(), 3);
-    assert_eq!(BatchExecutor::from_env().threads(), 3);
+    // Well-formed: used as given, no warning.
+    std::env::set_var(FAULT_RATE_ENV, "0.25");
+    std::env::set_var(FAULT_SEED_ENV, "7");
+    let (plan, warnings) = plan_and_warnings();
+    assert_eq!((plan.seed(), plan.rate()), (7, 0.25));
+    assert!(warnings.is_empty(), "valid env must not warn: {warnings:?}");
 
-    // Malformed values: captured-warning fallback to the sequential
-    // executor, never a silent guess and never a panic. The warning goes
-    // through wd-trace (recorded at every level, WD_TRACE=off included), so
-    // this test can assert it instead of trusting unobservable stderr.
-    for bad in ["zero", "", "-2", "0", "4.5", "1e3"] {
-        std::env::set_var("WD_THREADS", bad);
-        wd_trace::take_warnings(); // clear
-        assert_eq!(
-            BatchExecutor::from_env().threads(),
-            1,
-            "malformed WD_THREADS={bad:?} must fall back to sequential"
-        );
-        let warnings = wd_trace::take_warnings();
+    // A malformed or out-of-range value warns at its own site, naming the
+    // variable and the value, and injection stays off.
+    let cases = [
+        (FAULT_RATE_ENV, "x", "fault.rate"),
+        (FAULT_RATE_ENV, "1.5", "fault.rate"),
+        (FAULT_RATE_ENV, "-0.1", "fault.rate"),
+        (FAULT_SEED_ENV, "-1", "fault.seed"),
+        (FAULT_SEED_ENV, "abc", "fault.seed"),
+    ];
+    for (var, bad, site) in cases {
+        std::env::remove_var(FAULT_SEED_ENV);
+        std::env::remove_var(FAULT_RATE_ENV);
+        std::env::set_var(var, bad);
+        let (plan, warnings) = plan_and_warnings();
+        assert_eq!(plan, FaultPlan::disabled(), "{var}={bad:?}");
         assert!(
-            warnings.iter().any(|w| w.site == "sched.budget"
-                && w.message.contains("WD_THREADS")
-                && w.message.contains(bad)),
-            "malformed WD_THREADS={bad:?} must emit a sched.budget warning, got {warnings:?}"
+            warnings
+                .iter()
+                .any(|w| w.site == site && w.message.contains(var) && w.message.contains(bad)),
+            "{var}={bad:?} must emit a {site} warning, got {warnings:?}"
         );
     }
 
-    // Unset: all available cores.
-    std::env::remove_var("WD_THREADS");
-    assert!(BatchExecutor::from_env().threads() >= 1);
-
-    // --- WD_SCHED (policy) ---
-
-    // Valid spellings, case-insensitive.
-    for (spelling, want) in [
-        ("op", SchedPolicy::Op),
-        ("limb", SchedPolicy::Limb),
-        ("auto", SchedPolicy::Auto),
-        ("OP", SchedPolicy::Op),
-        ("Limb", SchedPolicy::Limb),
-    ] {
-        std::env::set_var("WD_SCHED", spelling);
-        assert_eq!(
-            ParScheduler::from_env().policy(),
-            want,
-            "WD_SCHED={spelling:?}"
-        );
-    }
-
-    // Malformed values: captured-warning fallback to auto, never a panic.
-    for bad in ["", "ops", "threads", "42"] {
-        std::env::set_var("WD_SCHED", bad);
-        wd_trace::take_warnings(); // clear
-        assert_eq!(
-            ParScheduler::from_env().policy(),
-            SchedPolicy::Auto,
-            "malformed WD_SCHED={bad:?} must fall back to auto"
-        );
-        let warnings = wd_trace::take_warnings();
-        assert!(
-            warnings.iter().any(|w| w.site == "sched.policy"
-                && w.message.contains("WD_SCHED")
-                && w.message.contains(bad)),
-            "malformed WD_SCHED={bad:?} must emit a sched.policy warning, got {warnings:?}"
-        );
-    }
-
-    // Well-formed values emit no warning at all.
-    std::env::set_var("WD_SCHED", "op");
-    std::env::set_var("WD_THREADS", "2");
-    wd_trace::take_warnings();
-    let _ = BatchExecutor::from_env();
-    assert!(
-        wd_trace::take_warnings().is_empty(),
-        "valid env must not warn"
-    );
-
-    // Unset: auto.
-    std::env::remove_var("WD_SCHED");
-    assert_eq!(ParScheduler::from_env().policy(), SchedPolicy::Auto);
-
-    // The executor built from the environment carries the scheduler, so
-    // WD_THREADS is read exactly once and op×limb never exceeds it.
-    std::env::set_var("WD_THREADS", "4");
-    let exec = BatchExecutor::from_env();
-    let sched = exec.scheduler().expect("from_env attaches a scheduler");
-    assert_eq!(sched.budget(), 4);
-    let split = sched.split(warpdrive_core::BatchShape::of_keyswitch(8, 1 << 12, 6));
-    assert!(
-        split.op_width * split.limb_width <= 4,
-        "oversubscribed: {split:?}"
-    );
-    std::env::remove_var("WD_THREADS");
+    std::env::remove_var(FAULT_SEED_ENV);
+    std::env::remove_var(FAULT_RATE_ENV);
 }

@@ -495,11 +495,6 @@ impl FaultInjector {
         Self::new(FaultPlan::disabled())
     }
 
-    /// Injector configured from the environment (see [`FaultPlan::from_env`]).
-    pub fn from_env() -> Self {
-        Self::new(FaultPlan::from_env())
-    }
-
     /// The plan.
     pub fn plan(&self) -> FaultPlan {
         self.plan

@@ -16,14 +16,10 @@
 //!   circuits to a plain loop with zero threading overhead.
 //! - **The thread budget is explicit.** Callers pass a thread count and the
 //!   fan-out never exceeds it, regardless of how many work items exist.
-//!   Nothing here reads the environment: `WD_THREADS` is the scheduler's
-//!   (`warpdrive_core::ParScheduler::from_env`).
+//!   The budget is chosen above this module (`warpdrive_core::ParScheduler`).
 
 use crate::rns::{Domain, RnsPoly};
 use wd_fault::{run_isolated, WdError};
-
-/// Environment variable naming the host thread budget.
-pub const THREADS_ENV: &str = "WD_THREADS";
 
 /// The machine's available parallelism (≥ 1).
 pub fn available_threads() -> usize {

@@ -2,8 +2,8 @@
 //! (`RnsPoly::ntt_{forward,inverse}_with`, `RnsPoly::pointwise_with`,
 //! `par::convert_poly`) are **bit-identical** to their sequential
 //! counterparts for random ring shapes, limb counts and thread counts.
-//! This is the determinism guarantee the README advertises for
-//! `WD_THREADS`.
+//! This is the determinism guarantee the README advertises for every
+//! thread budget.
 
 use std::sync::Arc;
 

@@ -19,27 +19,12 @@
 //! ([`crate::tenant`]), which emits `serve.guard.breaker_{open,half_open,
 //! closed}` counters and `serve.guard` events on every transition.
 //!
-//! Breakers are **off by default**: [`crate::TenantConfig::from_env`]
-//! enables them only when at least one `WD_SERVE_BREAKER_*` knob is set,
-//! so single-tenant and pre-breaker deployments see byte-identical
-//! behavior and counters.
+//! Breakers are **off by default**: a tenant layer gets them only when its
+//! [`crate::TenantConfig::breaker`] is `Some`, so single-tenant and
+//! pre-breaker deployments see byte-identical behavior and counters.
 
 use std::collections::VecDeque;
 use std::time::Duration;
-
-use wd_trace::env;
-
-use crate::WARN_SITE;
-
-/// Rolling outcome-window size per tenant (`usize`, 1..=4096; default 16).
-pub const BREAKER_WINDOW_ENV: &str = "WD_SERVE_BREAKER_WINDOW";
-/// Failure percentage that trips a full window (`u32`, 1..=100; default 50).
-pub const BREAKER_PCT_ENV: &str = "WD_SERVE_BREAKER_PCT";
-/// Open-state cooldown before half-open probing, in milliseconds
-/// (`u64`, 1..=3_600_000; default 1000).
-pub const BREAKER_COOLDOWN_ENV: &str = "WD_SERVE_BREAKER_COOLDOWN_MS";
-/// Half-open probe budget (`u32`, 1..=1024; default 2).
-pub const BREAKER_PROBES_ENV: &str = "WD_SERVE_BREAKER_PROBES";
 
 /// Where a tenant's breaker currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +49,8 @@ impl BreakerState {
     }
 }
 
-/// Breaker tuning. [`BreakerConfig::from_env`] reads the
-/// `WD_SERVE_BREAKER_*` knobs with the same warn-and-default contract as
-/// every other serve knob.
+/// Breaker tuning ([`BreakerConfig::default`]: a window of 16, trip at
+/// 50 %, a 1 s cooldown, 2 probes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Rolling window of most-recent outcomes consulted for tripping.
@@ -90,39 +74,6 @@ impl Default for BreakerConfig {
             cooldown: Duration::from_millis(1000),
             probes: 2,
         }
-    }
-}
-
-impl BreakerConfig {
-    /// Reads the four `WD_SERVE_BREAKER_*` knobs; malformed or
-    /// out-of-range values warn and keep the defaults.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            window: env::parse_range(WARN_SITE, BREAKER_WINDOW_ENV, d.window, 1, 4096),
-            threshold_pct: env::parse_range(WARN_SITE, BREAKER_PCT_ENV, d.threshold_pct, 1, 100),
-            cooldown: Duration::from_millis(env::parse_range(
-                WARN_SITE,
-                BREAKER_COOLDOWN_ENV,
-                d.cooldown.as_millis() as u64,
-                1,
-                3_600_000,
-            )),
-            probes: env::parse_range(WARN_SITE, BREAKER_PROBES_ENV, d.probes, 1, 1024),
-        }
-    }
-
-    /// Whether any `WD_SERVE_BREAKER_*` knob is present — the opt-in
-    /// signal [`crate::TenantConfig::from_env`] keys on.
-    pub fn any_env_set() -> bool {
-        [
-            BREAKER_WINDOW_ENV,
-            BREAKER_PCT_ENV,
-            BREAKER_COOLDOWN_ENV,
-            BREAKER_PROBES_ENV,
-        ]
-        .iter()
-        .any(|n| env::is_set(n))
     }
 }
 
@@ -355,13 +306,5 @@ mod tests {
         assert_eq!(BreakerState::Closed.label(), "closed");
         assert_eq!(BreakerState::Open.label(), "open");
         assert_eq!(BreakerState::HalfOpen.label(), "half_open");
-    }
-
-    #[test]
-    fn env_names_are_stable() {
-        assert_eq!(BREAKER_WINDOW_ENV, "WD_SERVE_BREAKER_WINDOW");
-        assert_eq!(BREAKER_PCT_ENV, "WD_SERVE_BREAKER_PCT");
-        assert_eq!(BREAKER_COOLDOWN_ENV, "WD_SERVE_BREAKER_COOLDOWN_MS");
-        assert_eq!(BREAKER_PROBES_ENV, "WD_SERVE_BREAKER_PROBES");
     }
 }

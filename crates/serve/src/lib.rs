@@ -91,28 +91,15 @@ pub mod server;
 pub mod tenant;
 pub mod wire;
 
-pub use breaker::{
-    BreakerConfig, BreakerState, CircuitBreaker, BREAKER_COOLDOWN_ENV, BREAKER_PCT_ENV,
-    BREAKER_PROBES_ENV, BREAKER_WINDOW_ENV,
-};
-pub use net::{NetClient, NetConfig, NetServer, NetStats, ADDR_ENV, CONNS_ENV, NET_TIMEOUT_ENV};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use net::{NetClient, NetConfig, NetServer, NetStats};
 pub use request::{Request, Response, ServeOp, Ticket};
-pub use server::{
-    Hold, ServeConfig, ServeKeys, ServeStats, Server, AGE_ENV, BATCH_ENV, LINGER_ENV, QUEUE_ENV,
-    WATCHDOG_ENV, WORKERS_ENV,
-};
-pub use tenant::{
-    KeyCacheStats, TenantConfig, TenantRegistry, TenantStats, DEFAULT_TENANT, KEY_CACHE_ENV,
-    QUOTA_ENV,
-};
+pub use server::{Hold, ServeConfig, ServeKeys, ServeStats, Server};
+pub use tenant::{KeyCacheStats, TenantConfig, TenantRegistry, TenantStats, DEFAULT_TENANT};
 pub use wire::{DeviceHealth, HealthReport, TenantHealth};
 // The priority classes and flush triggers are defined by the pure decision
 // core in `warpdrive-core`; re-exported so serving code needs one import.
 pub use warpdrive_core::{Class, FlushTrigger};
-
-/// Warning site every malformed `WD_SERVE_*` knob reports under
-/// ([`wd_trace::env`] does the parsing).
-pub(crate) const WARN_SITE: &str = "serve.config";
 
 /// Takes the guard out of a `lock()` / `wait()` result whether or not a
 /// thread panicked while holding the mutex. Every critical section in this

@@ -44,33 +44,24 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use wd_fault::WdError;
-use wd_trace::env;
 
+use crate::recover;
 use crate::request::Request;
 use crate::server::Server;
 use crate::tenant::DEFAULT_TENANT;
 use crate::wire::{self, WireResponse};
-use crate::{recover, WARN_SITE};
-
-/// Listen address (`host:port`; default `127.0.0.1:0` = loopback, OS-picked
-/// port — read it back from [`NetServer::local_addr`]).
-pub const ADDR_ENV: &str = "WD_SERVE_ADDR";
-/// Maximum concurrent connections (`usize`, 1..=4096).
-pub const CONNS_ENV: &str = "WD_SERVE_CONNS";
-/// Per-direction socket io timeout in milliseconds (`u64` ≥ 10). Also the
-/// granularity at which idle handlers notice shutdown.
-pub const NET_TIMEOUT_ENV: &str = "WD_SERVE_NET_TIMEOUT_MS";
 
 /// Default cap on one transport frame (16 MiB — a SET-E ciphertext frame
 /// is ~2 MiB, so this clears every legitimate request with margin).
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
-/// Network front-end configuration. [`NetConfig::from_env`] reads the
-/// `WD_SERVE_*` socket knobs with the same warn-and-default contract as
-/// [`crate::ServeConfig::from_env`].
+/// Network front-end configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Address to bind (`host:port`).
+    /// Address to bind (`host:port`; the default `127.0.0.1:0` is
+    /// loopback on an OS-picked port — read it back from
+    /// [`NetServer::local_addr`]). An unbindable address surfaces as
+    /// [`NetServer::start`]'s io error.
     pub addr: String,
     /// Hard cap on concurrent connections.
     pub max_conns: usize,
@@ -87,27 +78,6 @@ impl Default for NetConfig {
             max_conns: 32,
             io_timeout: Duration::from_millis(500),
             max_frame_bytes: MAX_FRAME_BYTES,
-        }
-    }
-}
-
-impl NetConfig {
-    /// Reads [`ADDR_ENV`], [`CONNS_ENV`] and [`NET_TIMEOUT_ENV`]; malformed
-    /// values warn and keep the defaults. (A syntactically present but
-    /// unbindable address surfaces as [`NetServer::start`]'s io error, not
-    /// here.)
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            addr: std::env::var(ADDR_ENV).unwrap_or(d.addr),
-            max_conns: env::parse_range(WARN_SITE, CONNS_ENV, d.max_conns, 1, 4096),
-            io_timeout: Duration::from_millis(env::parse_min(
-                WARN_SITE,
-                NET_TIMEOUT_ENV,
-                d.io_timeout.as_millis() as u64,
-                10,
-            )),
-            max_frame_bytes: d.max_frame_bytes,
         }
     }
 }

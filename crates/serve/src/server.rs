@@ -51,35 +51,14 @@ use wd_fault::WdError;
 use wd_graph::CompiledProgram;
 use wd_polyring::rns::RnsPoly;
 
-use wd_trace::env;
-
+use crate::recover;
 use crate::request::{Request, Response, ServeOp, Ticket};
 use crate::tenant::{Tenant, TenantRegistry, TenantStats, DEFAULT_TENANT};
 use crate::wire::{DeviceHealth, HealthReport, TenantHealth};
-use crate::{recover, WARN_SITE};
-
-/// Admission queue capacity (`usize` ≥ 1). Malformed or zero warns and
-/// keeps the default.
-pub const QUEUE_ENV: &str = "WD_SERVE_QUEUE";
-/// Maximum batch size — the size trigger (`usize`, 1..=4096).
-pub const BATCH_ENV: &str = "WD_SERVE_BATCH";
-/// Linger bound in microseconds — the latency trigger (0 = flush
-/// immediately).
-pub const LINGER_ENV: &str = "WD_SERVE_LINGER_US";
-/// Worker thread count (`usize`, 1..=256).
-pub const WORKERS_ENV: &str = "WD_SERVE_WORKERS";
-/// Bulk-aging bound in microseconds (unset = 8 × linger, min 1 ms).
-pub const AGE_ENV: &str = "WD_SERVE_AGE_US";
-/// Watchdog wedge bound in milliseconds (`u64`, 0..=3_600_000; 0 disables
-/// worker supervision; default 5000). A worker that holds one batch longer
-/// than this is declared wedged: its batch is re-queued and the thread is
-/// replaced.
-pub const WATCHDOG_ENV: &str = "WD_SERVE_WATCHDOG_MS";
 
 /// Serving configuration. [`ServeConfig::default`] is deterministic
-/// (sequential executor); [`ServeConfig::from_env`] reads the
-/// `WD_SERVE_*` knobs and sizes the executor from the scheduler's
-/// `WD_THREADS`/`WD_SCHED` environment.
+/// (sequential executor, one device); callers override fields by struct
+/// update.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Admission queue capacity; submits beyond it are rejected with
@@ -107,15 +86,14 @@ pub struct ServeConfig {
     pub watchdog: Duration,
     /// Worker restarts after which replacements degrade to the sequential
     /// executor — a restart storm means the parallel path itself is
-    /// suspect. Code-only (no env knob).
+    /// suspect.
     pub restart_cap: usize,
     /// Device-placement policy, installed on the executor at start
     /// ([`BatchExecutor::with_placer`]; it replaces any placer the
     /// executor already carried): every executed batch is sharded across
     /// this placer's modeled devices, with `place.device.<i>.*` counters
     /// and a HEALTH line per device. The default is a single device (no
-    /// placement at all); [`ServeConfig::from_env`] reads `WD_DEVICES` /
-    /// `WD_PLACE`.
+    /// placement at all).
     pub placer: Placer,
 }
 
@@ -136,37 +114,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Reads the `WD_SERVE_*` environment (defaults above for unset
-    /// values; malformed values warn and keep the default) and sizes the
-    /// executor via [`BatchExecutor::from_env`] — the scheduler remains
-    /// the single owner of the `WD_THREADS`/`WD_SCHED` reads.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            queue_capacity: env::parse_min(WARN_SITE, QUEUE_ENV, d.queue_capacity, 1),
-            max_batch: env::parse_range(WARN_SITE, BATCH_ENV, d.max_batch, 1, 4096),
-            linger: Duration::from_micros(env::parse_min(
-                WARN_SITE,
-                LINGER_ENV,
-                d.linger.as_micros().min(u128::from(u64::MAX)) as u64,
-                0,
-            )),
-            age_promote: env::is_set(AGE_ENV)
-                .then(|| Duration::from_micros(env::parse_min(WARN_SITE, AGE_ENV, 1_000, 0))),
-            workers: env::parse_range(WARN_SITE, WORKERS_ENV, d.workers, 1, 256),
-            executor: BatchExecutor::from_env(),
-            watchdog: Duration::from_millis(env::parse_range(
-                WARN_SITE,
-                WATCHDOG_ENV,
-                d.watchdog.as_millis() as u64,
-                0,
-                3_600_000,
-            )),
-            restart_cap: d.restart_cap,
-            placer: Placer::from_env(),
-        }
-    }
-
     /// The batch-formation policy this configuration drives.
     pub fn policy(&self) -> FormPolicy {
         let p = FormPolicy::new(self.max_batch, self.linger);
@@ -1701,9 +1648,7 @@ mod tests {
     }
 
     #[test]
-    fn config_env_parsing_rejects_malformed_values() {
-        // Pure-function checks only (no process-global env mutation; the
-        // env-mutating contract test is tests/env_config.rs):
+    fn config_maps_onto_its_form_policy() {
         let d = ServeConfig::default();
         assert_eq!(d.policy().max_batch, d.max_batch);
         assert_eq!(d.policy().linger, d.linger);

@@ -11,14 +11,14 @@
 //!   [`CkksContext`] and **cold** (host-side, authoritative) key material.
 //! - Workers lease keys through a **resident cache**: an LRU over per-tenant
 //!   [`ServeKeys`] charged by [`ServeKeys::approx_bytes`] against a byte
-//!   budget ([`KEY_CACHE_ENV`], in MiB). A miss "uploads" the cold copy
-//!   (modeling the host→device transfer); eviction drops the resident copy
-//!   only — the cold copy is authoritative, so eviction/reload churn can
-//!   never change a result, only cost.
-//! - Admission charges a per-tenant in-flight quota ([`QUOTA_ENV`]) on top
-//!   of the server's global bounded queue; exhaustion is the typed
-//!   [`WdError::TenantQuotaExceeded`] signal, layered on (not replacing)
-//!   the existing priority classes.
+//!   budget ([`TenantConfig::key_cache_bytes`]). A miss "uploads" the cold
+//!   copy (modeling the host→device transfer); eviction drops the resident
+//!   copy only — the cold copy is authoritative, so eviction/reload churn
+//!   can never change a result, only cost.
+//! - Admission charges a per-tenant in-flight quota
+//!   ([`TenantConfig::quota`]) on top of the server's global bounded
+//!   queue; exhaustion is the typed [`WdError::TenantQuotaExceeded`]
+//!   signal, layered on (not replacing) the existing priority classes.
 //!
 //! Two guard layers sit on top (PR 7's self-healing story):
 //!
@@ -40,7 +40,7 @@
 //! - **Circuit breakers** ([`crate::breaker`]): per-tenant rolling
 //!   failure/shed-rate windows that refuse admission fast
 //!   ([`WdError::TenantCircuitOpen`]) instead of queueing doomed work.
-//!   Off by default; enabled when any `WD_SERVE_BREAKER_*` knob is set.
+//!   Off by default; enabled by a [`TenantConfig::breaker`].
 //!
 //! Per-tenant observability flows through `wd-trace` as
 //! `serve.tenant.<id>.{enqueued,completed,shed,rejected}` counters and a
@@ -59,25 +59,17 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use wd_ckks::wire::MAX_LABEL_BYTES;
 use wd_ckks::CkksContext;
 use wd_fault::{FaultKind, WdError};
-use wd_trace::env;
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::recover;
 use crate::server::ServeKeys;
-use crate::{recover, WARN_SITE};
 
 /// The tenant id single-tenant servers run under (and the id a tenant-less
 /// v1 wire frame is routed to).
 pub const DEFAULT_TENANT: &str = "default";
 
-/// Resident keyswitch-key cache budget in MiB (`usize` ≥ 1; default 512).
-pub const KEY_CACHE_ENV: &str = "WD_SERVE_KEY_CACHE_MB";
-
-/// Per-tenant in-flight admission quota (`usize` ≥ 1; default unlimited).
-pub const QUOTA_ENV: &str = "WD_SERVE_TENANT_QUOTA";
-
-/// Tenant-layer configuration. [`TenantConfig::from_env`] reads
-/// [`KEY_CACHE_ENV`] / [`QUOTA_ENV`] with the same warn-and-default
-/// contract as every other `WD_SERVE_*` knob.
+/// Tenant-layer configuration ([`TenantConfig::default`]: a 512 MiB key
+/// cache, no quota, keys verified, no breakers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantConfig {
     /// Byte budget for resident (leased) key material. A single tenant's
@@ -92,9 +84,8 @@ pub struct TenantConfig {
     /// reads the keys (quarantine-and-reload on a resident mismatch). On by
     /// default; off only for the A/B overhead measurement.
     pub verify_keys: bool,
-    /// Per-tenant circuit breakers (`None` = disabled, the default; set
-    /// any `WD_SERVE_BREAKER_*` knob to enable via
-    /// [`TenantConfig::from_env`]).
+    /// Per-tenant circuit breakers (`None` = disabled, the default;
+    /// `Some` gives every tenant its own breaker with this tuning).
     pub breaker: Option<BreakerConfig>,
 }
 
@@ -105,22 +96,6 @@ impl Default for TenantConfig {
             quota: usize::MAX,
             verify_keys: true,
             breaker: None,
-        }
-    }
-}
-
-impl TenantConfig {
-    /// Reads [`KEY_CACHE_ENV`] (MiB) and [`QUOTA_ENV`]; malformed values
-    /// warn and keep the defaults. Breakers are enabled iff at least one
-    /// `WD_SERVE_BREAKER_*` knob is present ([`BreakerConfig::from_env`]).
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            key_cache_bytes: env::parse_min(WARN_SITE, KEY_CACHE_ENV, d.key_cache_bytes >> 20, 1)
-                << 20,
-            quota: env::parse_min(WARN_SITE, QUOTA_ENV, d.quota, 1),
-            verify_keys: d.verify_keys,
-            breaker: BreakerConfig::any_env_set().then(BreakerConfig::from_env),
         }
     }
 }

@@ -479,7 +479,7 @@ pub struct TenantHealth {
 }
 
 /// One device's line in a [`HealthReport`] — the serve-path view of the
-/// multi-device placement layer (`WD_DEVICES` / `WD_PLACE`).
+/// multi-device placement layer ([`crate::ServeConfig::placer`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceHealth {
     /// The device index.

@@ -1,11 +1,13 @@
-//! One warn-and-default parser for every `WD_*` knob.
+//! One warn-and-default parser for the workspace's environment variables.
 //!
-//! The configuration contract is uniform across the workspace: an unset
+//! Two settings reach the code through the environment: the fault plan
+//! (`WD_FAULT_SEED` / `WD_FAULT_RATE`, read by `wd_fault::FaultPlan::from_env`)
+//! and the trace level ([`crate::TRACE_ENV`]). Everything else is
+//! configured by value. The contract is the same for both: an unset
 //! variable means the documented default, a well-formed value is used
 //! as-is, and a malformed value **warns through [`crate::warn`] and keeps
-//! the default** — never a panic, never a silent guess. Scheduler, placer,
-//! fault plan and serving layer all route through [`parse_with`]; it lives
-//! here because this crate owns `warn` and sits below every other crate.
+//! the default** — never a panic, never a silent guess. It lives here
+//! because this crate owns `warn` and sits below every other crate.
 
 use std::fmt::Debug;
 use std::str::FromStr;
@@ -40,43 +42,19 @@ where
     parse_with(site, name, default, |s| s.parse().ok().filter(&accept))
 }
 
-/// [`parse_or`] with a lower bound — the common "integer knob ≥ min" case.
-pub fn parse_min<T>(site: &str, name: &str, default: T, min: T) -> T
-where
-    T: FromStr + Debug + PartialOrd,
-{
-    parse_or(site, name, default, |v| *v >= min)
-}
-
-/// [`parse_or`] with both bounds: rejects zero/underflow *and* the absurd
-/// overflow values (`WD_SERVE_WORKERS=999999999` is a typo, not a fleet) —
-/// either way warn-and-default, never a silent clamp.
-pub fn parse_range<T>(site: &str, name: &str, default: T, min: T, max: T) -> T
-where
-    T: FromStr + Debug + PartialOrd,
-{
-    parse_or(site, name, default, |v| *v >= min && *v <= max)
-}
-
-/// Whether `name` is set at all (for knobs whose *presence* changes
-/// behavior, like `WD_SERVE_AGE_US`, or whose unset default differs from
-/// the malformed fallback, like `WD_THREADS`).
-pub fn is_set(name: &str) -> bool {
-    std::env::var(name).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Pure-function check only; the env-mutating contract tests are the
-    // `env_config` integration tests of the crates that own the knobs
-    // (their own process, one test fn each). Other unit tests warn on the
-    // same global tracer, so look at this test's own site.
+    // Pure-function check only; the env-mutating contract test is
+    // `warpdrive-core`'s `tests/env_config.rs` (its own process, one test
+    // fn). Other unit tests warn on the same global tracer, so look at this
+    // test's own site.
     #[test]
     fn unset_returns_default_without_warning() {
-        assert_eq!(parse_min("env.test", "WD_SURELY_UNSET_", 7u64, 1), 7);
-        assert!(!is_set("WD_SURELY_UNSET_"));
+        const UNSET: &str = "WD_SURELY_UNSET_";
+        assert_eq!(parse_or("env.test", UNSET, 7u64, |v| *v >= 1), 7);
+        assert_eq!(parse_with("env.test", UNSET, 7u64, |_| Some(9)), 7);
         assert!(crate::snapshot()
             .warnings
             .iter()

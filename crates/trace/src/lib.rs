@@ -181,7 +181,7 @@ pub struct VirtualSpan {
 /// assert on warnings without enabling tracing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Warning {
-    /// Stable site label (`"sched.budget"`, `"fault.rate"`, …).
+    /// Stable site label (`"fault.rate"`, `"trace.level"`, …).
     pub site: String,
     /// Human-readable message (also printed to stderr).
     pub message: String,
@@ -230,7 +230,8 @@ pub struct Tracer {
 
 impl Tracer {
     /// A tracer with no level set: the first [`Tracer::level`] read resolves
-    /// it from [`TRACE_ENV`] (unset ⇒ `Off`, malformed ⇒ warn + `Off`).
+    /// it from [`TRACE_ENV`] through [`env::parse_with`] (unset ⇒ `Off`,
+    /// malformed ⇒ a global [`warn`]ing + `Off`).
     pub const fn new() -> Self {
         Self {
             level: AtomicU8::new(LEVEL_UNINIT),
@@ -254,26 +255,11 @@ impl Tracer {
         match TraceLevel::from_u8(self.level.load(Ordering::Relaxed)) {
             Some(l) => l,
             None => {
-                let l = self.level_from_env();
+                let l =
+                    env::parse_with("trace.level", TRACE_ENV, TraceLevel::Off, TraceLevel::parse);
                 self.level.store(l.as_u8(), Ordering::Relaxed);
                 l
             }
-        }
-    }
-
-    fn level_from_env(&self) -> TraceLevel {
-        match std::env::var(TRACE_ENV) {
-            Err(_) => TraceLevel::Off,
-            Ok(v) => match TraceLevel::parse(&v) {
-                Some(l) => l,
-                None => {
-                    self.warn(
-                        "trace.level",
-                        &format!("malformed {TRACE_ENV}={v:?}; tracing stays off"),
-                    );
-                    TraceLevel::Off
-                }
-            },
         }
     }
 

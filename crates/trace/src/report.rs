@@ -114,12 +114,12 @@ mod tests {
         }
         t.event("fault", "retry", &[("site", "batch.hmult".into())]);
         t.event("fault", "retry", &[("site", "batch.hadd".into())]);
-        t.warn("sched.budget", "malformed WD_THREADS");
+        t.warn("fault.rate", "malformed WD_FAULT_RATE");
         let rep = t.snapshot().summary_report();
         assert!(rep.contains("counter sim.kernel_launches = 7"));
         assert!(rep.contains("ckks.hmult"));
         assert!(rep.contains("event fault.retry x2"));
-        assert!(rep.contains("warning [sched.budget] malformed WD_THREADS"));
+        assert!(rep.contains("warning [fault.rate] malformed WD_FAULT_RATE"));
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! of the paper's PE kernels (one launch = whole ciphertext × all limbs).
 //!
 //! ```text
-//! WD_THREADS=4 WD_SCHED=auto cargo run --release --example batched_pipeline
+//! cargo run --release --example batched_pipeline
 //! ```
 //!
-//! The thread budget comes from `WD_THREADS` (default: all cores) and the
-//! split policy from `WD_SCHED` (`op` / `limb` / `auto`, default auto):
+//! The thread budget is every core and the split policy is `Auto`
+//! ([`warpdrive::core::BatchExecutor::auto`]):
 //! the [`warpdrive::core::ParScheduler`] divides the budget between
 //! op-level fan-out and limb-level parallelism per batch shape, never
 //! oversubscribing. Results are bit-identical under every split — the
@@ -21,6 +21,7 @@ use std::time::Instant;
 
 use warpdrive::ckks::ops::{hmult_with, rescale_with};
 use warpdrive::core::{BatchExecutor, BatchOp, EvalKeys};
+use warpdrive::polyring::par::available_threads;
 use warpdrive::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,12 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seq = BatchExecutor::sequential().execute(&ctx, eval, &batch);
     let seq_time = t0.elapsed();
 
-    // Scheduled run: WD_THREADS sets the budget, WD_SCHED the policy
-    // (`BatchExecutor::auto(n)` is the programmatic equivalent). The
-    // scheduler splits the budget per batch shape — this large batch gets
-    // op-level fan-out; the single deep op below gets limb-level threads.
-    let executor = BatchExecutor::from_env();
-    let sched = executor.scheduler().expect("from_env attaches a scheduler");
+    // Scheduled run over every core. The scheduler splits the budget per
+    // batch shape — this large batch gets op-level fan-out; the single deep
+    // op below gets limb-level threads.
+    let executor = BatchExecutor::auto(available_threads());
+    let sched = executor.scheduler().expect("auto attaches a scheduler");
     println!(
         "scheduler: budget {} threads, policy {:?}",
         sched.budget(),

@@ -27,6 +27,7 @@ use std::time::Duration;
 use warpdrive::ckks::encoding::C64;
 use warpdrive::ckks::ops;
 use warpdrive::core::{BatchExecutor, EvalKeys};
+use warpdrive::polyring::par::available_threads;
 use warpdrive::prelude::*;
 use warpdrive::serve::{Request, ServeOp};
 
@@ -102,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cx = ctx.encrypt_values(&vals_x, &kp.public)?;
     let cy = ctx.encrypt_values(&vals_y, &kp.public)?;
 
-    let executor = BatchExecutor::from_env();
+    let executor = BatchExecutor::auto(available_threads());
     let keys = EvalKeys::with_relin(&kp.relin).and_rotations(&rot);
     let out = prog
         .execute(&ctx, keys, &[cx.clone(), cy.clone()], &executor)?
@@ -136,8 +137,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ServeConfig {
         max_batch: 4,
         linger: Duration::from_micros(500),
-        executor: BatchExecutor::from_env(),
-        ..ServeConfig::from_env()
+        executor: BatchExecutor::auto(available_threads()),
+        ..ServeConfig::default()
     };
     let server = Server::start(
         Arc::clone(&ctx),

@@ -12,7 +12,7 @@
 //!    `CkksContext`s and key material; each client's responses are checked
 //!    bit-for-bit against a direct `ops::` call under that tenant's keys.
 //! 2. **The resident key cache**: a deliberately tiny
-//!    `WD_SERVE_KEY_CACHE_MB`-style budget forces an eviction/reload on
+//!    `TenantConfig::key_cache_bytes` budget forces an eviction/reload on
 //!    every alternating lease — and the answers do not change.
 //! 3. **Typed refusals over the wire**: an unknown tenant and an exhausted
 //!    per-tenant quota both come back as error frames naming the cause,
@@ -25,6 +25,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use warpdrive::core::BatchExecutor;
+use warpdrive::polyring::par::available_threads;
 use warpdrive::prelude::*;
 use warpdrive::serve::{
     NetClient, NetConfig, NetServer, Request, ServeOp, TenantConfig, TenantRegistry,
@@ -60,10 +62,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServeConfig {
             max_batch: 4,
             linger: Duration::from_micros(300),
-            ..ServeConfig::from_env()
+            executor: BatchExecutor::auto(available_threads()),
+            ..ServeConfig::default()
         },
     ));
-    let net = NetServer::start(Arc::clone(&server), NetConfig::from_env())?;
+    let net = NetServer::start(Arc::clone(&server), NetConfig::default())?;
     println!("listening on {}", net.local_addr());
 
     // -- 2. Alternating round trips force key-cache churn ---------------

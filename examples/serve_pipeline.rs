@@ -6,10 +6,10 @@
 //! WD_TRACE=summary cargo run --release --example serve_pipeline
 //! ```
 //!
-//! The server holds requests briefly (`WD_SERVE_LINGER_US`, default 200)
+//! The server holds requests briefly (`ServeConfig::linger`, 500 µs here)
 //! so independent operations coalesce into one batch — the host-side
-//! analogue of filling a PE-kernel launch — then fans the batch over the
-//! `WD_THREADS` budget via the scheduled [`BatchExecutor`]. Responses are
+//! analogue of filling a PE-kernel launch — then fans the batch over every
+//! core via the scheduled [`BatchExecutor`]. Responses are
 //! bit-identical to sequential execution; the demo checks one against a
 //! direct `ops::` call before printing.
 //!
@@ -22,6 +22,7 @@ use std::time::Duration;
 
 use warpdrive::core::BatchExecutor;
 use warpdrive::core::WdError;
+use warpdrive::polyring::par::available_threads;
 use warpdrive::prelude::*;
 use warpdrive::serve::{Class, Request, Response, ServeOp};
 
@@ -34,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ServeConfig {
         max_batch: 8,
         linger: Duration::from_micros(500),
-        executor: BatchExecutor::from_env(),
-        ..ServeConfig::from_env()
+        executor: BatchExecutor::auto(available_threads()),
+        ..ServeConfig::default()
     };
     println!(
         "server: queue={} max_batch={} linger={:?} workers={}",
