@@ -4,7 +4,7 @@
 //! `cargo run --release -p wd-bench --bin shard_bench > results/shard_scaling.txt`;
 //! the drift checker maps the artifact to this binary).
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! 1. **Modeled shard scaling** (deterministic): a 32-op SET-C HMULT
 //!    serving batch on the PE-kernel plan, sharded over 1/2/4/8 modeled
@@ -18,29 +18,20 @@
 //!    splits a mixed 8-op batch across 4 device lanes under all three
 //!    policies — exact per-lane op counts, modeled bytes, and the
 //!    thread-budget split, coverage-asserted.
-//! 3. **Sharded serving drill** (deterministic): a real `wd-serve` server
-//!    with a 2-device round-robin placer serves one 8-op batch; per-device
-//!    `place.device.<i>.*` counters and the HEALTH per-device lines come
-//!    out exact, and every response is bit-identical to the unsharded op.
+//!
+//! A placement is a plan the model prices, not a host execution path.
 //!
 //! Trace output (when `WD_TRACE` is on) goes to **stderr**: stdout is the
 //! drift-checked artifact.
 
-use std::sync::Arc;
-use std::time::Duration;
-
 use warpdrive_core::opplan::op_kernels;
 use warpdrive_core::place::{ct_bytes, key_working_set_bytes};
-use warpdrive_core::{
-    BatchExecutor, BatchOp, FaultPlan, FrameworkConfig, HomOp, OpShape, PlacePolicy, Placer,
-    PlannerKind,
-};
+use warpdrive_core::{BatchOp, FrameworkConfig, HomOp, OpShape, PlacePolicy, Placer, PlannerKind};
 use wd_bench::banner;
 use wd_ckks::{CkksContext, ParamSet};
 use wd_gpu_sim::multi::{DeviceWork, InterconnectSpec, MultiGpuSpec, ShardedSimulator};
 use wd_gpu_sim::{GpuSpec, KernelProfile};
 use wd_polyring::NttVariant;
-use wd_serve::{Request, ServeConfig, ServeKeys, ServeOp, Server};
 
 /// The serving batch the scaling curve shards (matches `serve_bench`'s
 /// saturating batch, doubled so 8 lanes still hold 4 ops each).
@@ -57,7 +48,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let speedup2 = modeled_scaling();
     placement_drill()?;
-    serving_drill()?;
 
     // The claim the placement layer is built on, asserted every run.
     assert!(
@@ -67,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!(
         "PASS: modeled 2-device shard speedup {speedup2:.2}x >= {GATE:.2}x on nvlink3 at \
-         batch {BATCH}; placement covers every op exactly once; sharded serving bit-identical"
+         batch {BATCH}; placement covers every op exactly once"
     );
 
     // Observability goes to stderr: stdout is the drift-checked artifact.
@@ -208,63 +198,5 @@ fn placement_drill() -> Result<(), Box<dyn std::error::Error>> {
             placement.thread_budgets(8)
         );
     }
-    Ok(())
-}
-
-/// A real server with a 2-device round-robin placer: one 8-op batch, exact
-/// per-device counters, bit-identical responses, healthy HEALTH lines.
-fn serving_drill() -> Result<(), Box<dyn std::error::Error>> {
-    let params = ParamSet::set_a().with_degree(1 << 6).build()?;
-    let ctx = Arc::new(CkksContext::with_seed(params, 22)?);
-    let kp = ctx.keygen();
-    let a = ctx.encrypt_values(&[1.0, 2.0], &kp.public)?;
-    let b = ctx.encrypt_values(&[3.0, -1.0], &kp.public)?;
-    let expect = wd_ckks::ops::hadd(&a, &b)?;
-
-    let config = ServeConfig {
-        queue_capacity: 16,
-        max_batch: 8,
-        linger: Duration::from_secs(5),
-        workers: 1,
-        // Drills stay deterministic whatever WD_FAULT_RATE says.
-        executor: BatchExecutor::sequential().with_fault_plan(FaultPlan::disabled()),
-        placer: Placer::new(2).with_policy(PlacePolicy::RoundRobin),
-        ..ServeConfig::default()
-    };
-    let server = Server::start(
-        Arc::clone(&ctx),
-        ServeKeys::with_relin(kp.relin.clone()),
-        config,
-    );
-    // A hold keeps the idle worker from taking requests one by one: only
-    // the size trigger flushes.
-    let hold = server.hold();
-    let tickets: Vec<_> = (0..8)
-        .map(|_| server.submit(Request::new(ServeOp::HAdd(a.clone(), b.clone()))))
-        .collect::<Result<_, _>>()?;
-    for t in tickets {
-        let resp = t.wait();
-        assert_eq!(resp.batch_size, 8, "one full batch");
-        assert_eq!(
-            resp.result?, expect,
-            "sharded response must be bit-identical"
-        );
-    }
-    drop(hold);
-    let health = server.health();
-    let stats = server.shutdown();
-    println!();
-    println!("-- sharded serving drill (2 round-robin devices, one 8-op batch) --");
-    for d in &health.devices {
-        println!(
-            "  device {}: batches {}, ops {}, depth {}, alive {}",
-            d.device, d.batches, d.ops, d.depth, d.alive
-        );
-        assert_eq!((d.batches, d.ops, d.depth), (1, 4, 0));
-        assert!(d.alive, "device {} must be alive", d.device);
-    }
-    println!("  responses: 8/8 bit-identical to the unsharded HADD");
-    assert_eq!(health.devices.len(), 2);
-    assert_eq!(stats.completed, 8);
     Ok(())
 }

@@ -26,9 +26,9 @@
 //! - [`batchform`]: [`batchform::FormPolicy`], the pure dynamic-batching
 //!   decision core (idle / size / linger / drain triggers, deadline
 //!   shedding, priority aging) that the `wd-serve` request server drives.
-//! - [`place`]: [`place::Placer`], the device-placement layer above the
+//! - [`place`]: [`place::Placer`], the device-placement plan above the
 //!   scheduler — shards a batch across modeled devices with the key
-//!   working set priced on migration.
+//!   working set priced on migration, for the GPU model to price.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +46,7 @@ pub mod opplan;
 pub mod place;
 pub mod sched;
 
-pub use batch::{BatchExecutor, BatchOp, DeviceStats, EvalKeys};
+pub use batch::{BatchExecutor, BatchOp, EvalKeys};
 pub use batchform::{Class, Decision, FlushTrigger, FormPolicy, Pending};
 pub use config::FrameworkConfig;
 pub use engine::PerfEngine;

@@ -1,7 +1,8 @@
-//! Device placement: sharding one batch across N modeled devices.
+//! Device placement: the plan for sharding one batch across N modeled
+//! devices.
 //!
 //! [`crate::sched::ParScheduler`] splits one thread budget between the op
-//! and limb axes *within* a device. This module adds the axis above it:
+//! and limb axes *within* a device. This module plans the axis above it:
 //! given N modeled devices, a [`Placer`] shards a batch across
 //! per-device queues using the same host cost model
 //! ([`crate::cost::host_heavy_op_instrs`] and friends) plus a modeled key
@@ -9,9 +10,11 @@
 //! time a heavy op lands there, and moving heavy work to a device without
 //! resident keys prices a key re-transfer into the placement cost. That is
 //! the on-device-bandwidth vs. interconnect split the multi-GPU FHE
-//! literature (PAPERS.md) identifies as decisive; the GPU-side twin of this
-//! model is `wd_gpu_sim::ShardedSimulator`, which charges the same bytes
-//! through an NVLink/PCIe-class link.
+//! literature (PAPERS.md) identifies as decisive. A placement is a plan,
+//! not a host execution path: the model prices it
+//! (`wd_gpu_sim::ShardedSimulator` charges the same bytes through an
+//! NVLink/PCIe-class link) and `shard_bench`'s policy drill prints it;
+//! [`crate::batch::BatchExecutor`] runs every batch as one host fan-out.
 //!
 //! # Configuration
 //!
@@ -26,10 +29,9 @@
 //! A placement composes with [`crate::sched::ParScheduler`] by *dividing*
 //! the global budget across active device lanes
 //! ([`Placement::thread_budgets`]): every active lane gets at least one
-//! thread, and the sum over any concurrently-executing set of lanes
-//! ([`Placement::concurrency`] caps that set) never exceeds the budget —
-//! the per-device extension of the scheduler's "never multiply implicitly"
-//! rule.
+//! thread, and the budgets never sum past the global budget when it
+//! covers every active lane — the per-device extension of the scheduler's
+//! "never multiply implicitly" rule.
 
 use crate::batch::BatchOp;
 use crate::cost;
@@ -67,7 +69,7 @@ pub struct DeviceLane {
 }
 
 /// The result of sharding one batch: one [`DeviceLane`] per device (lanes
-/// for lost or unused devices are empty).
+/// for unused devices are empty).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     lanes: Vec<DeviceLane>,
@@ -88,9 +90,7 @@ impl Placement {
     /// `budget / active` threads each (never less than one), heaviest lanes
     /// first for the remainder; empty lanes get zero. When
     /// `budget >= active` the budgets sum to at most `budget`; when
-    /// `budget < active` every active lane gets one thread and
-    /// [`Placement::concurrency`] limits how many run at once, so the sum
-    /// over any concurrent set still never exceeds the budget.
+    /// `budget < active` every active lane still gets one thread.
     pub fn thread_budgets(&self, budget: usize) -> Vec<usize> {
         let budget = budget.max(1);
         let active = self.active();
@@ -121,12 +121,6 @@ impl Placement {
             spare -= 1;
         }
         budgets
-    }
-
-    /// Largest number of lanes that may execute concurrently under
-    /// `budget` threads without oversubscription.
-    pub fn concurrency(&self, budget: usize) -> usize {
-        self.active().min(budget.max(1)).max(1)
     }
 }
 
@@ -216,35 +210,15 @@ impl Placer {
     /// Shards `batch` across all devices. Deterministic: the same batch,
     /// device count and policy always produce the same placement.
     pub fn place(&self, batch: &[BatchOp<'_>]) -> Placement {
-        self.place_surviving(batch, &(0..self.devices).collect::<Vec<_>>())
-    }
-
-    /// Shards `batch` across the surviving device indices only — the
-    /// device-loss degrade ladder re-places against this. An empty
-    /// `alive` set yields all-empty lanes (the caller then degrades to
-    /// host-sequential execution).
-    pub fn place_surviving(&self, batch: &[BatchOp<'_>], alive: &[usize]) -> Placement {
         let mut lanes = vec![DeviceLane::default(); self.devices];
-        let alive: Vec<usize> = alive
-            .iter()
-            .copied()
-            .filter(|&d| d < self.devices)
-            .collect();
-        if alive.is_empty() {
-            return Placement { lanes };
-        }
         for (i, op) in batch.iter().enumerate() {
             let load = op_load(op);
             let dev = match self.policy {
-                PlacePolicy::RoundRobin => alive[i % alive.len()],
-                PlacePolicy::Bytes => alive
-                    .iter()
-                    .copied()
+                PlacePolicy::RoundRobin => i % self.devices,
+                PlacePolicy::Bytes => (0..self.devices)
                     .min_by(|&a, &b| lanes[a].ct_bytes.total_cmp(&lanes[b].ct_bytes))
-                    .expect("alive is non-empty"),
-                PlacePolicy::Auto => alive
-                    .iter()
-                    .copied()
+                    .expect("at least one device"),
+                PlacePolicy::Auto => (0..self.devices)
                     .min_by(|&a, &b| {
                         let cost_of = |d: usize| {
                             let migrate = if load.heavy && lanes[d].key_bytes == 0.0 {
@@ -256,7 +230,7 @@ impl Placer {
                         };
                         cost_of(a).total_cmp(&cost_of(b))
                     })
-                    .expect("alive is non-empty"),
+                    .expect("at least one device"),
             };
             let lane = &mut lanes[dev];
             lane.ops.push(i);
@@ -275,7 +249,6 @@ impl Placer {
                 &[
                     ("policy", format!("{:?}", self.policy).to_lowercase()),
                     ("devices", self.devices.to_string()),
-                    ("alive", alive.len().to_string()),
                     ("batch", batch.len().to_string()),
                     ("active", placement.active().to_string()),
                 ],
@@ -415,7 +388,8 @@ mod tests {
                 let p = Placer::new(devices).place(&batch);
                 let budgets = p.thread_budgets(budget);
                 assert_eq!(budgets.len(), devices);
-                let conc = p.concurrency(budget);
+                // At most `budget` single-thread lanes run at once.
+                let conc = p.active().min(budget).max(1);
                 for (i, lane) in p.lanes().iter().enumerate() {
                     if lane.ops.is_empty() {
                         assert_eq!(budgets[i], 0);
@@ -437,23 +411,9 @@ mod tests {
     }
 
     #[test]
-    fn surviving_placement_avoids_lost_devices() {
-        let ctx = ctx();
-        let cs = cts(&ctx, 9);
-        let batch = mixed_batch(&cs);
-        let placer = Placer::new(4);
-        let p = placer.place_surviving(&batch, &[0, 2]);
-        assert!(p.lanes()[1].ops.is_empty() && p.lanes()[3].ops.is_empty());
-        assert_eq!(p.active(), 2);
-        let none = placer.place_surviving(&batch, &[]);
-        assert_eq!(none.active(), 0);
-        assert_eq!(none.thread_budgets(4), vec![0; 4]);
-    }
-
-    #[test]
     fn empty_batch_is_harmless() {
         let p = Placer::new(4).place(&[]);
         assert_eq!(p.active(), 0);
-        assert_eq!(p.concurrency(8), 1);
+        assert_eq!(p.thread_budgets(8), vec![0; 4]);
     }
 }

@@ -74,19 +74,13 @@ impl BatchShape {
     /// Shape of a concrete [`BatchOp`] batch (degree and limb count are the
     /// max over all operands, so the split is sized for the largest op).
     pub fn of_ops(batch: &[BatchOp<'_>]) -> Self {
-        Self::of(batch)
-    }
-
-    /// [`BatchShape::of_ops`] over any selection of ops — how a device lane
-    /// is sized from its share of a batch without copying it.
-    pub(crate) fn of<'a, 'b: 'a>(ops: impl IntoIterator<Item = &'a BatchOp<'b>>) -> Self {
         let mut shape = Self {
             batch: 0,
             degree: 0,
             limbs: 0,
             heavy: 0,
         };
-        for op in ops {
+        for op in batch {
             let ct = match op {
                 BatchOp::HAdd(a, _)
                 | BatchOp::HSub(a, _)

@@ -5,15 +5,13 @@
 //! executors on one `Arc<CkksContext>` restored each other's value
 //! (`sched_equivalence`'s "limb budget leaked" under the parallel harness,
 //! and every multi-worker `wd-serve` tenant). The width is an argument now;
-//! this suite runs differently budgeted, scheduled and placed executors
+//! this suite runs differently budgeted and scheduled executors
 //! concurrently on one context and demands the sequential reference's bits
 //! from every batch.
 
 use std::sync::{Arc, Barrier};
 
-use warpdrive_core::{
-    BatchExecutor, BatchOp, EvalKeys, FaultPlan, ParScheduler, PlacePolicy, Placer, SchedPolicy,
-};
+use warpdrive_core::{BatchExecutor, BatchOp, EvalKeys, FaultPlan, ParScheduler, SchedPolicy};
 use wd_ckks::{CkksContext, ParamSet};
 
 const ITERATIONS: usize = 200;
@@ -41,8 +39,8 @@ fn concurrent_executors_on_one_context_match_the_sequential_reference() {
         .execute(&ctx, keys, &batch);
     assert!(reference.iter().all(Result::is_ok));
 
-    // `Limb@8` beside `Op@1` is the pair that was seen leaking; the other
-    // two add the cost-model split and a sharded, unscheduled executor.
+    // `Limb@8` beside `Op@1` is the pair that was seen leaking; the third
+    // adds the cost-model split.
     let scheduled = |budget: usize, policy: SchedPolicy| {
         BatchExecutor::new(budget)
             .with_scheduler(ParScheduler::new(budget).with_policy(policy))
@@ -52,9 +50,6 @@ fn concurrent_executors_on_one_context_match_the_sequential_reference() {
         scheduled(8, SchedPolicy::Limb),
         scheduled(1, SchedPolicy::Op),
         scheduled(3, SchedPolicy::Auto),
-        BatchExecutor::new(2)
-            .with_fault_plan(plan)
-            .with_placer(Placer::new(2).with_policy(PlacePolicy::RoundRobin)),
     ];
 
     // The barrier releases every thread into each of its batches together,

@@ -1,12 +1,12 @@
 //! Property tests: homomorphic operations through the parallel execution
 //! layer are **bit-identical** to the sequential fallback for random
-//! inputs, limb-level widths (the `threads` argument of the `_with` ops)
-//! and op-level fan-out widths.
+//! inputs, limb-level widths (the `threads` argument of the `_with` ops),
+//! op-level fan-out widths and fault seeds.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use warpdrive_core::{BatchExecutor, BatchOp, EvalKeys};
+use warpdrive_core::{BatchExecutor, BatchOp, EvalKeys, FaultPlan};
 use wd_ckks::keys::KeyPair;
 use wd_ckks::{CkksContext, ParamSet};
 
@@ -34,6 +34,7 @@ proptest! {
         b in vec_strategy(),
         limb_threads in 1usize..7,
         op_threads in 1usize..7,
+        seed in 0u64..1_000,
     ) {
         let (ctx, kp) = shared();
         let ct_a = ctx.encrypt_values(&a, &kp.public).unwrap();
@@ -41,10 +42,17 @@ proptest! {
         let batch = [BatchOp::HMult(&ct_a, &ct_b), BatchOp::HMult(&ct_b, &ct_b)];
         let keys = EvalKeys::with_relin(&kp.relin);
 
-        let reference = BatchExecutor::sequential().execute(ctx, keys, &batch);
+        let reference = BatchExecutor::sequential()
+            .with_fault_plan(FaultPlan::disabled())
+            .execute(ctx, keys, &batch);
 
         // Op axis through the executor, limb axis through the op's width.
-        let fanned = BatchExecutor::new(op_threads).execute(ctx, keys, &batch);
+        // The executor runs under the CI drill's rate with a per-case
+        // seed, injected explicitly so the property holds whatever the
+        // process environment says.
+        let fanned = BatchExecutor::new(op_threads)
+            .with_fault_plan(FaultPlan::new(seed, 0.05))
+            .execute(ctx, keys, &batch);
         let split = [
             wd_ckks::ops::hmult_with(ctx, &ct_a, &ct_b, &kp.relin, limb_threads),
             wd_ckks::ops::hmult_with(ctx, &ct_b, &ct_b, &kp.relin, limb_threads),
@@ -55,7 +63,8 @@ proptest! {
                 prop_assert_eq!(
                     r.as_ref().unwrap(),
                     got.as_ref().unwrap(),
-                    "HMULT {} diverged at limb={} op={} threads", i, limb_threads, op_threads
+                    "HMULT {} diverged at limb={} op={} threads, seed={}",
+                    i, limb_threads, op_threads, seed
                 );
             }
         }

@@ -1,7 +1,6 @@
 //! Wave execution: each topological layer of a compiled program becomes
 //! one [`BatchOp`] batch handed to [`BatchExecutor::execute`], so
-//! independent DAG nodes fan out across the op-level axis (and, when the
-//! executor carries a multi-device placer, across modeled devices).
+//! independent DAG nodes fan out across the op-level axis.
 //!
 //! [`execute_many`] is the serving entry point: it merges the
 //! same-numbered waves of *heterogeneous* programs into combined batches —
@@ -83,8 +82,8 @@ impl CompiledProgram {
 /// the others.
 ///
 /// Each merged batch is one [`BatchExecutor::execute`] call, so whatever
-/// the executor was built with — a scheduler, a multi-device placer —
-/// composes with the graph level here without this function knowing.
+/// the executor was built with — a scheduler, a fault plan — composes with
+/// the graph level here without this function knowing.
 pub fn execute_many(
     ctx: &CkksContext,
     keys: EvalKeys<'_>,

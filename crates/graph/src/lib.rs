@@ -23,11 +23,10 @@
 //! 3. **Execute** ([`CompiledProgram::execute`] / [`execute_many`]): each
 //!    wave becomes one [`warpdrive_core::BatchOp`] batch handed to the
 //!    [`warpdrive_core::BatchExecutor`], so independent DAG nodes become a
-//!    **third parallelism axis** alongside op- and limb-level — and
-//!    compose with the executor's `Placer` device sharding. [`execute_many`] merges the
-//!    same-numbered waves of *heterogeneous* programs into combined
-//!    batches, which is what lets `wd-serve` batch different tenants'
-//!    compiled programs together.
+//!    **third parallelism axis** alongside op- and limb-level.
+//!    [`execute_many`] merges the same-numbered waves of *heterogeneous*
+//!    programs into combined batches, which is what lets `wd-serve` batch
+//!    different tenants' compiled programs together.
 //!
 //! Execution is bit-identical to the hand-sequenced reference because each
 //! step lowers to exactly the `wd_ckks::ops` call the reference would

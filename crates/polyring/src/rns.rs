@@ -138,12 +138,6 @@ impl RnsPoly {
         self.limbs.iter_mut()
     }
 
-    /// Residues of coefficient `j` across all limbs (the slice CRT and basis
-    /// conversion consume).
-    pub fn coeff_residues(&self, j: usize) -> Vec<u64> {
-        self.limbs.iter().map(|l| l.coeffs()[j]).collect()
-    }
-
     /// Overrides the domain marker (used by transforms that operate on raw
     /// limb data).
     pub fn set_domain(&mut self, d: Domain) {
@@ -599,17 +593,6 @@ mod tests {
         b.set_domain(Domain::Ntt);
         for threads in [1, 2] {
             assert_eq!(a.pointwise_with(&b, threads), Err(PolyError::RingMismatch));
-        }
-    }
-
-    #[test]
-    fn coeff_residues_column_view() {
-        let ps = primes(8, 3);
-        let p = RnsPoly::from_signed(&ps, &[-1, 0, 0, 0, 0, 0, 0, 0]).unwrap();
-        let col = p.coeff_residues(0);
-        assert_eq!(col.len(), 3);
-        for (r, &q) in col.iter().zip(&ps) {
-            assert_eq!(*r, q - 1);
         }
     }
 }

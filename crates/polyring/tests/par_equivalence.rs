@@ -95,7 +95,8 @@ proptest! {
         let mut expect = vec![vec![0u64; n]; to.len()];
         let mut out = vec![0u64; to.len()];
         for j in 0..n {
-            conv.convert_coeff(&src.coeff_residues(j), &mut out);
+            let column: Vec<u64> = (0..from.len()).map(|i| src.limb(i).coeffs()[j]).collect();
+            conv.convert_coeff(&column, &mut out);
             for (limb, &v) in expect.iter_mut().zip(&out) {
                 limb[j] = v;
             }

@@ -96,7 +96,7 @@ pub use net::{NetClient, NetConfig, NetServer, NetStats};
 pub use request::{Request, Response, ServeOp, Ticket};
 pub use server::{Hold, ServeConfig, ServeKeys, ServeStats, Server};
 pub use tenant::{KeyCacheStats, TenantConfig, TenantRegistry, TenantStats, DEFAULT_TENANT};
-pub use wire::{DeviceHealth, HealthReport, TenantHealth};
+pub use wire::{HealthReport, TenantHealth};
 // The priority classes and flush triggers are defined by the pure decision
 // core in `warpdrive-core`; re-exported so serving code needs one import.
 pub use warpdrive_core::{Class, FlushTrigger};

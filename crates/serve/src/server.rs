@@ -54,7 +54,7 @@ use wd_polyring::rns::RnsPoly;
 use crate::recover;
 use crate::request::{Request, Response, ServeOp, Ticket};
 use crate::tenant::{Tenant, TenantRegistry, TenantStats, DEFAULT_TENANT};
-use crate::wire::{DeviceHealth, HealthReport, TenantHealth};
+use crate::wire::{HealthReport, TenantHealth};
 
 /// Serving configuration. [`ServeConfig::default`] is deterministic
 /// (sequential executor, one device); callers override fields by struct
@@ -88,12 +88,13 @@ pub struct ServeConfig {
     /// executor — a restart storm means the parallel path itself is
     /// suspect.
     pub restart_cap: usize,
-    /// Device-placement policy, installed on the executor at start
-    /// ([`BatchExecutor::with_placer`]; it replaces any placer the
-    /// executor already carried): every executed batch is sharded across
-    /// this placer's modeled devices, with `place.device.<i>.*` counters
-    /// and a HEALTH line per device. The default is a single device (no
-    /// placement at all).
+    /// Device placement. The one legal value is a single device
+    /// ([`Placer::new`]`(1)`, the default): a server runs every batch as
+    /// one host fan-out, multi-device placement is a plan the GPU model
+    /// prices in `shard_bench`, not a serve path, and
+    /// [`Server::start_tenants`] refuses any other count. The field stays
+    /// because the host benchmark builds this struct by literal and names
+    /// it.
     pub placer: Placer,
 }
 
@@ -498,11 +499,6 @@ pub struct Server {
     stats: Arc<Stats>,
     supervision: Arc<Supervision>,
     threads: Arc<Mutex<Threads>>,
-    /// A clone of the workers' executor: clones share the per-device
-    /// counters, so [`Server::health`] reads placement counts and the
-    /// latest device-loss drill results without touching the worker
-    /// threads.
-    executor: BatchExecutor,
 }
 
 impl Server {
@@ -515,6 +511,11 @@ impl Server {
 
     /// Starts the batcher and worker threads over a tenant registry and
     /// begins accepting submissions ([`Server::submit_as`]).
+    ///
+    /// # Panics
+    ///
+    /// If `config.placer` models more than one device: multi-device
+    /// placement is priced by the GPU model in `shard_bench`, not served.
     pub fn start_tenants(tenants: TenantRegistry, config: ServeConfig) -> Self {
         Self::start_on(tenants, config, Arc::new(WorkQueue::default()))
     }
@@ -522,6 +523,12 @@ impl Server {
     /// [`Server::start_tenants`] over a work queue the caller made (the
     /// poisoned-mutex unit test keeps a handle on it).
     fn start_on(tenants: TenantRegistry, config: ServeConfig, work: Arc<WorkQueue>) -> Self {
+        assert_eq!(
+            config.placer.devices(),
+            1,
+            "a server runs one device; multi-device placement is modeled in shard_bench, \
+             not served"
+        );
         let policy = config.policy();
         let worker_count = config.workers.max(1);
         let inbox = Arc::new(Inbox::default());
@@ -529,7 +536,7 @@ impl Server {
         let supervision = Arc::new(Supervision::new(worker_count));
         let epoch = Instant::now();
         let tenants = Arc::new(tenants);
-        let executor = config.executor.with_placer(config.placer);
+        let executor = config.executor;
 
         let batcher = {
             let inbox = Arc::clone(&inbox);
@@ -570,7 +577,6 @@ impl Server {
             let tn = Arc::clone(&tenants);
             let st = Arc::clone(&stats);
             let th = Arc::clone(&threads);
-            let executor = executor.clone();
             let timeout = config.watchdog;
             let restart_cap = config.restart_cap.max(1);
             let handle = std::thread::Builder::new()
@@ -602,7 +608,6 @@ impl Server {
             stats,
             supervision,
             threads,
-            executor,
         }
     }
 
@@ -788,22 +793,6 @@ impl Server {
                 }
             })
             .collect();
-        // Per-device counts and liveness are the executor's: it is what
-        // places, drills and runs every batch, plain ops and program waves
-        // alike.
-        let devices = self
-            .executor
-            .device_stats()
-            .into_iter()
-            .enumerate()
-            .map(|(d, s)| DeviceHealth {
-                device: d as u32,
-                depth: s.depth,
-                batches: s.batches,
-                ops: s.ops,
-                alive: s.alive,
-            })
-            .collect();
         HealthReport {
             queue_depth: self.queue_depth() as u64,
             workers: self.worker_count as u32,
@@ -813,7 +802,6 @@ impl Server {
             keycache_budget_bytes: cache.budget_bytes as u64,
             keycache_quarantined: cache.quarantined,
             tenants,
-            devices,
         }
     }
 
@@ -1095,8 +1083,8 @@ fn worker_loop(
 }
 
 /// Executes one formed batch and answers every slot that has not already
-/// been answered by a replay. How a group of ops runs — scheduling, device
-/// placement, the device-loss drill — is the executor's business alone.
+/// been answered by a replay. How a group of ops runs — the thread split,
+/// the per-op recovery envelope — is the executor's business alone.
 fn execute_batch(
     formed: &Formed,
     tenants: &TenantRegistry,
@@ -1284,7 +1272,7 @@ fn watchdog_loop(
                 );
             }
             // A budget-1 scheduler is the sequential executor that keeps
-            // this one's placer, fault plan and shared device counters.
+            // this one's fault plan, retry policy and arena pool.
             let replacement = if sup.degraded.load(Ordering::Relaxed) {
                 executor.clone().with_scheduler(ParScheduler::new(1))
             } else {
@@ -1516,52 +1504,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_serving_is_bit_identical_and_reports_device_health() -> Result<(), WdError> {
-        use warpdrive_core::PlacePolicy;
-        use wd_fault::FaultPlan;
+    #[should_panic(expected = "multi-device placement is modeled in shard_bench")]
+    fn start_refuses_more_than_one_device() {
         let ctx = small_ctx(16);
         let kp = ctx.keygen();
-        // Round-robin over two devices, one 4-op batch: ops 0/2 land on
-        // device 0 and ops 1/3 on device 1, deterministically. A hold and
-        // a huge linger mean only the size trigger can flush, so all four
-        // requests share one batch.
         let config = ServeConfig {
-            max_batch: 4,
-            linger: Duration::from_secs(5),
-            executor: BatchExecutor::sequential().with_fault_plan(FaultPlan::disabled()),
-            placer: Placer::new(2).with_policy(PlacePolicy::RoundRobin),
+            placer: Placer::new(2),
             ..ServeConfig::default()
         };
-        let server = Server::start(
-            Arc::clone(&ctx),
-            ServeKeys::with_relin(kp.relin.clone()),
-            config,
-        );
-        let a = ctx.encrypt_values(&[1.5, -2.0], &kp.public)?;
-        let b = ctx.encrypt_values(&[0.5, 1.0], &kp.public)?;
-        let expect = wd_ckks::ops::hadd(&a, &b)?;
-        let hold = server.hold();
-        let tickets: Vec<_> = (0..4)
-            .map(|_| server.submit(Request::new(ServeOp::HAdd(a.clone(), b.clone()))))
-            .collect::<Result<_, _>>()?;
-        for t in tickets {
-            let resp = t.wait();
-            assert_eq!(resp.result.as_ref(), Ok(&expect), "bit-identical response");
-            assert_eq!(resp.batch_size, 4);
-        }
-        drop(hold);
-        let health = server.health();
-        assert_eq!(health.devices.len(), 2);
-        for (d, dev) in health.devices.iter().enumerate() {
-            assert_eq!(dev.device, d as u32);
-            assert_eq!(dev.batches, 1, "device {d} served the one batch");
-            assert_eq!(dev.ops, 2, "round-robin placed two ops on device {d}");
-            assert_eq!(dev.depth, 0, "answered batches leave no depth behind");
-            assert!(dev.alive, "no faults: the device-loss drill passes");
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.completed, 4);
-        Ok(())
+        let _server = Server::start(ctx, ServeKeys::with_relin(kp.relin), config);
     }
 
     #[test]

@@ -478,23 +478,6 @@ pub struct TenantHealth {
     pub in_flight: u64,
 }
 
-/// One device's line in a [`HealthReport`] — the serve-path view of the
-/// multi-device placement layer ([`crate::ServeConfig::placer`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceHealth {
-    /// The device index.
-    pub device: u32,
-    /// Ops currently assigned to this device by in-flight batches.
-    pub depth: u64,
-    /// Batches that placed at least one op on this device.
-    pub batches: u64,
-    /// Ops placed on this device since start.
-    pub ops: u64,
-    /// Whether the most recent device-loss drill passed for this device
-    /// (`true` until a sharded batch has run).
-    pub alive: bool,
-}
-
 /// The payload of a HEALTH report frame: what a supervisor (or the CI
 /// guard drill) can see of a running server without touching its request
 /// path. Built by `Server::health`.
@@ -517,8 +500,6 @@ pub struct HealthReport {
     pub keycache_quarantined: u64,
     /// Per-tenant health lines, sorted by tenant id.
     pub tenants: Vec<TenantHealth>,
-    /// Per-device health lines, indexed by device.
-    pub devices: Vec<DeviceHealth>,
 }
 
 /// Serializes a HEALTH probe (envelope + checksum only).
@@ -581,17 +562,6 @@ pub fn encode_health_report(id: u64, report: &HealthReport) -> Result<Vec<u8>, C
         }
         put_u64(&mut out, t.in_flight);
     }
-    put_u32(
-        &mut out,
-        checked_wire_u32(report.devices.len(), "device count")?,
-    );
-    for d in &report.devices {
-        put_u32(&mut out, d.device);
-        put_u64(&mut out, d.depth);
-        put_u64(&mut out, d.batches);
-        put_u64(&mut out, d.ops);
-        out.push(u8::from(d.alive));
-    }
     let sum = wd_fault::integrity::checksum_bytes(&out);
     put_u64(&mut out, sum);
     Ok(out)
@@ -643,26 +613,6 @@ pub fn decode_health_report(buf: &[u8]) -> Result<(u64, HealthReport), CkksError
             in_flight,
         });
     }
-    let device_count = get_u32(buf, &mut pos)? as usize;
-    let mut devices = Vec::with_capacity(device_count.min(1024));
-    for _ in 0..device_count {
-        let device = get_u32(buf, &mut pos)?;
-        let depth = get_u64(buf, &mut pos)?;
-        let batches = get_u64(buf, &mut pos)?;
-        let ops = get_u64(buf, &mut pos)?;
-        let alive = match get_u8(buf, &mut pos)? {
-            0 => false,
-            1 => true,
-            a => return Err(CkksError::WireDecode(format!("bad alive flag {a}"))),
-        };
-        devices.push(DeviceHealth {
-            device,
-            depth,
-            batches,
-            ops,
-            alive,
-        });
-    }
     if pos != buf.len() {
         return Err(CkksError::WireDecode(
             "trailing bytes after health report".into(),
@@ -679,7 +629,6 @@ pub fn decode_health_report(buf: &[u8]) -> Result<(u64, HealthReport), CkksError
             keycache_budget_bytes,
             keycache_quarantined,
             tenants,
-            devices,
         },
     ))
 }
@@ -842,8 +791,7 @@ mod tests {
         assert_eq!(peek_kind(b"XXXXXX"), None);
     }
 
-    /// A HEALTH report with two tenant lines (breaker on and off) and two
-    /// device lines.
+    /// A HEALTH report with two tenant lines (breaker on and off).
     fn sample_report() -> HealthReport {
         HealthReport {
             queue_depth: 3,
@@ -863,22 +811,6 @@ mod tests {
                     id: "bob".into(),
                     breaker: None,
                     in_flight: 0,
-                },
-            ],
-            devices: vec![
-                DeviceHealth {
-                    device: 0,
-                    depth: 4,
-                    batches: 7,
-                    ops: 19,
-                    alive: true,
-                },
-                DeviceHealth {
-                    device: 1,
-                    depth: 0,
-                    batches: 6,
-                    ops: 17,
-                    alive: false,
                 },
             ],
         }

@@ -59,12 +59,9 @@ drills=(
         graph.nodes=98 graph.waves=38 graph.inserted_rescales=14
         graph.inserted_relins=12 graph.cse_hits=0 graph.pruned=0
         graph.exec.programs=3 graph.exec.waves=57 graph.exec.ops=138"
-    # Three policy-drill placements plus the served batch, whose 8 ops
-    # round-robin in half over two devices; no device lost, no degrade.
+    # The three policy-drill placements; nothing is served sharded.
     "shard_scaling | |
-        place.placements=4 place.device.0.batches=1 place.device.0.ops=4
-        place.device.1.batches=1 place.device.1.ops=4
-        place.device_lost= place.degraded="
+        place.placements=3"
 )
 
 # present NAME FILE: a counter, histogram or gauge named NAME is in FILE.
