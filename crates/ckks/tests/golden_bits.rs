@@ -276,3 +276,91 @@ fn bits_match_the_recorded_fingerprints_k1() -> Result<(), CkksError> {
 fn bits_match_the_recorded_fingerprints_k2() -> Result<(), CkksError> {
     check(2, GOLDEN_K2)
 }
+
+/// The fingerprints of one full-size Table VI set at seed 20260929: the
+/// public key, the relinearization key (or the digits named), the rotation-1
+/// key when asked for, and one encryption.
+fn fullsize_fingerprints(
+    set: ParamSet,
+    relin_digits: Option<&[usize]>,
+    rotation: bool,
+) -> Result<Vec<(&'static str, u64)>, CkksError> {
+    let ctx = CkksContext::with_seed(set.build()?, 20260929)?;
+    let kp = ctx.keygen();
+    let mut out = vec![(
+        "public_key",
+        fold(|h| (h.poly(&kp.public.b), h.poly(&kp.public.a)).0),
+    )];
+    match relin_digits {
+        None => out.push(("relin_key", fold(|h| h.key(&kp.relin)))),
+        Some(digits) => out.push((
+            "relin_digits",
+            fold(|h| {
+                for &j in digits {
+                    h.word(j as u64);
+                    h.poly(&kp.relin.digits[j].b);
+                    h.poly(&kp.relin.digits[j].a);
+                }
+            }),
+        )),
+    }
+    if rotation {
+        let rot = ctx.gen_rotation_keys(&kp.secret, &[1], false);
+        let g = ctx.encoder().rotation_galois_element(1);
+        out.push((
+            "rotation_1_key",
+            fold(|h| h.key(rot.get(g).expect("rotation-1 key"))),
+        ));
+    }
+    let xs: Vec<f64> = (0..ctx.params().slots())
+        .map(|i| ((i % 17) as f64 - 8.0) / 16.0)
+        .collect();
+    let ct = ctx.encrypt_values(&xs, &kp.public)?;
+    out.push(("encrypt", fold(|h| h.ct(&ct))));
+    Ok(out)
+}
+
+/// SET-B at full size (N = 2^13).
+const GOLDEN_FULL_SET_B: &[(&str, u64)] = &[
+    ("public_key", 0x851bf2fa3a55db12),
+    ("relin_key", 0x9b88822e1d906f25),
+    ("rotation_1_key", 0x895b56374d6921f3),
+    ("encrypt", 0xa1de62dffc4191bb),
+];
+
+/// SET-C at full size (N = 2^14): relinearization digits 0 and 14.
+const GOLDEN_FULL_SET_C: &[(&str, u64)] = &[
+    ("public_key", 0x7d1c3ebffb34b47f),
+    ("relin_digits", 0x0b1bc57fc4052c2f),
+    ("encrypt", 0xc8ff49b5bc19b68e),
+];
+
+fn check_table(name: &str, actual: &[(&str, u64)], golden: &[(&str, u64)]) {
+    if actual != golden {
+        let table: String = actual
+            .iter()
+            .map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n"))
+            .collect();
+        panic!("fingerprints moved at {name}; actual table:\n[\n{table}]");
+    }
+}
+
+/// Full-size keys and encryptions, bit for bit: the N = 2^6 pins above
+/// cannot see a sampler or kernel that only goes wrong at the ring sizes the
+/// benchmark runs. Seconds in release; CI's bench-smoke job runs it with
+/// `cargo test --release -p wd-ckks --test golden_bits -- --ignored`.
+#[test]
+#[ignore = "full-size rings: run in release with --ignored"]
+fn fullsize_bits_match_the_recorded_fingerprints() -> Result<(), CkksError> {
+    check_table(
+        "SET-B",
+        &fullsize_fingerprints(ParamSet::set_b(), None, true)?,
+        GOLDEN_FULL_SET_B,
+    );
+    check_table(
+        "SET-C",
+        &fullsize_fingerprints(ParamSet::set_c(), Some(&[0, 14]), false)?,
+        GOLDEN_FULL_SET_C,
+    );
+    Ok(())
+}
