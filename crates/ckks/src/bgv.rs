@@ -11,9 +11,10 @@
 //! are precisely the textbook ones, and they are the only code here that
 //! is not a call into the CKKS layer:
 //!
-//! - encryption randomness is scaled by t (`c0 = b·u + t·e0 + m`);
-//! - the keyswitch key carries t-scaled noise: the one hybrid generator,
-//!   [`CkksContext::gen_ksk`], called with noise multiplier t;
+//! - key generation and encryption scale their noise by t (`b = t·e − a·s`,
+//!   `c0 = b·u + t·e0 + m`): CKKS's one RLWE pass (DESIGN.md §5n) called
+//!   with noise multiplier t, the relinearization key included — and
+//!   decryption is the same `c0 + c1·s` pass;
 //! - ModDown applies a plaintext-correction term so the rounding error is
 //!   ≡ 0 (mod t), keeping decryption exact (`mod_down_bgv`); the entry
 //!   check, ModUp and the inner product in front of it are
@@ -25,9 +26,9 @@
 //! reconstructs the P-residue through a single limb).
 
 use crate::context::{restrict, CkksContext};
-use crate::keys::{KeySwitchKey, SecretKey};
+use crate::keys::{KeyPair, SecretKey};
 use crate::keyswitch::{give_rns, mod_up_inner_product};
-use crate::{sampling, CkksError};
+use crate::CkksError;
 use std::sync::Arc;
 use wd_modmath::prime::ntt_prime_above;
 use wd_modmath::Modulus;
@@ -46,19 +47,9 @@ pub struct BgvCiphertext {
     pub level: usize,
 }
 
-/// BGV key material: reuses the CKKS secret; the relinearization key has
-/// t-scaled noise.
-#[derive(Debug, Clone)]
-pub struct BgvKeyPair {
-    /// Shared ternary secret (NTT domain, full basis).
-    pub secret: SecretKey,
-    /// Public key b = −a·s + t·e.
-    pub pk_b: RnsPoly,
-    /// Public key a.
-    pub pk_a: RnsPoly,
-    /// Relinearization key for s² with t-scaled noise.
-    pub relin: KeySwitchKey,
-}
+/// BGV key material: a CKKS key pair whose public and relinearization
+/// noise is scaled by t (b = −a·s + t·e).
+pub type BgvKeyPair = KeyPair;
 
 /// BGV context: a [`CkksContext`] (prime chains, NTT tables, converters)
 /// plus a plaintext modulus and its batching transform.
@@ -141,44 +132,10 @@ impl BgvContext {
         vals
     }
 
-    /// Generates BGV keys (fresh secret, t-scaled public/relin noise).
+    /// Generates BGV keys (fresh secret, t-scaled public/relin noise): the
+    /// CKKS key generator with noise multiplier t, same draw order.
     pub fn keygen(&self) -> BgvKeyPair {
-        let params = self.inner.params();
-        let top = self.inner.level(params.max_level());
-        let q_primes = params.q_chain();
-        let n = params.degree();
-
-        let mut s = self
-            .inner
-            .with_rng(|r| sampling::ternary_poly(r, &top.full, n));
-        s.ntt_forward(&top.full_tables);
-        let s_q = restrict(&s, q_primes.len());
-
-        let a = self
-            .inner
-            .with_rng(|r| sampling::uniform_poly(r, q_primes, n));
-        let mut e = self
-            .inner
-            .with_rng(|r| sampling::gaussian_poly(r, q_primes, n));
-        e.ntt_forward(&top.q_tables);
-        let te = e.scale_scalar(self.t);
-        let pk_b = a
-            .pointwise(&s_q)
-            .and_then(|as_| as_.neg().add(&te))
-            // invariant: a, s_q, te are freshly sampled over q_primes at
-            // degree n above — shapes agree by construction.
-            .expect("key shapes agree");
-
-        let secret = SecretKey { s };
-        // invariant: a polynomial always matches its own shape.
-        let s2 = secret.s.pointwise(&secret.s).expect("s^2");
-        let relin = self.inner.gen_ksk(&s2, &secret, self.t);
-        BgvKeyPair {
-            secret,
-            pk_b,
-            pk_a: a,
-            relin,
-        }
+        self.inner.keygen_scaled(self.t)
     }
 
     /// Encrypts an encoded plaintext polynomial (coeffs mod t).
@@ -191,23 +148,7 @@ impl BgvContext {
         coeffs_mod_t: &[u64],
         kp: &BgvKeyPair,
     ) -> Result<BgvCiphertext, CkksError> {
-        let params = self.inner.params();
-        let level = params.max_level();
-        let primes = params.q_at(level);
-        let tabs = self.inner.q_tables(level);
-        let n = params.degree();
-        let mut u = self
-            .inner
-            .with_rng(|r| sampling::ternary_poly(r, primes, n));
-        u.ntt_forward(tabs);
-        let mut e0 = self
-            .inner
-            .with_rng(|r| sampling::gaussian_poly(r, primes, n));
-        e0.ntt_forward(tabs);
-        let mut e1 = self
-            .inner
-            .with_rng(|r| sampling::gaussian_poly(r, primes, n));
-        e1.ntt_forward(tabs);
+        let level = self.inner.params().max_level();
         // m as a signed-centered polynomial, embedded in every limb.
         let mt = Modulus::new(self.t);
         let centered: Vec<i64> = coeffs_mod_t
@@ -221,12 +162,9 @@ impl BgvContext {
                 }
             })
             .collect();
-        let mut m = RnsPoly::from_signed(primes, &centered)?;
-        m.ntt_forward(tabs);
-        let pk_b = restrict(&kp.pk_b, primes.len());
-        let pk_a = restrict(&kp.pk_a, primes.len());
-        let c0 = u.pointwise(&pk_b)?.add(&e0.scale_scalar(self.t))?.add(&m)?;
-        let c1 = u.pointwise(&pk_a)?.add(&e1.scale_scalar(self.t))?;
+        let mut m = RnsPoly::from_signed(self.inner.params().q_at(level), &centered)?;
+        m.ntt_forward(self.inner.q_tables(level));
+        let (c0, c1) = self.inner.encrypt_scaled(&m, level, &kp.public, self.t)?;
         Ok(BgvCiphertext { c0, c1, level })
     }
 
@@ -237,8 +175,7 @@ impl BgvContext {
     ///
     /// Propagates CRT errors.
     pub fn decrypt(&self, ct: &BgvCiphertext, sk: &SecretKey) -> Result<Vec<u64>, CkksError> {
-        let s = restrict(&sk.s, ct.level + 1);
-        let v = ct.c1.pointwise(&s)?.add(&ct.c0)?;
+        let v = self.inner.decrypt_raw((&ct.c0, &ct.c1), ct.level, &sk.s)?;
         // Centered CRT per coefficient, then mod t.
         let ti = self.t as i128;
         Ok(self

@@ -27,6 +27,12 @@
 //! Encrypting a level-l plaintext is `3 · (l+1)`: forward transforms of the
 //! ternary v and of both error polynomials over q_0…q_l.
 //!
+//! Key generation at the top level L with K = 1 is `(L+2) + (L+1) +
+//! dnum·(L+2)`: the secret over the full basis, the public key's error over
+//! q_0…q_L, and one error per relinearization digit over the full basis. A
+//! rotation key is `dnum·(L+2)`, and BGV key generation, the same generator
+//! with t-scaled noise, counts what CKKS's does.
+//!
 //! A BGV HMULT at level l (K = 1, so dnum = l+1) shares ModUp and the inner
 //! product with the CKKS keyswitch — `(l+1) + dnum·(l+2) − (l+1) =
 //! (l+1)·(l+2)` — and then runs its own ModDown per accumulator: the INTT of
@@ -65,6 +71,19 @@ fn keyswitch_transform_count_matches_the_formula() -> Result<(), CkksError> {
         assert_eq!(ctx.params().special_count() as u64, k);
         assert_eq!(ctx.params().max_level() as u64, top);
         let kp = ctx.keygen();
+        if k == 1 {
+            let dnum = ctx.params().dnum_at(top as usize) as u64;
+            assert_eq!(
+                transforms_during(|| Ok(ctx.keygen()))?,
+                (top + 2) + (top + 1) + dnum * (top + 2),
+                "keygen at top level {top}"
+            );
+            assert_eq!(
+                transforms_during(|| Ok(ctx.gen_rotation_keys(&kp.secret, &[1], false)))?,
+                dnum * (top + 2),
+                "rotation key at top level {top}"
+            );
+        }
         let fresh = ctx.encrypt_values(&[1.5, -0.5], &kp.public)?;
         for l in [top, top / 2, 0] {
             let slots = [wd_ckks::encoding::C64::new(1.5, -0.5)];
@@ -113,7 +132,15 @@ fn keyswitch_transform_count_matches_the_formula() -> Result<(), CkksError> {
         .with_degree(1 << 6)
         .with_level(l as usize)
         .build()?;
+    let ckks = CkksContext::with_seed(params.clone(), 808)?;
+    let ckks_keygen = transforms_during(|| Ok(ckks.keygen()))?;
     let bgv = BgvContext::new(CkksContext::with_seed(params, 808)?, 16)?;
+    assert_eq!(ckks_keygen, (l + 2) + (l + 1) + (l + 1) * (l + 2));
+    assert_eq!(
+        transforms_during(|| Ok(bgv.keygen()))?,
+        ckks_keygen,
+        "BGV keygen at level {l}"
+    );
     let kp = bgv.keygen();
     let ct = bgv.encrypt(&bgv.encode(&[3, 1, 4])?, &kp)?;
     assert_eq!(ct.level as u64, l);

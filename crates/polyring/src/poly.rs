@@ -83,7 +83,9 @@ impl Poly {
         })
     }
 
-    /// Creates a polynomial from signed coefficients (centered representation).
+    /// Creates a polynomial from signed coefficients (centered representation):
+    /// each is `c mod q` in `[0, q)`, a Barrett reduction of `|c|` and a
+    /// conditional negate — no division, any `i64` including `i64::MIN`.
     ///
     /// # Errors
     ///
@@ -91,10 +93,17 @@ impl Poly {
     pub fn from_signed(q: u64, coeffs: &[i64]) -> Result<Self, PolyError> {
         check_degree(coeffs.len())?;
         let modulus = Modulus::new(q);
-        let qi = i128::from(q);
         let coeffs = coeffs
             .iter()
-            .map(|&c| ((i128::from(c) % qi + qi) % qi) as u64)
+            .map(|&c| {
+                let r = modulus.reduce(c.unsigned_abs());
+                // −r mod q for a negative c; −0 stays 0.
+                if c < 0 && r != 0 {
+                    q - r
+                } else {
+                    r
+                }
+            })
             .collect();
         Ok(Self { modulus, coeffs })
     }
