@@ -3,9 +3,12 @@
 //! WarpDrive allocates one pool up front to avoid per-kernel cudaMalloc
 //! overhead. The pool size is `min(S_max, available)` where
 //! `S_max = l·N·dnum·(l+k)·BS·w` — the worst-case working set of a batch of
-//! ciphertexts mid-Keyswitch. The allocator here is a real first-fit
-//! free-list allocator (functional and tested), because the framework code
-//! actually routes its scratch buffers through it.
+//! ciphertexts mid-Keyswitch. [`MemoryPool`] models that pool as a
+//! first-fit free-list allocator over byte offsets: a §IV-D-1 artifact,
+//! functional and tested, that no host path allocates through. Host scratch
+//! buffers come from [`ScratchArena`](wd_polyring::scratch::ScratchArena),
+//! sized per worker by [`crate::arena`] (the host analogue of
+//! `min(S_max, available)`).
 
 use wd_fault::WdError;
 

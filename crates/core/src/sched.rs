@@ -101,16 +101,6 @@ impl BatchShape {
         shape
     }
 
-    /// Shape of a raw keyswitch batch over `count` polynomials.
-    pub fn of_keyswitch(count: usize, degree: usize, limbs: usize) -> Self {
-        Self {
-            batch: count,
-            degree,
-            limbs,
-            heavy: count,
-        }
-    }
-
     /// Limb-level work items one op exposes (two polynomials × L limbs) —
     /// the widest useful limb split.
     pub fn limb_items(&self) -> usize {

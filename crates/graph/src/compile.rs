@@ -62,13 +62,6 @@ pub enum GraphError {
         /// The offending output node.
         node: usize,
     },
-    /// The requested input level exceeds the parameter set's chain.
-    InvalidInputLevel {
-        /// The requested level.
-        level: usize,
-        /// The chain's maximum level.
-        max: usize,
-    },
     /// A `LevelDrop` node tries to *raise* the level.
     InvalidLevelDrop {
         /// The offending node.
@@ -98,9 +91,6 @@ impl core::fmt::Display for GraphError {
             GraphError::ConstantOutput { node } => {
                 write!(f, "output node {node} is a compile-time constant")
             }
-            GraphError::InvalidInputLevel { level, max } => {
-                write!(f, "input level {level} exceeds the chain maximum {max}")
-            }
             GraphError::InvalidLevelDrop { node, from, to } => {
                 write!(f, "node {node} cannot raise level {from} to {to}")
             }
@@ -119,8 +109,6 @@ impl From<GraphError> for WdError {
 /// Compilation knobs.
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
-    /// Level program inputs arrive at (default: the chain's max level).
-    pub input_level: Option<usize>,
     /// The rotation steps evaluation keys exist for. `Some` enables the
     /// compile-time [`GraphError::UnknownRotation`] check; `None` defers
     /// missing keys to execution (`MissingKey`).
@@ -128,16 +116,9 @@ pub struct CompileOptions {
 }
 
 impl CompileOptions {
-    /// Defaults: inputs at max level, rotation steps unchecked.
+    /// Defaults: rotation steps unchecked.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Inputs arrive at `level` instead of the chain maximum.
-    #[must_use]
-    pub fn with_input_level(mut self, level: usize) -> Self {
-        self.input_level = Some(level);
-        self
     }
 
     /// Declares the available rotation steps, enabling the compile-time
@@ -435,13 +416,7 @@ impl Graph {
         if self.outputs().is_empty() {
             return Err(GraphError::NoOutputs);
         }
-        let input_level = opts.input_level.unwrap_or(params.max_level());
-        if input_level > params.max_level() {
-            return Err(GraphError::InvalidInputLevel {
-                level: input_level,
-                max: params.max_level(),
-            });
-        }
+        let input_level = params.max_level();
         let input_scale = params.scale();
 
         // Dead-node pruning: only nodes reachable from an output compile.

@@ -15,13 +15,13 @@
 //!   is rejected with the typed backpressure signal
 //!   [`WdError::QueueFull`](wd_fault::WdError::QueueFull) rather than
 //!   blocking or growing without bound.
-//! - **Dynamic batching**: a batcher thread drives
+//! - **Dynamic batching**: each free worker thread forms its own batch with
 //!   [`warpdrive_core::FormPolicy`] — the pure decision core (idle / size /
-//!   linger / drain: flush at once while a worker is idle, at `max_batch`,
-//!   when the oldest request has lingered while every worker is busy, or
-//!   on shutdown) with deadline shedding and starvation-free priority
-//!   aging.
-//! - **Execution**: worker threads run each formed batch through
+//!   linger / drain: a free worker takes whatever is pending at once, up to
+//!   `max_batch`; the linger only applies while a [`Hold`] is live; drain
+//!   flushes the rest on shutdown) with deadline shedding and
+//!   starvation-free priority aging.
+//! - **Execution**: the worker runs the batch it formed through
 //!   [`warpdrive_core::BatchExecutor`] under the [`ParScheduler`]'s
 //!   deterministic thread-budget split, inside the `wd-fault` recovery
 //!   envelope. Because every operation is a pure function of its inputs,

@@ -2,7 +2,7 @@
 //!
 //! A [`Request`] owns its ciphertext operands ([`ServeOp`] is the owned
 //! sibling of [`BatchOp`]) because it outlives the submitting call: it sits
-//! in the queue until the batcher takes it. The server answers through a
+//! in the queue until a worker takes it. The server answers through a
 //! one-shot channel held by the [`Ticket`]; every accepted request gets
 //! exactly one [`Response`] — a computed result, or a typed shed/failure
 //! error — even across shutdown.

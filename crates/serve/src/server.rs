@@ -1,31 +1,33 @@
-//! The serving engine: bounded admission queue, batcher thread, worker
-//! pool, graceful drain.
+//! The serving engine: bounded admission queue, a worker pool that forms
+//! its own batches, graceful drain.
 //!
 //! Thread layout (all plain `std::thread`, no external runtime):
 //!
 //! ```text
-//! clients ──submit──▶ [inbox: bounded Vec<Slot> + Condvar]
-//!                        │ batcher thread: shed expired, then
-//!                        │ FormPolicy::decide (idle / size / linger / drain)
-//!                        ▼
-//!                     [work queue: VecDeque<Option<Formed>> + Condvar]
-//!                        │ worker threads × N: lease keys, then
-//!                        │ BatchExecutor::execute; a worker that finds
-//!                        │ the queue empty publishes `idle` and wakes
-//!                        │ the batcher
+//! clients ──submit──▶ [inbox: pending Vec<Slot> + re-queued batches, one Mutex + Condvar]
+//!                        │ worker threads × N, each when free: take a
+//!                        │ re-queued batch if any, else shed expired and
+//!                        │ FormPolicy::decide (size / drain / idle / linger),
+//!                        │ remove the chosen slots, lease keys, then
+//!                        │ BatchExecutor::execute
 //!                        ▼
 //!                     per-request one-shot channels ──▶ Ticket::wait
 //! ```
 //!
-//! Batch formation is work-conserving: while a worker waits on an empty
-//! work queue, the batcher flushes whatever is pending at once
-//! ([`FlushTrigger::Idle`]); the linger only holds requests back while
-//! every worker is busy, which is when a fuller batch is worth waiting
-//! for. Locks are always taken inbox → work, never the reverse.
+//! Besides the workers only the watchdog runs: it re-queues a wedged
+//! worker's batch at the front of the inbox and replaces the thread.
 //!
-//! Shutdown pushes one `None` pill per worker **after** the drain flushes
-//! every batch; FIFO order on the work queue guarantees the pills arrive
-//! last, so no accepted request is ever dropped.
+//! Batch formation is work-conserving: a free worker is an idle executor,
+//! so it takes whatever is pending at once ([`FlushTrigger::Idle`], at most
+//! `max_batch`). The linger only holds requests back while a [`Hold`] is
+//! live. Every hand-off (submit, hold release, re-queue, drain) goes
+//! through the one inbox mutex, and a worker checks for work and sleeps
+//! under that mutex, so no wake can fall between the two.
+//!
+//! Drain stops the watchdog before it sets `draining`; the workers then
+//! flush everything pending and exit once the inbox is empty, so no
+//! accepted request is ever dropped and no batch is re-queued after a
+//! worker has exited.
 //!
 //! Responses are **bit-identical to a sequential fault-free run** at every
 //! batch size, worker count, and fault seed: each operation is a pure
@@ -34,7 +36,7 @@
 //! *what* it computes.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -67,12 +69,13 @@ pub struct ServeConfig {
     /// Flush as soon as this many requests wait (the size trigger).
     pub max_batch: usize,
     /// Flush once the oldest pending request has waited this long (the
-    /// linger trigger).
+    /// linger trigger). Takes effect only while a [`Hold`] is live: without
+    /// one, a free worker takes whatever is pending at once.
     pub linger: Duration,
     /// Bulk requests waiting at least this long are served as interactive
     /// (`None` = the [`FormPolicy::new`] default: 8 × linger, min 1 ms).
     pub age_promote: Option<Duration>,
-    /// Worker threads executing formed batches.
+    /// Worker threads; each free one forms and executes its own batch.
     pub workers: usize,
     /// The executor each worker runs batches through. Every worker runs
     /// its own clone at the executor's full budget (the split is handed
@@ -290,9 +293,7 @@ impl Slot {
     }
 }
 
-/// One formed batch travelling from the batcher to a worker. `None` on the
-/// work queue is the shutdown pill (one per worker, pushed after every
-/// batch, so FIFO order drains first).
+/// One formed batch, taken by the worker that formed it.
 ///
 /// A batch is shared, never copied: the worker executing it and its
 /// supervision slot hold the same `Arc`, and the watchdog re-queues that
@@ -302,116 +303,68 @@ impl Slot {
 #[derive(Debug)]
 struct Formed {
     slots: Vec<Slot>,
-    trigger: warpdrive_core::FlushTrigger,
+    trigger: FlushTrigger,
 }
 
 #[derive(Debug, Default)]
 struct InboxState {
     pending: Vec<Slot>,
+    /// Batches the watchdog took back from wedged workers; a free worker
+    /// runs these before forming a new batch.
+    requeued: VecDeque<Arc<Formed>>,
     next_seq: u64,
+    /// Live [`Hold`]s; while any is, a free worker does not flush on idle.
+    holds: usize,
     draining: bool,
 }
 
 #[derive(Debug, Default)]
 struct Inbox {
     state: Mutex<InboxState>,
+    /// Free workers wait here for a submit, a hold release, a re-queue, a
+    /// linger or deadline expiry, or the drain.
     cond: Condvar,
-    /// Live [`Hold`]s; while any is, the batcher never flushes on idle.
-    /// `Relaxed` for the same reason as [`WorkQueue::idle`]: a submit
-    /// after [`Server::hold`] takes the inbox lock, which orders the count
-    /// before the batcher's decision on that submit.
-    holds: AtomicUsize,
 }
 
-impl Inbox {
-    /// Wakes the batcher to decide again. Taking the inbox lock first
-    /// closes the lost-wake gap: a batcher that read a stale idle signal
-    /// holds this lock until it is parked on the condvar, so the notify
-    /// lands after it parks, never between its check and its wait.
-    fn wake(&self) {
-        drop(recover(self.state.lock()));
-        self.cond.notify_all();
+/// Answers and removes every pending request past its deadline: expired
+/// work must not take a batch slot from live work.
+fn shed_expired(pending: &mut Vec<Slot>, policy: &FormPolicy, now: u64, stats: &Stats) {
+    let metas: Vec<Pending> = pending.iter().map(|s| s.meta).collect();
+    let expired = policy.shed(now, &metas);
+    if expired.is_empty() {
+        return;
     }
-}
-
-#[derive(Debug, Default)]
-struct WorkState {
-    items: VecDeque<Option<Arc<Formed>>>,
-    /// Workers blocked in [`WorkQueue::take`].
-    waiting: usize,
-}
-
-#[derive(Debug, Default)]
-struct WorkQueue {
-    state: Mutex<WorkState>,
-    cond: Condvar,
-    /// Waiting workers that no queued item is headed for yet
-    /// (`waiting − items`, floored at 0): the batcher's idle input, read
-    /// without this queue's lock. Stored only under that lock. `Relaxed`
-    /// is enough: the value publishes no other data, and a worker going
-    /// idle takes the inbox lock after storing it ([`Inbox::wake`]), which
-    /// orders the store before the batcher's next decision.
-    idle: AtomicUsize,
-}
-
-impl WorkQueue {
-    /// Whether some worker waits on an empty queue.
-    fn idle(&self) -> bool {
-        self.idle.load(Ordering::Relaxed) > 0
-    }
-
-    fn publish_idle(&self, st: &WorkState) {
-        self.idle
-            .store(st.waiting.saturating_sub(st.items.len()), Ordering::Relaxed);
-    }
-
-    /// Queues one item — at the front for a re-queued batch, which has
-    /// waited longest — and wakes the workers.
-    fn push(&self, item: Option<Arc<Formed>>, front: bool) {
-        let mut st = recover(self.state.lock());
-        if front {
-            st.items.push_front(item);
-        } else {
-            st.items.push_back(item);
+    for &i in expired.iter().rev() {
+        let slot = pending.remove(i);
+        let waited = now.saturating_sub(slot.meta.enqueued_us);
+        if !slot.claim() {
+            continue; // a replay already answered this request
         }
-        self.publish_idle(&st);
-        drop(st);
-        self.cond.notify_all();
+        stats.shed.fetch_add(1, Ordering::Relaxed);
+        slot.tenant.note_shed(now);
+        wd_trace::counter("serve.shed", 1);
+        wd_trace::event(
+            "serve",
+            "shed",
+            &[
+                ("seq", slot.meta.seq.to_string()),
+                ("tenant", slot.tenant.id().to_string()),
+                ("waited_us", waited.to_string()),
+            ],
+        );
+        let _ = slot.tx.send(Response {
+            id: slot.meta.seq,
+            result: Err(WdError::DeadlineExceeded { waited_us: waited }),
+            waited_us: waited,
+            batch_size: 0,
+            trigger: None,
+        });
     }
-
-    /// Blocks until an item is queued and takes it. A worker that finds
-    /// the queue empty counts itself idle and wakes the batcher, so
-    /// requests that arrived while it was busy flush now instead of
-    /// lingering. The wake happens with this queue's lock released: locks
-    /// go inbox → work, never the reverse.
-    fn take(&self, inbox: &Inbox) -> Option<Arc<Formed>> {
-        let mut st = recover(self.state.lock());
-        let mut waiting = false;
-        let item = loop {
-            if let Some(item) = st.items.pop_front() {
-                break item;
-            }
-            if waiting {
-                st = recover(self.cond.wait(st));
-            } else {
-                waiting = true;
-                st.waiting += 1;
-                self.publish_idle(&st);
-                drop(st);
-                inbox.wake();
-                st = recover(self.state.lock());
-            }
-        };
-        if waiting {
-            st.waiting -= 1;
-        }
-        self.publish_idle(&st);
-        item
-    }
+    wd_trace::gauge("serve.queue_depth", pending.len() as u64);
 }
 
-/// A drill hold from [`Server::hold`]: while it lives the batcher never
-/// flushes on idle. Dropping it releases the hold and wakes the batcher.
+/// A drill hold from [`Server::hold`]: while it lives no free worker
+/// flushes on idle. Dropping it releases the hold and wakes the workers.
 #[derive(Debug)]
 #[must_use = "the hold ends when this value is dropped"]
 pub struct Hold<'a> {
@@ -420,8 +373,8 @@ pub struct Hold<'a> {
 
 impl Drop for Hold<'_> {
     fn drop(&mut self) {
-        self.inbox.holds.fetch_sub(1, Ordering::Relaxed);
-        self.inbox.wake();
+        recover(self.inbox.state.lock()).holds -= 1;
+        self.inbox.cond.notify_all();
     }
 }
 
@@ -431,7 +384,6 @@ impl Drop for Hold<'_> {
 /// genuinely stuck thread cannot be joined.
 #[derive(Debug, Default)]
 struct Threads {
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
 }
@@ -444,23 +396,19 @@ struct SlotState {
     busy: bool,
     heartbeat_us: u64,
     /// Bumped by the watchdog when it declares this slot wedged. A worker
-    /// whose spawn generation no longer matches is *stale*: it must not
-    /// consume queue items and exits at its next bookkeeping point.
+    /// whose spawn generation no longer matches is *stale*: its batch
+    /// belongs to the replacement, and it exits at its next bookkeeping
+    /// point.
     generation: u64,
     /// The batch the current worker is executing, for the watchdog to
     /// re-queue.
     inflight: Option<Arc<Formed>>,
 }
 
-#[derive(Debug, Default)]
-struct WorkerSlot {
-    state: Mutex<SlotState>,
-}
-
 /// Shared worker-supervision state (the watchdog's view of the pool).
 #[derive(Debug)]
 struct Supervision {
-    slots: Vec<WorkerSlot>,
+    slots: Vec<Mutex<SlotState>>,
     /// Workers declared wedged and replaced (`fault.worker_restarts`).
     restarts: AtomicU64,
     /// Restart storm hit `restart_cap`: replacements run sequentially.
@@ -478,7 +426,7 @@ struct Supervision {
 impl Supervision {
     fn new(worker_count: usize) -> Self {
         Self {
-            slots: (0..worker_count).map(|_| WorkerSlot::default()).collect(),
+            slots: (0..worker_count).map(|_| Mutex::default()).collect(),
             restarts: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             wedge_arm: AtomicU64::new(0),
@@ -488,16 +436,69 @@ impl Supervision {
     }
 }
 
+/// Everything the worker and watchdog threads share with the server.
+#[derive(Debug)]
+struct Shared {
+    inbox: Inbox,
+    tenants: TenantRegistry,
+    policy: FormPolicy,
+    epoch: Instant,
+    stats: Stats,
+    sup: Supervision,
+}
+
+impl Shared {
+    /// Blocks until the calling worker has a batch to run: a re-queued
+    /// batch first, else one the policy forms from the pending requests
+    /// after shedding the expired ones. `None` once the server is draining
+    /// and nothing is left.
+    fn next_batch(&self) -> Option<Arc<Formed>> {
+        let (inbox, policy) = (&self.inbox, &self.policy);
+        let mut st = recover(inbox.state.lock());
+        loop {
+            if let Some(formed) = st.requeued.pop_front() {
+                return Some(formed);
+            }
+            let now = instant_us(self.epoch);
+            shed_expired(&mut st.pending, policy, now, &self.stats);
+            let metas: Vec<Pending> = st.pending.iter().map(|s| s.meta).collect();
+            match policy.decide(now, &metas, st.draining, st.holds == 0) {
+                Decision::Flush { take, trigger } => {
+                    // Pull the taken slots out in serving order; everything
+                    // else keeps its queue position.
+                    let mut opts: Vec<Option<Slot>> = st.pending.drain(..).map(Some).collect();
+                    let slots: Vec<Slot> = take
+                        .iter()
+                        .map(|&i| opts[i].take().expect("decide returned a duplicate index"))
+                        .collect();
+                    st.pending.extend(opts.into_iter().flatten());
+                    wd_trace::gauge("serve.queue_depth", st.pending.len() as u64);
+                    let left = !st.pending.is_empty();
+                    drop(st);
+                    if left {
+                        // The rest is for the next free worker.
+                        inbox.cond.notify_one();
+                    }
+                    return Some(Arc::new(Formed { slots, trigger }));
+                }
+                Decision::Wait { wake_us: None } if st.draining => return None,
+                Decision::Wait { wake_us: None } => st = recover(inbox.cond.wait(st)),
+                Decision::Wait {
+                    wake_us: Some(wake),
+                } => {
+                    let dur = Duration::from_micros(wake.saturating_sub(instant_us(self.epoch)));
+                    st = recover(inbox.cond.wait_timeout(st, dur)).0;
+                }
+            }
+        }
+    }
+}
+
 /// The serving engine (see the module docs for the thread layout).
 #[derive(Debug)]
 pub struct Server {
-    inbox: Arc<Inbox>,
-    tenants: Arc<TenantRegistry>,
-    epoch: Instant,
+    shared: Arc<Shared>,
     capacity: usize,
-    worker_count: usize,
-    stats: Arc<Stats>,
-    supervision: Arc<Supervision>,
     threads: Arc<Mutex<Threads>>,
 }
 
@@ -509,104 +510,54 @@ impl Server {
         Self::start_tenants(TenantRegistry::single(ctx, keys), config)
     }
 
-    /// Starts the batcher and worker threads over a tenant registry and
-    /// begins accepting submissions ([`Server::submit_as`]).
+    /// Starts the worker threads (and the watchdog, unless
+    /// `config.watchdog` is zero) over a tenant registry and begins
+    /// accepting submissions ([`Server::submit_as`]).
     ///
     /// # Panics
     ///
     /// If `config.placer` models more than one device: multi-device
     /// placement is priced by the GPU model in `shard_bench`, not served.
     pub fn start_tenants(tenants: TenantRegistry, config: ServeConfig) -> Self {
-        Self::start_on(tenants, config, Arc::new(WorkQueue::default()))
-    }
-
-    /// [`Server::start_tenants`] over a work queue the caller made (the
-    /// poisoned-mutex unit test keeps a handle on it).
-    fn start_on(tenants: TenantRegistry, config: ServeConfig, work: Arc<WorkQueue>) -> Self {
         assert_eq!(
             config.placer.devices(),
             1,
             "a server runs one device; multi-device placement is modeled in shard_bench, \
              not served"
         );
-        let policy = config.policy();
         let worker_count = config.workers.max(1);
-        let inbox = Arc::new(Inbox::default());
-        let stats = Arc::new(Stats::default());
-        let supervision = Arc::new(Supervision::new(worker_count));
-        let epoch = Instant::now();
-        let tenants = Arc::new(tenants);
+        let shared = Arc::new(Shared {
+            inbox: Inbox::default(),
+            tenants,
+            policy: config.policy(),
+            epoch: Instant::now(),
+            stats: Stats::default(),
+            sup: Supervision::new(worker_count),
+        });
         let executor = config.executor;
-
-        let batcher = {
-            let inbox = Arc::clone(&inbox);
-            let work = Arc::clone(&work);
-            let stats = Arc::clone(&stats);
-            std::thread::Builder::new()
-                .name("wd-serve-batcher".into())
-                .spawn(move || batcher_loop(&inbox, &work, policy, epoch, &stats, worker_count))
-                .expect("spawn wd-serve batcher")
-        };
-
         let workers = (0..worker_count)
-            .map(|i| {
-                spawn_worker(
-                    &work,
-                    &inbox,
-                    &tenants,
-                    executor.clone(),
-                    epoch,
-                    &stats,
-                    &supervision,
-                    i,
-                    0,
-                )
-            })
+            .map(|i| spawn_worker(&shared, executor.clone(), i, 0))
             .collect();
-
         let threads = Arc::new(Mutex::new(Threads {
-            batcher: Some(batcher),
             workers,
             watchdog: None,
         }));
 
         if !config.watchdog.is_zero() {
-            let sup = Arc::clone(&supervision);
-            let work = Arc::clone(&work);
-            let ib = Arc::clone(&inbox);
-            let tn = Arc::clone(&tenants);
-            let st = Arc::clone(&stats);
+            let shared = Arc::clone(&shared);
             let th = Arc::clone(&threads);
             let timeout = config.watchdog;
             let restart_cap = config.restart_cap.max(1);
             let handle = std::thread::Builder::new()
                 .name("wd-serve-watchdog".into())
-                .spawn(move || {
-                    watchdog_loop(
-                        &sup,
-                        &work,
-                        &ib,
-                        &tn,
-                        &st,
-                        &th,
-                        &executor,
-                        epoch,
-                        timeout,
-                        restart_cap,
-                    );
-                })
+                .spawn(move || watchdog_loop(&shared, &th, &executor, timeout, restart_cap))
                 .expect("spawn wd-serve watchdog");
             recover(threads.lock()).watchdog = Some(handle);
         }
 
         Self {
-            inbox,
-            tenants,
-            epoch,
+            shared,
             capacity: config.queue_capacity.max(1),
-            worker_count,
-            stats,
-            supervision,
             threads,
         }
     }
@@ -614,7 +565,7 @@ impl Server {
     /// Microseconds since this server's epoch — the clock every queue
     /// timestamp lives on.
     fn now_us(&self) -> u64 {
-        instant_us(self.epoch)
+        instant_us(self.shared.epoch)
     }
 
     /// Submits one request as [`DEFAULT_TENANT`]. Returns a [`Ticket`]
@@ -644,6 +595,7 @@ impl Server {
     /// backpressure signal wins).
     pub fn submit_as(&self, tenant: &str, req: Request) -> Result<Ticket, WdError> {
         let tenant = self
+            .shared
             .tenants
             .lookup(tenant)
             .ok_or_else(|| WdError::UnknownTenant(tenant.to_string()))?;
@@ -661,15 +613,15 @@ impl Server {
         }
         let now_us = self.now_us();
         if let Err(retry_after_us) = tenant.breaker_admit(now_us) {
-            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
             wd_trace::counter("serve.rejected", 1);
             return Err(WdError::TenantCircuitOpen {
                 tenant: tenant.id().to_string(),
                 retry_after_us,
             });
         }
-        let quota = self.tenants.config().quota;
-        let mut st = recover(self.inbox.state.lock());
+        let quota = self.shared.tenants.config().quota;
+        let mut st = recover(self.shared.inbox.state.lock());
         if st.draining {
             return Err(WdError::InvalidParams(
                 "serve: submit after shutdown began".into(),
@@ -679,7 +631,7 @@ impl Server {
         // under the inbox lock, so the checks are race-free.
         let in_flight = tenant.in_flight();
         if in_flight >= quota {
-            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
             tenant.note_rejected();
             wd_trace::counter("serve.rejected", 1);
             return Err(WdError::TenantQuotaExceeded {
@@ -689,7 +641,7 @@ impl Server {
             });
         }
         if st.pending.len() >= self.capacity {
-            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
             tenant.note_rejected();
             wd_trace::counter("serve.rejected", 1);
             return Err(WdError::QueueFull {
@@ -714,35 +666,35 @@ impl Server {
             tx,
             answered: AtomicBool::new(false),
         });
-        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
         wd_trace::counter("serve.enqueued", 1);
         wd_trace::gauge("serve.queue_depth", st.pending.len() as u64);
         drop(st);
-        self.inbox.cond.notify_all();
+        self.shared.inbox.cond.notify_one();
         Ok(Ticket { id: seq, rx })
     }
 
     /// Current queue depth (pending, not yet batched).
     pub fn queue_depth(&self) -> usize {
-        recover(self.inbox.state.lock()).pending.len()
+        recover(self.shared.inbox.state.lock()).pending.len()
     }
 
     /// A snapshot of the lifetime counters.
     pub fn stats(&self) -> ServeStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// A snapshot of one tenant's lifetime counters (`None` for an
     /// unregistered tenant). After a drain, every tenant satisfies
     /// `enqueued = completed + shed` and `in_flight = 0`.
     pub fn tenant_stats(&self, tenant: &str) -> Option<TenantStats> {
-        self.tenants.lookup(tenant).map(|t| t.stats())
+        self.shared.tenants.lookup(tenant).map(|t| t.stats())
     }
 
     /// The tenant registry this server routes through (for cache
     /// statistics and tenant enumeration).
     pub fn tenants(&self) -> &TenantRegistry {
-        &self.tenants
+        &self.shared.tenants
     }
 
     /// Arms the next `n` batch takes to wedge their worker (the supervision
@@ -750,42 +702,45 @@ impl Server {
     /// declares it wedged (re-queue + respawn) or the drain releases it.
     /// Either way every request is still answered exactly once.
     pub fn arm_wedge(&self, n: u64) {
-        self.supervision.wedge_arm.fetch_add(n, Ordering::Relaxed);
+        self.shared.sup.wedge_arm.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Suppresses the idle trigger while the returned [`Hold`] lives — a
-    /// drill arm like [`Server::arm_wedge`]. With an idle worker the
-    /// batcher flushes every request at once, so a drill that needs
-    /// requests to stay queued (a full size batch, a quota held in flight,
-    /// a drain-time flush) takes a hold and puts `max_batch` or `linger`
-    /// out of reach. Size, linger and drain fire exactly as without it.
+    /// drill arm like [`Server::arm_wedge`]. A free worker takes every
+    /// pending request at once, so a drill that needs requests to stay
+    /// queued (a full size batch, a quota held in flight, a drain-time
+    /// flush) takes a hold and puts `max_batch` or `linger` out of reach.
+    /// Size, linger and drain fire exactly as without it.
     pub fn hold(&self) -> Hold<'_> {
-        self.inbox.holds.fetch_add(1, Ordering::Relaxed);
-        Hold { inbox: &self.inbox }
+        recover(self.shared.inbox.state.lock()).holds += 1;
+        Hold {
+            inbox: &self.shared.inbox,
+        }
     }
 
     /// Workers declared wedged and replaced so far.
     pub fn worker_restarts(&self) -> u64 {
-        self.supervision.restarts.load(Ordering::Relaxed)
+        self.shared.sup.restarts.load(Ordering::Relaxed)
     }
 
     /// Whether a restart storm degraded replacement workers to sequential
     /// execution.
     pub fn degraded(&self) -> bool {
-        self.supervision.degraded.load(Ordering::Relaxed)
+        self.shared.sup.degraded.load(Ordering::Relaxed)
     }
 
     /// A live health snapshot: queue depth, worker liveness, key-cache
     /// residency, per-tenant breaker states — the payload the v3 HEALTH
     /// wire frame carries.
     pub fn health(&self) -> HealthReport {
-        let cache = self.tenants.cache_stats();
+        let cache = self.shared.tenants.cache_stats();
         let tenants = self
+            .shared
             .tenants
             .tenant_ids()
             .into_iter()
             .map(|id| {
-                let t = self.tenants.lookup(&id).expect("enumerated tenant");
+                let t = self.shared.tenants.lookup(&id).expect("enumerated tenant");
                 TenantHealth {
                     breaker: t.breaker_state().map(|s| s.label().to_string()),
                     in_flight: t.in_flight() as u64,
@@ -795,7 +750,7 @@ impl Server {
             .collect();
         HealthReport {
             queue_depth: self.queue_depth() as u64,
-            workers: self.worker_count as u32,
+            workers: self.shared.sup.slots.len() as u32,
             worker_restarts: self.worker_restarts(),
             degraded: self.degraded(),
             keycache_resident_bytes: cache.resident_bytes as u64,
@@ -818,30 +773,25 @@ impl Server {
     /// with connection handlers. Idempotent: later calls (and the eventual
     /// drop) just return the final counters.
     pub fn drain(&self) -> ServeStats {
-        {
-            recover(self.inbox.state.lock()).draining = true;
-        }
-        self.inbox.cond.notify_all();
         // Stop supervision first: release any drill-parked workers (so
         // forced wedges execute and answer even with the watchdog off) and
-        // join the watchdog before the pills land, so no re-queued batch
-        // can ever arrive behind a pill. The lock is dropped across each
-        // join so an in-flight respawn can still swap its handle in.
-        self.supervision.release.store(true, Ordering::Relaxed);
-        self.supervision.stop.store(true, Ordering::Relaxed);
+        // join the watchdog before `draining` is set, so no batch can be
+        // re-queued after a worker has exited. The lock is dropped across
+        // each join so an in-flight respawn can still swap its handle in.
+        let shared = &self.shared;
+        shared.sup.release.store(true, Ordering::Relaxed);
+        shared.sup.stop.store(true, Ordering::Relaxed);
         let watchdog = recover(self.threads.lock()).watchdog.take();
         if let Some(h) = watchdog {
             let _ = h.join();
         }
-        let batcher = recover(self.threads.lock()).batcher.take();
-        if let Some(h) = batcher {
-            let _ = h.join();
-        }
+        recover(shared.inbox.state.lock()).draining = true;
+        shared.inbox.cond.notify_all();
         let workers: Vec<_> = recover(self.threads.lock()).workers.drain(..).collect();
         for h in workers {
             let _ = h.join();
         }
-        self.stats.snapshot()
+        shared.stats.snapshot()
     }
 }
 
@@ -861,129 +811,22 @@ fn duration_us(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// The batcher thread: shed → decide → flush or sleep, until drained.
-fn batcher_loop(
-    inbox: &Inbox,
-    work: &WorkQueue,
-    policy: FormPolicy,
-    epoch: Instant,
-    stats: &Stats,
-    worker_count: usize,
-) {
-    loop {
-        let mut st = recover(inbox.state.lock());
-        let now = instant_us(epoch);
-
-        // 1. Shed everything past its deadline before forming a batch —
-        //    expired work must not steal a batch slot from live work.
-        let metas: Vec<Pending> = st.pending.iter().map(|s| s.meta).collect();
-        let expired = policy.shed(now, &metas);
-        if !expired.is_empty() {
-            for &i in expired.iter().rev() {
-                let slot = st.pending.remove(i);
-                let waited = now.saturating_sub(slot.meta.enqueued_us);
-                if !slot.claim() {
-                    continue; // a replay already answered this request
-                }
-                stats.shed.fetch_add(1, Ordering::Relaxed);
-                slot.tenant.note_shed(now);
-                wd_trace::counter("serve.shed", 1);
-                wd_trace::event(
-                    "serve",
-                    "shed",
-                    &[
-                        ("seq", slot.meta.seq.to_string()),
-                        ("tenant", slot.tenant.id().to_string()),
-                        ("waited_us", waited.to_string()),
-                    ],
-                );
-                let _ = slot.tx.send(Response {
-                    id: slot.meta.seq,
-                    result: Err(WdError::DeadlineExceeded { waited_us: waited }),
-                    waited_us: waited,
-                    batch_size: 0,
-                    trigger: None,
-                });
-            }
-            wd_trace::gauge("serve.queue_depth", st.pending.len() as u64);
-            continue; // re-decide on the reduced set
-        }
-
-        // 2. Decide. A worker going idle wakes this thread (`Inbox::wake`),
-        //    so reading the signal once per decision is enough.
-        let idle = work.idle() && inbox.holds.load(Ordering::Relaxed) == 0;
-        match policy.decide(now, &metas, st.draining, idle) {
-            Decision::Flush { take, trigger } => {
-                // Pull the taken slots out in serving order; everything
-                // else keeps its queue position.
-                let mut opts: Vec<Option<Slot>> = st.pending.drain(..).map(Some).collect();
-                let slots: Vec<Slot> = take
-                    .iter()
-                    .map(|&i| opts[i].take().expect("decide returned a duplicate index"))
-                    .collect();
-                st.pending.extend(opts.into_iter().flatten());
-                wd_trace::gauge("serve.queue_depth", st.pending.len() as u64);
-                drop(st);
-                work.push(Some(Arc::new(Formed { slots, trigger })), false);
-            }
-            Decision::Wait { wake_us } => {
-                if st.draining && st.pending.is_empty() {
-                    break;
-                }
-                match wake_us {
-                    // Nothing pending: sleep until a submit or shutdown.
-                    None => {
-                        let _unused = recover(inbox.cond.wait(st));
-                    }
-                    Some(wake) => {
-                        let now2 = instant_us(epoch);
-                        let dur = Duration::from_micros(wake.saturating_sub(now2));
-                        if !dur.is_zero() {
-                            let _unused = recover(inbox.cond.wait_timeout(st, dur));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Drained: one pill per worker, strictly after the final batch, so the
-    // FIFO work queue guarantees every batch executes before any exit.
-    for _ in 0..worker_count {
-        work.push(None, false);
-    }
-}
-
 /// Spawns one worker thread for `slot` at `generation` (0 at startup;
 /// bumped values come from watchdog respawns).
-#[allow(clippy::too_many_arguments)]
 fn spawn_worker(
-    work: &Arc<WorkQueue>,
-    inbox: &Arc<Inbox>,
-    tenants: &Arc<TenantRegistry>,
+    shared: &Arc<Shared>,
     executor: BatchExecutor,
-    epoch: Instant,
-    stats: &Arc<Stats>,
-    sup: &Arc<Supervision>,
     slot: usize,
     generation: u64,
 ) -> JoinHandle<()> {
-    let work = Arc::clone(work);
-    let inbox = Arc::clone(inbox);
-    let tenants = Arc::clone(tenants);
-    let stats = Arc::clone(stats);
-    let sup = Arc::clone(sup);
+    let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("wd-serve-worker-{slot}-g{generation}"))
-        .spawn(move || {
-            worker_loop(
-                &work, &inbox, &tenants, &executor, epoch, &stats, &sup, slot, generation,
-            )
-        })
+        .spawn(move || worker_loop(&shared, &executor, slot, generation))
         .expect("spawn wd-serve worker")
 }
 
-/// A worker thread: execute formed batches until the shutdown pill.
+/// A worker thread: form a batch, execute it, repeat until drained.
 ///
 /// A formed batch may mix tenants; the worker partitions it into per-tenant
 /// groups (stable first-seen order), leases each tenant's keys through the
@@ -992,26 +835,13 @@ fn spawn_worker(
 /// its operands — responses stay bit-identical to a sequential per-tenant
 /// run.
 ///
-/// Supervision protocol: the worker registers every queue take in its
-/// [`WorkerSlot`] (busy + heartbeat + a handle on the batch) and
-/// checks its spawn `generation` at each bookkeeping point. A mismatch
-/// means the watchdog declared this thread wedged and replaced it — a
-/// stale worker must not consume queue items (it pushes any item it holds
-/// back to the front) and exits immediately, so pill accounting stays
-/// exact: exactly `worker_count` current-generation workers consume
-/// exactly `worker_count` pills.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    work: &WorkQueue,
-    inbox: &Inbox,
-    tenants: &TenantRegistry,
-    executor: &BatchExecutor,
-    epoch: Instant,
-    stats: &Stats,
-    sup: &Supervision,
-    idx: usize,
-    my_gen: u64,
-) {
+/// Supervision protocol: the worker registers every batch in its slot
+/// (busy + heartbeat + a handle on the batch) and checks its spawn
+/// `generation` at each bookkeeping point. A mismatch means the watchdog
+/// declared this thread wedged, re-queued its batch and replaced it: the
+/// stale worker skips the batch if it has not started it and exits.
+fn worker_loop(shared: &Shared, executor: &BatchExecutor, idx: usize, my_gen: u64) {
+    let sup = &shared.sup;
     // This worker's scratch arena, owned for the thread's whole lifetime so
     // shelves warmed by one batch serve every later batch (steady-state
     // zero hot-path heap allocations). Never shared: a watchdog replacement
@@ -1019,26 +849,15 @@ fn worker_loop(
     // overflowed the arena (`serve.arena.fallback`) — a rising value means
     // the arena is undersized for the traffic's parameter sets.
     let arena = wd_polyring::scratch::ScratchArena::for_worker();
-    loop {
-        let item = work.take(inbox);
-        // Register the take — or discover this thread was declared wedged
-        // and replaced, in which case the item belongs to the replacement.
+    while let Some(formed) = shared.next_batch() {
+        // Register the take. The slot is not busy, so the watchdog cannot
+        // have replaced this thread since its last bookkeeping.
         {
-            let mut st = recover(sup.slots[idx].state.lock());
-            if st.generation != my_gen {
-                drop(st);
-                work.push(item, true);
-                return;
-            }
-            if let Some(formed) = &item {
-                st.busy = true;
-                st.heartbeat_us = instant_us(epoch);
-                st.inflight = Some(Arc::clone(formed));
-            }
+            let mut st = recover(sup.slots[idx].lock());
+            st.busy = true;
+            st.heartbeat_us = instant_us(shared.epoch);
+            st.inflight = Some(Arc::clone(&formed));
         }
-        let Some(formed) = item else {
-            break; // shutdown pill
-        };
         // Forced-wedge drill: park without heartbeating until the watchdog
         // declares us wedged (generation bump) or the drain releases us.
         if sup
@@ -1048,22 +867,17 @@ fn worker_loop(
         {
             wd_trace::counter("serve.guard.wedge_injected", 1);
             wd_trace::event("serve.guard", "wedge", &[("worker", idx.to_string())]);
-            loop {
-                if sup.release.load(Ordering::Relaxed) {
-                    break;
-                }
-                let gen = recover(sup.slots[idx].state.lock()).generation;
-                if gen != my_gen {
-                    break;
-                }
+            while !sup.release.load(Ordering::Relaxed)
+                && recover(sup.slots[idx].lock()).generation == my_gen
+            {
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
-        let abandoned = recover(sup.slots[idx].state.lock()).generation != my_gen;
+        let abandoned = recover(sup.slots[idx].lock()).generation != my_gen;
         if !abandoned {
             let fallbacks_before = arena.stats().fallbacks;
             wd_polyring::scratch::with_worker_arena(&arena, || {
-                execute_batch(&formed, tenants, executor, epoch, stats);
+                execute_batch(&formed, shared, executor);
             });
             wd_trace::counter(
                 "serve.arena.fallback",
@@ -1072,7 +886,7 @@ fn worker_loop(
         }
         // End-of-batch bookkeeping; a stale worker exits here.
         {
-            let mut st = recover(sup.slots[idx].state.lock());
+            let mut st = recover(sup.slots[idx].lock());
             if st.generation != my_gen {
                 return;
             }
@@ -1085,13 +899,7 @@ fn worker_loop(
 /// Executes one formed batch and answers every slot that has not already
 /// been answered by a replay. How a group of ops runs — the thread split,
 /// the per-op recovery envelope — is the executor's business alone.
-fn execute_batch(
-    formed: &Formed,
-    tenants: &TenantRegistry,
-    executor: &BatchExecutor,
-    epoch: Instant,
-    stats: &Stats,
-) {
+fn execute_batch(formed: &Formed, shared: &Shared, executor: &BatchExecutor) {
     let Formed { slots, trigger } = formed;
     let (n, trigger) = (slots.len(), *trigger);
     let _span = wd_trace::span("serve", "batch");
@@ -1117,20 +925,20 @@ fn execute_batch(
             None => groups.push((Arc::clone(&slot.tenant), vec![slot])),
         }
     }
-    stats.batches.fetch_add(1, Ordering::Relaxed);
+    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
     for (tenant, group) in groups {
         // Every group leases (the cache's hit/miss/eviction books count
         // batches, not key reads), but only a group that reads a key
         // verifies the resident copy.
         let reads_keys = group.iter().any(|s| s.op.reads_keys());
-        let keys = match tenants.lease_keys(&tenant, reads_keys) {
+        let keys = match shared.tenants.lease_keys(&tenant, reads_keys) {
             Ok(keys) => keys,
             Err(e) => {
                 // An unrecoverable key-integrity failure answers every
                 // request in the group with the typed error — admitted
                 // requests still complete, corrupt bytes are never served.
                 let results = group.iter().map(|_| Err(e.clone())).collect();
-                answer_group(group, results, &tenant, stats, epoch, n, trigger);
+                answer_group(group, results, &tenant, shared, n, trigger);
                 continue;
             }
         };
@@ -1144,7 +952,7 @@ fn execute_batch(
             let ops: Vec<BatchOp<'_>> = plain.iter().map(|s| s.op.as_batch_op()).collect();
             let results = executor.execute(tenant.ctx(), keys.as_eval(), &ops);
             drop(ops);
-            answer_group(plain, results, &tenant, stats, epoch, n, trigger);
+            answer_group(plain, results, &tenant, shared, n, trigger);
         }
 
         if !programs.is_empty() {
@@ -1164,7 +972,7 @@ fn execute_batch(
                 .into_iter()
                 .map(|r| r.map(|mut outs| outs.pop().expect("single output enforced at submit")))
                 .collect();
-            answer_group(programs, results, &tenant, stats, epoch, n, trigger);
+            answer_group(programs, results, &tenant, shared, n, trigger);
         }
     }
 }
@@ -1175,18 +983,17 @@ fn answer_group(
     slots: Vec<&Slot>,
     results: Vec<Result<Ciphertext, WdError>>,
     tenant: &Tenant,
-    stats: &Stats,
-    epoch: Instant,
+    shared: &Shared,
     batch_size: usize,
     trigger: FlushTrigger,
 ) {
-    let now = instant_us(epoch);
+    let now = instant_us(shared.epoch);
     for (slot, result) in slots.into_iter().zip(results) {
         let waited = now.saturating_sub(slot.meta.enqueued_us);
         if !slot.claim() {
             continue; // the original or a replay already answered
         }
-        stats.completed.fetch_add(1, Ordering::Relaxed);
+        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
         tenant.note_completed(waited, now, result.is_ok());
         wd_trace::counter("serve.completed", 1);
         wd_trace::observe("serve.latency_us", waited);
@@ -1202,25 +1009,20 @@ fn answer_group(
 
 /// The watchdog thread: periodically scans every worker slot; a worker
 /// that has held one batch past `timeout` is declared wedged — its batch
-/// is re-queued at the *front* (it has waited longest), its generation is
-/// bumped (the stale thread exits at its next bookkeeping point; a
-/// genuinely stuck thread is detached, which is the only honest option),
-/// and a replacement is spawned into the same slot. Past `restart_cap`
+/// is re-queued at the front of the inbox (it has waited longest), its
+/// generation is bumped (the stale thread exits at its next bookkeeping
+/// point; a genuinely stuck thread is detached, which is the only honest
+/// option), and a replacement is spawned into the same slot. Past `restart_cap`
 /// restarts the pool degrades: replacements run the sequential executor,
 /// trading throughput for survival.
-#[allow(clippy::too_many_arguments)]
 fn watchdog_loop(
-    sup: &Arc<Supervision>,
-    work: &Arc<WorkQueue>,
-    inbox: &Arc<Inbox>,
-    tenants: &Arc<TenantRegistry>,
-    stats: &Arc<Stats>,
-    threads: &Arc<Mutex<Threads>>,
+    shared: &Arc<Shared>,
+    threads: &Mutex<Threads>,
     executor: &BatchExecutor,
-    epoch: Instant,
     timeout: Duration,
     restart_cap: usize,
 ) {
+    let sup = &shared.sup;
     let timeout_us = duration_us(timeout).max(1);
     let tick = Duration::from_micros((timeout_us / 4).clamp(5_000, 50_000));
     while !sup.stop.load(Ordering::Relaxed) {
@@ -1229,9 +1031,9 @@ fn watchdog_loop(
             if sup.stop.load(Ordering::Relaxed) {
                 break;
             }
-            let now = instant_us(epoch);
+            let now = instant_us(shared.epoch);
             let (batch, new_gen) = {
-                let mut st = recover(sup.slots[idx].state.lock());
+                let mut st = recover(sup.slots[idx].lock());
                 if !st.busy || now.saturating_sub(st.heartbeat_us) <= timeout_us {
                     continue;
                 }
@@ -1259,7 +1061,10 @@ fn watchdog_loop(
             );
             if let Some(batch) = batch {
                 wd_trace::counter("serve.guard.requeued", batch.slots.len() as u64);
-                work.push(Some(batch), true);
+                recover(shared.inbox.state.lock())
+                    .requeued
+                    .push_front(batch);
+                shared.inbox.cond.notify_one();
             }
             if restarts as usize >= restart_cap && !sup.degraded.swap(true, Ordering::Relaxed) {
                 wd_trace::counter("serve.guard.degraded", 1);
@@ -1278,17 +1083,7 @@ fn watchdog_loop(
             } else {
                 executor.clone()
             };
-            let handle = spawn_worker(
-                work,
-                inbox,
-                tenants,
-                replacement,
-                epoch,
-                stats,
-                sup,
-                idx,
-                new_gen,
-            );
+            let handle = spawn_worker(shared, replacement, idx, new_gen);
             recover(threads.lock()).workers[idx] = handle;
         }
     }
@@ -1389,6 +1184,42 @@ mod tests {
         Ok(())
     }
 
+    /// A request whose deadline passes while every worker is busy is shed
+    /// when a worker comes back for it, not run from a batch formed while
+    /// it waited.
+    #[test]
+    fn a_request_that_expires_behind_a_busy_worker_is_shed() -> Result<(), WdError> {
+        let ctx = small_ctx(20);
+        let kp = ctx.keygen();
+        let config = ServeConfig {
+            workers: 1,
+            linger: Duration::from_millis(1),
+            watchdog: Duration::ZERO,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(Arc::clone(&ctx), ServeKeys::none(), config);
+        server.arm_wedge(1);
+        let ct = ctx.encrypt_values(&[1.0], &kp.public)?;
+        let a = server.submit(Request::new(ServeOp::Rescale(ct.clone())))?;
+        // The one worker takes A and parks on it until the drain.
+        while server.queue_depth() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let b = server
+            .submit(Request::new(ServeOp::Rescale(ct)).with_deadline(Duration::from_millis(20)))?;
+        std::thread::sleep(Duration::from_millis(50));
+        let stats = server.drain();
+        assert!(a.wait().result.is_ok());
+        let b = b.wait();
+        assert!(
+            matches!(b.result, Err(WdError::DeadlineExceeded { .. })),
+            "{:?}",
+            b.result
+        );
+        assert_eq!((stats.completed, stats.shed), (1, 1));
+        Ok(())
+    }
+
     #[test]
     fn submit_after_shutdown_began_is_rejected() -> Result<(), WdError> {
         let ctx = small_ctx(14);
@@ -1396,7 +1227,7 @@ mod tests {
         let server = Server::start(Arc::clone(&ctx), ServeKeys::none(), ServeConfig::default());
         let ct = ctx.encrypt_values(&[1.0], &kp.public)?;
         {
-            let mut st = server.inbox.state.lock().expect("inbox");
+            let mut st = server.shared.inbox.state.lock().expect("inbox");
             st.draining = true;
         }
         assert!(matches!(
@@ -1481,16 +1312,12 @@ mod tests {
         }
         let ctx = small_ctx(18);
         let kp = ctx.keygen();
-        let work = Arc::new(WorkQueue::default());
-        let server = Server::start_on(
-            TenantRegistry::single(Arc::clone(&ctx), ServeKeys::none()),
-            ServeConfig::default(),
-            Arc::clone(&work),
-        );
-        // The batcher and the worker are parked on these two mutexes'
-        // condvars; both wake up to a poisoned guard.
-        poison(&server.inbox.state);
-        poison(&work.state);
+        let server = Server::start(Arc::clone(&ctx), ServeKeys::none(), ServeConfig::default());
+        // The worker is parked on the inbox condvar and wakes up to a
+        // poisoned guard; its supervision slot is poisoned before its first
+        // batch.
+        poison(&server.shared.inbox.state);
+        poison(&server.shared.sup.slots[0]);
         let a = ctx.encrypt_values(&[1.5, -2.0], &kp.public)?;
         let b = ctx.encrypt_values(&[0.5, 1.0], &kp.public)?;
         let expect = wd_ckks::ops::hadd(&a, &b)?;

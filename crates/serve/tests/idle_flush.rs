@@ -1,6 +1,6 @@
 //! Work-conserving batch formation, end to end. Every server here lingers
-//! 10 s, so a response that arrives within a second was flushed because a
-//! worker was idle — and a lost batcher wake shows up as a response about
+//! 10 s, so a response that arrives within a second was taken by a free
+//! worker at once — and a lost worker wake shows up as a response about
 //! 10 s late. That is why CI repeats this suite in its race canary.
 
 use std::sync::{Arc, OnceLock};
@@ -76,8 +76,8 @@ fn a_lone_request_on_an_idle_server_flushes_at_once() {
 /// Requests that arrive while the only worker is busy wait for it, and go
 /// out the moment it comes back for work. The worker is kept busy by the
 /// wedge drill: it parks on its batch until the watchdog replaces it; the
-/// replacement runs the re-queued batch, finds the queue empty, and must
-/// wake the batcher.
+/// replacement runs the re-queued batch first, then must take both
+/// waiting requests in one batch.
 #[test]
 fn requests_queued_behind_a_busy_worker_flush_when_it_finishes() {
     let server = start(ServeConfig {
@@ -105,7 +105,7 @@ fn requests_queued_behind_a_busy_worker_flush_when_it_finishes() {
         let resp = t.wait();
         assert!(
             finished.elapsed() < PROMPT,
-            "the worker went idle but the batcher slept on: {:?}",
+            "the worker came back for work but the requests waited on: {:?}",
             finished.elapsed()
         );
         assert_eq!(resp.trigger, Some(FlushTrigger::Idle));

@@ -74,16 +74,6 @@ impl Bootstrapper {
         }
     }
 
-    /// The decoding matrix F.
-    pub fn f_matrix(&self) -> &SlotMatrix {
-        &self.f
-    }
-
-    /// The CoeffToSlot matrix F⁻¹.
-    pub fn f_inv_matrix(&self) -> &SlotMatrix {
-        &self.f_inv
-    }
-
     /// The EvalMod range bound K.
     pub fn k_range(&self) -> f64 {
         self.k_range

@@ -1,6 +1,6 @@
 //! Multi-tenant FHE serving over real sockets: a [`NetServer`] listening on
 //! loopback, two tenants with their own contexts and keys, and `NetClient`s
-//! round-tripping length-prefixed wire frames through the dynamic batcher.
+//! round-tripping length-prefixed wire frames through the batching server.
 //!
 //! ```text
 //! WD_TRACE=summary cargo run --release --example net_pipeline
