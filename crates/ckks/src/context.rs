@@ -488,6 +488,26 @@ impl CkksContext {
         }
     }
 
+    /// Whether `ct` is a ciphertext of this context: both components are
+    /// NTT-domain polynomials of this degree over exactly q_0…q_level, for
+    /// its own `level` — the operand check every keyswitch and rescale
+    /// starts with, for callers (a server admitting wire operands) that
+    /// want it before any op runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkksError::LevelMismatch`] for a wrong degree or domain,
+    /// a limb outside this context's chain, or components whose limb count
+    /// does not match the level.
+    pub fn check_ciphertext(&self, ct: &Ciphertext) -> Result<(), CkksError> {
+        if operand_level(self, &ct.c0)? != ct.level || operand_level(self, &ct.c1)? != ct.level {
+            return Err(CkksError::LevelMismatch(
+                format!("ciphertext limbs do not match its level {}", ct.level).into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// The entry check of encryption and decryption: every operand is over
     /// exactly q_0…q_level ([`operand_level`]) and every key spans them.
     ///

@@ -8,9 +8,7 @@ use crate::cipher::{relative_eq, Ciphertext, Plaintext};
 use crate::context::CkksContext;
 use crate::encoding::C64;
 use crate::keys::{KeySwitchKey, RotationKeys};
-use crate::keyswitch::{
-    key_permutation, keyswitch, keyswitch_with, operand_level, sub_lifted_and_scale,
-};
+use crate::keyswitch::{key_permutation, keyswitch, keyswitch_with, sub_lifted_and_scale};
 use crate::CkksError;
 use wd_fault::OperandMismatch;
 use wd_polyring::rns::{count_limb_transforms, RnsPoly};
@@ -237,15 +235,7 @@ fn rescale_steps(
     }
     // Ciphertexts reach this from the wire: both components must be
     // NTT-domain polynomials over exactly q_0…q_level.
-    if operand_level(ctx, &ct.c0)? != ct.level || operand_level(ctx, &ct.c1)? != ct.level {
-        return Err(CkksError::LevelMismatch(
-            format!(
-                "rescale: ciphertext limbs do not match its level {}",
-                ct.level
-            )
-            .into(),
-        ));
-    }
+    ctx.check_ciphertext(ct)?;
     let mut out = rescale_step(ctx, ct, threads)?;
     for _ in 1..k {
         out = rescale_step(ctx, &out, threads)?;

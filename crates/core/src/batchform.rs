@@ -7,8 +7,9 @@
 //! `wd-serve` so it is reusable (any batching front-end — the serving
 //! subsystem, a test harness, a simulator) and exhaustively testable: every
 //! function is a pure map from `(now, pending set)` to a decision, with no
-//! clock, no threads, and no I/O. The `wd-serve` batcher thread is a thin
-//! driver that feeds it real timestamps.
+//! clock, no threads, and no I/O. In `wd-serve` each free worker is the
+//! driver: it feeds the policy real timestamps under the inbox lock and
+//! runs the batch the policy forms.
 //!
 //! The policy implements four flush triggers — idle / size / linger / drain
 //! — plus two server-grade refinements:

@@ -1,5 +1,6 @@
 //! Single-modulus polynomials in R_q = Z_q\[X\]/(X^N + 1).
 
+use crate::scratch::ScratchArena;
 use crate::PolyError;
 use wd_modmath::Modulus;
 
@@ -16,10 +17,50 @@ use wd_modmath::Modulus;
 /// let q = Poly::from_coeffs(97, vec![0, 1, 0, 0]).unwrap();
 /// assert_eq!(p.add(&q).unwrap().coeffs(), &[1, 0, 0, 5]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A polynomial built with [`Poly::from_pooled`] has a *home pool*: its
+/// storage goes back there when it is dropped, and [`Poly::add`] /
+/// [`Poly::sub`] lease their output from it. Equality ignores the home, and
+/// a clone has none.
 pub struct Poly {
     modulus: Modulus,
     coeffs: Vec<u64>,
+    home: Option<&'static ScratchArena>,
+}
+
+impl Clone for Poly {
+    fn clone(&self) -> Self {
+        Self {
+            modulus: self.modulus,
+            coeffs: self.coeffs.clone(),
+            home: None,
+        }
+    }
+}
+
+impl PartialEq for Poly {
+    fn eq(&self, other: &Self) -> bool {
+        self.modulus == other.modulus && self.coeffs == other.coeffs
+    }
+}
+
+impl Eq for Poly {}
+
+impl std::fmt::Debug for Poly {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Poly")
+            .field("modulus", &self.modulus)
+            .field("coeffs", &self.coeffs)
+            .finish()
+    }
+}
+
+impl Drop for Poly {
+    fn drop(&mut self) {
+        if let Some(pool) = self.home {
+            pool.give_vec(std::mem::take(&mut self.coeffs));
+        }
+    }
 }
 
 /// Checks that n is a power of two ≥ 4 (smallest ring the decompositions touch).
@@ -44,7 +85,11 @@ impl Poly {
         check_degree(coeffs.len())?;
         let modulus = Modulus::try_new(q).map_err(|_| PolyError::BadModulus(q))?;
         let coeffs = coeffs.into_iter().map(|c| modulus.reduce(c)).collect();
-        Ok(Self { modulus, coeffs })
+        Ok(Self {
+            modulus,
+            coeffs,
+            home: None,
+        })
     }
 
     /// Creates a polynomial from coefficients already reduced mod q, skipping
@@ -60,14 +105,39 @@ impl Poly {
         check_degree(coeffs.len())?;
         let modulus = Modulus::try_new(q).map_err(|_| PolyError::BadModulus(q))?;
         debug_assert!(coeffs.iter().all(|&c| c < q), "coefficients not reduced");
-        Ok(Self { modulus, coeffs })
+        Ok(Self {
+            modulus,
+            coeffs,
+            home: None,
+        })
+    }
+
+    /// [`Poly::from_reduced_coeffs`] over storage leased from `pool`
+    /// ([`ScratchArena::take_empty`] or [`ScratchArena::take_vec`]): the
+    /// storage goes back to `pool` when the polynomial is dropped, and
+    /// [`Poly::add`] / [`Poly::sub`] lease their result from it too.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Poly::from_coeffs`] (refused storage is freed,
+    /// not returned).
+    pub fn from_pooled(
+        q: u64,
+        coeffs: Vec<u64>,
+        pool: &'static ScratchArena,
+    ) -> Result<Self, PolyError> {
+        let mut p = Self::from_reduced_coeffs(q, coeffs)?;
+        p.home = Some(pool);
+        Ok(p)
     }
 
     /// Consumes the polynomial, returning its coefficient storage — the
     /// counterpart of [`Poly::from_coeffs`] that lets arena-backed storage
-    /// be given back (see `crate::scratch::ScratchArena::give_vec`).
-    pub fn into_coeffs(self) -> Vec<u64> {
-        self.coeffs
+    /// be given back (see `crate::scratch::ScratchArena::give_vec`). The
+    /// storage leaves its home pool, if it had one.
+    pub fn into_coeffs(mut self) -> Vec<u64> {
+        self.home = None;
+        std::mem::take(&mut self.coeffs)
     }
 
     /// Creates the zero polynomial of degree < n.
@@ -80,6 +150,7 @@ impl Poly {
         Ok(Self {
             modulus: Modulus::new(q),
             coeffs: vec![0; n],
+            home: None,
         })
     }
 
@@ -105,7 +176,11 @@ impl Poly {
                 }
             })
             .collect();
-        Ok(Self { modulus, coeffs })
+        Ok(Self {
+            modulus,
+            coeffs,
+            home: None,
+        })
     }
 
     /// Ring degree N.
@@ -152,44 +227,42 @@ impl Poly {
         }
     }
 
-    /// Coefficient-wise addition.
+    /// `f` applied coefficient-wise to the pair, into storage leased from
+    /// this operand's home pool when it has one (the result then has the
+    /// same home), else freshly allocated.
+    fn zip_with(&self, rhs: &Self, f: impl Fn(u64, u64) -> u64) -> Result<Self, PolyError> {
+        self.check_ring(rhs)?;
+        let mut coeffs = match self.home {
+            Some(pool) => pool.take_empty(self.coeffs.len()),
+            None => Vec::with_capacity(self.coeffs.len()),
+        };
+        coeffs.extend(self.coeffs.iter().zip(&rhs.coeffs).map(|(&a, &b)| f(a, b)));
+        Ok(Self {
+            modulus: self.modulus,
+            coeffs,
+            home: self.home,
+        })
+    }
+
+    /// Coefficient-wise addition. The result leases from `self`'s home
+    /// pool, if any; neither operand is touched.
     ///
     /// # Errors
     ///
     /// Returns [`PolyError::RingMismatch`] if degrees or moduli differ.
     pub fn add(&self, rhs: &Self) -> Result<Self, PolyError> {
-        self.check_ring(rhs)?;
         let m = &self.modulus;
-        let coeffs = self
-            .coeffs
-            .iter()
-            .zip(&rhs.coeffs)
-            .map(|(&a, &b)| m.add(a, b))
-            .collect();
-        Ok(Self {
-            modulus: self.modulus,
-            coeffs,
-        })
+        self.zip_with(rhs, |a, b| m.add(a, b))
     }
 
-    /// Coefficient-wise subtraction.
+    /// Coefficient-wise subtraction, leasing like [`Poly::add`].
     ///
     /// # Errors
     ///
     /// Returns [`PolyError::RingMismatch`] if degrees or moduli differ.
     pub fn sub(&self, rhs: &Self) -> Result<Self, PolyError> {
-        self.check_ring(rhs)?;
         let m = &self.modulus;
-        let coeffs = self
-            .coeffs
-            .iter()
-            .zip(&rhs.coeffs)
-            .map(|(&a, &b)| m.sub(a, b))
-            .collect();
-        Ok(Self {
-            modulus: self.modulus,
-            coeffs,
-        })
+        self.zip_with(rhs, |a, b| m.sub(a, b))
     }
 
     /// Negation.
@@ -198,6 +271,7 @@ impl Poly {
         Self {
             modulus: self.modulus,
             coeffs: self.coeffs.iter().map(|&a| m.neg(a)).collect(),
+            home: None,
         }
     }
 
@@ -219,6 +293,7 @@ impl Poly {
         Ok(Self {
             modulus: self.modulus,
             coeffs,
+            home: None,
         })
     }
 
@@ -229,6 +304,7 @@ impl Poly {
         Self {
             modulus: self.modulus,
             coeffs: self.coeffs.iter().map(|&a| m.mul(a, s)).collect(),
+            home: None,
         }
     }
 
@@ -255,6 +331,7 @@ impl Poly {
         Self {
             modulus: self.modulus,
             coeffs: out,
+            home: None,
         }
     }
 
@@ -334,6 +411,34 @@ mod tests {
         assert_eq!(p.automorphism(3).coeffs(), &[0, 0, 0, 1]);
         let p2 = Poly::from_coeffs(Q, vec![0, 0, 1, 0]).unwrap();
         assert_eq!(p2.automorphism(3).centered(), vec![0, 0, -1, 0]);
+    }
+
+    #[test]
+    fn pooled_limbs_return_home_and_clones_do_not() {
+        let pool: &'static ScratchArena = Box::leak(Box::new(ScratchArena::with_capacity(1 << 16)));
+        let mut storage = pool.take_empty(4);
+        storage.extend([1, 2, 3, 4]);
+        let a = Poly::from_pooled(Q, storage, pool).unwrap();
+        let b = Poly::from_coeffs(Q, vec![96, 0, 1, 1]).unwrap();
+        // add/sub lease from the first operand's pool; the operands are
+        // left as they were.
+        let sum = a.add(&b).unwrap();
+        let diff = b.sub(&a).unwrap();
+        assert_eq!(sum.coeffs(), &[0, 2, 4, 5]);
+        assert_eq!(a.coeffs(), &[1, 2, 3, 4]);
+        assert_eq!(
+            pool.stats().leases,
+            2,
+            "only the pooled left operand leases"
+        );
+        // Equality ignores the home; a clone has none.
+        let copy = a.clone();
+        assert_eq!(copy, a);
+        drop((a, sum, diff, copy));
+        assert_eq!(pool.parked_bytes(), 2 * 4 * 8, "a and sum came home");
+        let again = Poly::from_pooled(Q, pool.take_empty(4), pool);
+        assert!(again.is_err(), "an empty slab is no polynomial");
+        assert_eq!(pool.stats().reuses, 1);
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //! depend on what a previous op left behind.
 //!
 //! Trace signals (when `WD_TRACE` is on): `arena.lease`, `arena.reuse`,
-//! `arena.fresh`, `arena.fallback`, `arena.bypass`.
+//! `arena.fresh`, `arena.fallback`, `arena.bypass` — or the same five
+//! suffixes under another prefix for an arena built with
+//! [`ScratchArena::named`], so a second pool never moves these counts.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -81,6 +83,8 @@ struct Shelves {
 /// See the [module docs](self) for the ownership rule and fallback ladder.
 pub struct ScratchArena {
     cap_bytes: u64,
+    /// The trace counter names: lease, reuse, fresh, fallback, bypass.
+    names: [String; 5],
     shelves: Mutex<Shelves>,
     leases: AtomicU64,
     reuses: AtomicU64,
@@ -105,8 +109,18 @@ impl ScratchArena {
 
     /// New arena retaining at most `cap_bytes` of parked slabs.
     pub fn with_capacity(cap_bytes: u64) -> Arc<Self> {
+        Self::named(cap_bytes, "arena")
+    }
+
+    /// An arena like [`ScratchArena::with_capacity`] whose trace counters
+    /// are `{prefix}.lease`, `{prefix}.reuse` and so on: a pool with a job
+    /// of its own reports apart from the compute arenas.
+    pub fn named(cap_bytes: u64, prefix: &str) -> Arc<Self> {
+        let names =
+            ["lease", "reuse", "fresh", "fallback", "bypass"].map(|c| format!("{prefix}.{c}"));
         Arc::new(Self {
             cap_bytes,
+            names,
             shelves: Mutex::new(Shelves::default()),
             leases: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
@@ -148,16 +162,45 @@ impl ScratchArena {
     /// and later return with [`ScratchArena::give_vec`]. Losing the vector
     /// (error path, panic) costs a heap free, never arena capacity.
     pub fn take_vec(&self, len: usize) -> Vec<u64> {
+        match self.take_parked(len) {
+            Some(mut buf) => {
+                debug_assert_eq!(buf.len(), len);
+                buf.fill(0);
+                buf
+            }
+            None => vec![0u64; len],
+        }
+    }
+
+    /// [`ScratchArena::take_vec`] for a writer that fills every word: an
+    /// empty vector with room for `len` words, so a recycled slab skips the
+    /// zero-fill pass. The caller pushes exactly `len` words before handing
+    /// it to [`ScratchArena::give_vec`], which shelves a slab by length.
+    pub fn take_empty(&self, len: usize) -> Vec<u64> {
+        match self.take_parked(len) {
+            Some(mut buf) => {
+                buf.clear();
+                buf
+            }
+            None => Vec::with_capacity(len),
+        }
+    }
+
+    /// The accounting of one lease: a parked slab of exactly `len` words,
+    /// or `None` when the caller must allocate (counted fresh, fallback or
+    /// bypass as the module docs describe).
+    fn take_parked(&self, len: usize) -> Option<Vec<u64>> {
+        let [lease, reuse, fresh, fallback, bypass] = &self.names;
         self.leases.fetch_add(1, Ordering::Relaxed);
         if wd_trace::enabled() {
-            wd_trace::counter("arena.lease", 1);
+            wd_trace::counter(lease, 1);
         }
         if self.cap_bytes == 0 {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
             if wd_trace::enabled() {
-                wd_trace::counter("arena.bypass", 1);
+                wd_trace::counter(bypass, 1);
             }
-            return vec![0u64; len];
+            return None;
         }
         let bytes = (len as u64) * 8;
         let (recycled, retainable) = {
@@ -170,31 +213,16 @@ impl ScratchArena {
                 None => (None, sh.parked_bytes + bytes <= self.cap_bytes),
             }
         };
-        match recycled {
-            Some(mut buf) => {
-                debug_assert_eq!(buf.len(), len);
-                buf.fill(0);
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                if wd_trace::enabled() {
-                    wd_trace::counter("arena.reuse", 1);
-                }
-                buf
-            }
-            None => {
-                if retainable {
-                    self.fresh.fetch_add(1, Ordering::Relaxed);
-                    if wd_trace::enabled() {
-                        wd_trace::counter("arena.fresh", 1);
-                    }
-                } else {
-                    self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                    if wd_trace::enabled() {
-                        wd_trace::counter("arena.fallback", 1);
-                    }
-                }
-                vec![0u64; len]
-            }
+        let (count, name) = match (&recycled, retainable) {
+            (Some(_), _) => (&self.reuses, reuse),
+            (None, true) => (&self.fresh, fresh),
+            (None, false) => (&self.fallbacks, fallback),
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        if wd_trace::enabled() {
+            wd_trace::counter(name, 1);
         }
+        recycled
     }
 
     /// Return a slab previously obtained with [`ScratchArena::take_vec`]
@@ -205,7 +233,11 @@ impl ScratchArena {
             return;
         }
         let bytes = (buf.len() as u64) * 8;
-        let mut sh = self.shelves.lock().unwrap();
+        // Called from `Drop` impls: a poisoned lock drops the slab rather
+        // than panic there.
+        let Ok(mut sh) = self.shelves.lock() else {
+            return;
+        };
         if sh.parked_bytes + bytes <= self.cap_bytes {
             sh.parked_bytes += bytes;
             sh.by_len.entry(buf.len()).or_default().push(buf);
@@ -424,6 +456,24 @@ mod tests {
         drop(arena.take_vec(64));
         drop(arena.take_vec(64));
         assert_eq!(arena.stats().fresh, 3);
+    }
+
+    #[test]
+    fn take_empty_shares_the_shelves_and_skips_the_fill() {
+        let arena = ScratchArena::named(1 << 20, "test_pool");
+        let v = arena.take_empty(64);
+        assert!(v.is_empty() && v.capacity() >= 64);
+        arena.give_vec(vec![7; 64]);
+        let w = arena.take_empty(64);
+        assert!(
+            w.is_empty() && w.capacity() >= 64,
+            "a recycled slab comes back cleared"
+        );
+        // Both take forms draw on the same slabs and the same books.
+        arena.give_vec(vec![7; 64]);
+        assert!(arena.take_vec(64).iter().all(|&x| x == 0));
+        let st = arena.stats();
+        assert_eq!((st.leases, st.fresh, st.reuses), (3, 1, 2));
     }
 
     #[test]

@@ -32,6 +32,18 @@
 //! - **Poisoned-connection client**: [`NetClient`] tracks partial writes;
 //!   any transport or protocol failure poisons the connection and the next
 //!   call reconnects instead of reusing a misaligned stream.
+//! - **Reused frame buffers**: each server connection and each
+//!   [`NetClient`] keeps one inbound and one outbound frame buffer for its
+//!   whole life. A frame is read straight into the inbound one and encoded
+//!   straight into the outbound one (`read_frame_into`,
+//!   `wire::encode_request_v3_into`, `wire::encode_response_v3_into`), so
+//!   once the buffers have grown to the traffic's frames a request
+//!   allocates no frame memory on either end. A buffer that an oversized
+//!   frame grew past [`KEPT_FRAME_BYTES`] is released as soon as that frame
+//!   is done with. [`NetStats::buffer_grows`] and
+//!   [`NetClient::buffer_grows`] count every time a buffer had to grow.
+//!   The decoded operands live in `wd_ckks::wire::wire_pool`, the other
+//!   half of the steady state.
 //!
 //! Responses carry the **client's** wire id (not the server's internal
 //! sequence number), so clients can correlate however they number frames.
@@ -54,6 +66,12 @@ use crate::wire::{self, WireResponse};
 /// Default cap on one transport frame (16 MiB — a SET-E ciphertext frame
 /// is ~2 MiB, so this clears every legitimate request with margin).
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
+/// Bytes a reused frame buffer keeps between frames. A SET-B request
+/// frame is about 0.9 MiB; a buffer that a larger frame grew past this cap
+/// is released once that frame is answered, so one frame near
+/// [`MAX_FRAME_BYTES`] cannot pin that much memory per connection.
+pub const KEPT_FRAME_BYTES: usize = 4 << 20;
 
 /// Network front-end configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,6 +112,10 @@ pub struct NetStats {
     pub frames: u64,
     /// Frames that failed to decode (or declared an over-cap length).
     pub decode_errors: u64,
+    /// Times a connection's inbound or outbound frame buffer had to grow:
+    /// its first frame, a larger frame, or the first frame after an
+    /// oversized one released it. Flat under steady traffic.
+    pub buffer_grows: u64,
 }
 
 #[derive(Debug, Default)]
@@ -102,6 +124,7 @@ struct NetCounters {
     refused: AtomicU64,
     frames: AtomicU64,
     decode_errors: AtomicU64,
+    buffer_grows: AtomicU64,
 }
 
 impl NetCounters {
@@ -111,6 +134,41 @@ impl NetCounters {
             refused: self.refused.load(Ordering::Relaxed),
             frames: self.frames.load(Ordering::Relaxed),
             decode_errors: self.decode_errors.load(Ordering::Relaxed),
+            buffer_grows: self.buffer_grows.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// One connection end's reused frame buffer (see the module docs).
+#[derive(Debug, Default)]
+struct FrameBuf {
+    bytes: Vec<u8>,
+    /// Times [`FrameBuf::fill`] had to grow the buffer.
+    grows: u64,
+}
+
+impl FrameBuf {
+    /// Runs `write`, which empties and refills the buffer, counting a grow
+    /// when the buffer had to allocate for it.
+    fn fill<T>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> T) -> T {
+        let before = self.bytes.capacity();
+        let out = write(&mut self.bytes);
+        if self.bytes.capacity() != before {
+            self.grows += 1;
+        }
+        out
+    }
+
+    /// Moves the grows counted so far into a server's shared counter.
+    fn publish(&mut self, to: &AtomicU64) {
+        to.fetch_add(std::mem::take(&mut self.grows), Ordering::Relaxed);
+    }
+
+    /// Done with the frame: release the memory if an oversized frame grew
+    /// the buffer past [`KEPT_FRAME_BYTES`].
+    fn settle(&mut self) {
+        if self.bytes.capacity() > KEPT_FRAME_BYTES {
+            self.bytes = Vec::new();
         }
     }
 }
@@ -287,14 +345,22 @@ fn handle_connection(
     let _ = stream.set_read_timeout(Some(config.io_timeout));
     let _ = stream.set_write_timeout(Some(config.io_timeout));
     let _ = stream.set_nodelay(true);
+    let (mut inbound, mut outbound) = (FrameBuf::default(), FrameBuf::default());
     loop {
-        match read_frame_idle_aware(&mut stream, config.max_frame_bytes, stop) {
+        let read = inbound
+            .fill(|buf| read_frame_idle_aware(&mut stream, config.max_frame_bytes, stop, buf));
+        match read {
             // Clean EOF, or shutdown observed while idle.
-            Ok(None) => break,
-            Ok(Some(frame)) => {
+            Ok(false) => break,
+            Ok(true) => {
                 counters.frames.fetch_add(1, Ordering::Relaxed);
                 wd_trace::counter("serve.net.frames", 1);
-                if !answer_frame(&mut stream, server, counters, &frame) {
+                inbound.publish(&counters.buffer_grows);
+                let usable =
+                    answer_frame(&mut stream, server, counters, &inbound.bytes, &mut outbound);
+                inbound.settle();
+                outbound.settle();
+                if !usable {
                     break;
                 }
             }
@@ -314,13 +380,15 @@ fn handle_connection(
 
 /// Answers one decoded-length frame: a HEALTH probe is served from
 /// [`Server::health`] without touching the request queue; anything else is
-/// a request, checksum-verified, decoded and answered. Returns whether the
-/// connection is still usable.
+/// a request, checksum-verified, decoded and answered, its response encoded
+/// into the connection's `outbound` buffer. Returns whether the connection
+/// is still usable.
 fn answer_frame(
     stream: &mut TcpStream,
     server: &Arc<Server>,
     counters: &NetCounters,
     frame: &[u8],
+    outbound: &mut FrameBuf,
 ) -> bool {
     if wire::peek_kind(frame) == Some(wire::KIND_HEALTH_REQUEST) {
         return match wire::decode_health_request(frame) {
@@ -360,12 +428,16 @@ fn answer_frame(
                     w
                 }
                 // Admission errors (quota, QueueFull, unknown tenant, an
-                // open circuit breaker) answer per-request; the connection
-                // stays usable.
+                // open circuit breaker, an operand off the tenant's chain)
+                // answer per-request; the connection stays usable.
                 Err(e) => error_response(wire_id, &e.to_string()),
             };
-            match wire::encode_response_v3(&resp) {
-                Ok(bytes) => write_frame(stream, &bytes).is_ok(),
+            let encoded = outbound.fill(|out| wire::encode_response_v3_into(out, &resp));
+            // Counted before the response leaves, so a client that has it
+            // also sees the count.
+            outbound.publish(&counters.buffer_grows);
+            match encoded {
+                Ok(()) => write_frame(stream, &outbound.bytes).is_ok(),
                 // The response itself does not fit the wire's u32 fields:
                 // answer with the typed error text instead of a silently
                 // clamped (and therefore wrong) frame.
@@ -408,15 +480,37 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 /// `InvalidData` when the declared length exceeds `max`; `UnexpectedEof`
 /// on truncation; any other io error verbatim.
 pub fn read_frame(r: &mut impl Read, max: usize) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf[..1])? {
-        0 => return Ok(None),
-        _ => r.read_exact(&mut len_buf[1..])?,
-    }
-    read_frame_body(r, len_buf, max).map(Some)
+    let mut frame = Vec::new();
+    Ok(read_frame_into(r, max, &mut frame)?.then_some(frame))
 }
 
-fn read_frame_body(r: &mut impl Read, len_buf: [u8; 4], max: usize) -> io::Result<Vec<u8>> {
+/// [`read_frame`] into `buf`, replacing what it held: `Ok(true)` when a
+/// frame was read, `Ok(false)` on clean EOF before any byte. A buffer
+/// reused across frames allocates only when a frame outgrows it.
+///
+/// # Errors
+///
+/// As [`read_frame`]; `buf` then holds no valid frame.
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    max: usize,
+    buf: &mut Vec<u8>,
+) -> io::Result<bool> {
+    let mut len_buf = [0u8; 4];
+    match r.read(&mut len_buf[..1])? {
+        0 => return Ok(false),
+        _ => r.read_exact(&mut len_buf[1..])?,
+    }
+    read_frame_body(r, len_buf, max, buf)?;
+    Ok(true)
+}
+
+fn read_frame_body(
+    r: &mut impl Read,
+    len_buf: [u8; 4],
+    max: usize,
+    frame: &mut Vec<u8>,
+) -> io::Result<()> {
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > max {
         return Err(io::Error::new(
@@ -427,12 +521,13 @@ fn read_frame_body(r: &mut impl Read, len_buf: [u8; 4], max: usize) -> io::Resul
     // Read into reserved, not zero-filled, capacity. `take` bounds the read
     // at the declared length; a body that ends early is still a truncated
     // frame, and a timeout mid-body still surfaces as its io error.
-    let mut frame = Vec::with_capacity(len);
-    let got = r.take(len as u64).read_to_end(&mut frame)?;
+    frame.clear();
+    frame.reserve_exact(len);
+    let got = r.take(len as u64).read_to_end(frame)?;
     if got < len {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    Ok(frame)
+    Ok(())
 }
 
 /// Whether an io error is the read-timeout signal (spelled `WouldBlock` or
@@ -444,21 +539,23 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// The server-side frame read: a timeout with **zero bytes read** is an
-/// idle tick (keep waiting, unless `stop` was set — then `Ok(None)`); a
-/// timeout **mid-header or mid-body** is a slow-loris stall and errors out.
+/// The server-side frame read into `buf`: a timeout with **zero bytes
+/// read** is an idle tick (keep waiting, unless `stop` was set — then
+/// `Ok(false)`); a timeout **mid-header or mid-body** is a slow-loris stall
+/// and errors out.
 fn read_frame_idle_aware(
     stream: &mut TcpStream,
     max: usize,
     stop: &AtomicBool,
-) -> io::Result<Option<Vec<u8>>> {
+    buf: &mut Vec<u8>,
+) -> io::Result<bool> {
     let mut len_buf = [0u8; 4];
     let mut got = 0usize;
     while got < 4 {
         match stream.read(&mut len_buf[got..]) {
             Ok(0) => {
                 return if got == 0 {
-                    Ok(None) // clean EOF between frames
+                    Ok(false) // clean EOF between frames
                 } else {
                     Err(io::ErrorKind::UnexpectedEof.into())
                 };
@@ -466,7 +563,7 @@ fn read_frame_idle_aware(
             Ok(n) => got += n,
             Err(e) if is_timeout(&e) && got == 0 => {
                 if stop.load(Ordering::SeqCst) {
-                    return Ok(None);
+                    return Ok(false);
                 }
                 // Idle between frames: keep waiting.
             }
@@ -476,7 +573,8 @@ fn read_frame_idle_aware(
     // The body must keep arriving: each io timeout window with no progress
     // drops the peer. (read_exact gives up at the first timeout, which is
     // exactly the per-window progress requirement.)
-    read_frame_body(stream, len_buf, max).map(Some)
+    read_frame_body(stream, len_buf, max, buf)?;
+    Ok(true)
 }
 
 /// Writes the `u32 LE length | frame` transport frame without building it:
@@ -527,6 +625,8 @@ pub struct NetClient {
     stream: Option<TcpStream>,
     next_id: u64,
     reconnects: u64,
+    inbound: FrameBuf,
+    outbound: FrameBuf,
 }
 
 impl NetClient {
@@ -554,6 +654,8 @@ impl NetClient {
             stream: None,
             next_id: 0,
             reconnects: 0,
+            inbound: FrameBuf::default(),
+            outbound: FrameBuf::default(),
         };
         client.reconnect()?;
         Ok(client)
@@ -579,6 +681,12 @@ impl NetClient {
         self.reconnects
     }
 
+    /// Times this client's inbound or outbound frame buffer had to grow
+    /// (see [`NetStats::buffer_grows`]).
+    pub fn buffer_grows(&self) -> u64 {
+        self.inbound.grows + self.outbound.grows
+    }
+
     fn poison<T>(&mut self, what: String) -> Result<T, WdError> {
         self.stream = None;
         Err(WdError::WireDecode(format!(
@@ -586,16 +694,25 @@ impl NetClient {
         )))
     }
 
-    /// One framed round trip: reconnect if poisoned, send `frame`, read the
-    /// response frame. Any transport failure poisons the connection.
-    fn exchange(&mut self, frame: &[u8]) -> Result<Vec<u8>, WdError> {
+    /// One framed round trip: `encode` the request into the outbound
+    /// buffer, reconnect if poisoned, send it, read the response frame into
+    /// the inbound buffer and `decode` it there. Any transport failure
+    /// poisons the connection; an `encode` error returns before any byte
+    /// leaves and does not.
+    fn exchange<T>(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), WdError>,
+        decode: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, WdError> {
+        self.outbound.fill(encode)?;
+        let frame_len = self.outbound.bytes.len();
         // Send-side frame cap, checked before any byte leaves: an over-cap
         // frame would truncate its u32 length prefix and desync the stream.
         // Nothing was written, so the connection is NOT poisoned.
-        if frame.len() > MAX_FRAME_BYTES {
+        if frame_len > MAX_FRAME_BYTES {
+            self.outbound.settle();
             return Err(WdError::WireDecode(format!(
-                "net send: frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
-                frame.len()
+                "net send: frame of {frame_len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
             )));
         }
         if self.stream.is_none() {
@@ -603,11 +720,10 @@ impl NetClient {
             self.reconnect()
                 .map_err(|e| WdError::WireDecode(format!("net reconnect: {e}")))?;
         }
-        let total = 4 + frame.len();
-        let sent = {
-            let stream = self.stream.as_mut().expect("connected above");
-            write_frame_tracked(stream, frame)
-        };
+        let total = 4 + frame_len;
+        let stream = self.stream.as_mut().expect("connected above");
+        let sent = write_frame_tracked(stream, &self.outbound.bytes);
+        self.outbound.settle();
         if let Err((sent, e)) = sent {
             return if sent > 0 && sent < total {
                 self.poison(format!(
@@ -617,15 +733,17 @@ impl NetClient {
                 self.poison(format!("net send: {e}"))
             };
         }
-        let got = {
-            let stream = self.stream.as_mut().expect("connected above");
-            read_frame(stream, MAX_FRAME_BYTES)
-        };
-        match got {
-            Ok(Some(resp)) => Ok(resp),
-            Ok(None) => self.poison("connection closed before response".into()),
+        let stream = self.stream.as_mut().expect("connected above");
+        let got = self
+            .inbound
+            .fill(|buf| read_frame_into(stream, MAX_FRAME_BYTES, buf));
+        let out = match got {
+            Ok(true) => Ok(decode(&self.inbound.bytes)),
+            Ok(false) => self.poison("connection closed before response".into()),
             Err(e) => self.poison(format!("net recv: {e}")),
-        }
+        };
+        self.inbound.settle();
+        out
     }
 
     /// Submits `req` as `tenant` (`None` = the default tenant) over a
@@ -647,9 +765,11 @@ impl NetClient {
     ) -> Result<WireResponse, WdError> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = wire::encode_request_v3(id, tenant, req)?;
-        let resp = self.exchange(&frame)?;
-        let resp = match wire::decode_response(&resp) {
+        let resp = self.exchange(
+            |out| wire::encode_request_v3_into(out, id, tenant, req),
+            wire::decode_response,
+        )?;
+        let resp = match resp {
             Ok(r) => r,
             Err(e) => return self.poison(format!("net response: {e}")),
         };
@@ -672,9 +792,15 @@ impl NetClient {
     pub fn health(&mut self) -> Result<wire::HealthReport, WdError> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = wire::encode_health_request(id);
-        let resp = self.exchange(&frame)?;
-        let (rid, report) = match wire::decode_health_report(&resp) {
+        let report = self.exchange(
+            |out| {
+                out.clear();
+                out.extend_from_slice(&wire::encode_health_request(id));
+                Ok(())
+            },
+            wire::decode_health_report,
+        )?;
+        let (rid, report) = match report {
             Ok(v) => v,
             Err(e) => return self.poison(format!("net health: {e}")),
         };
@@ -712,6 +838,36 @@ mod tests {
         short.truncate(6);
         let err = read_frame(&mut io::Cursor::new(short), 64).expect_err("truncated");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_reused_frame_buffer_grows_once_and_lets_an_oversized_frame_go() {
+        let mut wire = Vec::new();
+        for len in [100, 60, KEPT_FRAME_BYTES + 1, 60, 80] {
+            write_frame(&mut wire, &vec![7u8; len]).expect("write");
+        }
+        let mut r = io::Cursor::new(wire);
+        let mut buf = FrameBuf::default();
+        let mut read = |buf: &mut FrameBuf| {
+            let got = buf.fill(|b| read_frame_into(&mut r, MAX_FRAME_BYTES, b));
+            assert!(got.expect("read"));
+            let len = buf.bytes.len();
+            buf.settle();
+            (len, buf.grows)
+        };
+        // The first frame grows the buffer, a smaller one reuses it.
+        assert_eq!(read(&mut buf), (100, 1));
+        assert_eq!(read(&mut buf), (60, 1));
+        // An oversized frame grows it, and its memory is let go after it.
+        assert_eq!(read(&mut buf), (KEPT_FRAME_BYTES + 1, 2));
+        assert_eq!(buf.bytes.capacity(), 0);
+        assert_eq!(read(&mut buf), (60, 3));
+        assert_eq!(
+            read(&mut buf),
+            (80, 4),
+            "80 bytes outgrow the 60-byte buffer"
+        );
+        assert!(!read_frame_into(&mut r, MAX_FRAME_BYTES, &mut buf.bytes).expect("eof"));
     }
 
     #[test]

@@ -599,17 +599,25 @@ impl Server {
             .tenants
             .lookup(tenant)
             .ok_or_else(|| WdError::UnknownTenant(tenant.to_string()))?;
-        // Program requests are validated at the door: arity/level/scale
-        // mismatches and multi-output programs are caller errors, rejected
-        // typed before they cost a queue slot.
-        if let ServeOp::Program(prog, inputs) = &req.op {
-            if prog.output_count() != 1 {
-                return Err(WdError::InvalidParams(format!(
-                    "serve: program declares {} outputs; serving requires exactly 1",
-                    prog.output_count()
-                )));
+        // Requests are validated at the door: a program's arity/level/scale
+        // mismatches and multi-output programs, and a plain op's operand
+        // off the tenant's chain, are caller errors, rejected typed before
+        // they cost a queue slot.
+        match &req.op {
+            ServeOp::Program(prog, inputs) => {
+                if prog.output_count() != 1 {
+                    return Err(WdError::InvalidParams(format!(
+                        "serve: program declares {} outputs; serving requires exactly 1",
+                        prog.output_count()
+                    )));
+                }
+                prog.check_inputs(inputs)?;
             }
-            prog.check_inputs(inputs)?;
+            ServeOp::HAdd(a, b) | ServeOp::HSub(a, b) | ServeOp::HMult(a, b) => {
+                tenant.ctx().check_ciphertext(a)?;
+                tenant.ctx().check_ciphertext(b)?;
+            }
+            ServeOp::HRotate(ct, _) | ServeOp::Rescale(ct) => tenant.ctx().check_ciphertext(ct)?,
         }
         let now_us = self.now_us();
         if let Err(retry_after_us) = tenant.breaker_admit(now_us) {

@@ -167,8 +167,9 @@ fn read_envelope(buf: &[u8], pos: &mut usize, want_kind: u8) -> Result<u64, Ckks
 /// amount (or the response's status block) and the checksum trailer.
 const FRAME_OVERHEAD_MAX: usize = 14 + (1 + MAX_LABEL_BYTES) + 1 + 9 + 1 + 8 + 8;
 
-/// A buffer that holds `req`'s frame without regrowing.
-fn request_buffer(req: &Request) -> Vec<u8> {
+/// Bytes `req`'s frame can take: reserving this up front means the frame
+/// is written without regrowing.
+fn request_frame_max(req: &Request) -> usize {
     let operands: usize = match &req.op {
         ServeOp::HAdd(a, b) | ServeOp::HSub(a, b) | ServeOp::HMult(a, b) => {
             ciphertext_frame_len(a) + ciphertext_frame_len(b)
@@ -176,16 +177,23 @@ fn request_buffer(req: &Request) -> Vec<u8> {
         ServeOp::HRotate(ct, _) | ServeOp::Rescale(ct) => ciphertext_frame_len(ct),
         ServeOp::Program(..) => 0,
     };
-    Vec::with_capacity(FRAME_OVERHEAD_MAX + operands)
+    FRAME_OVERHEAD_MAX + operands
 }
 
-/// A buffer that holds `resp`'s frame without regrowing.
-fn response_buffer(resp: &WireResponse) -> Vec<u8> {
+/// Bytes `resp`'s frame can take.
+fn response_frame_max(resp: &WireResponse) -> usize {
     let payload = match &resp.result {
         Ok(ct) => ciphertext_frame_len(ct),
         Err(msg) => 4 + msg.len(),
     };
-    Vec::with_capacity(FRAME_OVERHEAD_MAX + payload)
+    FRAME_OVERHEAD_MAX + payload
+}
+
+/// Empties `out` and makes room for `max` bytes: a buffer reused from the
+/// last frame keeps its memory, a new one is reserved once and tightly.
+fn start_frame(out: &mut Vec<u8>, max: usize) {
+    out.clear();
+    out.reserve_exact(max);
 }
 
 /// Serializes one request under the given wire id: mandatory (possibly
@@ -202,13 +210,36 @@ pub fn encode_request_v3(
     tenant: Option<&str>,
     req: &Request,
 ) -> Result<Vec<u8>, CkksError> {
-    let mut out = request_buffer(req);
-    write_envelope(&mut out, VERSION_GUARD, KIND_REQUEST, id);
-    write_label_frame(&mut out, tenant.unwrap_or(""))?;
-    write_request_body(&mut out, req)?;
-    let sum = wd_fault::integrity::checksum_bytes(&out);
-    put_u64(&mut out, sum);
+    let mut out = Vec::new();
+    encode_request_v3_into(&mut out, id, tenant, req)?;
     Ok(out)
+}
+
+/// [`encode_request_v3`] into `out`, replacing what it held: a connection
+/// that keeps one outbound buffer encodes every request without
+/// allocating once the buffer has grown to its frames.
+///
+/// # Errors
+///
+/// As [`encode_request_v3`]; `out` then holds no valid frame.
+pub(crate) fn encode_request_v3_into(
+    out: &mut Vec<u8>,
+    id: u64,
+    tenant: Option<&str>,
+    req: &Request,
+) -> Result<(), CkksError> {
+    start_frame(out, request_frame_max(req));
+    write_envelope(out, VERSION_GUARD, KIND_REQUEST, id);
+    write_label_frame(out, tenant.unwrap_or(""))?;
+    write_request_body(out, req)?;
+    seal(out);
+    Ok(())
+}
+
+/// Appends the checksum trailer over every byte already in `out`.
+fn seal(out: &mut Vec<u8>) {
+    let sum = wd_fault::integrity::checksum_bytes(out);
+    put_u64(out, sum);
 }
 
 /// The request payload: class, deadline, op, operands.
@@ -374,12 +405,26 @@ fn checked_wire_u32(v: usize, what: &str) -> Result<u32, CkksError> {
 /// [`CkksError::WireDecode`] when the batch size or error-message length
 /// does not fit the wire's u32 fields.
 pub fn encode_response_v3(resp: &WireResponse) -> Result<Vec<u8>, CkksError> {
-    let mut out = response_buffer(resp);
-    write_envelope(&mut out, VERSION_GUARD, KIND_RESPONSE, resp.id);
-    write_response_body(&mut out, resp)?;
-    let sum = wd_fault::integrity::checksum_bytes(&out);
-    put_u64(&mut out, sum);
+    let mut out = Vec::new();
+    encode_response_v3_into(&mut out, resp)?;
     Ok(out)
+}
+
+/// [`encode_response_v3`] into `out`, replacing what it held (see
+/// [`encode_request_v3_into`]).
+///
+/// # Errors
+///
+/// As [`encode_response_v3`]; `out` then holds no valid frame.
+pub(crate) fn encode_response_v3_into(
+    out: &mut Vec<u8>,
+    resp: &WireResponse,
+) -> Result<(), CkksError> {
+    start_frame(out, response_frame_max(resp));
+    write_envelope(out, VERSION_GUARD, KIND_RESPONSE, resp.id);
+    write_response_body(out, resp)?;
+    seal(out);
+    Ok(())
 }
 
 /// The response payload.
@@ -506,8 +551,7 @@ pub struct HealthReport {
 pub fn encode_health_request(id: u64) -> Vec<u8> {
     let mut out = Vec::new();
     write_envelope(&mut out, VERSION_GUARD, KIND_HEALTH_REQUEST, id);
-    let sum = wd_fault::integrity::checksum_bytes(&out);
-    put_u64(&mut out, sum);
+    seal(&mut out);
     out
 }
 
@@ -562,8 +606,7 @@ pub fn encode_health_report(id: u64, report: &HealthReport) -> Result<Vec<u8>, C
         }
         put_u64(&mut out, t.in_flight);
     }
-    let sum = wd_fault::integrity::checksum_bytes(&out);
-    put_u64(&mut out, sum);
+    seal(&mut out);
     Ok(out)
 }
 
@@ -884,6 +927,34 @@ mod tests {
                 typed(decode(&long), &format!("extend {extra}"));
             }
         }
+    }
+
+    #[test]
+    fn into_forms_reuse_the_buffer_and_write_the_same_bytes() {
+        let (a, b) = ct_pair();
+        let add = Request::new(ServeOp::HAdd(a.clone(), b.clone()));
+        let rescale = Request::new(ServeOp::Rescale(b));
+        let mut out = Vec::new();
+        encode_request_v3_into(&mut out, 5, Some("alice"), &add).expect("encode");
+        assert_eq!(
+            out,
+            encode_request_v3(5, Some("alice"), &add).expect("encode")
+        );
+        let (ptr, cap) = (out.as_ptr(), out.capacity());
+        // A smaller frame replaces the larger one in place.
+        encode_request_v3_into(&mut out, 6, None, &rescale).expect("encode");
+        assert_eq!(out, encode_request_v3(6, None, &rescale).expect("encode"));
+        assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap));
+        let resp = WireResponse {
+            id: 6,
+            result: Ok(a),
+            waited_us: 3,
+            batch_size: 1,
+            trigger: Some(FlushTrigger::Idle),
+        };
+        encode_response_v3_into(&mut out, &resp).expect("encode");
+        assert_eq!(out, encode_response_v3(&resp).expect("encode"));
+        assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap));
     }
 
     #[test]

@@ -326,6 +326,57 @@ fn quota_and_unknown_tenant_errors_cross_the_wire() {
     );
 }
 
+/// Plain requests are checked against the tenant's chain at admission:
+/// two ciphertexts over primes the tenant's context does not have are a
+/// typed `LevelMismatch` answer, not a sum computed over a foreign chain,
+/// and the connection stays usable.
+#[test]
+fn operands_off_the_tenants_chain_are_refused_at_admission() {
+    let (ctx, kp) = shared();
+    let foreign = {
+        let params = ParamSet::set_c()
+            .with_degree(1 << 6)
+            .with_level(2)
+            .build()
+            .unwrap();
+        let fctx = CkksContext::with_seed(params, 0xF0E1).unwrap();
+        let fkp = fctx.keygen();
+        let a = fctx.encrypt_values(&[1.0], &fkp.public).unwrap();
+        let b = fctx.encrypt_values(&[2.0], &fkp.public).unwrap();
+        (a, b)
+    };
+    assert_ne!(
+        foreign.0.c0.primes(),
+        ctx.params().q_at(foreign.0.level).to_vec(),
+        "the operands must be over another chain"
+    );
+    let (server, net) = start_default();
+    let mut client = NetClient::connect(net.local_addr()).unwrap();
+    let (a, b) = foreign;
+    for op in [
+        ServeOp::HAdd(a.clone(), b.clone()),
+        ServeOp::HSub(a.clone(), b.clone()),
+        ServeOp::HMult(a.clone(), b.clone()),
+        ServeOp::HRotate(a.clone(), 1),
+        ServeOp::Rescale(a.clone()),
+    ] {
+        let kind = op.kind();
+        let resp = client.call_checked(None, &Request::new(op)).unwrap();
+        let msg = resp.result.expect_err(kind);
+        assert!(msg.contains("operand mismatch"), "{kind}: {msg}");
+    }
+    // The same connection still serves well-formed traffic.
+    let resp = client.call_checked(None, &sample_request()).unwrap();
+    let sum = resp.result.expect("a served HAdd");
+    let dec = ctx.decrypt_values(&sum, &kp.secret).unwrap();
+    assert!((dec[0] - 4.0).abs() < 1e-2 && (dec[1] - 6.0).abs() < 1e-2);
+    assert_eq!(client.reconnects(), 0);
+    drop(client);
+    let stats = net.shutdown();
+    assert_eq!((stats.frames, stats.decode_errors), (6, 0));
+    assert_eq!(server.drain().completed, 1, "only the valid request ran");
+}
+
 /// The partial-write/poisoning regression: a response the client cannot
 /// trust (here: a garbage frame from a hand-rolled listener) must poison
 /// the connection, and the **next** call must reconnect instead of reusing
