@@ -3,6 +3,7 @@
 use crate::CkksError;
 use serde::{Deserialize, Serialize};
 use wd_modmath::prime::{ntt_prime_above, ntt_prime_below};
+use wd_modmath::MAX_NTT_MODULUS_BITS;
 
 /// A named, buildable parameter template.
 ///
@@ -215,6 +216,15 @@ impl CkksParams {
             cursor = p;
             p_chain.push(p);
         }
+        // Decided here rather than deep inside context set-up: every prime
+        // gets an NTT table, and its lazy butterflies need 4q < 2^32.
+        let bound = 1u64 << MAX_NTT_MODULUS_BITS;
+        if let Some(p) = primes.iter().chain(&p_chain).find(|&&p| p >= bound) {
+            return Err(CkksError::InvalidParams(format!(
+                "prime {p} is not below 2^{MAX_NTT_MODULUS_BITS}, the bound an NTT's \
+                 32-bit lanes set on every chain and special prime"
+            )));
+        }
         let scale = (1u64 << set.prime_bits) as f64;
         Ok(Self {
             set,
@@ -357,6 +367,24 @@ mod tests {
         let p = ParamSet::set_e().with_degree(1 << 8).build()?;
         assert_eq!(p.q_chain().len() + p.p_chain().len(), 36);
         Ok(())
+    }
+
+    #[test]
+    fn every_prime_is_held_below_the_ntt_lane_bound() {
+        // 29 bits puts chain and special primes just above 2^29: accepted.
+        let mut set = ParamSet::set_a().with_degree(1 << 8);
+        (set.prime_bits, set.special_bits) = (29, 29);
+        let p = set.build().expect("29-bit primes fit a lane");
+        assert!(p.full_basis_at(p.max_level()).iter().all(|&q| q < 1 << 30));
+        // 30 bits reaches past 2^30 on either chain: refused, naming the bound.
+        for (prime_bits, special_bits) in [(30, 29), (29, 30)] {
+            let mut set = ParamSet::set_a().with_degree(1 << 8);
+            (set.prime_bits, set.special_bits) = (prime_bits, special_bits);
+            match set.build() {
+                Err(CkksError::InvalidParams(msg)) => assert!(msg.contains("2^30"), "{msg}"),
+                other => panic!("{prime_bits}/{special_bits} bits: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@ use std::sync::{Arc, LazyLock};
 
 use crate::cipher::Ciphertext;
 use crate::CkksError;
+use wd_modmath::lanes::{dispatch, Kernel};
 use wd_polyring::rns::{Domain, RnsPoly};
 use wd_polyring::scratch::ScratchArena;
 use wd_polyring::Poly;
@@ -117,39 +118,68 @@ fn poly_wire_len(p: &RnsPoly) -> usize {
     p.limb_count() * (8 + 4 * p.degree())
 }
 
-fn write_poly(out: &mut Vec<u8>, p: &RnsPoly) {
-    for limb in p.limbs() {
-        put_u64(out, limb.modulus().value());
-        let at = out.len();
-        out.resize(at + 4 * limb.degree(), 0);
-        for (word, &c) in out[at..].chunks_exact_mut(4).zip(limb.coeffs()) {
+/// Packs reduced coefficients into little-endian `u32` words, through the
+/// lane dispatch.
+struct Pack<'a> {
+    words: &'a mut [u8],
+    coeffs: &'a [u64],
+}
+
+impl Kernel for Pack<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        for (word, &c) in self.words.chunks_exact_mut(4).zip(self.coeffs) {
             debug_assert!(c < (1 << 32), "word-size coefficient");
             word.copy_from_slice(&(c as u32).to_le_bytes());
         }
     }
 }
 
-/// Coefficients widened per block of [`widen_checked`]: the block just
+fn write_poly(out: &mut Vec<u8>, p: &RnsPoly) {
+    for limb in p.limbs() {
+        put_u64(out, limb.modulus().value());
+        let at = out.len();
+        out.resize(at + 4 * limb.degree(), 0);
+        dispatch(Pack {
+            words: &mut out[at..],
+            coeffs: limb.coeffs(),
+        });
+    }
+}
+
+/// Coefficients widened per block of [`WidenChecked`]: the block just
 /// written (2 KiB) is still in L1 when it is range-checked.
 const WIDEN_BLOCK: usize = 256;
 
 /// Appends the little-endian `u32` words of `words` to `out` widened to
-/// `u64`, returning whether every one is below `q`. One pass over the
-/// frame: each block is widened and stored (a loop the compiler
-/// vectorizes), then checked while it is hot. Folding the check into the
-/// widen itself keeps the loop scalar: about 3× slower per SET-B limb on
-/// an x86-64 Xeon with the default target features.
-fn widen_checked(words: &[u8], q: u64, out: &mut Vec<u64>) -> bool {
-    let mut ok = true;
-    for block in words.chunks(4 * WIDEN_BLOCK) {
-        let start = out.len();
-        out.extend(block.chunks_exact(4).map(|w| {
-            // invariant: chunks_exact(4) yields exactly 4 bytes.
-            u64::from(u32::from_le_bytes(w.try_into().expect("4 bytes")))
-        }));
-        ok &= out[start..].iter().fold(true, |ok, &c| ok & (c < q));
+/// `u64`, and returns whether every one is below `q`. One pass over the
+/// frame, through the lane dispatch: each block is widened and stored,
+/// then checked while it is hot. The two stay separate loops: folding the
+/// check into the widen kept the loop scalar, about 3× slower per SET-B
+/// limb at the baseline target.
+struct WidenChecked<'a> {
+    words: &'a [u8],
+    q: u64,
+    out: &'a mut Vec<u64>,
+}
+
+impl Kernel for WidenChecked<'_> {
+    type Output = bool;
+    #[inline(always)]
+    fn run(self) -> bool {
+        let (q, out) = (self.q, self.out);
+        let mut ok = true;
+        for block in self.words.chunks(4 * WIDEN_BLOCK) {
+            let start = out.len();
+            out.extend(block.chunks_exact(4).map(|w| {
+                // invariant: chunks_exact(4) yields exactly 4 bytes.
+                u64::from(u32::from_le_bytes(w.try_into().expect("4 bytes")))
+            }));
+            ok &= out[start..].iter().fold(true, |ok, &c| ok & (c < q));
+        }
+        ok
     }
-    ok
 }
 
 fn read_poly(
@@ -176,7 +206,12 @@ fn read_poly(
         // Widen, range-check and store in one pass; only a bad limb is
         // searched again for the coefficient to name.
         let mut coeffs = pool.take_empty(degree);
-        if !widen_checked(words, q, &mut coeffs) {
+        let ok = dispatch(WidenChecked {
+            words,
+            q,
+            out: &mut coeffs,
+        });
+        if !ok {
             let c = *coeffs
                 .iter()
                 .find(|&&c| c >= q)
@@ -342,6 +377,53 @@ pub fn read_label_frame(buf: &[u8], pos: &mut usize) -> Result<String, CkksError
 mod tests {
     use super::*;
     use crate::{CkksContext, ParamSet};
+
+    #[test]
+    fn widen_and_pack_match_the_scalar_oracle_at_every_level() {
+        use wd_modmath::lanes::{run_at, Level};
+        let q: u64 = (1 << 30) - 35;
+        for len in [1, 15, 17, WIDEN_BLOCK + 3, 7 * WIDEN_BLOCK + 1] {
+            let mix: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761 + 5) % q).collect();
+            for coeffs in [mix, vec![q - 1; len], vec![0; len]] {
+                let want: Vec<u8> = coeffs
+                    .iter()
+                    .flat_map(|&c| (c as u32).to_le_bytes())
+                    .collect();
+                for level in Level::ALL {
+                    let mut words = vec![0; 4 * len];
+                    if run_at(
+                        level,
+                        Pack {
+                            words: &mut words,
+                            coeffs: &coeffs,
+                        },
+                    )
+                    .is_none()
+                    {
+                        continue;
+                    }
+                    assert_eq!(words, want, "pack at {level:?}, len = {len}");
+                    // In range below q; out of range at the largest word.
+                    for (bound, ok) in [
+                        (q, true),
+                        (coeffs.iter().max().copied().unwrap_or(0), false),
+                    ] {
+                        let mut out = Vec::new();
+                        let got = run_at(
+                            level,
+                            WidenChecked {
+                                words: &words,
+                                q: bound,
+                                out: &mut out,
+                            },
+                        );
+                        assert_eq!(got, Some(ok), "{level:?}, bound {bound}");
+                        assert_eq!(out, coeffs, "widen at {level:?}, len = {len}");
+                    }
+                }
+            }
+        }
+    }
 
     fn ctx() -> Result<(CkksContext, crate::keys::KeyPair), CkksError> {
         let params = ParamSet::set_a().with_degree(1 << 6).build()?;

@@ -5,8 +5,11 @@
 //! Montgomery-domain conversion would not amortize. With 31-bit moduli every
 //! product of two reduced operands fits in a `u64`, so a single-word Barrett
 //! with `mu = floor(2^64 / q)` reduces any such product with at most two
-//! conditional corrections.
+//! conditional corrections. The slab kernels use the narrow forms
+//! ([`Modulus::mul_lane`], [`Modulus::mul_shoup_lane`]) instead, whose every
+//! product is 32×32→64 and so has a vector form (see [`crate::lanes`]).
 
+use crate::lanes::{lo32, reduce_once};
 use crate::MathError;
 
 /// A word-size (< 2^31) modulus with precomputed Barrett constant.
@@ -27,6 +30,11 @@ pub struct Modulus {
     q: u64,
     /// floor(2^64 / q).
     mu: u64,
+    /// The narrow Barrett constant ⌊(2^{2k} − 1)/q⌋ for the bit length k
+    /// of q: below 2^32 for every q < 2^31.
+    mu_lane: u64,
+    /// k − 1, the shift that takes a product of residues below 2^32.
+    shift_lane: u32,
 }
 
 impl Modulus {
@@ -52,7 +60,17 @@ impl Modulus {
         // (q a power of two), where it is one less — the correction loop in
         // `reduce` absorbs that off-by-one.
         let mu = u64::MAX / q;
-        Ok(Self { q, mu })
+        // ⌊(2^{2k} − 1)/q⌋ is the textbook ⌊2^{2k}/q⌋ unless q is a power of
+        // two, where it is one less and so still fits 32 bits at q = 2^30
+        // (the estimate is then one low, which `mul_lane`'s bound absorbs).
+        let k = u64::BITS - q.leading_zeros();
+        let mu_lane = (u64::MAX >> (64 - 2 * k)) / q;
+        Ok(Self {
+            q,
+            mu,
+            mu_lane,
+            shift_lane: k - 1,
+        })
     }
 
     /// The modulus value q.
@@ -139,16 +157,37 @@ impl Modulus {
         }
     }
 
-    /// [`Modulus::mul_shoup`] without the final correction: `a` may be any
-    /// `u64` (not only a reduced one) and the result is congruent to `a·w`
-    /// in `[0, 2q)`. With `w' = ⌊w·2^64/q⌋` the quotient estimate is off by
-    /// less than `a/2^64 + 1 < 2`, which is the whole bound — the lazy
-    /// butterfly of the NTT relies on exactly this.
+    /// [`Modulus::mul`] in lane arithmetic: every product is 32×32→64, so a
+    /// slab loop of it vectorises. A narrow Barrett (HAC 14.42 in base 2):
+    /// with k the bit length of q, `q1 = ⌊ab/2^{k−1}⌋ < 2^32` and
+    /// `q3 = ⌊q1·μ/2^{k+1}⌋` is at most two below `⌊ab/q⌋`, so
+    /// `ab − q3·q` lies in `[0, 3q)` and two branch-free corrections finish
+    /// it. Exact for every q < 2^31 and reduced `a`, `b`.
+    #[inline(always)]
+    pub fn mul_lane(&self, a: u64, b: u64) -> u64 {
+        let x = lo32(a) * lo32(b);
+        let q1 = lo32(x >> self.shift_lane);
+        let q3 = lo32((q1 * lo32(self.mu_lane)) >> (self.shift_lane + 2));
+        let r = x.wrapping_sub(q3 * lo32(self.q));
+        reduce_once(reduce_once(r, 2 * self.q), self.q)
+    }
+
+    /// The lane Shoup constant `⌊w·2^32/q⌋` of a fixed multiplicand `w`
+    /// (below 2^32 because `w < q`), for [`Modulus::mul_shoup_lane`].
     #[inline]
-    pub fn mul_shoup_lazy(&self, a: u64, w: u64, w_shoup: u64) -> u64 {
+    pub fn shoup_lane(&self, w: u64) -> u64 {
         debug_assert!(w < self.q);
-        let t = ((u128::from(a) * u128::from(w_shoup)) >> 64) as u64;
-        a.wrapping_mul(w).wrapping_sub(t.wrapping_mul(self.q))
+        (w << 32) / self.q
+    }
+
+    /// `a·w` congruent mod q, in `[0, 2q)`, for any `a < 2^32` — the lazy
+    /// butterfly product of the NTT. With `w' = ⌊w·2^32/q⌋` the quotient
+    /// estimate `t = ⌊a·w'/2^32⌋` is off by less than `a/2^32 + 1 < 2`, which
+    /// is the whole bound; every product is 32×32→64.
+    #[inline(always)]
+    pub fn mul_shoup_lane(&self, a: u64, w: u64, w_shoup: u64) -> u64 {
+        let t = (lo32(a) * lo32(w_shoup)) >> 32;
+        (lo32(a) * lo32(w)).wrapping_sub(t * lo32(self.q))
     }
 
     /// Modular exponentiation by square-and-multiply.
@@ -297,12 +336,18 @@ mod tests {
         }
 
         #[test]
-        fn prop_shoup_lazy_is_congruent_below_2q(a in any::<u64>(), w in 0..Q) {
+        fn prop_shoup_lane_is_congruent_below_2q(a in 0..1u64 << 32, w in 0..Q) {
             let m = Modulus::new(Q);
-            let r = m.mul_shoup_lazy(a, w, m.shoup(w));
+            let r = m.mul_shoup_lane(a, w, m.shoup_lane(w));
             prop_assert!(r < 2 * Q);
             let expect = (u128::from(a) * u128::from(w) % u128::from(Q)) as u64;
             prop_assert_eq!(r % Q, expect);
+        }
+
+        #[test]
+        fn prop_mul_lane_matches_mul(a in 0..Q, b in 0..Q) {
+            let m = Modulus::new(Q);
+            prop_assert_eq!(m.mul_lane(a, b), m.mul(a, b));
         }
 
         #[test]

@@ -18,6 +18,10 @@
 //! - [`slab`]: cache-blocked in-place kernels over contiguous limb slabs
 //!   (fused multiply-accumulate, subtract, Shoup scaling) — the host-side
 //!   analogue of the paper's planar limb layout.
+//! - [`lanes`]: the one runtime dispatch (AVX-512F, AVX2 or scalar, chosen
+//!   once per process) that every hot slab kernel runs through, and the
+//!   32-bit lane arithmetic those kernels are written in — the host's
+//!   CUDA cores.
 //!
 //! # Examples
 //!
@@ -28,11 +32,14 @@
 //! assert_eq!(m.mul(3, m.inv(3).unwrap()), 1);
 //! ```
 
-#![forbid(unsafe_code)]
+// The one `unsafe` of the workspace is the call into a `#[target_feature]`
+// wrapper in `lanes::run_at`, which carries its own `#[allow]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod barrett;
 pub mod karatsuba;
+pub mod lanes;
 pub mod montgomery;
 pub mod prime;
 pub mod rns;
@@ -41,9 +48,14 @@ pub mod slab;
 pub use barrett::Modulus;
 pub use montgomery::Montgomery;
 
-/// Maximum bit width of a WarpDrive RNS modulus (32-bit word size minus the
-/// headroom bit needed by lazy reductions).
+/// Maximum bit width of a [`Modulus`]: a residue, the sum of two and the
+/// narrow Barrett's `[0, 3q)` intermediate all fit a 32-bit lane.
 pub const MAX_MODULUS_BITS: u32 = 31;
+
+/// Maximum bit width of a modulus the NTT accepts: its lazy butterflies
+/// keep values in `[0, 4q)`, which fits a 32-bit lane only for q < 2^30.
+/// Every chain and special prime is held to it.
+pub const MAX_NTT_MODULUS_BITS: u32 = 30;
 
 /// Errors produced by the modular-arithmetic layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -378,8 +378,9 @@ impl BasisConverter {
 
 /// The single-source-limb conversion: `out[k] = (x[k] − v·q) mod p` with
 /// `v = [x[k] > ⌊q/2⌋]`, where `q_mod_p = q mod p`. Branch-free per word —
-/// the compare is the sign bit of a subtraction, as in the NTT's
-/// `reduce_once`, so the fast loop vectorises on baseline x86-64.
+/// the compare is the sign bit of a subtraction, as in
+/// [`crate::lanes::reduce_once`], so the fast loop vectorises on baseline
+/// x86-64.
 fn lift_slab(q: u64, p: &Modulus, q_mod_p: u64, x: &[u64], out: &mut [u64]) {
     debug_assert!(x.iter().all(|&x| x < q), "residues not canonical");
     let half = q / 2;

@@ -7,18 +7,127 @@
 //! loaded once, combined, and stored once, so a fused
 //! multiply-accumulate makes a single pass where the naive
 //! `pointwise` + `add` composition made two passes plus a temporary
-//! allocation. The loop bodies are branch-free per element (Barrett mul,
-//! add/sub with conditional correction), which the compiler can unroll and
-//! autovectorize.
+//! allocation. The loop bodies are branch-free lane arithmetic
+//! ([`Modulus::mul_lane`], [`Modulus::mul_shoup_lane`], [`reduce_once`]),
+//! and every loop runs through [`dispatch`], so it is vectorised at the
+//! widest level the CPU offers.
 //!
 //! Every helper is bit-identical to composing the scalar [`Modulus`]
-//! operations element by element — the tests pin that equivalence.
+//! operations element by element — the tests pin that equivalence at every
+//! level.
 
+use crate::lanes::{dispatch, reduce_once, Kernel};
 use crate::Modulus;
 
 /// Elements per cache block: 1024 × 8 B = 8 KiB per operand, so a fused
 /// three-operand loop works on 24 KiB — comfortably inside a 32 KiB L1.
 pub const SLAB_BLOCK: usize = 1024;
+
+struct MulSlab<'a> {
+    m: &'a Modulus,
+    a: &'a [u64],
+    b: &'a [u64],
+    out: &'a mut [u64],
+}
+
+impl Kernel for MulSlab<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        let m = *self.m;
+        for ((o, &x), &y) in self.out.iter_mut().zip(self.a).zip(self.b) {
+            *o = m.mul_lane(x, y);
+        }
+    }
+}
+
+struct MulAddSlab<'a> {
+    m: &'a Modulus,
+    acc: &'a mut [u64],
+    a: &'a [u64],
+    b: &'a [u64],
+}
+
+impl Kernel for MulAddSlab<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        let (m, q) = (*self.m, self.m.value());
+        for ((cc, ac), bc) in self
+            .acc
+            .chunks_mut(SLAB_BLOCK)
+            .zip(self.a.chunks(SLAB_BLOCK))
+            .zip(self.b.chunks(SLAB_BLOCK))
+        {
+            for ((c, &x), &y) in cc.iter_mut().zip(ac).zip(bc) {
+                *c = reduce_once(*c + m.mul_lane(x, y), q);
+            }
+        }
+    }
+}
+
+struct MulAdd2Slab<'a> {
+    m: &'a Modulus,
+    acc0: &'a mut [u64],
+    acc1: &'a mut [u64],
+    a: &'a [u64],
+    b0: &'a [u64],
+    b1: &'a [u64],
+}
+
+impl Kernel for MulAdd2Slab<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        let (m, q) = (*self.m, self.m.value());
+        let lanes = self.acc0.iter_mut().zip(self.acc1).zip(self.a);
+        for (((c0, c1), &x), (&y0, &y1)) in lanes.zip(self.b0.iter().zip(self.b1)) {
+            *c0 = reduce_once(*c0 + m.mul_lane(x, y0), q);
+            *c1 = reduce_once(*c1 + m.mul_lane(x, y1), q);
+        }
+    }
+}
+
+struct RsubScaleSlab<'a> {
+    m: &'a Modulus,
+    a: &'a mut [u64],
+    b: &'a [u64],
+    w: u64,
+}
+
+impl Kernel for RsubScaleSlab<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        let (m, q, w) = (*self.m, self.m.value(), self.w);
+        let ws = m.shoup_lane(w);
+        for (ac, bc) in self.a.chunks_mut(SLAB_BLOCK).zip(self.b.chunks(SLAB_BLOCK)) {
+            for (x, &y) in ac.iter_mut().zip(bc) {
+                // The lazy product takes the unreduced difference in (0, 2q)
+                // and lands in [0, 2q): one correction for both steps.
+                *x = reduce_once(m.mul_shoup_lane(y + q - *x, w, ws), q);
+            }
+        }
+    }
+}
+
+struct ScaleSlab<'a> {
+    m: &'a Modulus,
+    a: &'a mut [u64],
+    w: u64,
+}
+
+impl Kernel for ScaleSlab<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        let (m, q, w) = (*self.m, self.m.value(), self.w);
+        let ws = m.shoup_lane(w);
+        for x in self.a.iter_mut() {
+            *x = reduce_once(m.mul_shoup_lane(*x, w, ws), q);
+        }
+    }
+}
 
 impl Modulus {
     /// `out[i] = a[i] * b[i] mod q` over whole slabs.
@@ -29,15 +138,7 @@ impl Modulus {
     pub fn mul_slab_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), out.len());
-        for ((oc, ac), bc) in out
-            .chunks_mut(SLAB_BLOCK)
-            .zip(a.chunks(SLAB_BLOCK))
-            .zip(b.chunks(SLAB_BLOCK))
-        {
-            for ((o, &x), &y) in oc.iter_mut().zip(ac).zip(bc) {
-                *o = self.mul(x, y);
-            }
-        }
+        dispatch(MulSlab { m: self, a, b, out });
     }
 
     /// Fused multiply-accumulate: `acc[i] = acc[i] + a[i] * b[i] mod q`,
@@ -50,15 +151,7 @@ impl Modulus {
     pub fn mul_add_slab_assign(&self, acc: &mut [u64], a: &[u64], b: &[u64]) {
         assert_eq!(acc.len(), a.len());
         assert_eq!(acc.len(), b.len());
-        for ((cc, ac), bc) in acc
-            .chunks_mut(SLAB_BLOCK)
-            .zip(a.chunks(SLAB_BLOCK))
-            .zip(b.chunks(SLAB_BLOCK))
-        {
-            for ((c, &x), &y) in cc.iter_mut().zip(ac).zip(bc) {
-                *c = self.add(*c, self.mul(x, y));
-            }
-        }
+        dispatch(MulAddSlab { m: self, acc, a, b });
     }
 
     /// Two fused multiply-accumulates that share one operand:
@@ -84,10 +177,14 @@ impl Modulus {
     ) {
         let len = a.len();
         assert!([acc0.len(), acc1.len(), b0.len(), b1.len()] == [len; 4]);
-        for ((((c0, c1), &x), &y0), &y1) in acc0.iter_mut().zip(acc1).zip(a).zip(b0).zip(b1) {
-            *c0 = self.add(*c0, self.mul(x, y0));
-            *c1 = self.add(*c1, self.mul(x, y1));
-        }
+        dispatch(MulAdd2Slab {
+            m: self,
+            acc0,
+            acc1,
+            a,
+            b0,
+            b1,
+        });
     }
 
     /// Fused reverse-subtract-and-scale: `a[i] = (b[i] − a[i]) · w mod q` in
@@ -101,33 +198,16 @@ impl Modulus {
     pub fn rsub_scale_slab_assign(&self, a: &mut [u64], b: &[u64], w: u64) {
         assert_eq!(a.len(), b.len());
         debug_assert!(w < self.value());
-        let q = self.value();
-        let w_shoup = self.shoup(w);
-        for (ac, bc) in a.chunks_mut(SLAB_BLOCK).zip(b.chunks(SLAB_BLOCK)) {
-            for (x, &y) in ac.iter_mut().zip(bc) {
-                // The lazy product takes the unreduced difference in (0, 2q)
-                // and lands in [0, 2q): one correction for both steps, and
-                // no data-dependent branch (the operands are uniform, so a
-                // compare-and-branch subtraction mispredicts half the time).
-                let r = self.mul_shoup_lazy(y + q - *x, w, w_shoup);
-                let over = r.wrapping_sub(q);
-                *x = over.wrapping_add(q & 0u64.wrapping_sub(over >> 63));
-            }
-        }
+        dispatch(RsubScaleSlab { m: self, a, b, w });
     }
 
     /// In-place scaling by a loop-invariant scalar via Shoup multiplication:
     /// the Shoup constant is computed once per slab, so the per-element work
-    /// is one high-half multiply and one correction — cheaper than Barrett
+    /// is one quotient estimate and one correction — cheaper than Barrett
     /// when one operand repeats (exactly the ModDown / rescale shape).
     pub fn scale_slab_assign(&self, a: &mut [u64], w: u64) {
         debug_assert!(w < self.value());
-        let w_shoup = self.shoup(w);
-        for block in a.chunks_mut(SLAB_BLOCK) {
-            for x in block.iter_mut() {
-                *x = self.mul_shoup(*x, w, w_shoup);
-            }
-        }
+        dispatch(ScaleSlab { m: self, a, w });
     }
 }
 
@@ -217,6 +297,142 @@ mod tests {
         for i in 0..len {
             assert_eq!(a[i], m.mul(m.sub(b[i], orig[i]), w), "i = {i}");
         }
+    }
+
+    /// Moduli for the level sweep: near 2^25, just below 2^30, 2^30 itself
+    /// (a power of two, where the narrow Barrett constant is one short), a
+    /// 31-bit NTT prime and the largest modulus a [`Modulus`] takes.
+    const SWEEP_MODULI: [u64; 5] = [
+        (1 << 25) + 1,
+        (1 << 30) - 35,
+        1 << 30,
+        0x7ffe_6001,
+        (1 << 31) - 1,
+    ];
+
+    /// Lengths that are not multiples of a vector, and that cross
+    /// [`SLAB_BLOCK`].
+    const SWEEP_LENS: [usize; 6] = [
+        1,
+        15,
+        17,
+        SLAB_BLOCK - 1,
+        SLAB_BLOCK + 37,
+        2 * SLAB_BLOCK + 5,
+    ];
+
+    /// Pseudo-random residues, all q − 1 and all 0.
+    fn sweep_inputs(q: u64, len: usize, seed: u64) -> [Vec<u64>; 3] {
+        [slab(seed, len, q), vec![q - 1; len], vec![0; len]]
+    }
+
+    #[test]
+    fn every_kernel_matches_the_scalar_oracle_at_every_level() {
+        use crate::lanes::{run_at, Level};
+        let mut ran = 0;
+        for level in Level::ALL {
+            for q in SWEEP_MODULI {
+                let m = Modulus::new(q);
+                let w = q - 1 - q / 7;
+                for len in SWEEP_LENS {
+                    for (k, [a, b, c]) in (0..3)
+                        .map(|k| {
+                            [0, 1, 2].map(|j| {
+                                sweep_inputs(q, len, 10 * j + 1)[(k + j as usize) % 3].clone()
+                            })
+                        })
+                        .enumerate()
+                    {
+                        let at = |what: &str| {
+                            format!("{what} at {level:?}, q = {q}, len = {len}, inputs {k}")
+                        };
+                        let mut out = vec![0; len];
+                        if run_at(
+                            level,
+                            MulSlab {
+                                m: &m,
+                                a: &a,
+                                b: &b,
+                                out: &mut out,
+                            },
+                        )
+                        .is_none()
+                        {
+                            continue;
+                        }
+                        ran += 1;
+                        let prod: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| m.mul(x, y)).collect();
+                        assert_eq!(out, prod, "{}", at("mul"));
+
+                        let mut acc = c.clone();
+                        run_at(
+                            level,
+                            MulAddSlab {
+                                m: &m,
+                                acc: &mut acc,
+                                a: &a,
+                                b: &b,
+                            },
+                        );
+                        let want: Vec<u64> =
+                            c.iter().zip(&prod).map(|(&x, &p)| m.add(x, p)).collect();
+                        assert_eq!(acc, want, "{}", at("mul_add"));
+
+                        let (mut acc0, mut acc1) = (c.clone(), b.clone());
+                        run_at(
+                            level,
+                            MulAdd2Slab {
+                                m: &m,
+                                acc0: &mut acc0,
+                                acc1: &mut acc1,
+                                a: &a,
+                                b0: &b,
+                                b1: &c,
+                            },
+                        );
+                        let want1: Vec<u64> = b
+                            .iter()
+                            .zip(a.iter().zip(&c))
+                            .map(|(&x, (&y, &z))| m.add(x, m.mul(y, z)))
+                            .collect();
+                        assert_eq!((acc0, acc1), (want, want1), "{}", at("mul_add2"));
+
+                        let mut r = a.clone();
+                        run_at(
+                            level,
+                            RsubScaleSlab {
+                                m: &m,
+                                a: &mut r,
+                                b: &b,
+                                w,
+                            },
+                        );
+                        let want: Vec<u64> = a
+                            .iter()
+                            .zip(&b)
+                            .map(|(&x, &y)| m.mul(m.sub(y, x), w))
+                            .collect();
+                        assert_eq!(r, want, "{}", at("rsub_scale"));
+
+                        let mut r = a.clone();
+                        run_at(
+                            level,
+                            ScaleSlab {
+                                m: &m,
+                                a: &mut r,
+                                w,
+                            },
+                        );
+                        let want: Vec<u64> = a.iter().map(|&x| m.mul(x, w)).collect();
+                        assert_eq!(r, want, "{}", at("scale"));
+                    }
+                }
+            }
+        }
+        assert!(
+            ran >= SWEEP_MODULI.len() * SWEEP_LENS.len() * 3,
+            "scalar always runs"
+        );
     }
 
     #[test]

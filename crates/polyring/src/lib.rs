@@ -68,7 +68,9 @@ pub use variants::{NttEngine, NttVariant};
 pub enum PolyError {
     /// Ring degree must be a power of two ≥ 4.
     BadDegree(usize),
-    /// The modulus is outside the word-size bound [2, 2^31).
+    /// The modulus is outside the word-size bound [2, 2^31), or, for an
+    /// NTT, not below 2^30: the lazy butterflies keep values in `[0, 4q)`,
+    /// which must fit a 32-bit lane.
     BadModulus(u64),
     /// The modulus does not support an NTT of this size (q ≢ 1 mod 2N).
     NoRootOfUnity {
@@ -87,7 +89,10 @@ impl core::fmt::Display for PolyError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             PolyError::BadDegree(n) => write!(f, "degree {n} is not a power of two >= 4"),
-            PolyError::BadModulus(q) => write!(f, "modulus {q} is outside [2, 2^31)"),
+            PolyError::BadModulus(q) => write!(
+                f,
+                "modulus {q} is out of range: a ring needs 2 <= q < 2^31, an NTT q < 2^30"
+            ),
             PolyError::NoRootOfUnity { modulus, degree } => {
                 write!(
                     f,

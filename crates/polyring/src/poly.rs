@@ -2,7 +2,43 @@
 
 use crate::scratch::ScratchArena;
 use crate::PolyError;
+use wd_modmath::lanes::{dispatch, reduce_once, Kernel};
 use wd_modmath::Modulus;
+
+/// `out` extended by `f` of each coefficient pair: the loop of
+/// [`Poly::add`], [`Poly::sub`] and [`Poly::pointwise`], run through the
+/// lane dispatch.
+struct ZipInto<'a, F> {
+    out: &'a mut Vec<u64>,
+    a: &'a [u64],
+    b: &'a [u64],
+    f: F,
+}
+
+/// `a + b mod q` for reduced operands, branch-free.
+fn add_lane(q: u64) -> impl Fn(u64, u64) -> u64 {
+    move |a, b| reduce_once(a + b, q)
+}
+
+/// `a − b mod q` for reduced operands, branch-free.
+fn sub_lane(q: u64) -> impl Fn(u64, u64) -> u64 {
+    move |a, b| reduce_once(a + q - b, q)
+}
+
+/// `a · b mod q` for reduced operands, in lane arithmetic.
+fn mul_lane(m: Modulus) -> impl Fn(u64, u64) -> u64 {
+    move |a, b| m.mul_lane(a, b)
+}
+
+impl<F: Fn(u64, u64) -> u64> Kernel for ZipInto<'_, F> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        let f = self.f;
+        self.out
+            .extend(self.a.iter().zip(self.b).map(|(&x, &y)| f(x, y)));
+    }
+}
 
 /// A polynomial of degree < N with coefficients reduced modulo a single
 /// word-size prime. The coefficient vector may represent either the
@@ -236,7 +272,12 @@ impl Poly {
             Some(pool) => pool.take_empty(self.coeffs.len()),
             None => Vec::with_capacity(self.coeffs.len()),
         };
-        coeffs.extend(self.coeffs.iter().zip(&rhs.coeffs).map(|(&a, &b)| f(a, b)));
+        dispatch(ZipInto {
+            out: &mut coeffs,
+            a: &self.coeffs,
+            b: &rhs.coeffs,
+            f,
+        });
         Ok(Self {
             modulus: self.modulus,
             coeffs,
@@ -251,8 +292,7 @@ impl Poly {
     ///
     /// Returns [`PolyError::RingMismatch`] if degrees or moduli differ.
     pub fn add(&self, rhs: &Self) -> Result<Self, PolyError> {
-        let m = &self.modulus;
-        self.zip_with(rhs, |a, b| m.add(a, b))
+        self.zip_with(rhs, add_lane(self.modulus.value()))
     }
 
     /// Coefficient-wise subtraction, leasing like [`Poly::add`].
@@ -261,8 +301,7 @@ impl Poly {
     ///
     /// Returns [`PolyError::RingMismatch`] if degrees or moduli differ.
     pub fn sub(&self, rhs: &Self) -> Result<Self, PolyError> {
-        let m = &self.modulus;
-        self.zip_with(rhs, |a, b| m.sub(a, b))
+        self.zip_with(rhs, sub_lane(self.modulus.value()))
     }
 
     /// Negation.
@@ -283,13 +322,13 @@ impl Poly {
     /// Returns [`PolyError::RingMismatch`] if degrees or moduli differ.
     pub fn pointwise(&self, rhs: &Self) -> Result<Self, PolyError> {
         self.check_ring(rhs)?;
-        let m = &self.modulus;
-        let coeffs = self
-            .coeffs
-            .iter()
-            .zip(&rhs.coeffs)
-            .map(|(&a, &b)| m.mul(a, b))
-            .collect();
+        let mut coeffs = Vec::with_capacity(self.coeffs.len());
+        dispatch(ZipInto {
+            out: &mut coeffs,
+            a: &self.coeffs,
+            b: &rhs.coeffs,
+            f: mul_lane(self.modulus),
+        });
         Ok(Self {
             modulus: self.modulus,
             coeffs,
@@ -390,6 +429,66 @@ mod tests {
         let c = Poly::zero(101, 4).unwrap();
         assert!(matches!(a.add(&b), Err(PolyError::RingMismatch)));
         assert!(matches!(a.pointwise(&c), Err(PolyError::RingMismatch)));
+    }
+
+    #[test]
+    fn add_sub_pointwise_match_the_scalar_oracle_at_every_level() {
+        use wd_modmath::lanes::{run_at, Level};
+        for q in [(1 << 25) + 1, (1 << 30) - 35, 0x7ffe_6001, (1 << 31) - 1] {
+            let m = Modulus::new(q);
+            for len in [4, 15, 17, 1061, 1 << 13] {
+                let mix: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761 + 3) % q).collect();
+                for (a, b) in [
+                    (mix.clone(), vec![q - 1; len]),
+                    (vec![0; len], mix.clone()),
+                    (vec![q - 1; len], vec![q - 1; len]),
+                ] {
+                    let oracle = |f: fn(&Modulus, u64, u64) -> u64| -> Vec<u64> {
+                        a.iter().zip(&b).map(|(&x, &y)| f(&m, x, y)).collect()
+                    };
+                    let want = [
+                        oracle(Modulus::add),
+                        oracle(Modulus::sub),
+                        oracle(Modulus::mul),
+                    ];
+                    for level in Level::ALL {
+                        let mut got: [Vec<u64>; 3] = Default::default();
+                        let ran = [
+                            run_at(
+                                level,
+                                ZipInto {
+                                    out: &mut got[0],
+                                    a: &a,
+                                    b: &b,
+                                    f: add_lane(q),
+                                },
+                            ),
+                            run_at(
+                                level,
+                                ZipInto {
+                                    out: &mut got[1],
+                                    a: &a,
+                                    b: &b,
+                                    f: sub_lane(q),
+                                },
+                            ),
+                            run_at(
+                                level,
+                                ZipInto {
+                                    out: &mut got[2],
+                                    a: &a,
+                                    b: &b,
+                                    f: mul_lane(m),
+                                },
+                            ),
+                        ];
+                        if ran.iter().all(Option::is_some) {
+                            assert_eq!(got, want, "{level:?}, q = {q}, len = {len}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! derives expand to nothing: the attribute is accepted, no impl is emitted,
 //! and nothing downstream requires the impls to exist.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::TokenStream;
 
 /// No-op `#[derive(Serialize)]`.

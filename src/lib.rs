@@ -28,6 +28,8 @@
 //! assert!((m[0] - 1.0).abs() < 1e-2 && (m[1] - 2.0).abs() < 1e-2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// One-stop imports for application code.
 ///
 /// ```
