@@ -466,17 +466,23 @@ impl CkksContext {
             self.spans(s_prime, full) && self.spans(&sk.s, full),
             "ksk shapes"
         );
+        // One widened limb of a_j at a time: the combine step reads `u64`
+        // words, and the key itself only ever exists in 32-bit words.
+        let mut a_limb = vec![0u64; n];
         let digits = (0..top.digit_to_full.len())
             .map(|j| {
                 let factors = self.ksk_factors(j);
                 let (a, e) = self.with_rng(|r| {
-                    let a = sampling::uniform_poly(r, full, n);
+                    let a = sampling::uniform_key(r, full, n);
                     (a, sampling::gaussian_slab(r, n))
                 });
-                let b = sampling::noise_poly(&top.full_tables, &e, |i, m, limb| {
+                let b = sampling::noise_key(&top.full_tables, &e, |i, m, limb| {
+                    for (w, &x) in a_limb.iter_mut().zip(a.limb(i)) {
+                        *w = u64::from(x);
+                    }
                     let (f, f_shoup) = factors[i];
                     let p_f_s = Term::Key(Some((s_prime.limb(i).coeffs(), f, f_shoup)));
-                    let a_s = (a.limb(i).coeffs(), sk.s.limb(i).coeffs());
+                    let a_s = (&a_limb[..], sk.s.limb(i).coeffs());
                     sampling::combine_limb(m, limb, noise_scale, a_s, p_f_s);
                 });
                 crate::keys::KskDigit { b, a }
@@ -723,6 +729,7 @@ pub(crate) fn restrict(p: &RnsPoly, count: usize) -> RnsPoly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::KeyPoly;
     use crate::params::ParamSet;
 
     fn ctx() -> Result<CkksContext, CkksError> {
@@ -919,7 +926,10 @@ mod tests {
                     .add(&e.scale_scalar(t))
                     .unwrap();
                 let b = b.add(&s2.scale_per_limb(&factors)).unwrap();
-                crate::keys::KskDigit { b, a }
+                crate::keys::KskDigit {
+                    b: KeyPoly::from_rns(&b),
+                    a: KeyPoly::from_rns(&a),
+                }
             })
             .collect();
         KeyPair {

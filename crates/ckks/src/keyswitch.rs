@@ -36,9 +36,14 @@
 //!   target limb, for each digit: produce that digit's limb in a one-limb
 //!   scratch, then multiply-accumulate it into `acc0[t]` and `acc1[t]`
 //!   against both key limbs in one pass
-//!   ([`wd_modmath::Modulus::mul_add2_slab_assign`]: the two key limbs are
-//!   read once each from a key far larger than L2, and one loop keeps both
-//!   streams in flight). The two accumulator limbs (64 KiB each at SET-B,
+//!   ([`wd_modmath::slab::mul_add2_lazy`]). The key limbs are 32-bit words
+//!   ([`crate::keys::KeyPoly`]) read once each from a key far larger than
+//!   L2, so the pass streams half the bytes a `u64` key did, and the
+//!   accumulators take each product as a plain integer: one fold to
+//!   `[0, q)` ([`wd_modmath::Modulus::fold_slab_assign`]) ends the limb, with
+//!   one more every [`wd_modmath::Modulus::lazy_terms`] digits (16 for a
+//!   prime just below 2^30; thousands for Table VI's primes, so one fold
+//!   per limb there). The two accumulator limbs (64 KiB each at SET-B,
 //!   128 KiB at SET-C) stay cache-hot across all digits, the extension
 //!   buffer is one limb per thread instead of a full-basis polynomial, and
 //!   there is no barrier between digits.
@@ -92,12 +97,13 @@
 //! outputs at every level and width.
 
 use crate::context::CkksContext;
-use crate::keys::{KeySwitchKey, KskDigit};
+use crate::keys::{KeyPoly, KeySwitchKey, KskDigit};
 use crate::CkksError;
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 use wd_modmath::rns::BasisConverter;
+use wd_modmath::slab::mul_add2_lazy;
 use wd_polyring::ntt::NttTable;
 use wd_polyring::rns::{count_limb_transforms, Domain, RnsPoly};
 use wd_polyring::scratch::{self, ScratchArena};
@@ -210,7 +216,7 @@ pub(crate) fn key_permutation(
 ///
 /// Returns [`CkksError::LevelMismatch`] if a prime is absent from the key —
 /// e.g. a key generated for different parameters.
-fn key_limb_index(key: &RnsPoly, basis: &[u64]) -> Result<Vec<usize>, CkksError> {
+fn key_limb_index(key: &KeyPoly, basis: &[u64]) -> Result<Vec<usize>, CkksError> {
     let primes = key.primes();
     basis
         .iter()
@@ -301,11 +307,13 @@ impl<'a> Decomposition<'a> {
 /// Stage 2, **InnerProduct**, limb-major: for each limb t of `basis`, for
 /// each key digit j, `fill(j, t, ext)` writes digit j's limb t (NTT form)
 /// into a one-limb scratch and both accumulators take it in one pass —
-/// `acc0[t] += ext ⊙ key_j.b[t]`, `acc1[t] += ext ⊙ key_j.a[t]` — before the
-/// next digit overwrites the scratch. The target limbs are split into at
-/// most `threads` contiguous runs, each with its own scratch limb, leased
-/// here on the arena-owning thread. Returns the accumulators (NTT domain,
-/// leased from `arena`; the caller's ModDown consumes them).
+/// `acc0[t] += ext ⊙ key_j.b[t]`, `acc1[t] += ext ⊙ key_j.a[t]`, unreduced —
+/// before the next digit overwrites the scratch; a fold every
+/// [`wd_modmath::Modulus::lazy_terms`] digits and one at the end of the limb
+/// bring both into `[0, q)`. The target limbs are split into at most
+/// `threads` contiguous runs, each with its own scratch limb, leased here on
+/// the arena-owning thread. Returns the accumulators (NTT domain, leased
+/// from `arena`; the caller's ModDown consumes them).
 fn inner_product(
     arena: &Arc<ScratchArena>,
     basis: &[u64],
@@ -327,17 +335,18 @@ fn inner_product(
         wd_polyring::par::for_each_mut(threads, &mut work, |(ext, run)| {
             for (t, (a0, a1)) in run.iter_mut() {
                 let m = *a0.modulus();
-                let k = kidx[*t];
+                let (k, cadence) = (kidx[*t], m.lazy_terms());
+                let (a0, a1) = (a0.coeffs_mut(), a1.coeffs_mut());
                 for (j, key) in keys.iter().enumerate() {
+                    if j > 0 && j.is_multiple_of(cadence) {
+                        m.fold_slab_assign(a0);
+                        m.fold_slab_assign(a1);
+                    }
                     fill(j, *t, ext);
-                    m.mul_add2_slab_assign(
-                        a0.coeffs_mut(),
-                        a1.coeffs_mut(),
-                        ext,
-                        key.b.limb(k).coeffs(),
-                        key.a.limb(k).coeffs(),
-                    );
+                    mul_add2_lazy(a0, a1, ext, key.b.limb(k), key.a.limb(k));
                 }
+                m.fold_slab_assign(a0);
+                m.fold_slab_assign(a1);
             }
         });
     }
@@ -592,10 +601,10 @@ mod tests {
     use wd_modmath::Modulus;
     use wd_polyring::par::convert_poly;
 
-    /// The original allocate-per-step keyswitch, kept verbatim as the
-    /// oracle the staged pipeline is compared against: its own digit loop,
-    /// a fresh polynomial per step, key limbs cloned per digit, P⁻¹
-    /// recomputed per call.
+    /// The original allocate-per-step keyswitch, kept as the oracle the
+    /// staged pipeline is compared against: its own digit loop, a fresh
+    /// polynomial per step, the key widened to `u64` limbs and reduced per
+    /// product, P⁻¹ recomputed per call.
     fn keyswitch_unpooled(
         ctx: &CkksContext,
         d: &RnsPoly,
@@ -637,8 +646,8 @@ mod tests {
             // InnerProduct accumulation. The key digit lives over the max-level
             // full basis: its limb order is q_0…q_L, p…; at level ℓ we need
             // q_0…q_ℓ, p… — select those limbs.
-            let kb = select_basis(&ksk.digits[j].b, &full)?;
-            let ka = select_basis(&ksk.digits[j].a, &full)?;
+            let kb = select_basis(&ksk.digits[j].b.to_rns(), &full)?;
+            let ka = select_basis(&ksk.digits[j].a.to_rns(), &full)?;
             acc0 = acc0.add(&ext_ntt.pointwise(&kb)?)?;
             acc1 = acc1.add(&ext_ntt.pointwise(&ka)?)?;
         }
@@ -793,6 +802,73 @@ mod tests {
                 let (h0, h1) = keyswitch_hoisted(&ctx, &hd, 1, &kp.relin)?;
                 assert_eq!(h0, u0, "hoisted out0 diverged at level {level}");
                 assert_eq!(h1, u1, "hoisted out1 diverged at level {level}");
+            }
+        }
+        Ok(())
+    }
+
+    /// A chain of 19 primes just below 2^30 at K = 1, so up to 19 digits
+    /// meet each target limb: more than the 16 products a lane takes
+    /// between folds there, so the inner product folds mid-limb. Bit for bit
+    /// against the oracle, at the top levels, at two widths and hoisted:
+    /// with the generated key on a uniform operand, and with every key word
+    /// and every extended digit word at q − 1 (the operand is the NTT of
+    /// the constant −1, so each lift is −1 too), where each target word
+    /// sums 19·(q − 1)² and one fold per limb would have wrapped.
+    #[test]
+    fn deep_chain_near_2_30_matches_unpooled() -> Result<(), CkksError> {
+        use crate::params::CkksParams;
+        use rand::SeedableRng;
+        let n = 1 << 6;
+        let mut primes = Vec::new();
+        let mut below = 1u64 << 30;
+        for _ in 0..20 {
+            below = wd_modmath::prime::ntt_prime_below(below - 1, 2 * n as u64)?;
+            primes.push(below);
+        }
+        let special = primes.split_off(19);
+        let set = ParamSet {
+            name: "deep".into(),
+            n,
+            level: 18,
+            special: 1,
+            prime_bits: 29,
+            special_bits: 29,
+        };
+        let ctx = CkksContext::with_seed(CkksParams::from_primes(set, primes, special), 5)?;
+        let kp = ctx.keygen();
+        let top = ctx.params().max_level();
+        for &q in ctx.params().q_chain() {
+            let m = Modulus::new(q);
+            assert!(ctx.params().dnum_at(top) > m.lazy_terms(), "q = {q}");
+        }
+        let mut extreme = kp.relin.clone();
+        for part in extreme.digits.iter_mut().flat_map(|d| [&mut d.b, &mut d.a]) {
+            for i in 0..part.limb_count() {
+                let top_word = part.primes()[i] as u32 - 1;
+                part.limb_mut(i).fill(top_word);
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for level in [top - 2, top] {
+            let primes = ctx.params().q_at(level);
+            let mut minus_one = RnsPoly::from_signed(primes, &vec![-1; n])?;
+            minus_one.set_domain(Domain::Ntt);
+            for (d, key) in [
+                (
+                    crate::sampling::uniform_poly(&mut rng, primes, n),
+                    &kp.relin,
+                ),
+                (minus_one, &extreme),
+            ] {
+                let (u0, u1) = keyswitch_unpooled(&ctx, &d, key)?;
+                for threads in [1usize, 3] {
+                    let (w0, w1) = keyswitch_with(&ctx, &d, key, threads)?;
+                    assert_eq!((&w0, &w1), (&u0, &u1), "{threads} threads, level {level}");
+                }
+                let hd = HoistedDecomposition::new(&ctx, &d)?;
+                let (h0, h1) = keyswitch_hoisted(&ctx, &hd, 1, key)?;
+                assert_eq!((&h0, &h1), (&u0, &u1), "hoisted, level {level}");
             }
         }
         Ok(())

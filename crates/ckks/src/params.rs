@@ -234,6 +234,20 @@ impl CkksParams {
         })
     }
 
+    /// Parameters over the given chain and special primes, for tests that
+    /// need primes the templates do not generate (a chain just below 2^30).
+    #[cfg(test)]
+    pub(crate) fn from_primes(set: ParamSet, q_chain: Vec<u64>, p_chain: Vec<u64>) -> Self {
+        assert_eq!((set.level + 1, set.special), (q_chain.len(), p_chain.len()));
+        let scale = (1u64 << set.prime_bits) as f64;
+        Self {
+            set,
+            q_chain,
+            p_chain,
+            scale,
+        }
+    }
+
     /// The originating template.
     pub fn set(&self) -> &ParamSet {
         &self.set

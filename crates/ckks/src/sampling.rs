@@ -6,6 +6,7 @@
 //! keys and v, e0, e1 for encryption: changing any of it is a declared
 //! re-pin of `golden_bits.rs`. Nothing divides per coefficient.
 
+use crate::keys::KeyPoly;
 use rand::Rng;
 use std::sync::Arc;
 use wd_modmath::Modulus;
@@ -18,11 +19,11 @@ use wd_polyring::Poly;
 pub const ERROR_STD_DEV: f64 = 3.2;
 
 /// Samples a polynomial uniform in every limb, directly in the **NTT
-/// domain** (uniform is uniform in either domain): the `a` of public and
-/// evaluation keys. Each limb takes the accepted words of `gen_range(0..q)`
-/// in order, with the rejection zone and Barrett constant hoisted and
-/// draw `k` written straight to slot `brv(k)`, the order of
-/// [`NttTable::forward`]: draw k is the evaluation at ψ^{2k+1}.
+/// domain** (uniform is uniform in either domain): the `a` of public keys.
+/// Each limb takes the accepted words of `gen_range(0..q)` in order, with
+/// the rejection zone and Barrett constant hoisted and draw `k` written
+/// straight to slot `brv(k)`, the order of [`NttTable::forward`]: draw k is
+/// the evaluation at ψ^{2k+1}.
 ///
 /// # Panics
 ///
@@ -31,29 +32,51 @@ pub fn uniform_poly<R: Rng>(rng: &mut R, primes: &[u64], n: usize) -> RnsPoly {
     // invariant: callers pass prime lists and degrees validated by
     // `CkksParams`; ring construction cannot fail for them.
     let mut p = RnsPoly::zero(primes, n).expect("valid ring");
-    let shift = usize::BITS - n.trailing_zeros();
     for (limb, &q) in p.limbs_mut().zip(primes) {
         let out = limb.coeffs_mut();
-        // μ = ⌊(2^64−1)/q⌋; the zone is `gen_range`'s: 2^64 − 1 less
-        // ((2^64−1) mod q + 1) mod q.
-        let mu = u64::MAX / q;
-        let rem = u64::MAX - mu * q;
-        let zone = u64::MAX - if rem + 1 == q { 0 } else { rem + 1 };
-        for k in 0..n {
-            let v = loop {
-                let v = rng.next_u64();
-                if v <= zone {
-                    break v;
-                }
-            };
-            // The Barrett quotient is at most one short: v − t·q < 2q.
-            let t = ((u128::from(v) * u128::from(mu)) >> 64) as u64;
-            let over = v.wrapping_sub(t.wrapping_mul(q)).wrapping_sub(q);
-            out[k.reverse_bits() >> shift] = over.wrapping_add(q & 0u64.wrapping_sub(over >> 63));
-        }
+        uniform_limb(rng, q, n, |k, v| out[k] = v);
     }
     p.set_domain(Domain::Ntt);
     p
+}
+
+/// [`uniform_poly`]'s draws, written into a key slab: the `a_j` of a
+/// key-switching digit.
+pub(crate) fn uniform_key<R: Rng>(rng: &mut R, primes: &[u64], n: usize) -> KeyPoly {
+    let mut p = KeyPoly::zero(primes, n);
+    for (i, &q) in primes.iter().enumerate() {
+        let out = p.limb_mut(i);
+        // Lossless: every prime is below 2^30.
+        uniform_limb(rng, q, n, |k, v| out[k] = v as u32);
+    }
+    p
+}
+
+/// One uniform limb mod q: the accepted words of `gen_range(0..q)`, draw k
+/// handed to `put` with its bit-reversed slot.
+#[inline(always)]
+fn uniform_limb<R: Rng>(rng: &mut R, q: u64, n: usize, mut put: impl FnMut(usize, u64)) {
+    let shift = usize::BITS - n.trailing_zeros();
+    // μ = ⌊(2^64−1)/q⌋; the zone is `gen_range`'s: 2^64 − 1 less
+    // ((2^64−1) mod q + 1) mod q.
+    let mu = u64::MAX / q;
+    let rem = u64::MAX - mu * q;
+    let zone = u64::MAX - if rem + 1 == q { 0 } else { rem + 1 };
+    for k in 0..n {
+        let v = loop {
+            let v = rng.next_u64();
+            if v <= zone {
+                break v;
+            }
+        };
+        // The Barrett quotient is at most one short: v − t·q < 2q.
+        let t = ((u128::from(v) * u128::from(mu)) >> 64) as u64;
+        let over = v.wrapping_sub(t.wrapping_mul(q)).wrapping_sub(q);
+        put(
+            k.reverse_bits() >> shift,
+            over.wrapping_add(q & 0u64.wrapping_sub(over >> 63)),
+        );
+    }
 }
 
 /// `n` ternary coefficients in {−1, 0, +1}: a secret, or encryption's v.
@@ -143,22 +166,51 @@ pub(crate) fn combine_limb(m: &Modulus, out: &mut [u64], t: u64, xy: (&[u64], &[
 pub(crate) fn noise_poly(
     tables: &[Arc<NttTable>],
     slab: &[i64],
-    mut fold: impl FnMut(usize, &Modulus, &mut [u64]),
+    fold: impl FnMut(usize, &Modulus, &mut [u64]),
 ) -> RnsPoly {
-    let limbs: Vec<Poly> = tables
-        .iter()
-        .enumerate()
-        .map(|(i, table)| {
-            let mut limb = noise_limb(table, slab);
-            fold(i, table.modulus(), &mut limb);
-            // invariant: NTT tables exist only for valid (prime, degree)
-            // pairs, and every kernel write is reduced.
-            Poly::from_reduced_coeffs(table.modulus().value(), limb).expect("table ring")
-        })
-        .collect();
-    count_limb_transforms(limbs.len());
+    let mut limbs = Vec::with_capacity(tables.len());
+    noise_limbs(tables, slab, fold, |i, limb| {
+        // invariant: NTT tables exist only for valid (prime, degree)
+        // pairs, and every kernel write is reduced.
+        limbs.push(
+            Poly::from_reduced_coeffs(tables[i].modulus().value(), limb).expect("table ring"),
+        );
+    });
     // invariant: at least one table, all of one degree.
     RnsPoly::from_limbs(limbs, Domain::Ntt).expect("non-empty basis")
+}
+
+/// [`noise_poly`] into a key slab: each finished limb is narrowed into its
+/// 32-bit words as soon as it is combined, so no whole `u64` key digit ever
+/// exists.
+pub(crate) fn noise_key(
+    tables: &[Arc<NttTable>],
+    slab: &[i64],
+    fold: impl FnMut(usize, &Modulus, &mut [u64]),
+) -> KeyPoly {
+    let primes: Vec<u64> = tables.iter().map(|t| t.modulus().value()).collect();
+    let mut key = KeyPoly::zero(&primes, slab.len());
+    noise_limbs(tables, slab, fold, |i, limb| {
+        for (w, x) in key.limb_mut(i).iter_mut().zip(limb) {
+            // Lossless: every prime is below 2^30.
+            *w = x as u32;
+        }
+    });
+    key
+}
+
+fn noise_limbs(
+    tables: &[Arc<NttTable>],
+    slab: &[i64],
+    mut fold: impl FnMut(usize, &Modulus, &mut [u64]),
+    mut keep: impl FnMut(usize, Vec<u64>),
+) {
+    for (i, table) in tables.iter().enumerate() {
+        let mut limb = noise_limb(table, slab);
+        fold(i, table.modulus(), &mut limb);
+        keep(i, limb);
+    }
+    count_limb_transforms(tables.len());
 }
 
 #[cfg(test)]

@@ -56,10 +56,12 @@ impl Fnv {
         self.word(ct.scale.to_bits());
     }
 
+    /// Every digit's `b` then `a`, widened from the key's 32-bit words, so
+    /// a key hashes as it did when its limbs were `u64`.
     fn key(&mut self, k: &KeySwitchKey) {
         for d in &k.digits {
-            self.poly(&d.b);
-            self.poly(&d.a);
+            self.poly(&d.b.to_rns());
+            self.poly(&d.a.to_rns());
         }
     }
 
@@ -298,8 +300,8 @@ fn fullsize_fingerprints(
             fold(|h| {
                 for &j in digits {
                     h.word(j as u64);
-                    h.poly(&kp.relin.digits[j].b);
-                    h.poly(&kp.relin.digits[j].a);
+                    h.poly(&kp.relin.digits[j].b.to_rns());
+                    h.poly(&kp.relin.digits[j].a.to_rns());
                 }
             }),
         )),

@@ -732,7 +732,8 @@ impl Default for RetryPolicy {
 ///   `state = step(state, lane[l])` for each lane in order, and finally
 ///   `state = step(state, ws.len())`;
 /// - `write_bytes(bs)`: the same over little-endian 8-byte words, a final
-///   partial word zero-padded, folding `bs.len()` (bytes, not words).
+///   partial word zero-padded, folding `bs.len()` (bytes, not words);
+/// - `write_u32s(ws)`: `write_bytes` of the words' little-endian image.
 ///
 /// Every step is a bijection of the state it updates, so two inputs that
 /// differ in one word (a single flipped bit included) always digest
@@ -756,7 +757,8 @@ pub mod integrity {
     /// Incremental hasher (see the module docs for the exact definition).
     ///
     /// Feed structural scalars with [`Fnv64::write_u64`], limb slabs with
-    /// [`Fnv64::write_words`] and wire frames with [`Fnv64::write_bytes`];
+    /// [`Fnv64::write_words`] (32-bit key slabs with [`Fnv64::write_u32s`])
+    /// and wire frames with [`Fnv64::write_bytes`];
     /// finish with [`Fnv64::finish`].
     #[derive(Debug, Clone)]
     pub struct Fnv64 {
@@ -818,6 +820,24 @@ pub mod integrity {
                 *lane = step(*lane, u64::from_le_bytes(w));
             }
             self.fold(lanes, bytes.len());
+        }
+
+        /// Folds a slab of 32-bit words exactly as [`Fnv64::write_bytes`]
+        /// folds their little-endian byte image — two words to a step, the
+        /// lower-indexed one in the low half — without building the image.
+        pub fn write_u32s(&mut self, words: &[u32]) {
+            let pair = |p: &[u32]| u64::from(p[0]) | p.get(1).map_or(0, |&h| u64::from(h) << 32);
+            let mut lanes = self.lanes();
+            let mut blocks = words.chunks_exact(2 * LANES);
+            for block in &mut blocks {
+                for (lane, &[lo, hi]) in lanes.iter_mut().zip(block.as_chunks::<2>().0) {
+                    *lane = step(*lane, u64::from(lo) | u64::from(hi) << 32);
+                }
+            }
+            for (lane, p) in lanes.iter_mut().zip(blocks.remainder().chunks(2)) {
+                *lane = step(*lane, pair(p));
+            }
+            self.fold(lanes, 4 * words.len());
         }
 
         /// The digest so far.
@@ -1249,6 +1269,21 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn u32_feed_is_the_byte_feed_of_the_little_endian_image() {
+        use super::integrity::Fnv64;
+        for len in 0..=19u32 {
+            let words: Vec<u32> = (0..len)
+                .map(|i| (i + 1).wrapping_mul(0x9e37_79b9))
+                .collect();
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let (mut a, mut b) = (Fnv64::new(), Fnv64::new());
+            a.write_u32s(&words);
+            b.write_bytes(&bytes);
+            assert_eq!(a.finish(), b.finish(), "{len} words");
         }
     }
 

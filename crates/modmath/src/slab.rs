@@ -16,7 +16,7 @@
 //! operations element by element — the tests pin that equivalence at every
 //! level.
 
-use crate::lanes::{dispatch, reduce_once, Kernel};
+use crate::lanes::{dispatch, lo32, reduce_once, Kernel};
 use crate::Modulus;
 
 /// Elements per cache block: 1024 × 8 B = 8 KiB per operand, so a fused
@@ -66,24 +66,45 @@ impl Kernel for MulAddSlab<'_> {
     }
 }
 
-struct MulAdd2Slab<'a> {
-    m: &'a Modulus,
+struct MulAdd2Lazy<'a> {
     acc0: &'a mut [u64],
     acc1: &'a mut [u64],
     a: &'a [u64],
-    b0: &'a [u64],
-    b1: &'a [u64],
+    b0: &'a [u32],
+    b1: &'a [u32],
 }
 
-impl Kernel for MulAdd2Slab<'_> {
+impl Kernel for MulAdd2Lazy<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        let lanes = self.acc0.iter_mut().zip(self.acc1).zip(self.a);
+        for (((c0, c1), &x), (&y0, &y1)) in lanes.zip(self.b0.iter().zip(self.b1)) {
+            // Wrapping only so that a key word tampered past q gives a wrong
+            // value rather than a panic; the cadence keeps honest sums exact.
+            *c0 = c0.wrapping_add(lo32(x) * u64::from(y0));
+            *c1 = c1.wrapping_add(lo32(x) * u64::from(y1));
+        }
+    }
+}
+
+struct FoldSlab<'a> {
+    m: &'a Modulus,
+    acc: &'a mut [u64],
+}
+
+impl Kernel for FoldSlab<'_> {
     type Output = ();
     #[inline(always)]
     fn run(self) {
         let (m, q) = (*self.m, self.m.value());
-        let lanes = self.acc0.iter_mut().zip(self.acc1).zip(self.a);
-        for (((c0, c1), &x), (&y0, &y1)) in lanes.zip(self.b0.iter().zip(self.b1)) {
-            *c0 = reduce_once(*c0 + m.mul_lane(x, y0), q);
-            *c1 = reduce_once(*c1 + m.mul_lane(x, y1), q);
+        // x = h·2^32 + l ≡ h·(2^32 mod q) + l·1: two lane Shoup products of
+        // 32-bit factors, each in [0, 2q), so their sum is below 4q.
+        let r = (1u64 << 32) % q;
+        let (rs, one_s) = (m.shoup_lane(r), m.shoup_lane(1));
+        for x in self.acc.iter_mut() {
+            let v = m.mul_shoup_lane(*x >> 32, r, rs) + m.mul_shoup_lane(lo32(*x), 1, one_s);
+            *x = reduce_once(reduce_once(v, 2 * q), q);
         }
     }
 }
@@ -154,37 +175,22 @@ impl Modulus {
         dispatch(MulAddSlab { m: self, acc, a, b });
     }
 
-    /// Two fused multiply-accumulates that share one operand:
-    /// `acc0[i] += a[i]·b0[i]` and `acc1[i] += a[i]·b1[i]` (mod q) in one
-    /// pass — the keyswitch inner product, where one extended digit limb
-    /// meets both key limbs. Bit-identical to two
-    /// [`Modulus::mul_add_slab_assign`] calls; it exists because `b0` and
-    /// `b1` are key limbs read once from a key far larger than L2, and one
-    /// loop over both keeps two memory streams in flight where two loops
-    /// each wait on one (measured at SET-C, N = 2^14, a 60 MiB key: 128 µs
-    /// for the two passes, 66 µs fused; 20 µs a pass on hot operands).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slab lengths differ.
-    pub fn mul_add2_slab_assign(
-        &self,
-        acc0: &mut [u64],
-        acc1: &mut [u64],
-        a: &[u64],
-        b0: &[u64],
-        b1: &[u64],
-    ) {
-        let len = a.len();
-        assert!([acc0.len(), acc1.len(), b0.len(), b1.len()] == [len; 4]);
-        dispatch(MulAdd2Slab {
-            m: self,
-            acc0,
-            acc1,
-            a,
-            b0,
-            b1,
-        });
+    /// How many products of two residues a lane holding a reduced value can
+    /// take before [`Modulus::fold_slab_assign`] must run:
+    /// `⌊(2^64 − 1 − (q − 1)) / (q − 1)²⌋`, the cadence of the lazy inner
+    /// product ([`mul_add2_lazy`]). 16 for q just below 2^30, about 4000
+    /// for a 26-bit prime.
+    pub fn lazy_terms(&self) -> usize {
+        let top = self.value() - 1;
+        usize::try_from((u64::MAX - top) / (top * top)).unwrap_or(usize::MAX)
+    }
+
+    /// Reduces every word of `acc`, whatever its value, into `[0, q)`: the
+    /// fold that ends a run of [`mul_add2_lazy`]. Every product is 32×32→64,
+    /// so it vectorises like the other lane kernels, and it holds for every
+    /// q a [`Modulus`] takes.
+    pub fn fold_slab_assign(&self, acc: &mut [u64]) {
+        dispatch(FoldSlab { m: self, acc });
     }
 
     /// Fused reverse-subtract-and-scale: `a[i] = (b[i] − a[i]) · w mod q` in
@@ -209,6 +215,33 @@ impl Modulus {
         debug_assert!(w < self.value());
         dispatch(ScaleSlab { m: self, a, w });
     }
+}
+
+/// The lazy keyswitch inner product over one target limb:
+/// `acc0[i] += a[i]·b0[i]` and `acc1[i] += a[i]·b1[i]` as plain integers,
+/// one 32×32→64 product and no reduction per term. `a` is an extended digit
+/// limb (residues in `u64` lanes) and `b0`, `b1` the two key limbs, stored in
+/// 32-bit words so each is streamed at half the bytes from a key far larger
+/// than L2; one loop over both keeps two memory streams in flight.
+///
+/// With every operand below q, the caller runs at most
+/// [`Modulus::lazy_terms`] of these between [`Modulus::fold_slab_assign`]
+/// calls (starting from zero or from a folded value), and the fold then
+/// yields exactly what as many [`Modulus::mul_add_slab_assign`] calls would.
+///
+/// # Panics
+///
+/// Panics if the slab lengths differ.
+pub fn mul_add2_lazy(acc0: &mut [u64], acc1: &mut [u64], a: &[u64], b0: &[u32], b1: &[u32]) {
+    let len = a.len();
+    assert!([acc0.len(), acc1.len(), b0.len(), b1.len()] == [len; 4]);
+    dispatch(MulAdd2Lazy {
+        acc0,
+        acc1,
+        a,
+        b0,
+        b1,
+    });
 }
 
 #[cfg(test)]
@@ -253,23 +286,6 @@ mod tests {
             .collect();
         m.mul_add_slab_assign(&mut acc, &a, &b);
         assert_eq!(acc, expect);
-    }
-
-    #[test]
-    fn mul_add2_slab_matches_two_mul_adds() {
-        let m = m();
-        let len = SLAB_BLOCK + 9;
-        let (a, b0, b1) = (
-            slab(11, len, m.value()),
-            slab(12, len, m.value()),
-            slab(13, len, m.value()),
-        );
-        let (mut want0, mut want1) = (slab(14, len, m.value()), slab(15, len, m.value()));
-        let (mut acc0, mut acc1) = (want0.clone(), want1.clone());
-        m.mul_add_slab_assign(&mut want0, &a, &b0);
-        m.mul_add_slab_assign(&mut want1, &a, &b1);
-        m.mul_add2_slab_assign(&mut acc0, &mut acc1, &a, &b0, &b1);
-        assert_eq!((acc0, acc1), (want0, want1));
     }
 
     #[test]
@@ -378,25 +394,6 @@ mod tests {
                             c.iter().zip(&prod).map(|(&x, &p)| m.add(x, p)).collect();
                         assert_eq!(acc, want, "{}", at("mul_add"));
 
-                        let (mut acc0, mut acc1) = (c.clone(), b.clone());
-                        run_at(
-                            level,
-                            MulAdd2Slab {
-                                m: &m,
-                                acc0: &mut acc0,
-                                acc1: &mut acc1,
-                                a: &a,
-                                b0: &b,
-                                b1: &c,
-                            },
-                        );
-                        let want1: Vec<u64> = b
-                            .iter()
-                            .zip(a.iter().zip(&c))
-                            .map(|(&x, (&y, &z))| m.add(x, m.mul(y, z)))
-                            .collect();
-                        assert_eq!((acc0, acc1), (want, want1), "{}", at("mul_add2"));
-
                         let mut r = a.clone();
                         run_at(
                             level,
@@ -435,10 +432,138 @@ mod tests {
         );
     }
 
+    /// Moduli of the lazy inner product: just below 2^30 (16 terms between
+    /// folds), a 26-bit chain prime of SET-B (4096) and a prime below 2^16.
+    fn lazy_moduli() -> [u64; 3] {
+        let chain = crate::prime::ntt_prime_above((1 << 26) + 1, 1 << 14).expect("26-bit prime");
+        [(1 << 30) - 35, chain, 40_961]
+    }
+
+    /// Runs `terms` lazy multiply-accumulates at `level` with the fold
+    /// cadence [`Modulus::lazy_terms`] sets, and the scalar composition
+    /// beside it; returns (lazy, scalar) for both accumulators.
+    fn lazy_vs_scalar(
+        level: crate::lanes::Level,
+        m: &Modulus,
+        len: usize,
+        terms: usize,
+        extreme: bool,
+    ) -> Option<[(Vec<u64>, Vec<u64>); 2]> {
+        use crate::lanes::run_at;
+        let q = m.value();
+        let draw = |seed: u64| {
+            if extreme {
+                vec![q - 1; len]
+            } else {
+                slab(seed, len, q)
+            }
+        };
+        let narrow = |v: Vec<u64>| -> Vec<u32> { v.into_iter().map(|x| x as u32).collect() };
+        let (mut acc0, mut acc1) = (vec![0u64; len], vec![0u64; len]);
+        let (mut want0, mut want1) = (vec![0u64; len], vec![0u64; len]);
+        for j in 0..terms as u64 {
+            if j > 0 && (j as usize).is_multiple_of(m.lazy_terms()) {
+                run_at(level, FoldSlab { m, acc: &mut acc0 })?;
+                run_at(level, FoldSlab { m, acc: &mut acc1 })?;
+            }
+            let (a, b0, b1) = (draw(3 * j + 1), draw(3 * j + 2), draw(3 * j + 3));
+            for i in 0..len {
+                want0[i] = m.add(want0[i], m.mul(a[i], b0[i]));
+                want1[i] = m.add(want1[i], m.mul(a[i], b1[i]));
+            }
+            let (b0, b1) = (narrow(b0), narrow(b1));
+            run_at(
+                level,
+                MulAdd2Lazy {
+                    acc0: &mut acc0,
+                    acc1: &mut acc1,
+                    a: &a,
+                    b0: &b0,
+                    b1: &b1,
+                },
+            )?;
+        }
+        run_at(level, FoldSlab { m, acc: &mut acc0 })?;
+        run_at(level, FoldSlab { m, acc: &mut acc1 })?;
+        Some([(acc0, want0), (acc1, want1)])
+    }
+
+    /// The lazy multiply-accumulate and its fold equal the scalar
+    /// `add(acc, mul(a, b))` chain at every level, for runs longer than one
+    /// fold interval, with all-(q − 1) operands (the largest sum the
+    /// cadence admits) and pseudo-random ones, at lengths around the block.
+    #[test]
+    fn lazy_inner_product_matches_the_scalar_oracle_at_every_level() {
+        use crate::lanes::Level;
+        for q in lazy_moduli() {
+            let m = Modulus::new(q);
+            let terms = (2 * m.lazy_terms() + 3).min(40);
+            for level in Level::ALL {
+                for len in [1, 17, SLAB_BLOCK - 1, SLAB_BLOCK, SLAB_BLOCK + 37] {
+                    for extreme in [false, true] {
+                        let Some(got) = lazy_vs_scalar(level, &m, len, terms, extreme) else {
+                            continue;
+                        };
+                        for (k, (lazy, want)) in got.into_iter().enumerate() {
+                            assert_eq!(
+                                lazy, want,
+                                "acc{k} at {level:?}, q = {q}, len = {len}, extreme = {extreme}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fold cadence is the formula's, and near 2^30 it is 16 terms: a
+    /// deeper digit count must fold more than once per limb.
+    #[test]
+    fn lazy_terms_follow_the_modulus() {
+        let [near30, chain, small] = lazy_moduli().map(Modulus::new);
+        assert_eq!(near30.lazy_terms(), 16);
+        assert!((4000..4096).contains(&chain.lazy_terms()));
+        assert!(small.lazy_terms() > 1 << 32);
+        for m in [near30, chain, small] {
+            let (k, top) = (m.lazy_terms() as u128, u128::from(m.value() - 1));
+            assert!(top + k * top * top <= u128::from(u64::MAX));
+            assert!(top + (k + 1) * top * top > u128::from(u64::MAX));
+        }
+    }
+
+    /// The fold reduces any word, the extremes of `u64` included, at every
+    /// level and for every modulus a [`Modulus`] takes.
+    #[test]
+    fn fold_reduces_every_word_at_every_level() {
+        use crate::lanes::{run_at, Level};
+        for q in SWEEP_MODULI.into_iter().chain(lazy_moduli()).chain([2, 3]) {
+            let m = Modulus::new(q);
+            let mut words: Vec<u64> = vec![0, 1, q - 1, q, u64::MAX, u64::MAX - 1, 1 << 32];
+            words.extend((0..SLAB_BLOCK as u64 + 9).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+            let want: Vec<u64> = words.iter().map(|&x| x % q).collect();
+            for level in Level::ALL {
+                let mut got = words.clone();
+                if run_at(
+                    level,
+                    FoldSlab {
+                        m: &m,
+                        acc: &mut got,
+                    },
+                )
+                .is_some()
+                {
+                    assert_eq!(got, want, "q = {q} at {level:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_slabs_are_noops() {
         let m = m();
         m.mul_add_slab_assign(&mut [], &[], &[]);
+        mul_add2_lazy(&mut [], &mut [], &[], &[], &[]);
+        m.fold_slab_assign(&mut []);
         m.scale_slab_assign(&mut [], 5);
         let mut out: [u64; 0] = [];
         m.mul_slab_into(&[], &[], &mut out);

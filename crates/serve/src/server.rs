@@ -46,12 +46,11 @@ use warpdrive_core::{
     Placer,
 };
 use wd_ckks::cipher::Ciphertext;
-use wd_ckks::keys::{KeySwitchKey, RotationKeys};
+use wd_ckks::keys::{KeyPoly, KeySwitchKey, RotationKeys};
 use wd_ckks::CkksContext;
 use wd_fault::integrity::Fnv64;
 use wd_fault::WdError;
 use wd_graph::CompiledProgram;
-use wd_polyring::rns::RnsPoly;
 
 use crate::recover;
 use crate::request::{Request, Response, ServeOp, Ticket};
@@ -167,14 +166,11 @@ impl ServeKeys {
         }
     }
 
-    /// Compact footprint of this key set in bytes (32-bit wire words) — the
-    /// amount the tenant key cache charges against its budget.
-    pub fn approx_bytes(&self) -> usize {
-        self.relin.as_ref().map_or(0, KeySwitchKey::approx_bytes)
-            + self
-                .rotations
-                .as_ref()
-                .map_or(0, RotationKeys::approx_bytes)
+    /// Resident size of this key set in bytes (the keys' 32-bit slabs) —
+    /// the amount the tenant key cache charges against its budget.
+    pub fn bytes(&self) -> usize {
+        self.relin.as_ref().map_or(0, KeySwitchKey::bytes)
+            + self.rotations.as_ref().map_or(0, RotationKeys::bytes)
     }
 
     /// 64-bit checksum ([`wd_fault::integrity`]) over every limb word of
@@ -217,18 +213,17 @@ impl ServeKeys {
 fn fold_ksk(h: &mut Fnv64, key: &KeySwitchKey) {
     h.write_u64(key.digits.len() as u64);
     for d in &key.digits {
-        fold_rns(h, &d.b);
-        fold_rns(h, &d.a);
+        fold_slab(h, &d.b);
+        fold_slab(h, &d.a);
     }
 }
 
-/// Folds one RNS polynomial: limb count, then each limb's raw `u64` words
-/// as one slab (which folds the limb's length after its words).
-fn fold_rns(h: &mut Fnv64, p: &RnsPoly) {
+/// Folds one key component: limb count, then the whole 32-bit slab in
+/// place as its little-endian byte image (which folds its length after its
+/// words).
+fn fold_slab(h: &mut Fnv64, p: &KeyPoly) {
     h.write_u64(p.limb_count() as u64);
-    for limb in p.limbs() {
-        h.write_words(limb.coeffs());
-    }
+    h.write_u32s(p.words());
 }
 
 /// Lifetime counters, returned by [`Server::shutdown`] and

@@ -10,7 +10,7 @@
 //! - A [`TenantRegistry`] maps validated tenant ids to their
 //!   [`CkksContext`] and **cold** (host-side, authoritative) key material.
 //! - Workers lease keys through a **resident cache**: an LRU over per-tenant
-//!   [`ServeKeys`] charged by [`ServeKeys::approx_bytes`] against a byte
+//!   [`ServeKeys`] charged by [`ServeKeys::bytes`] against a byte
 //!   budget ([`TenantConfig::key_cache_bytes`]). A miss "uploads" the cold
 //!   copy (modeling the host→device transfer); eviction drops the resident
 //!   copy only — the cold copy is authoritative, so eviction/reload churn
@@ -72,7 +72,9 @@ pub const DEFAULT_TENANT: &str = "default";
 /// cache, no quota, keys verified, no breakers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantConfig {
-    /// Byte budget for resident (leased) key material. A single tenant's
+    /// Byte budget for resident (leased) key material, charged at each key
+    /// set's resident size ([`ServeKeys::bytes`]: 32-bit words, so the
+    /// budget bounds the memory the copies really hold). A single tenant's
     /// keys larger than the whole budget still serve — they are made
     /// resident with a warning and evicted as soon as another tenant needs
     /// the space.
@@ -155,7 +157,7 @@ impl Tenant {
         Self {
             id: id.to_string(),
             ctx,
-            key_bytes: cold.approx_bytes(),
+            key_bytes: cold.bytes(),
             cold_checksum: cold.checksum(),
             cold,
             breaker: config.breaker.map(|b| Mutex::new(CircuitBreaker::new(b))),
@@ -311,7 +313,7 @@ pub struct KeyCacheStats {
 /// One resident entry: the leased key copy plus the exact byte amount
 /// charged against the budget when it was promoted. Refunds (quarantine,
 /// eviction) release this recorded charge — never a fresh
-/// `approx_bytes()` of the resident copy — so a charge/refund pair always
+/// `bytes()` of the resident copy — so a charge/refund pair always
 /// nets to zero and the budget accounting cannot drift even if the two
 /// measurements ever disagree.
 #[derive(Debug)]
@@ -739,7 +741,7 @@ mod tests {
     #[test]
     fn lru_cache_hits_misses_and_evicts_by_byte_budget() {
         let c = ctx(2);
-        let per_tenant = keys_for(&c).approx_bytes();
+        let per_tenant = keys_for(&c).bytes();
         assert!(per_tenant > 0, "relin key must have a footprint");
         // Budget for exactly two resident tenants.
         let mut reg = TenantRegistry::new(TenantConfig {
@@ -766,14 +768,14 @@ mod tests {
     #[test]
     fn refunds_release_the_charged_bytes_even_when_the_footprint_drifts() {
         // Promote charges `tenant.key_bytes` (the registration snapshot);
-        // the old quarantine/evict paths refunded `gone.approx_bytes()`
+        // the old quarantine/evict paths refunded `gone.bytes()`
         // (the resident copy's current footprint). Grow a tenant's cold
         // keys after registration so the two disagree, then drive both
         // refund sites: with the recorded-charge refund the books net to
         // zero; the old spelling underflowed `bytes` here.
         let c = ctx(11);
         let small = keys_for(&c);
-        let charge = small.approx_bytes();
+        let charge = small.bytes();
         assert!(charge > 0);
         let mut reg = TenantRegistry::new(TenantConfig {
             key_cache_bytes: charge, // exactly one registration-sized tenant
@@ -793,17 +795,14 @@ mod tests {
             t.cold = t.cold.clone().and_rotations(rot);
             t.cold_checksum = t.cold.checksum();
             assert!(
-                t.cold.approx_bytes() > charge,
+                t.cold.bytes() > charge,
                 "surgery must grow the footprint past the recorded charge"
             );
         }
         let t = reg.lookup("t").expect("registered").clone();
         let u = reg.lookup("u").expect("registered").clone();
         let leased = reg.lease_keys(&t, true).expect("promote t");
-        assert!(
-            leased.approx_bytes() > charge,
-            "resident copy is the grown one"
-        );
+        assert!(leased.bytes() > charge, "resident copy is the grown one");
         assert_eq!(
             reg.cache_stats().resident_bytes,
             charge,
@@ -957,8 +956,7 @@ mod tests {
             let mut flipped = (*r.keys).clone();
             flipped.relin.as_mut().expect("relin").digits[0]
                 .b
-                .limb_mut(0)
-                .coeffs_mut()[0] ^= 1;
+                .limb_mut(0)[0] ^= 1;
             r.keys = Arc::new(flipped);
         }
         reg.arm_key_corruption(1);
@@ -1066,6 +1064,31 @@ mod tests {
         );
     }
 
+    /// The cache charges a key set exactly the bytes its slabs hold:
+    /// `dnum × 2 × limbs × N × 4` for the relin key of each full-size
+    /// Table VI set that a server is benchmarked at.
+    #[test]
+    fn the_charge_is_the_resident_slab_size_at_sets_a_b_c() {
+        for set in [ParamSet::set_a(), ParamSet::set_b(), ParamSet::set_c()] {
+            let c = Arc::new(CkksContext::with_seed(set.build().expect("params"), 3).expect("ctx"));
+            let keys = keys_for(&c);
+            let relin = keys.relin.as_ref().expect("relin");
+            let slabs: usize = relin
+                .digits
+                .iter()
+                .map(|d| std::mem::size_of_val(d.b.words()) + std::mem::size_of_val(d.a.words()))
+                .sum();
+            let p = c.params();
+            let shape = relin.dnum() * 2 * (p.q_chain().len() + p.p_chain().len()) * p.degree() * 4;
+            assert_eq!((keys.bytes(), slabs), (shape, shape), "{}", set.name);
+            let mut reg = TenantRegistry::new(TenantConfig::default());
+            reg.register("t", Arc::clone(&c), keys).expect("register");
+            let t = reg.lookup("t").expect("registered").clone();
+            reg.lease_keys(&t, false).expect("fill");
+            assert_eq!(reg.cache_stats().resident_bytes, shape, "{}", set.name);
+        }
+    }
+
     #[test]
     fn a_real_bit_flip_changes_the_checksum() {
         let c = ctx(7);
@@ -1073,7 +1096,7 @@ mod tests {
         let reference = cold.checksum();
         let mut flipped = cold.clone();
         let relin = flipped.relin.as_mut().expect("relin");
-        relin.digits[0].b.limb_mut(0).coeffs_mut()[0] ^= 1;
+        relin.digits[0].b.limb_mut(0)[0] ^= 1;
         assert_ne!(
             flipped.checksum(),
             reference,
@@ -1097,7 +1120,7 @@ mod tests {
             let t = reg.tenants.get_mut("t").expect("registered");
             let t = Arc::get_mut(t).expect("no other refs yet");
             let relin = t.cold.relin.as_mut().expect("relin");
-            relin.digits[0].b.limb_mut(0).coeffs_mut()[0] ^= 1;
+            relin.digits[0].b.limb_mut(0)[0] ^= 1;
         }
         let t = reg.lookup("t").expect("registered").clone();
         match reg.lease_keys(&t, true) {
