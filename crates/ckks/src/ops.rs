@@ -129,8 +129,8 @@ pub fn hmult(
     hmult_with(ctx, ct0, ct1, relin, 1)
 }
 
-/// [`hmult`] with its limb × polynomial work fanned out over at most
-/// `threads` host threads (see `wd_polyring::par`). The width is the
+/// [`hmult`] with its relinearization keyswitch fanned out over at most
+/// `threads` host threads by limb (see `wd_polyring::par`). The width is the
 /// caller's to hand down — nothing is stored on the shared context — and
 /// every width computes bit-identical results.
 ///
@@ -151,12 +151,14 @@ pub fn hmult_with(
                 .with_detail(format!("hmult: levels {} vs {}", ct0.level, ct1.level)),
         ));
     }
-    let d0 = ct0.c0.pointwise_with(&ct1.c0, threads)?;
+    // The tensor products are a few percent of an HMULT: they run on the
+    // calling thread, and only the keyswitch takes the width.
+    let d0 = ct0.c0.pointwise(&ct1.c0)?;
     let d1 = ct0
         .c0
-        .pointwise_with(&ct1.c1, threads)?
-        .add(&ct0.c1.pointwise_with(&ct1.c0, threads)?)?;
-    let d2 = ct0.c1.pointwise_with(&ct1.c1, threads)?;
+        .pointwise(&ct1.c1)?
+        .add(&ct0.c1.pointwise(&ct1.c0)?)?;
+    let d2 = ct0.c1.pointwise(&ct1.c1)?;
     let (ks0, ks1) = keyswitch_with(ctx, &d2, relin, threads)?;
     Ok(Ciphertext {
         c0: d0.add(&ks0)?,

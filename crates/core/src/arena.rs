@@ -1,12 +1,12 @@
-//! Host scratch-arena sizing, derived from the §IV-D-1 pool model.
+//! Host scratch-arena sizing, after the §IV-D-1 pool rule.
 //!
-//! The GPU side sizes its device pool as `min(S_max, available)` with
-//! `S_max = l·N·dnum·(l+k)·BS·w` ([`crate::memory::s_max_bytes`]) — the
-//! worst-case working set of a batch mid-Keyswitch. The host hot path has
-//! the same shape in miniature: each worker thread runs one operation at a
-//! time, and that operation's live scratch is a handful of full-basis
-//! polynomials (the INTT'd input, the reused ModUp extension buffer, two
-//! InnerProduct accumulators, and ModDown's base-conversion temporary).
+//! The paper sizes its device pool as `min(S_max, available)` with
+//! `S_max = l·N·dnum·(l+k)·BS·w` — the worst-case working set of a batch
+//! mid-Keyswitch. The host hot path has the same shape in miniature: each
+//! worker thread runs one operation at a time, and that operation's live
+//! scratch is a handful of full-basis polynomials (the INTT'd input, the
+//! reused ModUp extension buffer, two InnerProduct accumulators, and
+//! ModDown's base-conversion temporary).
 //! This module prices that working set exactly and turns it into per-worker
 //! [`ScratchArena`] capacities, so a worker parks every buffer it will ever
 //! need and steady-state heap allocation drops to zero — without any worker
@@ -14,8 +14,8 @@
 //!
 //! **Per-worker ownership rule:** each arena belongs to exactly one worker
 //! thread ([`wd_polyring::scratch::with_worker_arena`]); arenas are never
-//! shared across concurrently-running slots. [`arena_pool`] hands out one
-//! arena per op-level slot for exactly that reason.
+//! shared across concurrently-running slots. [`crate::BatchExecutor`] keeps
+//! one [`worker_arena`] per op-level slot for exactly that reason.
 
 use std::sync::Arc;
 use wd_ckks::params::CkksParams;
@@ -43,8 +43,8 @@ const SLACK_DEN: u64 = 4;
 ///
 /// # Errors
 ///
-/// Returns [`WdError::InvalidParams`] on a degenerate ring (N = 0) — the
-/// same contract as [`crate::memory::s_max_bytes`].
+/// Returns [`WdError::InvalidParams`] on a degenerate ring (N = 0) or a
+/// working set that overflows `u64`.
 pub fn op_scratch_bytes(params: &CkksParams) -> Result<u64, WdError> {
     let n = params.degree() as u64;
     if n == 0 {
@@ -75,28 +75,6 @@ pub fn worker_arena(params: &CkksParams, available: u64) -> Result<Arc<ScratchAr
     ))
 }
 
-/// One arena per op-level slot, for fan-out of `slots` concurrent workers
-/// under a total host-scratch budget of `available` bytes (the host-side
-/// analogue of `min(S_max, available)` pool clamping). Each slot gets an
-/// equal share; per-worker ownership means slot `i`'s arena must only ever
-/// be installed on the thread running slot `i`.
-///
-/// # Errors
-///
-/// Returns [`WdError::InvalidParams`] for `slots == 0` and propagates
-/// sizing errors.
-pub fn arena_pool(
-    params: &CkksParams,
-    slots: usize,
-    available: u64,
-) -> Result<Vec<Arc<ScratchArena>>, WdError> {
-    if slots == 0 {
-        return Err(WdError::InvalidParams("arena pool with 0 slots".into()));
-    }
-    let share = available / slots as u64;
-    (0..slots).map(|_| worker_arena(params, share)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,21 +102,6 @@ mod tests {
         assert_eq!(unclamped.capacity_bytes(), op_scratch_bytes(&p)?);
         let clamped = worker_arena(&p, 1024)?;
         assert_eq!(clamped.capacity_bytes(), 1024);
-        Ok(())
-    }
-
-    #[test]
-    fn arena_pool_splits_budget_per_slot() -> Result<(), WdError> {
-        let p = params();
-        let per_op = op_scratch_bytes(&p)?;
-        // A generous budget: every slot gets the full working set.
-        let pool = arena_pool(&p, 4, per_op * 16)?;
-        assert_eq!(pool.len(), 4);
-        assert!(pool.iter().all(|a| a.capacity_bytes() == per_op));
-        // A tight budget: slots share it equally.
-        let tight = arena_pool(&p, 4, per_op * 2)?;
-        assert!(tight.iter().all(|a| a.capacity_bytes() == per_op / 2));
-        assert!(arena_pool(&p, 0, per_op).is_err());
         Ok(())
     }
 

@@ -7,8 +7,6 @@
 //! - [`config`]: automatic parameter configuration (§IV-D-2): threads per
 //!   block T = C·W·32, single- vs dual-kernel NTT selection by SMEM fit,
 //!   coefficients per thread.
-//! - [`memory`]: the GPU memory pool of §IV-D-1, sized by
-//!   S_max = l·N·dnum·(l+k)·BS·w.
 //! - [`fuse`]: tensor/CUDA warp-allocation balancing (§IV-D-3, Fig. 3).
 //! - [`cost`]: the calibrated instruction-cost constants that convert
 //!   algorithm operation counts into kernel work profiles.
@@ -19,6 +17,8 @@
 //!   planners (Fig. 4, Table IX), plus an unfused Liberate-style planner.
 //! - [`engine`]: [`engine::PerfEngine`], the façade the benchmark harness
 //!   drives.
+//! - [`arena`]: per-worker scratch-arena sizing from the keyswitch working
+//!   set.
 //! - [`batch`]: [`batch::BatchExecutor`], the host-thread analogue of the
 //!   PE kernels — whole ciphertext operations fanned out over a pool.
 //! - [`sched`]: [`sched::ParScheduler`], the cost-model-driven splitter of
@@ -40,7 +40,6 @@ pub mod config;
 pub mod cost;
 pub mod engine;
 pub mod fuse;
-pub mod memory;
 pub mod nttplan;
 pub mod opplan;
 pub mod place;
@@ -52,7 +51,7 @@ pub use config::FrameworkConfig;
 pub use engine::PerfEngine;
 pub use opplan::{HomOp, OpShape, PlannerKind};
 pub use place::{DeviceLane, PlacePolicy, Placement, Placer};
-pub use sched::{BatchShape, ParScheduler, SchedPolicy, Split};
+pub use sched::{BatchShape, ParScheduler, Split};
 
 // The workspace-wide fault model (error taxonomy, deterministic fault
 // injection, retry policy) — defined in `wd-fault`, re-exported here so

@@ -24,36 +24,22 @@
 //!
 //! # Configuration
 //!
-//! Budget and policy are values the caller passes (DESIGN.md §5d):
-//! [`ParScheduler::new`] takes the global budget (every core is
-//! `wd_polyring::par::available_threads()`), and
-//! [`ParScheduler::with_policy`] picks the split — [`SchedPolicy::Op`],
-//! [`SchedPolicy::Limb`] or the cost-model-driven [`SchedPolicy::Auto`]
-//! (the default).
+//! The budget is the one value a caller passes (DESIGN.md §5d):
+//! [`ParScheduler::new`] takes it (every core is
+//! `wd_polyring::par::available_threads()`), and every
+//! [`crate::BatchExecutor`] holds one scheduler and splits each batch with
+//! it.
 //!
 //! `wd_ckks::CkksContext` holds no thread budget at all: the context-only
 //! `wd_ckks::ops` functions run on one thread, and a limb width exists only
-//! as the argument a scheduled [`crate::BatchExecutor`] hands each op from
-//! its [`Split`]. That makes the documented "the two levels never multiply
-//! implicitly" rule structural: the only code path that activates both
-//! axes at once is the scheduler split, the split cannot oversubscribe, and
-//! two executors on one shared context cannot see each other's widths.
+//! as the argument an executor hands each op from its [`Split`]. That makes
+//! the documented "the two levels never multiply implicitly" rule
+//! structural: the only code path that activates both axes at once is the
+//! scheduler split, the split cannot oversubscribe, and two executors on
+//! one shared context cannot see each other's widths.
 
 use crate::batch::BatchOp;
 use crate::cost;
-
-/// How a [`ParScheduler`] splits the thread budget between the op axis and
-/// the limb axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// All budget to op-level fan-out (limb work stays sequential).
-    Op,
-    /// All budget to limb-level splitting (ops run one at a time).
-    Limb,
-    /// Cost-model-driven split (the default; see the module docs).
-    #[default]
-    Auto,
-}
 
 /// The workload shape a split is computed for: everything the cost model
 /// needs, nothing it doesn't (no ciphertext data).
@@ -145,24 +131,14 @@ pub struct Split {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParScheduler {
     budget: usize,
-    policy: SchedPolicy,
 }
 
 impl ParScheduler {
-    /// Scheduler over an explicit global thread budget (min 1), policy
-    /// [`SchedPolicy::Auto`].
+    /// Scheduler over an explicit global thread budget (min 1).
     pub fn new(budget: usize) -> Self {
         Self {
             budget: budget.max(1),
-            policy: SchedPolicy::Auto,
         }
-    }
-
-    /// Replaces the policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SchedPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// The global thread budget.
@@ -170,67 +146,43 @@ impl ParScheduler {
         self.budget
     }
 
-    /// The split policy.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
-    /// Splits the budget for `shape`. Deterministic: the same shape, budget
-    /// and policy always produce the same split, and
-    /// `op_width × limb_width ≤ budget` always holds (proptest-enforced in
-    /// `tests/sched_equivalence.rs`).
+    /// Splits the budget for `shape`. Deterministic: the same shape and
+    /// budget always produce the same split, and
+    /// `op_width × limb_width ≤ budget` always holds (swept over budgets and
+    /// shapes by this module's `split_never_oversubscribes_any_budget_or_shape`).
+    ///
+    /// The search covers the whole feasible region, including splits that
+    /// leave part of the budget idle — on tiny workloads the spawn cost
+    /// makes (1, 1) the honest winner. Strict `<` keeps the first
+    /// (smallest-width) split among cost ties, so the scheduler never
+    /// spawns threads it can't justify.
     pub fn split(&self, shape: BatchShape) -> Split {
-        let budget = self.budget.max(1);
+        let budget = self.budget;
         let max_op = budget.min(shape.batch.max(1));
-        let (split, cost) = match self.policy {
-            SchedPolicy::Op => (
-                Split {
-                    op_width: max_op,
-                    limb_width: 1,
-                },
-                None,
-            ),
-            SchedPolicy::Limb => (
-                Split {
-                    op_width: 1,
-                    limb_width: budget,
-                },
-                None,
-            ),
-            SchedPolicy::Auto => {
-                let mut best = Split {
-                    op_width: 1,
-                    limb_width: 1,
-                };
-                let mut best_cost = f64::INFINITY;
-                // Full search of the feasible region, including splits that
-                // leave part of the budget idle — on tiny workloads the
-                // spawn cost makes (1, 1) the honest winner. Strict `<`
-                // keeps the first (smallest-width) split among cost ties,
-                // so the scheduler never spawns threads it can't justify.
-                for op_width in 1..=max_op {
-                    let max_limb = (budget / op_width).max(1).min(shape.limb_items());
-                    for limb_width in 1..=max_limb {
-                        let cost = Self::modeled_instrs(shape, op_width, limb_width);
-                        if cost < best_cost {
-                            best_cost = cost;
-                            best = Split {
-                                op_width,
-                                limb_width,
-                            };
-                        }
-                    }
-                }
-                (best, Some(best_cost))
-            }
+        let mut split = Split {
+            op_width: 1,
+            limb_width: 1,
         };
+        let mut best_cost = f64::INFINITY;
+        for op_width in 1..=max_op {
+            let max_limb = (budget / op_width).max(1).min(shape.limb_items());
+            for limb_width in 1..=max_limb {
+                let cost = Self::modeled_instrs(shape, op_width, limb_width);
+                if cost < best_cost {
+                    best_cost = cost;
+                    split = Split {
+                        op_width,
+                        limb_width,
+                    };
+                }
+            }
+        }
         if wd_trace::enabled() {
             wd_trace::counter("sched.splits", 1);
             wd_trace::event(
                 "sched",
                 "split",
                 &[
-                    ("policy", format!("{:?}", self.policy).to_lowercase()),
                     ("budget", budget.to_string()),
                     ("batch", shape.batch.to_string()),
                     ("degree", shape.degree.to_string()),
@@ -238,10 +190,7 @@ impl ParScheduler {
                     ("heavy", shape.heavy.to_string()),
                     ("op_width", split.op_width.to_string()),
                     ("limb_width", split.limb_width.to_string()),
-                    (
-                        "model_instrs",
-                        cost.map_or_else(|| "n/a".to_string(), |c| format!("{c:.0}")),
-                    ),
+                    ("model_instrs", format!("{best_cost:.0}")),
                 ],
             );
         }
@@ -277,23 +226,21 @@ mod tests {
     #[test]
     fn split_never_oversubscribes_any_budget_or_shape() {
         // The regression sweep for the "never multiply implicitly" rule:
-        // every (policy, budget, shape) combination keeps the product of
-        // the two widths within the budget, by construction.
-        for policy in [SchedPolicy::Op, SchedPolicy::Limb, SchedPolicy::Auto] {
-            for budget in [1usize, 2, 3, 4, 7, 8, 16, 64] {
-                for batch in [0usize, 1, 2, 5, 8, 33] {
-                    for degree in [1usize << 6, 1 << 10, 1 << 16] {
-                        for limbs in [1usize, 3, 7, 34] {
-                            for heavy in [0, batch / 2, batch] {
-                                let s = shape(batch, degree, limbs, heavy);
-                                let split = ParScheduler::new(budget).with_policy(policy).split(s);
-                                assert!(split.op_width >= 1 && split.limb_width >= 1);
-                                assert!(
-                                    split.op_width * split.limb_width <= budget.max(1),
-                                    "{policy:?} budget {budget} {s:?} -> {split:?}"
-                                );
-                                assert!(split.op_width <= batch.max(1));
-                            }
+        // every (budget, shape) combination keeps the product of the two
+        // widths within the budget, by construction.
+        for budget in [1usize, 2, 3, 4, 7, 8, 16, 64] {
+            for batch in [0usize, 1, 2, 5, 8, 33] {
+                for degree in [1usize << 6, 1 << 10, 1 << 16] {
+                    for limbs in [1usize, 3, 7, 34] {
+                        for heavy in [0, batch / 2, batch] {
+                            let s = shape(batch, degree, limbs, heavy);
+                            let split = ParScheduler::new(budget).split(s);
+                            assert!(split.op_width >= 1 && split.limb_width >= 1);
+                            assert!(
+                                split.op_width * split.limb_width <= budget.max(1),
+                                "budget {budget} {s:?} -> {split:?}"
+                            );
+                            assert!(split.op_width <= batch.max(1));
                         }
                     }
                 }
@@ -333,32 +280,13 @@ mod tests {
     #[test]
     fn tiny_work_degrades_to_sequential() {
         // A couple of HADDs on a toy ring: spawn cost dwarfs the work, so
-        // auto picks the strictly sequential split.
+        // the split is strictly sequential.
         let split = ParScheduler::new(8).split(shape(2, 1 << 6, 2, 0));
         assert_eq!(
             split,
             Split {
                 op_width: 1,
                 limb_width: 1
-            }
-        );
-    }
-
-    #[test]
-    fn static_policies_are_static() {
-        let s = shape(4, 1 << 12, 7, 4);
-        assert_eq!(
-            ParScheduler::new(6).with_policy(SchedPolicy::Op).split(s),
-            Split {
-                op_width: 4,
-                limb_width: 1
-            }
-        );
-        assert_eq!(
-            ParScheduler::new(6).with_policy(SchedPolicy::Limb).split(s),
-            Split {
-                op_width: 1,
-                limb_width: 6
             }
         );
     }

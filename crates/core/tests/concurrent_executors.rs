@@ -3,15 +3,16 @@
 //! The limb width used to be an atomic on the shared `CkksContext` that a
 //! scheduled executor set for its batch and restored afterwards, so two
 //! executors on one `Arc<CkksContext>` restored each other's value
-//! (`sched_equivalence`'s "limb budget leaked" under the parallel harness,
-//! and every multi-worker `wd-serve` tenant). The width is an argument now;
-//! this suite runs differently budgeted and scheduled executors
-//! concurrently on one context and demands the sequential reference's bits
-//! from every batch.
+//! (the equivalence suite's "limb budget leaked" under the parallel
+//! harness, and every multi-worker `wd-serve` tenant). The width is an
+//! argument now; this suite runs differently budgeted executors and a
+//! thread calling the ops at limb width 8 concurrently on one context, and
+//! demands the sequential reference's bits from every round.
 
 use std::sync::{Arc, Barrier};
 
-use warpdrive_core::{BatchExecutor, BatchOp, EvalKeys, FaultPlan, ParScheduler, SchedPolicy};
+use warpdrive_core::{BatchExecutor, BatchOp, EvalKeys, FaultPlan};
+use wd_ckks::ops;
 use wd_ckks::{CkksContext, ParamSet};
 
 const ITERATIONS: usize = 200;
@@ -39,33 +40,39 @@ fn concurrent_executors_on_one_context_match_the_sequential_reference() {
         .execute(&ctx, keys, &batch);
     assert!(reference.iter().all(Result::is_ok));
 
-    // `Limb@8` beside `Op@1` is the pair that was seen leaking; the third
-    // adds the cost-model split.
-    let scheduled = |budget: usize, policy: SchedPolicy| {
-        BatchExecutor::new(budget)
-            .with_scheduler(ParScheduler::new(budget).with_policy(policy))
-            .with_fault_plan(plan)
-    };
+    // A wide limb width beside a budget-1 executor is the pair that was
+    // seen leaking; the budget-3 executor adds the cost-model split.
     let executors = [
-        scheduled(8, SchedPolicy::Limb),
-        scheduled(1, SchedPolicy::Op),
-        scheduled(3, SchedPolicy::Auto),
+        BatchExecutor::new(1).with_fault_plan(plan),
+        BatchExecutor::new(3).with_fault_plan(plan),
     ];
+    // Thread k runs executor k; the last thread calls the ops directly at
+    // limb width 8.
+    let round = |k: usize| match executors.get(k) {
+        Some(executor) => executor.execute(&ctx, keys, &batch),
+        None => vec![
+            ops::hmult_with(&ctx, &a, &b, &kp.relin, 8),
+            ops::hrotate_with(&ctx, &a, 1, &rot, 8),
+            ops::rescale_with(&ctx, &sq, 8),
+            ops::hadd(&a, &b),
+        ],
+    };
+    let threads = executors.len() + 1;
 
-    // The barrier releases every thread into each of its batches together,
-    // so the executors are in flight on the context at the same time in
+    // The barrier releases every thread into each of its rounds together,
+    // so the callers are in flight on the context at the same time in
     // every round, not merely overlapping somewhere in the run. A thread
     // that sees a divergence counts it and keeps taking part: leaving
     // would strand the others at the barrier.
-    let barrier = Barrier::new(executors.len());
+    let barrier = Barrier::new(threads);
     let diverged: Vec<usize> = std::thread::scope(|scope| {
-        let running: Vec<_> = executors
-            .iter()
-            .map(|executor| {
-                scope.spawn(|| {
+        let running: Vec<_> = (0..threads)
+            .map(|k| {
+                let (round, barrier, reference) = (&round, &barrier, &reference);
+                scope.spawn(move || {
                     let differs = |_: &usize| {
                         barrier.wait();
-                        executor.execute(&ctx, keys, &batch) != reference
+                        round(k) != *reference
                     };
                     (0..ITERATIONS).filter(differs).count()
                 })
@@ -75,7 +82,8 @@ fn concurrent_executors_on_one_context_match_the_sequential_reference() {
     });
     assert_eq!(
         diverged,
-        vec![0; executors.len()],
-        "batches, per executor, that left the sequential reference's bits"
+        vec![0; threads],
+        "rounds, per thread (budget 1, budget 3, limb width 8), that left the \
+         sequential reference's bits"
     );
 }

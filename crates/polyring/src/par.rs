@@ -9,8 +9,8 @@
 //!
 //! Two invariants mirror the GPU design:
 //!
-//! - **Work items never share state.** A work item is one limb (NTT,
-//!   pointwise, one *target* limb of a base conversion), so scheduling
+//! - **Work items never share state.** A work item is one limb (an NTT,
+//!   one *target* limb of a base conversion) or one batch op, so scheduling
 //!   order cannot change results: the parallel path is **bit-identical** to
 //!   the sequential one at every thread count, and `threads = 1` short-
 //!   circuits to a plain loop with zero threading overhead.
@@ -19,7 +19,6 @@
 //!   The budget is chosen above this module (`warpdrive_core::ParScheduler`).
 
 use crate::rns::{Domain, RnsPoly};
-use wd_fault::{run_isolated, WdError};
 
 /// The machine's available parallelism (≥ 1).
 pub fn available_threads() -> usize {
@@ -83,103 +82,42 @@ where
         .collect()
 }
 
-/// Fallible, panic-isolating variant of [`for_each_mut`]: each work item
-/// runs inside `wd_fault::run_isolated`, so a panicking item surfaces as
-/// [`WdError::WorkerPanicked`] instead of unwinding across the scope and
-/// aborting the caller. The first failure (in chunk order, so the choice is
-/// deterministic) is returned; items in other chunks may or may not have
-/// run — on `Err`, treat the slice contents as unspecified and rebuild from
-/// the original inputs.
-pub fn try_for_each_mut<T, F>(threads: usize, items: &mut [T], f: F) -> Result<(), WdError>
-where
-    T: Send,
-    F: Fn(&mut T) -> Result<(), WdError> + Sync,
-{
-    let t = threads.clamp(1, items.len().max(1));
-    if t <= 1 {
-        for item in items.iter_mut() {
-            run_isolated(|| f(item))?;
-        }
-        return Ok(());
-    }
-    let chunk = items.len().div_ceil(t);
-    let mut first_err = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|ch| {
-                let f = &f;
-                scope.spawn(move || -> Result<(), WdError> {
-                    for item in ch {
-                        run_isolated(|| f(item))?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        for h in handles {
-            let r = h
-                .join()
-                .unwrap_or_else(|_| Err(WdError::WorkerPanicked("worker thread died".into())));
-            if let Err(e) = r {
-                first_err.get_or_insert(e);
-            }
-        }
-    });
-    first_err.map_or(Ok(()), Err)
-}
-
 /// Applies a residue-basis conversion to every coefficient of `src`
 /// (coefficient domain), with the target limbs fanned out across threads.
 ///
-/// Bit-identical to the sequential conversion: each target limb is written
-/// by one work item from the (shared, read-only) source limbs.
+/// Bit-identical to the sequential conversion: each target limb is one
+/// work item that reads the (shared, read-only) source slabs and writes its
+/// own slab through
+/// [`wd_modmath::rns::BasisConverter::convert_limb_into`] — no gather, no
+/// scratch, no transpose.
 ///
 /// # Panics
 ///
-/// Panics if `src` is in the NTT domain.
+/// Panics if `src` is in the NTT domain, or if its limbs are not over the
+/// converter's from-basis.
 pub fn convert_poly(
     conv: &wd_modmath::rns::BasisConverter,
     src: &RnsPoly,
     threads: usize,
 ) -> RnsPoly {
-    try_convert_poly(conv, src, threads).expect("parallel base conversion")
-}
-
-/// Fallible variant of [`convert_poly`]: an NTT-domain input or one whose
-/// limbs are not over the converter's from-basis comes back as
-/// [`WdError::LevelMismatch`] and a panicking worker as
-/// [`WdError::WorkerPanicked`]. The source is untouched on error, so a
-/// retry can reuse it directly.
-///
-/// The conversion is limb-major: each target limb is one work item that
-/// reads the source slabs and writes its own slab through
-/// [`wd_modmath::rns::BasisConverter::convert_limb_into`] — no gather, no
-/// scratch, no transpose.
-pub fn try_convert_poly(
-    conv: &wd_modmath::rns::BasisConverter,
-    src: &RnsPoly,
-    threads: usize,
-) -> Result<RnsPoly, WdError> {
-    if src.domain() != Domain::Coeff {
-        return Err(WdError::LevelMismatch(
-            "base conversion expects coefficient-domain input".into(),
-        ));
-    }
+    assert_eq!(
+        src.domain(),
+        Domain::Coeff,
+        "base conversion expects coefficient-domain input"
+    );
     let from = conv.from_basis().moduli();
-    if src.limb_count() != from.len() || src.limbs().zip(from).any(|(p, m)| p.modulus() != m) {
-        return Err(WdError::LevelMismatch(
-            "source limbs do not match the converter's from-basis".into(),
-        ));
-    }
-    let mut out = RnsPoly::zero(&conv.to_basis().values(), src.degree()).map_err(WdError::from)?;
+    assert!(
+        src.limb_count() == from.len() && src.limbs().zip(from).all(|(p, m)| p.modulus() == m),
+        "source limbs do not match the converter's from-basis"
+    );
+    let mut out = RnsPoly::zero(&conv.to_basis().values(), src.degree())
+        .expect("the converter's to-basis is a valid ring");
     let slabs: Vec<&[u64]> = src.limbs().map(|p| p.coeffs()).collect();
     let mut work: Vec<(usize, &mut crate::Poly)> = out.limbs_mut().enumerate().collect();
-    try_for_each_mut(threads, &mut work, |(i, limb)| {
+    for_each_mut(threads, &mut work, |(i, limb)| {
         conv.convert_limb_into(&slabs, *i, limb.coeffs_mut());
-        Ok(())
-    })?;
-    Ok(out)
+    });
+    out
 }
 
 #[cfg(test)]
@@ -225,29 +163,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn try_for_each_mut_isolates_panics_at_every_thread_count() {
-        for t in [1, 2, 4] {
-            let mut items: Vec<u64> = (0..16).collect();
-            let r = try_for_each_mut(t, &mut items, |x| {
-                if *x == 7 {
-                    panic!("poisoned item {x}");
-                }
-                *x += 1;
-                Ok(())
-            });
-            match r {
-                Err(WdError::WorkerPanicked(msg)) => {
-                    assert!(msg.contains("poisoned item 7"), "t = {t}: {msg}")
-                }
-                other => panic!("expected WorkerPanicked at t = {t}, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn try_convert_poly_rejects_ntt_domain_input() {
-        let n = 32;
+    fn converter(n: usize) -> (Vec<u64>, BasisConverter) {
         let from = primes(n, 3);
         let to = generate_ntt_primes(27, 2 * n as u64, 4).unwrap();
         let conv = BasisConverter::new(
@@ -255,26 +171,32 @@ mod tests {
             RnsBasis::new(to).unwrap(),
         )
         .unwrap();
+        (from, conv)
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient-domain input")]
+    fn convert_poly_rejects_ntt_domain_input() {
+        let n = 32;
+        let (from, conv) = converter(n);
         let mut src = poly_from_seed(&from, n, 5);
-        let ok = try_convert_poly(&conv, &src, 2).unwrap();
-        assert_eq!(ok, convert_poly(&conv, &src, 1));
         src.ntt_forward(&tables(&from, n));
-        assert!(matches!(
-            try_convert_poly(&conv, &src, 2),
-            Err(WdError::LevelMismatch(_))
-        ));
+        convert_poly(&conv, &src, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "converter's from-basis")]
+    fn convert_poly_rejects_foreign_basis_input() {
+        let n = 32;
+        let (_, conv) = converter(n);
+        let foreign = generate_ntt_primes(28, 2 * n as u64, 3).unwrap();
+        convert_poly(&conv, &poly_from_seed(&foreign, n, 5), 2);
     }
 
     #[test]
     fn parallel_base_conversion_matches_sequential() {
         let n = 64;
-        let from = primes(n, 3);
-        let to = generate_ntt_primes(27, 2 * n as u64, 4).unwrap();
-        let conv = BasisConverter::new(
-            RnsBasis::new(from.clone()).unwrap(),
-            RnsBasis::new(to).unwrap(),
-        )
-        .unwrap();
+        let (from, conv) = converter(n);
         let src = poly_from_seed(&from, n, 5);
         let seq = convert_poly(&conv, &src, 1);
         for t in [2, 3, 4, 16, 64] {

@@ -201,14 +201,27 @@ impl RnsPoly {
     }
 
     /// Pointwise (Hadamard) product — the ring product when both operands
-    /// are in the NTT domain. One thread of [`RnsPoly::pointwise_with`].
+    /// are in the NTT domain.
     ///
     /// # Errors
     ///
     /// Returns [`PolyError::RingMismatch`] on shape or modulus mismatch or
     /// when either operand is still in the coefficient domain.
     pub fn pointwise(&self, rhs: &Self) -> Result<Self, PolyError> {
-        self.pointwise_with(rhs, 1)
+        if self.domain != Domain::Ntt || rhs.domain != Domain::Ntt {
+            return Err(PolyError::RingMismatch);
+        }
+        self.zip_check_moduli(rhs)?;
+        let limbs = self
+            .limbs
+            .iter()
+            .zip(&rhs.limbs)
+            .map(|(a, b)| a.pointwise(b))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self {
+            limbs,
+            domain: Domain::Ntt,
+        })
     }
 
     /// Forward NTT on every limb (tables must be ordered like the limbs).
@@ -285,29 +298,6 @@ impl RnsPoly {
     /// One RNS transform just ran over every limb.
     fn count_limb_transforms(&self) {
         count_limb_transforms(self.limbs.len());
-    }
-
-    /// Pointwise product with an explicit thread budget: limbs are fanned
-    /// out over at most `threads` workers, results bit-identical at every
-    /// thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RnsPoly::pointwise`].
-    pub fn pointwise_with(&self, rhs: &Self, threads: usize) -> Result<Self, PolyError> {
-        if self.domain != Domain::Ntt || rhs.domain != Domain::Ntt {
-            return Err(PolyError::RingMismatch);
-        }
-        self.zip_check_moduli(rhs)?;
-        let limbs = crate::par::map_indexed(threads, self.limbs.len(), |i| {
-            self.limbs[i]
-                .pointwise(&rhs.limbs[i])
-                .expect("shape checked")
-        });
-        Ok(Self {
-            limbs,
-            domain: Domain::Ntt,
-        })
     }
 
     fn zip_check_moduli(&self, rhs: &Self) -> Result<(), PolyError> {
@@ -559,40 +549,19 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_with_matches_pointwise_at_every_width() {
-        let n = 32;
-        let ps = primes(n, 4);
-        let ts = tables(&ps, n);
-        let mk = |seed: i64| {
-            let coeffs: Vec<i64> = (0..n as i64).map(|i| i * seed - 11).collect();
-            let mut p = RnsPoly::from_signed(&ps, &coeffs).unwrap();
-            p.ntt_forward(&ts);
-            p
-        };
-        let (a, b) = (mk(3), mk(5));
-        let reference = a.pointwise(&b).unwrap();
-        for threads in [1, 2, 4] {
-            assert_eq!(a.pointwise_with(&b, threads).unwrap(), reference);
-            assert_eq!(b.pointwise_with(&a, threads).unwrap(), reference);
-        }
-    }
-
-    #[test]
-    fn pointwise_with_rejects_coeff_domain() {
+    fn pointwise_rejects_coeff_domain() {
         let ps = primes(8, 2);
         let a = RnsPoly::zero(&ps, 8).unwrap();
-        assert!(a.pointwise_with(&a, 2).is_err());
+        assert!(a.pointwise(&a).is_err());
     }
 
     #[test]
-    fn pointwise_rejects_foreign_moduli_at_every_width() {
+    fn pointwise_rejects_foreign_moduli() {
         let ps = primes(8, 4);
         let mut a = RnsPoly::zero(&ps[..2], 8).unwrap();
         let mut b = RnsPoly::zero(&ps[2..], 8).unwrap();
         a.set_domain(Domain::Ntt);
         b.set_domain(Domain::Ntt);
-        for threads in [1, 2] {
-            assert_eq!(a.pointwise_with(&b, threads), Err(PolyError::RingMismatch));
-        }
+        assert_eq!(a.pointwise(&b), Err(PolyError::RingMismatch));
     }
 }

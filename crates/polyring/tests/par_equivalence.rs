@@ -1,6 +1,5 @@
 //! Property tests: the width-taking primitives production runs
-//! (`RnsPoly::ntt_{forward,inverse}_with`, `RnsPoly::pointwise_with`,
-//! `par::convert_poly`) are **bit-identical** to their sequential
+//! (`RnsPoly::ntt_{forward,inverse}_with`, `par::convert_poly`) are **bit-identical** to their sequential
 //! counterparts for random ring shapes, limb counts and thread counts.
 //! This is the determinism guarantee the README advertises for every
 //! thread budget.
@@ -55,27 +54,6 @@ proptest! {
             p.ntt_inverse_with(&tables, threads);
         }
         prop_assert_eq!(&polys, &par_polys, "inverse NTT did not restore input");
-    }
-
-    #[test]
-    fn prop_pointwise_with_matches_sequential((logn, limbs, batch, threads) in shape_strategy()) {
-        let n = 1usize << logn;
-        let primes = generate_ntt_primes(20, 2 * n as u64, limbs).unwrap();
-        let tables: Vec<Arc<NttTable>> = primes
-            .iter()
-            .map(|&q| Arc::new(NttTable::new(q, n).unwrap()))
-            .collect();
-        let mut lhs: Vec<RnsPoly> = (0..batch).map(|j| random_rns(&primes, n, j)).collect();
-        let mut rhs: Vec<RnsPoly> = (0..batch).map(|j| random_rns(&primes, n, j + 100)).collect();
-        for p in lhs.iter_mut().chain(rhs.iter_mut()) {
-            p.ntt_forward(&tables);
-        }
-
-        for (i, (a, b)) in lhs.iter().zip(&rhs).enumerate() {
-            let got = a.pointwise_with(b, threads).unwrap();
-            let expect = a.pointwise(b).unwrap();
-            prop_assert_eq!(&got, &expect, "pointwise {} diverged at {} threads", i, threads);
-        }
     }
 
     #[test]

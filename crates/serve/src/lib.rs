@@ -22,9 +22,9 @@
 //!   flushes the rest on shutdown) with deadline shedding and
 //!   starvation-free priority aging.
 //! - **Execution**: the worker runs the batch it formed through
-//!   [`warpdrive_core::BatchExecutor`] under the [`ParScheduler`]'s
-//!   deterministic thread-budget split, inside the `wd-fault` recovery
-//!   envelope. Because every operation is a pure function of its inputs,
+//!   [`warpdrive_core::BatchExecutor`], which splits its one thread budget
+//!   per batch with the [`ParScheduler`]'s deterministic cost model, inside
+//!   the `wd-fault` recovery envelope. Because every operation is a pure function of its inputs,
 //!   **responses are bit-identical to a sequential fault-free run** at
 //!   every batch size, thread count, and fault seed.
 //! - **Observability**: `wd-trace` counters (`serve.enqueued`,

@@ -42,8 +42,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use warpdrive_core::{
-    BatchExecutor, BatchOp, Decision, EvalKeys, FlushTrigger, FormPolicy, ParScheduler, Pending,
-    Placer,
+    BatchExecutor, BatchOp, Decision, EvalKeys, FlushTrigger, FormPolicy, Pending, Placer,
 };
 use wd_ckks::cipher::Ciphertext;
 use wd_ckks::keys::{KeyPoly, KeySwitchKey, RotationKeys};
@@ -1079,10 +1078,10 @@ fn watchdog_loop(
                     ),
                 );
             }
-            // A budget-1 scheduler is the sequential executor that keeps
-            // this one's fault plan, retry policy and arena pool.
+            // Budget 1 is the sequential executor; `with_budget` keeps this
+            // one's fault plan, retry policy and arena pool.
             let replacement = if sup.degraded.load(Ordering::Relaxed) {
-                executor.clone().with_scheduler(ParScheduler::new(1))
+                executor.clone().with_budget(1)
             } else {
                 executor.clone()
             };

@@ -6,11 +6,10 @@
 //! cargo run --release --example batched_pipeline
 //! ```
 //!
-//! The thread budget is every core and the split policy is `Auto`
-//! ([`warpdrive::core::BatchExecutor::auto`]):
-//! the [`warpdrive::core::ParScheduler`] divides the budget between
-//! op-level fan-out and limb-level parallelism per batch shape, never
-//! oversubscribing. Results are bit-identical under every split — the
+//! The thread budget is every core ([`warpdrive::core::BatchExecutor::new`]):
+//! the executor's [`warpdrive::core::ParScheduler`] divides the budget
+//! between op-level fan-out and limb-level parallelism per batch shape,
+//! never oversubscribing. Results are bit-identical under every split — the
 //! demo verifies that against a sequential run before printing timings.
 //!
 //! With `WD_TRACE=summary|full` the run also prints the wd-trace summary
@@ -60,13 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Scheduled run over every core. The scheduler splits the budget per
     // batch shape — this large batch gets op-level fan-out; the single deep
     // op below gets limb-level threads.
-    let executor = BatchExecutor::auto(available_threads());
-    let sched = executor.scheduler().expect("auto attaches a scheduler");
-    println!(
-        "scheduler: budget {} threads, policy {:?}",
-        sched.budget(),
-        sched.policy(),
-    );
+    let executor = BatchExecutor::new(available_threads());
+    println!("scheduler: budget {} threads", executor.threads());
     let t0 = Instant::now();
     let par = executor.execute(&ctx, eval, &batch);
     let par_time = t0.elapsed();
