@@ -208,11 +208,11 @@ fn parallel_path_is_bit_identical_and_decrypts_correctly() {
     let baseline = through(BatchExecutor::new(1));
     for (limb, op) in [(1, 1), (2, 1), (4, 1), (1, 4), (3, 2), (4, 4)] {
         assert_eq!(baseline, direct(limb), "diverged at limb_threads={limb}");
-        let fanned = through(BatchExecutor::new(op));
-        assert_eq!(baseline, fanned, "diverged at op_threads={op}");
-        // Both axes at once: a scheduler splits limb × op threads its way.
-        let both = BatchExecutor::auto(limb * op);
-        assert_eq!(baseline, through(both), "diverged at budget {}", limb * op);
+        // A budget of limb × op threads: the executor's scheduler splits it
+        // between the op and limb axes its own way.
+        let budget = limb * op;
+        let scheduled = through(BatchExecutor::new(budget));
+        assert_eq!(baseline, scheduled, "diverged at budget {budget}");
     }
 
     // And the batch results decrypt to the right values.
