@@ -217,21 +217,25 @@ impl BgvContext {
         if a.level != b.level {
             return Err(CkksError::LevelMismatch("BGV hmult levels".into()));
         }
-        let d0 = a.c0.pointwise(&b.c0)?;
-        let d1 = a.c0.pointwise(&b.c1)?.add(&a.c1.pointwise(&b.c0)?)?;
         let d2 = a.c1.pointwise(&b.c1)?;
         // The CKKS keyswitch up to its accumulators, then the BGV ModDown.
         let ctx = &self.inner;
         let arena = ctx.scratch();
-        let (ks0, ks1) = scratch::with_worker_arena(&arena, || {
+        let (mut c0, mut c1) = scratch::with_worker_arena(&arena, || {
             let (level, acc0, acc1) = mod_up_inner_product(ctx, &arena, &d2, &kp.relin, 1)?;
             let ks0 = self.mod_down_bgv(&arena, acc0, level)?;
             let ks1 = self.mod_down_bgv(&arena, acc1, level)?;
             Ok::<_, CkksError>((ks0, ks1))
         })?;
+        drop(d2);
+        // The other tensor products accumulate into the keyswitch outputs,
+        // as in the CKKS HMULT.
+        c0.mul_add_assign(&a.c0, &b.c0)?;
+        c1.mul_add_assign(&a.c0, &b.c1)?;
+        c1.mul_add_assign(&a.c1, &b.c0)?;
         Ok(BgvCiphertext {
-            c0: d0.add(&ks0)?,
-            c1: d1.add(&ks1)?,
+            c0,
+            c1,
             level: a.level,
         })
     }

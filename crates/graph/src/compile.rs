@@ -233,6 +233,9 @@ pub struct CompiledProgram {
     /// an earlier wave (inputs are wave-less), so the steps of one wave
     /// are mutually independent — one `BatchOp` batch each.
     pub(crate) waves: Vec<Vec<usize>>,
+    /// Per wave, the steps whose last reader runs in that wave: execution
+    /// drops their values right after it. Outputs are never listed.
+    pub(crate) releases: Vec<Vec<usize>>,
     pub(crate) outputs: Vec<usize>,
     pub(crate) input_count: usize,
     pub(crate) input_level: usize,
@@ -294,6 +297,31 @@ impl CompiledProgram {
                     .collect()
             })
             .collect()
+    }
+
+    /// The schedule as step indices, one entry per wave: the steps the wave
+    /// runs and the steps whose values execution drops right after it (their
+    /// last reader ran in it; outputs are never dropped). Steps are numbered
+    /// `0..step_count()`.
+    pub fn schedule(&self) -> impl Iterator<Item = (&[usize], &[usize])> {
+        self.waves
+            .iter()
+            .zip(&self.releases)
+            .map(|(w, r)| (w.as_slice(), r.as_slice()))
+    }
+
+    /// The operand step indices of step `s`; empty for a program input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s >= step_count()`.
+    pub fn step_operands(&self, s: usize) -> Vec<usize> {
+        self.steps[s].op.deps()
+    }
+
+    /// The step index of each declared output, in declaration order.
+    pub fn output_steps(&self) -> &[usize] {
+        &self.outputs
     }
 
     /// Levels consumed from input to the deepest output.
@@ -593,6 +621,25 @@ impl Graph {
             waves[d - 1].push(s);
         }
 
+        // Value lifetimes: every step but an output is released after the
+        // wave of its last reader (a computed step nothing reads, after its
+        // own wave).
+        let mut releases: Vec<Vec<usize>> = vec![Vec::new(); waves.len()];
+        let mut last_read: Vec<Option<usize>> = vec![None; lo.steps.len()];
+        for (s, info) in lo.steps.iter().enumerate() {
+            for d in info.op.deps() {
+                last_read[d] = last_read[d].max(Some(depth[s] - 1));
+            }
+        }
+        for (s, last) in last_read.into_iter().enumerate() {
+            if outputs.contains(&s) {
+                continue;
+            }
+            if let Some(w) = last.or(depth[s].checked_sub(1)) {
+                releases[w].push(s);
+            }
+        }
+
         lo.stats.steps = lo.steps.len();
         lo.stats.waves = waves.len();
         let stats = lo.stats;
@@ -606,6 +653,7 @@ impl Graph {
         Ok(CompiledProgram {
             steps: lo.steps,
             waves,
+            releases,
             outputs,
             input_count: self.input_count(),
             input_level,

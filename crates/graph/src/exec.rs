@@ -7,10 +7,22 @@
 //! wave `w` of every live program runs as one batch — which is how
 //! different tenants' compiled programs share executor fan-out.
 //!
+//! **Value lifetimes.** A program's memory follows its live set, not its
+//! length. Inputs are borrowed from the caller, never copied. Compilation
+//! records, per wave, the steps whose last reader runs in that wave
+//! ([`CompiledProgram::schedule`]), and each such value is dropped right
+//! after its wave; a job that fails drops everything at once. Outputs are
+//! moved out at the end (an output that is also an input, or is declared
+//! twice, comes back as a copy). `graph.exec.released` counts the computed
+//! values dropped before the end, and the `graph.exec.live` gauge samples
+//! how many are held after each wave.
+//!
 //! Execution is bit-identical to hand-sequencing the same `wd_ckks::ops`
 //! calls: every step lowers to exactly one such call with deterministic
 //! operands, and the executor's fault-recovery envelope already guarantees
 //! per-op bit-identical recovery under injection.
+
+use std::borrow::Cow;
 
 use crate::compile::{CompiledProgram, Step};
 use warpdrive_core::{BatchExecutor, BatchOp, EvalKeys};
@@ -19,14 +31,28 @@ use wd_ckks::encoding::C64;
 use wd_ckks::{CkksContext, CkksError, OperandMismatch};
 
 /// One program's run state.
-struct JobState {
-    /// Result slot per step (inputs pre-filled; the rest filled wave by
-    /// wave).
-    values: Vec<Option<Ciphertext>>,
+struct JobState<'a> {
+    /// Value slot per step: inputs borrowed from the caller, computed
+    /// values owned; emptied once the last reader has run.
+    values: Vec<Option<Cow<'a, Ciphertext>>>,
     /// Pre-encoded broadcast plaintexts for `AddConst`/`PMultConst` steps.
     plaintexts: Vec<Option<Plaintext>>,
     /// The first error this program hit, if any; later waves skip it.
     failed: Option<CkksError>,
+}
+
+impl JobState<'_> {
+    /// Empties the slots of `steps`, returning how many held a computed
+    /// (owned) value.
+    fn release(&mut self, steps: impl IntoIterator<Item = usize>) -> u64 {
+        let mut owned = 0;
+        for s in steps {
+            if let Some(Cow::Owned(_)) = self.values[s].take() {
+                owned += 1;
+            }
+        }
+        owned
+    }
 }
 
 impl CompiledProgram {
@@ -109,7 +135,7 @@ pub fn execute_many(
             }
             for (s, info) in prog.steps.iter().enumerate() {
                 match info.op {
-                    Step::Input(i) => st.values[s] = Some(inputs[i].clone()),
+                    Step::Input(i) => st.values[s] = Some(Cow::Borrowed(&inputs[i])),
                     // Broadcast constants encode exactly as the reference
                     // does: AddConst at the operand's level and scale,
                     // PMultConst at the operand's level and scale Δ.
@@ -147,6 +173,8 @@ pub fn execute_many(
 
     // Wave rounds: merge wave `w` of every live program into one batch.
     let rounds = jobs.iter().map(|(p, _)| p.wave_count()).max().unwrap_or(0);
+    // Computed values held across every job, and those dropped early.
+    let (mut live, mut released) = (0u64, 0u64);
     for w in 0..rounds {
         // (job, step) backrefs aligned with the merged batch.
         let mut sites: Vec<(usize, usize)> = Vec::new();
@@ -163,7 +191,7 @@ pub fn execute_many(
             .iter()
             .map(|&(j, s)| {
                 let st = &states[j];
-                let ct = |i: usize| st.values[i].as_ref().expect("operand in earlier wave");
+                let ct = |i: usize| st.values[i].as_deref().expect("operand in earlier wave");
                 let pt = || st.plaintexts[s].as_ref().expect("encoded in setup");
                 match jobs[j].0.steps[s].op {
                     Step::Input(_) => unreachable!("inputs are wave-less"),
@@ -185,25 +213,50 @@ pub fn execute_many(
         drop(batch);
         for ((j, s), res) in sites.into_iter().zip(results) {
             match res {
-                Ok(ct) => states[j].values[s] = Some(ct),
+                Ok(ct) => {
+                    states[j].values[s] = Some(Cow::Owned(ct));
+                    live += 1;
+                }
+                // First error wins; the job's later waves are skipped.
                 Err(e) => {
-                    // First error wins; the job's later waves are skipped.
-                    if states[j].failed.is_none() {
-                        states[j].failed = Some(e);
-                    }
+                    states[j].failed.get_or_insert(e);
                 }
             }
         }
+        // Drop what this wave read for the last time; a failed job holds
+        // nothing from here on.
+        for ((prog, _), st) in jobs.iter().zip(&mut states) {
+            let dropped = if st.failed.is_some() {
+                st.release(0..prog.steps.len())
+            } else if let Some(steps) = prog.releases.get(w) {
+                st.release(steps.iter().copied())
+            } else {
+                0
+            };
+            live -= dropped;
+            released += dropped;
+        }
+        wd_trace::gauge("graph.exec.live", live);
     }
+    wd_trace::counter("graph.exec.released", released);
 
     jobs.iter()
         .zip(states)
-        .map(|((prog, _), st)| match st.failed {
+        .map(|((prog, _), mut st)| match st.failed {
             Some(e) => Err(e),
             None => Ok(prog
                 .outputs
                 .iter()
-                .map(|&s| st.values[s].clone().expect("output computed"))
+                .enumerate()
+                .map(|(k, &s)| {
+                    let slot = &mut st.values[s];
+                    let v = if prog.outputs[k + 1..].contains(&s) {
+                        slot.clone()
+                    } else {
+                        slot.take()
+                    };
+                    v.expect("output computed").into_owned()
+                })
                 .collect()),
         })
         .collect()

@@ -41,6 +41,23 @@ impl Kernel for MulSlab<'_> {
     }
 }
 
+struct AddSlab<'a> {
+    q: u64,
+    acc: &'a mut [u64],
+    b: &'a [u64],
+}
+
+impl Kernel for AddSlab<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        let q = self.q;
+        for (c, &y) in self.acc.iter_mut().zip(self.b) {
+            *c = reduce_once(*c + y, q);
+        }
+    }
+}
+
 struct MulAddSlab<'a> {
     m: &'a Modulus,
     acc: &'a mut [u64],
@@ -160,6 +177,21 @@ impl Modulus {
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), out.len());
         dispatch(MulSlab { m: self, a, b, out });
+    }
+
+    /// In-place addition: `acc[i] = acc[i] + b[i] mod q`, for reduced
+    /// operands — the sum without a fresh output slab.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slab lengths differ.
+    pub fn add_slab_assign(&self, acc: &mut [u64], b: &[u64]) {
+        assert_eq!(acc.len(), b.len());
+        dispatch(AddSlab {
+            q: self.value(),
+            acc,
+            b,
+        });
     }
 
     /// Fused multiply-accumulate: `acc[i] = acc[i] + a[i] * b[i] mod q`,
@@ -432,6 +464,66 @@ mod tests {
         );
     }
 
+    /// The two in-place kernels the ciphertext ops accumulate with equal
+    /// the scalar `add` (and `add` of `mul`) at every level this CPU offers:
+    /// for a prime just below 2^30 and the sweep's others, all-(q − 1)
+    /// operands (the largest sum each kernel sees) and pseudo-random ones,
+    /// at lengths one vector tail and [`SLAB_BLOCK`] ± 37 around the block.
+    #[test]
+    fn in_place_add_and_mul_add_match_the_scalar_oracle_at_every_level() {
+        use crate::lanes::{run_at, Level};
+        let mut ran = 0;
+        for q in SWEEP_MODULI {
+            let m = Modulus::new(q);
+            for len in [1, 17, SLAB_BLOCK - 37, SLAB_BLOCK + 37] {
+                let [mix, top, _] = sweep_inputs(q, len, 7);
+                let other = slab(11, len, q);
+                for (acc0, a, b) in [
+                    (&top, &top, &top),
+                    (&mix, &other, &top),
+                    (&top, &mix, &other),
+                ] {
+                    let sum: Vec<u64> = acc0.iter().zip(b).map(|(&c, &y)| m.add(c, y)).collect();
+                    let fma: Vec<u64> = acc0
+                        .iter()
+                        .zip(a.iter().zip(b))
+                        .map(|(&c, (&x, &y))| m.add(c, m.mul(x, y)))
+                        .collect();
+                    for level in Level::ALL {
+                        let at = format!("{level:?}, q = {q}, len = {len}");
+                        let mut acc = acc0.clone();
+                        if run_at(
+                            level,
+                            AddSlab {
+                                q,
+                                acc: &mut acc,
+                                b,
+                            },
+                        )
+                        .is_none()
+                        {
+                            continue;
+                        }
+                        ran += 1;
+                        assert_eq!(acc, sum, "add at {at}");
+                        let mut acc = acc0.clone();
+                        run_at(
+                            level,
+                            MulAddSlab {
+                                m: &m,
+                                acc: &mut acc,
+                                a,
+                                b,
+                            },
+                        );
+                        assert_eq!(acc, fma, "mul_add at {at}");
+                    }
+                }
+            }
+        }
+        assert!(ran >= SWEEP_MODULI.len() * 4 * 3, "scalar always runs");
+    }
+
     /// Moduli of the lazy inner product: just below 2^30 (16 terms between
     /// folds), a 26-bit chain prime of SET-B (4096) and a prime below 2^16.
     fn lazy_moduli() -> [u64; 3] {
@@ -561,6 +653,7 @@ mod tests {
     #[test]
     fn empty_slabs_are_noops() {
         let m = m();
+        m.add_slab_assign(&mut [], &[]);
         m.mul_add_slab_assign(&mut [], &[], &[]);
         mul_add2_lazy(&mut [], &mut [], &[], &[], &[]);
         m.fold_slab_assign(&mut []);

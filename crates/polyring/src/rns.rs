@@ -9,6 +9,28 @@ use crate::ntt::NttTable;
 use crate::poly::Poly;
 use crate::PolyError;
 use std::sync::Arc;
+use wd_modmath::lanes::{dispatch, reduce_once, Kernel};
+
+/// `acc[i] = acc[i] + src[perm[i]] mod q`: the gather of
+/// [`RnsPoly::automorphism_ntt`] fused with the addition, run through the
+/// lane dispatch.
+struct AddGathered<'a> {
+    q: u64,
+    acc: &'a mut [u64],
+    src: &'a [u64],
+    perm: &'a [u32],
+}
+
+impl Kernel for AddGathered<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        let (q, src) = (self.q, self.src);
+        for (c, &i) in self.acc.iter_mut().zip(self.perm) {
+            *c = reduce_once(*c + src[i as usize], q);
+        }
+    }
+}
 
 /// Which domain the limb coefficients currently live in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -190,6 +212,74 @@ impl RnsPoly {
             limbs,
             domain: self.domain,
         })
+    }
+
+    /// In-place limb-wise addition, `self += rhs` (any domain, domains
+    /// must match): [`RnsPoly::add`] without the fresh result, through
+    /// [`wd_modmath::Modulus::add_slab_assign`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::RingMismatch`] on shape, domain or modulus
+    /// mismatch, before any limb is written.
+    pub fn add_assign(&mut self, rhs: &Self) -> Result<(), PolyError> {
+        self.zip_check_moduli(rhs)?;
+        for (acc, b) in self.limbs.iter_mut().zip(&rhs.limbs) {
+            let m = *acc.modulus();
+            m.add_slab_assign(acc.coeffs_mut(), b.coeffs());
+        }
+        Ok(())
+    }
+
+    /// Fused multiply-accumulate, `self += a ⊙ b` (all three in the NTT
+    /// domain): `self.add(&a.pointwise(&b)?)` in one pass and no temporary,
+    /// through [`wd_modmath::Modulus::mul_add_slab_assign`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::RingMismatch`] on shape or modulus mismatch or
+    /// when any operand is in the coefficient domain, before any limb is
+    /// written.
+    pub fn mul_add_assign(&mut self, a: &Self, b: &Self) -> Result<(), PolyError> {
+        if self.domain != Domain::Ntt {
+            return Err(PolyError::RingMismatch);
+        }
+        self.zip_check_moduli(a)?;
+        self.zip_check_moduli(b)?;
+        for ((acc, x), y) in self.limbs.iter_mut().zip(&a.limbs).zip(&b.limbs) {
+            let m = *acc.modulus();
+            m.mul_add_slab_assign(acc.coeffs_mut(), x.coeffs(), y.coeffs());
+        }
+        Ok(())
+    }
+
+    /// `self += src.automorphism_ntt(perm)` in one gathering pass, without
+    /// the permuted copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::RingMismatch`] on shape or modulus mismatch, a
+    /// coefficient-domain operand, or `perm.len() != N`, before any limb is
+    /// written.
+    pub fn add_automorphism_ntt_assign(
+        &mut self,
+        src: &Self,
+        perm: &[u32],
+    ) -> Result<(), PolyError> {
+        if self.domain != Domain::Ntt || perm.len() != self.degree() {
+            return Err(PolyError::RingMismatch);
+        }
+        self.zip_check_moduli(src)?;
+        for (acc, s) in self.limbs.iter_mut().zip(&src.limbs) {
+            let q = acc.modulus().value();
+            dispatch(AddGathered {
+                q,
+                acc: acc.coeffs_mut(),
+                src: s.coeffs(),
+                perm,
+            });
+        }
+        Ok(())
     }
 
     /// Negation.
@@ -546,6 +636,115 @@ mod tests {
             let perm = crate::ntt::galois_permutation(n, g);
             assert_eq!(spectrum.automorphism_ntt(&perm), expect, "g = {g}");
         }
+    }
+
+    /// NTT-domain operands over a prime just below 2^30 and a 26-bit one:
+    /// one all-(q − 1), two pseudo-random.
+    fn in_place_operands(n: usize) -> [RnsPoly; 3] {
+        let ps = [
+            wd_modmath::prime::ntt_prime_below((1 << 30) - 1, 2 * n as u64).unwrap(),
+            primes(n, 1)[0],
+        ];
+        let limbs = |f: &dyn Fn(u64, u64) -> u64| {
+            let limbs = ps
+                .iter()
+                .map(|&q| Poly::from_coeffs(q, (0..n as u64).map(|i| f(q, i)).collect()).unwrap())
+                .collect();
+            RnsPoly::from_limbs(limbs, Domain::Ntt).unwrap()
+        };
+        [
+            limbs(&|q, _| q - 1),
+            limbs(&|q, i| (i * 2654435761 + 5) % q),
+            limbs(&|q, i| (i * 40503 + q / 3) % q),
+        ]
+    }
+
+    #[test]
+    fn in_place_ops_match_the_allocating_ones() {
+        let n = 1 << 11;
+        let [top, x, y] = in_place_operands(n);
+        let perm = crate::ntt::galois_permutation(n, 5);
+        for (acc0, a, b) in [(&top, &top, &top), (&x, &y, &top), (&top, &x, &y)] {
+            let mut acc = acc0.clone();
+            acc.add_assign(b).unwrap();
+            assert_eq!(acc, acc0.add(b).unwrap(), "add");
+            let mut acc = acc0.clone();
+            acc.mul_add_assign(a, b).unwrap();
+            assert_eq!(acc, acc0.add(&a.pointwise(b).unwrap()).unwrap(), "mul_add");
+            let mut acc = acc0.clone();
+            acc.add_automorphism_ntt_assign(a, &perm).unwrap();
+            assert_eq!(acc, acc0.add(&a.automorphism_ntt(&perm)).unwrap(), "gather");
+        }
+    }
+
+    #[test]
+    fn in_place_gather_matches_the_scalar_oracle_at_every_level() {
+        use wd_modmath::lanes::{run_at, Level};
+        let n = 1 << 11;
+        let [top, x, _] = in_place_operands(n);
+        let perm = crate::ntt::galois_permutation(n, 2 * n - 1);
+        for (acc0, src) in [(&top, &top), (&x, &top), (&top, &x)] {
+            for (l, (c, s)) in acc0.limbs().zip(src.limbs()).enumerate() {
+                let m = *c.modulus();
+                let want: Vec<u64> = perm
+                    .iter()
+                    .zip(c.coeffs())
+                    .map(|(&i, &v)| m.add(v, s.coeffs()[i as usize]))
+                    .collect();
+                for level in Level::ALL {
+                    let mut acc = c.coeffs().to_vec();
+                    let kernel = AddGathered {
+                        q: m.value(),
+                        acc: &mut acc,
+                        src: s.coeffs(),
+                        perm: &perm,
+                    };
+                    if run_at(level, kernel).is_some() {
+                        assert_eq!(acc, want, "limb {l} at {level:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_ops_reject_mismatches_untouched() {
+        let n = 16;
+        let [top, x, _] = in_place_operands(n);
+        let mut coeff = x.clone();
+        coeff.set_domain(Domain::Coeff);
+        let mut short = x.clone();
+        short.drop_limbs(1);
+        let foreign = RnsPoly::from_limbs(
+            primes(n, 2)
+                .iter()
+                .map(|&q| Poly::zero(q, n).unwrap())
+                .collect(),
+            Domain::Ntt,
+        )
+        .unwrap();
+        let perm = crate::ntt::galois_permutation(n, 5);
+        for bad in [&coeff, &short, &foreign] {
+            let mut acc = top.clone();
+            assert_eq!(acc.add_assign(bad), Err(PolyError::RingMismatch));
+            assert_eq!(acc.mul_add_assign(&x, bad), Err(PolyError::RingMismatch));
+            assert_eq!(acc.mul_add_assign(bad, &x), Err(PolyError::RingMismatch));
+            assert_eq!(
+                acc.add_automorphism_ntt_assign(bad, &perm),
+                Err(PolyError::RingMismatch)
+            );
+            assert_eq!(acc, top);
+        }
+        let mut acc = coeff.clone();
+        assert_eq!(
+            acc.mul_add_assign(&coeff, &coeff),
+            Err(PolyError::RingMismatch)
+        );
+        let mut acc = top.clone();
+        assert_eq!(
+            acc.add_automorphism_ntt_assign(&x, &perm[..n - 1]),
+            Err(PolyError::RingMismatch)
+        );
     }
 
     #[test]

@@ -54,11 +54,13 @@ drills=(
         arena.bypass="
     # The 49-node demo compiled twice (SET-C model, small-ring drill): 19
     # waves, 7 auto-rescales and 6 auto-relins a compile, nothing to CSE
-    # or prune; the drill executes 19 waves of 46 non-input steps 3 times.
+    # or prune; the drill executes 19 waves of 46 non-input steps 3 times,
+    # and every computed value but the one output a run is dropped early.
     "graph_compile | |
         graph.nodes=98 graph.waves=38 graph.inserted_rescales=14
         graph.inserted_relins=12 graph.cse_hits=0 graph.pruned=0
-        graph.exec.programs=3 graph.exec.waves=57 graph.exec.ops=138"
+        graph.exec.programs=3 graph.exec.waves=57 graph.exec.ops=138
+        graph.exec.released=135"
     # The three policy-drill placements; nothing is served sharded.
     "shard_scaling | |
         place.placements=3"
