@@ -17,8 +17,18 @@
 //! `a < 2^32`, `t = ⌊a·w'/2^32⌋` and `a·w − t·q` lands in `[0, 2q)` with
 //! every product 32×32→64: one `vpmuludq` per lane. The lazy `[0, 4q)`
 //! values fit a lane because [`NttTable::new`] refuses q ≥ 2^30
-//! ([`wd_modmath::MAX_NTT_MODULUS_BITS`]). Stages whose butterfly span is
-//! below 8 have inner loops too short to vectorise, so they run at a
+//! ([`wd_modmath::MAX_NTT_MODULUS_BITS`]).
+//!
+//! The stages whose butterfly span is at least 8 run two to a pass
+//! (radix 4): a pass loads one eight-lane group from each quarter of a
+//! block, runs both stages' four butterflies on them in registers and
+//! stores them once, so those stages cross memory half as often. Their
+//! count is log2 N − 3; when it is odd the outermost stage runs alone
+//! (N = 2^14: one lone stage, then five fused pairs). The inverse runs the
+//! same passes in the mirrored (Gentleman–Sande) order. Every butterfly,
+//! its lazy range and the order each element meets its butterflies are
+//! those of one stage at a time, so the outputs are too. Stages whose span
+//! is below 8 have inner loops too short to vectorise, so they run at a
 //! constant span that the compiler unrolls and vectorises across blocks;
 //! span 4 takes two blocks as one eight-lane group.
 //!
@@ -269,12 +279,12 @@ fn stage4(
     }
 }
 
-/// [`stage`], with the spans below 8 spelled as constants: their inner
-/// loops are too short to vectorise, so spans 1 and 2 are inlined at a
-/// known span, unrolled, and vectorised across blocks instead of within
-/// one, and span 4 pairs its blocks ([`stage4`]).
+/// A stage whose span is below 8, spelled as a constant: the inner loops
+/// are too short to vectorise, so spans 1 and 2 are inlined at a known
+/// span, unrolled, and vectorised across blocks instead of within one, and
+/// span 4 pairs its blocks ([`stage4`]).
 #[inline(always)]
-fn any_stage(
+fn short_stage(
     data: &mut [u64],
     span: usize,
     twiddles: &[(u64, u64)],
@@ -284,7 +294,144 @@ fn any_stage(
         1 => stage(data, 1, twiddles, butterfly),
         2 => stage(data, 2, twiddles, butterfly),
         4 => stage4(data, twiddles, butterfly),
-        _ => stage(data, span, twiddles, butterfly),
+        _ => unreachable!("spans of 8 and more run in fused passes"),
+    }
+}
+
+/// The stages whose span is at least 8 (eleven at N = 2^14), which run
+/// two to a [`radix4`] pass; an odd count leaves the outermost stage
+/// alone, one contiguous butterfly run and the cheapest to leave unfused.
+fn wide_stages(n: usize) -> u32 {
+    n.trailing_zeros().saturating_sub(3)
+}
+
+/// Two consecutive stages as one pass over memory. The data splits into
+/// `groups` blocks; block `k − groups` is four quarters, and each
+/// eight-lane group of every quarter is loaded once, taken through both
+/// stages in registers and stored once. The outer stage pairs the block's
+/// halves (quarters 0 and 2, 1 and 3) under `twiddles[k]`, the inner stage
+/// each half's halves under `twiddles[2k]` and `twiddles[2k + 1]`: the
+/// bit-reversed tables are in heap order, so the pass reads exactly the
+/// twiddles its stages would one at a time. `forward` runs the outer stage
+/// first (Cooley–Tukey), otherwise the inner (Gentleman–Sande); `outer` is
+/// the outer stage's butterfly and `inner` the inner one's.
+///
+/// The group loop walks four zipped quarters, the shape [`butterflies`]
+/// uses for two halves: indexed as one `[[u64; 8]]` slice, LLVM's loop
+/// vectoriser took eight groups at a time through `vpgatherqq`.
+#[inline(always)]
+fn radix4(
+    data: &mut [u64],
+    groups: usize,
+    twiddles: &[(u64, u64)],
+    forward: bool,
+    inner: &impl Fn(u64, u64, u64, u64) -> (u64, u64),
+    outer: &impl Fn(u64, u64, u64, u64) -> (u64, u64),
+) {
+    let len = data.len() / groups;
+    for (k, block) in (groups..).zip(data.chunks_exact_mut(len)) {
+        let (w, w0, w1) = (twiddles[k], twiddles[2 * k], twiddles[2 * k + 1]);
+        let (lanes, _) = block.as_chunks_mut::<8>();
+        let (lo, hi) = lanes.split_at_mut(len / 16);
+        let ((q0, q1), (q2, q3)) = (lo.split_at_mut(len / 32), hi.split_at_mut(len / 32));
+        let quarters = q0.iter_mut().zip(q1).zip(q2.iter_mut().zip(q3));
+        for ((a, b), (c, d)) in quarters {
+            let (mut x0, mut x1, mut x2, mut x3) = (*a, *b, *c, *d);
+            if forward {
+                lanes8(&mut x0, &mut x2, w, outer);
+                lanes8(&mut x1, &mut x3, w, outer);
+                lanes8(&mut x0, &mut x1, w0, inner);
+                lanes8(&mut x2, &mut x3, w1, inner);
+            } else {
+                lanes8(&mut x0, &mut x1, w0, inner);
+                lanes8(&mut x2, &mut x3, w1, inner);
+                lanes8(&mut x0, &mut x2, w, outer);
+                lanes8(&mut x1, &mut x3, w, outer);
+            }
+            (*a, *b, *c, *d) = (x0, x1, x2, x3);
+        }
+    }
+}
+
+/// One butterfly on each of eight lanes.
+#[inline(always)]
+fn lanes8(
+    lo: &mut [u64; 8],
+    hi: &mut [u64; 8],
+    (w, ws): (u64, u64),
+    butterfly: &impl Fn(u64, u64, u64, u64) -> (u64, u64),
+) {
+    for (x, y) in lo.iter_mut().zip(hi) {
+        (*x, *y) = butterfly(*x, *y, w, ws);
+    }
+}
+
+/// The forward stages in order: the lone outermost stage if
+/// [`wide_stages`] is odd, the [`radix4`] passes, the short stages, and the
+/// span-1 stage under `last`. The stage with `m` blocks reads
+/// `twiddles[m..2m]`.
+#[inline(always)]
+fn forward_stages(
+    data: &mut [u64],
+    twiddles: &[(u64, u64)],
+    butterfly: impl Fn(u64, u64, u64, u64) -> (u64, u64),
+    last: impl Fn(u64, u64, u64, u64) -> (u64, u64),
+) {
+    let n = data.len();
+    let wide = wide_stages(n);
+    let mut groups = 1;
+    if wide % 2 == 1 {
+        stage(data, n / 2, &twiddles[1..2], &butterfly);
+        groups = 2;
+    }
+    for _ in 0..wide / 2 {
+        radix4(data, groups, twiddles, true, &butterfly, &butterfly);
+        groups *= 4;
+    }
+    let mut t = n / 2 / groups;
+    while t > 1 {
+        short_stage(data, t, &twiddles[groups..2 * groups], &butterfly);
+        t /= 2;
+        groups *= 2;
+    }
+    stage(data, 1, &twiddles[groups..], last);
+}
+
+/// The inverse stages in order, the mirror of [`forward_stages`]: the short
+/// stages, the [`radix4`] passes, and the lone outermost stage if there is
+/// one. The last (one-block) stage runs under `last`, which ignores its
+/// twiddle.
+#[inline(always)]
+fn inverse_stages(
+    data: &mut [u64],
+    twiddles: &[(u64, u64)],
+    butterfly: impl Fn(u64, u64, u64, u64) -> (u64, u64),
+    last: impl Fn(u64, u64, u64, u64) -> (u64, u64),
+) {
+    let n = data.len();
+    let mut t = 1;
+    let mut groups = n / 2;
+    while groups > 1 && t < 8 {
+        short_stage(data, t, &twiddles[groups..2 * groups], &butterfly);
+        t *= 2;
+        groups /= 2;
+    }
+    let wide = wide_stages(n);
+    if wide == 0 {
+        // N ≤ 8: the last stage is short too.
+        return stage(data, t, &twiddles[1..2], last);
+    }
+    for _ in 0..wide / 2 {
+        let blocks = groups / 2;
+        if blocks == 1 {
+            radix4(data, blocks, twiddles, false, &butterfly, &last);
+        } else {
+            radix4(data, blocks, twiddles, false, &butterfly, &butterfly);
+        }
+        groups = blocks / 2;
+    }
+    if wide % 2 == 1 {
+        stage(data, n / 2, &twiddles[1..2], &last);
     }
 }
 
@@ -305,21 +452,14 @@ impl Kernel for Forward<'_> {
         let q = m.value();
         let two_q = 2 * q;
         // Harvey butterfly on [0, 4q): (x, y) → (x + w·y, x − w·y).
-        let butterfly = |x: u64, y: u64, w: u64, ws: u64| {
+        let butterfly = move |x: u64, y: u64, w: u64, ws: u64| {
             let u = reduce_once(x, two_q);
             let v = m.mul_shoup_lane(y, w, ws);
             (u + v, u + two_q - v)
         };
-        let mut t = table.n / 2;
-        let mut groups = 1;
-        while t > 1 {
-            any_stage(data, t, &table.fwd[groups..2 * groups], butterfly);
-            t /= 2;
-            groups *= 2;
-        }
         // Last stage (adjacent pairs), with the one correction to [0, q).
-        let correct = |x: u64| reduce_once(reduce_once(x, two_q), q);
-        stage(data, 1, &table.fwd[groups..], |x, y, w, ws| {
+        let correct = move |x: u64| reduce_once(reduce_once(x, two_q), q);
+        forward_stages(data, &table.fwd, butterfly, move |x, y, w, ws| {
             let (x, y) = butterfly(x, y, w, ws);
             (correct(x), correct(y))
         });
@@ -346,21 +486,14 @@ impl Kernel for Inverse<'_> {
                 m.mul_shoup_lane(u + two_q - v, w, ws),
             )
         };
-        let mut t = 1;
-        let mut groups = table.n / 2;
-        while groups > 1 {
-            any_stage(data, t, &table.inv[groups..2 * groups], butterfly);
-            t *= 2;
-            groups /= 2;
-        }
         // Last stage: N⁻¹ rides on both outputs, then the one correction.
-        let (lo, hi) = data.split_at_mut(t);
         let ((s, ss), (d, ds)) = (table.n_inv, table.n_inv_w);
-        for (x, y) in lo.iter_mut().zip(hi) {
-            let (u, v) = (*x, *y);
-            *x = reduce_once(m.mul_shoup_lane(u + v, s, ss), q);
-            *y = reduce_once(m.mul_shoup_lane(u + two_q - v, d, ds), q);
-        }
+        inverse_stages(data, &table.inv, butterfly, |u, v, _, _| {
+            (
+                reduce_once(m.mul_shoup_lane(u + v, s, ss), q),
+                reduce_once(m.mul_shoup_lane(u + two_q - v, d, ds), q),
+            )
+        });
     }
 }
 
@@ -617,6 +750,182 @@ mod tests {
                         assert_eq!(y, y_want, "inverse at {level:?}, n = {n}, q = {q}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_output_matches_the_definition_at_every_small_degree() {
+        // Log N 2..=12 takes both parities of the pass plan: an even count
+        // of wide stages (all fused), an odd one (a lone outermost stage),
+        // and none at all (N ≤ 8).
+        for log_n in 2..=12u32 {
+            let n = 1usize << log_n;
+            let two_n = 2 * n as u64;
+            let moduli = [
+                ntt_prime_above(1 << 25, two_n).unwrap(),
+                wd_modmath::prime::ntt_prime_below(1 << 30, two_n).unwrap(),
+            ];
+            for q in moduli {
+                let t = NttTable::new(q, n).unwrap();
+                let mut state = (u64::from(log_n) * 0x9e37_79b9_7f4a_7c15) ^ q;
+                let random = (0..n)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (state >> 33) % q
+                    })
+                    .collect::<Vec<_>>();
+                for data in [random, vec![q - 1; n], vec![0; n]] {
+                    let mut evals = t.forward_naive(&data);
+                    NttTable::bit_reverse(&mut evals);
+                    let mut fast = data.clone();
+                    t.forward(&mut fast);
+                    assert_eq!(fast, evals, "forward, n = {n}, q = {q}");
+                    t.inverse(&mut evals);
+                    assert_eq!(evals, data, "inverse, n = {n}, q = {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_level_matches_the_scalar_level_at_2_15_and_2_16() {
+        use wd_modmath::lanes::{run_at, Level};
+        for n in [1usize << 15, 1 << 16] {
+            let two_n = 2 * n as u64;
+            for q in [
+                ntt_prime_above(1 << 25, two_n).unwrap(),
+                wd_modmath::prime::ntt_prime_below(1 << 30, two_n).unwrap(),
+            ] {
+                let t = NttTable::new(q, n).unwrap();
+                let shift = usize::BITS - n.trailing_zeros();
+                let inputs = [
+                    (0..n as u64)
+                        .map(|i| (i * 2654435761 + 7) % q)
+                        .collect::<Vec<_>>(),
+                    vec![q - 1; n],
+                ];
+                for data in inputs {
+                    let (mut want, mut want_inv) = (data.clone(), data.clone());
+                    run_at(
+                        Level::Scalar,
+                        Forward {
+                            table: &t,
+                            data: &mut want,
+                        },
+                    );
+                    run_at(
+                        Level::Scalar,
+                        Inverse {
+                            table: &t,
+                            data: &mut want_inv,
+                        },
+                    );
+                    for i in (0..n).step_by(n / 8) {
+                        let k = i.reverse_bits() >> shift;
+                        assert_eq!(want[i], t.forward_naive_at(&data, k), "n = {n}, q = {q}");
+                    }
+                    for level in Level::ALL {
+                        let (mut x, mut y) = (data.clone(), data.clone());
+                        if run_at(
+                            level,
+                            Forward {
+                                table: &t,
+                                data: &mut x,
+                            },
+                        )
+                        .is_none()
+                        {
+                            continue;
+                        }
+                        assert_eq!(x, want, "forward at {level:?}, n = {n}, q = {q}");
+                        run_at(
+                            level,
+                            Inverse {
+                                table: &t,
+                                data: &mut x,
+                            },
+                        );
+                        assert_eq!(x, data, "round trip at {level:?}, n = {n}, q = {q}");
+                        run_at(
+                            level,
+                            Inverse {
+                                table: &t,
+                                data: &mut y,
+                            },
+                        );
+                        assert_eq!(y, want_inv, "inverse at {level:?}, n = {n}, q = {q}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every butterfly a transform's stage plan runs, as `(lo, hi, twiddle
+    /// index, last)`: the data holds its own positions and the twiddle
+    /// table its own indices, and the butterflies move nothing.
+    fn butterflies_run(
+        n: usize,
+        run: impl FnOnce(
+            &mut [u64],
+            &[(u64, u64)],
+            &dyn Fn(u64, u64, u64, u64) -> (u64, u64),
+            &dyn Fn(u64, u64, u64, u64) -> (u64, u64),
+        ),
+    ) -> Vec<(u64, u64, u64, bool)> {
+        let seen = std::cell::RefCell::new(Vec::new());
+        let mut data: Vec<u64> = (0..n as u64).collect();
+        let twiddles: Vec<(u64, u64)> = (0..n as u64).map(|k| (k, 0)).collect();
+        let record = |last| {
+            let seen = &seen;
+            move |x: u64, y: u64, w: u64, _: u64| {
+                seen.borrow_mut().push((x, y, w, last));
+                (x, y)
+            }
+        };
+        run(&mut data, &twiddles, &record(false), &record(true));
+        assert_eq!(data, (0..n as u64).collect::<Vec<_>>());
+        let mut seen = seen.into_inner();
+        seen.sort_unstable();
+        seen
+    }
+
+    #[test]
+    fn the_pass_plan_runs_every_stage_once_under_each_twiddle_once() {
+        for log_n in 2..=15u32 {
+            let n = 1usize << log_n;
+            // Stage with `m` blocks of span t = n / 2m: block i pairs
+            // (2ti + j, 2ti + j + t) under twiddle m + i.
+            let stages = |last_is: usize| {
+                let mut want = Vec::new();
+                let mut m = 1;
+                while m < n {
+                    let t = n / (2 * m);
+                    for i in 0..m {
+                        for j in 0..t {
+                            let lo = (2 * t * i + j) as u64;
+                            want.push((lo, lo + t as u64, (m + i) as u64, m == last_is));
+                        }
+                    }
+                    m *= 2;
+                }
+                want.sort_unstable();
+                want
+            };
+            let fwd = butterflies_run(n, |d, tw, b, last| forward_stages(d, tw, b, last));
+            assert_eq!(fwd, stages(n / 2), "forward, n = {n}");
+            let inv = butterflies_run(n, |d, tw, b, last| inverse_stages(d, tw, b, last));
+            assert_eq!(inv, stages(1), "inverse, n = {n}");
+            // Each twiddle drives exactly the span-many butterflies of its
+            // one block.
+            let mut uses = vec![0; n];
+            for b in &fwd {
+                uses[b.2 as usize] += 1;
+            }
+            for (k, &count) in uses.iter().enumerate().skip(1) {
+                assert_eq!(count, n >> (k.ilog2() + 1), "forward twiddle {k}, n = {n}");
             }
         }
     }

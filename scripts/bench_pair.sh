@@ -13,9 +13,18 @@
 #
 # Prints one markdown table: for every workload and end-to-end metric every
 # run of both sides, median and quartiles, the child's median against the
-# parent's in per cent next to the metric's bound from BENCHMARK.json, and
-# the pairs the child won (ties count for neither); then the operations that
-# failed or answered wrongly on each side. With --traced, one traced run a
+# parent's in per cent next to the metric's bound from BENCHMARK.json, the
+# pairs the child won (ties count for neither) and the row's status, by
+# choosing-metrics §6.5 and §8, first rule that holds:
+#   gain        the child won at least 9 in 10 of the pairs and the medians
+#               differ by more than the parent's interquartile range;
+#   worse       the child's median is worse than the parent's by more than
+#               the bound;
+#   unresolved  the parent's interquartile range is wider than the bound
+#               (of its median), and not every child run beats every parent
+#               run;
+#   no change   otherwise.
+# Then the operations that failed or answered wrongly on each side. With --traced, one traced run a
 # side follows the pairs and every per-layer metric is printed side by side.
 #
 # It edits nothing under benchmark/, and sets no variable but
@@ -124,8 +133,8 @@ jq -rs --slurpfile manifest "$manifest" '
     + " \(quantile(0.25) | sig)–\(quantile(0.75) | sig))";
   . as $runs
   | "| workload | metric | parent: runs (median; quartiles) | child: runs (median; quartiles)"
-    + " | child median worse by (bound); − = better | pairs won by child |",
-    "|---|---|---|---|---|---|",
+    + " | child median worse by (bound); − = better | pairs won by child | status |",
+    "|---|---|---|---|---|---|---|",
     ( $manifest[0].workloads[].name as $w
     | $manifest[0].end_to_end[] as $m
     | ($runs | values("parent"; $w; $m.name)) as $p
@@ -133,11 +142,18 @@ jq -rs --slurpfile manifest "$manifest" '
     | select(($p | length) > 0 and ($c | length) > 0)
     | (if $m.better == "lower" then 1 else -1 end) as $dir
     | ((($c | quantile(0.5)) - ($p | quantile(0.5))) / ($p | quantile(0.5)) * $dir) as $worse
-    | ([range(0; [($p | length), ($c | length)] | min)
-        | select(($c[.] - $p[.]) * $dir < 0)] | length) as $won
+    | ([($p | length), ($c | length)] | min) as $pairs
+    | ([range(0; $pairs) | select(($c[.] - $p[.]) * $dir < 0)] | length) as $won
+    | (($p | quantile(0.75)) - ($p | quantile(0.25))) as $iqr
+    | (if $won >= 0.9 * $pairs and $worse < 0
+          and (($c | quantile(0.5)) - ($p | quantile(0.5)) | fabs) > $iqr then "gain"
+       elif $worse > $m.bound then "worse"
+       elif $iqr > $m.bound * ($p | quantile(0.5) | fabs)
+          and (($c | map(. * $dir) | max) < ($p | map(. * $dir) | min) | not) then "unresolved"
+       else "no change" end) as $status
     | "| \($w) | \($m.name) | \($p | cell) | \($c | cell)"
       + " | \(if $worse > 0 then "+" else "" end)\(($worse * 1000 | round) / 10) %"
-      + " (\($m.bound * 100) %) | \($won) of \([($p | length), ($c | length)] | min) |" ),
+      + " (\($m.bound * 100) %) | \($won) of \($pairs) | \($status) |" ),
     "",
     ( ("parent", "child") as $side
     | [$runs[] | select(.side == $side)] as $mine
